@@ -169,30 +169,37 @@ def kmeans_objective(targets, dictionary: PoseDictionary) -> float:
     return float(np.min(d2, axis=1).sum())
 
 
+def _sq_distances(y, keys: np.ndarray) -> np.ndarray:
+    """|y - z_k|^2 of each row of y (..., d) to every key: (..., K)."""
+    y = np.asarray(y, dtype=float)
+    # one column at a time keeps the (n, K, d) difference array out of memory
+    return sum((y[..., None, j] - keys[:, j]) ** 2 for j in range(keys.shape[1]))
+
+
 def hard_label(y, dictionary: PoseDictionary) -> int:
     """argmin_k |y - z_k|_2, ties broken by lowest index (np.argmin does)."""
-    y = np.asarray(y, dtype=float)
-    d2 = np.sum((dictionary.keys - y) ** 2, axis=1)
-    return int(np.argmin(d2))
+    return int(hard_labels(y, dictionary))
+
+
+def hard_labels(ys, dictionary: PoseDictionary) -> np.ndarray:
+    """hard_label of each row of ys (n, d): (n,) ints."""
+    return np.argmin(_sq_distances(ys, dictionary.keys), axis=-1)
 
 
 def soft_assign(y, dictionary: PoseDictionary, gamma: float) -> SoftAssignment:
     """Softmax over -gamma * |y - z_k|^2, max-subtracted for stability."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    y = np.asarray(y, dtype=float)
-    logits = -gamma * np.sum((dictionary.keys - y) ** 2, axis=1)
-    logits = logits - logits.max()
-    e = np.exp(logits)
-    return SoftAssignment(e / e.sum(), gamma)
+    return SoftAssignment(soft_assign_probs(y, dictionary.keys, gamma), gamma)
 
 
 def soft_assign_probs(y, keys: np.ndarray, gamma: float) -> np.ndarray:
-    """Probability vector of soft_assign without the wrapper type (hot path)."""
-    logits = -gamma * np.sum((keys - np.asarray(y, dtype=float)) ** 2, axis=1)
-    logits -= logits.max()
+    """Probability vector of soft_assign without the wrapper type, for one
+    pose (d,) or for each row of a stack (n, d)."""
+    logits = -gamma * _sq_distances(y, keys)
+    logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def min_pairwise_sq_distance(keys: np.ndarray) -> float:

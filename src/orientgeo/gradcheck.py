@@ -193,40 +193,39 @@ def _flat_views(spec, prediction):
 
 
 def check_instance(spec: losses.ObjectiveSpec, inst: Instance, h: float = FD_STEP) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    result = losses.objective(spec, inst.prediction, inst.target, inst.dictionary)
+    """Max relative error between analytic and central-difference gradients.
 
-    def value_at(pred):
-        return losses.objective(spec, pred, inst.target, inst.dictionary).value
+    One objective_batch call evaluates the instance and all its probes: row
+    0 is the instance, rows 2i + 1 and 2i + 2 move probed entry i by +h and
+    -h (entries numbered across the gradient slots in order).
+    """
+    views = _flat_views(spec, inst.prediction)
+    sizes = [np.size(arr) for _, arr in views]
+    rows = 1 + 2 * sum(sizes)
+    stacked, offset = [], 0
+    for (_, arr), size in zip(views, sizes):
+        probes = np.repeat(np.asarray(arr, dtype=float)[None], rows, axis=0)
+        flat = probes.reshape(rows, size)
+        entry = np.arange(size)
+        flat[1 + 2 * (offset + entry), entry] += h
+        flat[2 + 2 * (offset + entry), entry] -= h
+        stacked.append(probes)
+        offset += size
+    prediction = stacked[0] if len(stacked) == 1 else tuple(stacked)
+    batch = losses.objective_batch(
+        spec, prediction, losses.target_batch(inst.target, rows), inst.dictionary
+    )
+    fd_all = (batch.values[1::2] - batch.values[2::2]) / (2.0 * h)
 
-    worst = 0.0
-    for name, arr in _flat_views(spec, inst.prediction):
-        arr = np.array(arr, dtype=float)
-        analytic = np.asarray(result.grads[name], dtype=float)
-        fd = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = value_at(_rebuild(spec, inst.prediction, name, arr))
-            flat[i] = orig - h
-            dn = value_at(_rebuild(spec, inst.prediction, name, arr))
-            flat[i] = orig
-            fd_flat[i] = (up - dn) / (2.0 * h)
+    worst, offset = 0.0, 0
+    for (name, _), size in zip(views, sizes):
+        fd = fd_all[offset : offset + size]
+        offset += size
+        analytic = batch.grads[name][0].reshape(-1)
         scale = max(float(np.max(np.abs(fd))), 1e-8)
         err = float(np.max(np.abs(analytic - fd))) / scale
         worst = max(worst, err)
     return worst
-
-
-def _rebuild(spec, prediction, name, arr):
-    if name == "pose" or spec.family == "C":
-        return arr
-    logits, deltas = prediction
-    if name == "logits":
-        return (arr, deltas)
-    return (logits, arr)
 
 
 def check_family(

@@ -29,7 +29,8 @@ SEED_ENV_VAR = "ORIENT_GEO_SEED"
 
 
 class NonFiniteLoss(RuntimeError):
-    """Training aborted because an objective value or gradient left floats."""
+    """Training aborted because an objective value or gradient left the
+    finite floats, or a quaternion head collapsed to zero."""
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +315,16 @@ def fit_shared_dictionary(cfg: ExperimentConfig, dataset: SyntheticDataset) -> d
     return dct.fit_kmeans(vectors, cfg.dictionary_size, cfg.dictionary_seed, rep)
 
 
-def _make_targets(spec, dictionary, target_mats, gamma):
-    out = []
-    for m in target_mats:
-        y = pose_vector(m, spec.representation)
-        label = soft = None
-        if dictionary is not None:
-            label = dct.hard_label(y, dictionary)
-            if spec.family in losses.SOFT_TARGET_FAMILIES:
-                soft = dct.soft_assign_probs(y, dictionary.keys, gamma)
-        out.append(losses.Target(y=y, label=label, soft=soft))
-    return out
+def _make_targets(spec, dictionary, target_mats, gamma) -> losses.TargetBatch:
+    """Objective targets for a stack of rotation matrices, built once per split."""
+    y = np.stack([pose_vector(m, spec.representation) for m in target_mats])
+    label = soft = None
+    if dictionary is not None:
+        label = dct.hard_labels(y, dictionary)
+        if spec.family in losses.SOFT_TARGET_FAMILIES:
+            soft = dct.soft_assign_probs(y, dictionary.keys, gamma)
+    ref = losses.target_references(spec.representation, y)
+    return losses.TargetBatch(y=y, label=label, soft=soft, ref=ref)
 
 
 def discretization_floor(dataset: SyntheticDataset, dictionary: dct.PoseDictionary,
@@ -449,6 +449,7 @@ class TrainLog:
     lines: tuple  # one human-readable line per scheduled epoch
     epoch_losses: tuple  # mean loss per scheduled epoch
     step_losses: tuple  # tuple per scheduled epoch of per-step mean losses
+    epoch_non_smooth: tuple = ()  # samples per scheduled epoch flagged non-smooth
 
     @property
     def text(self) -> str:
@@ -456,66 +457,31 @@ class TrainLog:
 
 
 def _batch_losses(spec, nets, adams, dictionary, feats, targets, lr):
-    """One optimizer step on one category batch; returns the mean loss."""
+    """One optimizer step on one category batch; returns the mean loss and
+    the number of samples whose loss was flagged non-smooth."""
     b = feats.shape[0]
-    total = 0.0
+    cached = {role: models.forward_cached(net, feats) for role, net in nets.items()}
+    heads = _head_names(nets)
     if spec.family in ("R_G", "R_E"):
-        out, cache = models.forward_cached(nets["pose"], feats)
-        gout = np.empty_like(out)
-        for i in range(b):
-            lv = losses.objective(spec, out[i], targets[i])
-            total += lv.value
-            gout[i] = lv.grads["pose"]
-        grads, _ = models.backward(nets["pose"], cache, gout / b)
-        adams["pose"].step(nets["pose"], grads, lr)
-        return total / b
+        prediction = cached["pose"][0]
+    elif spec.family == "C":
+        prediction = cached["logits"][0]
+    elif spec.per_bin:
+        prediction = (cached["logits"][0], np.stack([cached[h][0] for h in heads], axis=1))
+    else:
+        prediction = (cached["logits"][0], cached["delta"][0])
+    batch = losses.objective_batch(spec, prediction, targets, dictionary)
 
-    logits, lcache = models.forward_cached(nets["logits"], feats)
-    glogits = np.empty_like(logits)
-    if spec.family == "C":
-        for i in range(b):
-            lv = losses.objective(spec, logits[i], targets[i])
-            total += lv.value
-            glogits[i] = lv.grads["logits"]
-        grads, _ = models.backward(nets["logits"], lcache, glogits / b)
-        adams["logits"].step(nets["logits"], grads, lr)
-        return total / b
-
+    grads_by_role = dict(batch.grads)
     if spec.per_bin:
-        heads = _head_names(nets)
-        outs, caches = [], []
-        for name in heads:
-            o, c = models.forward_cached(nets[name], feats)
-            outs.append(o)
-            caches.append(c)
-        stacked = np.stack(outs, axis=0)  # (K, b, d)
-        ghead = np.zeros_like(stacked)
-        for i in range(b):
-            lv = losses.objective(spec, (logits[i], stacked[:, i, :]), targets[i], dictionary)
-            total += lv.value
-            glogits[i] = lv.grads["logits"]
-            ghead[:, i, :] = lv.grads["deltas"]
-        grads, _ = models.backward(nets["logits"], lcache, glogits / b)
-        adams["logits"].step(nets["logits"], grads, lr)
-        for k, name in enumerate(heads):
-            if not np.any(ghead[k]):
-                continue  # no sample touched this head this step
-            grads, _ = models.backward(nets[name], caches[k], ghead[k] / b)
-            adams[name].step(nets[name], grads, lr)
-        return total / b
-
-    deltas, dcache = models.forward_cached(nets["delta"], feats)
-    gdelta = np.empty_like(deltas)
-    for i in range(b):
-        lv = losses.objective(spec, (logits[i], deltas[i]), targets[i], dictionary)
-        total += lv.value
-        glogits[i] = lv.grads["logits"]
-        gdelta[i] = lv.grads["delta"]
-    grads, _ = models.backward(nets["logits"], lcache, glogits / b)
-    adams["logits"].step(nets["logits"], grads, lr)
-    grads, _ = models.backward(nets["delta"], dcache, gdelta / b)
-    adams["delta"].step(nets["delta"], grads, lr)
-    return total / b
+        per_head = grads_by_role.pop("deltas")  # (b, K, d)
+        grads_by_role.update((h, per_head[:, k]) for k, h in enumerate(heads))
+    for role, g in grads_by_role.items():
+        if spec.per_bin and role != "logits" and not np.any(g):
+            continue  # no sample touched this head this step
+        grads, _ = models.backward(nets[role], cached[role][1], g / b)
+        adams[role].step(nets[role], grads, lr)
+    return float(batch.values.sum()) / b, int(batch.non_smooth.sum())
 
 
 def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
@@ -541,8 +507,7 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
         else None
     )
 
-    nets_by_cat, adams_by_cat, batch_rngs = {}, {}, {}
-    targets_by_cat, aug_targets_by_cat = {}, {}
+    nets_by_cat, adams_by_cat, batch_rngs, targets_by_cat = {}, {}, {}, {}
     for c, name in enumerate(dataset.categories):
         nets = build_category_model(cfg, seed + 1000 * (c + 1))
         nets_by_cat[name] = nets
@@ -551,17 +516,17 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
             np.random.SeedSequence([int(seed), c, 10])
         )
         split = dataset.train[name]
-        targets_by_cat[name] = _make_targets(spec, dictionary, split.targets, gamma)
+        # clean rows first, then the augmented pool at offset split.size
+        mats = split.targets
         if split.aug_targets is not None:
-            aug_targets_by_cat[name] = _make_targets(
-                spec, dictionary, split.aug_targets, gamma
-            )
+            mats = np.concatenate([mats, split.aug_targets])
+        targets_by_cat[name] = _make_targets(spec, dictionary, mats, gamma)
 
-    has_aug = bool(aug_targets_by_cat)
+    has_aug = any(dataset.train[n].aug_targets is not None for n in dataset.categories)
     clean_quota = max(1, opt.batch_per_category // 2) if has_aug else opt.batch_per_category
     aug_quota = opt.batch_per_category - clean_quota if has_aug else 0
 
-    lines, epoch_losses, step_losses = [], [], []
+    lines, epoch_losses, step_losses, epoch_non_smooth = [], [], [], []
     prev_family = None
     for epoch, epoch_spec in enumerate(schedule):
         if prev_family is not None and epoch_spec.family != prev_family:
@@ -588,43 +553,42 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
         if steps < 1:
             raise ValueError("batch_per_category exceeds the train split")
 
-        per_step = []
+        per_step, non_smooth = [], 0
         for t in range(steps):
             step_total = 0.0
             for name in dataset.categories:
                 split = dataset.train[name]
                 idx = orders[name][t * clean_quota : (t + 1) * clean_quota]
                 feats = split.features[idx]
-                targets = [targets_by_cat[name][i] for i in idx]
                 if aug_quota:
                     aidx = aug_orders[name][t * aug_quota : (t + 1) * aug_quota]
                     feats = np.concatenate([feats, split.aug_features[aidx]])
-                    targets = targets + [aug_targets_by_cat[name][i] for i in aidx]
+                    idx = np.concatenate([idx, split.size + aidx])
                 try:
                     # divergence is reported via NonFiniteLoss, not warnings
                     with np.errstate(over="ignore", invalid="ignore"):
-                        loss = _batch_losses(
+                        loss, flagged = _batch_losses(
                             epoch_spec, nets_by_cat[name], adams_by_cat[name],
-                            dictionary, feats, targets, lr,
+                            dictionary, feats, targets_by_cat[name].rows(idx), lr,
                         )
-                except losses.FamilyMismatch:
-                    raise  # a wiring error, not a numeric blow-up
-                except ValueError as exc:
+                except (losses.NonFiniteObjective, models.ZeroSum) as exc:
                     raise NonFiniteLoss(
                         f"category {name} epoch {epoch} step {t}: {exc}"
                     ) from exc
-                if not math.isfinite(loss):
-                    raise NonFiniteLoss(f"category {name} epoch {epoch} step {t}")
                 step_total += loss
+                non_smooth += flagged
             per_step.append(step_total / len(dataset.categories))
         epoch_mean = sum(per_step) / len(per_step)
         epoch_losses.append(epoch_mean)
         step_losses.append(tuple(per_step))
+        epoch_non_smooth.append(non_smooth)
         lines.append(
             f"epoch {epoch} objective {epoch_spec.family} lr {lr:.3e} "
-            f"loss {epoch_mean:.6f}"
+            f"loss {epoch_mean:.6f} non_smooth {non_smooth}"
         )
-    log = TrainLog(tuple(lines), tuple(epoch_losses), tuple(step_losses))
+    log = TrainLog(
+        tuple(lines), tuple(epoch_losses), tuple(step_losses), tuple(epoch_non_smooth)
+    )
     return nets_by_cat, dictionary, log
 
 

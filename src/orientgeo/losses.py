@@ -11,6 +11,9 @@ with a(t) = sin t / t and b(t) = (1 - cos t)/t^2,
 where t = |y|; tr([y]x A) is linear in y and the quadratic term is a plain
 bilinear form, so everything reduces to scalar chain rules.  The quaternion
 path differentiates 2 acos(|<s/|s|, q*>|) through the normalization.
+
+objective_batch evaluates B samples at once on stacked arrays, one target
+per row; objective is its one-row wrapper.
 """
 
 from __future__ import annotations
@@ -62,18 +65,26 @@ class FamilyMismatch(ValueError):
     """Prediction/target shapes or spec fields inconsistent with the family."""
 
 
+class NonFiniteObjective(ValueError):
+    """An objective value or gradient left the finite floats."""
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class LossValue:
+    """One sample's objective value, gradients and non-smooth flag."""
+
     value: float
     grads: dict
     non_smooth: bool = False
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite loss value {self.value!r}")
-        for name, g in self.grads.items():
-            if not np.all(np.isfinite(g)):
-                raise ValueError(f"non-finite gradient {name!r}")
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class BatchLoss:
+    """Per-row values (B,), gradients (B, ...) by name, non-smooth mask (B,)."""
+
+    values: np.ndarray
+    grads: dict
+    non_smooth: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,16 +153,49 @@ class ObjectiveSpec:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Target:
-    """Ground truth for one sample: pose vector, hard label, soft assignment.
-
-    log_keys optionally carries precomputed log(R_k^T R*) rows for the
-    tangent-space families, which the paper notes "can be precomputed".
-    """
+    """Ground truth for one sample: pose vector, hard label, soft assignment."""
 
     y: np.ndarray | None = None
     label: int | None = None
     soft: np.ndarray | None = None
-    log_keys: np.ndarray | None = None
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class TargetBatch:
+    """Ground truth for B samples as stacked arrays: poses y (B, d), hard
+    labels (B,), soft assignments (B, K), and ref, the geodesic reference
+    of each row (see target_references).  ref is derived from y when left
+    None; callers that reuse rows across steps precompute it once."""
+
+    y: np.ndarray | None = None
+    label: np.ndarray | None = None
+    soft: np.ndarray | None = None
+    ref: np.ndarray | None = None
+
+    def rows(self, idx) -> "TargetBatch":
+        fields = (self.y, self.label, self.soft, self.ref)
+        return TargetBatch(*(None if f is None else f[idx] for f in fields))
+
+
+def target_batch(target: Target, rows: int = 1) -> TargetBatch:
+    """`rows` read-only copies of one sample's ground truth."""
+    fields = (target.y, target.label, target.soft)
+    return TargetBatch(
+        *(None if f is None else np.broadcast_to(f, (rows,) + np.shape(f)) for f in fields)
+    )
+
+
+def target_references(representation: str, y) -> np.ndarray:
+    """Geodesic reference of each pose target row in y (B, d): the rotation
+    matrix of the norm-clipped axis-angle (B, 3, 3), or the canonical unit
+    quaternion (B, 4)."""
+    y = np.asarray(y, dtype=float)
+    if representation == dct.AXIS_ANGLE:
+        return _rodrigues_rows(_clip_rows(y))
+    q = y / np.linalg.norm(y, axis=-1, keepdims=True)
+    # canonical sign: the first nonzero component is positive
+    first = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)
+    return np.where(first < 0.0, -q, q)
 
 
 def resolve_gamma(spec: ObjectiveSpec, dictionary: dct.PoseDictionary) -> float:
@@ -164,6 +208,67 @@ def resolve_gamma(spec: ObjectiveSpec, dictionary: dct.PoseDictionary) -> float:
 
 
 # ---------------------------------------------------------------------------
+# row-wise SO(3) helpers: so3's single-vector maps on stacked rows (..., 3)
+
+
+def _norm_rows(v: np.ndarray) -> np.ndarray:
+    """|v| of each row (..., 1), summed like np.linalg.norm of one vector."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
+def _clip_rows(v: np.ndarray) -> np.ndarray:
+    n = _norm_rows(v)
+    return np.where(n >= math.pi, v * (so3.MAX_AXIS_ANGLE_NORM / np.maximum(n, math.pi)), v)
+
+
+def _rodrigues_rows(v: np.ndarray) -> np.ndarray:
+    t = _norm_rows(v)[..., None]
+    small = t < so3.EPS_THETA
+    ts = np.where(small, 1.0, t)
+    a = np.where(small, 1.0, np.sin(t) / ts)
+    b = np.where(small, 0.0, (1.0 - np.cos(t)) / (ts * ts))
+    k = so3.hat(v)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def _log_rotations(m: np.ndarray) -> np.ndarray:
+    """so3.log_rotation of each matrix in m (B, 3, 3).  Rows in its near-pi
+    rejection band take _log_near_pi instead of raising."""
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    small = theta < so3.EPS_THETA
+    scale = np.where(
+        small, 0.5 + theta * theta / 12.0, theta / (2.0 * np.where(small, 1.0, np.sin(theta)))
+    )
+    out = scale[:, None] * so3.vee(m - np.swapaxes(m, -1, -2))
+    for i in np.nonzero(tr <= -1.0 + so3.EPS_PI)[0]:
+        out[i] = _log_near_pi(m[i])
+    return out
+
+
+def _log_near_pi(m: np.ndarray) -> np.ndarray:
+    """Log of a rotation in the near-pi band, where the skew part no longer
+    determines the axis.
+
+    Training with predicted labels can pair a sample with a nearly
+    antipodal key; rather than abort, extract the axis from (R + I)/2 and
+    clamp the angle below pi so the tangent target stays representable.
+    """
+    b = (m + np.eye(3)) / 2.0
+    i0 = int(np.argmax(np.diag(b)))
+    v = b[i0] / math.sqrt(max(b[i0, i0], 1e-300))
+    v = v / np.linalg.norm(v)
+    s = so3.vee(m - m.T)
+    if np.dot(v, s) < 0.0:
+        v = -v
+    elif np.allclose(s, 0.0):
+        v = so3.canonical_quaternion(np.concatenate(([0.0], v)))[1:]
+    c = min(1.0, max(-1.0, (float(np.trace(m)) - 1.0) / 2.0))
+    theta = min(math.acos(c), math.pi - 1e-6)
+    return theta * v
+
+
+# ---------------------------------------------------------------------------
 # geodesic value/gradient kernels
 
 
@@ -173,20 +278,24 @@ def _acos_grad_factor(u: np.ndarray) -> np.ndarray:
     return -np.minimum(1.0 / np.sqrt(1.0 - uc * uc), GRAD_CAP)
 
 
-def _geodesic_axis_angle_many(ys: np.ndarray, a_mat: np.ndarray):
-    """Geodesic distance and gradient for rows of ys against target matrix.
+def _non_smooth(values: np.ndarray) -> np.ndarray:
+    return (values < NON_SMOOTH_MARGIN) | (values > math.pi - NON_SMOOTH_MARGIN)
 
-    Returns (values (K,), grads (K,3), non_smooth bool).  Rows with norm
-    >= pi pass through the safety rescaling onto norm pi - 1e-6 and the
-    gradient is chained through that projection.
+
+def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
+    """Geodesic distance of rodrigues(y) to A, row by row, and its gradient.
+
+    ys is (..., 3) and a_mat (..., 3, 3), one target matrix per row (leading
+    axes broadcast).  Returns (values, grads, non_smooth) shaped like the
+    rows.  Rows with norm >= pi pass through the safety rescaling onto norm
+    pi - 1e-6 and the gradient is chained through that projection.
     """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n = np.linalg.norm(ys, axis=1)
+    n = np.linalg.norm(ys, axis=-1)
     projected = n >= math.pi
-    scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / np.where(n == 0.0, 1.0, n), 1.0)
-    y = ys * scale[:, None]
+    scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / np.maximum(n, math.pi), 1.0)
+    y = ys * scale[..., None]
 
-    t = np.linalg.norm(y, axis=1)
+    t = np.linalg.norm(y, axis=-1)
     small = t < so3.EPS_THETA
     ts = np.where(small, 1.0, t)
     sin_t, cos_t = np.sin(t), np.cos(t)
@@ -196,212 +305,276 @@ def _geodesic_axis_angle_many(ys: np.ndarray, a_mat: np.ndarray):
     ap_t = np.where(small, -1.0 / 3.0, (t * cos_t - sin_t) / ts**3)
     bp_t = np.where(small, -1.0 / 12.0, (t * sin_t - 2.0 * (1.0 - cos_t)) / ts**4)
 
-    tr_a = float(np.trace(a_mat))
-    w = np.array(
-        [
-            a_mat[1, 2] - a_mat[2, 1],
-            a_mat[2, 0] - a_mat[0, 2],
-            a_mat[0, 1] - a_mat[1, 0],
-        ]
-    )
-    t1 = y @ w
-    t2 = np.einsum("ki,ij,kj->k", y, a_mat, y) - t * t * tr_a
+    tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
+    w = so3.vee(np.swapaxes(a_mat, -1, -2) - a_mat)
+    t1 = np.einsum("...i,...i->...", y, w)
+    t2 = np.einsum("...i,...ij,...j->...", y, a_mat, y) - t * t * tr_a
     u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
     values = np.arccos(np.clip(u, -1.0, 1.0))
 
-    sym = y @ (a_mat + a_mat.T)
+    sym = np.einsum("...i,...ij->...j", y, a_mat + np.swapaxes(a_mat, -1, -2))
     du = 0.5 * (
-        (-ap_t * t1 + bp_t * t2)[:, None] * y
-        - a[:, None] * w
-        + b[:, None] * (sym - 2.0 * tr_a * y)
+        (-ap_t * t1 + bp_t * t2)[..., None] * y
+        - a[..., None] * w
+        + b[..., None] * (sym - 2.0 * tr_a[..., None] * y)
     )
-    grads = _acos_grad_factor(u)[:, None] * du
+    grads = _acos_grad_factor(u)[..., None] * du
 
-    if np.any(projected):
-        for i in np.nonzero(projected)[0]:
-            unit = ys[i] / n[i]
-            g = grads[i]
-            grads[i] = (so3.MAX_AXIS_ANGLE_NORM / n[i]) * (g - unit * np.dot(unit, g))
-
-    non_smooth = bool(
-        np.any(values < NON_SMOOTH_MARGIN) or np.any(values > math.pi - NON_SMOOTH_MARGIN)
-    )
-    return values, grads, non_smooth
+    # d/dy of y * pi'/|y| projects out the radial part and rescales
+    unit = ys / np.maximum(n, math.pi)[..., None]
+    radial = np.einsum("...i,...i->...", unit, grads)[..., None] * unit
+    grads = np.where(projected[..., None], scale[..., None] * (grads - radial), grads)
+    return values, grads, _non_smooth(values)
 
 
-def _geodesic_quaternion_many(ss: np.ndarray, q_true: np.ndarray):
-    """2 acos(|<s/|s|, q*>|) and gradient in the raw (unnormalized) rows."""
-    ss = np.atleast_2d(np.asarray(ss, dtype=float))
-    n = np.linalg.norm(ss, axis=1)
+def _geodesic_quaternion(ss: np.ndarray, q_true: np.ndarray):
+    """2 acos(|<s/|s|, q*>|) row by row and its gradient in the raw
+    (unnormalized) rows s (..., 4); q_true (..., 4) broadcasts."""
+    n = np.linalg.norm(ss, axis=-1)
     if np.any(n < 1e-12):
         raise models.ZeroSum("quaternion sum collapsed to zero")
-    q = ss / n[:, None]
-    craw = q @ q_true
+    q = ss / n[..., None]
+    craw = np.einsum("...i,...i->...", q, q_true)
     cabs = np.abs(craw)
     values = 2.0 * np.arccos(np.minimum(cabs, 1.0))
     sign = np.where(craw < 0.0, -1.0, 1.0)
     dfac = 2.0 * _acos_grad_factor(cabs)  # d value / d cabs
     # d cabs/ds = sign (q* - craw q) / |s|
-    grads = (dfac * sign / n)[:, None] * (q_true[None, :] - craw[:, None] * q)
-    non_smooth = bool(
-        np.any(values < NON_SMOOTH_MARGIN) or np.any(values > math.pi - NON_SMOOTH_MARGIN)
-    )
-    return values, grads, non_smooth
+    grads = (dfac * sign / n)[..., None] * (q_true - craw[..., None] * q)
+    return values, grads, _non_smooth(values)
 
 
-def _target_rotation(y_true: np.ndarray) -> np.ndarray:
-    return so3.rodrigues(so3.clip_axis_angle_norm(np.asarray(y_true, dtype=float)))
-
-
-def _target_quaternion(y_true: np.ndarray) -> np.ndarray:
-    q = np.asarray(y_true, dtype=float)
-    return so3.canonical_quaternion(q / np.linalg.norm(q))
-
-
-def _log_rotation_robust(m: np.ndarray) -> np.ndarray:
-    """log_rotation extended through the near-pi rejection band.
-
-    Training with predicted labels can pair a sample with a nearly
-    antipodal key; rather than abort, extract the axis from (R + I)/2 and
-    clamp the angle below pi so the tangent target stays representable.
-    """
-    try:
-        return so3.log_rotation(m)
-    except so3.NearPiRotation:
-        b = (m + np.eye(3)) / 2.0
-        i0 = int(np.argmax(np.diag(b)))
-        v = b[i0] / math.sqrt(max(b[i0, i0], 1e-300))
-        v = v / np.linalg.norm(v)
-        s = so3.vee(m - m.T)
-        if np.dot(v, s) < 0.0:
-            v = -v
-        elif np.allclose(s, 0.0):
-            v = so3.canonical_quaternion(np.concatenate(([0.0], v)))[1:]
-        c = min(1.0, max(-1.0, (float(np.trace(m)) - 1.0) / 2.0))
-        theta = min(math.acos(c), math.pi - 1e-6)
-        return theta * v
+def _geodesic(representation: str, ys: np.ndarray, ref: np.ndarray):
+    if representation == dct.AXIS_ANGLE:
+        return _geodesic_axis_angle(ys, ref)
+    return _geodesic_quaternion(ys, ref)
 
 
 # ---------------------------------------------------------------------------
 # elementary losses
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
+    z = np.asarray(logits, dtype=float)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    m = z.max(axis=-1, keepdims=True)
+    return z - m - np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+
+
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
+    """-log softmax(logits)[label] per row; gradient softmax - onehot."""
+    logp = _log_softmax(logits)
+    rows = np.arange(logits.shape[0])
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    return -logp[rows, labels], grad
+
+
+def _kl_rows(p: np.ndarray, logits: np.ndarray):
+    """sum_k p*_k (log p*_k - log p_k) per row with 0 log 0 = 0; gradient p - p*."""
+    logp = _log_softmax(logits)
+    mask = p > 0.0
+    terms = np.where(mask, p * (np.log(np.where(mask, p, 1.0)) - logp), 0.0)
+    return np.maximum(terms.sum(axis=-1), 0.0), np.exp(logp) - p
+
+
+def _checked(values: np.ndarray, grads: dict, non_smooth=None) -> BatchLoss:
+    """The batch's one finiteness check."""
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmin(np.isfinite(values)))
+        raise NonFiniteObjective(f"non-finite loss value {float(values[bad])!r} in row {bad}")
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteObjective(f"non-finite gradient {name!r}")
+    if non_smooth is None:
+        non_smooth = np.zeros(values.shape, dtype=bool)
+    return BatchLoss(values, grads, non_smooth)
+
+
+def _first_row(batch: BatchLoss) -> LossValue:
+    return LossValue(
+        float(batch.values[0]),
+        {name: g[0] for name, g in batch.grads.items()},
+        bool(batch.non_smooth[0]),
+    )
+
+
 def geodesic_loss(y_pred, y_true, representation: str = dct.AXIS_ANGLE) -> LossValue:
     """Geodesic distance of the corresponding rotations, gradient in y_pred."""
-    if representation == dct.AXIS_ANGLE:
-        vals, grads, ns = _geodesic_axis_angle_many(y_pred, _target_rotation(y_true))
-    elif representation == dct.QUATERNION:
-        vals, grads, ns = _geodesic_quaternion_many(y_pred, _target_quaternion(y_true))
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
-    return LossValue(float(vals[0]), {"pose": grads[0]}, ns)
+    return objective(ObjectiveSpec("R_G", representation), y_pred, Target(y=y_true))
 
 
 def euclidean_loss(y_pred, y_true) -> LossValue:
-    y_pred = np.asarray(y_pred, dtype=float)
-    y_true = np.asarray(y_true, dtype=float)
-    diff = y_pred - y_true
-    return LossValue(float(diff @ diff), {"pose": 2.0 * diff})
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    m = z.max()
-    return z - m - math.log(np.exp(z - m).sum())
+    diff = (np.asarray(y_pred, dtype=float) - np.asarray(y_true, dtype=float))[None]
+    return _first_row(_checked(np.einsum("bi,bi->b", diff, diff), {"pose": 2.0 * diff}))
 
 
 def cross_entropy(logits, label: int) -> LossValue:
     """-log softmax(logits)[label]; gradient softmax - onehot."""
-    logits = np.asarray(logits, dtype=float)
-    logp = _log_softmax(logits)
-    grad = np.exp(logp)
-    grad[label] -= 1.0
-    return LossValue(-float(logp[label]), {"logits": grad})
+    v, g = _cross_entropy_rows(np.asarray(logits, dtype=float)[None], np.array([label]))
+    return _first_row(_checked(v, {"logits": g}))
 
 
 def kl_divergence(p_true, logits) -> LossValue:
     """sum_k p*_k (log p*_k - log p_k) with 0 log 0 = 0; gradient p - p*."""
     p = np.asarray(getattr(p_true, "p", p_true), dtype=float)
-    logits = np.asarray(logits, dtype=float)
-    logp = _log_softmax(logits)
-    mask = p > 0.0
-    value = float(np.sum(p[mask] * (np.log(p[mask]) - logp[mask])))
-    grad = np.exp(logp) - p
-    return LossValue(max(value, 0.0), {"logits": grad})
+    v, g = _kl_rows(p[None], np.asarray(logits, dtype=float)[None])
+    return _first_row(_checked(v, {"logits": g}))
 
 
 # ---------------------------------------------------------------------------
 # family dispatch
 
 
-def _regression_many(spec: ObjectiveSpec, keys: np.ndarray, deltas: np.ndarray, target: Target):
-    """Geodesic values/gradients of compose(key_k, delta_k) against target.y.
+def _stacked(a, tail: tuple, what: str) -> np.ndarray:
+    """a as float rows (B, *tail); None in tail matches any width."""
+    a = np.asarray(a, dtype=float)
+    fits = a.ndim == 1 + len(tail) and all(t in (None, s) for s, t in zip(a.shape[1:], tail))
+    if not fits:
+        want = ", ".join(["B"] + ["K" if t is None else str(t) for t in tail])
+        raise FamilyMismatch(f"{what} must have shape ({want}), got {a.shape}")
+    return a
 
-    keys and deltas are both (K, d); gradient rows are with respect to the
-    delta rows (the key rows are constants).
+
+def _target_field(targets: TargetBatch, name: str, fam: str, b: int) -> np.ndarray:
+    f = getattr(targets, name)
+    if f is None:
+        raise FamilyMismatch(f"{fam} needs the {name!r} target")
+    if len(f) != b:
+        raise FamilyMismatch(f"{len(f)} {name!r} target rows for {b} prediction rows")
+    return f
+
+
+def _references(spec: ObjectiveSpec, targets: TargetBatch, b: int) -> np.ndarray:
+    if targets.ref is not None:
+        return _target_field(targets, "ref", spec.family, b)
+    return target_references(spec.representation, _target_field(targets, "y", spec.family, b))
+
+
+def objective_batch(
+    spec: ObjectiveSpec,
+    prediction,
+    targets: TargetBatch,
+    dictionary: dct.PoseDictionary | None = None,
+) -> BatchLoss:
+    """Per-row objective values, gradients and non-smooth flags of B samples.
+
+    prediction stacks B network outputs: poses (B, d) for R_G/R_E, logits
+    (B, K) for C, and a (logits (B, K), deltas) pair for the Bin & Delta
+    families, with deltas (B, d) for shared-delta families and (B, K, d)
+    per-bin.  Gradients come back in the prediction's shapes under "pose",
+    "logits", "delta" or "deltas".  Rows are independent of each other.
+    Raises FamilyMismatch on shapes or targets inconsistent with the family
+    and NonFiniteObjective when a value or gradient is not finite.
     """
-    if spec.combination == models.RIEMANNIAN:
-        raise FamilyMismatch("riemannian regression is per selected key")
-    if spec.representation == dct.AXIS_ANGLE:
-        return _geodesic_axis_angle_many(keys + deltas, _target_rotation(target.y))
-    return _geodesic_quaternion_many(keys + deltas, _target_quaternion(target.y))
+    fam = spec.family
+    if fam in ("R_G", "R_E"):
+        y = _stacked(prediction, (spec.pose_dim,), f"{fam} poses")
+        b = y.shape[0]
+        if fam == "R_E":
+            diff = y - _target_field(targets, "y", fam, b)
+            return _checked(np.einsum("bi,bi->b", diff, diff), {"pose": 2.0 * diff})
+        vals, grads, ns = _geodesic(spec.representation, y, _references(spec, targets, b))
+        return _checked(vals, {"pose": grads}, ns)
 
+    if fam == "C":
+        logits = _stacked(prediction, (None,), "C logits")
+        v, g = _cross_entropy_rows(logits, _target_field(targets, "label", fam, logits.shape[0]))
+        return _checked(v, {"logits": g})
 
-def _regression_selected(spec: ObjectiveSpec, key: np.ndarray, delta: np.ndarray, target: Target):
-    """Geodesic regression term for one selected key; grad w.r.t. delta."""
-    if spec.combination == models.RIEMANNIAN:
-        key_m = so3.rodrigues(so3.clip_axis_angle_norm(key))
-        rel = key_m.T @ _target_rotation(target.y)
-        vals, grads, ns = _geodesic_axis_angle_many(delta, rel)
-    elif spec.representation == dct.AXIS_ANGLE:
-        vals, grads, ns = _geodesic_axis_angle_many(key + delta, _target_rotation(target.y))
-    else:
-        vals, grads, ns = _geodesic_quaternion_many(key + delta, _target_quaternion(target.y))
-    return float(vals[0]), grads[0], ns
-
-
-def _check_bin_delta_shapes(spec, logits, deltas, dictionary):
+    try:
+        logits, deltas = prediction
+    except (TypeError, ValueError):
+        raise FamilyMismatch(f"{fam} expects a (logits, deltas) prediction pair")
     if dictionary is None:
-        raise FamilyMismatch(f"{spec.family} needs a pose dictionary")
+        raise FamilyMismatch(f"{fam} needs a pose dictionary")
     if dictionary.representation != spec.representation:
         raise FamilyMismatch("dictionary representation does not match the objective")
-    k = dictionary.size
-    if logits.shape != (k,):
-        raise FamilyMismatch(f"logits must have shape ({k},), got {logits.shape}")
-    d = spec.pose_dim
+    k, d = dictionary.size, spec.pose_dim
+    logits = _stacked(logits, (k,), "logits")
     if spec.per_bin:
-        if deltas.shape != (k, d):
-            raise FamilyMismatch(f"per-bin deltas must be ({k}, {d}), got {deltas.shape}")
-    elif deltas.shape != (d,):
-        raise FamilyMismatch(f"shared delta must be ({d},), got {deltas.shape}")
+        deltas = _stacked(deltas, (k, d), "per-bin deltas")
+    else:
+        deltas = _stacked(deltas, (d,), "shared delta")
+    b = logits.shape[0]
+    if deltas.shape[0] != b:
+        raise FamilyMismatch(f"{b} logit rows but {deltas.shape[0]} delta rows")
+    y = _target_field(targets, "y", fam, b)
+    label = _target_field(targets, "label", fam, b)
+    keys = dictionary.keys
+    alpha = spec.alpha
+    rows = np.arange(b)
+    label_pred = np.argmax(logits, axis=1)  # ties take the lowest index
+    delta_sel = deltas[rows, label_pred] if spec.per_bin else deltas
+
+    def delta_grads(grad_sel):
+        if spec.per_bin:
+            g = np.zeros_like(deltas)
+            g[rows, label_pred] = grad_sel
+            return {"deltas": g}
+        return {"delta": grad_sel}
+
+    if fam in SOFT_TARGET_FAMILIES:
+        base_v, base_g = _kl_rows(_target_field(targets, "soft", fam, b), logits)
+    else:
+        base_v, base_g = _cross_entropy_rows(logits, label)
+
+    if fam in ("M_G", "M_Gp", "M_R", "M_Rp", "M_X", "M_Xp"):
+        ref = _references(spec, targets, b)
+        if spec.combination == models.RIEMANNIAN:
+            rel = _relative_to_keys(keys[label_pred], ref)
+            vreg, greg, ns = _geodesic_axis_angle(delta_sel, rel)
+        else:
+            vreg, greg, ns = _geodesic(spec.representation, keys[label_pred] + delta_sel, ref)
+        grads = {"logits": base_g, **delta_grads(alpha * greg)}
+        return _checked(alpha * vreg + base_v, grads, ns)
+
+    if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
+        composed = keys + (deltas if spec.per_bin else deltas[:, None, :])
+        ref = _references(spec, targets, b)[:, None]
+        vals, grows, ns = _geodesic(spec.representation, composed, ref)
+        p = softmax(logits)
+        expected = np.einsum("bk,bk->b", p, vals)
+        # d/d logits of sum_k p_k v_k through the softmax jacobian
+        g_logits = base_g + alpha * (p * (vals - expected[:, None]))
+        if spec.per_bin:
+            g_deltas = {"deltas": alpha * p[..., None] * grows}
+        else:
+            g_deltas = {"delta": alpha * np.einsum("bk,bkd->bd", p, grows)}
+        values = alpha * expected + base_v
+        return _checked(values, {"logits": g_logits, **g_deltas}, ns.any(axis=1))
+
+    if fam in ("M_S", "M_Sp"):
+        # delta* = y* - z_{l*}: the residual against the ground-truth key
+        diff = delta_sel - (y - keys[label])
+        vreg = np.einsum("bi,bi->b", diff, diff)
+        if fam == "M_S":
+            # alpha on the regression term (Simple shared-delta, as printed)
+            grads = {"logits": base_g, **delta_grads(alpha * 2.0 * diff)}
+            return _checked(alpha * vreg + base_v, grads)
+        # M_Sp puts alpha on the classification term, exactly as printed
+        grads = {"logits": alpha * base_g, **delta_grads(2.0 * diff)}
+        return _checked(alpha * base_v + vreg, grads)
+
+    if fam in ("M_LE", "M_LEp"):
+        # tangent target log(R_k^T R*) of each row's selected key
+        gtan = _log_rotations(_relative_to_keys(keys[label_pred], _references(spec, targets, b)))
+        diff = delta_sel - gtan
+        vreg = np.einsum("bi,bi->b", diff, diff)
+        grads = {"logits": base_g, **delta_grads(alpha * 2.0 * diff)}
+        return _checked(base_v + alpha * vreg, grads)
+
+    raise FamilyMismatch(f"unhandled family {fam!r}")
 
 
-def _simple_delta_target(target: Target, dictionary: dct.PoseDictionary) -> np.ndarray:
-    # delta* = y* - z_{l*}: the residual against the ground-truth key
-    return np.asarray(target.y, dtype=float) - dictionary.keys[target.label]
-
-
-def _tangent_target(target: Target, dictionary: dct.PoseDictionary, label: int) -> np.ndarray:
-    if target.log_keys is not None:
-        return np.asarray(target.log_keys, dtype=float)[label]
-    key_m = so3.rodrigues(so3.clip_axis_angle_norm(dictionary.keys[label]))
-    return _log_rotation_robust(key_m.T @ _target_rotation(target.y))
-
-
-def tangent_targets_table(y_true, dictionary: dct.PoseDictionary) -> np.ndarray:
-    """Precompute log(R_k^T R*) for every key (Target.log_keys rows)."""
-    r_true = _target_rotation(y_true)
-    out = np.empty((dictionary.size, 3))
-    for k in range(dictionary.size):
-        key_m = so3.rodrigues(so3.clip_axis_angle_norm(dictionary.keys[k]))
-        out[k] = _log_rotation_robust(key_m.T @ r_true)
-    return out
+def _relative_to_keys(key_rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """R_k^T R* for each row's key (B, 3) and target rotation (B, 3, 3)."""
+    return np.swapaxes(_rodrigues_rows(_clip_rows(key_rows)), -1, -2) @ ref
 
 
 def objective(
@@ -410,107 +583,23 @@ def objective(
     target: Target,
     dictionary: dct.PoseDictionary | None = None,
 ) -> LossValue:
-    """Single-sample objective value and gradients for any family.
+    """Single-sample objective value and gradients for any family:
+    objective_batch on one row.
 
     prediction is the raw pose vector for R_G/R_E, the logit vector for C,
     and a (logits, deltas) pair for the Bin & Delta families (deltas is one
     pose vector for shared-delta families, K of them for per-bin).  Batch
     reduction is the caller's arithmetic mean.
     """
-    fam = spec.family
-    if fam in ("R_G", "R_E"):
-        y = np.asarray(prediction, dtype=float)
-        if y.shape != (spec.pose_dim,):
-            raise FamilyMismatch(f"{fam} expects a ({spec.pose_dim},) pose vector")
-        if fam == "R_G":
-            return geodesic_loss(y, target.y, spec.representation)
-        return euclidean_loss(y, target.y)
-
-    if fam == "C":
-        logits = np.asarray(prediction, dtype=float)
-        if target.label is None:
-            raise FamilyMismatch("C needs a hard label target")
-        return cross_entropy(logits, target.label)
-
-    try:
-        logits, deltas = prediction
-    except (TypeError, ValueError):
-        raise FamilyMismatch(f"{fam} expects a (logits, deltas) prediction pair")
-    logits = np.asarray(logits, dtype=float)
-    deltas = np.asarray(deltas, dtype=float)
-    _check_bin_delta_shapes(spec, logits, deltas, dictionary)
-    if target.label is None or target.y is None:
-        raise FamilyMismatch(f"{fam} needs both a pose target and a hard label")
-
-    k = dictionary.size
-    alpha = spec.alpha
-    label_pred = int(np.argmax(logits))
-    delta_sel = deltas[label_pred] if spec.per_bin else deltas
-
-    def _delta_grads(grad_sel):
-        if spec.per_bin:
-            g = np.zeros_like(deltas)
-            g[label_pred] = grad_sel
-            return {"deltas": g}
-        return {"delta": grad_sel}
-
-    if fam in ("M_G", "M_Gp", "M_R", "M_Rp"):
-        vreg, greg, ns = _regression_selected(spec, dictionary.keys[label_pred], delta_sel, target)
-        ce = cross_entropy(logits, target.label)
-        grads = {"logits": ce.grads["logits"], **_delta_grads(alpha * greg)}
-        return LossValue(alpha * vreg + ce.value, grads, ns)
-
-    if fam in ("M_X", "M_Xp"):
-        if target.soft is None:
-            raise FamilyMismatch(f"{fam} needs a soft assignment target")
-        vreg, greg, ns = _regression_selected(spec, dictionary.keys[label_pred], delta_sel, target)
-        kd = kl_divergence(target.soft, logits)
-        grads = {"logits": kd.grads["logits"], **_delta_grads(alpha * greg)}
-        return LossValue(alpha * vreg + kd.value, grads, ns)
-
-    if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
-        d_rows = deltas if spec.per_bin else np.broadcast_to(deltas, (k, spec.pose_dim))
-        vals, grows, ns = _regression_many(spec, dictionary.keys, d_rows, target)
-        p = softmax(logits)
-        expected = float(p @ vals)
-        # d/d logits of sum_k p_k v_k through the softmax jacobian
-        g_weight = p * (vals - expected)
-        if fam in ("M_P", "M_Pp"):
-            base = cross_entropy(logits, target.label)
-        else:
-            if target.soft is None:
-                raise FamilyMismatch(f"{fam} needs a soft assignment target")
-            base = kl_divergence(target.soft, logits)
-        g_logits = base.grads["logits"] + alpha * g_weight
-        if spec.per_bin:
-            g_deltas = alpha * p[:, None] * grows
-            grads = {"logits": g_logits, "deltas": g_deltas}
-        else:
-            grads = {"logits": g_logits, "delta": alpha * (p @ grows)}
-        return LossValue(alpha * expected + base.value, grads, ns)
-
-    if fam in ("M_S", "M_Sp"):
-        dstar = _simple_delta_target(target, dictionary)
-        diff = delta_sel - dstar
-        vreg = float(diff @ diff)
-        ce = cross_entropy(logits, target.label)
-        if fam == "M_S":
-            # alpha on the regression term (Simple shared-delta, as printed)
-            grads = {"logits": ce.grads["logits"], **_delta_grads(alpha * 2.0 * diff)}
-            return LossValue(alpha * vreg + ce.value, grads)
-        # M_Sp puts alpha on the classification term, exactly as printed
-        grads = {"logits": alpha * ce.grads["logits"], **_delta_grads(2.0 * diff)}
-        return LossValue(alpha * ce.value + vreg, grads)
-
-    if fam in ("M_LE", "M_LEp"):
-        gtan = _tangent_target(target, dictionary, label_pred)
-        diff = delta_sel - gtan
-        vreg = float(diff @ diff)
-        ce = cross_entropy(logits, target.label)
-        grads = {"logits": ce.grads["logits"], **_delta_grads(alpha * 2.0 * diff)}
-        return LossValue(ce.value + alpha * vreg, grads)
-
-    raise FamilyMismatch(f"unhandled family {fam!r}")
+    if spec.family in ("R_G", "R_E", "C"):
+        rows = np.asarray(prediction, dtype=float)[None]
+    else:
+        try:
+            logits, deltas = prediction
+        except (TypeError, ValueError):
+            raise FamilyMismatch(f"{spec.family} expects a (logits, deltas) prediction pair")
+        rows = (np.asarray(logits, dtype=float)[None], np.asarray(deltas, dtype=float)[None])
+    return _first_row(objective_batch(spec, rows, target_batch(target), dictionary))
 
 
 # ---------------------------------------------------------------------------

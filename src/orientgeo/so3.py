@@ -143,20 +143,23 @@ def canonical_quaternion(q: np.ndarray) -> np.ndarray:
     raise ValueError("zero quaternion has no canonical form")
 
 
+# (row, column) of the entries of hat(v) that hold +v
+_SKEW_ROWS, _SKEW_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
+
+
 def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of v, with hat(v) @ u = cross(v, u)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Skew-symmetric matrix of v, with hat(v) @ u = cross(v, u); a stack
+    of vectors (..., 3) gives a stack of matrices (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., _SKEW_ROWS, _SKEW_COLS] = v
+    out[..., _SKEW_COLS, _SKEW_ROWS] = -v
+    return out
 
 
 def vee(m: np.ndarray) -> np.ndarray:
-    """Inverse of hat on skew-symmetric matrices."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    """Inverse of hat on skew-symmetric matrices (..., 3, 3)."""
+    return m[..., _SKEW_ROWS, _SKEW_COLS]
 
 
 def rodrigues(v: np.ndarray) -> np.ndarray:

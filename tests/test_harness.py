@@ -243,6 +243,46 @@ def test_non_finite_loss_reports_location():
         harness.train(cfg, ds, seed=0)
 
 
+def test_wrong_feature_width_raises_dimension_mismatch():
+    cfg = tiny_config("R_G")
+    narrow = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, feature_dim=12))
+    ds = harness.generate_synthetic(narrow, 0)
+    with pytest.raises(models.DimensionMismatch) as info:
+        harness.train(cfg, ds, seed=0)
+    assert not isinstance(info.value, harness.NonFiniteLoss)
+
+
+def test_collapsed_quaternion_head_reports_non_finite_loss(monkeypatch):
+    cfg = tiny_config("R_G", data=harness.DataConfig(
+        categories=1, train_samples=40, val_samples=8, test_samples=8, feature_dim=16,
+    ))
+    cfg = dataclasses.replace(
+        cfg, objective=harness.respec(cfg.objective, representation=dct.QUATERNION)
+    )
+    build = harness.build_category_model
+
+    def zero_head(cfg, seed):
+        nets = build(cfg, seed)
+        head = nets["pose"].layers[-1]
+        head.weight[:] = 0.0
+        head.bias[:] = 0.0
+        return nets
+
+    monkeypatch.setattr(harness, "build_category_model", zero_head)
+    with pytest.raises(harness.NonFiniteLoss, match="cat01 epoch 0 step 0") as info:
+        harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    assert isinstance(info.value.__cause__, models.ZeroSum)
+
+
+def test_train_log_counts_non_smooth_samples_per_epoch():
+    cfg = tiny_config("M_G")
+    _, _, log = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    assert len(log.epoch_non_smooth) == len(log.lines)
+    for line, count in zip(log.lines, log.epoch_non_smooth):
+        assert line.endswith(f" non_smooth {count}")
+        assert count >= 0
+
+
 def test_training_uses_augmented_pool():
     data = harness.DataConfig(
         categories=1, train_samples=40, val_samples=8, test_samples=8,
