@@ -353,7 +353,8 @@ def discretization_floor(dataset: SyntheticDataset, dictionary: dct.PoseDictiona
 def build_category_model(cfg: ExperimentConfig, seed: int) -> dict:
     """Networks for one category, keyed by role.  Direct regression uses one
     pose head; Bin & Delta uses a logit network plus either a shared delta
-    network or one small head per dictionary key."""
+    network or, as the stacked "deltas" network, one small head per
+    dictionary key."""
     spec = cfg.objective
     fdim = cfg.data.feature_dim
     hidden = list(cfg.hidden)
@@ -373,10 +374,12 @@ def build_category_model(cfg: ExperimentConfig, seed: int) -> dict:
         return nets
     if spec.per_bin:
         head_act = ["relu", pose_act[-1]]
-        for k in range(cfg.dictionary_size):
-            nets[f"delta_head_{k:03d}"] = models.init_pose_network(
+        nets["deltas"] = models.stack([
+            models.init_pose_network(
                 [fdim, hidden[-1], spec.pose_dim], seed + 1 + k, head_act
             )
+            for k in range(cfg.dictionary_size)
+        ])
     else:
         nets["delta"] = models.init_pose_network(
             [fdim] + hidden + [spec.pose_dim], seed + 1, pose_act
@@ -384,8 +387,15 @@ def build_category_model(cfg: ExperimentConfig, seed: int) -> dict:
     return nets
 
 
-def _head_names(nets):
-    return sorted(n for n in nets if n.startswith("delta_head_"))
+def _checkpoint_networks(nets):
+    """(file role, network) pairs of one category as checkpoints store them:
+    one file per per-bin head, named delta_head_{k:03d}."""
+    for role, net in nets.items():
+        if role == "deltas":
+            for k in range(net.layers[0].weight.shape[0]):
+                yield f"delta_head_{k:03d}", models.unstack(net, k)
+        else:
+            yield role, net
 
 
 def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> so3.Rotation:
@@ -399,11 +409,11 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> so3.Rotation:
             raise models.ZeroSum("quaternion head collapsed to zero")
         return so3.quaternion_to_rotation(so3.UnitQuaternion(y / n))
     logits = models.forward(nets["logits"], x)
-    label = int(np.argmax(logits))
+    label = int(np.argmax(logits))  # ties take the lowest index
     if spec.family == "C":
         return dictionary.key_rotation(label)
     if spec.per_bin:
-        delta = models.forward(nets[f"delta_head_{label:03d}"], x)
+        delta = models.forward(models.unstack(nets["deltas"], label), x)
     else:
         delta = models.forward(nets["delta"], x)
     return models.compose_rotation(spec.combination, dictionary.keys[label], delta)
@@ -414,30 +424,30 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> so3.Rotation:
 
 
 class _Adam:
-    """Adam state for one MLP; updates parameters in place."""
+    """Adam state for one stacked MLP; updates parameters in place.  Each
+    stack entry keeps its own step count and moves only on the steps that
+    select it, so a head no sample touched keeps its weights and moments."""
 
     def __init__(self, net: models.MLP, opt: OptimizerConfig):
         self.opt = opt
-        self.t = 0
-        self.m = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
-        self.v = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers]
+        self.t = np.zeros(net.layers[0].weight.shape[:-2], dtype=int)
+        self.m = [np.zeros_like(p) for l in net.layers for p in (l.weight, l.bias)]
+        self.v = [np.zeros_like(m) for m in self.m]
 
-    def step(self, net: models.MLP, grads, lr: float):
+    def step(self, net: models.MLP, grads, lr: float, entries):
+        """Step the stack entries that `entries` indexes: a boolean mask over
+        the stack axes, or slice(None) for all; grads hold just theirs."""
         o = self.opt
-        self.t += 1
-        c1 = 1.0 - o.beta1**self.t
-        c2 = 1.0 - o.beta2**self.t
-        for i, layer in enumerate(net.layers):
-            for j, (param, grad) in enumerate(
-                ((layer.weight, grads[i][0]), (layer.bias, grads[i][1]))
-            ):
-                m = self.m[i][j]
-                v = self.v[i][j]
-                m *= o.beta1
-                m += (1.0 - o.beta1) * grad
-                v *= o.beta2
-                v += (1.0 - o.beta2) * grad * grad
-                param -= lr * (m / c1) / (np.sqrt(v / c2) + o.eps)
+        self.t[entries] += 1
+        c1 = 1.0 - o.beta1 ** self.t[entries]
+        c2 = 1.0 - o.beta2 ** self.t[entries]
+        params = [p for l in net.layers for p in (l.weight, l.bias)]
+        flat_grads = [d for dw_db in grads for d in dw_db]
+        for param, g, m_all, v_all in zip(params, flat_grads, self.m, self.v):
+            tail = (...,) + (None,) * (g.ndim - 1)
+            m = m_all[entries] = m_all[entries] * o.beta1 + (1.0 - o.beta1) * g
+            v = v_all[entries] = v_all[entries] * o.beta2 + (1.0 - o.beta2) * g * g
+            param[entries] -= lr * (m / c1[tail]) / (np.sqrt(v / c2[tail]) + o.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -456,44 +466,72 @@ class TrainLog:
         return "\n".join(self.lines) + "\n"
 
 
-def _batch_losses(spec, nets, adams, dictionary, feats, targets, lr):
-    """One optimizer step on one category batch; returns the mean loss and
-    the number of samples whose loss was flagged non-smooth."""
-    b = feats.shape[0]
-    cached = {role: models.forward_cached(net, feats) for role, net in nets.items()}
-    heads = _head_names(nets)
+def _training_rows(spec, dictionary, dataset, gamma):
+    """Every category's train rows: features (G, rows, feature_dim) and the
+    G * rows targets in category order, each category's clean rows first,
+    then its augmented pool."""
+    feats, parts = [], []
+    for name in dataset.categories:
+        split = dataset.train[name]
+        mats, f = split.targets, split.features
+        if split.aug_targets is not None:
+            mats = np.concatenate([mats, split.aug_targets])
+            f = np.concatenate([f, split.aug_features])
+        feats.append(f)
+        parts.append(_make_targets(spec, dictionary, mats, gamma))
+    fields = zip(*((t.y, t.label, t.soft, t.ref) for t in parts))
+    targets = losses.TargetBatch(*(None if f[0] is None else np.concatenate(f) for f in fields))
+    return np.stack(feats), targets
+
+
+def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss:
+    """One optimizer step of the stacked networks on feats (G, n, in), n
+    samples of each of G categories, and their G * n targets in category
+    order.  Per-bin heads read the shared features and give (G, K, n, d)."""
+    g, n = feats.shape[:2]
+    cached, rows = {}, {}
+    for role, net in nets.items():
+        out, cached[role] = models.forward_cached(net, feats[:, None] if role == "deltas" else feats)
+        if role == "deltas":
+            out = out.swapaxes(1, 2)
+        rows[role] = out.reshape(g * n, *out.shape[2:])
     if spec.family in ("R_G", "R_E"):
-        prediction = cached["pose"][0]
+        prediction = rows["pose"]
     elif spec.family == "C":
-        prediction = cached["logits"][0]
-    elif spec.per_bin:
-        prediction = (cached["logits"][0], np.stack([cached[h][0] for h in heads], axis=1))
+        prediction = rows["logits"]
     else:
-        prediction = (cached["logits"][0], cached["delta"][0])
+        prediction = (rows["logits"], rows["deltas" if spec.per_bin else "delta"])
     batch = losses.objective_batch(spec, prediction, targets, dictionary)
 
-    grads_by_role = dict(batch.grads)
-    if spec.per_bin:
-        per_head = grads_by_role.pop("deltas")  # (b, K, d)
-        grads_by_role.update((h, per_head[:, k]) for k, h in enumerate(heads))
-    for role, g in grads_by_role.items():
-        if spec.per_bin and role != "logits" and not np.any(g):
-            continue  # no sample touched this head this step
-        grads, _ = models.backward(nets[role], cached[role][1], g / b)
-        adams[role].step(nets[role], grads, lr)
-    return float(batch.values.sum()) / b, int(batch.non_smooth.sum())
+    for role, grad in batch.grads.items():
+        net, cache = nets[role], cached[role]
+        grad = grad.reshape(g, n, *grad.shape[1:])
+        entries = slice(None)
+        if role == "deltas":  # back-propagate through the heads some sample selected
+            grad = grad.swapaxes(1, 2)
+            entries = grad.any(axis=(2, 3))
+            sel = np.nonzero(entries)
+            net = models.MLP([models.Layer(l.weight[sel], l.bias[sel], l.activation)
+                              for l in net.layers])
+            cache = [("input", feats[sel[0]])] + [(tag, h[sel]) for tag, h in cache[1:]]
+            grad = grad[sel]
+        grads, _ = models.backward(net, cache, grad / n)
+        adams[role].step(nets[role], grads, lr, entries)
+    return batch
 
 
 def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
           dictionary: dct.PoseDictionary = None, seed=None):
-    """Balanced-batch Adam training of one network set per category.
+    """Balanced-batch Adam training of one network set per category, all
+    categories at once: each role is one network stacked over them.
 
     Every batch takes the same per-category quota; with augmentation the
     quota is split half clean, half from the augmented pool.  The learning
     rate decays by cfg.optimizer.decay after every scheduled epoch, and the
     geodesic/riemannian Bin & Delta families spend one warm-start epoch on
     their Simple counterpart (fresh optimizer state when the objective
-    switches).  Returns (models_by_category, dictionary, TrainLog).
+    switches).  Returns (models_by_category, dictionary, TrainLog); the
+    per-category networks are views of the stacked parameters.
     """
     seed = cfg.seed if seed is None else seed
     spec = cfg.objective
@@ -507,77 +545,56 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
         else None
     )
 
-    nets_by_cat, adams_by_cat, batch_rngs, targets_by_cat = {}, {}, {}, {}
-    for c, name in enumerate(dataset.categories):
-        nets = build_category_model(cfg, seed + 1000 * (c + 1))
-        nets_by_cat[name] = nets
-        adams_by_cat[name] = {role: _Adam(net, opt) for role, net in nets.items()}
-        batch_rngs[name] = np.random.default_rng(
-            np.random.SeedSequence([int(seed), c, 10])
-        )
-        split = dataset.train[name]
-        # clean rows first, then the augmented pool at offset split.size
-        mats = split.targets
-        if split.aug_targets is not None:
-            mats = np.concatenate([mats, split.aug_targets])
-        targets_by_cat[name] = _make_targets(spec, dictionary, mats, gamma)
+    names = dataset.categories
+    per_cat = [build_category_model(cfg, seed + 1000 * (c + 1)) for c in range(len(names))]
+    nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
+    del per_cat  # the stacks hold copies
+    nets_by_cat = {name: {role: models.unstack(net, c) for role, net in nets.items()}
+                   for c, name in enumerate(names)}
+    batch_rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), c, 10]))
+                  for c in range(len(names))]
+    feats, targets = _training_rows(spec, dictionary, dataset, gamma)
 
-    has_aug = any(dataset.train[n].aug_targets is not None for n in dataset.categories)
-    clean_quota = max(1, opt.batch_per_category // 2) if has_aug else opt.batch_per_category
-    aug_quota = opt.batch_per_category - clean_quota if has_aug else 0
+    size = dataset.train[names[0]].size
+    pool = feats.shape[1] - size  # augmented rows per category
+    clean_quota = max(1, opt.batch_per_category // 2) if pool else opt.batch_per_category
+    aug_quota = opt.batch_per_category - clean_quota if pool else 0
+    steps = size // clean_quota
+    if steps < 1:
+        raise ValueError("batch_per_category exceeds the train split")
+    aug_draws = -(-(steps * aug_quota + pool) // pool) if aug_quota else 0
+    cats = np.arange(len(names))[:, None]
 
     lines, epoch_losses, step_losses, epoch_non_smooth = [], [], [], []
-    prev_family = None
     for epoch, epoch_spec in enumerate(schedule):
-        if prev_family is not None and epoch_spec.family != prev_family:
-            for name in dataset.categories:  # fresh moments for the new objective
-                adams_by_cat[name] = {
-                    role: _Adam(net, opt) for role, net in nets_by_cat[name].items()
-                }
-        prev_family = epoch_spec.family
+        if epoch == 0 or epoch_spec.family != schedule[epoch - 1].family:
+            adams = None  # release the old moments before allocating fresh ones
+            adams = {role: _Adam(net, opt) for role, net in nets.items()}
         lr = opt.learning_rate * opt.decay**epoch
 
-        orders, aug_orders = {}, {}
-        steps = None
-        for name in dataset.categories:
-            n = dataset.train[name].size
-            orders[name] = batch_rngs[name].permutation(n)
-            cat_steps = n // clean_quota
-            steps = cat_steps if steps is None else min(steps, cat_steps)
+        # row indices (G, steps, batch_per_category): clean rows, then pool rows
+        idx = []
+        for rng in batch_rngs:
+            rows = [rng.permutation(size)[: steps * clean_quota].reshape(steps, clean_quota)]
             if aug_quota:
-                pool = dataset.train[name].aug_targets.shape[0]
-                draws = []
-                while len(draws) * pool < cat_steps * aug_quota + pool:
-                    draws.append(batch_rngs[name].permutation(pool))
-                aug_orders[name] = np.concatenate(draws)
-        if steps < 1:
-            raise ValueError("batch_per_category exceeds the train split")
+                draws = np.concatenate([rng.permutation(pool) for _ in range(aug_draws)])
+                rows.append(size + draws[: steps * aug_quota].reshape(steps, aug_quota))
+            idx.append(np.concatenate(rows, axis=1))
+        idx = np.stack(idx)
 
         per_step, non_smooth = [], 0
         for t in range(steps):
-            step_total = 0.0
-            for name in dataset.categories:
-                split = dataset.train[name]
-                idx = orders[name][t * clean_quota : (t + 1) * clean_quota]
-                feats = split.features[idx]
-                if aug_quota:
-                    aidx = aug_orders[name][t * aug_quota : (t + 1) * aug_quota]
-                    feats = np.concatenate([feats, split.aug_features[aidx]])
-                    idx = np.concatenate([idx, split.size + aidx])
-                try:
-                    # divergence is reported via NonFiniteLoss, not warnings
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        loss, flagged = _batch_losses(
-                            epoch_spec, nets_by_cat[name], adams_by_cat[name],
-                            dictionary, feats, targets_by_cat[name].rows(idx), lr,
-                        )
-                except (losses.NonFiniteObjective, models.ZeroSum) as exc:
-                    raise NonFiniteLoss(
-                        f"category {name} epoch {epoch} step {t}: {exc}"
-                    ) from exc
-                step_total += loss
-                non_smooth += flagged
-            per_step.append(step_total / len(dataset.categories))
+            try:
+                # divergence is reported via NonFiniteLoss, not warnings
+                with np.errstate(over="ignore", invalid="ignore"):
+                    batch = _step(epoch_spec, nets, adams, dictionary, feats[cats, idx[:, t]],
+                                  targets.rows((cats * feats.shape[1] + idx[:, t]).ravel()), lr)
+            except (losses.NonFiniteObjective, models.ZeroSum) as exc:
+                name = names[exc.row // opt.batch_per_category]
+                raise NonFiniteLoss(f"category {name} epoch {epoch} step {t}: {exc}") from exc
+            cat_losses = batch.values.reshape(len(names), -1).sum(axis=1) / opt.batch_per_category
+            per_step.append(float(cat_losses.sum()) / len(names))
+            non_smooth += int(batch.non_smooth.sum())
         epoch_mean = sum(per_step) / len(per_step)
         epoch_losses.append(epoch_mean)
         step_losses.append(tuple(per_step))
@@ -634,6 +651,17 @@ def _dump_records(path, records):
     metrics.write_records(path, dets, gts)
 
 
+def _as_dumped(records):
+    """The records as records.txt stores them: each rotation through the
+    quaternion the dump writes, rebuilt as metrics.read_records rebuilds it,
+    so a report of these is exactly recomputable from the file."""
+
+    def stored(r):
+        return so3.quaternion_to_rotation(so3.UnitQuaternion(so3.rotation_to_quaternion(r).wxyz))
+
+    return [metrics.EvalRecord(r.category, stored(r.r_true), stored(r.r_pred)) for r in records]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
     seed = cfg.seed if seed is None else seed
     dataset = generate_synthetic(cfg, seed)
@@ -642,7 +670,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
     spec = cfg.objective
     test_records = evaluate_split(spec, nets_by_cat, dictionary, dataset, "test")
     val_records = evaluate_split(spec, nets_by_cat, dictionary, dataset, "val")
-    report = metrics.pose_report(test_records)
+    report = metrics.pose_report(_as_dumped(test_records))
     val_report = metrics.pose_report(val_records)
 
     if out_dir is not None:
@@ -665,7 +693,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
         ck_dir = os.path.join(out_dir, "checkpoint")
         os.makedirs(ck_dir, exist_ok=True)
         for name, nets in nets_by_cat.items():
-            for role, net in nets.items():
+            for role, net in _checkpoint_networks(nets):
                 models.save_mlp(net, os.path.join(ck_dir, f"{name}.{role}.json"))
         with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
             fh.write(log.text)

@@ -66,7 +66,12 @@ class FamilyMismatch(ValueError):
 
 
 class NonFiniteObjective(ValueError):
-    """An objective value or gradient left the finite floats."""
+    """An objective value or gradient left the finite floats; `row` is the
+    first batch row where it did."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -331,8 +336,10 @@ def _geodesic_quaternion(ss: np.ndarray, q_true: np.ndarray):
     """2 acos(|<s/|s|, q*>|) row by row and its gradient in the raw
     (unnormalized) rows s (..., 4); q_true (..., 4) broadcasts."""
     n = np.linalg.norm(ss, axis=-1)
-    if np.any(n < 1e-12):
-        raise models.ZeroSum("quaternion sum collapsed to zero")
+    collapsed = np.nonzero(n < 1e-12)[0]
+    if collapsed.size:
+        row = int(collapsed[0])
+        raise models.ZeroSum(f"quaternion sum collapsed to zero in row {row}", row)
     q = ss / n[..., None]
     craw = np.einsum("...i,...i->...", q, q_true)
     cabs = np.abs(craw)
@@ -384,13 +391,15 @@ def _kl_rows(p: np.ndarray, logits: np.ndarray):
 
 
 def _checked(values: np.ndarray, grads: dict, non_smooth=None) -> BatchLoss:
-    """The batch's one finiteness check."""
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmin(np.isfinite(values)))
-        raise NonFiniteObjective(f"non-finite loss value {float(values[bad])!r} in row {bad}")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteObjective(f"non-finite gradient {name!r}")
+    """The batch's one finiteness check; reports the first row that fails."""
+    finite = np.isfinite(values)
+    for g in grads.values():
+        finite &= np.isfinite(g).reshape(len(g), -1).all(axis=1)
+    if not np.all(finite):
+        bad = int(np.argmin(finite))
+        raise NonFiniteObjective(
+            f"non-finite loss value {float(values[bad])!r} or gradient in row {bad}", bad
+        )
     if non_smooth is None:
         non_smooth = np.zeros(values.shape, dtype=bool)
     return BatchLoss(values, grads, non_smooth)

@@ -5,6 +5,10 @@ forward keeps a cache so the hand-written backward pass can produce weight
 gradients from a loss gradient at the output.  No batch normalization:
 desk-scale batches make its statistics noisy (deviation from the reference
 topology, recorded in the experiment docs).
+
+Layers may carry leading stack axes, W (..., out, in) and b (..., out), so
+one network runs many same-shaped ones (per category, per dictionary key)
+by matmul broadcasting on inputs (..., n, in).
 """
 
 from __future__ import annotations
@@ -15,10 +19,9 @@ import math
 
 import numpy as np
 
-from . import dictionary as dct
 from . import so3
 
-ACTIVATIONS = ("relu", "pi_tanh", "l2_normalize", "softmax", "linear")
+ACTIVATIONS = ("relu", "pi_tanh", "linear")
 
 ADDITIVE = "additive"
 QUATERNION_RENORM = "quaternion_renorm"
@@ -33,19 +36,24 @@ class DimensionMismatch(ValueError):
 
 
 class ZeroSum(ValueError):
-    """Renormalized quaternion sum with vanishing norm."""
+    """Renormalized quaternion sum with vanishing norm.  `row` is the first
+    collapsed row when the sum belongs to a batch."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclasses.dataclass
 class Layer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weight: np.ndarray  # (..., out, in)
+    bias: np.ndarray  # (..., out)
     activation: str
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
+        if self.weight.ndim < 2 or self.bias.shape != self.weight.shape[:-1]:
             raise DimensionMismatch("weight/bias shapes disagree")
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise ValueError("non-finite parameters")
@@ -57,16 +65,31 @@ class MLP:
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.weight.shape[1] != prev.weight.shape[0]:
+            if nxt.weight.shape[-1] != prev.weight.shape[-2]:
                 raise DimensionMismatch("consecutive layer dimensions do not chain")
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
+
+
+def stack(nets) -> MLP:
+    """One network whose new leading axis runs over `nets` (same shapes and
+    activations); the parameters are copies."""
+    return MLP([
+        Layer(np.stack([n.layers[i].weight for n in nets]),
+              np.stack([n.layers[i].bias for n in nets]), layer.activation)
+        for i, layer in enumerate(nets[0].layers)
+    ])
+
+
+def unstack(net: MLP, i) -> MLP:
+    """Entry i of the leading stack axis, as views of the stacked parameters."""
+    return MLP([Layer(l.weight[i], l.bias[i], l.activation) for l in net.layers])
 
 
 def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
@@ -79,85 +102,61 @@ def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
         # largest double below pi so outputs stay strictly inside (-pi, pi)
         limit = np.nextafter(math.pi, 0.0)
         return np.clip(math.pi * np.tanh(z), -limit, limit)
-    if tag == "l2_normalize":
-        n = np.linalg.norm(z, axis=-1, keepdims=True)
-        if np.any(n < 1e-300):
-            raise ZeroSum("l2_normalize on a zero pre-activation")
-        return z / n
-    if tag == "softmax":
-        m = z.max(axis=-1, keepdims=True)
-        e = np.exp(z - m)
-        return e / e.sum(axis=-1, keepdims=True)
     raise ValueError(tag)
 
 
-def _activation_backward(tag: str, z: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _activation_backward(tag: str, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """d loss / d z given h = act(z) and g = d loss / d h."""
     if tag == "linear":
         return g
     if tag == "relu":
-        return g * (z > 0.0)
+        return g * (h > 0.0)
     if tag == "pi_tanh":
         # h = pi tanh z  =>  dh/dz = pi (1 - tanh^2 z) = pi - h^2 / pi
         return g * (math.pi - h * h / math.pi)
-    if tag == "l2_normalize":
-        n = np.linalg.norm(z, axis=-1, keepdims=True)
-        dot = np.sum(h * g, axis=-1, keepdims=True)
-        return (g - h * dot) / n
-    if tag == "softmax":
-        dot = np.sum(h * g, axis=-1, keepdims=True)
-        return h * (g - dot)
     raise ValueError(tag)
 
 
 def forward(net: MLP, f: np.ndarray) -> np.ndarray:
-    """Run the network on a single feature vector or a (n, in_dim) batch."""
+    """Run the network on a single feature vector or a (..., n, in_dim) batch."""
     out, _ = forward_cached(net, f)
     return out
 
 
 def forward_cached(net: MLP, f: np.ndarray):
-    """Forward pass keeping per-layer (pre-activation, activation) pairs."""
+    """Forward pass keeping per-layer (activation, output) pairs."""
     x = np.asarray(f, dtype=float)
     if x.shape[-1] != net.in_dim:
         raise DimensionMismatch(
             f"feature dim {x.shape[-1]} does not match first layer {net.in_dim}"
         )
-    cache = [("input", None, x)]
+    cache = [("input", x)]
     h = x
     for layer in net.layers:
-        z = h @ layer.weight.T + layer.bias
-        h = _apply_activation(layer.activation, z)
-        cache.append((layer.activation, z, h))
+        bias = layer.bias if h.ndim == 1 else layer.bias[..., None, :]
+        h = _apply_activation(layer.activation, h @ np.swapaxes(layer.weight, -1, -2) + bias)
+        cache.append((layer.activation, h))
     return h, cache
 
 
-def backward(net: MLP, cache, grad_out: np.ndarray, from_logits: bool = False):
+def backward(net: MLP, cache, grad_out: np.ndarray):
     """Weight/bias gradients for a loss gradient at the network output.
 
-    With from_logits=True the final activation is skipped: grad_out is then
-    the gradient at the last pre-activation (the usual cross-entropy /
-    softmax folding).  Returns (grads, grad_input) where grads is a list of
-    (dW, db) aligned with net.layers.  Batched inputs sum over the batch.
+    Returns (grads, grad_input) where grads is a list of (dW, db) aligned
+    with net.layers, each shaped like the layer's parameters.  Batched
+    inputs sum over the sample axis (the second to last).
     """
     grads = [None] * len(net.layers)
     g = np.asarray(grad_out, dtype=float)
     for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
-        tag, z, h = cache[i + 1]
-        if i == len(net.layers) - 1 and from_logits:
-            gz = g
-        else:
-            gz = _activation_backward(tag, z, h, g)
-        h_prev = cache[i][2]
+        tag, h = cache[i + 1]
+        gz = _activation_backward(tag, h, g)
+        h_prev = cache[i][1]
         if gz.ndim == 1:
-            dw = np.outer(gz, h_prev)
-            db = gz.copy()
+            grads[i] = (np.outer(gz, h_prev), gz.copy())
         else:
-            dw = gz.T @ h_prev
-            db = gz.sum(axis=0)
-        grads[i] = (dw, db)
-        g = gz @ layer.weight
+            grads[i] = (np.swapaxes(gz, -1, -2) @ h_prev, gz.sum(axis=-2))
+        g = gz @ net.layers[i].weight
     return grads, g
 
 
@@ -226,35 +225,6 @@ def compose_rotation(rule: str, key: np.ndarray, delta: np.ndarray) -> so3.Rotat
     if rule == ADDITIVE:
         return so3.Rotation(so3.rodrigues(so3.clip_axis_angle_norm(out)))
     return so3.Rotation(so3._quat_to_matrix(so3.canonical_quaternion(out)))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class BinDeltaPrediction:
-    """Softmax probabilities plus one (shared) or K (per-bin) delta vectors."""
-
-    probs: np.ndarray
-    deltas: np.ndarray  # (d,) shared or (K, d) per-bin
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0.0):
-            raise ValueError("probs must sum to 1 within 1e-9")
-
-    @property
-    def per_bin(self) -> bool:
-        return np.asarray(self.deltas).ndim == 2
-
-
-def predict(bd: BinDeltaPrediction, dictionary: dct.PoseDictionary, rule: str) -> so3.Rotation:
-    """argmax label (lowest index on ties), then compose that key and delta."""
-    probs = np.asarray(bd.probs, dtype=float)
-    if probs.shape[0] != dictionary.size:
-        raise DimensionMismatch("probs length does not match dictionary size")
-    label = int(np.argmax(probs))
-    delta = np.asarray(bd.deltas, dtype=float)
-    if delta.ndim == 2:
-        delta = delta[label]
-    return compose_rotation(rule, dictionary.keys[label], delta)
 
 
 # ---------------------------------------------------------------------------

@@ -338,14 +338,6 @@ def _matrix_to_quat(m: np.ndarray) -> np.ndarray:
     return canonical_quaternion(q / np.linalg.norm(q))
 
 
-def axis_angle_to_rotation(v: AxisAngle) -> Rotation:
-    return exp_map(v)
-
-
-def rotation_to_axis_angle(r: Rotation) -> AxisAngle:
-    return log_map(r)
-
-
 def rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

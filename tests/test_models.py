@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orientgeo import dictionary as dct
 from orientgeo import models, so3
 
 
@@ -47,20 +48,6 @@ def test_forward_identity_linear_layer():
     np.testing.assert_array_equal(models.forward(net, x), x)
 
 
-def test_forward_l2_head_unit_norm():
-    g = rng(1)
-    net = models.init_pose_network([6, 5, 4], seed=0, activations=["relu", "l2_normalize"])
-    out = models.forward(net, g.standard_normal(6))
-    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
-
-
-def test_forward_softmax_max_subtracted_stable():
-    net = models.MLP([models.Layer(np.eye(3) * 500.0, np.zeros(3), "softmax")])
-    out = models.forward(net, np.array([1.0, 2.0, 3.0]))
-    assert np.all(np.isfinite(out))
-    assert out.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_forward_dimension_mismatch():
     net = models.init_pose_network([4, 3], seed=0)
     with pytest.raises(models.DimensionMismatch):
@@ -77,7 +64,7 @@ def test_pi_tanh_strictly_inside_pi_ball():
 
 def test_forward_batched_matches_loop():
     g = rng(3)
-    net = models.init_pose_network([7, 5, 4], seed=2, activations=["relu", "l2_normalize"])
+    net = models.init_pose_network([7, 5, 4], seed=2, activations=["relu", "pi_tanh"])
     xs = g.standard_normal((10, 7))
     batched = models.forward(net, xs)
     for i in range(10):
@@ -88,7 +75,7 @@ def test_forward_batched_matches_loop():
 # backward vs finite differences
 
 
-@pytest.mark.parametrize("head", ["linear", "pi_tanh", "l2_normalize", "softmax"])
+@pytest.mark.parametrize("head", ["linear", "pi_tanh"])
 def test_backward_matches_finite_differences(head):
     g = rng(4)
     net = models.init_pose_network([5, 6, 3], seed=3, activations=["relu", head])
@@ -105,25 +92,6 @@ def test_backward_matches_finite_differences(head):
     flat_fd = np.concatenate([e.ravel() for e in expected])
     scale = max(1.0, np.max(np.abs(flat_fd)))
     assert np.max(np.abs(flat_analytic - flat_fd)) / scale <= 1e-6
-
-
-def test_backward_from_logits_folds_softmax():
-    # cross-entropy through a softmax head: starting backward from
-    # (p - onehot) at the pre-activation must equal the full chain
-    g = rng(5)
-    net = models.init_pose_network([4, 5, 3], seed=6, activations=["relu", "softmax"])
-    x = g.standard_normal(4)
-    label = 1
-
-    def loss_fn(p):
-        return -math.log(p[label])
-
-    out, cache = models.forward_cached(net, x)
-    grads, _ = models.backward(net, cache, out - np.eye(3)[label], from_logits=True)
-    expected = fd_weight_gradient(net, x, loss_fn)
-    flat_analytic = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in grads])
-    flat_fd = np.concatenate([e.ravel() for e in expected])
-    assert np.max(np.abs(flat_analytic - flat_fd)) <= 1e-6
 
 
 def test_backward_batch_sums_per_sample_grads():
@@ -146,6 +114,49 @@ def test_backward_batch_sums_per_sample_grads():
     for (wb, bb), (ws, bs) in zip(grads_batch, acc):
         np.testing.assert_allclose(wb, ws, atol=1e-12)
         np.testing.assert_allclose(bb, bs, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked networks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.integers(1, 3),
+    k=st.integers(1, 3),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_forward_backward_equal_per_network_calls(g, k, n, seed):
+    # a (G, K) stack of heads on shared per-G features, as the per-bin
+    # heads run in training, against each head on its own
+    rng = np.random.default_rng(seed)
+    heads = [
+        [models.init_pose_network([5, 4, 3], seed=100 * i + j, activations=["relu", "pi_tanh"])
+         for j in range(k)]
+        for i in range(g)
+    ]
+    for row in heads:
+        for net in row:
+            net.layers[0].bias[:] = rng.normal(size=4)
+    stacked = models.stack([models.stack(row) for row in heads])
+    assert stacked.layers[0].weight.shape == (g, k, 4, 5)
+    assert (stacked.in_dim, stacked.out_dim) == (5, 3)
+    x = rng.normal(size=(g, n, 5))
+    grad_out = rng.normal(size=(g, k, n, 3))
+    out, cache = models.forward_cached(stacked, x[:, None])
+    grads, _ = models.backward(stacked, cache, grad_out)
+    assert out.shape == (g, k, n, 3)
+    for i in range(g):
+        for j in range(k):
+            one_out, one_cache = models.forward_cached(heads[i][j], x[i])
+            np.testing.assert_allclose(out[i, j], one_out, rtol=0, atol=1e-14)
+            one_grads, _ = models.backward(heads[i][j], one_cache, grad_out[i, j])
+            for (dw, db), (ow, ob) in zip(grads, one_grads):
+                np.testing.assert_allclose(dw[i, j], ow, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(db[i, j], ob, rtol=0, atol=1e-13)
+            view = models.unstack(models.unstack(stacked, i), j)
+            np.testing.assert_array_equal(view.layers[1].weight, heads[i][j].layers[1].weight)
 
 
 # ---------------------------------------------------------------------------
@@ -220,61 +231,6 @@ def test_composed_axis_angle_always_inside_ball():
         so3.AxisAngle(projected)  # constructible: norm < pi
         r = models.compose_rotation(models.ADDITIVE, z, d)
         np.testing.assert_allclose(r.matrix, so3.rodrigues(projected), atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# predict
-
-
-def make_dict(g, k=8):
-    keys = np.array([so3.random_axis_angle(g).vector for _ in range(k)])
-    return dct.PoseDictionary(keys, dct.AXIS_ANGLE)
-
-
-def test_predict_one_hot():
-    g = rng(10)
-    d = make_dict(g)
-    probs = np.zeros(8)
-    probs[3] = 1.0
-    bd = models.BinDeltaPrediction(probs, np.zeros(3))
-    r = models.predict(bd, d, models.ADDITIVE)
-    np.testing.assert_allclose(r.matrix, so3.rodrigues(d.keys[3]), atol=1e-15)
-
-
-def test_predict_uniform_tie_breaks_to_first():
-    g = rng(11)
-    d = make_dict(g)
-    bd = models.BinDeltaPrediction(np.full(8, 1.0 / 8.0), np.zeros(3))
-    r = models.predict(bd, d, models.ADDITIVE)
-    np.testing.assert_allclose(r.matrix, so3.rodrigues(d.keys[0]), atol=1e-15)
-
-
-def test_predict_matches_argmax_compose_oracle():
-    g = rng(12)
-    d = make_dict(g)
-    for _ in range(100):
-        p = g.uniform(0.1, 1.0, size=8)
-        p /= p.sum()
-        per_bin = g.uniform(-0.2, 0.2, size=(8, 3))
-        bd = models.BinDeltaPrediction(p, per_bin)
-        got = models.predict(bd, d, models.ADDITIVE)
-        lbl = int(np.argmax(p))
-        want = so3.rodrigues(so3.clip_axis_angle_norm(d.keys[lbl] + per_bin[lbl]))
-        np.testing.assert_allclose(got.matrix, want, atol=1e-15)
-
-
-def test_predict_invariant_to_monotone_prob_transform():
-    g = rng(13)
-    d = make_dict(g)
-    p = g.uniform(0.05, 1.0, size=8)
-    p /= p.sum()
-    deltas = g.uniform(-0.1, 0.1, size=3)
-    base = models.predict(models.BinDeltaPrediction(p, deltas), d, models.ADDITIVE)
-    for transform in (np.sqrt, np.square, lambda x: np.exp(3.0 * x)):
-        q = transform(p)
-        q = q / q.sum()
-        r = models.predict(models.BinDeltaPrediction(q, deltas), d, models.ADDITIVE)
-        np.testing.assert_array_equal(r.matrix, base.matrix)
 
 
 # ---------------------------------------------------------------------------
