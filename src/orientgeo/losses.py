@@ -221,6 +221,18 @@ def _norm_rows(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i u_i v_i over the last axis (leading axes broadcast), added in
+    index order.  einsum picks its summation order from the operands' shapes
+    and strides, so a row broadcast against K keys could round differently
+    from the same row alone; elementwise sums keep each row's value
+    independent of the batch around it."""
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * v[..., i]
+    return out
+
+
 def _clip_rows(v: np.ndarray) -> np.ndarray:
     n = _norm_rows(v)
     return np.where(n >= math.pi, v * (so3.MAX_AXIS_ANGLE_NORM / np.maximum(n, math.pi)), v)
@@ -312,12 +324,13 @@ def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
 
     tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
     w = so3.vee(np.swapaxes(a_mat, -1, -2) - a_mat)
-    t1 = np.einsum("...i,...i->...", y, w)
-    t2 = np.einsum("...i,...ij,...j->...", y, a_mat, y) - t * t * tr_a
+    t1 = _dot_rows(y, w)
+    t2 = _dot_rows(y, _dot_rows(a_mat, y[..., None, :])) - t * t * tr_a
     u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
     values = np.arccos(np.clip(u, -1.0, 1.0))
 
-    sym = np.einsum("...i,...ij->...j", y, a_mat + np.swapaxes(a_mat, -1, -2))
+    # y^T (A + A^T) = (A + A^T) y: the sum is symmetric
+    sym = _dot_rows(a_mat + np.swapaxes(a_mat, -1, -2), y[..., None, :])
     du = 0.5 * (
         (-ap_t * t1 + bp_t * t2)[..., None] * y
         - a[..., None] * w
@@ -327,7 +340,7 @@ def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
 
     # d/dy of y * pi'/|y| projects out the radial part and rescales
     unit = ys / np.maximum(n, math.pi)[..., None]
-    radial = np.einsum("...i,...i->...", unit, grads)[..., None] * unit
+    radial = _dot_rows(unit, grads)[..., None] * unit
     grads = np.where(projected[..., None], scale[..., None] * (grads - radial), grads)
     return values, grads, _non_smooth(values)
 
@@ -341,7 +354,7 @@ def _geodesic_quaternion(ss: np.ndarray, q_true: np.ndarray):
         row = int(collapsed[0])
         raise models.ZeroSum(f"quaternion sum collapsed to zero in row {row}", row)
     q = ss / n[..., None]
-    craw = np.einsum("...i,...i->...", q, q_true)
+    craw = _dot_rows(q, q_true)
     cabs = np.abs(craw)
     values = 2.0 * np.arccos(np.minimum(cabs, 1.0))
     sign = np.where(craw < 0.0, -1.0, 1.0)
