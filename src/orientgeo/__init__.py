@@ -4,7 +4,7 @@ pose jittering, detection-style pose metrics, and a synthetic experiment
 harness."""
 
 from . import dictionary, gradcheck, harness, jitter, losses, metrics, models, so3
-from .dictionary import PoseDictionary, fit_kmeans, hard_label, soft_assign
+from .dictionary import PoseDictionary, fit_kmeans, hard_label
 from .harness import (
     DataConfig,
     ExperimentConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "pose_report",
     "run_experiment",
     "run_trials",
-    "soft_assign",
     "so3",
     "train",
     "__version__",

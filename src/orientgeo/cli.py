@@ -13,6 +13,15 @@ from . import gradcheck, harness, jitter, losses, metrics, so3
 EVAL_METRICS = ("med", "acc", "arp", "avp")
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options: a positive int.  argparse turns
+    the error into exit code 2 and a message on stderr."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive count, got {value}")
+    return value
+
+
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config) if args.config else harness.apply_seed_override(
         harness.ExperimentConfig()
@@ -43,13 +52,13 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    detections, ground_truths = metrics.read_records(args.records)
     wanted = [m.strip() for m in args.metric.split(",") if m.strip()]
     for m in wanted:
         if m not in EVAL_METRICS:
             print(f"unknown metric {m!r}; choose from {','.join(EVAL_METRICS)}",
                   file=sys.stderr)
             return 2
+    detections, ground_truths = metrics.read_records(args.records)
     for m in wanted:
         if m == "med":
             _, mean = metrics.med_err(metrics.paired_records(detections, ground_truths))
@@ -118,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one experiment (or several trials)")
     p.add_argument("--config", help="JSON experiment config (defaults used if omitted)")
     p.add_argument("--out", help="artifact directory")
-    p.add_argument("--trials", type=int, help="repeat on consecutive seeds")
+    p.add_argument("--trials", type=_count, help="repeat on consecutive seeds")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ablate", help="run the fixed ablation sweeps")
@@ -129,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="recompute metrics from a records file")
     p.add_argument("--records", required=True)
     p.add_argument("--metric", default="med", help=f"comma list of {','.join(EVAL_METRICS)}")
-    p.add_argument("--bins", type=int, default=8, help="azimuth bins for avp")
+    p.add_argument("--bins", type=_count, default=8, help="azimuth bins for avp")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
     p.add_argument("--family", default="all")
-    p.add_argument("--trials", type=int, default=100, help="instances per family")
+    p.add_argument("--trials", type=_count, default=100, help="instances per family")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("jitter", help="write a jittered-homography manifest")

@@ -59,30 +59,14 @@ class PoseDictionary:
     def size(self) -> int:
         return self.keys.shape[0]
 
-    def key_rotation(self, k: int) -> so3.Rotation:
-        return key_to_rotation(self.keys[k], self.representation)
 
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class SoftAssignment:
-    p: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        if p.ndim != 1 or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("p must be a probability vector (sum 1 within 1e-12)")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-
-
-def key_to_rotation(key: np.ndarray, representation: str) -> so3.Rotation:
+def pose_matrices(poses, representation: str) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of pose vector rows (..., d), keys or
+    network outputs: the norm-clipped axis-angle's Rodrigues matrix, or the
+    normalized quaternion's matrix."""
     if representation == AXIS_ANGLE:
-        return so3.Rotation(so3.rodrigues(so3.clip_axis_angle_norm(key)))
-    q = np.asarray(key, dtype=float)
-    return so3.Rotation(so3._quat_to_matrix(so3.canonical_quaternion(q / np.linalg.norm(q))))
+        return so3.rodrigues(so3.clip_axis_angle_norm(poses))
+    return so3._quat_to_matrix(so3.normalize_quaternion(poses))
 
 
 def _renormalize_centroids(centroids: np.ndarray, representation: str) -> np.ndarray:
@@ -91,17 +75,11 @@ def _renormalize_centroids(centroids: np.ndarray, representation: str) -> np.nda
     Quaternion means drift off the unit sphere; axis-angle means cannot leave
     the norm-pi ball by convexity but are clamped anyway for safety.
     """
-    out = centroids.copy()
-    if representation == QUATERNION:
-        for i in range(out.shape[0]):
-            n = np.linalg.norm(out[i])
-            if n < 1e-12:
-                raise DegenerateDictionary("quaternion centroid collapsed to zero")
-            out[i] = so3.canonical_quaternion(out[i] / n)
-    else:
-        for i in range(out.shape[0]):
-            out[i] = so3.clip_axis_angle_norm(out[i])
-    return out
+    if representation == AXIS_ANGLE:
+        return so3.clip_axis_angle_norm(centroids)
+    if not np.all(np.linalg.norm(centroids, axis=-1) >= 1e-12):  # zero, or an empty cluster's NaN
+        raise DegenerateDictionary("quaternion centroid collapsed to zero")
+    return so3.normalize_quaternion(centroids)
 
 
 def _plus_plus_seeds(targets: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,7 +109,7 @@ def fit_kmeans(targets, k: int, seed: int, representation: str = AXIS_ANGLE) -> 
     farthest from its current centroid.
     """
     _check_representation(representation)
-    targets = np.array([np.asarray(t, dtype=float) for t in targets])
+    targets = np.array(targets, dtype=float)
     if targets.ndim != 2:
         raise ValueError("targets must be a list of equal-length vectors")
     n = targets.shape[0]
@@ -140,21 +118,24 @@ def fit_kmeans(targets, k: int, seed: int, representation: str = AXIS_ANGLE) -> 
     rng = np.random.default_rng(seed)
     centers = _plus_plus_seeds(targets, k, rng)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = np.sum((targets[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = _sq_distances(targets, centers)
         labels = np.argmin(d2, axis=1)
-        # empty-cluster repair: hand the farthest point to each empty cluster
-        repaired = np.zeros(n, dtype=bool)
-        for j in range(k):
-            if not np.any(labels == j):
-                assigned = d2[np.arange(n), labels].copy()
-                assigned[repaired] = -np.inf
-                far = int(np.argmax(assigned))
-                labels[far] = j
-                repaired[far] = True
-        new_centers = np.empty_like(centers)
-        for j in range(k):
-            new_centers[j] = targets[labels == j].mean(axis=0)
-        new_centers = _renormalize_centroids(new_centers, representation)
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            # empty-cluster repair: hand the farthest point to each empty cluster
+            repaired = np.zeros(n, dtype=bool)
+            for j in range(k):
+                if not np.any(labels == j):
+                    assigned = d2[np.arange(n), labels].copy()
+                    assigned[repaired] = -np.inf
+                    far = int(np.argmax(assigned))
+                    labels[far] = j
+                    repaired[far] = True
+            counts = np.bincount(labels, minlength=k)
+        sums = np.stack(
+            [np.bincount(labels, weights=col, minlength=k) for col in targets.T], axis=1
+        )
+        new_centers = _renormalize_centroids(sums / counts[:, None], representation)
         shift = np.max(np.abs(new_centers - centers))
         centers = new_centers
         if shift < KMEANS_SHIFT_TOL:
@@ -164,9 +145,7 @@ def fit_kmeans(targets, k: int, seed: int, representation: str = AXIS_ANGLE) -> 
 
 def kmeans_objective(targets, dictionary: PoseDictionary) -> float:
     """Sum of squared distances from each target to its nearest key."""
-    targets = np.asarray(targets, dtype=float)
-    d2 = np.sum((targets[:, None, :] - dictionary.keys[None, :, :]) ** 2, axis=2)
-    return float(np.min(d2, axis=1).sum())
+    return float(np.min(_sq_distances(targets, dictionary.keys), axis=1).sum())
 
 
 def _sq_distances(y, keys: np.ndarray) -> np.ndarray:
@@ -186,16 +165,12 @@ def hard_labels(ys, dictionary: PoseDictionary) -> np.ndarray:
     return np.argmin(_sq_distances(ys, dictionary.keys), axis=-1)
 
 
-def soft_assign(y, dictionary: PoseDictionary, gamma: float) -> SoftAssignment:
-    """Softmax over -gamma * |y - z_k|^2, max-subtracted for stability."""
+def soft_assign_probs(y, keys: np.ndarray, gamma: float) -> np.ndarray:
+    """Softmax over -gamma * |y - z_k|^2, max-subtracted for stability: the
+    soft assignment (..., K) of one pose (d,) or of each row of a stack
+    (..., d)."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    return SoftAssignment(soft_assign_probs(y, dictionary.keys, gamma), gamma)
-
-
-def soft_assign_probs(y, keys: np.ndarray, gamma: float) -> np.ndarray:
-    """Probability vector of soft_assign without the wrapper type, for one
-    pose (d,) or for each row of a stack (n, d)."""
     logits = -gamma * _sq_distances(y, keys)
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)

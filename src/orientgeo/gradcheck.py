@@ -80,48 +80,44 @@ def _margined_logits(k: int, rng: np.random.Generator) -> np.ndarray:
     raise InstanceSamplingFailed("could not separate the top two logits")
 
 
-def _internal_distances(spec, prediction, target, dictionary) -> list:
+def _internal_distances(spec, prediction, target, dictionary) -> np.ndarray:
     """Every geodesic distance the objective evaluates or clamps against."""
     fam = spec.family
     if fam == "R_E" or fam == "C":
-        return []
+        return np.empty(0)
     if fam == "R_G":
-        return [_pose_distance(spec, prediction, target.y)]
+        return _pose_distance(spec, np.asarray(prediction, dtype=float)[None], target.y)
     logits, deltas = prediction
     label_pred = int(np.argmax(logits))
-    out = []
     if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
-        idx = range(dictionary.size)
+        idx = np.arange(dictionary.size)
     else:
-        idx = [label_pred]
-    for k in idx:
-        d_k = deltas[k] if spec.per_bin else deltas
-        if spec.combination == "riemannian":
-            key_m = so3.rodrigues(so3.clip_axis_angle_norm(dictionary.keys[k]))
-            rel = key_m.T @ so3.rodrigues(so3.clip_axis_angle_norm(target.y))
-            out.append(so3.geodesic_distance_matrices(so3.rodrigues(so3.clip_axis_angle_norm(d_k)), rel))
-        elif spec.representation == dct.AXIS_ANGLE:
-            out.append(_pose_distance(spec, dictionary.keys[k] + d_k, target.y))
-        else:
-            s = dictionary.keys[k] + d_k
-            out.append(_pose_distance(spec, s / np.linalg.norm(s), target.y))
-    if fam in ("M_LE", "M_LEp"):
-        # the tangent target's own log must stay off the pi rejection band
-        key_m = so3.rodrigues(so3.clip_axis_angle_norm(dictionary.keys[label_pred]))
-        rel = key_m.T @ so3.rodrigues(so3.clip_axis_angle_norm(target.y))
-        out.append(so3.geodesic_distance_matrices(np.eye(3), rel))
-    return out
+        idx = np.array([label_pred])
+    keys = dictionary.keys[idx]
+    d = deltas[idx] if spec.per_bin else np.broadcast_to(deltas, keys.shape)
+    if spec.combination == "riemannian":
+        # one Rodrigues call for the keys, the deltas and the target
+        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([keys, d, [target.y]])))
+        rel = np.swapaxes(mats[: len(idx)], -1, -2) @ mats[-1]
+        out = so3.geodesic_distance_matrices(mats[len(idx) : -1], rel)
+        if fam in ("M_LE", "M_LEp"):
+            # the tangent target's own log must stay off the pi rejection band
+            out = np.append(out, so3.geodesic_distance_matrices(np.eye(3), rel[-1]))
+        return out
+    s = keys + d
+    if spec.representation == dct.QUATERNION:
+        s = s / np.linalg.norm(s, axis=-1, keepdims=True)
+    return _pose_distance(spec, s, target.y)
 
 
-def _pose_distance(spec, y_a, y_b) -> float:
+def _pose_distance(spec, y_a, y_b) -> np.ndarray:
+    """Geodesic distance of each pose row of y_a (n, d) to the pose y_b (d,)."""
+    y_a, y_b = np.asarray(y_a, dtype=float), np.asarray(y_b, dtype=float)
     if spec.representation == dct.AXIS_ANGLE:
-        ra = so3.rodrigues(so3.clip_axis_angle_norm(np.asarray(y_a, dtype=float)))
-        rb = so3.rodrigues(so3.clip_axis_angle_norm(np.asarray(y_b, dtype=float)))
-        return so3.geodesic_distance_matrices(ra, rb)
-    qa = np.asarray(y_a, dtype=float)
-    qb = np.asarray(y_b, dtype=float)
-    c = abs(float(np.dot(qa, qb))) / (np.linalg.norm(qa) * np.linalg.norm(qb))
-    return 2.0 * math.acos(min(1.0, c))
+        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([y_a, [y_b]])))
+        return so3.geodesic_distance_matrices(mats[:-1], mats[-1])
+    c = np.abs(y_a @ y_b) / (np.linalg.norm(y_a, axis=-1) * np.linalg.norm(y_b))
+    return 2.0 * np.arccos(np.minimum(1.0, c))
 
 
 def _norms_ok(spec, prediction, dictionary) -> bool:
@@ -145,10 +141,8 @@ def _norms_ok(spec, prediction, dictionary) -> bool:
 def _smooth(spec, prediction, target, dictionary) -> bool:
     if not _norms_ok(spec, prediction, dictionary):
         return False
-    for d in _internal_distances(spec, prediction, target, dictionary):
-        if d < EXCLUSION_MARGIN or d > math.pi - EXCLUSION_MARGIN:
-            return False
-    return True
+    d = _internal_distances(spec, prediction, target, dictionary)
+    return bool(np.all((d >= EXCLUSION_MARGIN) & (d <= math.pi - EXCLUSION_MARGIN)))
 
 
 def random_instance(spec: losses.ObjectiveSpec, rng: np.random.Generator, k: int = 8) -> Instance:
@@ -170,7 +164,9 @@ def random_instance(spec: losses.ObjectiveSpec, rng: np.random.Generator, k: int
             label = dct.hard_label(y_true, dictionary)
             soft = None
             if fam in losses.SOFT_TARGET_FAMILIES:
-                soft = dct.soft_assign(y_true, dictionary, losses.resolve_gamma(spec, dictionary)).p
+                soft = dct.soft_assign_probs(
+                    y_true, dictionary.keys, losses.resolve_gamma(spec, dictionary)
+                )
             logits = _margined_logits(k, rng)
             shape = (k, spec.pose_dim) if spec.per_bin else (spec.pose_dim,)
             deltas = 0.4 * rng.standard_normal(shape)

@@ -214,38 +214,22 @@ def _sample_targets(rng, modes: np.ndarray, n: int, spread: float) -> np.ndarray
         big = norms >= math.pi - 1e-3
         if np.any(big):
             eps[big] *= (math.pi - 1e-3) / norms[big, None] * 0.999
-        keep = []
-        for row, (j, e) in enumerate(zip(idx, eps)):
-            r = modes[j] @ so3.rodrigues(e)
-            if np.trace(r) <= -1.0 + 2e-6:  # angle within ~1e-3 of pi
-                keep.append(row)
-            else:
-                out[pending[row]] = r
-        pending = pending[keep]
+        r = modes[idx] @ so3.rodrigues(eps)
+        redraw = np.trace(r, axis1=1, axis2=2) <= -1.0 + 2e-6  # angle within ~1e-3 of pi
+        out[pending[~redraw]] = r[~redraw]
+        pending = pending[redraw]
     return out
 
 
 def _jittered_copy(rng, targets: np.ndarray, data_cfg: DataConfig) -> np.ndarray:
-    """Perturb each pose by one random cell of the augmentation offset grid."""
-    daz = rng.choice(data_cfg.jitter_az, size=targets.shape[0])
-    del_ = rng.choice(data_cfg.jitter_el, size=targets.shape[0])
-    dct_ = rng.choice(data_cfg.jitter_ct, size=targets.shape[0])
-    out = np.empty_like(targets)
-    for i in range(targets.shape[0]):
-        try:
-            e = so3.rotation_to_euler(so3.Rotation(targets[i]))
-            out[i] = so3.euler_to_rotation(
-                so3.EulerZXZ(
-                    e.azimuth + math.radians(daz[i]),
-                    e.elevation + math.radians(del_[i]),
-                    e.tilt + math.radians(dct_[i]),
-                )
-            ).matrix
-        except so3.GimbalLock:
-            out[i] = targets[i]
-        if np.trace(out[i]) <= -1.0 + 2e-6:  # keep poses off the pi shell
-            out[i] = targets[i]
-    return out
+    """Perturb each pose by one random cell of the augmentation offset grid.
+    Poses in gimbal lock, or moved onto the pi shell, keep their target."""
+    grids = (data_cfg.jitter_az, data_cfg.jitter_el, data_cfg.jitter_ct)
+    offsets = np.stack([rng.choice(grid, size=targets.shape[0]) for grid in grids], axis=1)
+    angles, locked = so3.matrix_to_euler(targets)
+    moved = so3.euler_to_matrix(angles + np.radians(offsets))
+    keep = locked | (np.trace(moved, axis1=1, axis2=2) <= -1.0 + 2e-6)
+    return np.where(keep[:, None, None], targets, moved)
 
 
 def generate_synthetic(cfg: ExperimentConfig, seed=None) -> SyntheticDataset:
@@ -299,25 +283,23 @@ def generate_synthetic(cfg: ExperimentConfig, seed=None) -> SyntheticDataset:
 
 
 def pose_vector(rotation_matrix: np.ndarray, representation: str) -> np.ndarray:
+    """Pose vector (..., d) of each rotation matrix (..., 3, 3): its log, or
+    the unit quaternion that UnitQuaternion stores for it."""
     if representation == dct.AXIS_ANGLE:
         return so3.log_rotation(rotation_matrix)
-    return so3.rotation_to_quaternion(so3.Rotation(rotation_matrix)).wxyz
+    return so3.matrix_to_quaternion(rotation_matrix)
 
 
 def fit_shared_dictionary(cfg: ExperimentConfig, dataset: SyntheticDataset) -> dct.PoseDictionary:
     """One dictionary for all categories, fit on the pooled train targets."""
     rep = cfg.objective.representation
-    vectors = [
-        pose_vector(m, rep)
-        for name in dataset.categories
-        for m in dataset.train[name].targets
-    ]
-    return dct.fit_kmeans(vectors, cfg.dictionary_size, cfg.dictionary_seed, rep)
+    mats = np.concatenate([dataset.train[name].targets for name in dataset.categories])
+    return dct.fit_kmeans(pose_vector(mats, rep), cfg.dictionary_size, cfg.dictionary_seed, rep)
 
 
 def _make_targets(spec, dictionary, target_mats, gamma) -> losses.TargetBatch:
     """Objective targets for a stack of rotation matrices, built once per split."""
-    y = np.stack([pose_vector(m, spec.representation) for m in target_mats])
+    y = pose_vector(target_mats, spec.representation)
     label = soft = None
     if dictionary is not None:
         label = dct.hard_labels(y, dictionary)
@@ -332,17 +314,11 @@ def discretization_floor(dataset: SyntheticDataset, dictionary: dct.PoseDictiona
     """Mean over categories of the median nearest-key geodesic distance in
     degrees: the best MedErr a pure classifier over these keys can reach."""
     splits = getattr(dataset, split)
+    keys = dct.pose_matrices(dictionary.keys, dictionary.representation)
     per_cat = []
     for name in dataset.categories:
-        dists = []
-        for m in splits[name].targets:
-            r = so3.Rotation(m)
-            best = min(
-                so3.geodesic_distance(r, dictionary.key_rotation(k))
-                for k in range(dictionary.size)
-            )
-            dists.append(math.degrees(best))
-        per_cat.append(statistics.median(dists))
+        dists = so3.geodesic_distance_matrices(splits[name].targets[:, None], keys)  # (n, K)
+        per_cat.append(statistics.median(np.degrees(dists.min(axis=1)).tolist()))
     return sum(per_cat) / len(per_cat)
 
 
@@ -398,22 +374,19 @@ def _checkpoint_networks(nets):
             yield role, net
 
 
-def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> so3.Rotation:
-    """One feature vector to one rotation, by the family's decoding rule."""
+def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
+    """Feature rows (n, in) to rotation matrices (n, 3, 3), by the family's
+    decoding rule."""
     if spec.family in ("R_G", "R_E"):
         y = models.forward(nets["pose"], x)
-        if spec.representation == dct.AXIS_ANGLE:
-            return so3.Rotation(so3.rodrigues(so3.clip_axis_angle_norm(y)))
-        n = np.linalg.norm(y)
-        if n < 1e-12:
+        if spec.representation == dct.QUATERNION and np.any(np.linalg.norm(y, axis=-1) < 1e-12):
             raise models.ZeroSum("quaternion head collapsed to zero")
-        return so3.quaternion_to_rotation(so3.UnitQuaternion(y / n))
-    logits = models.forward(nets["logits"], x)
-    label = int(np.argmax(logits))  # ties take the lowest index
+        return dct.pose_matrices(y, spec.representation)
+    label = np.argmax(models.forward(nets["logits"], x), axis=-1)  # ties take the lowest index
     if spec.family == "C":
-        return dictionary.key_rotation(label)
-    if spec.per_bin:
-        delta = models.forward(models.unstack(nets["deltas"], label), x)
+        return dct.pose_matrices(dictionary.keys[label], dictionary.representation)
+    if spec.per_bin:  # each row through the head of its own label
+        delta = models.forward(models.unstack(nets["deltas"], label), x[:, None])[:, 0]
     else:
         delta = models.forward(nets["delta"], x)
     return models.compose_rotation(spec.combination, dictionary.keys[label], delta)
@@ -631,11 +604,11 @@ def evaluate_split(spec, nets_by_cat, dictionary, dataset, split: str):
     splits = getattr(dataset, split)
     for name in dataset.categories:
         data = splits[name]
-        for i in range(data.size):
-            pred = predict_rotation(spec, nets_by_cat[name], dictionary, data.features[i])
-            records.append(
-                metrics.EvalRecord(name, so3.Rotation(data.targets[i]), pred)
-            )
+        preds = predict_rotation(spec, nets_by_cat[name], dictionary, data.features)
+        records += [
+            metrics.EvalRecord(name, so3.Rotation(t), so3.Rotation(p))
+            for t, p in zip(data.targets, preds)
+        ]
     return records
 
 
@@ -653,13 +626,20 @@ def _dump_records(path, records):
 
 def _as_dumped(records):
     """The records as records.txt stores them: each rotation through the
-    quaternion the dump writes, rebuilt as metrics.read_records rebuilds it,
-    so a report of these is exactly recomputable from the file."""
+    quaternion the dump writes, rebuilt as metrics.read_records rebuilds it
+    (UnitQuaternion, quaternion_to_rotation), so a report of these is
+    exactly recomputable from the file."""
 
-    def stored(r):
-        return so3.quaternion_to_rotation(so3.UnitQuaternion(so3.rotation_to_quaternion(r).wxyz))
+    def stored(rotations):
+        written = so3.matrix_to_quaternion(np.stack([r.matrix for r in rotations]))
+        return dct.pose_matrices(written, dct.QUATERNION)
 
-    return [metrics.EvalRecord(r.category, stored(r.r_true), stored(r.r_pred)) for r in records]
+    r_true = stored([r.r_true for r in records])
+    r_pred = stored([r.r_pred for r in records])
+    return [
+        metrics.EvalRecord(r.category, so3.Rotation(t), so3.Rotation(p))
+        for r, t, p in zip(records, r_true, r_pred)
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:

@@ -194,13 +194,9 @@ def target_references(representation: str, y) -> np.ndarray:
     """Geodesic reference of each pose target row in y (B, d): the rotation
     matrix of the norm-clipped axis-angle (B, 3, 3), or the canonical unit
     quaternion (B, 4)."""
-    y = np.asarray(y, dtype=float)
     if representation == dct.AXIS_ANGLE:
-        return _rodrigues_rows(_clip_rows(y))
-    q = y / np.linalg.norm(y, axis=-1, keepdims=True)
-    # canonical sign: the first nonzero component is positive
-    first = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)
-    return np.where(first < 0.0, -q, q)
+        return so3.rodrigues(so3.clip_axis_angle_norm(y))
+    return so3.normalize_quaternion(y)
 
 
 def resolve_gamma(spec: ObjectiveSpec, dictionary: dct.PoseDictionary) -> float:
@@ -213,54 +209,7 @@ def resolve_gamma(spec: ObjectiveSpec, dictionary: dct.PoseDictionary) -> float:
 
 
 # ---------------------------------------------------------------------------
-# row-wise SO(3) helpers: so3's single-vector maps on stacked rows (..., 3)
-
-
-def _norm_rows(v: np.ndarray) -> np.ndarray:
-    """|v| of each row (..., 1), summed like np.linalg.norm of one vector."""
-    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
-
-
-def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_i u_i v_i over the last axis (leading axes broadcast), added in
-    index order.  einsum picks its summation order from the operands' shapes
-    and strides, so a row broadcast against K keys could round differently
-    from the same row alone; elementwise sums keep each row's value
-    independent of the batch around it."""
-    out = u[..., 0] * v[..., 0]
-    for i in range(1, u.shape[-1]):
-        out = out + u[..., i] * v[..., i]
-    return out
-
-
-def _clip_rows(v: np.ndarray) -> np.ndarray:
-    n = _norm_rows(v)
-    return np.where(n >= math.pi, v * (so3.MAX_AXIS_ANGLE_NORM / np.maximum(n, math.pi)), v)
-
-
-def _rodrigues_rows(v: np.ndarray) -> np.ndarray:
-    t = _norm_rows(v)[..., None]
-    small = t < so3.EPS_THETA
-    ts = np.where(small, 1.0, t)
-    a = np.where(small, 1.0, np.sin(t) / ts)
-    b = np.where(small, 0.0, (1.0 - np.cos(t)) / (ts * ts))
-    k = so3.hat(v)
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def _log_rotations(m: np.ndarray) -> np.ndarray:
-    """so3.log_rotation of each matrix in m (B, 3, 3).  Rows in its near-pi
-    rejection band take _log_near_pi instead of raising."""
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-    small = theta < so3.EPS_THETA
-    scale = np.where(
-        small, 0.5 + theta * theta / 12.0, theta / (2.0 * np.where(small, 1.0, np.sin(theta)))
-    )
-    out = scale[:, None] * so3.vee(m - np.swapaxes(m, -1, -2))
-    for i in np.nonzero(tr <= -1.0 + so3.EPS_PI)[0]:
-        out[i] = _log_near_pi(m[i])
-    return out
+# the M_LE tangent target's policy in the near-pi band
 
 
 def _log_near_pi(m: np.ndarray) -> np.ndarray:
@@ -287,6 +236,18 @@ def _log_near_pi(m: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # geodesic value/gradient kernels
+
+
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i u_i v_i over the last axis (leading axes broadcast), added in
+    index order.  einsum picks its summation order from the operands' shapes
+    and strides, so a row broadcast against K keys could round differently
+    from the same row alone; elementwise sums keep each row's value
+    independent of the batch around it."""
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * v[..., i]
+    return out
 
 
 def _acos_grad_factor(u: np.ndarray) -> np.ndarray:
@@ -444,7 +405,7 @@ def cross_entropy(logits, label: int) -> LossValue:
 
 def kl_divergence(p_true, logits) -> LossValue:
     """sum_k p*_k (log p*_k - log p_k) with 0 log 0 = 0; gradient p - p*."""
-    p = np.asarray(getattr(p_true, "p", p_true), dtype=float)
+    p = np.asarray(p_true, dtype=float)
     v, g = _kl_rows(p[None], np.asarray(logits, dtype=float)[None])
     return _first_row(_checked(v, {"logits": g}))
 
@@ -585,7 +546,12 @@ def objective_batch(
 
     if fam in ("M_LE", "M_LEp"):
         # tangent target log(R_k^T R*) of each row's selected key
-        gtan = _log_rotations(_relative_to_keys(keys[label_pred], _references(spec, targets, b)))
+        rel = _relative_to_keys(keys[label_pred], _references(spec, targets, b))
+        near_pi = so3.near_pi(rel)
+        gtan = np.empty((b, 3))
+        gtan[~near_pi] = so3.log_rotation(rel[~near_pi])
+        for i in np.nonzero(near_pi)[0]:
+            gtan[i] = _log_near_pi(rel[i])
         diff = delta_sel - gtan
         vreg = np.einsum("bi,bi->b", diff, diff)
         grads = {"logits": base_g, **delta_grads(alpha * 2.0 * diff)}
@@ -596,7 +562,7 @@ def objective_batch(
 
 def _relative_to_keys(key_rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """R_k^T R* for each row's key (B, 3) and target rotation (B, 3, 3)."""
-    return np.swapaxes(_rodrigues_rows(_clip_rows(key_rows)), -1, -2) @ ref
+    return np.swapaxes(so3.rodrigues(so3.clip_axis_angle_norm(key_rows)), -1, -2) @ ref
 
 
 def objective(

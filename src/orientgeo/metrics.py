@@ -164,9 +164,8 @@ def average_precision(tp_flags, n_gt) -> float:
     recall = tp / n_gt
     precision = tp / (tp + fp)
     mrec = np.concatenate([[0.0], recall])
-    mpre = np.concatenate([[1.0], precision])
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    # right-to-left running maximum: the monotone envelope
+    mpre = np.maximum.accumulate(np.concatenate([[1.0], precision])[::-1])[::-1]
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
@@ -361,27 +360,23 @@ def write_report(report: MetricReport, csv_path, json_path) -> None:
 # ignored on read; rotations travel as canonical unit quaternions.
 
 
-def _pose_fields(rotation, quaternion):
-    q = quaternion if quaternion is not None else so3.rotation_to_quaternion(rotation)
-    return [repr(float(v)) for v in q.wxyz]
-
-
 def _rotation_from_fields(fields):
     q = np.array([float(v) for v in fields])
     return so3.UnitQuaternion(q)
 
 
 def write_records(path, detections, ground_truths) -> None:
+    items = list(ground_truths) + list(detections)
+    # the quaternion of record where one was read, else the rotation's, all
+    # converted in one stacked call
+    mats = [item.rotation.matrix for item in items if item.quaternion is None]
+    converted = iter(so3.matrix_to_quaternion(np.stack(mats)) if mats else ())
     lines = []
-    for gt in ground_truths:
-        cols = [gt.category, "gt"] + [repr(float(v)) for v in gt.box] + ["1.0"]
-        cols += _pose_fields(gt.rotation, gt.quaternion)
-        lines.append(" ".join(cols))
-    for det in detections:
-        cols = [det.category, "det"] + [repr(float(v)) for v in det.box]
-        cols.append(repr(float(det.score)))
-        cols += _pose_fields(det.rotation, det.quaternion)
-        lines.append(" ".join(cols))
+    for item in items:
+        q = next(converted) if item.quaternion is None else item.quaternion.wxyz
+        tag, score = ("gt", 1.0) if isinstance(item, GroundTruth) else ("det", item.score)
+        cols = [item.category, tag] + [repr(float(v)) for v in item.box] + [repr(float(score))]
+        lines.append(" ".join(cols + [repr(float(v)) for v in q]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

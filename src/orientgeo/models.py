@@ -188,12 +188,12 @@ def init_pose_network(sizes, seed: int, activations=None) -> MLP:
 # Bin & Delta composition
 
 
-def compose(rule: str, key: np.ndarray, delta: np.ndarray):
-    """Fuse a key pose and a delta into a final pose.
+def compose(rule: str, key: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Fuse key poses and deltas (..., d) row by row into final poses.
 
-    additive          -> z_l + dy                  (vector)
-    quaternion_renorm -> (z_l + dy) / |z_l + dy|   (vector)
-    riemannian        -> R(z_l) @ exp(dy)          (Rotation)
+    additive          -> z_l + dy                  (vectors (..., 3))
+    quaternion_renorm -> (z_l + dy) / |z_l + dy|   (vectors (..., 4))
+    riemannian        -> R(z_l) @ exp(dy)          (matrices (..., 3, 3))
     """
     key = np.asarray(key, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -203,28 +203,27 @@ def compose(rule: str, key: np.ndarray, delta: np.ndarray):
         return key + delta
     if rule == QUATERNION_RENORM:
         s = key + delta
-        n = np.linalg.norm(s)
-        if n < 1e-12:
-            raise ZeroSum(f"|z + dy| = {n:.3g}")
+        n = np.linalg.norm(s, axis=-1, keepdims=True)
+        if np.any(n < 1e-12):
+            raise ZeroSum(f"|z + dy| = {n.min():.3g}")
         return s / n
     if rule == RIEMANNIAN:
-        if key.shape != (3,):
+        if key.shape[-1] != 3:
             raise DimensionMismatch("riemannian rule is axis-angle only")
         key_m = so3.rodrigues(so3.clip_axis_angle_norm(key))
-        delta_m = so3.rodrigues(so3.clip_axis_angle_norm(delta))
-        return so3.Rotation(key_m @ delta_m)
+        return key_m @ so3.rodrigues(so3.clip_axis_angle_norm(delta))
     raise ValueError(f"unknown combination rule {rule!r}")
 
 
-def compose_rotation(rule: str, key: np.ndarray, delta: np.ndarray) -> so3.Rotation:
-    """compose(...) followed by conversion to a Rotation (with the axis-angle
-    safety projection for vector rules)."""
+def compose_rotation(rule: str, key: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """compose(...) as rotation matrices (..., 3, 3), with the axis-angle
+    safety projection for the additive rule."""
     out = compose(rule, key, delta)
-    if isinstance(out, so3.Rotation):
+    if rule == RIEMANNIAN:
         return out
     if rule == ADDITIVE:
-        return so3.Rotation(so3.rodrigues(so3.clip_axis_angle_norm(out)))
-    return so3.Rotation(so3._quat_to_matrix(so3.canonical_quaternion(out)))
+        return so3.rodrigues(so3.clip_axis_angle_norm(out))
+    return so3._quat_to_matrix(so3.canonical_quaternion(out))
 
 
 # ---------------------------------------------------------------------------

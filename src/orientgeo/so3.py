@@ -96,10 +96,10 @@ class UnitQuaternion:
         q = np.array(self.wxyz, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"wxyz must have shape (4,), got {q.shape}")
-        n = np.linalg.norm(q)
-        if not np.isfinite(n) or abs(n - 1.0) > 1e-6:
+        n = _norm(q)
+        if not abs(n - 1.0) <= 1e-6:  # also rejects non-finite norms
             raise ValueError(f"quaternion norm {n:.6g} is not 1")
-        q = canonical_quaternion(q / n)
+        q = _unit(q, n)
         q.setflags(write=False)
         object.__setattr__(self, "wxyz", q)
 
@@ -133,18 +133,59 @@ def wrap_angle(a: float) -> float:
     return out - math.pi
 
 
+# ---------------------------------------------------------------------------
+# Row-wise maps.  Each takes a stack of rows (..., 3), (..., 4) or
+# (..., 3, 3) and treats every row on its own; a stacked call's row equals
+# the same row's one-row call exactly, because every sum over a row goes
+# through matmul or np.trace, which sum each row as they sum it alone.
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> of each pair of rows (...,), summed as np.dot sums two vectors."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """|v| of each row (...,), summed as np.linalg.norm sums one vector."""
+    return np.sqrt(_dot(v, v))
+
+
+# sign(q) @ _FIRST_NONZERO has the sign of the first nonzero component:
+# each weight exceeds the sum of the weights after it
+_FIRST_NONZERO = np.array([8.0, 4.0, 2.0, 1.0])
+
+
+def _first_sign(q: np.ndarray) -> np.ndarray:
+    """+-1 per row (...,): the sign of its first nonzero component.  Raises
+    on a zero row."""
+    first = np.sign(q) @ _FIRST_NONZERO
+    if np.count_nonzero(first) < np.size(first):
+        raise ValueError("zero quaternion has no canonical form")
+    return np.sign(first)
+
+
 def canonical_quaternion(q: np.ndarray) -> np.ndarray:
-    """Flip sign so the scalar part is positive (first nonzero decides ties)."""
-    for x in q:
-        if x > 0.0:
-            return q.copy()
-        if x < 0.0:
-            return -q
-    raise ValueError("zero quaternion has no canonical form")
+    """Flip the sign of each row (..., 4) so that its first nonzero
+    component is positive."""
+    q = np.asarray(q, dtype=float)
+    return q * _first_sign(q)[..., None]
+
+
+def normalize_quaternion(q: np.ndarray) -> np.ndarray:
+    """Each row (..., 4) scaled to unit norm and canonicalized: the wxyz
+    that UnitQuaternion stores for it."""
+    q = np.asarray(q, dtype=float)
+    return _unit(q, _norm(q))
+
+
+def _unit(q: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """normalize_quaternion given the norms n (...,)."""
+    return q / (n * _first_sign(q))[..., None]
 
 
 # (row, column) of the entries of hat(v) that hold +v
 _SKEW_ROWS, _SKEW_COLS = np.array([2, 0, 1]), np.array([1, 2, 0])
+_EYE3, _EYE4, _FOUR = np.eye(3), np.eye(4), np.arange(4)
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -163,53 +204,158 @@ def vee(m: np.ndarray) -> np.ndarray:
 
 
 def rodrigues(v: np.ndarray) -> np.ndarray:
-    """Rotation matrix of an axis-angle 3-vector (any finite norm).
+    """Rotation matrix (..., 3, 3) of each axis-angle row (..., 3), any
+    finite norm.
 
-    R = I + (sin t / t) [v]x + ((1 - cos t) / t^2) [v]x^2, with first-order
-    Taylor branches below EPS_THETA so the map is smooth through zero.
+    R = I + (sin t / t) [v]x + ((1 - cos t) / t^2) [v]x^2.  Below EPS_THETA
+    sin t / t -> 1 and the quadratic term is below double precision, so the
+    Taylor branch keeps I + [v]x and the map is smooth through zero.
     """
     v = np.asarray(v, dtype=float)
-    t = np.linalg.norm(v)
+    t = _norm(v)[..., None, None]
+    small = t < EPS_THETA
+    ts = np.where(small, 1.0, t)
+    a = np.where(small, 1.0, np.sin(t) / ts)
+    b = np.where(small, 0.0, (1.0 - np.cos(t)) / (ts * ts))
     k = hat(v)
-    if t < EPS_THETA:
-        # sin t / t -> 1, (1 - cos t)/t^2 -> 1/2; the quadratic term is
-        # below double precision here, keep I + [v]x.
-        return np.eye(3) + k
-    a = math.sin(t) / t
-    b = (1.0 - math.cos(t)) / (t * t)
-    return np.eye(3) + a * k + b * (k @ k)
+    return _EYE3 + a * k + b * (k @ k)
+
+
+def near_pi(m: np.ndarray) -> np.ndarray:
+    """Mask (...,) of the matrices (..., 3, 3) with tr(R) <= -1 + EPS_PI
+    (angle within ~1e-3 of pi), where the skew part of R no longer
+    determines the axis and log_rotation refuses."""
+    return np.trace(m, axis1=-2, axis2=-1) <= -1.0 + EPS_PI
 
 
 def log_rotation(m: np.ndarray) -> np.ndarray:
-    """Axis-angle 3-vector of a rotation matrix.
+    """Axis-angle row (..., 3) of each rotation matrix (..., 3, 3).
 
     Uses v = theta / (2 sin theta) * vee(R - R^T) with the Taylor branch
-    1/2 + theta^2/12 near zero.  Raises NearPiRotation when
-    tr(R) <= -1 + EPS_PI where the skew part no longer determines the axis.
+    1/2 + theta^2/12 near zero.  Raises NearPiRotation when any row is
+    near_pi.
     """
-    tr = float(np.trace(m))
-    if tr <= -1.0 + EPS_PI:
-        raise NearPiRotation(f"trace {tr:.9f} too close to -1 for a stable log")
-    c = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
-    theta = math.acos(c)
-    if theta < EPS_THETA:
-        scale = 0.5 + theta * theta / 12.0
-    else:
-        scale = theta / (2.0 * math.sin(theta))
-    return scale * vee(m - m.T)
+    m = np.asarray(m, dtype=float)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if near_pi(m).any():
+        raise NearPiRotation(f"trace {np.min(tr):.9f} too close to -1 for a stable log")
+    theta = np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
+    small = theta < EPS_THETA
+    scale = np.where(
+        small, 0.5 + theta * theta / 12.0, theta / (2.0 * np.sin(np.where(small, 1.0, theta)))
+    )
+    return scale[..., None] * vee(m - np.swapaxes(m, -1, -2))
 
 
 def clip_axis_angle_norm(v: np.ndarray, max_norm: float = MAX_AXIS_ANGLE_NORM) -> np.ndarray:
-    """Rescale v onto norm max_norm when |v| >= pi, else return it unchanged.
+    """Rescale each row (..., 3) with |v| >= pi onto norm max_norm; other
+    rows pass unchanged.
 
     Network heads bound components, not the norm, so raw or composed
     axis-angle outputs can leave the |v| < pi ball; this projection keeps
     the exp/log pair bijective on everything we convert.
     """
-    n = np.linalg.norm(v)
-    if n >= math.pi:
-        return v * (max_norm / n)
-    return np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n = _norm(v)[..., None]
+    return np.where(n >= math.pi, v * (max_norm / np.maximum(n, math.pi)), v)
+
+
+def geodesic_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Angle acos((tr(R1^T R2) - 1) / 2) in [0, pi] of each pair of
+    matrices (..., 3, 3), leading axes broadcast.
+
+    Identical pairs measure exactly zero: tr(R^T R) rounds to 3 - O(eps)
+    and acos amplifies that to ~1e-8.
+    """
+    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
+    tr = _dot(m1.reshape(m1.shape[:-2] + (9,)), m2.reshape(m2.shape[:-2] + (9,)))
+    angle = np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
+    return np.where(np.all(m1 == m2, axis=(-2, -1)), 0.0, angle)[()]
+
+
+# Linear maps between a rotation R and the Gram matrix G = q q^T of its
+# quaternion q = (c, v), both flattened row-major:
+#   R - I = G @ _R_OF_G, from R = I + 2 (v v^T - |v|^2 I) + 2 c [v]x;
+#   K - I = R @ _K_OF_R for K = 4 G: K_00 = 1 + tr R, K_0i = K_i0 =
+#   vee(R - R^T)_i, K_ij = R_ij + R_ji + [i = j] (1 - tr R), i, j = 1..3.
+_I3I3 = np.einsum("ij,kl->ijkl", _EYE3, _EYE3)
+_R_OF_G = np.zeros((4, 4, 3, 3))
+_R_OF_G[1:, 1:] = 2.0 * (_I3I3.transpose(0, 2, 1, 3) - _I3I3)
+_R_OF_G[0, 1:] = 2.0 * hat(_EYE3)
+_R_OF_G = _R_OF_G.reshape(16, 9)
+_K_OF_R = np.zeros((3, 3, 4, 4))
+_K_OF_R[:, :, 0, 0] = _EYE3
+_K_OF_R[:, :, 0, 1:] = _K_OF_R[:, :, 1:, 0] = hat(_EYE3).transpose(1, 2, 0)
+_K_OF_R[:, :, 1:, 1:] = _I3I3.transpose(0, 2, 1, 3) + _I3I3.transpose(0, 2, 3, 1) - _I3I3
+_K_OF_R = _K_OF_R.reshape(9, 16)
+
+
+def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix (..., 3, 3) of each unit quaternion row (..., 4)."""
+    q = np.asarray(q, dtype=float)
+    lead = q.shape[:-1]
+    gram = (q[..., :, None] * q[..., None, :]).reshape(lead + (1, 16))
+    return (gram @ _R_OF_G).reshape(lead + (3, 3)) + _EYE3
+
+
+def matrix_to_quaternion(m: np.ndarray) -> np.ndarray:
+    """Canonical unit quaternion (..., 4) of each rotation matrix (..., 3, 3):
+    the wxyz that rotation_to_quaternion stores."""
+    return normalize_quaternion(_matrix_to_quat(m))
+
+
+def _matrix_to_quat(m: np.ndarray) -> np.ndarray:
+    """Unit quaternion (..., 4) of each rotation matrix (..., 3, 3), of
+    either sign.
+
+    Row b of K = 4 q q^T is s q with s = 2 sqrt(K_bb), up to the sign of
+    q_b.  Shepperd's method takes the row of the largest K_bb >= 1, so the
+    division by s stays well away from zero.
+    """
+    m = np.asarray(m, dtype=float)
+    lead = m.shape[:-2]
+    k = (m.reshape(lead + (1, 9)) @ _K_OF_R).reshape(lead + (4, 4)) + _EYE4
+    diag = k.diagonal(0, -2, -1)
+    row = ((diag.argmax(-1)[..., None] == _FOUR)[..., None, :] @ k)[..., 0, :]
+    q = row / (2.0 * np.sqrt(diag.max(-1)))[..., None]
+    return q / _norm(q)[..., None]
+
+
+# Rz(t) = cos t Z_c + sin t Z_s + Z_1 and Rx(t) = cos t X_c + sin t X_s + X_1,
+# so R(az, el, ct) is trilinear in the (cos, sin, 1) triples of ct, el, az
+_Z = np.array([np.diag([1.0, 1.0, 0.0]), [[0, -1, 0], [1, 0, 0], [0, 0, 0]], np.diag([0, 0, 1.0])])
+_X = np.array([np.diag([0.0, 1.0, 1.0]), [[0, 0, 0], [0, 0, -1], [0, 1, 0]], np.diag([1.0, 0, 0])])
+_R_OF_EULER = np.einsum("aip,bpq,cqj->abcij", _Z, _X, _Z).reshape(27, 9)
+# (cos, sin, 1) of ct, el, az in (cos az, cos el, cos ct, sin az, sin el, sin ct, 1)
+_TRIG = np.array([[2, 5, 6], [1, 4, 6], [0, 3, 6]])
+
+
+def euler_to_matrix(angles: np.ndarray) -> np.ndarray:
+    """R(az, el, ct) = Rz(ct) Rx(el) Rz(az) (..., 3, 3) of each ZXZ row
+    (az, el, ct) (..., 3): azimuth applied first."""
+    a = np.asarray(angles, dtype=float)
+    lead = a.shape[:-1]
+    t = np.concatenate([np.cos(a), np.sin(a), np.ones(lead + (1,))], axis=-1)[..., _TRIG]
+    u = t[..., 0, :, None, None] * t[..., 1, None, :, None] * t[..., 2, None, None, :]
+    return (u.reshape(lead + (1, 27)) @ _R_OF_EULER).reshape(lead + (3, 3))
+
+
+def matrix_to_euler(m: np.ndarray):
+    """ZXZ rows (az, el, ct) (..., 3) of the matrices (..., 3, 3), and the
+    mask (...,) of rows in gimbal lock (|sin el| < EPS_GIMBAL), whose az and
+    ct are not separable.  (az, el, ct) and (az + pi, -el, ct + pi) give the
+    same matrix; extraction pins the representative with el in [0, pi]."""
+    m = np.asarray(m, dtype=float)
+    se = np.hypot(m[..., 2, 0], m[..., 2, 1])
+    angles = np.empty(m.shape[:-1])
+    angles[..., 0] = np.arctan2(m[..., 2, 0], m[..., 2, 1])
+    angles[..., 1] = np.arctan2(se, m[..., 2, 2])
+    angles[..., 2] = np.arctan2(m[..., 0, 2], -m[..., 1, 2])
+    return angles, se < EPS_GIMBAL
+
+
+# ---------------------------------------------------------------------------
+# typed API: the row-wise maps on one validated row
 
 
 def exp_map(v: AxisAngle) -> Rotation:
@@ -224,16 +370,7 @@ def log_map(r: Rotation) -> AxisAngle:
 
 def geodesic_distance(r1: Rotation, r2: Rotation) -> float:
     """Angle of the relative rotation, acos((tr(R1^T R2) - 1) / 2), in [0, pi]."""
-    return geodesic_distance_matrices(r1.matrix, r2.matrix)
-
-
-def geodesic_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> float:
-    if m1 is m2 or np.array_equal(m1, m2):
-        # tr(R^T R) rounds to 3 - O(eps) and acos amplifies that to ~1e-8;
-        # identical inputs must measure exactly zero.
-        return 0.0
-    c = (float(np.einsum("ij,ij->", m1, m2)) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
+    return float(geodesic_distance_matrices(r1.matrix, r2.matrix))
 
 
 def quaternion_distance(q1: UnitQuaternion, q2: UnitQuaternion) -> float:
@@ -276,66 +413,8 @@ def quaternion_to_rotation(q: UnitQuaternion) -> Rotation:
     return Rotation(_quat_to_matrix(q.wxyz))
 
 
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    c, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - c * z), 2 * (x * z + c * y)],
-            [2 * (x * y + c * z), 1 - 2 * (x * x + z * z), 2 * (y * z - c * x)],
-            [2 * (x * z - c * y), 2 * (y * z + c * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def rotation_to_quaternion(r: Rotation) -> UnitQuaternion:
     return UnitQuaternion(_matrix_to_quat(r.matrix))
-
-
-def _matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    # Shepperd's branch selection: pick the largest of (1 +- diagonal
-    # combinations) so the divisor is well away from zero.
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            ]
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [
-                (m[2, 1] - m[1, 2]) / s,
-                0.25 * s,
-                (m[0, 1] + m[1, 0]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-            ]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [
-                (m[0, 2] - m[2, 0]) / s,
-                (m[0, 1] + m[1, 0]) / s,
-                0.25 * s,
-                (m[1, 2] + m[2, 1]) / s,
-            ]
-        )
-    else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [
-                (m[1, 0] - m[0, 1]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-                (m[1, 2] + m[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
-    return canonical_quaternion(q / np.linalg.norm(q))
 
 
 def rot_z(a: float) -> np.ndarray:
@@ -350,25 +429,17 @@ def rot_x(a: float) -> np.ndarray:
 
 def euler_to_rotation(e: EulerZXZ) -> Rotation:
     """R(az, el, ct) = Rz(ct) Rx(el) Rz(az): azimuth applied first."""
-    return Rotation(rot_z(e.tilt) @ rot_x(e.elevation) @ rot_z(e.azimuth))
+    return Rotation(euler_to_matrix([e.azimuth, e.elevation, e.tilt]))
 
 
 def rotation_to_euler(r: Rotation) -> EulerZXZ:
-    """ZXZ extraction with el in [0, pi].
-
-    The ZXZ chart double-covers each rotation: (az, el, ct) and
-    (az + pi, -el, ct + pi) compose to the same matrix.  Extraction pins the
-    el >= 0 representative.  Raises GimbalLock when |sin el| < EPS_GIMBAL,
-    where az and ct are no longer separable.
-    """
-    m = r.matrix
-    se = math.hypot(m[2, 0], m[2, 1])
-    if se < EPS_GIMBAL:
-        raise GimbalLock(f"|sin(el)| = {se:.3g} below {EPS_GIMBAL}")
-    el = math.atan2(se, m[2, 2])
-    az = math.atan2(m[2, 0], m[2, 1])
-    ct = math.atan2(m[0, 2], -m[1, 2])
-    return EulerZXZ(az, el, ct)
+    """ZXZ extraction with el in [0, pi] (see matrix_to_euler).  Raises
+    GimbalLock when |sin el| < EPS_GIMBAL, where az and ct are no longer
+    separable."""
+    angles, locked = matrix_to_euler(r.matrix)
+    if locked:
+        raise GimbalLock(f"|sin(el)| below {EPS_GIMBAL}: azimuth and tilt are not separable")
+    return EulerZXZ(*angles.tolist())
 
 
 def compose(r1: Rotation, r2: Rotation) -> Rotation:
@@ -383,11 +454,9 @@ def inverse(r: Rotation) -> Rotation:
 def random_rotation(rng: np.random.Generator) -> Rotation:
     """Uniform (Haar) random rotation via a normalized Gaussian quaternion."""
     q = rng.standard_normal(4)
-    n = np.linalg.norm(q)
-    while n < 1e-12:
+    while np.linalg.norm(q) < 1e-12:
         q = rng.standard_normal(4)
-        n = np.linalg.norm(q)
-    return Rotation(_quat_to_matrix(canonical_quaternion(q / n)))
+    return Rotation(_quat_to_matrix(normalize_quaternion(q)))
 
 
 def random_axis_angle(rng: np.random.Generator, max_angle: float = math.pi - 1e-3) -> AxisAngle:

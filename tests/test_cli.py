@@ -88,6 +88,36 @@ def test_eval_rejects_unknown_metric(tmp_path, capsys):
     assert cli.main(["eval", "--records", str(path), "--metric", "iou"]) == 2
 
 
+def _rejected(argv, capsys, option):
+    """argv exits with code 2, prints nothing on stdout and names the
+    option and its bad value on stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    value = argv[argv.index(option) + 1]
+    assert f"argument {option}: must be a positive count, got {value}" in captured.err
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_eval_rejects_non_positive_bins(tmp_path, capsys, bins):
+    path = tmp_path / "records.txt"
+    path.write_text("")
+    _rejected(["eval", "--records", str(path), "--metric", "avp", "--bins", bins], capsys, "--bins")
+
+
+def test_gradcheck_rejects_zero_trials(capsys):
+    _rejected(["gradcheck", "--family", "R_G", "--trials", "0"], capsys, "--trials")
+
+
+def test_run_rejects_zero_trials(tiny_config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    _rejected(["run", "--config", str(tiny_config_path), "--out", str(out), "--trials", "0"],
+              capsys, "--trials")
+    assert not out.exists()
+
+
 def test_gradcheck_single_family_exit_zero(capsys):
     rc = cli.main(["gradcheck", "--family", "R_G", "--trials", "3"])
     assert rc == 0

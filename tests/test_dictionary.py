@@ -131,14 +131,14 @@ def test_soft_assign_uniform_at_tiny_gamma():
     g = rng(7)
     keys = random_axis_angle_targets(g, 10)
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
-    p = dct.soft_assign(np.zeros(3), d, 1e-12).p
+    p = dct.soft_assign_probs(np.zeros(3), d.keys, 1e-12)
     np.testing.assert_allclose(p, 0.1, atol=1e-9)
 
 
 def test_soft_assign_one_hot_at_huge_gamma():
     keys = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
-    p = dct.soft_assign(keys[1], d, 1e6).p
+    p = dct.soft_assign_probs(keys[1], d.keys, 1e6)
     assert p[1] > 1.0 - 1e-6
 
 
@@ -146,7 +146,7 @@ def test_soft_assign_two_key_closed_form():
     # distances^2 of 1 and 4, gamma=1 -> p = e^-1 / (e^-1 + e^-4)
     keys = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
-    p = dct.soft_assign(np.zeros(3), d, 1.0).p
+    p = dct.soft_assign_probs(np.zeros(3), d.keys, 1.0)
     expected = math.exp(-1.0) / (math.exp(-1.0) + math.exp(-4.0))
     assert p[0] == pytest.approx(expected, abs=1e-12)
     assert p[0] == pytest.approx(0.95257, abs=5e-6)
@@ -158,8 +158,15 @@ def test_soft_assign_sums_to_one_up_to_huge_gamma():
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
     for gamma in (1e-12, 1.0, 1e4, 1e8):
         for _ in range(20):
-            p = dct.soft_assign(so3.random_axis_angle(g).vector, d, gamma).p
+            p = dct.soft_assign_probs(so3.random_axis_angle(g).vector, d.keys, gamma)
             assert abs(p.sum() - 1.0) <= 1e-12
+
+
+def test_soft_assign_rejects_non_positive_gamma():
+    keys = np.eye(3)
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            dct.soft_assign_probs(np.zeros(3), keys, gamma)
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,7 +180,7 @@ def test_property_argmax_soft_equals_hard_label(seed, log_gamma):
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
     y = so3.random_axis_angle(g).vector
     gamma = 10.0 ** log_gamma
-    p = dct.soft_assign(y, d, gamma).p
+    p = dct.soft_assign_probs(y, d.keys, gamma)
     assert int(np.argmax(p)) == dct.hard_label(y, d)
 
 

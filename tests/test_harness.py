@@ -11,6 +11,7 @@ import pytest
 from orientgeo import dictionary as dct
 from orientgeo import harness, losses, metrics, models, so3
 
+import record_golden_report
 import record_golden_training
 
 
@@ -319,6 +320,25 @@ def test_train_matches_golden_weights(case):
                 np.testing.assert_allclose(b, want["bias"], rtol=0, atol=GOLDEN_TRAINING_TOL)
 
 
+GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "golden_report.json")
+GOLDEN_DEGREES_TOL = 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(record_golden_report.CASES))
+def test_run_matches_golden_report(case):
+    with open(GOLDEN_REPORT, encoding="utf-8") as fh:
+        golden = json.load(fh)["cases"][case]
+    got = record_golden_report.golden_case(case)
+    for split in ("test", "val"):
+        acc, med = got[split]["Acc_pi6"], got[split]["MedErr"]
+        assert acc == golden[split]["Acc_pi6"], split
+        assert med["per_category"].keys() == golden[split]["MedErr"]["per_category"].keys()
+        for cat, want in golden[split]["MedErr"]["per_category"].items():
+            assert abs(med["per_category"][cat] - want) <= GOLDEN_DEGREES_TOL, (split, cat)
+        assert abs(med["mean"] - golden[split]["MedErr"]["mean"]) <= GOLDEN_DEGREES_TOL, split
+    assert abs(got["floor_deg"] - golden["floor_deg"]) <= GOLDEN_DEGREES_TOL
+
+
 def test_perturbing_one_category_leaves_the_others_bit_identical():
     cfg = tiny_config("M_Gp")
     ds = harness.generate_synthetic(cfg, 0)
@@ -429,17 +449,16 @@ def test_predict_rotation_one_hot():
     logits = np.zeros(8)
     logits[3] = 1.0
     r = harness.predict_rotation(
-        losses.ObjectiveSpec("M_G"), _fixed_decoder(logits, np.zeros(3)), d, np.ones(4)
+        losses.ObjectiveSpec("M_G"), _fixed_decoder(logits, np.zeros(3)), d, np.ones((1, 4))
     )
-    np.testing.assert_allclose(r.matrix, so3.rodrigues(d.keys[3]), atol=1e-15)
+    np.testing.assert_allclose(r[0], so3.rodrigues(d.keys[3]), atol=1e-15)
 
 
 def test_predict_rotation_tie_breaks_to_first():
     d = _keys(11)
-    r = harness.predict_rotation(
-        losses.ObjectiveSpec("M_Gp"), _fixed_decoder(np.full(8, 0.5), np.zeros((8, 3))), d, np.ones(4)
-    )
-    np.testing.assert_allclose(r.matrix, so3.rodrigues(d.keys[0]), atol=1e-15)
+    decoder = _fixed_decoder(np.full(8, 0.5), np.zeros((8, 3)))
+    r = harness.predict_rotation(losses.ObjectiveSpec("M_Gp"), decoder, d, np.ones((1, 4)))
+    np.testing.assert_allclose(r[0], so3.rodrigues(d.keys[0]), atol=1e-15)
 
 
 def test_predict_rotation_matches_argmax_compose_oracle():
@@ -449,11 +468,11 @@ def test_predict_rotation_matches_argmax_compose_oracle():
         logits = g.normal(size=8)
         per_bin = g.uniform(-0.2, 0.2, size=(8, 3))
         got = harness.predict_rotation(
-            losses.ObjectiveSpec("M_Gp"), _fixed_decoder(logits, per_bin), d, g.normal(size=4)
+            losses.ObjectiveSpec("M_Gp"), _fixed_decoder(logits, per_bin), d, g.normal(size=(1, 4))
         )
         lbl = int(np.argmax(logits))
         want = so3.rodrigues(so3.clip_axis_angle_norm(d.keys[lbl] + per_bin[lbl]))
-        np.testing.assert_allclose(got.matrix, want, atol=1e-15)
+        np.testing.assert_allclose(got[0], want, atol=1e-15)
 
 
 def test_predict_rotation_invariant_to_monotone_logit_transform():
@@ -462,10 +481,11 @@ def test_predict_rotation_invariant_to_monotone_logit_transform():
     spec = losses.ObjectiveSpec("M_G")
     logits = g.uniform(0.05, 1.0, size=8)
     delta = g.uniform(-0.1, 0.1, size=3)
-    base = harness.predict_rotation(spec, _fixed_decoder(logits, delta), d, np.ones(4))
+    base = harness.predict_rotation(spec, _fixed_decoder(logits, delta), d, np.ones((1, 4)))
     for transform in (np.sqrt, np.square, lambda x: np.exp(3.0 * x)):
-        r = harness.predict_rotation(spec, _fixed_decoder(transform(logits), delta), d, np.ones(4))
-        np.testing.assert_array_equal(r.matrix, base.matrix)
+        decoder = _fixed_decoder(transform(logits), delta)
+        r = harness.predict_rotation(spec, decoder, d, np.ones((1, 4)))
+        np.testing.assert_array_equal(r[0], base[0])
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def test_m_p_value_is_probability_weighted_mixture():
 
 def test_m_x_uses_kl_against_soft_target():
     dictionary, y_true, label = _simple_setup()
-    soft = dct.soft_assign(y_true, dictionary, 2.0).p
+    soft = dct.soft_assign_probs(y_true, dictionary.keys, 2.0)
     logits = np.array([0.3, 1.2, -0.5, 0.0])
     delta = np.array([0.0, 0.05, 0.0])
     out = losses.objective(

@@ -196,15 +196,15 @@ def test_compose_additive_zero_delta():
 def test_compose_riemannian_identity_key():
     d = np.array([0.3, -0.1, 0.2])
     r = models.compose(models.RIEMANNIAN, np.zeros(3), d)
-    np.testing.assert_allclose(r.matrix, so3.rodrigues(d), atol=1e-15)
+    np.testing.assert_allclose(r, so3.rodrigues(d), atol=1e-15)
 
 
 def test_compose_riemannian_coaxial_adds_angles():
     z = np.array([0.0, 0.0, math.pi / 4.0])
     r = models.compose(models.RIEMANNIAN, z, z)
     expected = so3.rodrigues(np.array([0.0, 0.0, math.pi / 2.0]))
-    np.testing.assert_allclose(r.matrix, expected, atol=1e-12)
-    np.testing.assert_allclose(r.matrix, so3.rodrigues(z) @ so3.rodrigues(z), atol=1e-12)
+    np.testing.assert_allclose(r, expected, atol=1e-12)
+    np.testing.assert_allclose(r, so3.rodrigues(z) @ so3.rodrigues(z), atol=1e-12)
 
 
 def test_compose_quaternion_renorm_unit_output():
@@ -230,7 +230,7 @@ def test_composed_axis_angle_always_inside_ball():
         projected = so3.clip_axis_angle_norm(z + d)
         so3.AxisAngle(projected)  # constructible: norm < pi
         r = models.compose_rotation(models.ADDITIVE, z, d)
-        np.testing.assert_allclose(r.matrix, so3.rodrigues(projected), atol=1e-15)
+        np.testing.assert_allclose(r, so3.rodrigues(projected), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

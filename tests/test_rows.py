@@ -1,0 +1,233 @@
+"""Row-wise maps against their one-row calls: every so3 map and the Lloyd
+step of fit_kmeans."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orientgeo import dictionary as dct
+from orientgeo import so3
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+ROWS = st.integers(min_value=1, max_value=6)
+
+
+def _axis_angles(g, b):
+    """b axis-angle rows with random angles from every regime: zero, the
+    Taylor branch, ordinary, just inside and past the pi ball."""
+    axis = g.standard_normal((b, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    regimes = [
+        lambda: 0.0,
+        lambda: g.uniform(0.0, 2.0 * so3.EPS_THETA),
+        lambda: g.uniform(0.0, math.pi),
+        lambda: math.pi - g.uniform(0.0, 1e-5),
+        lambda: g.uniform(math.pi, 5.0),
+    ]
+    angles = [regimes[i]() for i in g.integers(0, len(regimes), size=b)]
+    return axis * np.array(angles)[:, None]
+
+
+def _rotations(g, b):
+    """b rotation matrices: random ones, the identity, near-pi turns about
+    each axis (every Shepperd branch), gimbal-locked ones (sin el = 0)."""
+    out = []
+    for kind in g.integers(0, 5, size=b):
+        if kind == 0:
+            out.append(so3.random_rotation(g).matrix)
+        elif kind == 1:
+            out.append(so3.rodrigues(g.uniform(-1.0, 1.0, 3) * g.choice([0.0, 1e-10, 0.3])))
+        elif kind == 2:
+            axis = np.eye(3)[g.integers(0, 3)] + 0.05 * g.standard_normal(3)
+            out.append(so3.rodrigues(axis / np.linalg.norm(axis) * (math.pi - g.uniform(0.0, 0.3))))
+        elif kind == 3:
+            el = g.choice([0.0, math.pi])
+            out.append(so3.euler_to_matrix([g.uniform(-3.0, 3.0), el, g.uniform(-3.0, 3.0)]))
+        else:
+            out.append(so3.euler_to_matrix(g.uniform(-3.0, 3.0, 3)))
+    return np.stack(out)
+
+
+def _quaternions(g, b):
+    """b quaternion rows, some with leading zeros and negative components."""
+    q = g.standard_normal((b, 4))
+    q[g.random((b, 4)) < 0.3] = 0.0
+    q[~q.any(axis=1), 3] = -1.0
+    return q
+
+
+def _assert_rows(stacked, one_row_calls):
+    for i, want in enumerate(one_row_calls):
+        np.testing.assert_array_equal(stacked[i], want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, ROWS)
+def test_axis_angle_maps_equal_one_row_calls(seed, b):
+    g = np.random.default_rng(seed)
+    v = _axis_angles(g, b)
+    for fn in (so3.rodrigues, so3.clip_axis_angle_norm):
+        _assert_rows(fn(v), [fn(row) for row in v])
+        # a second leading axis, as the per-key tables use
+        np.testing.assert_array_equal(fn(v[None])[0], fn(v))
+    keys = so3.clip_axis_angle_norm(v)
+    _assert_rows(dct.pose_matrices(keys, dct.AXIS_ANGLE),
+                 [dct.pose_matrices(k, dct.AXIS_ANGLE) for k in keys])
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, ROWS)
+def test_matrix_maps_equal_one_row_calls(seed, b):
+    g = np.random.default_rng(seed)
+    m = _rotations(g, b)
+    for fn in (so3._matrix_to_quat, so3.near_pi):
+        _assert_rows(fn(m), [fn(row) for row in m])
+    angles, locked = so3.matrix_to_euler(m)
+    for i, row in enumerate(m):
+        a, lock = so3.matrix_to_euler(row)
+        np.testing.assert_array_equal(angles[i], a)
+        assert locked[i] == lock
+    _assert_rows(so3.euler_to_matrix(angles), [so3.euler_to_matrix(a) for a in angles])
+    ok = ~so3.near_pi(m)
+    _assert_rows(so3.log_rotation(m[ok]), [so3.log_rotation(row) for row in m[ok]])
+    if not ok.all():
+        with pytest.raises(so3.NearPiRotation):
+            so3.log_rotation(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, ROWS)
+def test_geodesic_distance_rows_and_tables_equal_one_pair_calls(seed, b):
+    g = np.random.default_rng(seed)
+    m1, m2 = _rotations(g, b), _rotations(g, b)
+    m2[g.random(b) < 0.3] = m1[0]  # identical pairs measure exactly zero
+    pairs = so3.geodesic_distance_matrices(m1, m2)
+    _assert_rows(pairs, [so3.geodesic_distance_matrices(x, y) for x, y in zip(m1, m2)])
+    table = so3.geodesic_distance_matrices(m1[:, None], m2)
+    for i in range(b):
+        _assert_rows(table[i], [so3.geodesic_distance_matrices(m1[i], y) for y in m2])
+    assert so3.geodesic_distance_matrices(m1, m1).tolist() == [0.0] * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, ROWS)
+def test_quaternion_maps_equal_one_row_calls(seed, b):
+    g = np.random.default_rng(seed)
+    q = _quaternions(g, b)
+    for fn in (so3.canonical_quaternion, so3.normalize_quaternion):
+        _assert_rows(fn(q), [fn(row) for row in q])
+    unit = so3.normalize_quaternion(q)
+    _assert_rows(so3.normalize_quaternion(unit), [so3.UnitQuaternion(row).wxyz for row in unit])
+    _assert_rows(so3._quat_to_matrix(unit), [so3._quat_to_matrix(row) for row in unit])
+    _assert_rows(dct.pose_matrices(unit, dct.QUATERNION),
+                 [dct.pose_matrices(k, dct.QUATERNION) for k in unit])
+
+
+def test_matrix_to_quaternion_rows_take_every_shepperd_branch():
+    m = np.stack([so3.rodrigues(v) for v in
+                  ([0.1, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0])])
+    q = so3._matrix_to_quat(m)
+    np.testing.assert_allclose(so3._quat_to_matrix(q), m, atol=1e-12)
+    assert np.argmax(np.abs(q), axis=1).tolist() == [0, 1, 2, 3]
+
+
+def test_row_maps_keep_their_errors():
+    near_pi = so3.rodrigues([math.pi - 1e-5, 0.0, 0.0])
+    with pytest.raises(so3.NearPiRotation):
+        so3.log_rotation(np.stack([np.eye(3), near_pi]))
+    with pytest.raises(ValueError, match="zero quaternion"):
+        so3.canonical_quaternion(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    locked = so3.euler_to_matrix([[0.3, 0.0, 0.2], [0.3, 1.0, 0.2]])
+    assert so3.matrix_to_euler(locked)[1].tolist() == [True, False]
+    with pytest.raises(so3.GimbalLock):
+        so3.rotation_to_euler(so3.Rotation(locked[0]))
+
+
+# ---------------------------------------------------------------------------
+# fit_kmeans against its per-cluster loop implementation
+
+
+def _fit_kmeans_loop(targets, k, seed, representation):
+    """fit_kmeans as written with two Python passes over the K clusters per
+    Lloyd iteration: the reference the vectorized step must equal exactly.
+    The centroid renormalization is the library's own row map."""
+    targets = np.array([np.asarray(t, dtype=float) for t in targets])
+    n = targets.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = dct._plus_plus_seeds(targets, k, rng)
+    for _ in range(dct.KMEANS_MAX_ITER):
+        d2 = np.sum((targets[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        repaired = np.zeros(n, dtype=bool)
+        for j in range(k):
+            if not np.any(labels == j):
+                assigned = d2[np.arange(n), labels].copy()
+                assigned[repaired] = -np.inf
+                far = int(np.argmax(assigned))
+                labels[far] = j
+                repaired[far] = True
+        new_centers = np.empty_like(centers)
+        for j in range(k):
+            new_centers[j] = targets[labels == j].mean(axis=0)
+        new_centers = dct._renormalize_centroids(new_centers, representation)
+        shift = np.max(np.abs(new_centers - centers))
+        centers = new_centers
+        if shift < dct.KMEANS_SHIFT_TOL:
+            break
+    return dct.PoseDictionary(centers, representation)
+
+
+def _outcome(fit, *args):
+    """Keys, or the exception type for inputs where the fit fails (a repair
+    can empty an earlier cluster, whose mean is then NaN)."""
+    try:
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return fit(*args).keys
+    except ValueError as exc:
+        return type(exc)
+
+
+def _kmeans_targets(g, n, representation, distinct):
+    d = 4 if representation == dct.QUATERNION else 3
+    pts = g.standard_normal((distinct, d))
+    if representation == dct.QUATERNION:
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts[g.integers(0, distinct, size=n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    SEEDS,
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from(dct.REPRESENTATIONS),
+    st.booleans(),
+)
+def test_fit_kmeans_equals_loop_implementation(seed, n, k_frac, representation, repeated):
+    g = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 1))  # K = 1 up to K = n
+    # few distinct points make coincident seeds and empty clusters
+    distinct = int(g.integers(1, 4)) if repeated else n
+    targets = _kmeans_targets(g, n, representation, distinct)
+    got = _outcome(dct.fit_kmeans, targets, k, seed, representation)
+    want = _outcome(_fit_kmeans_loop, targets, k, seed, representation)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fit_kmeans_repairs_forced_empty_cluster():
+    targets = np.repeat(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 5, axis=0)
+    # two distinct points for three clusters: two seeds coincide, and the
+    # first Lloyd step leaves the later of them empty
+    seeds = dct._plus_plus_seeds(targets, 3, np.random.default_rng(0))
+    assert len(np.unique(seeds, axis=0)) == 2
+    got = dct.fit_kmeans(targets, 3, 0)
+    # the repaired cluster holds a target instead of the mean of nothing
+    np.testing.assert_array_equal(got.keys, _fit_kmeans_loop(targets, 3, 0, dct.AXIS_ANGLE).keys)
