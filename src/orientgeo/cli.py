@@ -6,8 +6,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import gradcheck, harness, jitter, losses, metrics, so3
 
 EVAL_METRICS = ("med", "acc", "arp", "avp")
@@ -58,18 +56,24 @@ def _cmd_eval(args) -> int:
             print(f"unknown metric {m!r}; choose from {','.join(EVAL_METRICS)}",
                   file=sys.stderr)
             return 2
-    detections, ground_truths = metrics.read_records(args.records)
-    for m in wanted:
-        if m == "med":
-            _, mean = metrics.med_err(metrics.paired_records(detections, ground_truths))
-            print(f"med {mean!r}")
-        elif m == "acc":
-            _, mean = metrics.acc_pi6(metrics.paired_records(detections, ground_truths))
-            print(f"acc {mean!r}")
-        elif m == "arp":
-            print(f"arp {metrics.arp(detections, ground_truths)!r}")
-        else:
-            print(f"avp {metrics.avp(detections, ground_truths, args.bins)!r}")
+    try:
+        detections, ground_truths = metrics.read_records(args.records)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read {args.records}: {exc}", file=sys.stderr)
+        return 2
+    paired = metrics.paired_records(detections, ground_truths) if {"med", "acc"} & set(wanted) else []
+    compute = {
+        "med": lambda: metrics.med_err(paired)[1],
+        "acc": lambda: metrics.acc_pi6(paired)[1],
+        "arp": lambda: metrics.arp(detections, ground_truths),
+        "avp": lambda: metrics.avp(detections, ground_truths, args.bins),
+    }
+    try:
+        lines = [f"{m} {compute[m]()!r}\n" for m in wanted]
+    except metrics.EmptyCategory as exc:
+        print(f"cannot evaluate {args.records}: {exc} matched", file=sys.stderr)
+        return 2
+    print("".join(lines), end="")
     return 0
 
 

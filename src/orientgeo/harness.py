@@ -627,8 +627,8 @@ def _dump_records(path, records):
 def _as_dumped(records):
     """The records as records.txt stores them: each rotation through the
     quaternion the dump writes, rebuilt as metrics.read_records rebuilds it
-    (UnitQuaternion, quaternion_to_rotation), so a report of these is
-    exactly recomputable from the file."""
+    (pose_matrices of the quaternion), so a report of these is exactly
+    recomputable from the file."""
 
     def stored(rotations):
         written = so3.matrix_to_quaternion(np.stack([r.matrix for r in rotations]))

@@ -22,6 +22,7 @@ import statistics
 
 import numpy as np
 
+from . import dictionary as dct
 from . import so3
 
 IOU_THRESHOLD = 0.5
@@ -63,8 +64,8 @@ class Detection:
     box: tuple
     score: float
     rotation: so3.Rotation
-    # quaternion of record when loaded from a file; keeps rewrites byte-stable
-    quaternion: so3.UnitQuaternion = None
+    # wxyz of record, as parsed, when loaded from a file; keeps rewrites byte-stable
+    quaternion: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "box", _check_box(self.box))
@@ -75,59 +76,57 @@ class GroundTruth:
     category: str
     box: tuple
     rotation: so3.Rotation
-    quaternion: so3.UnitQuaternion = None
+    quaternion: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "box", _check_box(self.box))
 
 
-def iou(box_a, box_b) -> float:
-    ax1, ay1, ax2, ay2 = box_a
-    bx1, by1, bx2, by2 = box_b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+def iou(box_a, box_b):
+    """IoU of each pair of boxes (..., 4), rows (x1, y1, x2, y2), leading
+    axes broadcast.  Boxes that are disjoint or only touch score exactly 0."""
+    a, b = np.asarray(box_a, dtype=float), np.asarray(box_b, dtype=float)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return (inter / (area_a + area_b - inter))[()]
 
 
 def angle_deg(r_true: so3.Rotation, r_pred: so3.Rotation) -> float:
     return math.degrees(so3.geodesic_distance(r_true, r_pred))
 
 
+def _angles_deg(pairs) -> np.ndarray:
+    """angle_deg of each (r_true, r_pred) pair, in one stacked call."""
+    mats = np.reshape([(r_true.matrix, r_pred.matrix) for r_true, r_pred in pairs], (-1, 2, 3, 3))
+    return np.degrees(so3.geodesic_distance_matrices(mats[:, 0], mats[:, 1]))
+
+
 # ---------------------------------------------------------------------------
 # paired pose metrics
 
 
-def _group(records):
-    by_cat = {}
-    for rec in records:
-        by_cat.setdefault(rec.category, []).append(rec)
-    if not by_cat:
+def _per_category(records, stat):
+    """stat of the angle errors of each category's records, in sorted
+    category order, plus the mean over categories."""
+    if not records:
         raise EmptyCategory("no records")
-    return by_cat
+    cats = np.array([r.category for r in records])
+    angles = _angles_deg([(r.r_true, r.r_pred) for r in records])
+    per = {cat: float(stat(angles[cats == cat])) for cat in sorted(set(cats.tolist()))}
+    return per, sum(per.values()) / len(per)
 
 
 def med_err(records):
     """Median geodesic angle in degrees per category, plus the mean of those."""
-    by_cat = _group(records)
-    per = {
-        cat: statistics.median(angle_deg(r.r_true, r.r_pred) for r in recs)
-        for cat, recs in sorted(by_cat.items())
-    }
-    return per, sum(per.values()) / len(per)
+    return _per_category(records, lambda a: statistics.median(a.tolist()))
 
 
 def acc_pi6(records):
     """Fraction of records with angle error strictly below 30 degrees."""
-    by_cat = _group(records)
-    per = {}
-    for cat, recs in sorted(by_cat.items()):
-        hits = sum(1 for r in recs if angle_deg(r.r_true, r.r_pred) < ANGLE_THRESHOLD_DEG)
-        per[cat] = hits / len(recs)
-    return per, sum(per.values()) / len(per)
+    return _per_category(records, lambda a: np.count_nonzero(a < ANGLE_THRESHOLD_DEG) / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +135,39 @@ def acc_pi6(records):
 
 def match_detections(detections, ground_truths):
     """Greedy IoU matching; returns [(det_index, gt_index or None), ...]
-    ordered by descending score (input order on ties)."""
+    ordered by descending score (input order on ties).  Each detection
+    takes one IoU row against its category's unclaimed ground truths; on
+    equal IoU the lowest index wins (argmax takes the first maximum)."""
+    pools = {}  # category -> (ground-truth indices, their boxes, unclaimed mask)
+    for cat in {gt.category for gt in ground_truths}:
+        idx = [j for j, gt in enumerate(ground_truths) if gt.category == cat]
+        pools[cat] = (idx, np.array([ground_truths[j].box for j in idx]), np.ones(len(idx), dtype=bool))
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    taken = [False] * len(ground_truths)
     pairs = []
     for i in order:
-        det = detections[i]
-        best_j, best_iou = None, IOU_THRESHOLD
-        for j, gt in enumerate(ground_truths):
-            if taken[j] or gt.category != det.category:
-                continue
-            ov = iou(det.box, gt.box)
-            if ov > best_iou:
-                best_j, best_iou = j, ov
-        if best_j is not None:
-            taken[best_j] = True
+        best_j = None
+        if detections[i].category in pools:
+            idx, boxes, free = pools[detections[i].category]
+            ov = np.where(free, iou(detections[i].box, boxes), 0.0)
+            k = int(ov.argmax())
+            if ov[k] > IOU_THRESHOLD:
+                free[k] = False
+                best_j = idx[k]
         pairs.append((i, best_j))
     return pairs
 
 
+def _matched(detections, ground_truths):
+    """match_detections as a mask over its pairs of those that claimed a
+    ground truth, and the claimed (detection, ground truth) pairs in order."""
+    pairs = match_detections(detections, ground_truths)
+    hit = np.array([j is not None for _, j in pairs], dtype=bool)
+    return hit, [(detections[i], ground_truths[j]) for i, j in pairs if j is not None]
+
+
 def average_precision(tp_flags, n_gt) -> float:
     """Area under the monotone precision envelope of the PR curve."""
-    if n_gt == 0 or not tp_flags:
+    if n_gt == 0 or len(tp_flags) == 0:
         return 0.0
     tp = np.cumsum(np.asarray(tp_flags, dtype=float))
     fp = np.cumsum(1.0 - np.asarray(tp_flags, dtype=float))
@@ -170,26 +180,25 @@ def average_precision(tp_flags, n_gt) -> float:
 
 
 def _ap_with_criterion(detections, ground_truths, criterion) -> float:
-    pairs = match_detections(detections, ground_truths)
-    flags = []
-    for i, j in pairs:
-        ok = j is not None and criterion(detections[i], ground_truths[j])
-        flags.append(1.0 if ok else 0.0)
+    """AP whose true positives are the matched pairs that pass criterion,
+    which maps the claimed pairs to one flag each."""
+    hit, matched = _matched(detections, ground_truths)
+    flags = np.zeros(len(hit))
+    flags[hit] = criterion(matched)
     return average_precision(flags, len(ground_truths))
 
 
 def ap(detections, ground_truths) -> float:
     """Plain box AP: any IoU > 0.5 match is a true positive."""
-    return _ap_with_criterion(detections, ground_truths, lambda d, g: True)
+    return _ap_with_criterion(detections, ground_truths, lambda matched: True)
 
 
 def arp(detections, ground_truths, theta_deg: float = ANGLE_THRESHOLD_DEG) -> float:
     """AP where a match must also have rotation error strictly below theta."""
-
-    def criterion(det, gt):
-        return angle_deg(gt.rotation, det.rotation) < theta_deg
-
-    return _ap_with_criterion(detections, ground_truths, criterion)
+    return _ap_with_criterion(
+        detections, ground_truths,
+        lambda matched: _angles_deg([(g.rotation, d.rotation) for d, g in matched]) < theta_deg,
+    )
 
 
 def azimuth_bin(rotation: so3.Rotation, k: int, offset_deg: float = 0.0) -> int:
@@ -204,7 +213,7 @@ def avp(detections, ground_truths, k: int, offset_deg: float = 0.0) -> float:
     Records whose azimuth is undefined (gimbal lock) count pose-incorrect.
     """
 
-    def criterion(det, gt):
+    def same_bin(det, gt):
         try:
             return azimuth_bin(gt.rotation, k, offset_deg) == azimuth_bin(
                 det.rotation, k, offset_deg
@@ -212,7 +221,9 @@ def avp(detections, ground_truths, k: int, offset_deg: float = 0.0) -> float:
         except so3.GimbalLock:
             return False
 
-    return _ap_with_criterion(detections, ground_truths, criterion)
+    return _ap_with_criterion(
+        detections, ground_truths, lambda matched: [same_bin(det, gt) for det, gt in matched]
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,37 +237,21 @@ def detection_analysis(detections, ground_truths) -> DetectionAnalysis:
     """%Detected, %Correct (angle < 30 deg), and median angle over matches."""
     if not ground_truths:
         return DetectionAnalysis(0.0, 0.0, float("nan"))
-    pairs = match_detections(detections, ground_truths)
-    angles = [
-        angle_deg(ground_truths[j].rotation, detections[i].rotation)
-        for i, j in pairs
-        if j is not None
-    ]
+    matched = _matched(detections, ground_truths)[1]
+    angles = _angles_deg([(gt.rotation, det.rotation) for det, gt in matched])
     n_gt = len(ground_truths)
-    detected = len(angles) / n_gt
-    correct = sum(1 for a in angles if a < ANGLE_THRESHOLD_DEG) / n_gt
-    pose_err = statistics.median(angles) if angles else float("nan")
+    detected = angles.size / n_gt
+    correct = np.count_nonzero(angles < ANGLE_THRESHOLD_DEG) / n_gt
+    pose_err = statistics.median(angles.tolist()) if angles.size else float("nan")
     return DetectionAnalysis(detected, correct, pose_err)
 
 
 def paired_records(detections, ground_truths):
     """EvalRecords for the matched pairs, for the paired pose metrics."""
-    pairs = match_detections(detections, ground_truths)
-    out = []
-    for i, j in pairs:
-        if j is None:
-            continue
-        det, gt = detections[i], ground_truths[j]
-        out.append(
-            EvalRecord(
-                category=det.category,
-                r_true=gt.rotation,
-                r_pred=det.rotation,
-                det=(det.box, det.score),
-                gt_box=gt.box,
-            )
-        )
-    return out
+    return [
+        EvalRecord(det.category, gt.rotation, det.rotation, (det.box, det.score), gt.box)
+        for det, gt in _matched(detections, ground_truths)[1]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +284,7 @@ def pose_report(records) -> MetricReport:
     med_per, med_mean = med_err(records)
     acc_per, acc_mean = acc_pi6(records)
     cats = tuple(sorted(med_per))
-    counts = {cat: 0 for cat in cats}
-    for rec in records:
-        counts[rec.category] += 1
+    counts = {cat: sum(rec.category == cat for rec in records) for cat in cats}
     return MetricReport(
         metrics=("MedErr", "Acc_pi6"),
         categories=cats,
@@ -360,11 +353,6 @@ def write_report(report: MetricReport, csv_path, json_path) -> None:
 # ignored on read; rotations travel as canonical unit quaternions.
 
 
-def _rotation_from_fields(fields):
-    q = np.array([float(v) for v in fields])
-    return so3.UnitQuaternion(q)
-
-
 def write_records(path, detections, ground_truths) -> None:
     items = list(ground_truths) + list(detections)
     # the quaternion of record where one was read, else the rotation's, all
@@ -373,7 +361,7 @@ def write_records(path, detections, ground_truths) -> None:
     converted = iter(so3.matrix_to_quaternion(np.stack(mats)) if mats else ())
     lines = []
     for item in items:
-        q = next(converted) if item.quaternion is None else item.quaternion.wxyz
+        q = next(converted) if item.quaternion is None else item.quaternion
         tag, score = ("gt", 1.0) if isinstance(item, GroundTruth) else ("det", item.score)
         cols = [item.category, tag] + [repr(float(v)) for v in item.box] + [repr(float(score))]
         lines.append(" ".join(cols + [repr(float(v)) for v in q]))
@@ -382,24 +370,32 @@ def write_records(path, detections, ground_truths) -> None:
 
 
 def read_records(path):
-    detections, ground_truths = [], []
+    """Detections and ground truths of a records file.  Each keeps its
+    quaternion as parsed, so write_records reproduces the file; its rotation
+    is that of the normalized quaternion, as UnitQuaternion would store it."""
+    heads, values = [], []  # (category, tag) and the nine numbers of each record
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             cols = line.split()
-            if len(cols) != 11:
-                raise ValueError(f"malformed record line: {line!r}")
-            category, tag = cols[0], cols[1]
-            box = tuple(float(v) for v in cols[2:6])
-            score = float(cols[6])
-            quat = _rotation_from_fields(cols[7:11])
-            rotation = so3.quaternion_to_rotation(quat)
-            if tag == "gt":
-                ground_truths.append(GroundTruth(category, box, rotation, quat))
-            elif tag == "det":
-                detections.append(Detection(category, box, score, rotation, quat))
-            else:
-                raise ValueError(f"unknown record tag {tag!r}")
+            if not cols or cols[0].startswith("#"):
+                continue
+            if len(cols) != 11 or cols[1] not in ("gt", "det"):
+                raise ValueError(f"malformed record line: {line.strip()!r}")
+            heads.append((cols[0], cols[1]))
+            values.extend(float(v) for v in cols[2:])
+    values = np.reshape(values, (-1, 9))
+    quats = values[:, 5:]
+    norms = np.linalg.norm(quats, axis=1)
+    off_unit = ~(np.abs(norms - 1.0) <= 1e-6)  # also non-finite norms
+    if off_unit.any():
+        i = int(off_unit.argmax())
+        raise ValueError(f"record {i + 1} ({' '.join(heads[i])}): quaternion norm {norms[i]:.6g} is not 1")
+    quats.setflags(write=False)
+    detections, ground_truths = [], []
+    for (category, tag), v, q, m in zip(heads, values, quats, dct.pose_matrices(quats, dct.QUATERNION)):
+        box, rotation = tuple(v[:4].tolist()), so3.Rotation(m)
+        if tag == "gt":
+            ground_truths.append(GroundTruth(category, box, rotation, q))
+        else:
+            detections.append(Detection(category, box, float(v[4]), rotation, q))
     return detections, ground_truths

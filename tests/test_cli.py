@@ -88,6 +88,38 @@ def test_eval_rejects_unknown_metric(tmp_path, capsys):
     assert cli.main(["eval", "--records", str(path), "--metric", "iou"]) == 2
 
 
+GOOD_LINE = "car gt 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0 0.0\n"
+
+
+@pytest.mark.parametrize("bad_line", [
+    "car gt 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0\n",  # ten columns
+    "car box 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0 0.0\n",  # unknown tag
+    "car det 5.0 0.0 1.0 10.0 0.5 1.0 0.0 0.0 0.0\n",  # x1 > x2
+    "car det 0.0 0.0 10.0 10.0 0.5 2.0 0.0 0.0 0.0\n",  # quaternion norm 2
+    "car det 0.0 0.0 10.0 10.0 0.5 nan 0.0 0.0 0.0\n",  # quaternion not finite
+])
+def test_eval_rejects_bad_records_file(tmp_path, capsys, bad_line):
+    path = tmp_path / "records.txt"
+    path.write_text(GOOD_LINE + bad_line)
+    assert cli.main(["eval", "--records", str(path), "--metric", "med,arp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {path}: ") and captured.err.count("\n") == 1
+
+
+def test_eval_without_matches_exits_two(tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    # the detection overlaps the ground truth with IoU 1/3 only
+    path.write_text(GOOD_LINE + "car det 5.0 0.0 15.0 10.0 0.5 1.0 0.0 0.0 0.0\n")
+    for metric in ("med", "acc", "arp,acc"):
+        assert cli.main(["eval", "--records", str(path), "--metric", metric]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot evaluate {path}: no records matched\n"
+    assert cli.main(["eval", "--records", str(path), "--metric", "arp,avp"]) == 0
+    assert capsys.readouterr().out == "arp 0.0\navp 0.0\n"
+
+
 def _rejected(argv, capsys, option):
     """argv exits with code 2, prints nothing on stdout and names the
     option and its bad value on stderr."""

@@ -198,6 +198,13 @@ def test_ap_against_exact_rational_oracle():
         ]
         assert abs(metrics.ap(dets, gts) - _oracle_ap(flags_ap, n_gt)) <= 1e-9
         assert abs(metrics.arp(dets, gts) - _oracle_ap(flags_arp, n_gt)) <= 1e-9
+        # flags as a numpy array give the same AP as the list
+        for flags in (flags_ap, flags_arp):
+            assert metrics.average_precision(np.array(flags), n_gt) == metrics.average_precision(
+                flags, n_gt
+            )
+    assert metrics.average_precision(np.array([1.0, 0.0]), 2) == 0.5
+    assert metrics.average_precision(np.array([]), 2) == 0.0
 
 
 def test_score_ties_break_by_input_order():
@@ -407,3 +414,20 @@ def test_record_file_roundtrip_bit_exact(tmp_path):
     second = tmp_path / "records2.txt"
     metrics.write_records(second, dets2, gts2)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_record_file_rewrites_are_byte_stable_for_random_quaternions(tmp_path):
+    """Normalizing a unit quaternion again can move its last digit; a
+    quaternion read from a file is kept as written, so rewrites are exact."""
+    rng = np.random.default_rng(5)
+    gts, dets = [], []
+    for j in range(1000):
+        box = (20.0 * j, 0.0, 20.0 * j + 10.0, 10.0)
+        gts.append(_gt("cat", box, so3.random_rotation(rng)))
+        dets.append(_det("cat", box, float(rng.random()), so3.random_rotation(rng)))
+    paths = [tmp_path / f"records{n}.txt" for n in range(3)]
+    metrics.write_records(paths[0], dets, gts)
+    for src, dst in zip(paths, paths[1:]):
+        metrics.write_records(dst, *metrics.read_records(src))
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+    assert paths[2].read_bytes() == paths[0].read_bytes()

@@ -1,16 +1,16 @@
-"""Row-wise maps against their one-row calls: every so3 map and the Lloyd
-step of fit_kmeans."""
+"""Row-wise maps against their one-row calls: every so3 map, the Lloyd
+step of fit_kmeans, and the IoU rows of the detection matcher."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientgeo import dictionary as dct
-from orientgeo import so3
+from orientgeo import metrics, so3
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 ROWS = st.integers(min_value=1, max_value=6)
@@ -231,3 +231,106 @@ def test_fit_kmeans_repairs_forced_empty_cluster():
     got = dct.fit_kmeans(targets, 3, 0)
     # the repaired cluster holds a target instead of the mean of nothing
     np.testing.assert_array_equal(got.keys, _fit_kmeans_loop(targets, 3, 0, dct.AXIS_ANGLE).keys)
+
+
+# ---------------------------------------------------------------------------
+# iou and match_detections against the per-pair implementation
+
+
+def _iou_scalar(box_a, box_b):
+    """IoU of one pair of boxes in Python floats: the reference the row-wise
+    iou must equal bit for bit."""
+    ax1, ay1, ax2, ay2 = box_a
+    bx1, by1, bx2, by2 = box_b
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union
+
+
+def _match_loop(detections, ground_truths):
+    """match_detections as a double loop over every (detection, ground
+    truth) pair: the reference for the one-IoU-row-per-detection matcher."""
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    taken = [False] * len(ground_truths)
+    pairs = []
+    for i in order:
+        det = detections[i]
+        best_j, best_iou = None, metrics.IOU_THRESHOLD
+        for j, gt in enumerate(ground_truths):
+            if taken[j] or gt.category != det.category:
+                continue
+            ov = _iou_scalar(det.box, gt.box)
+            if ov > best_iou:
+                best_j, best_iou = j, ov
+        if best_j is not None:
+            taken[best_j] = True
+        pairs.append((i, best_j))
+    return pairs
+
+
+def _grid_boxes(g, n):
+    """n boxes on a small integer grid, so that equal, overlapping, touching
+    and disjoint pairs are all common; a few have half-unit corners."""
+    corner = g.integers(0, 6, size=(n, 2)).astype(float)
+    size = g.integers(1, 5, size=(n, 2)).astype(float)
+    corner[g.random(n) < 0.2] += 0.5
+    return np.concatenate([corner, corner + size], axis=1)
+
+
+def _as_bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
+def test_iou_table_equals_scalar_calls(seed, d, n_gt):
+    g = np.random.default_rng(seed)
+    a, b = _grid_boxes(g, d), _grid_boxes(g, n_gt)
+    b[0] = [a[0, 2], a[0, 1], a[0, 2] + 1.0, a[0, 3]]  # touches a[0] along x = a[0, 2]
+    table = metrics.iou(a[:, None], b)
+    want = [[_iou_scalar(x, y) for y in b] for x in a]
+    np.testing.assert_array_equal(_as_bits(table), _as_bits(want))
+    np.testing.assert_array_equal(
+        _as_bits(table), _as_bits([[metrics.iou(x, y) for y in b] for x in a])
+    )
+    assert _as_bits(table[0, 0]) == _as_bits(0.0)  # touching boxes score +0 exactly
+
+
+def _detection_sets(g, d, n_gt, n_cats):
+    """Ground truths on the grid, some duplicated so IoUs tie; detections
+    mostly near a ground truth (of its category or another), scores from
+    three levels so they tie."""
+    cats = ["a", "b", "c"][:n_cats]
+    ident = so3.Rotation.identity()
+    gt_boxes = _grid_boxes(g, n_gt)
+    for j in np.flatnonzero(g.random(n_gt) < 0.3):
+        gt_boxes[j] = gt_boxes[g.integers(0, n_gt)]
+    gts = [metrics.GroundTruth(str(g.choice(cats)), tuple(box), ident) for box in gt_boxes]
+    dets = []
+    for box in _grid_boxes(g, d):
+        cat = str(g.choice(cats))
+        if gts and g.random() < 0.7:
+            near = gts[g.integers(0, n_gt)]
+            box = np.array(near.box) + np.repeat(g.integers(-1, 2, size=2), 2)[[0, 2, 1, 3]]
+            cat = near.category if g.random() < 0.8 else cat
+        dets.append(metrics.Detection(cat, tuple(box), float(g.choice([0.2, 0.5, 0.9])), ident))
+    return dets, gts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    SEEDS,
+    st.integers(min_value=0, max_value=14),
+    st.integers(min_value=0, max_value=10),
+    st.integers(min_value=1, max_value=3),
+)
+@example(seed=0, d=0, n_gt=5, n_cats=2)
+@example(seed=0, d=6, n_gt=0, n_cats=2)
+def test_match_detections_equals_double_loop(seed, d, n_gt, n_cats):
+    g = np.random.default_rng(seed)
+    dets, gts = _detection_sets(g, d, n_gt, n_cats)
+    assert metrics.match_detections(dets, gts) == _match_loop(dets, gts)
