@@ -61,12 +61,12 @@ def _cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read {args.records}: {exc}", file=sys.stderr)
         return 2
-    paired = metrics.paired_records(detections, ground_truths) if {"med", "acc"} & set(wanted) else []
+    matching = metrics.Matching(detections, ground_truths)
     compute = {
-        "med": lambda: metrics.med_err(paired)[1],
-        "acc": lambda: metrics.acc_pi6(paired)[1],
-        "arp": lambda: metrics.arp(detections, ground_truths),
-        "avp": lambda: metrics.avp(detections, ground_truths, args.bins),
+        "med": lambda: metrics.med_err(matching.pairs)[1],
+        "acc": lambda: metrics.acc_pi6(matching.pairs)[1],
+        "arp": matching.arp,
+        "avp": lambda: matching.avp(args.bins),
     }
     try:
         lines = [f"{m} {compute[m]()!r}\n" for m in wanted]

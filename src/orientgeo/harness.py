@@ -598,48 +598,34 @@ class RunResult:
     out_dir: str = None
 
 
-def evaluate_split(spec, nets_by_cat, dictionary, dataset, split: str):
-    """Pose records for one split, in category-then-index order."""
-    records = []
-    splits = getattr(dataset, split)
-    for name in dataset.categories:
-        data = splits[name]
-        preds = predict_rotation(spec, nets_by_cat[name], dictionary, data.features)
-        records += [
-            metrics.EvalRecord(name, so3.Rotation(t), so3.Rotation(p))
-            for t, p in zip(data.targets, preds)
-        ]
-    return records
+def evaluate_split(spec, nets_by_cat, dictionary, dataset, split: str) -> metrics.PoseRecords:
+    """Pose records for one split, in category-then-index order, each
+    rotation checked as so3.Rotation checks one."""
+    names = dataset.categories
+    data = [getattr(dataset, split)[n] for n in names]
+    preds = [predict_rotation(spec, nets_by_cat[n], dictionary, d.features)
+             for n, d in zip(names, data)]
+    return metrics.PoseRecords(
+        np.repeat(np.array(names, dtype=str), [d.size for d in data]),
+        so3.check_rotations(np.concatenate([d.targets for d in data])),
+        so3.check_rotations(np.concatenate(preds)),
+    )
 
 
-def _dump_records(path, records):
-    """Detection-style dump: every record gets its own unit-IoU box at a
-    distinct location with score 1.0, so the matcher pairs dump lines back
-    exactly and every report cell is recomputable from this file."""
-    dets, gts = [], []
-    for i, rec in enumerate(records):
-        box = (20.0 * i, 0.0, 20.0 * i + 10.0, 10.0)
-        gts.append(metrics.GroundTruth(rec.category, box, rec.r_true))
-        dets.append(metrics.Detection(rec.category, box, 1.0, rec.r_pred))
-    metrics.write_records(path, dets, gts)
-
-
-def _as_dumped(records):
-    """The records as records.txt stores them: each rotation through the
-    quaternion the dump writes, rebuilt as metrics.read_records rebuilds it
-    (pose_matrices of the quaternion), so a report of these is exactly
-    recomputable from the file."""
-
-    def stored(rotations):
-        written = so3.matrix_to_quaternion(np.stack([r.matrix for r in rotations]))
-        return dct.pose_matrices(written, dct.QUATERNION)
-
-    r_true = stored([r.r_true for r in records])
-    r_pred = stored([r.r_pred for r in records])
-    return [
-        metrics.EvalRecord(r.category, so3.Rotation(t), so3.Rotation(p))
-        for r, t, p in zip(records, r_true, r_pred)
-    ]
+def _dump_tables(records: metrics.PoseRecords):
+    """records.txt as (detections, ground truths) tables.  Every record gets
+    its own unit-IoU box at a distinct location with score 1.0, so the
+    matcher pairs dump lines back exactly.  Each rotation is the one
+    metrics.read_records rebuilds from the quaternion written (pose_matrices
+    of it), so a report of the tables' pairs is exactly recomputable from
+    the file."""
+    n = len(records)
+    written = so3.matrix_to_quaternion(np.concatenate([records.r_pred, records.r_true]))
+    stored = so3.check_rotations(dct.pose_matrices(written, dct.QUATERNION))
+    x = 20.0 * np.arange(n)
+    box = np.stack([x, np.zeros(n), x + 10.0, np.full(n, 10.0)], axis=1)
+    return tuple(metrics.RecordTable(records.category, box, np.ones(n), stored[rows], written[rows])
+                 for rows in (slice(None, n), slice(n, None)))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
@@ -650,7 +636,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
     spec = cfg.objective
     test_records = evaluate_split(spec, nets_by_cat, dictionary, dataset, "test")
     val_records = evaluate_split(spec, nets_by_cat, dictionary, dataset, "val")
-    report = metrics.pose_report(_as_dumped(test_records))
+    dump_dets, dump_gts = _dump_tables(test_records)
+    report = metrics.pose_report(
+        metrics.PoseRecords(dump_gts.category, dump_gts.rotation, dump_dets.rotation))
     val_report = metrics.pose_report(val_records)
 
     if out_dir is not None:
@@ -658,17 +646,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
         effective = dataclasses.replace(cfg, seed=seed)
         with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
             fh.write(config_to_json(effective) + "\n")
-        metrics.write_report(
-            report,
-            os.path.join(out_dir, "report.csv"),
-            os.path.join(out_dir, "report.json"),
-        )
-        metrics.write_report(
-            val_report,
-            os.path.join(out_dir, "val_report.csv"),
-            os.path.join(out_dir, "val_report.json"),
-        )
-        _dump_records(os.path.join(out_dir, "records.txt"), test_records)
+        for name, rep in (("report", report), ("val_report", val_report)):
+            metrics.write_report(rep, os.path.join(out_dir, f"{name}.csv"),
+                                 os.path.join(out_dir, f"{name}.json"))
+        metrics.write_records(os.path.join(out_dir, "records.txt"), dump_dets, dump_gts)
         dct.save_dictionary(dictionary, os.path.join(out_dir, "dictionary.txt"))
         ck_dir = os.path.join(out_dir, "checkpoint")
         os.makedirs(ck_dir, exist_ok=True)

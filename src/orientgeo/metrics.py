@@ -11,6 +11,10 @@ structural rather than empirical.
 
 Average precision integrates the area under the monotone (right-to-left
 maximum) precision envelope, not the 11-point approximation.
+
+Records travel as columns: RecordTable for detections or ground truths,
+PoseRecords for pose pairs.  One Matching gives AP, ARP, every AVP, the
+detection analysis and the paired records.
 """
 
 from __future__ import annotations
@@ -33,53 +37,87 @@ class EmptyCategory(ValueError):
     """A pose metric was asked for with no records to aggregate."""
 
 
-def _check_box(box) -> tuple:
-    x1, y1, x2, y2 = (float(v) for v in box)
-    if not (x1 < x2 and y1 < y2):
-        raise ValueError(f"box must satisfy x1 < x2 and y1 < y2, got {box}")
-    return (x1, y1, x2, y2)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class EvalRecord:
-    """One ground-truth/prediction pair, optionally with its boxes."""
-
-    category: str
-    r_true: so3.Rotation
-    r_pred: so3.Rotation
-    det: tuple | None = None  # ((x1, y1, x2, y2), score)
-    gt_box: tuple | None = None
-
-    def __post_init__(self):
-        if self.det is not None:
-            box, score = self.det
-            object.__setattr__(self, "det", (_check_box(box), float(score)))
-        if self.gt_box is not None:
-            object.__setattr__(self, "gt_box", _check_box(self.gt_box))
+def _checked_box(box, score=1.0) -> tuple:
+    """box as a tuple of floats.  Raises ValueError unless the box and the
+    score are finite and x1 < x2 and y1 < y2; every record gets this check."""
+    x1, y1, x2, y2 = box = tuple(float(v) for v in box)
+    if not (x1 < x2 and y1 < y2 and all(map(math.isfinite, box + (float(score),)))):
+        raise ValueError(f"box {box} and score {score!r} must be finite, with x1 < x2 and y1 < y2")
+    return box
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Detection:
+    """One detection; every metric turns a list of these into a RecordTable."""
+
     category: str
     box: tuple
     score: float
     rotation: so3.Rotation
-    # wxyz of record, as parsed, when loaded from a file; keeps rewrites byte-stable
-    quaternion: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "box", _check_box(self.box))
+        object.__setattr__(self, "box", _checked_box(self.box, self.score))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GroundTruth:
+    """One ground truth; see Detection."""
+
     category: str
     box: tuple
     rotation: so3.Rotation
-    quaternion: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "box", _check_box(self.box))
+        object.__setattr__(self, "box", _checked_box(self.box))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Detections or ground truths as columns, one row each: category (n,),
+    box (n, 4), score (n,) (ones for ground truths, as records files write
+    them), rotation (n, 3, 3), and quaternion (n, 4), the wxyz of record as
+    read from a file (None otherwise), which keeps rewrites byte-stable."""
+
+    category: np.ndarray
+    box: np.ndarray
+    score: np.ndarray
+    rotation: np.ndarray
+    quaternion: np.ndarray = None
+
+    def __len__(self) -> int:
+        return len(self.category)
+
+    def take(self, rows) -> "RecordTable":
+        """The rows that `rows` (a mask or indices) selects, in order."""
+        q = None if self.quaternion is None else self.quaternion[rows]
+        return RecordTable(self.category[rows], self.box[rows], self.score[rows], self.rotation[rows], q)
+
+
+def _table(items) -> RecordTable:
+    """items as columns: a RecordTable as it is, or a sequence of Detection
+    or GroundTruth objects."""
+    if isinstance(items, RecordTable):
+        return items
+    items = list(items)
+    return RecordTable(
+        np.array([x.category for x in items], dtype=str),
+        np.array([x.box for x in items], dtype=float).reshape(-1, 4),
+        np.array([getattr(x, "score", 1.0) for x in items], dtype=float),
+        np.array([x.rotation.matrix for x in items], dtype=float).reshape(-1, 3, 3),
+    )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class PoseRecords:
+    """Ground-truth/prediction pose pairs as columns: category (n,),
+    r_true (n, 3, 3), r_pred (n, 3, 3)."""
+
+    category: np.ndarray
+    r_true: np.ndarray
+    r_pred: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.category)
 
 
 def iou(box_a, box_b):
@@ -98,33 +136,56 @@ def angle_deg(r_true: so3.Rotation, r_pred: so3.Rotation) -> float:
     return math.degrees(so3.geodesic_distance(r_true, r_pred))
 
 
-def _angles_deg(pairs) -> np.ndarray:
-    """angle_deg of each (r_true, r_pred) pair, in one stacked call."""
-    mats = np.reshape([(r_true.matrix, r_pred.matrix) for r_true, r_pred in pairs], (-1, 2, 3, 3))
-    return np.degrees(so3.geodesic_distance_matrices(mats[:, 0], mats[:, 1]))
+def _angles_deg(records: PoseRecords) -> np.ndarray:
+    """angle_deg of each pair, in one stacked call."""
+    return np.degrees(so3.geodesic_distance_matrices(records.r_true, records.r_pred))
+
+
+def _azimuths_deg(m: np.ndarray):
+    """Azimuth in degrees over [0, 360) of each rotation (..., 3, 3), as
+    math.degrees(rotation_to_euler(r).azimuth) % 360 gives it, and the mask
+    (...,) of rows in gimbal lock, whose azimuth is undefined."""
+    angles, locked = so3.matrix_to_euler(m)
+    az = np.fmod(angles[..., 0] + math.pi, 2.0 * math.pi)  # so3.wrap_angle, row-wise
+    az = np.where(az < 0.0, az + 2.0 * math.pi, az) - math.pi
+    return np.degrees(az) % 360.0, locked
+
+
+def _azimuth_bins(azimuth_deg: np.ndarray, k: int) -> np.ndarray:
+    """Bin i of k covers [i*360/k, (i+1)*360/k)."""
+    return (azimuth_deg / (360.0 / k)).astype(int)
+
+
+def azimuth_bin(rotation: so3.Rotation, k: int) -> int:
+    """Uniform azimuth bin over [0, 360): bin i covers [i*360/k, (i+1)*360/k).
+    Raises so3.GimbalLock where the azimuth is undefined."""
+    azimuth, locked = _azimuths_deg(rotation.matrix)
+    if locked:
+        raise so3.GimbalLock(f"|sin(el)| below {so3.EPS_GIMBAL}: the azimuth is undefined")
+    return int(_azimuth_bins(azimuth, k))
 
 
 # ---------------------------------------------------------------------------
 # paired pose metrics
 
 
-def _per_category(records, stat):
+def _per_category(records: PoseRecords, stat):
     """stat of the angle errors of each category's records, in sorted
     category order, plus the mean over categories."""
-    if not records:
+    if not len(records):
         raise EmptyCategory("no records")
-    cats = np.array([r.category for r in records])
-    angles = _angles_deg([(r.r_true, r.r_pred) for r in records])
-    per = {cat: float(stat(angles[cats == cat])) for cat in sorted(set(cats.tolist()))}
+    angles = _angles_deg(records)
+    per = {cat: float(stat(angles[records.category == cat]))
+           for cat in sorted(set(records.category.tolist()))}
     return per, sum(per.values()) / len(per)
 
 
-def med_err(records):
+def med_err(records: PoseRecords):
     """Median geodesic angle in degrees per category, plus the mean of those."""
     return _per_category(records, lambda a: statistics.median(a.tolist()))
 
 
-def acc_pi6(records):
+def acc_pi6(records: PoseRecords):
     """Fraction of records with angle error strictly below 30 degrees."""
     return _per_category(records, lambda a: np.count_nonzero(a < ANGLE_THRESHOLD_DEG) / a.size)
 
@@ -138,31 +199,24 @@ def match_detections(detections, ground_truths):
     ordered by descending score (input order on ties).  Each detection
     takes one IoU row against its category's unclaimed ground truths; on
     equal IoU the lowest index wins (argmax takes the first maximum)."""
+    dets, gts = _table(detections), _table(ground_truths)
     pools = {}  # category -> (ground-truth indices, their boxes, unclaimed mask)
-    for cat in {gt.category for gt in ground_truths}:
-        idx = [j for j, gt in enumerate(ground_truths) if gt.category == cat]
-        pools[cat] = (idx, np.array([ground_truths[j].box for j in idx]), np.ones(len(idx), dtype=bool))
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    for cat in set(gts.category.tolist()):
+        idx = np.flatnonzero(gts.category == cat)
+        pools[cat] = (idx.tolist(), gts.box[idx], np.ones(idx.size, dtype=bool))
+    categories = dets.category.tolist()
     pairs = []
-    for i in order:
+    for i in np.argsort(-dets.score, kind="stable").tolist():
         best_j = None
-        if detections[i].category in pools:
-            idx, boxes, free = pools[detections[i].category]
-            ov = np.where(free, iou(detections[i].box, boxes), 0.0)
+        if categories[i] in pools:
+            idx, boxes, free = pools[categories[i]]
+            ov = np.where(free, iou(dets.box[i], boxes), 0.0)
             k = int(ov.argmax())
             if ov[k] > IOU_THRESHOLD:
                 free[k] = False
                 best_j = idx[k]
         pairs.append((i, best_j))
     return pairs
-
-
-def _matched(detections, ground_truths):
-    """match_detections as a mask over its pairs of those that claimed a
-    ground truth, and the claimed (detection, ground truth) pairs in order."""
-    pairs = match_detections(detections, ground_truths)
-    hit = np.array([j is not None for _, j in pairs], dtype=bool)
-    return hit, [(detections[i], ground_truths[j]) for i, j in pairs if j is not None]
 
 
 def average_precision(tp_flags, n_gt) -> float:
@@ -179,53 +233,6 @@ def average_precision(tp_flags, n_gt) -> float:
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
-def _ap_with_criterion(detections, ground_truths, criterion) -> float:
-    """AP whose true positives are the matched pairs that pass criterion,
-    which maps the claimed pairs to one flag each."""
-    hit, matched = _matched(detections, ground_truths)
-    flags = np.zeros(len(hit))
-    flags[hit] = criterion(matched)
-    return average_precision(flags, len(ground_truths))
-
-
-def ap(detections, ground_truths) -> float:
-    """Plain box AP: any IoU > 0.5 match is a true positive."""
-    return _ap_with_criterion(detections, ground_truths, lambda matched: True)
-
-
-def arp(detections, ground_truths, theta_deg: float = ANGLE_THRESHOLD_DEG) -> float:
-    """AP where a match must also have rotation error strictly below theta."""
-    return _ap_with_criterion(
-        detections, ground_truths,
-        lambda matched: _angles_deg([(g.rotation, d.rotation) for d, g in matched]) < theta_deg,
-    )
-
-
-def azimuth_bin(rotation: so3.Rotation, k: int, offset_deg: float = 0.0) -> int:
-    """Uniform azimuth bin over [0, 360): bin i covers [i*360/k, (i+1)*360/k)."""
-    az = math.degrees(so3.rotation_to_euler(rotation).azimuth)
-    return int(((az - offset_deg) % 360.0) / (360.0 / k))
-
-
-def avp(detections, ground_truths, k: int, offset_deg: float = 0.0) -> float:
-    """AP where a match must also land in the ground truth's azimuth bin.
-
-    Records whose azimuth is undefined (gimbal lock) count pose-incorrect.
-    """
-
-    def same_bin(det, gt):
-        try:
-            return azimuth_bin(gt.rotation, k, offset_deg) == azimuth_bin(
-                det.rotation, k, offset_deg
-            )
-        except so3.GimbalLock:
-            return False
-
-    return _ap_with_criterion(
-        detections, ground_truths, lambda matched: [same_bin(det, gt) for det, gt in matched]
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class DetectionAnalysis:
     frac_detected: float
@@ -233,25 +240,80 @@ class DetectionAnalysis:
     pose_err_deg: float  # nan when nothing matched
 
 
+class Matching:
+    """One match_detections result, and every metric read from it.
+
+    `hit` (D,) marks in rank order the detections that claimed a ground
+    truth; `pairs` holds the claimed pairs as PoseRecords (the ground
+    truth's rotation as r_true), `angles` their errors in degrees.  A pose
+    criterion is a mask over the claimed pairs.
+    """
+
+    def __init__(self, detections, ground_truths):
+        dets, gts = _table(detections), _table(ground_truths)
+        pairs = match_detections(dets, gts)
+        det_i, gt_j = np.array([p for p in pairs if p[1] is not None], dtype=int).reshape(-1, 2).T
+        self.hit = np.array([j is not None for _, j in pairs], dtype=bool)
+        self.n_gt = len(gts)
+        self.pairs = PoseRecords(gts.category[gt_j], gts.rotation[gt_j], dets.rotation[det_i])
+        self.angles = _angles_deg(self.pairs)
+        # one stacked Euler extraction serves the AVP of every bin count
+        azimuth, locked = _azimuths_deg(np.concatenate([self.pairs.r_true, self.pairs.r_pred]))
+        self._azimuth, self._locked = azimuth.reshape(2, -1), locked.reshape(2, -1).any(axis=0)
+
+    def ap(self, correct=True) -> float:
+        """AP whose true positives are the claimed pairs that `correct`
+        accepts; by default all of them, which is plain box AP."""
+        flags = np.zeros(self.hit.size)
+        flags[self.hit] = correct
+        return average_precision(flags, self.n_gt)
+
+    def arp(self) -> float:
+        """AP where a match must also have rotation error strictly below 30
+        degrees."""
+        return self.ap(self.angles < ANGLE_THRESHOLD_DEG)
+
+    def avp(self, k: int) -> float:
+        """AP where a match must also land in the ground truth's azimuth bin,
+        of k; a pair with either pose in gimbal lock is pose-incorrect."""
+        bins = _azimuth_bins(self._azimuth, k)
+        return self.ap((bins[0] == bins[1]) & ~self._locked)
+
+    def analysis(self) -> DetectionAnalysis:
+        """%Detected, %Correct (angle < 30 deg), and median angle over matches."""
+        if self.n_gt == 0:
+            return DetectionAnalysis(0.0, 0.0, float("nan"))
+        a = self.angles
+        return DetectionAnalysis(
+            a.size / self.n_gt,
+            float(np.count_nonzero(a < ANGLE_THRESHOLD_DEG) / self.n_gt),
+            statistics.median(a.tolist()) if a.size else float("nan"),
+        )
+
+
+def ap(detections, ground_truths) -> float:
+    """Plain box AP (see Matching.ap)."""
+    return Matching(detections, ground_truths).ap()
+
+
+def arp(detections, ground_truths) -> float:
+    """AP with rotation error below 30 degrees (see Matching.arp)."""
+    return Matching(detections, ground_truths).arp()
+
+
+def avp(detections, ground_truths, k: int) -> float:
+    """AP with the same azimuth bin of k (see Matching.avp)."""
+    return Matching(detections, ground_truths).avp(k)
+
+
 def detection_analysis(detections, ground_truths) -> DetectionAnalysis:
-    """%Detected, %Correct (angle < 30 deg), and median angle over matches."""
-    if not ground_truths:
-        return DetectionAnalysis(0.0, 0.0, float("nan"))
-    matched = _matched(detections, ground_truths)[1]
-    angles = _angles_deg([(gt.rotation, det.rotation) for det, gt in matched])
-    n_gt = len(ground_truths)
-    detected = angles.size / n_gt
-    correct = np.count_nonzero(angles < ANGLE_THRESHOLD_DEG) / n_gt
-    pose_err = statistics.median(angles.tolist()) if angles.size else float("nan")
-    return DetectionAnalysis(detected, correct, pose_err)
+    """%Detected, %Correct and PoseErr (see Matching.analysis)."""
+    return Matching(detections, ground_truths).analysis()
 
 
-def paired_records(detections, ground_truths):
-    """EvalRecords for the matched pairs, for the paired pose metrics."""
-    return [
-        EvalRecord(det.category, gt.rotation, det.rotation, (det.box, det.score), gt.box)
-        for det, gt in _matched(detections, ground_truths)[1]
-    ]
+def paired_records(detections, ground_truths) -> PoseRecords:
+    """The matched pairs, for the paired pose metrics."""
+    return Matching(detections, ground_truths).pairs
 
 
 # ---------------------------------------------------------------------------
@@ -280,39 +342,40 @@ class MetricReport:
                     raise ValueError(f"{metric} negative: {value}")
 
 
-def pose_report(records) -> MetricReport:
+def pose_report(records: PoseRecords) -> MetricReport:
     med_per, med_mean = med_err(records)
     acc_per, acc_mean = acc_pi6(records)
     cats = tuple(sorted(med_per))
-    counts = {cat: sum(rec.category == cat for rec in records) for cat in cats}
     return MetricReport(
         metrics=("MedErr", "Acc_pi6"),
         categories=cats,
         values={"MedErr": med_per, "Acc_pi6": acc_per},
         mean={"MedErr": med_mean, "Acc_pi6": acc_mean},
-        counts=counts,
+        counts={cat: int(np.count_nonzero(records.category == cat)) for cat in cats},
     )
 
 
-def detection_report(detections, ground_truths, avp_bins=(4, 8, 16, 24)) -> MetricReport:
-    cats = tuple(sorted({g.category for g in ground_truths}))
+AVP_BINS = (4, 8, 16, 24)
+
+
+def detection_report(detections, ground_truths) -> MetricReport:
+    """AP, ARP, AVP at each of AVP_BINS and the detection analysis per
+    ground-truth category, from one matching of each category."""
+    dets, gts = _table(detections), _table(ground_truths)
+    cats = tuple(sorted(set(gts.category.tolist())))
     if not cats:
         raise EmptyCategory("no ground truth")
-    metrics = ["AP", "ARP", *[f"AVP_{k}" for k in avp_bins], "FracDetected", "FracCorrect", "PoseErr"]
+    metrics = ["AP", "ARP", *[f"AVP_{k}" for k in AVP_BINS], "FracDetected", "FracCorrect", "PoseErr"]
     values = {m: {} for m in metrics}
     counts = {}
     for cat in cats:
-        dets = [d for d in detections if d.category == cat]
-        gts = [g for g in ground_truths if g.category == cat]
-        counts[cat] = len(gts)
-        values["AP"][cat] = ap(dets, gts)
-        values["ARP"][cat] = arp(dets, gts)
-        for k in avp_bins:
-            values[f"AVP_{k}"][cat] = avp(dets, gts, k)
-        analysis = detection_analysis(dets, gts)
-        values["FracDetected"][cat] = analysis.frac_detected
-        values["FracCorrect"][cat] = analysis.frac_correct
-        values["PoseErr"][cat] = analysis.pose_err_deg
+        matching = Matching(dets.take(dets.category == cat), gts.take(gts.category == cat))
+        counts[cat] = matching.n_gt
+        analysis = matching.analysis()
+        row = [matching.ap(), matching.arp(), *[matching.avp(k) for k in AVP_BINS],
+               analysis.frac_detected, analysis.frac_correct, analysis.pose_err_deg]
+        for metric, value in zip(metrics, row):
+            values[metric][cat] = value
     mean = {m: sum(values[m].values()) / len(cats) for m in metrics}
     return MetricReport(tuple(metrics), cats, values, mean, counts)
 
@@ -354,26 +417,25 @@ def write_report(report: MetricReport, csv_path, json_path) -> None:
 
 
 def write_records(path, detections, ground_truths) -> None:
-    items = list(ground_truths) + list(detections)
-    # the quaternion of record where one was read, else the rotation's, all
-    # converted in one stacked call
-    mats = [item.rotation.matrix for item in items if item.quaternion is None]
-    converted = iter(so3.matrix_to_quaternion(np.stack(mats)) if mats else ())
+    """Ground truths, then detections, one line each.  A table read from a
+    file writes its quaternions of record; other rotations are converted in
+    one stacked call."""
     lines = []
-    for item in items:
-        q = next(converted) if item.quaternion is None else item.quaternion
-        tag, score = ("gt", 1.0) if isinstance(item, GroundTruth) else ("det", item.score)
-        cols = [item.category, tag] + [repr(float(v)) for v in item.box] + [repr(float(score))]
-        lines.append(" ".join(cols + [repr(float(v)) for v in q]))
+    for table, tag in ((_table(ground_truths), "gt"), (_table(detections), "det")):
+        q = so3.matrix_to_quaternion(table.rotation) if table.quaternion is None else table.quaternion
+        numbers = np.concatenate([table.box, table.score[:, None], q], axis=1).tolist()
+        lines += [" ".join([cat, tag, *map(repr, row)])
+                  for cat, row in zip(table.category.tolist(), numbers)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_records(path):
-    """Detections and ground truths of a records file.  Each keeps its
-    quaternion as parsed, so write_records reproduces the file; its rotation
-    is that of the normalized quaternion, as UnitQuaternion would store it."""
-    heads, values = [], []  # (category, tag) and the nine numbers of each record
+    """(detections, ground_truths) of a records file, as RecordTables.  They
+    keep the quaternions as parsed, so write_records reproduces the file;
+    the rotations are those of the normalized quaternions, as UnitQuaternion
+    would store them, checked as so3.Rotation checks one."""
+    cats, tags, values = [], [], []  # the nine numbers of each record
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             cols = line.split()
@@ -381,21 +443,20 @@ def read_records(path):
                 continue
             if len(cols) != 11 or cols[1] not in ("gt", "det"):
                 raise ValueError(f"malformed record line: {line.strip()!r}")
-            heads.append((cols[0], cols[1]))
-            values.extend(float(v) for v in cols[2:])
+            numbers = [float(v) for v in cols[2:]]
+            _checked_box(numbers[:4], numbers[4] if cols[1] == "det" else 1.0)
+            cats.append(cols[0])
+            tags.append(cols[1])
+            values.extend(numbers)
     values = np.reshape(values, (-1, 9))
     quats = values[:, 5:]
     norms = np.linalg.norm(quats, axis=1)
     off_unit = ~(np.abs(norms - 1.0) <= 1e-6)  # also non-finite norms
     if off_unit.any():
         i = int(off_unit.argmax())
-        raise ValueError(f"record {i + 1} ({' '.join(heads[i])}): quaternion norm {norms[i]:.6g} is not 1")
-    quats.setflags(write=False)
-    detections, ground_truths = [], []
-    for (category, tag), v, q, m in zip(heads, values, quats, dct.pose_matrices(quats, dct.QUATERNION)):
-        box, rotation = tuple(v[:4].tolist()), so3.Rotation(m)
-        if tag == "gt":
-            ground_truths.append(GroundTruth(category, box, rotation, q))
-        else:
-            detections.append(Detection(category, box, float(v[4]), rotation, q))
-    return detections, ground_truths
+        raise ValueError(f"record {i + 1} ({cats[i]} {tags[i]}): "
+                         f"quaternion norm {norms[i]:.6g} is not 1")
+    is_gt = np.array(tags, dtype=str) == "gt"
+    table = RecordTable(np.array(cats, dtype=str), values[:, :4], np.where(is_gt, 1.0, values[:, 4]),
+                        so3.check_rotations(dct.pose_matrices(quats, dct.QUATERNION)), quats)
+    return table.take(~is_gt), table.take(is_gt)

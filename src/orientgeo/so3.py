@@ -56,17 +56,10 @@ class Rotation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_readonly(self.matrix, (3, 3), "matrix")
-        err = np.linalg.norm(m.T @ m - np.eye(3))
-        if err > 1e-6:
-            raise ValueError(f"matrix is not orthonormal (|R^T R - I|_F = {err:.3g})")
-        if np.linalg.det(m) < 0.0:
-            raise ValueError("matrix has negative determinant (improper rotation)")
-        # Small drift is re-projected so downstream checks can rely on 1e-9.
-        if err > EPS_ORTHO:
-            u, _, vt = np.linalg.svd(m)
-            m = _as_readonly(u @ vt, (3, 3), "matrix")
-        object.__setattr__(self, "matrix", m)
+        m = np.asarray(self.matrix, dtype=float)
+        if m.shape != (3, 3):
+            raise ValueError(f"matrix must have shape (3, 3), got {m.shape}")
+        object.__setattr__(self, "matrix", check_rotations(m))
 
     @staticmethod
     def identity() -> "Rotation":
@@ -181,6 +174,33 @@ def normalize_quaternion(q: np.ndarray) -> np.ndarray:
 def _unit(q: np.ndarray, n: np.ndarray) -> np.ndarray:
     """normalize_quaternion given the norms n (...,)."""
     return q / (n * _first_sign(q))[..., None]
+
+
+def check_rotations(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack (..., 3, 3) as Rotation stores it, read-only.
+
+    Every row must be finite, orthonormal within 1e-6 (|R^T R - I|_F) and
+    have a non-negative determinant; a ValueError names the first of these
+    checks that some row fails.  Rows whose error exceeds EPS_ORTHO are
+    re-projected onto SO(3) by SVD, so downstream checks can rely on 1e-9.
+    """
+    m = np.array(m, dtype=float)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"matrices must have shape (..., 3, 3), got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix must be finite")
+    err = _norm((np.swapaxes(m, -1, -2) @ m - _EYE3).reshape(m.shape[:-2] + (9,)))
+    worst = err.max(initial=0.0)
+    if worst > 1e-6:
+        raise ValueError(f"matrix is not orthonormal (|R^T R - I|_F = {worst:.3g})")
+    if np.linalg.det(m).min(initial=0.0) < 0.0:
+        raise ValueError("matrix has negative determinant (improper rotation)")
+    if worst > EPS_ORTHO:
+        drift = err > EPS_ORTHO
+        u, _, vt = np.linalg.svd(m[drift])
+        m[drift] = u @ vt
+    m.setflags(write=False)
+    return m
 
 
 # (row, column) of the entries of hat(v) that hold +v

@@ -97,6 +97,8 @@ GOOD_LINE = "car gt 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0 0.0\n"
     "car det 5.0 0.0 1.0 10.0 0.5 1.0 0.0 0.0 0.0\n",  # x1 > x2
     "car det 0.0 0.0 10.0 10.0 0.5 2.0 0.0 0.0 0.0\n",  # quaternion norm 2
     "car det 0.0 0.0 10.0 10.0 0.5 nan 0.0 0.0 0.0\n",  # quaternion not finite
+    "car det 0.0 0.0 10.0 10.0 nan 1.0 0.0 0.0 0.0\n",  # score not finite
+    "car gt 0.0 0.0 inf 10.0 1.0 1.0 0.0 0.0 0.0\n",  # box not finite
 ])
 def test_eval_rejects_bad_records_file(tmp_path, capsys, bad_line):
     path = tmp_path / "records.txt"

@@ -1,14 +1,18 @@
 """Metrics against exact-arithmetic PR oracles, boundary cases at the
 30-degree and azimuth-bin edges, and the structural matching guarantees."""
 
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orientgeo import metrics, so3
+from orientgeo import cli, metrics, so3
+
+import record_golden_detection
 
 
 def _rz(deg):
@@ -21,9 +25,19 @@ def _pose(az_deg, el_deg=90.0, ct_deg=0.0):
     )
 
 
+def _records(categories, r_true, r_pred):
+    """PoseRecords of parallel lists of categories and so3.Rotations."""
+    return metrics.PoseRecords(
+        np.array(categories, dtype=str),
+        np.array([r.matrix for r in r_true]).reshape(-1, 3, 3),
+        np.array([r.matrix for r in r_pred]).reshape(-1, 3, 3),
+    )
+
+
 def _records_with_errors(errors_deg, category="cat"):
     ident = so3.Rotation.identity()
-    return [metrics.EvalRecord(category, ident, _rz(e)) for e in errors_deg]
+    n = len(errors_deg)
+    return _records([category] * n, [ident] * n, [_rz(e) for e in errors_deg])
 
 
 BOX = (0.0, 0.0, 10.0, 10.0)
@@ -51,9 +65,25 @@ def test_iou_cases():
 def test_boxes_must_be_well_ordered():
     ident = so3.Rotation.identity()
     with pytest.raises(ValueError):
-        metrics.EvalRecord("c", ident, ident, gt_box=(5.0, 0.0, 1.0, 10.0))
+        metrics.GroundTruth("c", (5.0, 0.0, 1.0, 10.0), ident)
     with pytest.raises(ValueError):
         metrics.Detection("c", (0.0, 10.0, 10.0, 1.0), 0.5, ident)
+
+
+@pytest.mark.parametrize("box, score", [
+    ((0.0, 0.0, math.inf, 10.0), 0.5),
+    ((-math.inf, 0.0, 10.0, 10.0), 0.5),
+    ((0.0, 0.0, 10.0, math.nan), 0.5),
+    ((0.0, 0.0, 10.0, 10.0), math.nan),
+    ((0.0, 0.0, 10.0, 10.0), math.inf),
+])
+def test_constructors_reject_non_finite_boxes_and_scores(box, score):
+    ident = so3.Rotation.identity()
+    with pytest.raises(ValueError, match="must be finite"):
+        metrics.Detection("c", box, score, ident)
+    if math.isfinite(score):
+        with pytest.raises(ValueError, match="must be finite"):
+            metrics.GroundTruth("c", box, ident)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +92,7 @@ def test_boxes_must_be_well_ordered():
 
 def test_med_err_all_perfect_is_zero():
     ident = so3.Rotation.identity()
-    records = [metrics.EvalRecord("cat", ident, ident) for _ in range(5)]
+    records = _records(["cat"] * 5, [ident] * 5, [ident] * 5)
     per, mean = metrics.med_err(records)
     assert per["cat"] == 0.0 and mean == 0.0
 
@@ -76,15 +106,17 @@ def test_med_err_odd_and_even_counts():
 
 def test_med_err_matches_sort_oracle_per_category():
     rng = np.random.default_rng(0)
-    records = []
+    cats, trues, preds = [], [], []
     angles = {"a": [], "b": []}
     for _ in range(1000):
         cat = "a" if rng.random() < 0.5 else "b"
         r_true = so3.random_rotation(rng)
         r_pred = so3.random_rotation(rng)
-        records.append(metrics.EvalRecord(cat, r_true, r_pred))
+        cats.append(cat)
+        trues.append(r_true)
+        preds.append(r_pred)
         angles[cat].append(metrics.angle_deg(r_true, r_pred))
-    per, mean = metrics.med_err(records)
+    per, mean = metrics.med_err(_records(cats, trues, preds))
     for cat, vals in angles.items():
         vals = sorted(vals)
         n = len(vals)
@@ -382,8 +414,6 @@ def test_report_rejects_out_of_range_values():
 
 
 def test_report_csv_and_json_roundtrip(tmp_path):
-    import json
-
     dets, gts = _small_benchmark()
     report = metrics.detection_report(dets, gts)
     csv_path = tmp_path / "report.csv"
@@ -405,9 +435,11 @@ def test_record_file_roundtrip_bit_exact(tmp_path):
     metrics.write_records(path, dets, gts)
     dets2, gts2 = metrics.read_records(path)
     assert len(dets2) == len(dets) and len(gts2) == len(gts)
-    for a, b in zip(dets, dets2):
-        assert a.category == b.category and a.box == b.box and a.score == b.score
-        assert np.max(np.abs(a.rotation.matrix - b.rotation.matrix)) <= 1e-12
+    for items, table in ((dets, dets2), (gts, gts2)):
+        assert table.category.tolist() == [x.category for x in items]
+        assert [tuple(box) for box in table.box.tolist()] == [x.box for x in items]
+        assert np.max(np.abs(table.rotation - [x.rotation.matrix for x in items])) <= 1e-12
+    assert dets2.score.tolist() == [d.score for d in dets]
     # metrics computed from the file match the in-memory ones exactly
     assert metrics.arp(dets2, gts2) == metrics.arp(dets, gts)
 
@@ -431,3 +463,40 @@ def test_record_file_rewrites_are_byte_stable_for_random_quaternions(tmp_path):
         metrics.write_records(dst, *metrics.read_records(src))
     assert paths[1].read_bytes() == paths[0].read_bytes()
     assert paths[2].read_bytes() == paths[0].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# golden detection set
+
+
+GOLDEN_DETECTION = os.path.join(os.path.dirname(__file__), "golden_detection.json")
+
+
+def test_detection_report_and_eval_match_golden(tmp_path, capsys):
+    with open(GOLDEN_DETECTION, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    dets, gts = record_golden_detection.detection_set()
+    report = metrics.detection_report(dets, gts)
+    assert list(report.metrics) == golden["metrics"]
+    assert record_golden_detection.report_cells(report) == golden["cells"]
+    assert report.counts == golden["counts"]
+
+    path = tmp_path / "records.txt"
+    metrics.write_records(path, dets, gts)
+    assert cli.main(["eval", "--records", str(path)] + record_golden_detection.EVAL_ARGS) == 0
+    assert capsys.readouterr().out == golden["eval_stdout"]
+
+
+def test_one_matching_per_category_and_per_eval(tmp_path, monkeypatch, capsys):
+    calls = []
+    match = metrics.match_detections
+    monkeypatch.setattr(metrics, "match_detections", lambda d, g: calls.append(1) or match(d, g))
+    dets, gts = record_golden_detection.detection_set()
+    report = metrics.detection_report(dets, gts)
+    assert len(calls) == len(report.categories)
+
+    path = tmp_path / "records.txt"
+    metrics.write_records(path, dets, gts)
+    calls.clear()
+    assert cli.main(["eval", "--records", str(path)] + record_golden_detection.EVAL_ARGS) == 0
+    assert len(calls) == 1

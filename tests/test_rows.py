@@ -147,6 +147,57 @@ def test_row_maps_keep_their_errors():
         so3.rotation_to_euler(so3.Rotation(locked[0]))
 
 
+def _rotation_oracle(m):
+    """so3.Rotation's checks on one matrix, written out with
+    np.linalg.norm and one SVD: the reference that the stacked
+    check_rotations must equal row by row, errors included."""
+    m = np.array(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix must be finite")
+    err = np.linalg.norm(m.T @ m - np.eye(3))
+    if err > 1e-6:
+        raise ValueError(f"matrix is not orthonormal (|R^T R - I|_F = {err:.3g})")
+    if np.linalg.det(m) < 0.0:
+        raise ValueError("matrix has negative determinant (improper rotation)")
+    if err > so3.EPS_ORTHO:
+        u, _, vt = np.linalg.svd(m)
+        m = u @ vt
+    return m
+
+
+_BAD_ROWS = {
+    "scaled": lambda r: r * (1.0 + 1e-3),
+    "improper": lambda r: -r,
+    "nan": lambda r: np.where(np.eye(3, dtype=bool), np.nan, r),
+    "inf": lambda r: np.where(np.eye(3, dtype=bool), -np.inf, r),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=12), st.sampled_from(["none", *_BAD_ROWS]))
+def test_check_rotations_equals_one_matrix_checks(seed, b, bad):
+    g = np.random.default_rng(seed)
+    # drift from 1e-13 to 3e-8 per entry: errors below EPS_ORTHO (the row
+    # passes unchanged) and in the re-projection band (1e-9, 1e-6]
+    m = _rotations(g, b) + 10.0 ** g.uniform(-13.0, -7.5, (b, 1, 1)) * g.standard_normal((b, 3, 3))
+    if bad != "none":
+        i = int(g.integers(b))
+        m[i] = _BAD_ROWS[bad](m[i])
+        with pytest.raises(ValueError) as want:
+            _rotation_oracle(m[i])
+        for call in (so3.check_rotations, so3.Rotation):
+            with pytest.raises(ValueError) as got:
+                call(m if call is so3.check_rotations else m[i])
+            assert str(got.value) == str(want.value)
+        return
+    want = [_rotation_oracle(row) for row in m]
+    got = so3.check_rotations(m)
+    assert not got.flags.writeable
+    np.testing.assert_array_equal(_as_bits(got), _as_bits(want))
+    for row, w in zip(m, want):
+        np.testing.assert_array_equal(_as_bits(so3.Rotation(row).matrix), _as_bits(w))
+
+
 # ---------------------------------------------------------------------------
 # fit_kmeans against its per-cluster loop implementation
 
@@ -334,3 +385,65 @@ def test_match_detections_equals_double_loop(seed, d, n_gt, n_cats):
     g = np.random.default_rng(seed)
     dets, gts = _detection_sets(g, d, n_gt, n_cats)
     assert metrics.match_detections(dets, gts) == _match_loop(dets, gts)
+
+
+# ---------------------------------------------------------------------------
+# stacked azimuth bins against the one-pose Euler path
+
+_QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+BIN_COUNTS = (1, 4, 7, 8, 16, 24)
+
+
+def _azimuth_bin_oracle(m, k):
+    """The bin of one pose through rotation_to_euler and math.degrees, or
+    None in gimbal lock: the reference for the stacked bins."""
+    try:
+        az = math.degrees(so3.rotation_to_euler(so3.Rotation(m)).azimuth)
+    except so3.GimbalLock:
+        return None
+    return int((az % 360.0) / (360.0 / k))
+
+
+def _azimuth_rows(g, b):
+    """b rotations: exact quarter-turn azimuths, azimuths on the bin edges
+    of every k in BIN_COUNTS (to the last ulp), next to +-180 degrees, in or
+    at the edge of gimbal lock, and random ones."""
+    out = []
+    for kind in g.integers(0, 5, size=b):
+        el, ct = g.uniform(0.01, math.pi - 0.01), g.uniform(-math.pi, math.pi)
+        if kind == 0:
+            turn = np.linalg.matrix_power(_QUARTER_TURN, int(g.integers(4)))
+            out.append(so3.rot_z(ct) @ so3.rot_x(el) @ turn)
+        elif kind == 1:
+            k = int(g.choice(BIN_COUNTS))
+            edge = 2.0 * math.pi * int(g.integers(k)) / k
+            if g.random() < 0.5:  # one ulp below or above
+                edge = np.nextafter(edge, g.choice([-9.0, 9.0]))
+            out.append(so3.euler_to_matrix([edge, el, ct]))
+        elif kind == 2:
+            az = g.choice([-math.pi, math.pi]) + g.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12])
+            out.append(so3.euler_to_matrix([az, el, ct]))
+        elif kind == 3:
+            el = g.choice([0.0, math.pi, so3.EPS_GIMBAL * g.uniform(0.5, 2.0)])
+            out.append(so3.euler_to_matrix([g.uniform(-math.pi, math.pi), el, ct]))
+        else:
+            out.append(so3.random_rotation(g).matrix)
+    return so3.check_rotations(np.stack(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=16))
+def test_azimuth_bins_equal_one_pose_euler_path(seed, b):
+    m = _azimuth_rows(np.random.default_rng(seed), b)
+    azimuth, locked = metrics._azimuths_deg(m)
+    for k in BIN_COUNTS:
+        bins = metrics._azimuth_bins(azimuth, k)
+        for i in range(b):
+            want = _azimuth_bin_oracle(m[i], k)
+            assert bool(locked[i]) == (want is None)
+            if want is None:
+                with pytest.raises(so3.GimbalLock):
+                    metrics.azimuth_bin(so3.Rotation(m[i]), k)
+            else:
+                assert bins[i] == want
+                assert metrics.azimuth_bin(so3.Rotation(m[i]), k) == want
