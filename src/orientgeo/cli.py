@@ -20,10 +20,26 @@ def _count(text: str) -> int:
     return value
 
 
+def _read(path, parse):
+    """parse(path), or None after one `cannot read <path>: ...` line on
+    stderr when the file is missing or malformed."""
+    try:
+        return parse(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _config(args):
+    if args.config:
+        return _read(args.config, harness.load_config)
+    return harness.apply_seed_override(harness.ExperimentConfig())
+
+
 def _cmd_run(args) -> int:
-    cfg = harness.load_config(args.config) if args.config else harness.apply_seed_override(
-        harness.ExperimentConfig()
-    )
+    cfg = _config(args)
+    if cfg is None:
+        return 2
     trials = args.trials if args.trials is not None else 1
     if trials > 1:
         summary = harness.run_trials(cfg, out_dir=args.out, trials=trials)
@@ -40,9 +56,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = harness.load_config(args.config) if args.config else harness.apply_seed_override(
-        harness.ExperimentConfig()
-    )
+    cfg = _config(args)
+    if cfg is None:
+        return 2
     result = harness.ablation_suite(cfg, out_dir=args.out)
     print(result.table(), end="")
     print(f"best alpha by validation MedErr: {result.best_alpha!r}")
@@ -56,12 +72,10 @@ def _cmd_eval(args) -> int:
             print(f"unknown metric {m!r}; choose from {','.join(EVAL_METRICS)}",
                   file=sys.stderr)
             return 2
-    try:
-        detections, ground_truths = metrics.read_records(args.records)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {args.records}: {exc}", file=sys.stderr)
+    records = _read(args.records, metrics.read_records)
+    if records is None:
         return 2
-    matching = metrics.Matching(detections, ground_truths)
+    matching = metrics.Matching(*records)
     compute = {
         "med": lambda: metrics.med_err(matching.pairs)[1],
         "acc": lambda: metrics.acc_pi6(matching.pairs)[1],
@@ -97,19 +111,29 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_jitter(args) -> int:
-    spec_doc = {}
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec_doc = json.load(fh)
+def _jitter_spec(path):
+    """(JitterSpec, EulerZXZ) from a JSON spec file; defaults without one."""
+    doc = {}
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
     jspec = jitter.JitterSpec(
-        d_az=tuple(spec_doc.get("d_az", jitter.JitterSpec().d_az)),
-        d_el=tuple(spec_doc.get("d_el", jitter.JitterSpec().d_el)),
-        d_ct=tuple(spec_doc.get("d_ct", jitter.JitterSpec().d_ct)),
-        flip=bool(spec_doc.get("flip", True)),
+        d_az=tuple(doc.get("d_az", jitter.JitterSpec().d_az)),
+        d_el=tuple(doc.get("d_el", jitter.JitterSpec().d_el)),
+        d_ct=tuple(doc.get("d_ct", jitter.JitterSpec().d_ct)),
+        flip=bool(doc.get("flip", True)),
     )
-    euler_deg = spec_doc.get("euler_deg", (5.0, 88.0, 2.0))
-    euler = so3.EulerZXZ(*(math.radians(float(a)) for a in euler_deg))
+    euler_deg = doc.get("euler_deg", (5.0, 88.0, 2.0))
+    return jspec, so3.EulerZXZ(*(math.radians(float(a)) for a in euler_deg))
+
+
+def _cmd_jitter(args) -> int:
+    spec = _read(args.spec, _jitter_spec)
+    if spec is None:
+        return 2
+    jspec, euler = spec
     if args.shape == "sphere":
         points = jitter.sphere_points()
     else:

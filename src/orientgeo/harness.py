@@ -397,30 +397,46 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
 
 
 class _Adam:
-    """Adam state for one stacked MLP; updates parameters in place.  Each
+    """Adam state for one stacked MLP's (..., P) parameter buffer.  Each
     stack entry keeps its own step count and moves only on the steps that
     select it, so a head no sample touched keeps its weights and moments."""
 
     def __init__(self, net: models.MLP, opt: OptimizerConfig):
         self.opt = opt
-        self.t = np.zeros(net.layers[0].weight.shape[:-2], dtype=int)
-        self.m = [np.zeros_like(p) for l in net.layers for p in (l.weight, l.bias)]
-        self.v = [np.zeros_like(m) for m in self.m]
+        self.t = np.zeros(net.params.shape[:-1], dtype=int)
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
+        self._scratch = np.empty_like(net.params)
 
-    def step(self, net: models.MLP, grads, lr: float, entries):
-        """Step the stack entries that `entries` indexes: a boolean mask over
-        the stack axes, or slice(None) for all; grads hold just theirs."""
+    def step(self, params, grad, lr: float, sel=None):
+        """Update params in place from grad, both (..., P), and use grad as
+        scratch.  params is the whole buffer, or with `sel` (np.nonzero of a
+        mask over the stack axes) its rows at sel, which the caller gathered
+        and writes back; m, v and t then move at sel only."""
         o = self.opt
-        self.t[entries] += 1
-        c1 = 1.0 - o.beta1 ** self.t[entries]
-        c2 = 1.0 - o.beta2 ** self.t[entries]
-        params = [p for l in net.layers for p in (l.weight, l.bias)]
-        flat_grads = [d for dw_db in grads for d in dw_db]
-        for param, g, m_all, v_all in zip(params, flat_grads, self.m, self.v):
-            tail = (...,) + (None,) * (g.ndim - 1)
-            m = m_all[entries] = m_all[entries] * o.beta1 + (1.0 - o.beta1) * g
-            v = v_all[entries] = v_all[entries] * o.beta2 + (1.0 - o.beta2) * g * g
-            param[entries] -= lr * (m / c1[tail]) / (np.sqrt(v / c2[tail]) + o.eps)
+        m, v, a = self.m, self.v, self._scratch
+        if sel is None:
+            self.t += 1
+            t = self.t
+        else:
+            m, v = m[sel], v[sel]
+            a = a.reshape(-1, a.shape[-1])[: len(grad)]
+            self.t[sel] += 1
+            t = self.t[sel]
+        c1 = (1.0 - o.beta1**t)[..., None]
+        c2 = (1.0 - o.beta2**t)[..., None]
+        # m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, lr*(m/c1) / (sqrt(v/c2) + eps)
+        np.multiply(m, o.beta1, out=m)
+        m += np.multiply(grad, 1.0 - o.beta1, out=a)
+        np.multiply(v, o.beta2, out=v)
+        np.multiply(grad, 1.0 - o.beta2, out=a)
+        v += np.multiply(a, grad, out=a)
+        np.multiply(np.divide(m, c1, out=a), lr, out=a)
+        np.sqrt(np.divide(v, c2, out=grad), out=grad)
+        a /= np.add(grad, o.eps, out=grad)
+        params -= a
+        if sel is not None:
+            self.m[sel], self.v[sel] = m, v
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +495,18 @@ def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss
     for role, grad in batch.grads.items():
         net, cache = nets[role], cached[role]
         grad = grad.reshape(g, n, *grad.shape[1:])
-        entries = slice(None)
+        params, sel = net.params, None
         if role == "deltas":  # back-propagate through the heads some sample selected
             grad = grad.swapaxes(1, 2)
-            entries = grad.any(axis=(2, 3))
-            sel = np.nonzero(entries)
-            net = models.MLP([models.Layer(l.weight[sel], l.bias[sel], l.activation)
-                              for l in net.layers])
+            sel = np.nonzero(grad.any(axis=(2, 3)))
+            params = net.params[sel]
+            net = models.on_buffer(params, net)
             cache = [("input", feats[sel[0]])] + [(tag, h[sel]) for tag, h in cache[1:]]
             grad = grad[sel]
         grads, _ = models.backward(net, cache, grad / n)
-        adams[role].step(nets[role], grads, lr, entries)
+        adams[role].step(params, models.flatten(grads), lr, sel)
+        if sel is not None:
+            nets[role].params[sel] = params
     return batch
 
 
@@ -521,7 +538,7 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     names = dataset.categories
     per_cat = [build_category_model(cfg, seed + 1000 * (c + 1)) for c in range(len(names))]
     nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
-    del per_cat  # the stacks hold copies
+    del per_cat  # the stacks' buffers hold copies
     nets_by_cat = {name: {role: models.unstack(net, c) for role, net in nets.items()}
                    for c, name in enumerate(names)}
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), c, 10]))

@@ -8,7 +8,10 @@ topology, recorded in the experiment docs).
 
 Layers may carry leading stack axes, W (..., out, in) and b (..., out), so
 one network runs many same-shaped ones (per category, per dictionary key)
-by matmul broadcasting on inputs (..., n, in).
+by matmul broadcasting on inputs (..., n, in).  A stacked network keeps all
+its parameters in one contiguous buffer (..., P): P is one entry's
+parameter count, in layer order, weight then bias, and the layers' arrays
+are reshaped views into it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ class Layer:
 @dataclasses.dataclass
 class MLP:
     layers: list
+    # the (..., P) buffer the layers view, for networks built by stack
+    params: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -77,14 +82,33 @@ class MLP:
         return self.layers[-1].weight.shape[-2]
 
 
+def flatten(pairs) -> np.ndarray:
+    """(weight, bias) pairs in layer order, a network's parameters or the
+    gradients backward returns, as one (..., P) array in the buffer layout."""
+    pairs = list(pairs)
+    lead = pairs[0][1].shape[:-1]
+    return np.concatenate([a.reshape(lead + (math.prod(a.shape[len(lead):]),))
+                           for pair in pairs for a in pair], axis=-1)
+
+
+def on_buffer(params: np.ndarray, like: MLP) -> MLP:
+    """A network with the layer shapes and activations of `like` whose
+    parameters are views of params (..., P)."""
+    lead, start, layers = params.shape[:-1], 0, []
+    for layer in like.layers:
+        out, inp = layer.weight.shape[-2:]
+        weight = params[..., start:start + out * inp].reshape(lead + (out, inp))
+        start += out * inp
+        layers.append(Layer(weight, params[..., start:start + out], layer.activation))
+        start += out
+    return MLP(layers, params)
+
+
 def stack(nets) -> MLP:
     """One network whose new leading axis runs over `nets` (same shapes and
-    activations); the parameters are copies."""
-    return MLP([
-        Layer(np.stack([n.layers[i].weight for n in nets]),
-              np.stack([n.layers[i].bias for n in nets]), layer.activation)
-        for i, layer in enumerate(nets[0].layers)
-    ])
+    activations), on one new (len(nets), ..., P) buffer of their parameters."""
+    return on_buffer(np.stack([flatten((l.weight, l.bias) for l in n.layers) for n in nets]),
+                     nets[0])
 
 
 def unstack(net: MLP, i) -> MLP:
@@ -234,7 +258,7 @@ def save_mlp(net: MLP, path, seed=None) -> None:
     """JSON checkpoint: header with sizes/activations/seed, layer-ordered
     tensors.  json round-trips doubles exactly (shortest-repr), so loading
     reproduces the weights bit-for-bit."""
-    sizes = [net.in_dim] + [layer.weight.shape[0] for layer in net.layers]
+    sizes = [net.in_dim] + [layer.weight.shape[-2] for layer in net.layers]
     doc = {
         "version": CHECKPOINT_VERSION,
         "sizes": sizes,
@@ -246,7 +270,7 @@ def save_mlp(net: MLP, path, seed=None) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump would stream through the pure-Python encoder
 
 
 def load_mlp(path) -> MLP:

@@ -197,3 +197,42 @@ def test_jitter_command_sphere_default_grid(tmp_path):
     rc = cli.main(["jitter", "--manifest", str(manifest), "--shape", "sphere"])
     assert rc == 0
     assert len(jitter.read_manifest(manifest)) == 90
+
+
+BAD_JSON_FILES = [None, "{not json", "[1, 2]"]  # None: the file does not exist
+
+
+def _unreadable(tmp_path, contents):
+    path = tmp_path / "input.json"
+    if contents is not None:
+        path.write_text(contents)
+    return path
+
+
+def _exits_two_naming(path, argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {path}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"seed": 1}'])
+def test_run_rejects_unreadable_config(tmp_path, capsys, contents):
+    path = _unreadable(tmp_path, contents)
+    _exits_two_naming(path, ["run", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"seed": 1}'])
+def test_ablate_rejects_unreadable_config(tmp_path, capsys, contents):
+    path = _unreadable(tmp_path, contents)
+    _exits_two_naming(path, ["ablate", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"euler_deg": [1.0, 2.0]}'])
+def test_jitter_rejects_unreadable_spec(tmp_path, capsys, contents):
+    path = _unreadable(tmp_path, contents)
+    manifest = tmp_path / "manifest.txt"
+    _exits_two_naming(path, ["jitter", "--manifest", str(manifest), "--spec", str(path)], capsys)
+    assert not manifest.exists()

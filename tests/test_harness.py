@@ -375,19 +375,70 @@ def test_head_no_sample_selected_keeps_initial_weights(monkeypatch):
             assert np.array_equal(li.bias[1:], lt.bias[1:])
 
 
+def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
+    # a batch whose per-bin gradient is zero everywhere selects no head:
+    # the empty gather must step nothing and keep every head's weights
+    cfg = tiny_config("M_Gp", optimizer=harness.OptimizerConfig(learning_rate=1e-3, epochs=1))
+    objective_batch = losses.objective_batch
+
+    def no_delta_gradient(*args):
+        batch = objective_batch(*args)
+        batch.grads["deltas"] = np.zeros_like(batch.grads["deltas"])
+        return batch
+
+    monkeypatch.setattr(losses, "objective_batch", no_delta_gradient)
+    nets_by_cat, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    for c, name in enumerate(("cat01", "cat02")):
+        init = harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1))
+        for role, moved in (("deltas", False), ("logits", True)):
+            same = [np.array_equal(a.weight, b.weight)
+                    for a, b in zip(init[role].layers, nets_by_cat[name][role].layers)]
+            assert same == [not moved] * len(same), role
+
+
 def test_adam_steps_only_the_entries_the_mask_selects():
     # entry 1 was stepped once; a later step that leaves it out must not
     # move it on its remaining momentum
     net = models.stack([models.init_pose_network([3, 2], seed=s) for s in range(2)])
     adam = harness._Adam(net, harness.OptimizerConfig())
-    ones = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in net.layers]
-    adam.step(net, ones, 0.1, np.array([True, True]))
+    adam.step(net.params, np.ones_like(net.params), 0.1)
     before = net.layers[0].weight.copy(), net.layers[0].bias.copy()
-    adam.step(net, [(w[:1], b[:1]) for w, b in ones], 0.1, np.array([True, False]))
+    sel = np.nonzero([True, False])
+    rows = net.params[sel]
+    adam.step(rows, np.ones_like(rows), 0.1, sel)
+    net.params[sel] = rows
     assert adam.t.tolist() == [2, 1]
     for param, old in zip((net.layers[0].weight, net.layers[0].bias), before):
         assert np.array_equal(param[1], old[1])
         assert not np.any(param[0] == old[0])
+
+
+@pytest.mark.parametrize("family", ["R_G", "M_Gp"])
+def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
+    # the per-category networks train returns, and unstack views of them,
+    # read the stacked buffers Adam stepped, never a stale copy
+    buffers = []
+    stack = models.stack
+
+    def recording_stack(nets):
+        net = stack(nets)
+        buffers.append(net.params)
+        return net
+
+    monkeypatch.setattr(models, "stack", recording_stack)
+    cfg = tiny_config(family)
+    nets_by_cat, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    for c, nets in enumerate(nets_by_cat.values()):
+        stacked = dict(zip(nets, buffers[-len(nets):]))  # train stacks the roles last
+        for role, net in nets.items():
+            buf = stacked[role]
+            views = [a for l in net.layers for a in (l.weight, l.bias)]
+            if role == "deltas":
+                views += [a for l in models.unstack(net, 1).layers for a in (l.weight, l.bias)]
+            assert all(np.shares_memory(a, buf) for a in views), role
+            assert buf.shape[0] == len(nets_by_cat)
+            assert np.array_equal(models.flatten((l.weight, l.bias) for l in net.layers),
+                                  buf[c])
 
 
 def test_train_log_counts_non_smooth_samples_per_epoch():

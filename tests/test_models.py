@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -159,6 +160,25 @@ def test_stacked_forward_backward_equal_per_network_calls(g, k, n, seed):
             np.testing.assert_array_equal(view.layers[1].weight, heads[i][j].layers[1].weight)
 
 
+def test_stack_lays_parameters_out_in_one_buffer_the_layers_view():
+    # (G, K) stack of [5, 4, 3] heads: P = 4*5 + 4 + 3*4 + 3, weight then bias per layer
+    heads = [[models.init_pose_network([5, 4, 3], seed=10 * i + j) for j in range(3)]
+             for i in range(2)]
+    stacked = models.stack([models.stack(row) for row in heads])
+    assert stacked.params.shape == (2, 3, 39) and stacked.params.flags.c_contiguous
+    for i in range(2):
+        for j in range(3):
+            want = np.concatenate([a.ravel() for l in heads[i][j].layers
+                                   for a in (l.weight, l.bias)])
+            assert np.array_equal(stacked.params[i, j], want)
+    views = [a for l in stacked.layers for a in (l.weight, l.bias)]
+    views += [a for l in models.unstack(models.unstack(stacked, 1), 2).layers
+              for a in (l.weight, l.bias)]
+    assert all(np.shares_memory(a, stacked.params) for a in views)
+    stacked.params[1, 2, 20:24] = 7.0  # the first layer's bias of head (1, 2)
+    assert np.array_equal(models.unstack(stacked, 1).layers[0].bias[2], np.full(4, 7.0))
+
+
 # ---------------------------------------------------------------------------
 # init
 
@@ -256,3 +276,31 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text('{"version": 99, "tensors": [], "activations": []}')
     with pytest.raises(ValueError):
         models.load_mlp(path)
+
+
+def test_checkpoint_bytes_equal_json_dump_output(tmp_path):
+    net = models.init_pose_network([6, 5, 3], seed=3, activations=["relu", "pi_tanh"])
+    net.layers[1].bias[:] = rng(5).standard_normal(3)
+    path = tmp_path / "ckpt.json"
+    models.save_mlp(net, path, seed=3)
+    doc = {
+        "version": models.CHECKPOINT_VERSION,
+        "sizes": [6, 5, 3],
+        "activations": ["relu", "pi_tanh"],
+        "seed": 3,
+        "tensors": [{"weight": l.weight.tolist(), "bias": l.bias.tolist()} for l in net.layers],
+    }
+    oracle = tmp_path / "oracle.json"
+    with open(oracle, "w") as fh:
+        json.dump(doc, fh)  # the streaming writer save_mlp used before
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+def test_checkpoint_of_a_stacked_network_records_entry_sizes(tmp_path):
+    net = models.stack([models.init_pose_network([5, 4, 3], seed=s) for s in range(7)])
+    path = tmp_path / "stacked.json"
+    models.save_mlp(net, path)
+    assert json.loads(path.read_text())["sizes"] == [5, 4, 3]
+    loaded = models.load_mlp(path)
+    for la, lb in zip(net.layers, loaded.layers):
+        assert np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)

@@ -1,5 +1,6 @@
 """Row-wise maps against their one-row calls: every so3 map, the Lloyd
-step of fit_kmeans, and the IoU rows of the detection matcher."""
+step of fit_kmeans, the IoU rows of the detection matcher, and the
+whole-buffer Adam step against the per-array one."""
 
 import math
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientgeo import dictionary as dct
-from orientgeo import metrics, so3
+from orientgeo import harness, metrics, models, so3
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 ROWS = st.integers(min_value=1, max_value=6)
@@ -447,3 +448,79 @@ def test_azimuth_bins_equal_one_pose_euler_path(seed, b):
             else:
                 assert bins[i] == want
                 assert metrics.azimuth_bin(so3.Rotation(m[i]), k) == want
+
+
+class _PerArrayAdam:
+    """The per-array Adam step the flat-buffer one replaced, kept as the
+    oracle: `entries` is a boolean mask over the stack axes or slice(None),
+    and grads hold (dW, db) of just the selected entries."""
+
+    def __init__(self, net, opt):
+        self.opt = opt
+        self.t = np.zeros(net.layers[0].weight.shape[:-2], dtype=int)
+        self.m = [np.zeros_like(p) for l in net.layers for p in (l.weight, l.bias)]
+        self.v = [np.zeros_like(m) for m in self.m]
+
+    def step(self, net, grads, lr, entries):
+        o = self.opt
+        self.t[entries] += 1
+        c1 = 1.0 - o.beta1 ** self.t[entries]
+        c2 = 1.0 - o.beta2 ** self.t[entries]
+        params = [p for l in net.layers for p in (l.weight, l.bias)]
+        flat_grads = [d for dw_db in grads for d in dw_db]
+        for param, g, m_all, v_all in zip(params, flat_grads, self.m, self.v):
+            tail = (...,) + (None,) * (g.ndim - 1)
+            m = m_all[entries] = m_all[entries] * o.beta1 + (1.0 - o.beta1) * g
+            v = v_all[entries] = v_all[entries] * o.beta2 + (1.0 - o.beta2) * g * g
+            param[entries] -= lr * (m / c1[tail]) / (np.sqrt(v / c2[tail]) + o.eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.sampled_from([(3,), (1,), (2, 3), (3, 1)]), st.integers(min_value=1, max_value=6))
+def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
+    g = np.random.default_rng(seed)
+    sizes = [int(d) for d in g.integers(1, 5, size=g.integers(2, 4))]
+
+    def build():
+        nets = [models.init_pose_network(sizes, seed=i) for i in range(int(np.prod(lead)))]
+        if len(lead) == 2:
+            return models.stack([models.stack(nets[i::lead[0]]) for i in range(lead[0])])
+        return models.stack(nets)
+
+    old_net, new_net = build(), build()
+    opt = harness.OptimizerConfig(beta1=float(g.choice([0.9, 0.5])),
+                                  eps=float(g.choice([1e-8, 1e-3])))
+    old, new = _PerArrayAdam(old_net, opt), harness._Adam(new_net, opt)
+    never = tuple(int(g.integers(0, n)) for n in lead)  # an entry no mask selects
+    stepped_all = False
+    for _ in range(steps):
+        lr = float(g.choice([1e-4, 1e-3, 0.1, 2.0]))
+        grad = g.standard_normal(new_net.params.shape) * g.choice([0.0, 1e-6, 1.0, 1e3])
+        grad[g.random(grad.shape) < 0.2] = 0.0
+        if g.random() < 0.25:  # every entry, as the category stacks step
+            stepped_all = True
+            # the oracle broadcast slice(None) over one stack axis only
+            entries = slice(None) if len(lead) == 1 else np.ones(lead, dtype=bool)
+            rows_grad = grad if len(lead) == 1 else grad.reshape(-1, grad.shape[-1])
+            pairs = [(l.weight, l.bias) for l in models.on_buffer(rows_grad, new_net).layers]
+            old.step(old_net, pairs, lr, entries)
+            new.step(new_net.params, grad.copy(), lr)
+            continue
+        mask = g.random(lead) < 0.5
+        mask[never] = False
+        if len(lead) == 2 and g.random() < 0.5:
+            mask[g.integers(0, lead[0])] = False  # an all-false row
+        sel = np.nonzero(mask)
+        rows_grad = grad[sel]
+        pairs = [(l.weight, l.bias) for l in models.on_buffer(rows_grad, new_net).layers]
+        old.step(old_net, pairs, lr, mask)
+        rows = new_net.params[sel]
+        new.step(rows, rows_grad.copy(), lr, sel)
+        new_net.params[sel] = rows
+    assert stepped_all or new.t[never] == 0
+    np.testing.assert_array_equal(new.t, old.t)
+    as_flat = lambda arrays: models.flatten(zip(arrays[::2], arrays[1::2]))
+    np.testing.assert_array_equal(new_net.params, models.flatten(
+        (l.weight, l.bias) for l in old_net.layers))
+    np.testing.assert_array_equal(new.m, as_flat(old.m))
+    np.testing.assert_array_equal(new.v, as_flat(old.v))
