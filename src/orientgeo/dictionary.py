@@ -148,11 +148,21 @@ def kmeans_objective(targets, dictionary: PoseDictionary) -> float:
     return float(np.min(_sq_distances(targets, dictionary.keys), axis=1).sum())
 
 
+def _keys(dictionary) -> np.ndarray:
+    """The keys of a PoseDictionary (K, d), or a key stack (..., K, d) as
+    floats: one dictionary per stack entry."""
+    if isinstance(dictionary, PoseDictionary):
+        return dictionary.keys
+    return np.asarray(dictionary, dtype=float)
+
+
 def _sq_distances(y, keys: np.ndarray) -> np.ndarray:
-    """|y - z_k|^2 of each row of y (..., d) to every key: (..., K)."""
+    """|y - z_k|^2 of each row of y (..., d) to every key: (..., K).  keys
+    is one dictionary (K, d) for all rows, or a stack (..., K, d) whose
+    leading axes broadcast against y's; coordinates add in index order."""
     y = np.asarray(y, dtype=float)
     # one column at a time keeps the (n, K, d) difference array out of memory
-    return sum((y[..., None, j] - keys[:, j]) ** 2 for j in range(keys.shape[1]))
+    return sum((y[..., None, j] - keys[..., j]) ** 2 for j in range(keys.shape[-1]))
 
 
 def hard_label(y, dictionary: PoseDictionary) -> int:
@@ -160,39 +170,44 @@ def hard_label(y, dictionary: PoseDictionary) -> int:
     return int(hard_labels(y, dictionary))
 
 
-def hard_labels(ys, dictionary: PoseDictionary) -> np.ndarray:
-    """hard_label of each row of ys (n, d): (n,) ints."""
-    return np.argmin(_sq_distances(ys, dictionary.keys), axis=-1)
+def hard_labels(ys, dictionary) -> np.ndarray:
+    """hard_label of each row of ys (n, d): (n,) ints.  dictionary is a
+    PoseDictionary or a key stack (n, K, d), one dictionary per row."""
+    return np.argmin(_sq_distances(ys, _keys(dictionary)), axis=-1)
 
 
 def soft_assign_probs(y, keys: np.ndarray, gamma: float) -> np.ndarray:
     """Softmax over -gamma * |y - z_k|^2, max-subtracted for stability: the
     soft assignment (..., K) of one pose (d,) or of each row of a stack
-    (..., d)."""
-    if gamma <= 0.0:
+    (..., d).  keys and gamma are shared, or one per row: a key stack
+    (..., K, d) and gammas (...,)."""
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma <= 0.0):
         raise ValueError("gamma must be positive")
-    logits = -gamma * _sq_distances(y, keys)
+    logits = -gamma[..., None] * _sq_distances(y, keys)
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def min_pairwise_sq_distance(keys: np.ndarray) -> float:
-    k = keys.shape[0]
-    best = math.inf
-    for i in range(k):
-        d2 = np.sum((keys[i + 1 :] - keys[i]) ** 2, axis=1)
-        if d2.size:
-            best = min(best, float(d2.min()))
-    return best
+def min_pairwise_sq_distance(keys: np.ndarray):
+    """min_{i < j} |z_i - z_j|^2 of the keys (K, d), a float, or of each
+    dictionary of a stack (..., K, d), an array (...,); inf for K < 2."""
+    keys = np.asarray(keys, dtype=float)
+    i, j = np.triu_indices(keys.shape[-2], 1)
+    best = _sq_distances(keys, keys[..., None, :, :])[..., i, j].min(axis=-1, initial=math.inf)
+    return float(best) if best.ndim == 0 else best
 
 
-def default_gamma(dictionary: PoseDictionary) -> float:
-    """0.5 / min_{i != j} |z_i - z_j|^2: scales the kernel to key spacing."""
-    if dictionary.size < 2:
+def default_gamma(dictionary):
+    """0.5 / min_{i != j} |z_i - z_j|^2: scales the kernel to key spacing.
+    dictionary is a PoseDictionary, giving a float, or a key stack
+    (..., K, d), giving one gamma per dictionary (...,)."""
+    keys = _keys(dictionary)
+    if keys.shape[-2] < 2:
         raise ValueError("default_gamma needs K >= 2")
-    m = min_pairwise_sq_distance(dictionary.keys)
-    if m == 0.0:
+    m = min_pairwise_sq_distance(keys)
+    if np.any(m == 0.0):
         raise DegenerateDictionary("coincident keys give an infinite gamma")
     return 0.5 / m
 

@@ -15,6 +15,12 @@ smooth in an h-neighborhood of the instance:
 The margins here (EXCLUSION_MARGIN around 0/pi, LOGIT_MARGIN between the
 top two logits, NORM_MARGIN around the pi ball boundary) define the
 documented non-smooth neighborhoods excluded from verification.
+
+Sampling and checking are stacked.  Candidates are drawn in batches and
+tested for smoothness together; the instances are the first smooth
+candidates of the seed's stream, as if drawn one at a time.  check_family
+evaluates the probe rows of many instances, each with its own keys, in one
+objective_batch call of at most _ROW_BUDGET rows.
 """
 
 from __future__ import annotations
@@ -39,6 +45,11 @@ NORM_MARGIN = 1e-2
 MAX_RESAMPLE = 1000
 
 
+# probe rows per objective_batch call: check_family stacks the probe blocks
+# of as many instances as fit (at least one), which bounds its memory
+_ROW_BUDGET = 1024
+
+
 class InstanceSamplingFailed(RuntimeError):
     """Could not draw a smooth instance within the resampling budget."""
 
@@ -59,16 +70,44 @@ class FamilyReport:
     passed: bool
 
 
-def _random_pose(representation: str, rng: np.random.Generator) -> np.ndarray:
-    if representation == dct.AXIS_ANGLE:
-        return so3.random_axis_angle(rng, max_angle=math.pi - 0.1).vector
-    q = rng.standard_normal(4)
-    return so3.canonical_quaternion(q / np.linalg.norm(q))
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Stack:
+    """n instances of one spec as arrays with a leading n axis, None where
+    the family has no such field: predicted poses (R_G/R_E), logits,
+    deltas, the targets' y, label and soft rows, and the keys (n, K, d)."""
+
+    pose: np.ndarray | None = None
+    logits: np.ndarray | None = None
+    deltas: np.ndarray | None = None
+    y: np.ndarray | None = None
+    label: np.ndarray | None = None
+    soft: np.ndarray | None = None
+    keys: np.ndarray | None = None
+
+    def fields(self):
+        return [getattr(self, f.name) for f in dataclasses.fields(self)]
+
+    def rows(self, idx) -> "_Stack":
+        return _Stack(*(None if f is None else f[idx] for f in self.fields()))
+
+    @property
+    def size(self) -> int:
+        return len(self.logits if self.pose is None else self.pose)
+
+    def views(self, spec):
+        """(gradient name, prediction rows) of the slots FD probes, in order."""
+        if self.pose is not None:
+            return [("pose", self.pose)]
+        if self.deltas is None:
+            return [("logits", self.logits)]
+        return [("logits", self.logits), ("deltas" if spec.per_bin else "delta", self.deltas)]
 
 
-def _random_dictionary(spec, k: int, rng: np.random.Generator) -> dct.PoseDictionary:
-    keys = np.stack([_random_pose(spec.representation, rng) for _ in range(k)])
-    return dct.PoseDictionary(keys=keys, representation=spec.representation)
+def _concat(stacks) -> _Stack:
+    if len(stacks) == 1:
+        return stacks[0]
+    columns = zip(*(s.fields() for s in stacks))
+    return _Stack(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
 def _margined_logits(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,148 +119,227 @@ def _margined_logits(k: int, rng: np.random.Generator) -> np.ndarray:
     raise InstanceSamplingFailed("could not separate the top two logits")
 
 
-def _internal_distances(spec, prediction, target, dictionary) -> np.ndarray:
-    """Every geodesic distance the objective evaluates or clamps against."""
+def _draw(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
+    """The next n candidates of the spec's stream.  Each candidate draws
+    its target pose, then the predicted pose (R_G/R_E), the K keys, the
+    logits and the deltas (Bin & Delta), or the logits and the label (C).
+    A pose is a normal direction scaled by a uniform angle, or a canonical
+    unit quaternion; the smoothness test consumes no draws."""
+    fam, d = spec.family, spec.pose_dim
+    bin_delta = fam in losses.BIN_DELTA_FAMILIES
+    n_poses = 2 if fam in ("R_G", "R_E") else 1 + k if bin_delta else 1
+    aa = spec.representation == dct.AXIS_ANGLE
+    raw, angles, logits, labels, deltas = [], [], [], [], []
+    shape = (k, d) if spec.per_bin else (d,)
+    for _ in range(n):
+        for _ in range(n_poses):
+            raw.append(rng.standard_normal(d))
+            if aa:
+                angles.append(rng.uniform(0.0, math.pi - 0.1))
+        if fam == "C" or bin_delta:
+            logits.append(_margined_logits(k, rng))
+        if fam == "C":
+            labels.append(rng.integers(k))
+        elif bin_delta:
+            deltas.append(rng.standard_normal(shape))
+    raw = np.reshape(raw, (n, n_poses, d))
+    # so3._norm sums each row as np.linalg.norm sums one vector
+    unit = raw / so3._norm(raw)[..., None]
+    poses = np.reshape(angles, (n, n_poses, 1)) * unit if aa else so3.canonical_quaternion(unit)
+    y = poses[:, 0]
+    if fam in ("R_G", "R_E"):
+        return _Stack(pose=poses[:, 1], y=y)
+    if fam == "C":
+        return _Stack(logits=np.array(logits), label=np.array(labels))
+    keys = poses[:, 1:]
+    soft = None
+    if fam in losses.SOFT_TARGET_FAMILIES:
+        soft = dct.soft_assign_probs(y, keys, losses.resolve_gamma(spec, keys))
+    return _Stack(
+        logits=np.array(logits),
+        deltas=0.4 * np.array(deltas),
+        y=y,
+        label=dct.hard_labels(y, keys),
+        soft=soft,
+        keys=keys,
+    )
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """|v| of each row (...,), its squares added in index order."""
+    return np.sqrt(losses._dot_rows(v, v))
+
+
+def _internal_distances(spec, c: _Stack) -> np.ndarray:
+    """Every geodesic distance the objective evaluates or clamps against,
+    (n, m) for n candidates."""
     fam = spec.family
     if fam == "R_E" or fam == "C":
-        return np.empty(0)
+        return np.empty((c.size, 0))
     if fam == "R_G":
-        return _pose_distance(spec, np.asarray(prediction, dtype=float)[None], target.y)
-    logits, deltas = prediction
-    label_pred = int(np.argmax(logits))
+        return _pose_distance(spec, c.pose[:, None], c.y)
+    rows = np.arange(c.size)
     if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
-        idx = np.arange(dictionary.size)
+        keys = c.keys
+        d = c.deltas if spec.per_bin else np.broadcast_to(c.deltas[:, None], keys.shape)
     else:
-        idx = np.array([label_pred])
-    keys = dictionary.keys[idx]
-    d = deltas[idx] if spec.per_bin else np.broadcast_to(deltas, keys.shape)
+        label_pred = np.argmax(c.logits, axis=1)
+        keys = c.keys[rows, label_pred][:, None]
+        d = (c.deltas[rows, label_pred] if spec.per_bin else c.deltas)[:, None]
+    m = keys.shape[1]
     if spec.combination == "riemannian":
         # one Rodrigues call for the keys, the deltas and the target
-        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([keys, d, [target.y]])))
-        rel = np.swapaxes(mats[: len(idx)], -1, -2) @ mats[-1]
-        out = so3.geodesic_distance_matrices(mats[len(idx) : -1], rel)
+        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([keys, d, c.y[:, None]], 1)))
+        rel = _relative(mats[:, :m], mats[:, -1:])
+        out = so3.geodesic_distance_matrices(mats[:, m:-1], rel)
         if fam in ("M_LE", "M_LEp"):
             # the tangent target's own log must stay off the pi rejection band
-            out = np.append(out, so3.geodesic_distance_matrices(np.eye(3), rel[-1]))
+            out = np.concatenate([out, so3.geodesic_distance_matrices(np.eye(3), rel[:, -1:])], 1)
         return out
     s = keys + d
     if spec.representation == dct.QUATERNION:
-        s = s / np.linalg.norm(s, axis=-1, keepdims=True)
-    return _pose_distance(spec, s, target.y)
+        s = s / _norm(s)[..., None]
+    return _pose_distance(spec, s, c.y)
+
+
+def _relative(key_mats: np.ndarray, target_mats: np.ndarray) -> np.ndarray:
+    """R_k^T R* of stacked matrices, each entry a sum in index order."""
+    cols_k = np.swapaxes(key_mats, -1, -2)[..., :, None, :]
+    cols_t = np.swapaxes(target_mats, -1, -2)[..., None, :, :]
+    return losses._dot_rows(cols_k, cols_t)
 
 
 def _pose_distance(spec, y_a, y_b) -> np.ndarray:
-    """Geodesic distance of each pose row of y_a (n, d) to the pose y_b (d,)."""
-    y_a, y_b = np.asarray(y_a, dtype=float), np.asarray(y_b, dtype=float)
+    """Geodesic distance of each pose y_a[i, j] (n, m, d) to y_b[i] (n, d)."""
     if spec.representation == dct.AXIS_ANGLE:
-        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([y_a, [y_b]])))
-        return so3.geodesic_distance_matrices(mats[:-1], mats[-1])
-    c = np.abs(y_a @ y_b) / (np.linalg.norm(y_a, axis=-1) * np.linalg.norm(y_b))
+        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([y_a, y_b[:, None]], 1)))
+        return so3.geodesic_distance_matrices(mats[:, :-1], mats[:, -1:])
+    y_b = y_b[:, None]
+    c = np.abs(losses._dot_rows(y_a, y_b)) / (_norm(y_a) * _norm(y_b))
     return 2.0 * np.arccos(np.minimum(1.0, c))
 
 
-def _norms_ok(spec, prediction, dictionary) -> bool:
+def _norms_ok(spec, c: _Stack) -> np.ndarray:
     fam = spec.family
     if fam in ("R_G", "R_E", "C"):
         if fam == "R_G" and spec.representation == dct.AXIS_ANGLE:
-            return abs(np.linalg.norm(np.asarray(prediction, dtype=float)) - math.pi) > NORM_MARGIN
-        return True
-    logits, deltas = prediction
-    rows = deltas if spec.per_bin else np.broadcast_to(deltas, (dictionary.size, spec.pose_dim))
+            return np.abs(_norm(c.pose) - math.pi) > NORM_MARGIN
+        return np.ones(c.size, dtype=bool)
+    rows = c.deltas if spec.per_bin else c.deltas[:, None]
     if spec.combination == "riemannian":
-        norms = np.linalg.norm(rows, axis=1)
-        return bool(np.all(np.abs(norms - math.pi) > NORM_MARGIN))
-    composed = dictionary.keys + rows
-    norms = np.linalg.norm(composed, axis=1)
+        norms = _norm(rows)
+        return np.all(np.abs(norms - math.pi) > NORM_MARGIN, axis=1)
+    norms = _norm(c.keys + rows)
     if spec.representation == dct.QUATERNION:
-        return bool(np.all(norms > 0.3))
-    return bool(np.all(np.abs(norms - math.pi) > NORM_MARGIN))
+        return np.all(norms > 0.3, axis=1)
+    return np.all(np.abs(norms - math.pi) > NORM_MARGIN, axis=1)
 
 
-def _smooth(spec, prediction, target, dictionary) -> bool:
-    if not _norms_ok(spec, prediction, dictionary):
-        return False
-    d = _internal_distances(spec, prediction, target, dictionary)
-    return bool(np.all((d >= EXCLUSION_MARGIN) & (d <= math.pi - EXCLUSION_MARGIN)))
+def _smooth(spec, c: _Stack) -> np.ndarray:
+    """Mask (n,) of the candidates whose objective is smooth around them."""
+    d = _internal_distances(spec, c)
+    inside = (d >= EXCLUSION_MARGIN) & (d <= math.pi - EXCLUSION_MARGIN)
+    return _norms_ok(spec, c) & np.all(inside, axis=1)
+
+
+def _sample(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
+    """The first n smooth candidates of the spec's stream.
+
+    Candidates are drawn in batches that never outrun the instances still
+    needed, nor the resampling budget, so the rng ends where drawing one
+    instance at a time leaves it.  MAX_RESAMPLE rejections in a row raise.
+    """
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    found, rejected, parts = 0, 0, []
+    while found < n:
+        c = _draw(spec, rng, k, min(n - found, MAX_RESAMPLE - rejected))
+        kept = np.flatnonzero(_smooth(spec, c))
+        parts.append(c.rows(kept))
+        found += len(kept)
+        rejected = c.size - 1 - kept[-1] if len(kept) else rejected + c.size
+        if rejected == MAX_RESAMPLE:
+            raise InstanceSamplingFailed(
+                f"no smooth instance for {spec.family} in {MAX_RESAMPLE} draws"
+            )
+    return _concat(parts)
 
 
 def random_instance(spec: losses.ObjectiveSpec, rng: np.random.Generator, k: int = 8) -> Instance:
     """Draw one smooth instance for the family, resampling as needed."""
-    fam = spec.family
-    for _ in range(MAX_RESAMPLE):
-        y_true = _random_pose(spec.representation, rng)
-        if fam in ("R_G", "R_E"):
-            pred = _random_pose(spec.representation, rng)
-            inst = Instance(pred, losses.Target(y=y_true), None)
-        elif fam == "C":
-            inst = Instance(
-                _margined_logits(k, rng),
-                losses.Target(label=int(rng.integers(k))),
-                None,
-            )
-        else:
-            dictionary = _random_dictionary(spec, k, rng)
-            label = dct.hard_label(y_true, dictionary)
-            soft = None
-            if fam in losses.SOFT_TARGET_FAMILIES:
-                soft = dct.soft_assign_probs(
-                    y_true, dictionary.keys, losses.resolve_gamma(spec, dictionary)
-                )
-            logits = _margined_logits(k, rng)
-            shape = (k, spec.pose_dim) if spec.per_bin else (spec.pose_dim,)
-            deltas = 0.4 * rng.standard_normal(shape)
-            inst = Instance((logits, deltas), losses.Target(y=y_true, label=label, soft=soft), dictionary)
-        if _smooth(spec, inst.prediction, inst.target, inst.dictionary):
-            return inst
-    raise InstanceSamplingFailed(f"no smooth instance for {fam} in {MAX_RESAMPLE} draws")
+    return _instance(spec, _sample(spec, rng, k, 1), 0)
 
 
-def _flat_views(spec, prediction):
-    """(name, array) gradient slots whose entries get probed by FD."""
-    fam = spec.family
-    if fam in ("R_G", "R_E"):
-        return [("pose", prediction)]
-    if fam == "C":
-        return [("logits", prediction)]
-    logits, deltas = prediction
-    slot = "deltas" if spec.per_bin else "delta"
-    return [("logits", logits), (slot, deltas)]
+def _instance(spec, s: _Stack, i: int) -> Instance:
+    """Instance i of a stack."""
+    if s.pose is not None:
+        prediction = s.pose[i]
+    elif s.deltas is None:
+        prediction = s.logits[i]
+    else:
+        prediction = (s.logits[i], s.deltas[i])
+    target = losses.Target(
+        y=None if s.y is None else s.y[i],
+        label=None if s.label is None else int(s.label[i]),
+        soft=None if s.soft is None else s.soft[i],
+    )
+    dictionary = None if s.keys is None else dct.PoseDictionary(s.keys[i], spec.representation)
+    return Instance(prediction, target, dictionary)
 
 
-def check_instance(spec: losses.ObjectiveSpec, inst: Instance, h: float = FD_STEP) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def _probe_errors(spec, s: _Stack, h: float) -> np.ndarray:
+    """Max relative error between analytic and central-difference gradients
+    of each instance (n,), from one objective_batch call.
 
-    One objective_batch call evaluates the instance and all its probes: row
-    0 is the instance, rows 2i + 1 and 2i + 2 move probed entry i by +h and
-    -h (entries numbered across the gradient slots in order).
+    Each instance owns a block of rows: its first row is the instance,
+    rows 2i + 1 and 2i + 2 move probed entry i by +h and -h (entries
+    numbered across the gradient slots in order).
     """
-    views = _flat_views(spec, inst.prediction)
-    sizes = [np.size(arr) for _, arr in views]
+    n, views = s.size, s.views(spec)
+    sizes = [arr[0].size for _, arr in views]
     rows = 1 + 2 * sum(sizes)
     stacked, offset = [], 0
     for (_, arr), size in zip(views, sizes):
-        probes = np.repeat(np.asarray(arr, dtype=float)[None], rows, axis=0)
-        flat = probes.reshape(rows, size)
+        probes = np.repeat(np.asarray(arr, dtype=float)[:, None], rows, axis=1)
+        flat = probes.reshape(n, rows, size)
         entry = np.arange(size)
-        flat[1 + 2 * (offset + entry), entry] += h
-        flat[2 + 2 * (offset + entry), entry] -= h
-        stacked.append(probes)
+        flat[:, 1 + 2 * (offset + entry), entry] += h
+        flat[:, 2 + 2 * (offset + entry), entry] -= h
+        stacked.append(probes.reshape((n * rows,) + probes.shape[2:]))
         offset += size
     prediction = stacked[0] if len(stacked) == 1 else tuple(stacked)
-    batch = losses.objective_batch(
-        spec, prediction, losses.target_batch(inst.target, rows), inst.dictionary
+    y, label, soft, keys = (
+        None if f is None else np.repeat(f, rows, axis=0) for f in (s.y, s.label, s.soft, s.keys)
     )
-    fd_all = (batch.values[1::2] - batch.values[2::2]) / (2.0 * h)
+    batch = losses.objective_batch(spec, prediction, losses.TargetBatch(y, label, soft), keys)
+    values = batch.values.reshape(n, rows)
+    fd_all = (values[:, 1::2] - values[:, 2::2]) / (2.0 * h)
 
-    worst, offset = 0.0, 0
+    worst, offset = np.zeros(n), 0
     for (name, _), size in zip(views, sizes):
-        fd = fd_all[offset : offset + size]
+        fd = fd_all[:, offset : offset + size]
         offset += size
-        analytic = batch.grads[name][0].reshape(-1)
-        scale = max(float(np.max(np.abs(fd))), 1e-8)
-        err = float(np.max(np.abs(analytic - fd))) / scale
-        worst = max(worst, err)
+        analytic = batch.grads[name].reshape(n, rows, size)[:, 0]
+        scale = np.maximum(np.max(np.abs(fd), axis=1), 1e-8)
+        worst = np.maximum(worst, np.max(np.abs(analytic - fd), axis=1) / scale)
     return worst
+
+
+def check_instance(spec: losses.ObjectiveSpec, inst: Instance, h: float = FD_STEP) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of one instance: check_family's stacked check on a single block."""
+    t = inst.target
+    fields = dict(y=t.y, label=t.label, soft=t.soft)
+    if inst.dictionary is not None:
+        fields["keys"] = inst.dictionary.keys
+    if spec.family in ("R_G", "R_E"):
+        fields["pose"] = inst.prediction
+    elif spec.family == "C":
+        fields["logits"] = inst.prediction
+    else:
+        fields["logits"], fields["deltas"] = inst.prediction
+    one = {name: None if v is None else np.asarray(v)[None] for name, v in fields.items()}
+    return float(_probe_errors(spec, _Stack(**one), h)[0])
 
 
 def check_family(
@@ -230,11 +348,17 @@ def check_family(
     seed: int = 0,
     k: int = 8,
 ) -> FamilyReport:
+    """Check `instances` smooth instances drawn from default_rng(seed),
+    stacking the probe blocks of as many as fit in _ROW_BUDGET rows into
+    each objective_batch call."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
+    per_call = max(1, _ROW_BUDGET // _probe_rows(spec, k))
     worst = 0.0
-    for _ in range(instances):
-        inst = random_instance(spec, rng, k=k)
-        worst = max(worst, check_instance(spec, inst))
+    for start in range(0, instances, per_call):
+        stack = _sample(spec, rng, k, min(per_call, instances - start))
+        worst = max(worst, float(np.max(_probe_errors(spec, stack, FD_STEP))))
     return FamilyReport(
         family=spec.family,
         representation=spec.representation,
@@ -242,6 +366,17 @@ def check_family(
         max_rel_error=worst,
         passed=worst <= REL_TOL,
     )
+
+
+def _probe_rows(spec, k: int) -> int:
+    """Rows of one instance's probe block: the instance and two per entry."""
+    if spec.family in ("R_G", "R_E"):
+        entries = spec.pose_dim
+    elif spec.family == "C":
+        entries = k
+    else:
+        entries = k + (k * spec.pose_dim if spec.per_bin else spec.pose_dim)
+    return 1 + 2 * entries
 
 
 def default_specs():

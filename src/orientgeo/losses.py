@@ -199,8 +199,10 @@ def target_references(representation: str, y) -> np.ndarray:
     return so3.normalize_quaternion(y)
 
 
-def resolve_gamma(spec: ObjectiveSpec, dictionary: dct.PoseDictionary) -> float:
-    """gamma for the soft target: explicit > family default > dictionary rule."""
+def resolve_gamma(spec: ObjectiveSpec, dictionary):
+    """gamma for the soft target: explicit > family default > dictionary
+    rule.  dictionary is a PoseDictionary or a key stack (..., K, d); the
+    dictionary rule gives one gamma per stack entry."""
     if spec.gamma is not None:
         return spec.gamma
     if spec.family in ("M_XP", "M_XPp"):
@@ -443,15 +445,17 @@ def objective_batch(
     spec: ObjectiveSpec,
     prediction,
     targets: TargetBatch,
-    dictionary: dct.PoseDictionary | None = None,
+    dictionary=None,
 ) -> BatchLoss:
     """Per-row objective values, gradients and non-smooth flags of B samples.
 
     prediction stacks B network outputs: poses (B, d) for R_G/R_E, logits
     (B, K) for C, and a (logits (B, K), deltas) pair for the Bin & Delta
     families, with deltas (B, d) for shared-delta families and (B, K, d)
-    per-bin.  Gradients come back in the prediction's shapes under "pose",
-    "logits", "delta" or "deltas".  Rows are independent of each other.
+    per-bin.  The Bin & Delta families read their keys from dictionary: a
+    PoseDictionary shared by all rows, or per-row keys (B, K, d).
+    Gradients come back in the prediction's shapes under "pose", "logits",
+    "delta" or "deltas".  Rows are independent of each other.
     Raises FamilyMismatch on shapes or targets inconsistent with the family
     and NonFiniteObjective when a value or gradient is not finite.
     """
@@ -474,11 +478,16 @@ def objective_batch(
         logits, deltas = prediction
     except (TypeError, ValueError):
         raise FamilyMismatch(f"{fam} expects a (logits, deltas) prediction pair")
+    d = spec.pose_dim
     if dictionary is None:
         raise FamilyMismatch(f"{fam} needs a pose dictionary")
-    if dictionary.representation != spec.representation:
-        raise FamilyMismatch("dictionary representation does not match the objective")
-    k, d = dictionary.size, spec.pose_dim
+    if isinstance(dictionary, dct.PoseDictionary):
+        if dictionary.representation != spec.representation:
+            raise FamilyMismatch("dictionary representation does not match the objective")
+        keys = dictionary.keys
+    else:
+        keys = _stacked(dictionary, (None, d), "per-row keys")
+    k = keys.shape[-2]
     logits = _stacked(logits, (k,), "logits")
     if spec.per_bin:
         deltas = _stacked(deltas, (k, d), "per-bin deltas")
@@ -487,9 +496,11 @@ def objective_batch(
     b = logits.shape[0]
     if deltas.shape[0] != b:
         raise FamilyMismatch(f"{b} logit rows but {deltas.shape[0]} delta rows")
+    if keys.ndim == 3 and keys.shape[0] != b:
+        raise FamilyMismatch(f"{b} logit rows but {keys.shape[0]} key rows")
+    keys = np.broadcast_to(keys, (b, k, d))
     y = _target_field(targets, "y", fam, b)
     label = _target_field(targets, "label", fam, b)
-    keys = dictionary.keys
     alpha = spec.alpha
     rows = np.arange(b)
     label_pred = np.argmax(logits, axis=1)  # ties take the lowest index
@@ -510,10 +521,10 @@ def objective_batch(
     if fam in ("M_G", "M_Gp", "M_R", "M_Rp", "M_X", "M_Xp"):
         ref = _references(spec, targets, b)
         if spec.combination == models.RIEMANNIAN:
-            rel = _relative_to_keys(keys[label_pred], ref)
+            rel = _relative_to_keys(keys[rows, label_pred], ref)
             vreg, greg, ns = _geodesic_axis_angle(delta_sel, rel)
         else:
-            vreg, greg, ns = _geodesic(spec.representation, keys[label_pred] + delta_sel, ref)
+            vreg, greg, ns = _geodesic(spec.representation, keys[rows, label_pred] + delta_sel, ref)
         grads = {"logits": base_g, **delta_grads(alpha * greg)}
         return _checked(alpha * vreg + base_v, grads, ns)
 
@@ -534,7 +545,7 @@ def objective_batch(
 
     if fam in ("M_S", "M_Sp"):
         # delta* = y* - z_{l*}: the residual against the ground-truth key
-        diff = delta_sel - (y - keys[label])
+        diff = delta_sel - (y - keys[rows, label])
         vreg = np.einsum("bi,bi->b", diff, diff)
         if fam == "M_S":
             # alpha on the regression term (Simple shared-delta, as printed)
@@ -546,7 +557,7 @@ def objective_batch(
 
     if fam in ("M_LE", "M_LEp"):
         # tangent target log(R_k^T R*) of each row's selected key
-        rel = _relative_to_keys(keys[label_pred], _references(spec, targets, b))
+        rel = _relative_to_keys(keys[rows, label_pred], _references(spec, targets, b))
         near_pi = so3.near_pi(rel)
         gtan = np.empty((b, 3))
         gtan[~near_pi] = so3.log_rotation(rel[~near_pi])

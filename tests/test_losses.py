@@ -1,7 +1,9 @@
 """Objective values against independent oracles, gradients against central
 finite differences, and the family dispatch contracts."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from orientgeo import dictionary as dct
 from orientgeo import gradcheck, losses, models, so3
+
+import record_golden_gradcheck
 
 
 def _aa_dictionary(keys):
@@ -402,6 +406,31 @@ def test_non_smooth_flag_set_at_zero_distance():
 def test_analytic_gradients_match_finite_differences(spec):
     report = gradcheck.check_family(spec, instances=12, seed=101, k=6)
     assert report.passed, f"{spec.family}: max rel err {report.max_rel_error:.3e}"
+
+
+GOLDEN_GRADCHECK = os.path.join(os.path.dirname(__file__), "golden_gradcheck.json")
+
+
+def test_run_all_reproduces_golden_reports():
+    with open(GOLDEN_GRADCHECK, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert golden["seeds"].keys() == {str(s) for s in record_golden_gradcheck.SEEDS}
+    for seed, cells in golden["seeds"].items():
+        reports = gradcheck.run_all(instances=golden["instances"], seed=int(seed))
+        assert record_golden_gradcheck.report_cells(reports) == cells
+
+
+@pytest.mark.parametrize("instances", [0, -1])
+def test_check_family_rejects_no_instances(instances):
+    with pytest.raises(ValueError, match="^instances must be at least 1"):
+        gradcheck.check_family(_spec("R_G"), instances=instances)
+
+
+@pytest.mark.parametrize("family", ["C", "M_G", "M_X", "R_G"])
+@pytest.mark.parametrize("k", [1, 0])
+def test_check_family_rejects_fewer_than_two_keys(family, k):
+    with pytest.raises(ValueError, match="^k must be at least 2"):
+        gradcheck.check_family(_spec(family), instances=3, k=k)
 
 
 def test_gradcheck_near_pi_projection_chain():

@@ -1,6 +1,8 @@
 """Row-wise maps against their one-row calls: every so3 map, the Lloyd
-step of fit_kmeans, the IoU rows of the detection matcher, and the
-whole-buffer Adam step against the per-array one."""
+step of fit_kmeans, the IoU rows of the detection matcher, the
+whole-buffer Adam step against the per-array one, the key-stack
+dictionary helpers, objective_batch with per-row keys, and the stacked
+gradcheck sampler against the one-candidate loop."""
 
 import math
 import warnings
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientgeo import dictionary as dct
-from orientgeo import harness, metrics, models, so3
+from orientgeo import gradcheck, harness, losses, metrics, models, so3
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 ROWS = st.integers(min_value=1, max_value=6)
@@ -524,3 +526,326 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
         (l.weight, l.bias) for l in old_net.layers))
     np.testing.assert_array_equal(new.m, as_flat(old.m))
     np.testing.assert_array_equal(new.v, as_flat(old.v))
+
+
+# ---------------------------------------------------------------------------
+# key-stack dictionary helpers against their one-dictionary loops
+
+
+def _sq_distances_one(y, keys):
+    """|y - z_k|^2 of each row of y to the keys of one dictionary (K, d)."""
+    return sum((y[..., None, j] - keys[:, j]) ** 2 for j in range(keys.shape[1]))
+
+
+def _min_pairwise_loop(keys):
+    """min_{i < j} |z_i - z_j|^2 of one dictionary, one key at a time."""
+    best = math.inf
+    for i in range(keys.shape[0]):
+        d2 = np.sum((keys[i + 1 :] - keys[i]) ** 2, axis=1)
+        if d2.size:
+            best = min(best, float(d2.min()))
+    return best
+
+
+def _key_stack(g, lead, k, d):
+    keys = g.standard_normal(lead + (k, d)) * g.choice([1e-3, 1.0, 30.0])
+    if k > 1 and g.random() < 0.3:  # coincident keys
+        keys[..., -1, :] = keys[..., 0, :]
+    return keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.sampled_from([(), (1,), (4,), (2, 3)]), st.integers(min_value=1, max_value=9),
+       st.sampled_from([3, 4]))
+def test_key_stack_helpers_equal_one_dictionary_loops(seed, lead, k, d):
+    g = np.random.default_rng(seed)
+    keys = _key_stack(g, lead, k, d)
+    y = g.standard_normal(lead + (d,))
+    got_d2 = dct._sq_distances(y, keys)
+    got_min = dct.min_pairwise_sq_distance(keys)
+    assert np.shape(got_min) == lead
+    for idx in np.ndindex(*lead):
+        want_d2 = _sq_distances_one(y[idx], keys[idx])
+        np.testing.assert_array_equal(_as_bits(got_d2[idx]), _as_bits(want_d2))
+        want = _min_pairwise_loop(keys[idx])
+        assert _as_bits(np.asarray(got_min)[idx]) == _as_bits(np.float64(want))
+    if lead == ():
+        assert type(got_min) is float
+        # one dictionary's rows against its shared keys
+        ys = g.standard_normal((5, d))
+        np.testing.assert_array_equal(dct._sq_distances(ys, keys), _sq_distances_one(ys, keys))
+
+
+@pytest.mark.parametrize("representation", dct.REPRESENTATIONS)
+def test_default_gamma_of_a_training_sized_dictionary_equals_loop(representation):
+    g = np.random.default_rng(5)
+    d = 3 if representation == dct.AXIS_ANGLE else 4
+    keys = g.standard_normal((100, d))
+    if representation == dct.QUATERNION:
+        keys = so3.normalize_quaternion(keys)
+    gamma = dct.default_gamma(dct.PoseDictionary(keys, representation))
+    assert type(gamma) is float and gamma == 0.5 / _min_pairwise_loop(keys)
+    stacked = dct.default_gamma(np.stack([keys, keys[::-1]]))
+    assert stacked.tolist() == [gamma, gamma]
+
+
+# ---------------------------------------------------------------------------
+# objective_batch with per-row keys against one-dictionary calls
+
+
+def _per_row_case(spec, b, k, g):
+    """B rows, each with its own K keys.  Rows are plain, have tied top
+    logits, compose onto norm exactly pi (axis-angle) or select a key at
+    angle pi - 1e-8 from an identity target (the M_LE near-pi log band)."""
+    d = spec.pose_dim
+    keys = g.standard_normal((b, k, d))
+    y = g.standard_normal((b, d))
+    if spec.representation == dct.QUATERNION:
+        keys, y = so3.normalize_quaternion(keys), so3.normalize_quaternion(y)
+    logits = g.standard_normal((b, k))
+    deltas = 0.4 * g.standard_normal((b, k, d) if spec.per_bin else (b, d))
+    for i, kind in enumerate(g.integers(0, 4, size=b)):
+        if kind == 1:
+            logits[i] = g.integers(0, 2, size=k).astype(float)  # ties
+        elif kind >= 2 and spec.representation == dct.AXIS_ANGLE:
+            logits[i, 0] = 10.0
+            if kind == 2:
+                keys[i, 0] = [math.pi / 2, 0.0, 0.0]
+                reach = math.pi if spec.combination == models.RIEMANNIAN else math.pi / 2
+                # key + delta is [pi, 0, 0] exactly; riemannian deltas sit on pi
+                (deltas[i, 0] if spec.per_bin else deltas[i])[:] = [reach, 0.0, 0.0]
+            else:
+                keys[i, 0] = [math.pi - 1e-8, 0.0, 0.0]
+                y[i] = 0.0
+    label = g.integers(0, k, size=b)
+    soft = g.dirichlet(np.ones(k), size=b)
+    prediction = logits if spec.family == "C" else (logits, deltas)
+    if spec.family in ("R_G", "R_E"):
+        prediction = g.standard_normal((b, d))
+    return prediction, losses.TargetBatch(y=y, label=label, soft=soft), keys
+
+
+def _row(prediction, i):
+    if isinstance(prediction, tuple):
+        return tuple(p[i : i + 1] for p in prediction)
+    return prediction[i : i + 1]
+
+
+def _assert_same_batch(got, want):
+    np.testing.assert_array_equal(_as_bits(got.values), _as_bits(want.values))
+    assert set(got.grads) == set(want.grads)
+    for name, g in want.grads.items():
+        np.testing.assert_array_equal(_as_bits(got.grads[name]), _as_bits(g))
+    np.testing.assert_array_equal(got.non_smooth, want.non_smooth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(gradcheck.default_specs()) - 1), SEEDS, ROWS,
+       st.integers(min_value=2, max_value=6))
+def test_per_row_keys_equal_one_dictionary_calls(spec_index, seed, b, k):
+    spec = gradcheck.default_specs()[spec_index]
+    g = np.random.default_rng(seed)
+    prediction, targets, keys = _per_row_case(spec, b, k, g)
+    keyed = spec.family in losses.BIN_DELTA_FAMILIES
+    got = losses.objective_batch(spec, prediction, targets, keys if keyed else None)
+    for i in range(b):
+        own = dct.PoseDictionary(keys[i], spec.representation) if keyed else None
+        one = losses.objective_batch(spec, _row(prediction, i), targets.rows(slice(i, i + 1)), own)
+        got_row = losses.BatchLoss(got.values[i : i + 1],
+                                   {name: g[i : i + 1] for name, g in got.grads.items()},
+                                   got.non_smooth[i : i + 1])
+        _assert_same_batch(got_row, one)
+    if keyed:
+        shared = dct.PoseDictionary(keys[0], spec.representation)
+        broadcast = np.broadcast_to(shared.keys, keys.shape)
+        _assert_same_batch(losses.objective_batch(spec, prediction, targets, broadcast),
+                           losses.objective_batch(spec, prediction, targets, shared))
+
+
+def test_per_row_keys_are_validated():
+    spec = losses.ObjectiveSpec("M_G")
+    targets = losses.TargetBatch(y=np.zeros((2, 3)), label=np.array([0, 1]))
+    prediction = (np.zeros((2, 2)), np.zeros((2, 3)))
+    for keys in (np.zeros((3, 2, 3)), np.zeros((2, 2, 4)), np.zeros((2, 3, 3)), np.zeros((2, 3))):
+        with pytest.raises(losses.FamilyMismatch):
+            losses.objective_batch(spec, prediction, targets, keys)
+    quaternion = losses.ObjectiveSpec("M_G", representation=dct.QUATERNION)
+    with pytest.raises(losses.FamilyMismatch):
+        losses.objective_batch(quaternion, (np.zeros((2, 2)), np.zeros((2, 4))), targets,
+                               np.zeros((2, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the stacked gradcheck sampler against the one-candidate loop
+
+
+def _oracle_pose(representation, rng):
+    if representation == dct.AXIS_ANGLE:
+        return so3.random_axis_angle(rng, max_angle=math.pi - 0.1).vector
+    q = rng.standard_normal(4)
+    return so3.canonical_quaternion(q / np.linalg.norm(q))
+
+
+def _oracle_logits(k, rng):
+    for _ in range(gradcheck.MAX_RESAMPLE):
+        logits = rng.standard_normal(k)
+        top = np.sort(logits)[-2:]
+        if top[1] - top[0] >= gradcheck.LOGIT_MARGIN:
+            return logits
+    raise gradcheck.InstanceSamplingFailed("could not separate the top two logits")
+
+
+def _oracle_pose_distance(spec, y_a, y_b):
+    if spec.representation == dct.AXIS_ANGLE:
+        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([y_a, [y_b]])))
+        return so3.geodesic_distance_matrices(mats[:-1], mats[-1])
+    c = np.abs(y_a @ y_b) / (np.linalg.norm(y_a, axis=-1) * np.linalg.norm(y_b))
+    return 2.0 * np.arccos(np.minimum(1.0, c))
+
+
+def _oracle_distances(spec, prediction, target, dictionary):
+    fam = spec.family
+    if fam in ("R_E", "C"):
+        return np.empty(0)
+    if fam == "R_G":
+        return _oracle_pose_distance(spec, np.asarray(prediction)[None], target.y)
+    logits, deltas = prediction
+    if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
+        idx = np.arange(dictionary.size)
+    else:
+        idx = np.array([int(np.argmax(logits))])
+    keys = dictionary.keys[idx]
+    d = deltas[idx] if spec.per_bin else np.broadcast_to(deltas, keys.shape)
+    if spec.combination == models.RIEMANNIAN:
+        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([keys, d, [target.y]])))
+        rel = np.swapaxes(mats[: len(idx)], -1, -2) @ mats[-1]
+        out = so3.geodesic_distance_matrices(mats[len(idx) : -1], rel)
+        if fam in ("M_LE", "M_LEp"):
+            out = np.append(out, so3.geodesic_distance_matrices(np.eye(3), rel[-1]))
+        return out
+    s = keys + d
+    if spec.representation == dct.QUATERNION:
+        s = s / np.linalg.norm(s, axis=-1, keepdims=True)
+    return _oracle_pose_distance(spec, s, target.y)
+
+
+def _oracle_norms_ok(spec, prediction, dictionary):
+    margin = gradcheck.NORM_MARGIN
+    if spec.family in ("R_G", "R_E", "C"):
+        if spec.family == "R_G" and spec.representation == dct.AXIS_ANGLE:
+            return abs(np.linalg.norm(prediction) - math.pi) > margin
+        return True
+    _, deltas = prediction
+    rows = deltas if spec.per_bin else np.broadcast_to(deltas, (dictionary.size, spec.pose_dim))
+    if spec.combination == models.RIEMANNIAN:
+        return bool(np.all(np.abs(np.linalg.norm(rows, axis=1) - math.pi) > margin))
+    norms = np.linalg.norm(dictionary.keys + rows, axis=1)
+    if spec.representation == dct.QUATERNION:
+        return bool(np.all(norms > 0.3))
+    return bool(np.all(np.abs(norms - math.pi) > margin))
+
+
+def _oracle_instance(spec, rng, k):
+    """gradcheck.random_instance as the one-candidate loop: every pose an
+    AxisAngle, every smoothness test on its own."""
+    fam = spec.family
+    for _ in range(gradcheck.MAX_RESAMPLE):
+        y_true = _oracle_pose(spec.representation, rng)
+        if fam in ("R_G", "R_E"):
+            inst = gradcheck.Instance(_oracle_pose(spec.representation, rng),
+                                      losses.Target(y=y_true), None)
+        elif fam == "C":
+            inst = gradcheck.Instance(_oracle_logits(k, rng),
+                                      losses.Target(label=int(rng.integers(k))), None)
+        else:
+            keys = np.stack([_oracle_pose(spec.representation, rng) for _ in range(k)])
+            dictionary = dct.PoseDictionary(keys, spec.representation)
+            soft = None
+            if fam in losses.SOFT_TARGET_FAMILIES:
+                soft = dct.soft_assign_probs(y_true, keys, losses.resolve_gamma(spec, dictionary))
+            logits = _oracle_logits(k, rng)
+            shape = (k, spec.pose_dim) if spec.per_bin else (spec.pose_dim,)
+            deltas = 0.4 * rng.standard_normal(shape)
+            target = losses.Target(y=y_true, label=dct.hard_label(y_true, dictionary), soft=soft)
+            inst = gradcheck.Instance((logits, deltas), target, dictionary)
+        if _oracle_norms_ok(spec, inst.prediction, inst.dictionary):
+            d = _oracle_distances(spec, inst.prediction, inst.target, inst.dictionary)
+            margin = gradcheck.EXCLUSION_MARGIN
+            if np.all((d >= margin) & (d <= math.pi - margin)):
+                return inst
+    raise gradcheck.InstanceSamplingFailed(f"no smooth instance for {fam}")
+
+
+def _instance_fields(inst):
+    pred = inst.prediction if isinstance(inst.prediction, tuple) else (inst.prediction,)
+    t = inst.target
+    keys = None if inst.dictionary is None else inst.dictionary.keys
+    return [*pred, t.y, t.label, t.soft, keys]
+
+
+def _assert_same_instances(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in zip(_instance_fields(a), _instance_fields(b), strict=True):
+            if x is None or y is None:
+                assert x is None and y is None
+            elif isinstance(y, int):
+                assert type(x) is int and x == y
+            else:
+                np.testing.assert_array_equal(_as_bits(np.asarray(x)), _as_bits(np.asarray(y)))
+
+
+def _stacked_instances(spec, rng, k, n):
+    """The stacked sampler's n instances, as Instances."""
+    stack = gradcheck._sample(spec, rng, k, n)
+    return [gradcheck._instance(spec, stack, i) for i in range(n)]
+
+
+# EXCLUSION_MARGIN 0.9 leaves a band of width pi - 1.8 around pi/2, so most
+# candidates are rejected and batches mix accepted and rejected rows
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, len(gradcheck.default_specs()) - 1), SEEDS,
+       st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=12),
+       st.sampled_from([gradcheck.EXCLUSION_MARGIN, 0.9]))
+def test_stacked_sampler_equals_one_candidate_loop(spec_index, seed, k, n, margin):
+    spec = gradcheck.default_specs()[spec_index]
+    old = gradcheck.EXCLUSION_MARGIN
+    gradcheck.EXCLUSION_MARGIN = margin
+    try:
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _outcome_of(lambda: [_oracle_instance(spec, ra, k) for _ in range(n)])
+        got = _outcome_of(lambda: _stacked_instances(spec, rb, k, n))
+    finally:
+        gradcheck.EXCLUSION_MARGIN = old
+    if isinstance(want, type):
+        assert got is want
+    else:
+        _assert_same_instances(got, want)
+    assert rb.bit_generator.state == ra.bit_generator.state
+    if n == 1 and not isinstance(want, type):
+        rc = np.random.default_rng(seed)
+        gradcheck.EXCLUSION_MARGIN = margin
+        try:
+            _assert_same_instances([gradcheck.random_instance(spec, rc, k)], want)
+        finally:
+            gradcheck.EXCLUSION_MARGIN = old
+
+
+def _outcome_of(draw):
+    try:
+        return draw()
+    except gradcheck.InstanceSamplingFailed:
+        return gradcheck.InstanceSamplingFailed
+
+
+@pytest.mark.parametrize("family", ["R_G", "M_G", "M_Pp"])
+def test_stacked_sampler_fails_where_the_loop_fails(monkeypatch, family):
+    spec = losses.ObjectiveSpec(family)
+    # a band of width pi - 4 < 0: every candidate is rejected
+    monkeypatch.setattr(gradcheck, "EXCLUSION_MARGIN", 2.0)
+    ra, rb = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(gradcheck.InstanceSamplingFailed):
+        _oracle_instance(spec, ra, 4)
+    with pytest.raises(gradcheck.InstanceSamplingFailed):
+        gradcheck._sample(spec, rb, 4, 7)
+    assert rb.bit_generator.state == ra.bit_generator.state
