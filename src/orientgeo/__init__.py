@@ -15,7 +15,7 @@ from .harness import (
     run_trials,
     train,
 )
-from .losses import FAMILIES, ObjectiveSpec, Target, objective
+from .losses import FAMILIES, ObjectiveSpec
 from .metrics import MetricReport, detection_report, pose_report
 from .so3 import AxisAngle, EulerZXZ, Rotation, UnitQuaternion
 
@@ -32,7 +32,6 @@ __all__ = [
     "OptimizerConfig",
     "PoseDictionary",
     "Rotation",
-    "Target",
     "UnitQuaternion",
     "ablation_suite",
     "detection_report",
@@ -46,7 +45,6 @@ __all__ = [
     "losses",
     "metrics",
     "models",
-    "objective",
     "pose_report",
     "run_experiment",
     "run_trials",

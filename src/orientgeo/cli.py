@@ -31,9 +31,16 @@ def _read(path, parse):
 
 
 def _config(args):
+    """The run's config, or None after one line on stderr.  ORIENT_GEO_SEED
+    is checked first, so its error never blames the config file."""
+    try:
+        cfg = harness.apply_seed_override(harness.ExperimentConfig())
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
     if args.config:
         return _read(args.config, harness.load_config)
-    return harness.apply_seed_override(harness.ExperimentConfig())
+    return cfg
 
 
 def _cmd_run(args) -> int:
@@ -67,7 +74,8 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_eval(args) -> int:
     wanted = [m.strip() for m in args.metric.split(",") if m.strip()]
-    for m in wanted:
+    # a list that names no metric is reported whole, as an unknown metric
+    for m in wanted or [args.metric]:
         if m not in EVAL_METRICS:
             print(f"unknown metric {m!r}; choose from {','.join(EVAL_METRICS)}",
                   file=sys.stderr)

@@ -222,10 +222,14 @@ def save_dictionary(dictionary: PoseDictionary, path) -> None:
 
 
 def load_dictionary(path) -> PoseDictionary:
+    """Read a save_dictionary file.  ValueError when the header is not
+    `repr=<representation> K=<int>` or K is not the number of key lines."""
     with open(path) as fh:
-        header = fh.readline().split()
-        fields = dict(part.split("=", 1) for part in header)
-        representation = fields["repr"]
-        k = int(fields["K"])
-        keys = [[float(x) for x in fh.readline().split()] for _ in range(k)]
-    return PoseDictionary(np.array(keys), representation)
+        header = fh.readline().strip()
+        keys = [[float(x) for x in line.split()] for line in fh if not line.isspace()]
+    fields = dict(part.partition("=")[::2] for part in header.split())
+    if fields.keys() != {"repr", "K"} or not fields["K"].isdecimal():
+        raise ValueError(f"bad dictionary header {header!r}")
+    if int(fields["K"]) != len(keys):
+        raise ValueError(f"header says K={fields['K']} but the file has {len(keys)} keys")
+    return PoseDictionary(np.array(keys), fields["repr"])

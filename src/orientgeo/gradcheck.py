@@ -55,13 +55,6 @@ class InstanceSamplingFailed(RuntimeError):
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Instance:
-    prediction: object
-    target: losses.Target
-    dictionary: dct.PoseDictionary | None
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class FamilyReport:
     family: str
     representation: str
@@ -265,28 +258,6 @@ def _sample(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     return _concat(parts)
 
 
-def random_instance(spec: losses.ObjectiveSpec, rng: np.random.Generator, k: int = 8) -> Instance:
-    """Draw one smooth instance for the family, resampling as needed."""
-    return _instance(spec, _sample(spec, rng, k, 1), 0)
-
-
-def _instance(spec, s: _Stack, i: int) -> Instance:
-    """Instance i of a stack."""
-    if s.pose is not None:
-        prediction = s.pose[i]
-    elif s.deltas is None:
-        prediction = s.logits[i]
-    else:
-        prediction = (s.logits[i], s.deltas[i])
-    target = losses.Target(
-        y=None if s.y is None else s.y[i],
-        label=None if s.label is None else int(s.label[i]),
-        soft=None if s.soft is None else s.soft[i],
-    )
-    dictionary = None if s.keys is None else dct.PoseDictionary(s.keys[i], spec.representation)
-    return Instance(prediction, target, dictionary)
-
-
 def _probe_errors(spec, s: _Stack, h: float) -> np.ndarray:
     """Max relative error between analytic and central-difference gradients
     of each instance (n,), from one objective_batch call.
@@ -323,23 +294,6 @@ def _probe_errors(spec, s: _Stack, h: float) -> np.ndarray:
         scale = np.maximum(np.max(np.abs(fd), axis=1), 1e-8)
         worst = np.maximum(worst, np.max(np.abs(analytic - fd), axis=1) / scale)
     return worst
-
-
-def check_instance(spec: losses.ObjectiveSpec, inst: Instance, h: float = FD_STEP) -> float:
-    """Max relative error between analytic and central-difference gradients
-    of one instance: check_family's stacked check on a single block."""
-    t = inst.target
-    fields = dict(y=t.y, label=t.label, soft=t.soft)
-    if inst.dictionary is not None:
-        fields["keys"] = inst.dictionary.keys
-    if spec.family in ("R_G", "R_E"):
-        fields["pose"] = inst.prediction
-    elif spec.family == "C":
-        fields["logits"] = inst.prediction
-    else:
-        fields["logits"], fields["deltas"] = inst.prediction
-    one = {name: None if v is None else np.asarray(v)[None] for name, v in fields.items()}
-    return float(_probe_errors(spec, _Stack(**one), h)[0])
 
 
 def check_family(

@@ -12,6 +12,7 @@ plus a seed reproduces every byte of every artifact.
 import dataclasses
 import json
 import math
+import operator
 import os
 import statistics
 
@@ -109,6 +110,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dictionary_size < 1 or self.trials < 1:
             raise ValueError("dictionary_size and trials must be >= 1")
+        for name in ("seed", "dictionary_seed"):
+            try:
+                seed = operator.index(getattr(self, name))
+            except TypeError:
+                seed = -1
+            if seed < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, seed)
         hidden = tuple(int(h) for h in self.hidden)
         if not hidden or min(hidden) < 1:
             raise ValueError("hidden sizes must be positive")
@@ -141,10 +150,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_seed_override(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg with ORIENT_GEO_SEED (when set) as its seed; ValueError naming
+    the variable unless it is an integer >= 0."""
     env = os.environ.get(SEED_ENV_VAR)
     if env is None:
         return cfg
-    return dataclasses.replace(cfg, seed=int(env))
+    try:
+        return dataclasses.replace(cfg, seed=int(env))
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from None
 
 
 def respec(spec: losses.ObjectiveSpec, **overrides) -> losses.ObjectiveSpec:

@@ -13,7 +13,7 @@ bilinear form, so everything reduces to scalar chain rules.  The quaternion
 path differentiates 2 acos(|<s/|s|, q*>|) through the normalization.
 
 objective_batch evaluates B samples at once on stacked arrays, one target
-per row; objective is its one-row wrapper.
+per row.
 """
 
 from __future__ import annotations
@@ -72,15 +72,6 @@ class NonFiniteObjective(ValueError):
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class LossValue:
-    """One sample's objective value, gradients and non-smooth flag."""
-
-    value: float
-    grads: dict
-    non_smooth: bool = False
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -157,15 +148,6 @@ class ObjectiveSpec:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Target:
-    """Ground truth for one sample: pose vector, hard label, soft assignment."""
-
-    y: np.ndarray | None = None
-    label: int | None = None
-    soft: np.ndarray | None = None
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class TargetBatch:
     """Ground truth for B samples as stacked arrays: poses y (B, d), hard
     labels (B,), soft assignments (B, K), and ref, the geodesic reference
@@ -180,14 +162,6 @@ class TargetBatch:
     def rows(self, idx) -> "TargetBatch":
         fields = (self.y, self.label, self.soft, self.ref)
         return TargetBatch(*(None if f is None else f[idx] for f in fields))
-
-
-def target_batch(target: Target, rows: int = 1) -> TargetBatch:
-    """`rows` read-only copies of one sample's ground truth."""
-    fields = (target.y, target.label, target.soft)
-    return TargetBatch(
-        *(None if f is None else np.broadcast_to(f, (rows,) + np.shape(f)) for f in fields)
-    )
 
 
 def target_references(representation: str, y) -> np.ndarray:
@@ -381,37 +355,6 @@ def _checked(values: np.ndarray, grads: dict, non_smooth=None) -> BatchLoss:
     return BatchLoss(values, grads, non_smooth)
 
 
-def _first_row(batch: BatchLoss) -> LossValue:
-    return LossValue(
-        float(batch.values[0]),
-        {name: g[0] for name, g in batch.grads.items()},
-        bool(batch.non_smooth[0]),
-    )
-
-
-def geodesic_loss(y_pred, y_true, representation: str = dct.AXIS_ANGLE) -> LossValue:
-    """Geodesic distance of the corresponding rotations, gradient in y_pred."""
-    return objective(ObjectiveSpec("R_G", representation), y_pred, Target(y=y_true))
-
-
-def euclidean_loss(y_pred, y_true) -> LossValue:
-    diff = (np.asarray(y_pred, dtype=float) - np.asarray(y_true, dtype=float))[None]
-    return _first_row(_checked(np.einsum("bi,bi->b", diff, diff), {"pose": 2.0 * diff}))
-
-
-def cross_entropy(logits, label: int) -> LossValue:
-    """-log softmax(logits)[label]; gradient softmax - onehot."""
-    v, g = _cross_entropy_rows(np.asarray(logits, dtype=float)[None], np.array([label]))
-    return _first_row(_checked(v, {"logits": g}))
-
-
-def kl_divergence(p_true, logits) -> LossValue:
-    """sum_k p*_k (log p*_k - log p_k) with 0 log 0 = 0; gradient p - p*."""
-    p = np.asarray(p_true, dtype=float)
-    v, g = _kl_rows(p[None], np.asarray(logits, dtype=float)[None])
-    return _first_row(_checked(v, {"logits": g}))
-
-
 # ---------------------------------------------------------------------------
 # family dispatch
 
@@ -576,31 +519,6 @@ def _relative_to_keys(key_rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.swapaxes(so3.rodrigues(so3.clip_axis_angle_norm(key_rows)), -1, -2) @ ref
 
 
-def objective(
-    spec: ObjectiveSpec,
-    prediction,
-    target: Target,
-    dictionary: dct.PoseDictionary | None = None,
-) -> LossValue:
-    """Single-sample objective value and gradients for any family:
-    objective_batch on one row.
-
-    prediction is the raw pose vector for R_G/R_E, the logit vector for C,
-    and a (logits, deltas) pair for the Bin & Delta families (deltas is one
-    pose vector for shared-delta families, K of them for per-bin).  Batch
-    reduction is the caller's arithmetic mean.
-    """
-    if spec.family in ("R_G", "R_E", "C"):
-        rows = np.asarray(prediction, dtype=float)[None]
-    else:
-        try:
-            logits, deltas = prediction
-        except (TypeError, ValueError):
-            raise FamilyMismatch(f"{spec.family} expects a (logits, deltas) prediction pair")
-        rows = (np.asarray(logits, dtype=float)[None], np.asarray(deltas, dtype=float)[None])
-    return _first_row(objective_batch(spec, rows, target_batch(target), dictionary))
-
-
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -608,15 +526,10 @@ def objective(
 SIMPLE_INIT = {"M_G": "M_S", "M_Gp": "M_Sp", "M_R": "M_S", "M_Rp": "M_Sp"}
 
 
-def simple_init_family(family: str) -> str | None:
-    """The Simple variant used to warm-start a family, if any."""
-    return SIMPLE_INIT.get(family)
-
-
 def simple_init_schedule(spec: ObjectiveSpec, epochs: int):
     """Objective per training epoch: one Simple warm-start epoch for the
     geodesic/riemannian Bin & Delta families, then the target objective."""
-    init = simple_init_family(spec.family)
+    init = SIMPLE_INIT.get(spec.family)
     schedule = []
     if init is not None:
         schedule.append(

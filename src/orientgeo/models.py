@@ -254,14 +254,18 @@ def compose_rotation(rule: str, key: np.ndarray, delta: np.ndarray) -> np.ndarra
 # checkpoints
 
 
+def _sizes(net: MLP) -> list:
+    """Input width, then each layer's output width (of one stack entry)."""
+    return [net.in_dim] + [layer.weight.shape[-2] for layer in net.layers]
+
+
 def save_mlp(net: MLP, path, seed=None) -> None:
     """JSON checkpoint: header with sizes/activations/seed, layer-ordered
     tensors.  json round-trips doubles exactly (shortest-repr), so loading
     reproduces the weights bit-for-bit."""
-    sizes = [net.in_dim] + [layer.weight.shape[-2] for layer in net.layers]
     doc = {
         "version": CHECKPOINT_VERSION,
-        "sizes": sizes,
+        "sizes": _sizes(net),
         "activations": [layer.activation for layer in net.layers],
         "seed": seed,
         "tensors": [
@@ -274,16 +278,24 @@ def save_mlp(net: MLP, path, seed=None) -> None:
 
 
 def load_mlp(path) -> MLP:
+    """Read a save_mlp checkpoint.  ValueError when its version is unknown
+    or its activations or sizes do not match its tensors."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    tensors, activations = doc["tensors"], doc["activations"]
+    if not tensors or len(activations) != len(tensors):
+        raise ValueError(f"checkpoint has {len(tensors)} tensors, {len(activations)} activations")
     layers = [
         Layer(
             np.array(t["weight"], dtype=float),
             np.array(t["bias"], dtype=float),
             act,
         )
-        for t, act in zip(doc["tensors"], doc["activations"])
+        for t, act in zip(tensors, activations)
     ]
-    return MLP(layers)
+    net = MLP(layers)
+    if doc["sizes"] != _sizes(net):
+        raise ValueError(f"checkpoint sizes {doc['sizes']} do not match its tensors {_sizes(net)}")
+    return net

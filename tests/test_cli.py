@@ -91,6 +91,16 @@ def test_eval_rejects_unknown_metric(tmp_path, capsys):
 GOOD_LINE = "car gt 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0 0.0\n"
 
 
+@pytest.mark.parametrize("metric", [",", "", " , "])
+def test_eval_rejects_a_list_naming_no_metric(tmp_path, capsys, metric):
+    path = tmp_path / "records.txt"
+    path.write_text(GOOD_LINE)
+    assert cli.main(["eval", "--records", str(path), "--metric", metric]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"unknown metric {metric!r}; choose from med,acc,arp,avp\n"
+
+
 @pytest.mark.parametrize("bad_line", [
     "car gt 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0\n",  # ten columns
     "car box 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0 0.0\n",  # unknown tag
@@ -236,3 +246,30 @@ def test_jitter_rejects_unreadable_spec(tmp_path, capsys, contents):
     manifest = tmp_path / "manifest.txt"
     _exits_two_naming(path, ["jitter", "--manifest", str(manifest), "--spec", str(path)], capsys)
     assert not manifest.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("with_config", [False, True])
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_seed_variable_exits_two_naming_it(
+    tiny_config_path, tmp_path, capsys, monkeypatch, command, with_config, value
+):
+    monkeypatch.setenv(harness.SEED_ENV_VAR, value)
+    argv = [command, "--out", str(tmp_path / "o")]
+    if with_config:
+        argv += ["--config", str(tiny_config_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{harness.SEED_ENV_VAR} must be an integer >= 0, got {value!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_negative_config_seed_exits_two(tiny_config_path, tmp_path, capsys, command):
+    doc = json.loads(tiny_config_path.read_text())
+    doc["seed"] = -1
+    tiny_config_path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
+    _exits_two_naming(tiny_config_path, argv, capsys)
+    assert not (tmp_path / "o").exists()

@@ -235,3 +235,25 @@ def test_dictionary_roundtrip_quaternion(tmp_path):
     loaded = dct.load_dictionary(path)
     assert loaded.representation == dct.QUATERNION
     assert np.array_equal(loaded.keys, d.keys)
+
+
+def _dictionary_file(tmp_path, text):
+    path = tmp_path / "dict.txt"
+    path.write_text(text)
+    return path
+
+
+def test_dictionary_file_with_extra_keys_is_rejected(tmp_path):
+    path = _dictionary_file(tmp_path, "repr=axis_angle K=1\n0.1 0.2 0.3\n0.4 0.5 0.6\n")
+    with pytest.raises(ValueError, match="K=1 but the file has 2 keys"):
+        dct.load_dictionary(path)
+
+
+@pytest.mark.parametrize("header", [
+    "", "K=1", "repr=axis_angle", "repr=axis_angle K=one", "repr=axis_angle K=1 x=2",
+    "axis_angle 1",
+])
+def test_dictionary_file_with_a_bad_header_is_rejected(tmp_path, header):
+    path = _dictionary_file(tmp_path, header + "\n0.1 0.2 0.3\n")
+    with pytest.raises(ValueError, match="^bad dictionary header"):
+        dct.load_dictionary(path)

@@ -76,6 +76,20 @@ def test_invalid_configs_rejected():
         harness.ExperimentConfig(dictionary_size=0)
 
 
+@pytest.mark.parametrize("name", ["seed", "dictionary_seed"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_seed_must_be_a_non_negative_integer(name, seed):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+        harness.ExperimentConfig(**{name: seed})
+
+
+def test_seed_accepts_any_index_and_stores_an_int():
+    cfg = harness.ExperimentConfig(seed=np.int64(7), dictionary_seed=np.int64(2))
+    assert type(cfg.seed) is int and cfg.seed == 7
+    assert type(cfg.dictionary_seed) is int and cfg.dictionary_seed == 2
+    assert harness.config_from_json(harness.config_to_json(cfg)) == cfg
+
+
 def test_seed_env_var_overrides_config(monkeypatch, tmp_path):
     cfg = tiny_config(seed=3)
     path = tmp_path / "config.json"

@@ -30,23 +30,45 @@ def _spec(family, **kw):
     return losses.ObjectiveSpec(family=family, **kw)
 
 
+def _row(spec, prediction, dictionary=None, y=None, label=None, soft=None):
+    """objective_batch on one sample: the prediction and the target fields
+    gain a leading row axis; tests read row 0 of the BatchLoss."""
+    if isinstance(prediction, tuple):
+        rows = tuple(np.asarray(p, dtype=float)[None] for p in prediction)
+    else:
+        rows = np.asarray(prediction, dtype=float)[None]
+    fields = (None if f is None else np.asarray(f)[None] for f in (y, label, soft))
+    return losses.objective_batch(spec, rows, losses.TargetBatch(*fields), dictionary)
+
+
+def _geodesic(y_pred, y_true, representation=dct.AXIS_ANGLE):
+    """The R_G row: geodesic distance of the rotations, gradient in y_pred."""
+    return _row(_spec("R_G", representation=representation), y_pred, y=y_true)
+
+
+def _kl(p, logits):
+    """KL(p* || softmax(logits)) and its logit gradient, one row."""
+    v, g = losses._kl_rows(np.asarray(p, dtype=float)[None], np.asarray(logits, dtype=float)[None])
+    return v[0], g[0]
+
+
 # ---------------------------------------------------------------------------
-# elementary losses
+# elementary losses: the R_G, R_E and C rows and the KL rows
 
 
 def test_geodesic_axis_angle_known_values():
     zero = np.zeros(3)
     quarter = np.array([0.0, 0.0, math.pi / 2])
-    out = losses.geodesic_loss(quarter, zero)
-    assert abs(out.value - math.pi / 2) <= 1e-12
-    assert losses.geodesic_loss(zero, zero).value == 0.0
+    out = _geodesic(quarter, zero)
+    assert abs(out.values[0] - math.pi / 2) <= 1e-12
+    assert _geodesic(zero, zero).values[0] == 0.0
 
 
 def test_geodesic_axis_angle_coaxial_is_angle_difference():
     axis = np.array([1.0, 2.0, -0.5])
     axis /= np.linalg.norm(axis)
-    out = losses.geodesic_loss(1.9 * axis, 0.4 * axis)
-    assert abs(out.value - 1.5) <= 1e-12
+    out = _geodesic(1.9 * axis, 0.4 * axis)
+    assert abs(out.values[0] - 1.5) <= 1e-12
 
 
 def test_geodesic_matches_matrix_log_oracle():
@@ -58,18 +80,18 @@ def test_geodesic_matches_matrix_log_oracle():
         w, v = np.linalg.eig(r1.T @ r2)
         lg = (v @ np.diag(np.log(w)) @ np.linalg.inv(v)).real
         oracle = np.linalg.norm(lg, "fro") / math.sqrt(2.0)
-        assert abs(losses.geodesic_loss(y1, y2).value - oracle) <= 1e-7
+        assert abs(_geodesic(y1, y2).values[0] - oracle) <= 1e-7
 
 
 def test_geodesic_quaternion_known_value_and_scale_invariance():
     q_id = np.array([1.0, 0.0, 0.0, 0.0])
     q_rot = np.array([math.cos(0.3), math.sin(0.3), 0.0, 0.0])  # angle 0.6 about x
-    out = losses.geodesic_loss(q_rot, q_id, representation=dct.QUATERNION)
-    assert abs(out.value - 0.6) <= 1e-12
+    out = _geodesic(q_rot, q_id, representation=dct.QUATERNION)
+    assert abs(out.values[0] - 0.6) <= 1e-12
     # the loss normalizes the raw prediction internally
-    scaled = losses.geodesic_loss(7.5 * q_rot, q_id, representation=dct.QUATERNION)
-    assert abs(scaled.value - out.value) <= 1e-12
-    assert np.allclose(scaled.grads["pose"], out.grads["pose"] / 7.5)
+    scaled = _geodesic(7.5 * q_rot, q_id, representation=dct.QUATERNION)
+    assert abs(scaled.values[0] - out.values[0]) <= 1e-12
+    assert np.allclose(scaled.grads["pose"][0], out.grads["pose"][0] / 7.5)
 
 
 def test_geodesic_quaternion_gradient_orthogonal_to_direction():
@@ -78,47 +100,47 @@ def test_geodesic_quaternion_gradient_orthogonal_to_direction():
         s = rng.standard_normal(4) * 2.0
         q_true = rng.standard_normal(4)
         q_true = so3.canonical_quaternion(q_true / np.linalg.norm(q_true))
-        out = losses.geodesic_loss(s, q_true, representation=dct.QUATERNION)
+        out = _geodesic(s, q_true, representation=dct.QUATERNION)
         # value depends only on s/|s|, so radial derivative must vanish
-        assert abs(np.dot(out.grads["pose"], s)) <= 1e-9
+        assert abs(np.dot(out.grads["pose"][0], s)) <= 1e-9
 
 
 def test_euclidean_loss_value_and_gradient():
-    out = losses.euclidean_loss(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]))
-    assert out.value == 8.0
-    assert np.array_equal(out.grads["pose"], np.array([0.0, 4.0, 4.0]))
+    out = _row(_spec("R_E"), np.array([1.0, 2.0, 3.0]), y=np.array([1.0, 0.0, 1.0]))
+    assert out.values[0] == 8.0
+    assert np.array_equal(out.grads["pose"][0], np.array([0.0, 4.0, 4.0]))
 
 
 def test_cross_entropy_uniform_logits_is_log_k():
-    out = losses.cross_entropy(np.zeros(4), 2)
-    assert abs(out.value - math.log(4.0)) <= 1e-12
-    assert abs(out.grads["logits"].sum()) <= 1e-12
-    assert np.allclose(out.grads["logits"], [0.25, 0.25, -0.75, 0.25])
+    out = _row(_spec("C"), np.zeros(4), label=2)
+    assert abs(out.values[0] - math.log(4.0)) <= 1e-12
+    assert abs(out.grads["logits"][0].sum()) <= 1e-12
+    assert np.allclose(out.grads["logits"][0], [0.25, 0.25, -0.75, 0.25])
 
 
 def test_cross_entropy_shift_invariant():
     logits = np.array([0.3, -1.2, 2.0, 0.0])
-    a = losses.cross_entropy(logits, 1)
-    b = losses.cross_entropy(logits + 100.0, 1)
-    assert abs(a.value - b.value) <= 1e-9
+    a = _row(_spec("C"), logits, label=1)
+    b = _row(_spec("C"), logits + 100.0, label=1)
+    assert abs(a.values[0] - b.values[0]) <= 1e-9
     assert np.allclose(a.grads["logits"], b.grads["logits"])
 
 
 def test_kl_one_hot_target_equals_cross_entropy():
     logits = np.array([0.5, -0.3, 1.1])
     p = np.array([0.0, 1.0, 0.0])
-    kd = losses.kl_divergence(p, logits)
-    ce = losses.cross_entropy(logits, 1)
-    assert abs(kd.value - ce.value) <= 1e-12
-    assert np.allclose(kd.grads["logits"], ce.grads["logits"])
+    kd, kd_grad = _kl(p, logits)
+    ce = _row(_spec("C"), logits, label=1)
+    assert abs(kd - ce.values[0]) <= 1e-12
+    assert np.allclose(kd_grad, ce.grads["logits"][0])
 
 
 def test_kl_zero_when_distributions_match():
     logits = np.array([0.2, 0.9, -1.0, 0.4])
     p = losses.softmax(logits)
-    out = losses.kl_divergence(p, logits)
-    assert out.value <= 1e-15
-    assert np.allclose(out.grads["logits"], 0.0, atol=1e-15)
+    value, grad = _kl(p, logits)
+    assert value <= 1e-15
+    assert np.allclose(grad, 0.0, atol=1e-15)
 
 
 def test_kl_nonnegative_on_random_pairs():
@@ -126,7 +148,7 @@ def test_kl_nonnegative_on_random_pairs():
     for _ in range(100):
         p = rng.dirichlet(np.ones(6))
         logits = rng.standard_normal(6)
-        assert losses.kl_divergence(p, logits).value >= 0.0
+        assert _kl(p, logits)[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +190,23 @@ def test_rule_mismatches_rejected():
 
 def test_objective_shape_validation():
     dictionary = _aa_dictionary([[0.1, 0, 0], [0, 0.2, 0], [0, 0, 0.3]])
-    target = losses.Target(y=np.array([0.1, 0.0, 0.0]), label=0)
+    target = dict(y=np.array([0.1, 0.0, 0.0]), label=0)
     with pytest.raises(losses.FamilyMismatch):
-        losses.objective(_spec("M_G"), (np.zeros(3), np.zeros(4)), target, dictionary)
+        _row(_spec("M_G"), (np.zeros(3), np.zeros(4)), dictionary, **target)
     with pytest.raises(losses.FamilyMismatch):
-        losses.objective(_spec("M_Gp"), (np.zeros(3), np.zeros(3)), target, dictionary)
+        _row(_spec("M_Gp"), (np.zeros(3), np.zeros(3)), dictionary, **target)
     with pytest.raises(losses.FamilyMismatch):
-        losses.objective(_spec("M_G"), (np.zeros(3), np.zeros(3)), target, None)
+        _row(_spec("M_G"), (np.zeros(3), np.zeros(3)), None, **target)
     with pytest.raises(losses.FamilyMismatch):
-        losses.objective(_spec("M_X"), (np.zeros(3), np.zeros(3)), target, dictionary)
+        _row(_spec("M_X"), (np.zeros(3), np.zeros(3)), dictionary, **target)
 
 
 def test_non_finite_loss_rejected():
     # finiteness is checked once per batch, with its own ValueError subclass
-    target = losses.Target(y=np.zeros(3))
     with pytest.raises(losses.NonFiniteObjective):
-        losses.objective(_spec("R_E"), np.array([np.nan, 0.0, 0.0]), target)
+        _row(_spec("R_E"), np.array([np.nan, 0.0, 0.0]), y=np.zeros(3))
     with pytest.raises(losses.NonFiniteObjective):
-        losses.objective(_spec("R_E"), np.array([1e200, 0.0, 0.0]), target)
+        _row(_spec("R_E"), np.array([1e200, 0.0, 0.0]), y=np.zeros(3))
     batch = losses.TargetBatch(y=np.zeros((2, 3)))
     with pytest.raises(losses.NonFiniteObjective, match="row 1"):
         losses.objective_batch(_spec("R_E"), np.array([[0.1, 0.0, 0.0], [np.inf, 0.0, 0.0]]), batch)
@@ -208,14 +229,9 @@ def test_m_g_perfect_delta_leaves_only_cross_entropy():
     logits = np.full(4, -3.0)
     logits[label] = 5.0
     delta = y_true - dictionary.keys[label]
-    out = losses.objective(
-        _spec("M_G", alpha=2.5),
-        (logits, delta),
-        losses.Target(y=y_true, label=label),
-        dictionary,
-    )
-    ce = losses.cross_entropy(logits, label)
-    assert abs(out.value - ce.value) <= 1e-12
+    out = _row(_spec("M_G", alpha=2.5), (logits, delta), dictionary, y=y_true, label=label)
+    ce = _row(_spec("C"), logits, label=label)
+    assert abs(out.values[0] - ce.values[0]) <= 1e-12
     assert np.allclose(out.grads["logits"], ce.grads["logits"])
 
 
@@ -225,28 +241,18 @@ def test_m_g_uses_predicted_label_not_true_label():
     logits = np.full(4, -3.0)
     logits[wrong] = 5.0
     delta = np.array([0.05, -0.02, 0.01])
-    out = losses.objective(
-        _spec("M_G", alpha=1.0),
-        (logits, delta),
-        losses.Target(y=y_true, label=label),
-        dictionary,
-    )
-    reg = losses.geodesic_loss(dictionary.keys[wrong] + delta, y_true)
-    ce = losses.cross_entropy(logits, label)
-    assert abs(out.value - (reg.value + ce.value)) <= 1e-12
+    out = _row(_spec("M_G", alpha=1.0), (logits, delta), dictionary, y=y_true, label=label)
+    reg = _geodesic(dictionary.keys[wrong] + delta, y_true)
+    ce = _row(_spec("C"), logits, label=label)
+    assert abs(out.values[0] - (reg.values[0] + ce.values[0])) <= 1e-12
 
 
 def test_m_gp_gradient_zero_outside_selected_bin():
     dictionary, y_true, label = _simple_setup()
     logits = np.array([0.1, 3.0, -0.2, 0.4])
     deltas = np.full((4, 3), 0.05)
-    out = losses.objective(
-        _spec("M_Gp", alpha=10.0),
-        (logits, deltas),
-        losses.Target(y=y_true, label=label),
-        dictionary,
-    )
-    g = out.grads["deltas"]
+    out = _row(_spec("M_Gp", alpha=10.0), (logits, deltas), dictionary, y=y_true, label=label)
+    g = out.grads["deltas"][0]
     assert g.shape == (4, 3)
     assert np.all(g[[0, 2, 3]] == 0.0)
     assert np.any(g[1] != 0.0)
@@ -257,17 +263,12 @@ def test_m_r_riemannian_regression_term():
     logits = np.full(4, 0.0)
     logits[2] = 4.0
     delta = np.array([0.1, 0.2, -0.05])
-    out = losses.objective(
-        _spec("M_R", alpha=3.0),
-        (logits, delta),
-        losses.Target(y=y_true, label=label),
-        dictionary,
-    )
+    out = _row(_spec("M_R", alpha=3.0), (logits, delta), dictionary, y=y_true, label=label)
     key_rot = so3.rodrigues(dictionary.keys[2])
     composed = key_rot @ so3.rodrigues(delta)
     reg = so3.geodesic_distance_matrices(composed, so3.rodrigues(y_true))
-    ce = losses.cross_entropy(logits, label)
-    assert abs(out.value - (3.0 * reg + ce.value)) <= 1e-12
+    ce = _row(_spec("C"), logits, label=label)
+    assert abs(out.values[0] - (3.0 * reg + ce.values[0])) <= 1e-12
 
 
 def test_m_p_with_peaked_logits_reduces_to_m_g():
@@ -275,28 +276,20 @@ def test_m_p_with_peaked_logits_reduces_to_m_g():
     logits = np.full(4, -40.0)
     logits[1] = 40.0
     delta = np.array([0.03, -0.01, 0.02])
-    target = losses.Target(y=y_true, label=label)
-    vp = losses.objective(_spec("M_P", alpha=1.5), (logits, delta), target, dictionary)
-    vg = losses.objective(_spec("M_G", alpha=1.5), (logits, delta), target, dictionary)
-    assert abs(vp.value - vg.value) <= 1e-9
+    vp = _row(_spec("M_P", alpha=1.5), (logits, delta), dictionary, y=y_true, label=label)
+    vg = _row(_spec("M_G", alpha=1.5), (logits, delta), dictionary, y=y_true, label=label)
+    assert abs(vp.values[0] - vg.values[0]) <= 1e-9
 
 
 def test_m_p_value_is_probability_weighted_mixture():
     dictionary, y_true, label = _simple_setup()
     logits = np.array([0.2, -0.4, 0.9, 0.1])
     delta = np.array([0.03, -0.01, 0.02])
-    out = losses.objective(
-        _spec("M_P", alpha=2.0),
-        (logits, delta),
-        losses.Target(y=y_true, label=label),
-        dictionary,
-    )
+    out = _row(_spec("M_P", alpha=2.0), (logits, delta), dictionary, y=y_true, label=label)
     p = losses.softmax(logits)
-    mix = sum(
-        p[k] * losses.geodesic_loss(dictionary.keys[k] + delta, y_true).value for k in range(4)
-    )
-    ce = losses.cross_entropy(logits, label)
-    assert abs(out.value - (2.0 * mix + ce.value)) <= 1e-12
+    mix = sum(p[k] * _geodesic(dictionary.keys[k] + delta, y_true).values[0] for k in range(4))
+    ce = _row(_spec("C"), logits, label=label)
+    assert abs(out.values[0] - (2.0 * mix + ce.values[0])) <= 1e-12
 
 
 def test_m_x_uses_kl_against_soft_target():
@@ -304,17 +297,14 @@ def test_m_x_uses_kl_against_soft_target():
     soft = dct.soft_assign_probs(y_true, dictionary.keys, 2.0)
     logits = np.array([0.3, 1.2, -0.5, 0.0])
     delta = np.array([0.0, 0.05, 0.0])
-    out = losses.objective(
-        _spec("M_X", alpha=1.0),
-        (logits, delta),
-        losses.Target(y=y_true, label=label, soft=soft),
-        dictionary,
+    out = _row(
+        _spec("M_X", alpha=1.0), (logits, delta), dictionary, y=y_true, label=label, soft=soft
     )
     sel = int(np.argmax(logits))
-    reg = losses.geodesic_loss(dictionary.keys[sel] + delta, y_true)
-    kd = losses.kl_divergence(soft, logits)
-    assert abs(out.value - (reg.value + kd.value)) <= 1e-12
-    assert np.allclose(out.grads["logits"], kd.grads["logits"])
+    reg = _geodesic(dictionary.keys[sel] + delta, y_true)
+    kd, kd_grad = _kl(soft, logits)
+    assert abs(out.values[0] - (reg.values[0] + kd)) <= 1e-12
+    assert np.allclose(out.grads["logits"][0], kd_grad)
 
 
 def test_m_s_alpha_on_regression_m_sp_alpha_on_classification():
@@ -322,18 +312,18 @@ def test_m_s_alpha_on_regression_m_sp_alpha_on_classification():
     logits = np.array([0.4, 0.1, -0.3, 2.0])
     dstar = y_true - dictionary.keys[label]
     delta = np.array([0.07, 0.02, -0.04])
-    target = losses.Target(y=y_true, label=label)
-    ce = losses.cross_entropy(logits, label)
+    ce = _row(_spec("C"), logits, label=label)
 
-    out = losses.objective(_spec("M_S", alpha=5.0), (logits, delta), target, dictionary)
-    assert abs(out.value - (5.0 * float((dstar - delta) @ (dstar - delta)) + ce.value)) <= 1e-12
+    out = _row(_spec("M_S", alpha=5.0), (logits, delta), dictionary, y=y_true, label=label)
+    want = 5.0 * float((dstar - delta) @ (dstar - delta)) + ce.values[0]
+    assert abs(out.values[0] - want) <= 1e-12
     assert np.allclose(out.grads["logits"], ce.grads["logits"])
 
     deltas = np.tile(delta, (4, 1))
-    outp = losses.objective(_spec("M_Sp", alpha=5.0), (logits, deltas), target, dictionary)
+    outp = _row(_spec("M_Sp", alpha=5.0), (logits, deltas), dictionary, y=y_true, label=label)
     sel = int(np.argmax(logits))
     resid = dstar - deltas[sel]
-    assert abs(outp.value - (5.0 * ce.value + float(resid @ resid))) <= 1e-12
+    assert abs(outp.values[0] - (5.0 * ce.values[0] + float(resid @ resid))) <= 1e-12
     assert np.allclose(outp.grads["logits"], 5.0 * ce.grads["logits"])
 
 
@@ -341,15 +331,14 @@ def test_m_le_tangent_target_matches_log_oracle():
     dictionary, y_true, label = _simple_setup()
     logits = np.array([2.0, 0.0, 0.1, -0.5])
     delta = np.array([0.01, 0.0, 0.02])
-    target = losses.Target(y=y_true, label=label)
-    out = losses.objective(_spec("M_LE", alpha=2.0), (logits, delta), target, dictionary)
+    out = _row(_spec("M_LE", alpha=2.0), (logits, delta), dictionary, y=y_true, label=label)
 
     sel = int(np.argmax(logits))
     key_rot = so3.rodrigues(dictionary.keys[sel])
     g = so3.log_rotation(key_rot.T @ so3.rodrigues(y_true))
-    ce = losses.cross_entropy(logits, label)
-    expect = ce.value + 2.0 * float((delta - g) @ (delta - g))
-    assert abs(out.value - expect) <= 1e-12
+    ce = _row(_spec("C"), logits, label=label)
+    expect = ce.values[0] + 2.0 * float((delta - g) @ (delta - g))
+    assert abs(out.values[0] - expect) <= 1e-12
 
 
 def test_m_le_tangent_target_survives_near_pi_keys():
@@ -358,15 +347,10 @@ def test_m_le_tangent_target_survives_near_pi_keys():
     dictionary = _aa_dictionary(keys)
     y_true = np.array([0.0, 0.0, 0.0])
     logits = np.array([5.0, 0.0])
-    out = losses.objective(
-        _spec("M_LE"),
-        (logits, np.zeros(3)),
-        losses.Target(y=y_true, label=1),
-        dictionary,
-    )
-    assert math.isfinite(out.value)
+    out = _row(_spec("M_LE"), (logits, np.zeros(3)), dictionary, y=y_true, label=1)
+    assert math.isfinite(out.values[0])
     # with delta = 0 the gradient is -2 alpha g: read the tangent target back
-    tangent = -out.grads["delta"] / (2.0 * _spec("M_LE").alpha)
+    tangent = -out.grads["delta"][0] / (2.0 * _spec("M_LE").alpha)
     assert np.all(np.isfinite(tangent))
     assert 0.0 < np.linalg.norm(tangent) < math.pi
 
@@ -379,19 +363,19 @@ def test_quaternion_bin_delta_normalizes_composition():
     logits = np.array([4.0, 0.0, 0.0])
     delta = np.array([0.1, 0.05, 0.0, 0.0])
     spec = _spec("M_G", representation=dct.QUATERNION)
-    out = losses.objective(spec, (logits, delta), losses.Target(y=y_true, label=label), dictionary)
+    out = _row(spec, (logits, delta), dictionary, y=y_true, label=label)
     s = dictionary.keys[0] + delta
-    reg = losses.geodesic_loss(s, y_true, representation=dct.QUATERNION)
-    ce = losses.cross_entropy(logits, label)
-    assert abs(out.value - (reg.value + ce.value)) <= 1e-12
+    reg = _geodesic(s, y_true, representation=dct.QUATERNION)
+    ce = _row(_spec("C"), logits, label=label)
+    assert abs(out.values[0] - (reg.values[0] + ce.values[0])) <= 1e-12
 
 
 def test_non_smooth_flag_set_at_zero_distance():
     dictionary, y_true, label = _simple_setup()
-    out = losses.geodesic_loss(y_true, y_true)
-    assert out.non_smooth
-    far = losses.geodesic_loss(y_true + np.array([0.5, 0.0, 0.0]), y_true)
-    assert not far.non_smooth
+    out = _geodesic(y_true, y_true)
+    assert out.non_smooth[0]
+    far = _geodesic(y_true + np.array([0.5, 0.0, 0.0]), y_true)
+    assert not far.non_smooth[0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +421,17 @@ def test_gradcheck_near_pi_projection_chain():
     # prediction outside the pi ball engages the rescaling; FD still matches
     # because the instance stays clear of the boundary itself
     rng = np.random.default_rng(42)
-    spec = _spec("R_G")
     y_true = so3.random_axis_angle(rng, max_angle=2.0).vector
     pred = np.array([2.5, 2.5, 1.0])  # norm ~ 3.68 > pi
-    inst = gradcheck.Instance(pred, losses.Target(y=y_true), None)
-    assert gradcheck.check_instance(spec, inst) <= 1e-4
+    one = gradcheck._Stack(pose=pred[None], y=y_true[None])
+    assert gradcheck._probe_errors(_spec("R_G"), one, gradcheck.FD_STEP)[0] <= 1e-4
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_geodesic_gradient_property_fd(seed):
-    rng = np.random.default_rng(seed)
-    inst = gradcheck.random_instance(_spec("R_G"), rng)
-    assert gradcheck.check_instance(_spec("R_G"), inst) <= 1e-4
+    report = gradcheck.check_family(_spec("R_G"), instances=1, seed=seed)
+    assert report.max_rel_error <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +476,7 @@ def test_simple_init_schedule_for_geodesic_families():
 
 def test_simple_init_only_for_geodesic_and_riemannian():
     for fam in ("R_G", "C", "M_P", "M_X", "M_S", "M_LE"):
-        assert losses.simple_init_family(fam) is None
         spec = _spec(fam)
         schedule = losses.simple_init_schedule(spec, epochs=2)
         assert len(schedule) == 2
+        assert all(s is spec for s in schedule)

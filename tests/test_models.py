@@ -304,3 +304,27 @@ def test_checkpoint_of_a_stacked_network_records_entry_sizes(tmp_path):
     loaded = models.load_mlp(path)
     for la, lb in zip(net.layers, loaded.layers):
         assert np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)
+
+
+def _edited_checkpoint(tmp_path, edit):
+    """A valid checkpoint of a [6, 5, 3] network, its document changed by edit."""
+    net = models.init_pose_network([6, 5, 3], seed=1, activations=["relu", "pi_tanh"])
+    path = tmp_path / "ckpt.json"
+    models.save_mlp(net, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_checkpoint_with_a_short_activation_list_is_rejected(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda doc: doc["activations"].pop())
+    with pytest.raises(ValueError, match="2 tensors, 1 activations"):
+        models.load_mlp(path)
+
+
+@pytest.mark.parametrize("sizes", [[6, 5, 4], [6, 5], [7, 5, 3]])
+def test_checkpoint_with_mismatched_sizes_is_rejected(tmp_path, sizes):
+    path = _edited_checkpoint(tmp_path, lambda doc: doc.update(sizes=sizes))
+    with pytest.raises(ValueError, match="do not match its tensors"):
+        models.load_mlp(path)

@@ -59,18 +59,6 @@ def test_golden_rows_cover_every_spec_and_edge():
     assert {r["case"] for r in GOLDEN_ROWS} == {"random", "projection", "near_pi", "tie"}
 
 
-def test_objective_is_the_one_row_batch():
-    row = next(r for r in GOLDEN_ROWS if r["family"] == "M_XPp")
-    spec, prediction, targets, dictionary = _one_row(row)
-    batch = losses.objective_batch(spec, prediction, targets, dictionary)
-    target = losses.Target(y=targets.y[0], label=int(targets.label[0]), soft=targets.soft[0])
-    single = losses.objective(spec, (prediction[0][0], prediction[1][0]), target, dictionary)
-    assert isinstance(single, losses.LossValue)
-    assert single.value == batch.values[0]
-    assert np.array_equal(single.grads["deltas"], batch.grads["deltas"][0])
-    assert single.non_smooth == batch.non_smooth[0]
-
-
 def test_non_smooth_mask_is_per_row():
     y = np.array([[0.3, 0.1, 0.0], [0.3, 0.1, 0.0]])
     pred = np.array([[0.3, 0.1, 0.0], [0.9, 0.1, 0.0]])  # zero distance, then 0.6

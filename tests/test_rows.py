@@ -703,12 +703,12 @@ def _oracle_pose_distance(spec, y_a, y_b):
     return 2.0 * np.arccos(np.minimum(1.0, c))
 
 
-def _oracle_distances(spec, prediction, target, dictionary):
+def _oracle_distances(spec, prediction, y, dictionary):
     fam = spec.family
     if fam in ("R_E", "C"):
         return np.empty(0)
     if fam == "R_G":
-        return _oracle_pose_distance(spec, np.asarray(prediction)[None], target.y)
+        return _oracle_pose_distance(spec, np.asarray(prediction)[None], y)
     logits, deltas = prediction
     if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
         idx = np.arange(dictionary.size)
@@ -717,7 +717,7 @@ def _oracle_distances(spec, prediction, target, dictionary):
     keys = dictionary.keys[idx]
     d = deltas[idx] if spec.per_bin else np.broadcast_to(deltas, keys.shape)
     if spec.combination == models.RIEMANNIAN:
-        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([keys, d, [target.y]])))
+        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([keys, d, [y]])))
         rel = np.swapaxes(mats[: len(idx)], -1, -2) @ mats[-1]
         out = so3.geodesic_distance_matrices(mats[len(idx) : -1], rel)
         if fam in ("M_LE", "M_LEp"):
@@ -726,7 +726,7 @@ def _oracle_distances(spec, prediction, target, dictionary):
     s = keys + d
     if spec.representation == dct.QUATERNION:
         s = s / np.linalg.norm(s, axis=-1, keepdims=True)
-    return _oracle_pose_distance(spec, s, target.y)
+    return _oracle_pose_distance(spec, s, y)
 
 
 def _oracle_norms_ok(spec, prediction, dictionary):
@@ -746,17 +746,19 @@ def _oracle_norms_ok(spec, prediction, dictionary):
 
 
 def _oracle_instance(spec, rng, k):
-    """gradcheck.random_instance as the one-candidate loop: every pose an
-    AxisAngle, every smoothness test on its own."""
+    """The stacked sampler as the one-candidate loop: every pose an
+    AxisAngle, every smoothness test on its own.  Returns the instance's
+    _Stack fields in order, None where the family has no such field."""
     fam = spec.family
     for _ in range(gradcheck.MAX_RESAMPLE):
         y_true = _oracle_pose(spec.representation, rng)
+        dictionary = None
         if fam in ("R_G", "R_E"):
-            inst = gradcheck.Instance(_oracle_pose(spec.representation, rng),
-                                      losses.Target(y=y_true), None)
+            prediction = _oracle_pose(spec.representation, rng)
+            fields = (prediction, None, None, y_true, None, None, None)
         elif fam == "C":
-            inst = gradcheck.Instance(_oracle_logits(k, rng),
-                                      losses.Target(label=int(rng.integers(k))), None)
+            prediction = _oracle_logits(k, rng)
+            fields = (None, prediction, None, None, int(rng.integers(k)), None, None)
         else:
             keys = np.stack([_oracle_pose(spec.representation, rng) for _ in range(k)])
             dictionary = dct.PoseDictionary(keys, spec.representation)
@@ -766,39 +768,33 @@ def _oracle_instance(spec, rng, k):
             logits = _oracle_logits(k, rng)
             shape = (k, spec.pose_dim) if spec.per_bin else (spec.pose_dim,)
             deltas = 0.4 * rng.standard_normal(shape)
-            target = losses.Target(y=y_true, label=dct.hard_label(y_true, dictionary), soft=soft)
-            inst = gradcheck.Instance((logits, deltas), target, dictionary)
-        if _oracle_norms_ok(spec, inst.prediction, inst.dictionary):
-            d = _oracle_distances(spec, inst.prediction, inst.target, inst.dictionary)
+            prediction = (logits, deltas)
+            label = dct.hard_label(y_true, dictionary)
+            fields = (None, logits, deltas, y_true, label, soft, keys)
+        if _oracle_norms_ok(spec, prediction, dictionary):
+            d = _oracle_distances(spec, prediction, y_true, dictionary)
             margin = gradcheck.EXCLUSION_MARGIN
             if np.all((d >= margin) & (d <= math.pi - margin)):
-                return inst
+                return fields
     raise gradcheck.InstanceSamplingFailed(f"no smooth instance for {fam}")
-
-
-def _instance_fields(inst):
-    pred = inst.prediction if isinstance(inst.prediction, tuple) else (inst.prediction,)
-    t = inst.target
-    keys = None if inst.dictionary is None else inst.dictionary.keys
-    return [*pred, t.y, t.label, t.soft, keys]
 
 
 def _assert_same_instances(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        for x, y in zip(_instance_fields(a), _instance_fields(b), strict=True):
+        for x, y in zip(a, b, strict=True):
             if x is None or y is None:
                 assert x is None and y is None
             elif isinstance(y, int):
-                assert type(x) is int and x == y
+                assert np.issubdtype(np.asarray(x).dtype, np.integer) and x == y
             else:
                 np.testing.assert_array_equal(_as_bits(np.asarray(x)), _as_bits(np.asarray(y)))
 
 
 def _stacked_instances(spec, rng, k, n):
-    """The stacked sampler's n instances, as Instances."""
+    """The stacked sampler's n instances, each as its _Stack row's fields."""
     stack = gradcheck._sample(spec, rng, k, n)
-    return [gradcheck._instance(spec, stack, i) for i in range(n)]
+    return [stack.rows(i).fields() for i in range(n)]
 
 
 # EXCLUSION_MARGIN 0.9 leaves a band of width pi - 1.8 around pi/2, so most
@@ -822,13 +818,6 @@ def test_stacked_sampler_equals_one_candidate_loop(spec_index, seed, k, n, margi
     else:
         _assert_same_instances(got, want)
     assert rb.bit_generator.state == ra.bit_generator.state
-    if n == 1 and not isinstance(want, type):
-        rc = np.random.default_rng(seed)
-        gradcheck.EXCLUSION_MARGIN = margin
-        try:
-            _assert_same_instances([gradcheck.random_instance(spec, rc, k)], want)
-        finally:
-            gradcheck.EXCLUSION_MARGIN = old
 
 
 def _outcome_of(draw):
