@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -20,6 +21,14 @@ REPRESENTATIONS = (AXIS_ANGLE, QUATERNION)
 
 KMEANS_MAX_ITER = 300
 KMEANS_SHIFT_TOL = 1e-10
+
+# rows per block of the label and Lloyd distances: a call holds one
+# (rows, K) block, never an (n, K) matrix
+_BLOCK_ROWS = 512
+# relative slack on Hamerly's bounds, far above their rounding error: a row
+# keeps its label unrecomputed only when its bounds are this far apart, so
+# ties and near-ties are always recomputed
+_BOUND_SLACK = 1e-9
 
 
 class InsufficientData(ValueError):
@@ -106,40 +115,66 @@ def fit_kmeans(targets, k: int, seed: int, representation: str = AXIS_ANGLE) -> 
 
     Stops when the largest centroid shift falls below 1e-10 or after 300
     iterations.  Empty clusters are repaired by reassigning the point
-    farthest from its current centroid.
+    farthest from its current centroid.  Every iteration's labels are the
+    exact argmin over all keys, ties to the lowest index; Hamerly's bounds
+    (SDM 2010) spare the distance rows of points whose nearest key
+    provably stayed the same, and the rest are computed in row blocks.
     """
     _check_representation(representation)
     targets = np.array(targets, dtype=float)
     if targets.ndim != 2:
         raise ValueError("targets must be a list of equal-length vectors")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
     n = targets.shape[0]
     if n < k:
         raise InsufficientData(f"{n} targets for {k} clusters")
     rng = np.random.default_rng(seed)
     centers = _plus_plus_seeds(targets, k, rng)
+    labels = np.zeros(n, dtype=np.intp)
+    upper = np.full(n, np.inf)  # >= distance to the own centre
+    lower = np.zeros(n)  # <= distance to every other centre
+    radius = float(np.linalg.norm(targets, axis=1).max())
     for _ in range(KMEANS_MAX_ITER):
-        d2 = _sq_distances(targets, centers)
-        labels = np.argmin(d2, axis=1)
+        # every distance and centre shift is at most 2 * radius, which bounds
+        # the rounding the bounds have picked up; NaN bounds (an emptied
+        # cluster's centre) fail the test too
+        radius = max(radius, float(np.linalg.norm(centers, axis=1).max()))
+        stale = np.flatnonzero(~(upper + _BOUND_SLACK * (upper + radius) < lower))
+        for rows, d2 in _row_blocks(targets[stale], centers):
+            at = stale[rows]
+            labels[at] = np.argmin(d2, axis=1)
+            own = np.arange(d2.shape[0]), labels[at]
+            upper[at] = np.sqrt(d2[own])
+            d2[own] = np.inf
+            lower[at] = np.sqrt(d2.min(axis=1))
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
             # empty-cluster repair: hand the farthest point to each empty cluster
-            repaired = np.zeros(n, dtype=bool)
+            assigned = _sq_distances(targets, centers[labels][:, None])[:, 0]
             for j in range(k):
-                if not np.any(labels == j):
-                    assigned = d2[np.arange(n), labels].copy()
-                    assigned[repaired] = -np.inf
+                if not counts[j]:
                     far = int(np.argmax(assigned))
+                    counts[labels[far]] -= 1
+                    counts[j] += 1
                     labels[far] = j
-                    repaired[far] = True
-            counts = np.bincount(labels, minlength=k)
+                    assigned[far] = -np.inf
+                    upper[far] = np.inf  # its bounds were for another centre
         sums = np.stack(
             [np.bincount(labels, weights=col, minlength=k) for col in targets.T], axis=1
         )
         new_centers = _renormalize_centroids(sums / counts[:, None], representation)
-        shift = np.max(np.abs(new_centers - centers))
+        step = new_centers - centers
         centers = new_centers
-        if shift < KMEANS_SHIFT_TOL:
+        if np.max(np.abs(step)) < KMEANS_SHIFT_TOL:
             break
+        # a centre moved by m changes a point's distance to it by at most m
+        moved = np.sqrt(np.sum(step**2, axis=1))
+        upper += moved[labels]
+        first, second = int(np.argmax(moved)), np.partition(moved, k - 2)[k - 2]
+        lower -= np.where(labels == first, second, moved[first])
     return PoseDictionary(centers, representation)
 
 
@@ -170,10 +205,26 @@ def hard_label(y, dictionary: PoseDictionary) -> int:
     return int(hard_labels(y, dictionary))
 
 
+def _row_blocks(ys: np.ndarray, keys: np.ndarray):
+    """(rows, |y - z_k|^2 (rows, K)) for consecutive row blocks of ys
+    (n, d) against one dictionary's keys (K, d)."""
+    for start in range(0, ys.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        yield rows, _sq_distances(ys[rows], keys)
+
+
 def hard_labels(ys, dictionary) -> np.ndarray:
     """hard_label of each row of ys (n, d): (n,) ints.  dictionary is a
-    PoseDictionary or a key stack (n, K, d), one dictionary per row."""
-    return np.argmin(_sq_distances(ys, _keys(dictionary)), axis=-1)
+    PoseDictionary, whose distances are taken in row blocks, or a key stack
+    (n, K, d), one dictionary per row."""
+    ys = np.asarray(ys, dtype=float)
+    keys = _keys(dictionary)
+    if keys.ndim > 2 or ys.ndim != 2:
+        return np.argmin(_sq_distances(ys, keys), axis=-1)
+    labels = np.empty(ys.shape[0], dtype=np.intp)
+    for rows, d2 in _row_blocks(ys, keys):
+        labels[rows] = np.argmin(d2, axis=1)
+    return labels
 
 
 def soft_assign_probs(y, keys: np.ndarray, gamma: float) -> np.ndarray:

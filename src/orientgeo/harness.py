@@ -129,7 +129,14 @@ def config_to_json(cfg: ExperimentConfig) -> str:
 
 
 def config_from_json(text: str) -> ExperimentConfig:
+    """The config of a config_to_json document; ValueError naming any
+    top-level key that is not an ExperimentConfig field."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a config must be a JSON object")
+    unknown = sorted(doc.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return ExperimentConfig(
         objective=losses.ObjectiveSpec(**doc["objective"]),
         dictionary_size=doc["dictionary_size"],
@@ -315,7 +322,7 @@ def _make_targets(spec, dictionary, target_mats, gamma) -> losses.TargetBatch:
     """Objective targets for a stack of rotation matrices, built once per split."""
     y = pose_vector(target_mats, spec.representation)
     label = soft = None
-    if dictionary is not None:
+    if spec.family not in ("R_G", "R_E"):  # direct regression reads only y and ref
         label = dct.hard_labels(y, dictionary)
         if spec.family in losses.SOFT_TARGET_FAMILIES:
             soft = dct.soft_assign_probs(y, dictionary.keys, gamma)
@@ -472,19 +479,23 @@ class TrainLog:
 def _training_rows(spec, dictionary, dataset, gamma):
     """Every category's train rows: features (G, rows, feature_dim) and the
     G * rows targets in category order, each category's clean rows first,
-    then its augmented pool."""
-    feats, parts = [], []
-    for name in dataset.categories:
-        split = dataset.train[name]
-        mats, f = split.targets, split.features
-        if split.aug_targets is not None:
+    then its augmented pool.  The features are written once, straight into
+    the stacked array."""
+    splits = [dataset.train[name] for name in dataset.categories]
+    size = splits[0].size
+    pool = 0 if splits[0].aug_targets is None else len(splits[0].aug_targets)
+    feats = np.empty((len(splits), size + pool, splits[0].features.shape[1]))
+    parts = []
+    for c, split in enumerate(splits):
+        mats = split.targets
+        feats[c, :size] = split.features
+        if pool:
             mats = np.concatenate([mats, split.aug_targets])
-            f = np.concatenate([f, split.aug_features])
-        feats.append(f)
+            feats[c, size:] = split.aug_features
         parts.append(_make_targets(spec, dictionary, mats, gamma))
     fields = zip(*((t.y, t.label, t.soft, t.ref) for t in parts))
     targets = losses.TargetBatch(*(None if f[0] is None else np.concatenate(f) for f in fields))
-    return np.stack(feats), targets
+    return feats, targets
 
 
 def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss:

@@ -273,3 +273,15 @@ def test_negative_config_seed_exits_two(tiny_config_path, tmp_path, capsys, comm
     argv = [command, "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
     _exits_two_naming(tiny_config_path, argv, capsys)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_config_with_an_unknown_key_exits_two(tiny_config_path, tmp_path, capsys, command):
+    doc = json.loads(tiny_config_path.read_text())
+    doc["sede"] = 5  # a misspelled seed must not run with the default seed
+    tiny_config_path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"cannot read {tiny_config_path}: unknown config keys: sede\n")
+    assert not (tmp_path / "o").exists()

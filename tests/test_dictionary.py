@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +63,26 @@ def test_kmeans_insufficient_data():
         dct.fit_kmeans(np.zeros((3, 3)), 4, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5, "2", None])
+def test_kmeans_rejects_a_k_that_is_not_a_positive_integer(k):
+    with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+        dct.fit_kmeans(np.zeros((3, 3)), k, seed=0)
+
+
+def test_kmeans_accepts_a_numpy_integer_k():
+    pts = random_axis_angle_targets(rng(12), 20)
+    assert np.array_equal(dct.fit_kmeans(pts, np.int64(4), seed=1).keys,
+                          dct.fit_kmeans(pts, 4, seed=1).keys)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kmeans_rejects_non_finite_targets(bad):
+    pts = random_axis_angle_targets(rng(12), 20)
+    pts[7, 1] = bad
+    with pytest.raises(ValueError, match="^targets must be finite"):
+        dct.fit_kmeans(pts, 4, seed=0)
+
+
 def test_kmeans_objective_non_increasing_across_iterations():
     # re-run Lloyd's by hand through the public API at increasing iteration
     # caps and check the clustering objective never goes up
@@ -121,6 +143,44 @@ def test_hard_label_matches_brute_force():
     for _ in range(1000):
         y = so3.random_axis_angle(g).vector
         assert dct.hard_label(y, d) == brute_force_label(y, keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=7))
+def test_hard_labels_in_row_blocks_equal_one_argmin(seed, n, k, block):
+    g = rng(seed)
+    keys = np.round(g.standard_normal((k, 3)) * 4.0) / 4.0
+    keys[-1] = keys[0]  # coincident keys tie everywhere
+    # midpoints of key pairs lie exactly between two keys
+    pairs = g.integers(0, k, size=(n, 2))
+    ys = np.where(g.random((n, 1)) < 0.5, (keys[pairs[:, 0]] + keys[pairs[:, 1]]) / 2.0,
+                  g.standard_normal((n, 3)))
+    d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
+    want = np.argmin(dct._sq_distances(ys, keys), axis=-1)
+    with mock.patch.object(dct, "_BLOCK_ROWS", block):
+        got = dct.hard_labels(ys, d)
+    assert got.dtype == want.dtype and got.shape == (n,)
+    np.testing.assert_array_equal(got, want)
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak bytes that numpy and Python allocated in it."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_and_hard_labels_never_hold_an_n_by_k_matrix():
+    n, k = 20_000, 100
+    one_matrix = n * k * 8  # bytes of one (n, K) float64 array
+    pts = rng(14).standard_normal((n, 3))
+    fit, peak = _traced(dct.fit_kmeans, pts, k, 0)
+    assert peak < one_matrix
+    _, peak = _traced(dct.hard_labels, pts, fit)
+    assert peak < one_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ def test_default_config_roundtrips():
     assert harness.config_from_json(harness.config_to_json(cfg)) == cfg
 
 
+def test_config_with_unknown_top_level_keys_is_rejected():
+    doc = json.loads(harness.config_to_json(tiny_config(seed=5)))
+    doc["sede"] = 5
+    doc["Trials"] = 2
+    with pytest.raises(ValueError, match="^unknown config keys: Trials, sede$"):
+        harness.config_from_json(json.dumps(doc))
+
+
+def test_config_must_be_a_json_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        harness.config_from_json("[1, 2]")
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         harness.OptimizerConfig(learning_rate=-1.0)
@@ -462,6 +475,19 @@ def test_train_log_counts_non_smooth_samples_per_epoch():
     for line, count in zip(log.lines, log.epoch_non_smooth):
         assert line.endswith(f" non_smooth {count}")
         assert count >= 0
+
+
+@pytest.mark.parametrize("family", ["R_G", "R_E", "C", "M_S", "M_X"])
+def test_training_rows_carry_only_the_targets_the_family_reads(family):
+    cfg = tiny_config(family)
+    dataset = harness.generate_synthetic(cfg)
+    dictionary = harness.fit_shared_dictionary(cfg, dataset)
+    soft = family in losses.SOFT_TARGET_FAMILIES
+    gamma = losses.resolve_gamma(cfg.objective, dictionary) if soft else None
+    _, targets = harness._training_rows(cfg.objective, dictionary, dataset, gamma)
+    assert (targets.label is None) == (family in ("R_G", "R_E"))
+    assert (targets.soft is None) == (not soft)
+    assert targets.y.shape[0] == targets.ref.shape[0] == 2 * 60
 
 
 def test_training_uses_augmented_pool():

@@ -6,6 +6,7 @@ gradcheck sampler against the one-candidate loop."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -205,20 +206,29 @@ def test_check_rotations_equals_one_matrix_checks(seed, b, bad):
 # fit_kmeans against its per-cluster loop implementation
 
 
-def _fit_kmeans_loop(targets, k, seed, representation):
-    """fit_kmeans as written with two Python passes over the K clusters per
-    Lloyd iteration: the reference the vectorized step must equal exactly.
-    The centroid renormalization is the library's own row map."""
+def _fit_kmeans_loop(targets, k, seed, representation, events=None):
+    """fit_kmeans as written with the full (n, K) distance matrix and two
+    Python passes over the K clusters per Lloyd iteration: the reference the
+    blocked, bounded step must equal exactly.  The centroid renormalization
+    is the library's own row map.  events, when given, collects
+    (iteration, "tie") for each iteration where some point has two nearest
+    centres and (iteration, "repair") for each empty-cluster repair."""
     targets = np.array([np.asarray(t, dtype=float) for t in targets])
     n = targets.shape[0]
     rng = np.random.default_rng(seed)
     centers = dct._plus_plus_seeds(targets, k, rng)
-    for _ in range(dct.KMEANS_MAX_ITER):
+    for it in range(dct.KMEANS_MAX_ITER):
         d2 = np.sum((targets[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
+        if events is not None and k > 1:
+            nearest = np.sort(d2, axis=1)
+            if np.any(nearest[:, 0] == nearest[:, 1]):
+                events.append((it, "tie"))
         repaired = np.zeros(n, dtype=bool)
         for j in range(k):
             if not np.any(labels == j):
+                if events is not None:
+                    events.append((it, "repair"))
                 assigned = d2[np.arange(n), labels].copy()
                 assigned[repaired] = -np.inf
                 far = int(np.argmax(assigned))
@@ -261,13 +271,38 @@ def _kmeans_targets(g, n, representation, distinct):
     st.floats(min_value=0.0, max_value=1.0),
     st.sampled_from(dct.REPRESENTATIONS),
     st.booleans(),
+    st.integers(min_value=1, max_value=7),
 )
-def test_fit_kmeans_equals_loop_implementation(seed, n, k_frac, representation, repeated):
+def test_fit_kmeans_equals_loop_implementation(seed, n, k_frac, representation, repeated, block):
     g = np.random.default_rng(seed)
     k = 1 + int(k_frac * (n - 1))  # K = 1 up to K = n
     # few distinct points make coincident seeds and empty clusters
     distinct = int(g.integers(1, 4)) if repeated else n
     targets = _kmeans_targets(g, n, representation, distinct)
+    with mock.patch.object(dct, "_BLOCK_ROWS", block):  # blocks of 1-7 rows cross edges
+        got = _outcome(dct.fit_kmeans, targets, k, seed, representation)
+    want = _outcome(_fit_kmeans_loop, targets, k, seed, representation)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SEEDS, st.sampled_from(dct.REPRESENTATIONS))
+@example(32, dct.AXIS_ANGLE)  # a lower bound shrunk too little would keep a stale label
+@example(34, dct.QUATERNION)
+def test_fit_kmeans_equals_loop_on_clustered_targets(seed, representation):
+    # a few hundred points around a few modes and tens of keys: many rows keep
+    # their label on the bounds alone, and the keys that move the most are
+    # often a point's second nearest
+    g = np.random.default_rng(seed)
+    n, k, m = int(g.integers(100, 400)), int(g.integers(5, 30)), int(g.integers(2, 12))
+    modes = g.standard_normal((m, 4 if representation == dct.QUATERNION else 3))
+    targets = modes[g.integers(0, m, n)] + g.standard_normal((n, modes.shape[1])) * g.choice(
+        [0.1, 0.3, 0.6])
+    if representation == dct.QUATERNION:
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
     got = _outcome(dct.fit_kmeans, targets, k, seed, representation)
     want = _outcome(_fit_kmeans_loop, targets, k, seed, representation)
     if isinstance(want, type):
@@ -285,6 +320,110 @@ def test_fit_kmeans_repairs_forced_empty_cluster():
     got = dct.fit_kmeans(targets, 3, 0)
     # the repaired cluster holds a target instead of the mean of nothing
     np.testing.assert_array_equal(got.keys, _fit_kmeans_loop(targets, 3, 0, dct.AXIS_ANGLE).keys)
+
+
+def test_fit_kmeans_repairs_a_cluster_emptied_after_the_first_iteration():
+    # seven points in a plane: every cluster keeps a point in the first
+    # Lloyd step, and one loses all of them in the second, when the bounds
+    # of the rows that stayed put are already in use
+    targets = np.zeros((7, 3))
+    targets[:, :2] = [[0.25, -1.0], [-0.25, -1.0], [-1.0, 0.25], [0.5, 1.0], [-1.0, -0.25],
+                      [0.0, -0.75], [-0.75, 0.25]]
+    events = []
+    want = _fit_kmeans_loop(targets, 4, 0, dct.AXIS_ANGLE, events)
+    assert [e for e in events if e[1] == "repair"] == [(1, "repair")]
+    np.testing.assert_array_equal(dct.fit_kmeans(targets, 4, 0).keys, want.keys)
+
+
+def test_fit_kmeans_equals_loop_with_points_equidistant_from_two_centres():
+    # a half-integer grid: squared distances are exact, so some point lies
+    # exactly between two centres after the first iteration as well
+    grid = np.array([[a, b, c] for a in range(3) for b in range(3) for c in range(2)]) / 2.0
+    events = []
+    want = _fit_kmeans_loop(grid, 4, 3, dct.AXIS_ANGLE, events)
+    assert (1, "tie") in events
+    for block in (1, 5, 512):
+        with mock.patch.object(dct, "_BLOCK_ROWS", block):
+            np.testing.assert_array_equal(dct.fit_kmeans(grid, 4, 3).keys, want.keys)
+
+
+def test_fit_kmeans_equals_loop_on_quaternion_targets():
+    g = np.random.default_rng(17)
+    q = g.standard_normal((1500, 4))
+    targets = so3.canonical_quaternion(q / np.linalg.norm(q, axis=1, keepdims=True))
+    with mock.patch.object(dct, "_BLOCK_ROWS", 97):
+        got = dct.fit_kmeans(targets, 40, 5, dct.QUATERNION)
+    np.testing.assert_array_equal(got.keys, _fit_kmeans_loop(targets, 40, 5, dct.QUATERNION).keys)
+
+
+def test_fit_kmeans_equals_loop_at_regress_size():
+    # the perfbench regress fit: 4 x 1000 pooled axis-angle train targets, K = 100
+    cfg = harness.ExperimentConfig(
+        objective=losses.ObjectiveSpec("R_G"), dictionary_size=100,
+        data=harness.DataConfig(categories=4, train_samples=1000, val_samples=1, test_samples=1),
+    )
+    dataset = harness.generate_synthetic(cfg, 202)
+    mats = np.concatenate([dataset.train[name].targets for name in dataset.categories])
+    targets = harness.pose_vector(mats, dct.AXIS_ANGLE)
+    assert targets.shape == (4000, 3)
+    want = _fit_kmeans_loop(targets, 100, 0, dct.AXIS_ANGLE)
+    rows, iterations = [], []
+    sq_distances, renormalize = dct._sq_distances, dct._renormalize_centroids
+
+    def counted_sq_distances(y, keys):
+        rows.append(len(y))
+        return sq_distances(y, keys)
+
+    def counted_renormalize(centroids, representation):
+        iterations.append(1)
+        return renormalize(centroids, representation)
+
+    with mock.patch.object(dct, "_sq_distances", counted_sq_distances), \
+            mock.patch.object(dct, "_renormalize_centroids", counted_renormalize):
+        got = harness.fit_shared_dictionary(cfg, dataset)
+    np.testing.assert_array_equal(got.keys, want.keys)
+    # the bounds spare most rows: 46,133 of the 27 x 4,000 an unpruned fit computes
+    assert sum(rows) < 0.5 * len(iterations) * len(targets)
+
+
+def _training_rows_per_category(spec, dictionary, dataset, gamma):
+    """harness._training_rows as per-category concatenations, then np.stack."""
+    feats, parts = [], []
+    for name in dataset.categories:
+        split = dataset.train[name]
+        mats, f = split.targets, split.features
+        if split.aug_targets is not None:
+            mats = np.concatenate([mats, split.aug_targets])
+            f = np.concatenate([f, split.aug_features])
+        feats.append(f)
+        parts.append(harness._make_targets(spec, dictionary, mats, gamma))
+    fields = zip(*((t.y, t.label, t.soft, t.ref) for t in parts))
+    targets = losses.TargetBatch(*(None if f[0] is None else np.concatenate(f) for f in fields))
+    return np.stack(feats), targets
+
+
+@pytest.mark.parametrize("family,augmentation", [
+    ("R_G", "jittered"), ("M_X", "none"), ("M_Gp", "jittered+extra"), ("C", "jittered"),
+])
+def test_training_rows_equal_stacked_per_category_rows(family, augmentation):
+    cfg = harness.ExperimentConfig(
+        objective=losses.ObjectiveSpec(family), dictionary_size=8,
+        data=harness.DataConfig(categories=3, train_samples=40, val_samples=1, test_samples=1,
+                                feature_dim=16, augmentation=augmentation),
+    )
+    dataset = harness.generate_synthetic(cfg, 5)
+    dictionary = harness.fit_shared_dictionary(cfg, dataset)
+    gamma = losses.resolve_gamma(cfg.objective, dictionary) if family == "M_X" else None
+    feats, targets = harness._training_rows(cfg.objective, dictionary, dataset, gamma)
+    want_feats, want = _training_rows_per_category(cfg.objective, dictionary, dataset, gamma)
+    assert feats.shape == want_feats.shape
+    np.testing.assert_array_equal(_as_bits(feats), _as_bits(want_feats))
+    for field in ("y", "label", "soft", "ref"):
+        got, expected = getattr(targets, field), getattr(want, field)
+        if expected is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(_as_bits(got), _as_bits(expected))
 
 
 # ---------------------------------------------------------------------------
