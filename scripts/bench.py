@@ -2,10 +2,10 @@
 """Time the dictionary layer in-process and write a BENCH_<n>.json file.
 
 For three fit sizes, the pooled train targets of the perfbench `regress`
-(4 x 1000, K=100) and `bindelta_soft` (4 x 2000, K=200) configs and of the
-default config (12 x 2000, K=100), it times fit_kmeans and hard_labels of
-those targets, best of --repeats, and counts the Lloyd iterations and the
-distance rows (one point against every key) a fit computes.
+and `bindelta_soft` workload configs and of the default ExperimentConfig,
+it times fit_kmeans and hard_labels of those targets, best of --repeats,
+and counts the Lloyd iterations and the distance rows (one point against
+every key) a fit computes.
 
 Timings are wall clock of this process only (time.perf_counter), taken
 without system-wide tracing, without cache control and without pinning.
@@ -14,6 +14,7 @@ without system-wide tracing, without cache control and without pinning.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -22,28 +23,22 @@ import time
 
 import numpy as np
 
-from orientgeo import dictionary as dct
-from orientgeo import harness, losses
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py: the workload configs)
+
+from orientgeo import dictionary as dct  # noqa: E402
+from orientgeo import harness  # noqa: E402
 
 DATA_SEED = 202
 
-# name -> (objective, K, categories, train samples per category)
-FITS = {
-    "regress": ("R_G", 100, 4, 1000),
-    "bindelta_soft": ("M_X", 200, 4, 2000),
-    "default": ("M_G", 100, 12, 2000),
-}
 
-
-def _targets(objective, k, categories, train):
-    cfg = harness.ExperimentConfig(
-        objective=losses.ObjectiveSpec(objective), dictionary_size=k,
-        data=harness.DataConfig(categories=categories, train_samples=train,
-                                val_samples=1, test_samples=1),
-    )
-    dataset = harness.generate_synthetic(cfg, DATA_SEED)
-    mats = np.concatenate([dataset.train[name].targets for name in dataset.categories])
-    return cfg, harness.pose_vector(mats, cfg.objective.representation)
+def _configs():
+    """name -> ExperimentConfig of each timed fit, at data seed DATA_SEED."""
+    cfgs = {name: workloads._training_config(name, DATA_SEED, tiny=False)
+            for name in ("regress", "bindelta_soft")}
+    cfgs["default"] = dataclasses.replace(harness.ExperimentConfig(), seed=DATA_SEED)
+    return cfgs
 
 
 def _best_of(repeats, fn, *args):
@@ -56,15 +51,15 @@ def _best_of(repeats, fn, *args):
 
 
 def _counted_fit(targets, k, seed, representation):
-    """fit_kmeans with its distance rows and Lloyd iterations counted: rows
-    against all K keys, own-centre rows of the empty-cluster repair, and one
+    """fit_kmeans with its distance rows and Lloyd iterations counted: one
+    row per point whose distances a _sq_distances call takes, and one
     centroid renormalization per iteration."""
-    counts = {"distance_rows": 0, "repair_rows": 0, "iterations": 0}
+    counts = {"distance_rows": 0, "iterations": 0}
     sq_distances, renormalize = dct._sq_distances, dct._renormalize_centroids
 
     def counted_sq_distances(y, keys):
         out = sq_distances(y, keys)
-        counts["distance_rows" if keys.ndim == 2 else "repair_rows"] += out.shape[0]
+        counts["distance_rows"] += out.shape[0]
         return out
 
     def counted_renormalize(centroids, rep):
@@ -98,9 +93,9 @@ def main() -> int:
     args = parser.parse_args()
 
     entries = {}
-    for name, (objective, k, categories, train) in FITS.items():
-        cfg, targets = _targets(objective, k, categories, train)
-        rep, seed = cfg.objective.representation, cfg.dictionary_seed
+    for name, cfg in _configs().items():
+        targets = harness.pooled_train_targets(cfg, harness.generate_synthetic(cfg))
+        k, rep, seed = cfg.dictionary_size, cfg.objective.representation, cfg.dictionary_seed
         counts = _counted_fit(targets, k, seed, rep)
         dictionary = dct.fit_kmeans(targets, k, seed, rep)
         entries[name] = {

@@ -120,7 +120,7 @@ def _draw(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     unit quaternion; the smoothness test consumes no draws."""
     fam, d = spec.family, spec.pose_dim
     bin_delta = fam in losses.BIN_DELTA_FAMILIES
-    n_poses = 2 if fam in ("R_G", "R_E") else 1 + k if bin_delta else 1
+    n_poses = 2 if fam in losses.DIRECT_FAMILIES else 1 + k if bin_delta else 1
     aa = spec.representation == dct.AXIS_ANGLE
     raw, angles, logits, labels, deltas = [], [], [], [], []
     shape = (k, d) if spec.per_bin else (d,)
@@ -140,7 +140,7 @@ def _draw(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     unit = raw / so3._norm(raw)[..., None]
     poses = np.reshape(angles, (n, n_poses, 1)) * unit if aa else so3.canonical_quaternion(unit)
     y = poses[:, 0]
-    if fam in ("R_G", "R_E"):
+    if fam in losses.DIRECT_FAMILIES:
         return _Stack(pose=poses[:, 1], y=y)
     if fam == "C":
         return _Stack(logits=np.array(logits), label=np.array(labels))
@@ -214,7 +214,7 @@ def _pose_distance(spec, y_a, y_b) -> np.ndarray:
 
 def _norms_ok(spec, c: _Stack) -> np.ndarray:
     fam = spec.family
-    if fam in ("R_G", "R_E", "C"):
+    if fam in losses.DIRECT_FAMILIES or fam == "C":
         if fam == "R_G" and spec.representation == dct.AXIS_ANGLE:
             return np.abs(_norm(c.pose) - math.pi) > NORM_MARGIN
         return np.ones(c.size, dtype=bool)
@@ -324,7 +324,7 @@ def check_family(
 
 def _probe_rows(spec, k: int) -> int:
     """Rows of one instance's probe block: the instance and two per entry."""
-    if spec.family in ("R_G", "R_E"):
+    if spec.family in losses.DIRECT_FAMILIES:
         entries = spec.pose_dim
     elif spec.family == "C":
         entries = k

@@ -311,18 +311,24 @@ def pose_vector(rotation_matrix: np.ndarray, representation: str) -> np.ndarray:
     return so3.matrix_to_quaternion(rotation_matrix)
 
 
+def pooled_train_targets(cfg: ExperimentConfig, dataset: SyntheticDataset) -> np.ndarray:
+    """Pose vectors (n, d) of every category's clean train targets, in
+    category order: the points the shared dictionary is fit on."""
+    mats = np.concatenate([dataset.train[name].targets for name in dataset.categories])
+    return pose_vector(mats, cfg.objective.representation)
+
+
 def fit_shared_dictionary(cfg: ExperimentConfig, dataset: SyntheticDataset) -> dct.PoseDictionary:
     """One dictionary for all categories, fit on the pooled train targets."""
-    rep = cfg.objective.representation
-    mats = np.concatenate([dataset.train[name].targets for name in dataset.categories])
-    return dct.fit_kmeans(pose_vector(mats, rep), cfg.dictionary_size, cfg.dictionary_seed, rep)
+    return dct.fit_kmeans(pooled_train_targets(cfg, dataset), cfg.dictionary_size,
+                          cfg.dictionary_seed, cfg.objective.representation)
 
 
 def _make_targets(spec, dictionary, target_mats, gamma) -> losses.TargetBatch:
     """Objective targets for a stack of rotation matrices, built once per split."""
     y = pose_vector(target_mats, spec.representation)
     label = soft = None
-    if spec.family not in ("R_G", "R_E"):  # direct regression reads only y and ref
+    if spec.family not in losses.DIRECT_FAMILIES:  # direct regression reads only y and ref
         label = dct.hard_labels(y, dictionary)
         if spec.family in losses.SOFT_TARGET_FAMILIES:
             soft = dct.soft_assign_probs(y, dictionary.keys, gamma)
@@ -359,7 +365,7 @@ def build_category_model(cfg: ExperimentConfig, seed: int) -> dict:
         "pi_tanh" if spec.representation == dct.AXIS_ANGLE else "linear"
     ]
     nets = {}
-    if spec.family in ("R_G", "R_E"):
+    if spec.family in losses.DIRECT_FAMILIES:
         nets["pose"] = models.init_pose_network(
             [fdim] + hidden + [spec.pose_dim], seed, pose_act
         )
@@ -398,7 +404,7 @@ def _checkpoint_networks(nets):
 def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
     """Feature rows (n, in) to rotation matrices (n, 3, 3), by the family's
     decoding rule."""
-    if spec.family in ("R_G", "R_E"):
+    if spec.family in losses.DIRECT_FAMILIES:
         y = models.forward(nets["pose"], x)
         if spec.representation == dct.QUATERNION and np.any(np.linalg.norm(y, axis=-1) < 1e-12):
             raise models.ZeroSum("quaternion head collapsed to zero")
@@ -509,7 +515,7 @@ def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss
         if role == "deltas":
             out = out.swapaxes(1, 2)
         rows[role] = out.reshape(g * n, *out.shape[2:])
-    if spec.family in ("R_G", "R_E"):
+    if spec.family in losses.DIRECT_FAMILIES:
         prediction = rows["pose"]
     elif spec.family == "C":
         prediction = rows["logits"]
@@ -551,7 +557,7 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     seed = cfg.seed if seed is None else seed
     spec = cfg.objective
     opt = cfg.optimizer
-    if dictionary is None and spec.family != "R_G" and spec.family != "R_E":
+    if dictionary is None and spec.family not in losses.DIRECT_FAMILIES:
         dictionary = fit_shared_dictionary(cfg, dataset)
     schedule = losses.simple_init_schedule(spec, opt.epochs)
     gamma = (

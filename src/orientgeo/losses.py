@@ -46,6 +46,8 @@ FAMILIES = (
     "M_LEp",
 )
 
+# families that regress the pose directly: no dictionary, no labels
+DIRECT_FAMILIES = ("R_G", "R_E")
 # families whose regression term selects/needs the argmax label
 PER_BIN_FAMILIES = tuple(f for f in FAMILIES if f.endswith("p"))
 RIEMANNIAN_FAMILIES = ("M_R", "M_Rp", "M_LE", "M_LEp")
@@ -403,7 +405,7 @@ def objective_batch(
     and NonFiniteObjective when a value or gradient is not finite.
     """
     fam = spec.family
-    if fam in ("R_G", "R_E"):
+    if fam in DIRECT_FAMILIES:
         y = _stacked(prediction, (spec.pose_dim,), f"{fam} poses")
         b = y.shape[0]
         if fam == "R_E":

@@ -485,7 +485,7 @@ def test_training_rows_carry_only_the_targets_the_family_reads(family):
     soft = family in losses.SOFT_TARGET_FAMILIES
     gamma = losses.resolve_gamma(cfg.objective, dictionary) if soft else None
     _, targets = harness._training_rows(cfg.objective, dictionary, dataset, gamma)
-    assert (targets.label is None) == (family in ("R_G", "R_E"))
+    assert (targets.label is None) == (family in losses.DIRECT_FAMILIES)
     assert (targets.soft is None) == (not soft)
     assert targets.y.shape[0] == targets.ref.shape[0] == 2 * 60
 

@@ -363,8 +363,7 @@ def test_fit_kmeans_equals_loop_at_regress_size():
         data=harness.DataConfig(categories=4, train_samples=1000, val_samples=1, test_samples=1),
     )
     dataset = harness.generate_synthetic(cfg, 202)
-    mats = np.concatenate([dataset.train[name].targets for name in dataset.categories])
-    targets = harness.pose_vector(mats, dct.AXIS_ANGLE)
+    targets = harness.pooled_train_targets(cfg, dataset)
     assert targets.shape == (4000, 3)
     want = _fit_kmeans_loop(targets, 100, 0, dct.AXIS_ANGLE)
     rows, iterations = [], []
