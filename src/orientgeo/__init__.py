@@ -17,12 +17,11 @@ from .harness import (
 )
 from .losses import FAMILIES, ObjectiveSpec
 from .metrics import MetricReport, detection_report, pose_report
-from .so3 import AxisAngle, EulerZXZ, Rotation, UnitQuaternion
+from .so3 import EulerZXZ, Rotation, UnitQuaternion
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisAngle",
     "DataConfig",
     "EulerZXZ",
     "ExperimentConfig",

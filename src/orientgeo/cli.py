@@ -119,22 +119,34 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+def _floats(doc, key, default, count=None):
+    """doc[key], or default when absent, as floats; ValueError unless it is
+    a list of JSON numbers (count of them when count is given)."""
+    value = doc.get(key, default)
+    if not (isinstance(value, (list, tuple)) and len(value) == (count or len(value))
+            and all(type(v) in (int, float) for v in value)):
+        raise ValueError(f"{key} must be a list of {count or 'one or more'} numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 def _jitter_spec(path):
-    """(JitterSpec, EulerZXZ) from a JSON spec file; defaults without one."""
+    """(JitterSpec, EulerZXZ) from a JSON spec file; defaults without one.
+    ValueError on a key it does not know or a value of the wrong JSON type."""
     doc = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
-    jspec = jitter.JitterSpec(
-        d_az=tuple(doc.get("d_az", jitter.JitterSpec().d_az)),
-        d_el=tuple(doc.get("d_el", jitter.JitterSpec().d_el)),
-        d_ct=tuple(doc.get("d_ct", jitter.JitterSpec().d_ct)),
-        flip=bool(doc.get("flip", True)),
-    )
-    euler_deg = doc.get("euler_deg", (5.0, 88.0, 2.0))
-    return jspec, so3.EulerZXZ(*(math.radians(float(a)) for a in euler_deg))
+    unknown = sorted(doc.keys() - {"d_az", "d_el", "d_ct", "flip", "euler_deg"})
+    if unknown:
+        raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
+    flip = doc.get("flip", True)
+    if not isinstance(flip, bool):
+        raise ValueError(f"flip must be true or false, got {flip!r}")
+    offsets = (_floats(doc, k, getattr(jitter.JitterSpec, k)) for k in ("d_az", "d_el", "d_ct"))
+    euler_deg = _floats(doc, "euler_deg", (5.0, 88.0, 2.0), count=3)
+    return jitter.JitterSpec(*offsets, flip=flip), so3.EulerZXZ(*map(math.radians, euler_deg))
 
 
 def _cmd_jitter(args) -> int:

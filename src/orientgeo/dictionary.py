@@ -178,11 +178,6 @@ def fit_kmeans(targets, k: int, seed: int, representation: str = AXIS_ANGLE) -> 
     return PoseDictionary(centers, representation)
 
 
-def kmeans_objective(targets, dictionary: PoseDictionary) -> float:
-    """Sum of squared distances from each target to its nearest key."""
-    return float(np.min(_sq_distances(targets, dictionary.keys), axis=1).sum())
-
-
 def _keys(dictionary) -> np.ndarray:
     """The keys of a PoseDictionary (K, d), or a key stack (..., K, d) as
     floats: one dictionary per stack entry."""

@@ -18,6 +18,7 @@ columns are degrees.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -129,37 +130,58 @@ def _sign_convention(h: np.ndarray) -> float:
 
 
 def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each point set (..., n, 2) mapped by its homography (..., 3, 3)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ones = np.ones((pts.shape[0], 1))
-    mapped = np.hstack([pts, ones]) @ np.asarray(h, dtype=float).T
-    return mapped[:, :2] / mapped[:, 2:3]
+    ones = np.ones(pts.shape[:-1] + (1,))
+    mapped = np.concatenate([pts, ones], axis=-1) @ np.swapaxes(np.asarray(h, dtype=float), -1, -2)
+    return mapped[..., :2] / mapped[..., 2:3]
 
 
 def project(cam: Camera, points) -> np.ndarray:
-    """Pinhole projection of world points; rejects non-positive depths."""
+    """Pinhole projection of each world point (..., 3); rejects
+    non-positive depths."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cam_pts = pts @ cam.rotation.matrix.T + cam.translation
-    depths = cam_pts[:, 2]
+    depths = cam_pts[..., 2]
     if np.any(depths <= EPS_DEPTH):
         raise BehindCamera(f"minimum depth {depths.min():.3e} <= {EPS_DEPTH:g}")
     img = cam_pts @ cam.intrinsics.T
-    return img[:, :2] / img[:, 2:3]
+    return img[..., :2] / img[..., 2:3]
 
 
 def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
-    """Similarity T moving the centroid to 0 and mean distance to sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    mean_dist = float(np.mean(np.linalg.norm(pts - centroid, axis=1)))
-    if mean_dist < 1e-12:
+    """Similarity T (..., 3, 3) moving the centroid of each point set
+    (..., n, 2) to 0 and its mean distance to sqrt(2)."""
+    centroid = pts.mean(axis=-2)
+    mean_dist = np.mean(np.linalg.norm(pts - centroid[..., None, :], axis=-1), axis=-1)
+    if np.any(mean_dist < 1e-12):
         raise DegenerateConfiguration("all points coincide")
     s = math.sqrt(2.0) / mean_dist
-    return np.array(
-        [
-            [s, 0.0, -s * centroid[0]],
-            [0.0, s, -s * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    t = np.zeros(s.shape + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = s
+    t[..., :2, 2] = -s[..., None] * centroid
+    t[..., 2, 2] = 1.0
+    return t
+
+
+def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Unnormalized homography (..., 3, 3) of each correspondence set
+    src (n, 2) -> dst (..., n, 2), by the Hartley-normalized DLT with one
+    stacked SVD."""
+    t_src, t_dst = _hartley_normalization(src), _hartley_normalization(dst)
+    ns, nd = apply_homography(t_src, src), apply_homography(t_dst, dst)
+    xy1 = np.concatenate([ns, np.ones(ns.shape[:-1] + (1,))], axis=-1)
+    # point i gives equation rows 2i (for u) and 2i + 1 (for v)
+    a = np.zeros(nd.shape[:-1] + (2, 9))
+    a[..., 0, 0:3] = a[..., 1, 3:6] = -xy1
+    a[..., 6:] = nd[..., None] * xy1[..., None, :]
+    a = a.reshape(nd.shape[:-2] + (2 * nd.shape[-2], 9))
+    # four points give 8 rows: only the full V^T holds the null vector
+    _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)
+    if np.any(sv[..., 7] < DLT_RANK_TOL * np.maximum(sv[..., 0], 1.0)):
+        raise DegenerateConfiguration("correspondences are rank-deficient (collinear points?)")
+    h_norm = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
+    return np.linalg.inv(t_dst) @ h_norm @ t_src
 
 
 def dlt_homography(src, dst) -> Homography:
@@ -168,24 +190,7 @@ def dlt_homography(src, dst) -> Homography:
     dst = np.atleast_2d(np.asarray(dst, dtype=float))
     if src.shape != dst.shape or src.shape[0] < 4 or src.shape[1] != 2:
         raise DegenerateConfiguration("need >= 4 matched 2D correspondences")
-    t_src = _hartley_normalization(src)
-    t_dst = _hartley_normalization(dst)
-    ns = apply_homography(t_src, src)
-    nd = apply_homography(t_dst, dst)
-
-    n = src.shape[0]
-    a = np.zeros((2 * n, 9))
-    for i in range(n):
-        x, y = ns[i]
-        u, v = nd[i]
-        a[2 * i] = [-x, -y, -1.0, 0.0, 0.0, 0.0, u * x, u * y, u]
-        a[2 * i + 1] = [0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v]
-
-    _, sv, vt = np.linalg.svd(a)
-    if sv[7] < DLT_RANK_TOL * max(sv[0], 1.0):
-        raise DegenerateConfiguration("correspondences are rank-deficient (collinear points?)")
-    h_norm = vt[-1].reshape(3, 3)
-    return Homography(np.linalg.inv(t_dst) @ h_norm @ t_src)
+    return Homography(_dlt(src, dst))
 
 
 def flip_homography(cx: float) -> np.ndarray:
@@ -235,37 +240,31 @@ def jitter_sample(
     if not 0.0 < near_fraction <= 1.0:
         raise ValueError("near_fraction must be in (0, 1]")
 
-    pose = so3.euler_to_rotation(euler)
-    subset_idx = _near_subset(cam, points @ pose.matrix.T, near_fraction)
-    subset = points[subset_idx]
-    src = project(cam, subset @ pose.matrix.T)
-    k = cam.intrinsics
-    k_inv = np.linalg.inv(k)
-    exact_tilt = _tilt_is_in_plane(cam)
+    cells = list(itertools.product(spec.d_az, spec.d_el, spec.d_ct))
+    eulers = [so3.EulerZXZ(euler.azimuth + math.radians(d_az), euler.elevation + math.radians(d_el),
+                           euler.tilt + math.radians(d_ct)) for d_az, d_el, d_ct in cells]
+    # row 0 is the sample's own pose; one call builds every cell's pose
+    poses = so3.euler_to_matrix([(e.azimuth, e.elevation, e.tilt) for e in [euler, *eulers]])
+    subset = points[_near_subset(cam, points @ poses[0].T, near_fraction)]
+    src = project(cam, subset @ poses[0].T)
+    k, k_inv = cam.intrinsics, np.linalg.inv(cam.intrinsics)
+    # only a pure tilt about a fixed optical axis has an exact in-plane warp
+    tilt_in_plane = _tilt_is_in_plane(cam)
+    exact = [d_az == 0.0 and d_el == 0.0 and tilt_in_plane for d_az, d_el, _ in cells]
+    fitted = poses[1:][np.logical_not(exact)]
+    dst = project(cam, subset @ np.swapaxes(fitted, -1, -2))
+    warps = iter(_dlt(src, dst))
     cx = float(cam.principal_point[0])
 
     out = []
-    for d_az in spec.d_az:
-        for d_el in spec.d_el:
-            for d_ct in spec.d_ct:
-                jittered = so3.EulerZXZ(
-                    euler.azimuth + math.radians(d_az),
-                    euler.elevation + math.radians(d_el),
-                    euler.tilt + math.radians(d_ct),
-                )
-                if d_az == 0.0 and d_el == 0.0 and exact_tilt:
-                    warp = Homography(k @ so3.rot_z(math.radians(d_ct)) @ k_inv)
-                else:
-                    new_pose = so3.euler_to_rotation(jittered)
-                    dst = project(cam, subset @ new_pose.matrix.T)
-                    warp = dlt_homography(src, dst)
-                out.append(JitteredSample(warp, jittered, d_az, d_el, d_ct, False))
-                if spec.flip:
-                    mirrored = so3.EulerZXZ(
-                        -jittered.azimuth, jittered.elevation, -jittered.tilt
-                    )
-                    flipped = Homography(flip_homography(cx) @ warp.h)
-                    out.append(JitteredSample(flipped, mirrored, d_az, d_el, d_ct, True))
+    for (d_az, d_el, d_ct), jittered, in_plane in zip(cells, eulers, exact):
+        h = k @ so3.rot_z(math.radians(d_ct)) @ k_inv if in_plane else next(warps)
+        warp = Homography(h)
+        out.append(JitteredSample(warp, jittered, d_az, d_el, d_ct, False))
+        if spec.flip:
+            mirrored = so3.EulerZXZ(-jittered.azimuth, jittered.elevation, -jittered.tilt)
+            flipped = Homography(flip_homography(cx) @ warp.h)
+            out.append(JitteredSample(flipped, mirrored, d_az, d_el, d_ct, True))
     return out
 
 

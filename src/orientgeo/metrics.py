@@ -132,19 +132,15 @@ def iou(box_a, box_b):
     return (inter / (area_a + area_b - inter))[()]
 
 
-def angle_deg(r_true: so3.Rotation, r_pred: so3.Rotation) -> float:
-    return math.degrees(so3.geodesic_distance(r_true, r_pred))
-
-
 def _angles_deg(records: PoseRecords) -> np.ndarray:
-    """angle_deg of each pair, in one stacked call."""
+    """Geodesic angle in degrees of each pair, in one stacked call."""
     return np.degrees(so3.geodesic_distance_matrices(records.r_true, records.r_pred))
 
 
 def _azimuths_deg(m: np.ndarray):
     """Azimuth in degrees over [0, 360) of each rotation (..., 3, 3), as
-    math.degrees(rotation_to_euler(r).azimuth) % 360 gives it, and the mask
-    (...,) of rows in gimbal lock, whose azimuth is undefined."""
+    math.degrees(EulerZXZ(*matrix_to_euler(r)[0]).azimuth) % 360 gives it,
+    and the mask (...,) of rows in gimbal lock, whose azimuth is undefined."""
     angles, locked = so3.matrix_to_euler(m)
     az = np.fmod(angles[..., 0] + math.pi, 2.0 * math.pi)  # so3.wrap_angle, row-wise
     az = np.where(az < 0.0, az + 2.0 * math.pi, az) - math.pi
@@ -154,15 +150,6 @@ def _azimuths_deg(m: np.ndarray):
 def _azimuth_bins(azimuth_deg: np.ndarray, k: int) -> np.ndarray:
     """Bin i of k covers [i*360/k, (i+1)*360/k)."""
     return (azimuth_deg / (360.0 / k)).astype(int)
-
-
-def azimuth_bin(rotation: so3.Rotation, k: int) -> int:
-    """Uniform azimuth bin over [0, 360): bin i covers [i*360/k, (i+1)*360/k).
-    Raises so3.GimbalLock where the azimuth is undefined."""
-    azimuth, locked = _azimuths_deg(rotation.matrix)
-    if locked:
-        raise so3.GimbalLock(f"|sin(el)| below {so3.EPS_GIMBAL}: the azimuth is undefined")
-    return int(_azimuth_bins(azimuth, k))
 
 
 # ---------------------------------------------------------------------------
@@ -289,31 +276,6 @@ class Matching:
             float(np.count_nonzero(a < ANGLE_THRESHOLD_DEG) / self.n_gt),
             statistics.median(a.tolist()) if a.size else float("nan"),
         )
-
-
-def ap(detections, ground_truths) -> float:
-    """Plain box AP (see Matching.ap)."""
-    return Matching(detections, ground_truths).ap()
-
-
-def arp(detections, ground_truths) -> float:
-    """AP with rotation error below 30 degrees (see Matching.arp)."""
-    return Matching(detections, ground_truths).arp()
-
-
-def avp(detections, ground_truths, k: int) -> float:
-    """AP with the same azimuth bin of k (see Matching.avp)."""
-    return Matching(detections, ground_truths).avp(k)
-
-
-def detection_analysis(detections, ground_truths) -> DetectionAnalysis:
-    """%Detected, %Correct and PoseErr (see Matching.analysis)."""
-    return Matching(detections, ground_truths).analysis()
-
-
-def paired_records(detections, ground_truths) -> PoseRecords:
-    """The matched pairs, for the paired pose metrics."""
-    return Matching(detections, ground_truths).pairs
 
 
 # ---------------------------------------------------------------------------

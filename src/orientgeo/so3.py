@@ -35,20 +35,6 @@ class NearPiRotation(ValueError):
     """Matrix log requested for a rotation too close to angle pi."""
 
 
-class GimbalLock(ValueError):
-    """ZXZ extraction requested at a degenerate elevation."""
-
-
-def _as_readonly(a, shape, name):
-    out = np.array(a, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} must be finite")
-    out.setflags(write=False)
-    return out
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class Rotation:
     """A 3x3 rotation matrix, validated on construction."""
@@ -64,19 +50,6 @@ class Rotation:
     @staticmethod
     def identity() -> "Rotation":
         return Rotation(np.eye(3))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class AxisAngle:
-    """Axis-angle vector with norm in [0, pi); the zero vector is identity."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = _as_readonly(self.vector, (3,), "vector")
-        if np.linalg.norm(v) >= math.pi:
-            raise ValueError("axis-angle norm must be < pi")
-        object.__setattr__(self, "vector", v)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -102,7 +75,7 @@ class EulerZXZ:
     """ZXZ Euler triple (azimuth, elevation, camera-tilt), radians.
 
     az and ct are wrapped into [-pi, pi) on construction.  Annotation data
-    keeps el in [-pi/2, pi/2]; ``rotation_to_euler`` returns el in [0, pi]
+    keeps el in [-pi/2, pi/2]; ``matrix_to_euler`` returns el in [0, pi]
     (the two conventions describe the same rotation, see module docstring).
     """
 
@@ -375,58 +348,9 @@ def matrix_to_euler(m: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# typed API: the row-wise maps on one validated row
-
-
-def exp_map(v: AxisAngle) -> Rotation:
-    """Rodrigues exponential of an axis-angle element."""
-    return Rotation(rodrigues(v.vector))
-
-
-def log_map(r: Rotation) -> AxisAngle:
-    """Inverse of exp_map; rejects rotations within ~1e-3 rad of angle pi."""
-    return AxisAngle(log_rotation(r.matrix))
-
-
-def geodesic_distance(r1: Rotation, r2: Rotation) -> float:
-    """Angle of the relative rotation, acos((tr(R1^T R2) - 1) / 2), in [0, pi]."""
-    return float(geodesic_distance_matrices(r1.matrix, r2.matrix))
-
-
-def quaternion_distance(q1: UnitQuaternion, q2: UnitQuaternion) -> float:
-    """2 acos(|<q1, q2>|): geodesic angle, immune to the double cover."""
-    d = abs(float(np.dot(q1.wxyz, q2.wxyz)))
-    return 2.0 * math.acos(min(1.0, d))
-
-
-def axis_angle_to_quaternion(v: AxisAngle) -> UnitQuaternion:
-    return UnitQuaternion(_axis_angle_to_quat(v.vector))
-
-
-def _axis_angle_to_quat(v: np.ndarray) -> np.ndarray:
-    t = np.linalg.norm(v)
-    if t < EPS_THETA:
-        # sin(t/2)/t -> 1/2 - t^2/48
-        s = 0.5 - t * t / 48.0
-        return np.concatenate(([math.cos(t / 2.0)], s * v))
-    return np.concatenate(([math.cos(t / 2.0)], math.sin(t / 2.0) / t * v))
-
-
-def quaternion_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
-    """Axis-angle of a canonical quaternion; angle 2 acos(c) in [0, pi).
-
-    Raises NearPiRotation for angles within 1e-6 of pi, which the axis-angle
-    type cannot represent.
-    """
-    c = q.wxyz[0]
-    theta = 2.0 * math.acos(min(1.0, c))
-    if theta >= math.pi - 1e-6:
-        raise NearPiRotation(f"angle {theta:.9f} not representable below pi")
-    s = np.linalg.norm(q.wxyz[1:])
-    if s < EPS_THETA:
-        # theta/s -> 2/c for small s; c ~ 1 so the vector is ~ 2 * q_vec.
-        return AxisAngle(2.0 / c * q.wxyz[1:])
-    return AxisAngle(theta / s * q.wxyz[1:])
+# typed values: one validated row each.  Records, manifests and the pose
+# metrics carry poses as these, so a malformed pose fails where it is made;
+# every bulk computation goes through the row-wise maps above.
 
 
 def quaternion_to_rotation(q: UnitQuaternion) -> Rotation:
@@ -442,33 +366,9 @@ def rot_z(a: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def euler_to_rotation(e: EulerZXZ) -> Rotation:
     """R(az, el, ct) = Rz(ct) Rx(el) Rz(az): azimuth applied first."""
     return Rotation(euler_to_matrix([e.azimuth, e.elevation, e.tilt]))
-
-
-def rotation_to_euler(r: Rotation) -> EulerZXZ:
-    """ZXZ extraction with el in [0, pi] (see matrix_to_euler).  Raises
-    GimbalLock when |sin el| < EPS_GIMBAL, where az and ct are no longer
-    separable."""
-    angles, locked = matrix_to_euler(r.matrix)
-    if locked:
-        raise GimbalLock(f"|sin(el)| below {EPS_GIMBAL}: azimuth and tilt are not separable")
-    return EulerZXZ(*angles.tolist())
-
-
-def compose(r1: Rotation, r2: Rotation) -> Rotation:
-    """Rotation applying r2 first, then r1."""
-    return Rotation(r1.matrix @ r2.matrix)
-
-
-def inverse(r: Rotation) -> Rotation:
-    return Rotation(r.matrix.T)
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:
@@ -477,10 +377,3 @@ def random_rotation(rng: np.random.Generator) -> Rotation:
     while np.linalg.norm(q) < 1e-12:
         q = rng.standard_normal(4)
     return Rotation(_quat_to_matrix(normalize_quaternion(q)))
-
-
-def random_axis_angle(rng: np.random.Generator, max_angle: float = math.pi - 1e-3) -> AxisAngle:
-    """Axis uniform on the sphere, angle uniform on [0, max_angle]."""
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    return AxisAngle(rng.uniform(0.0, max_angle) * axis)

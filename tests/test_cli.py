@@ -78,8 +78,9 @@ def test_eval_command_matches_library(tmp_path, capsys):
     assert float(lines["med"]) == result.report.mean["MedErr"]
     assert float(lines["acc"]) == result.report.mean["Acc_pi6"]
     dets, gts = metrics.read_records(out / "records.txt")
-    assert float(lines["arp"]) == metrics.arp(dets, gts)
-    assert float(lines["avp"]) == metrics.avp(dets, gts, 8)
+    matching = metrics.Matching(dets, gts)
+    assert float(lines["arp"]) == matching.arp()
+    assert float(lines["avp"]) == matching.avp(8)
 
 
 def test_eval_rejects_unknown_metric(tmp_path, capsys):
@@ -240,7 +241,15 @@ def test_ablate_rejects_unreadable_config(tmp_path, capsys, contents):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"euler_deg": [1.0, 2.0]}'])
+# a misspelt key, a flip that is not a JSON boolean, offsets that are not a
+# list of numbers, and Euler angles that are not 3 numbers
+BAD_SPECS = [
+    '{"euler_deg": [1.0, 2.0]}', '{"fllip": false, "d_ct": [0]}', '{"flip": "false"}',
+    '{"d_ct": "12"}', '{"d_az": [0, true]}', '{"euler_deg": [5, 88, "2"]}',
+]
+
+
+@pytest.mark.parametrize("contents", BAD_JSON_FILES + BAD_SPECS)
 def test_jitter_rejects_unreadable_spec(tmp_path, capsys, contents):
     path = _unreadable(tmp_path, contents)
     manifest = tmp_path / "manifest.txt"

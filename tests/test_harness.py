@@ -13,6 +13,7 @@ from orientgeo import harness, losses, metrics, models, so3
 
 import record_golden_report
 import record_golden_training
+from so3_helpers import random_axis_angle
 
 
 def tiny_config(family="M_G", **overrides):
@@ -174,7 +175,7 @@ def test_two_tight_modes_give_bimodal_label_histogram():
     # keys fit on unrelated uniform rotations, so the histogram reflects the
     # data distribution instead of the clustering chasing it
     rng = np.random.default_rng(0)
-    uniform = [so3.log_map(so3.random_rotation(rng)).vector for _ in range(400)]
+    uniform = [so3.log_rotation(so3.random_rotation(rng).matrix) for _ in range(400)]
     dictionary = dct.fit_kmeans(uniform, 8, seed=0)
     counts = np.bincount(
         [dct.hard_label(v, dictionary) for v in vectors], minlength=8
@@ -209,7 +210,7 @@ def test_augmented_poses_stay_near_originals():
     split = ds.train[ds.categories[0]]
     # offsets are at most |daz|+|del|+|dct| <= 6 degrees of combined motion
     for orig, jit in zip(split.targets, split.aug_targets):
-        d = so3.geodesic_distance(so3.Rotation(orig), so3.Rotation(jit))
+        d = so3.geodesic_distance_matrices(so3.Rotation(orig).matrix, so3.Rotation(jit).matrix)
         assert np.degrees(d) <= 6.0 + 1e-6
 
 
@@ -531,7 +532,7 @@ def _fixed_decoder(logits, deltas, fdim=4):
 
 def _keys(seed, k=8):
     g = np.random.default_rng(seed)
-    keys = np.array([so3.random_axis_angle(g).vector for _ in range(k)])
+    keys = np.array([random_axis_angle(g) for _ in range(k)])
     return dct.PoseDictionary(keys, dct.AXIS_ANGLE)
 
 
@@ -613,7 +614,7 @@ def test_report_recomputable_from_records_dump(tmp_path):
             out = tmp_path / f"{family}_{seed}"
             result = harness.run_experiment(tiny_config(family, seed=seed), out_dir=str(out))
             dets, gts = metrics.read_records(out / "records.txt")
-            pairs = metrics.paired_records(dets, gts)
+            pairs = metrics.Matching(dets, gts).pairs
             for metric, fn in (("MedErr", metrics.med_err), ("Acc_pi6", metrics.acc_pi6)):
                 per, mean = fn(pairs)
                 assert mean == result.report.mean[metric], (family, seed, metric)

@@ -1,7 +1,10 @@
 """Projection, DLT homography, and pose-jitter grid expansion against
 synthetic-transform and inverse-projection oracles."""
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientgeo import jitter, so3
+
+import record_golden_jitter
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_jitter.json")
 
 
 def _euler(az_deg, el_deg, ct_deg):
@@ -95,6 +102,24 @@ def test_dlt_recovers_random_projective_maps():
             continue
         h = jitter.dlt_homography(pts, dst)
         assert np.max(np.abs(h.apply(pts) - dst)) <= 1e-6
+
+
+def test_dlt_recovers_projective_maps_from_exactly_four_points():
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(25):
+        true_h = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        if abs(np.linalg.det(true_h)) < 0.1:
+            continue
+        pts = rng.uniform(-50.0, 50.0, size=(4, 2))
+        dst = jitter.apply_homography(true_h, pts)
+        if np.max(np.abs(dst)) > 1e4:  # skip near-horizon configurations
+            continue
+        h = jitter.dlt_homography(pts, dst)
+        assert np.max(np.abs(h.apply(pts) - dst)) <= 1e-6
+        assert np.allclose(h.h, jitter.Homography(true_h).h, atol=1e-6)
+        checked += 1
+    assert checked >= 10
 
 
 def test_dlt_rejects_collinear_and_too_few():
@@ -204,13 +229,31 @@ def test_azimuth_jitter_homography_on_near_planar_subset():
     assert err <= 1e-3
 
 
+def test_four_point_near_subset_warps_are_exact():
+    # 8 corners: the near subset is max(4, round(0.2 * 8)) = 4 points, so every
+    # fitted warp interpolates them exactly
+    pts = jitter.cuboid_points(per_edge=2)
+    assert pts.shape == (8, 3)
+    cam = jitter.default_camera()
+    euler = _euler(20.0, 60.0, 5.0)
+    pose = so3.euler_to_rotation(euler)
+    world = pts @ pose.matrix.T
+    near = np.argsort(world[:, 2] + cam.translation[2], kind="stable")[:4]
+    src = jitter.project(cam, world[near])
+    out = jitter.jitter_sample((pts, cam, euler), jitter.JitterSpec(flip=False))
+    assert len(out) == 45
+    for item in out:
+        dst = jitter.project(cam, pts[near] @ so3.euler_to_rotation(item.euler).matrix.T)
+        assert np.max(np.abs(item.homography.apply(src) - dst)) <= 1e-6
+
+
 def test_jittered_targets_stay_within_offset_composition():
     pts, cam, euler = _sample()
     spec = jitter.JitterSpec(flip=False)
     base = so3.euler_to_rotation(euler)
     for item in jitter.jitter_sample((pts, cam, euler), spec):
         moved = so3.euler_to_rotation(item.euler)
-        d = so3.geodesic_distance(base, moved)
+        d = so3.geodesic_distance_matrices(base.matrix, moved.matrix)
         bound = math.radians(abs(item.d_az) + abs(item.d_el) + abs(item.d_ct)) + 1e-9
         assert d <= bound
 
@@ -294,3 +337,12 @@ def test_manifest_write_is_byte_stable(tmp_path):
     jitter.write_manifest(p1, entries)
     jitter.write_manifest(p2, entries)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(record_golden_jitter.CASES))
+def test_cli_manifest_matches_golden(case, tmp_path):
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        want = json.load(fh)[case]
+    data, cells = record_golden_jitter.manifest_bytes(*record_golden_jitter.CASES[case], tmp_path)
+    assert cells == want["cells"]
+    assert hashlib.sha256(data).hexdigest() == want["sha256"]

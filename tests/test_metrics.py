@@ -13,6 +13,7 @@ import pytest
 from orientgeo import cli, metrics, so3
 
 import record_golden_detection
+from so3_helpers import angle_deg, random_axis_angle
 
 
 def _rz(deg):
@@ -115,7 +116,7 @@ def test_med_err_matches_sort_oracle_per_category():
         cats.append(cat)
         trues.append(r_true)
         preds.append(r_pred)
-        angles[cat].append(metrics.angle_deg(r_true, r_pred))
+        angles[cat].append(angle_deg(r_true, r_pred))
     per, mean = metrics.med_err(_records(cats, trues, preds))
     for cat, vals in angles.items():
         vals = sorted(vals)
@@ -184,15 +185,15 @@ def _oracle_ap(tp_flags, n_gt):
 def test_single_perfect_detection_gives_ap_one():
     gt = [_gt("cat", BOX, _pose(40.0))]
     det = [_det("cat", BOX, 0.9, _pose(40.0))]
-    assert metrics.ap(det, gt) == 1.0
-    assert metrics.arp(det, gt) == 1.0
+    assert metrics.Matching(det, gt).ap() == 1.0
+    assert metrics.Matching(det, gt).arp() == 1.0
 
 
 def test_correct_box_wrong_pose_gives_arp_zero():
     gt = [_gt("cat", BOX, so3.Rotation.identity())]
     det = [_det("cat", BOX, 0.9, _rz(45.0))]
-    assert metrics.ap(det, gt) == 1.0
-    assert metrics.arp(det, gt) == 0.0
+    assert metrics.Matching(det, gt).ap() == 1.0
+    assert metrics.Matching(det, gt).arp() == 0.0
 
 
 def test_pose_wrong_match_still_consumes_ground_truth():
@@ -201,7 +202,7 @@ def test_pose_wrong_match_still_consumes_ground_truth():
         _det("cat", BOX, 0.9, _rz(90.0)),  # higher score, wrong pose
         _det("cat", BOX, 0.5, so3.Rotation.identity()),  # right pose, starved
     ]
-    assert metrics.arp(dets, gt) == 0.0
+    assert metrics.Matching(dets, gt).arp() == 0.0
 
 
 def test_ap_against_exact_rational_oracle():
@@ -224,12 +225,13 @@ def test_ap_against_exact_rational_oracle():
         flags_ap = [1.0 if j is not None else 0.0 for _, j in pairs]
         flags_arp = [
             1.0
-            if j is not None and metrics.angle_deg(gts[j].rotation, dets[i].rotation) < 30.0
+            if j is not None and angle_deg(gts[j].rotation, dets[i].rotation) < 30.0
             else 0.0
             for i, j in pairs
         ]
-        assert abs(metrics.ap(dets, gts) - _oracle_ap(flags_ap, n_gt)) <= 1e-9
-        assert abs(metrics.arp(dets, gts) - _oracle_ap(flags_arp, n_gt)) <= 1e-9
+        matching = metrics.Matching(dets, gts)
+        assert abs(matching.ap() - _oracle_ap(flags_ap, n_gt)) <= 1e-9
+        assert abs(matching.arp() - _oracle_ap(flags_arp, n_gt)) <= 1e-9
         # flags as a numpy array give the same AP as the list
         for flags in (flags_ap, flags_arp):
             assert metrics.average_precision(np.array(flags), n_gt) == metrics.average_precision(
@@ -244,8 +246,8 @@ def test_score_ties_break_by_input_order():
     first = _det("cat", BOX, 0.5, so3.Rotation.identity())
     second = _det("cat", BOX, 0.5, _rz(90.0))
     # identical scores: the earlier detection claims the ground truth
-    assert metrics.arp([first, second], gts) == 1.0
-    assert metrics.arp([second, first], gts) == 0.0
+    assert metrics.Matching([first, second], gts).arp() == 1.0
+    assert metrics.Matching([second, first], gts).arp() == 0.0
 
 
 def test_metrics_invariant_to_gt_ordering():
@@ -258,11 +260,12 @@ def test_metrics_invariant_to_gt_ordering():
         _det("cat", (20.0 * j + 1.0, 0.0, 20.0 * j + 11.0, 10.0), rng.random(), so3.random_rotation(rng))
         for j in range(6)
     ]
-    base_arp = metrics.arp(dets, gts)
-    base_avp = metrics.avp(dets, gts, 8)
+    base = metrics.Matching(dets, gts)
+    base_arp, base_avp = base.arp(), base.avp(8)
     shuffled = gts[::-1]
-    assert metrics.arp(dets, shuffled) == base_arp
-    assert metrics.avp(dets, shuffled, 8) == base_avp
+    matching = metrics.Matching(dets, shuffled)
+    assert matching.arp() == base_arp
+    assert matching.avp(8) == base_avp
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +275,18 @@ def test_metrics_invariant_to_gt_ordering():
 def test_avp_same_bin_and_boundary_bins():
     gt = [_gt("cat", BOX, _pose(10.0))]
     det = [_det("cat", BOX, 0.9, _pose(12.0))]
-    assert metrics.avp(det, gt, 8) == 1.0  # both in [0, 45)
+    assert metrics.Matching(det, gt).avp(8) == 1.0  # both in [0, 45)
 
     gt = [_gt("cat", BOX, _pose(44.0))]
     det = [_det("cat", BOX, 0.9, _pose(46.0))]
-    assert metrics.avp(det, gt, 8) == 0.0  # bins [0,45) vs [45,90)
+    assert metrics.Matching(det, gt).avp(8) == 0.0  # bins [0,45) vs [45,90)
 
 
 def test_avp_counts_gimbal_lock_as_incorrect():
     # pure z-rotation: elevation 0, azimuth/tilt inseparable
     gt = [_gt("cat", BOX, _pose(10.0))]
     det = [_det("cat", BOX, 0.9, _rz(10.0))]
-    assert metrics.avp(det, gt, 8) == 0.0
+    assert metrics.Matching(det, gt).avp(8) == 0.0
 
 
 def test_avp_nested_bins_monotone_and_perfect_equals_ap():
@@ -295,12 +298,13 @@ def test_avp_nested_bins_monotone_and_perfect_equals_ap():
         az = rng.uniform(-170.0, 170.0)
         gts.append(_gt("cat", box, _pose(az)))
         dets.append(_det("cat", box, rng.random(), _pose(az + rng.uniform(-30.0, 30.0))))
+    matching = metrics.Matching(dets, gts)
     for k in (4, 8, 12):
-        assert metrics.avp(dets, gts, 2 * k) <= metrics.avp(dets, gts, k) + 1e-12
+        assert matching.avp(2 * k) <= matching.avp(k) + 1e-12
 
-    perfect = [_det(g.category, g.box, 0.5, g.rotation) for g in gts]
+    perfect = metrics.Matching([_det(g.category, g.box, 0.5, g.rotation) for g in gts], gts)
     for k in (4, 8, 16, 24):
-        assert metrics.avp(perfect, gts, k) == metrics.ap(perfect, gts)
+        assert perfect.avp(k) == perfect.ap()
 
 
 def test_arp_never_exceeds_ap_on_random_sets():
@@ -317,7 +321,8 @@ def test_arp_never_exceeds_ap_on_random_sets():
             dets.append(
                 _det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), so3.random_rotation(rng))
             )
-        assert metrics.arp(dets, gts) <= metrics.ap(dets, gts) + 1e-12
+        matching = metrics.Matching(dets, gts)
+        assert matching.arp() <= matching.ap() + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +332,7 @@ def test_arp_never_exceeds_ap_on_random_sets():
 def test_detection_analysis_all_matched_accurate():
     gts = [_gt("cat", BOX, _pose(30.0))]
     dets = [_det("cat", BOX, 0.9, _pose(31.0))]
-    out = metrics.detection_analysis(dets, gts)
+    out = metrics.Matching(dets, gts).analysis()
     assert out.frac_detected == 1.0
     assert out.frac_correct == 1.0
     assert out.pose_err_deg < 2.0
@@ -339,7 +344,7 @@ def test_detection_analysis_half_matched():
         _gt("cat", (50.0, 0.0, 60.0, 10.0), so3.Rotation.identity()),
     ]
     dets = [_det("cat", (0.0, 0.0, 10.0, 10.0), 0.9, _rz(5.0))]
-    out = metrics.detection_analysis(dets, gts)
+    out = metrics.Matching(dets, gts).analysis()
     assert out.frac_detected == 0.5
     assert out.frac_correct == 0.5
     assert abs(out.pose_err_deg - 5.0) <= 1e-9
@@ -359,14 +364,14 @@ def test_frac_correct_never_exceeds_frac_detected():
             dets.append(
                 _det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), so3.random_rotation(rng))
             )
-        out = metrics.detection_analysis(dets, gts)
+        out = metrics.Matching(dets, gts).analysis()
         assert out.frac_correct <= out.frac_detected + 1e-12
 
 
 def test_paired_records_feed_pose_metrics():
     gts = [_gt("cat", BOX, so3.Rotation.identity())]
     dets = [_det("cat", BOX, 0.9, _rz(12.0))]
-    records = metrics.paired_records(dets, gts)
+    records = metrics.Matching(dets, gts).pairs
     assert len(records) == 1
     per, _ = metrics.med_err(records)
     assert abs(per["cat"] - 12.0) <= 1e-9
@@ -385,7 +390,7 @@ def _small_benchmark():
             box = (x, 0.0, x + 10.0, 10.0)
             rot = so3.random_rotation(rng)
             gts.append(_gt(cat, box, rot))
-            noise = so3.rodrigues(so3.random_axis_angle(rng, max_angle=0.4).vector)
+            noise = so3.rodrigues(random_axis_angle(rng, max_angle=0.4))
             dets.append(_det(cat, box, float(rng.random()), so3.Rotation(rot.matrix @ noise)))
     return dets, gts
 
@@ -441,7 +446,7 @@ def test_record_file_roundtrip_bit_exact(tmp_path):
         assert np.max(np.abs(table.rotation - [x.rotation.matrix for x in items])) <= 1e-12
     assert dets2.score.tolist() == [d.score for d in dets]
     # metrics computed from the file match the in-memory ones exactly
-    assert metrics.arp(dets2, gts2) == metrics.arp(dets, gts)
+    assert metrics.Matching(dets2, gts2).arp() == metrics.Matching(dets, gts).arp()
 
     second = tmp_path / "records2.txt"
     metrics.write_records(second, dets2, gts2)
