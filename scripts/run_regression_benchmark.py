@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 
 from orientgeo import harness, losses
+from orientgeo.cli import positive_count
 
 
 def small_data() -> harness.DataConfig:
@@ -18,7 +19,7 @@ def small_data() -> harness.DataConfig:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=3)
+    parser.add_argument("--trials", type=positive_count, default=3)
     parser.add_argument("--out", help="artifact directory (per family subdirs)")
     parser.add_argument(
         "--small", action="store_true", help="reduced dataset for a quick pass"
@@ -33,7 +34,7 @@ def main() -> int:
         if args.small:
             cfg = dataclasses.replace(cfg, data=small_data())
         out = f"{args.out}/{family}" if args.out else None
-        summary = harness.run_trials(cfg, out_dir=out, trials=args.trials)
+        summary = harness.run_trials(cfg, args.trials, out_dir=out)
         print(
             f"{family},{summary.metric_means['MedErr']!r},"
             f"{summary.metric_stds['MedErr']!r},"

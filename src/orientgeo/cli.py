@@ -11,7 +11,7 @@ from . import gradcheck, harness, jitter, losses, metrics, so3
 EVAL_METRICS = ("med", "acc", "arp", "avp")
 
 
-def _count(text: str) -> int:
+def positive_count(text: str) -> int:
     """argparse type of the count options: a positive int.  argparse turns
     the error into exit code 2 and a message on stderr."""
     value = int(text)
@@ -47,9 +47,8 @@ def _cmd_run(args) -> int:
     cfg = _config(args)
     if cfg is None:
         return 2
-    trials = args.trials if args.trials is not None else 1
-    if trials > 1:
-        summary = harness.run_trials(cfg, out_dir=args.out, trials=trials)
+    if args.trials > 1:
+        summary = harness.run_trials(cfg, args.trials, out_dir=args.out)
         for metric in sorted(summary.metric_means):
             print(
                 f"{metric} mean {summary.metric_means[metric]!r} "
@@ -175,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one experiment (or several trials)")
     p.add_argument("--config", help="JSON experiment config (defaults used if omitted)")
     p.add_argument("--out", help="artifact directory")
-    p.add_argument("--trials", type=_count, help="repeat on consecutive seeds")
+    p.add_argument("--trials", type=positive_count, default=1,
+                   help="repeat on consecutive seeds")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ablate", help="run the fixed ablation sweeps")
@@ -186,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="recompute metrics from a records file")
     p.add_argument("--records", required=True)
     p.add_argument("--metric", default="med", help=f"comma list of {','.join(EVAL_METRICS)}")
-    p.add_argument("--bins", type=_count, default=8, help="azimuth bins for avp")
+    p.add_argument("--bins", type=positive_count, default=8, help="azimuth bins for avp")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the loss gradients")
     p.add_argument("--family", default="all")
-    p.add_argument("--trials", type=_count, default=100, help="instances per family")
+    p.add_argument("--trials", type=positive_count, default=100, help="instances per family")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("jitter", help="write a jittered-homography manifest")

@@ -19,7 +19,7 @@ import statistics
 import numpy as np
 
 from . import dictionary as dct
-from . import losses, metrics, models, so3
+from . import jitter, losses, metrics, models, so3
 
 AUGMENTATIONS = ("none", "jittered", "jittered+extra")
 
@@ -38,6 +38,24 @@ class NonFiniteLoss(RuntimeError):
 # configuration
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """value as the int operator.index gives; ValueError naming it unless
+    that is an integer >= least (so 4.0 and "4" are refused, not rounded)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = least - 1
+    if n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
+
+
+def _set_counts(cfg, least: int, *names) -> None:
+    """Store each named field of a frozen config as _count of its value."""
+    for name in names:
+        object.__setattr__(cfg, name, _count(getattr(cfg, name), name, least))
+
+
 @dataclasses.dataclass(frozen=True)
 class OptimizerConfig:
     """Adam schedule: lr decays by `decay` after every scheduled epoch."""
@@ -53,8 +71,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.learning_rate <= 0.0 or self.decay <= 0.0:
             raise ValueError("learning_rate and decay must be positive")
-        if self.epochs < 1 or self.batch_per_category < 1:
-            raise ValueError("epochs and batch_per_category must be >= 1")
+        _set_counts(self, 1, "epochs", "batch_per_category")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
             raise ValueError("invalid Adam moments")
 
@@ -70,28 +87,16 @@ class DataConfig:
     modes: int = 4
     mode_spread: float = 0.7  # tangent-space std around each mode, radians
     augmentation: str = "none"
-    # pose offsets (degrees) used to synthesize augmented samples, mirroring
-    # the image-warp grid
-    jitter_az: tuple = (-1.0, 0.0, 1.0)
-    jitter_el: tuple = (-1.0, 0.0, 1.0)
-    jitter_ct: tuple = (-4.0, -2.0, 0.0, 2.0, 4.0)
 
     def __post_init__(self):
-        if min(self.categories, self.train_samples, self.val_samples, self.test_samples) < 1:
-            raise ValueError("all split sizes and the category count must be >= 1")
-        if self.feature_dim < 9:
-            raise ValueError("feature_dim must be at least 9 to disambiguate poses")
+        _set_counts(self, 1, "categories", "train_samples", "val_samples", "test_samples", "modes")
+        _set_counts(self, 9, "feature_dim")  # fewer features cannot disambiguate poses
         if self.noise < 0.0:
             raise ValueError("noise must be non-negative")
-        if self.modes < 1 or self.mode_spread <= 0.0:
-            raise ValueError("modes >= 1 and mode_spread > 0 required")
+        if self.mode_spread <= 0.0:
+            raise ValueError("mode_spread must be positive")
         if self.augmentation not in AUGMENTATIONS:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}")
-        for name in ("jitter_az", "jitter_el", "jitter_ct"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if not vals:
-                raise ValueError(f"{name} must be non-empty")
-            object.__setattr__(self, name, vals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,22 +110,13 @@ class ExperimentConfig:
     optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
     data: DataConfig = dataclasses.field(default_factory=DataConfig)
     seed: int = 0
-    trials: int = 3
 
     def __post_init__(self):
-        if self.dictionary_size < 1 or self.trials < 1:
-            raise ValueError("dictionary_size and trials must be >= 1")
-        for name in ("seed", "dictionary_seed"):
-            try:
-                seed = operator.index(getattr(self, name))
-            except TypeError:
-                seed = -1
-            if seed < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, seed)
-        hidden = tuple(int(h) for h in self.hidden)
-        if not hidden or min(hidden) < 1:
-            raise ValueError("hidden sizes must be positive")
+        _set_counts(self, 1, "dictionary_size")
+        _set_counts(self, 0, "seed", "dictionary_seed")
+        hidden = tuple(_count(h, "each hidden size") for h in self.hidden)
+        if not hidden:
+            raise ValueError("hidden must list at least one layer size")
         object.__setattr__(self, "hidden", hidden)
 
 
@@ -145,7 +141,6 @@ def config_from_json(text: str) -> ExperimentConfig:
         optimizer=OptimizerConfig(**doc["optimizer"]),
         data=DataConfig(**doc["data"]),
         seed=doc["seed"],
-        trials=doc["trials"],
     )
 
 
@@ -166,20 +161,6 @@ def apply_seed_override(cfg: ExperimentConfig) -> ExperimentConfig:
         return dataclasses.replace(cfg, seed=int(env))
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from None
-
-
-def respec(spec: losses.ObjectiveSpec, **overrides) -> losses.ObjectiveSpec:
-    """Rebuild an objective spec with overrides, re-resolving the combination
-    rule unless one is given explicitly (dataclasses.replace would carry a
-    stale resolved rule across a representation change)."""
-    fields = {
-        "family": spec.family,
-        "representation": spec.representation,
-        "alpha": spec.alpha,
-        "gamma": spec.gamma,
-    }
-    fields.update(overrides)
-    return losses.ObjectiveSpec(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +223,12 @@ def _sample_targets(rng, modes: np.ndarray, n: int, spread: float) -> np.ndarray
     return out
 
 
-def _jittered_copy(rng, targets: np.ndarray, data_cfg: DataConfig) -> np.ndarray:
-    """Perturb each pose by one random cell of the augmentation offset grid.
-    Poses in gimbal lock, or moved onto the pi shell, keep their target."""
-    grids = (data_cfg.jitter_az, data_cfg.jitter_el, data_cfg.jitter_ct)
+def _jittered_copy(rng, targets: np.ndarray) -> np.ndarray:
+    """Perturb each pose by one random cell of the image-warp offset grid,
+    jitter.JitterSpec's default (degrees).  Poses in gimbal lock, or moved
+    onto the pi shell, keep their target."""
+    spec = jitter.JitterSpec()
+    grids = (spec.d_az, spec.d_el, spec.d_ct)
     offsets = np.stack([rng.choice(grid, size=targets.shape[0]) for grid in grids], axis=1)
     angles, locked = so3.matrix_to_euler(targets)
     moved = so3.euler_to_matrix(angles + np.radians(offsets))
@@ -285,7 +268,7 @@ def generate_synthetic(cfg: ExperimentConfig, seed=None) -> SyntheticDataset:
         if copies:
             pools_f, pools_t = [], []
             for _ in range(copies):
-                jt = _jittered_copy(aug_rng, tr_targets, data)
+                jt = _jittered_copy(aug_rng, tr_targets)
                 jf = _features_of(jt, w, b)
                 if data.noise > 0.0:
                     jf = jf + data.noise * aug_rng.normal(size=jf.shape)
@@ -719,9 +702,10 @@ class TrialSummary:
         return self.metric_means[metric]
 
 
-def run_trials(cfg: ExperimentConfig, out_dir=None, trials=None) -> TrialSummary:
-    """Repeat the experiment on consecutive seeds; report mean/std per metric."""
-    trials = cfg.trials if trials is None else trials
+def run_trials(cfg: ExperimentConfig, trials: int, out_dir=None) -> TrialSummary:
+    """Repeat the experiment on `trials` consecutive seeds from cfg.seed;
+    report mean/std per metric.  ValueError unless trials is an integer >= 1."""
+    trials = _count(trials, "trials")
     seeds = tuple(cfg.seed + t for t in range(trials))
     results = []
     for t, s in enumerate(seeds):
@@ -792,7 +776,7 @@ def ablation_cells(base: ExperimentConfig):
     for rep in dct.REPRESENTATIONS:
         try:
             cfg = dataclasses.replace(
-                base, objective=respec(base.objective, representation=rep)
+                base, objective=dataclasses.replace(base.objective, representation=rep)
             )
         except losses.FamilyMismatch:
             continue
@@ -800,7 +784,7 @@ def ablation_cells(base: ExperimentConfig):
     for k in ABLATION_KS:
         cells.append(("dictionary_size", str(k), dataclasses.replace(base, dictionary_size=k)))
     for alpha in ABLATION_ALPHAS:
-        cfg = dataclasses.replace(base, objective=respec(base.objective, alpha=alpha))
+        cfg = dataclasses.replace(base, objective=dataclasses.replace(base.objective, alpha=alpha))
         cells.append(("alpha", str(alpha), cfg))
     for aug in AUGMENTATIONS:
         cfg = dataclasses.replace(base, data=dataclasses.replace(base.data, augmentation=aug))

@@ -29,7 +29,8 @@ EPS_DEPTH = 1e-9
 # second-smallest singular value below this (relative) means the DLT system
 # lost more rank than its expected one-dimensional null space
 DLT_RANK_TOL = 1e-9
-DEFAULT_NEAR_FRACTION = 0.2
+# share of a cloud's points, nearest the camera first, that fits each DLT warp
+NEAR_FRACTION = 0.2
 
 
 class BehindCamera(ValueError):
@@ -215,18 +216,14 @@ def _tilt_is_in_plane(cam: Camera) -> bool:
     return axis_fixed and on_axis
 
 
-def _near_subset(cam: Camera, points_world: np.ndarray, fraction: float) -> np.ndarray:
+def _near_subset(cam: Camera, points_world: np.ndarray) -> np.ndarray:
     depths = points_world @ cam.rotation.matrix.T[:, 2] + cam.translation[2]
-    count = max(4, int(round(fraction * points_world.shape[0])))
+    count = max(4, int(round(NEAR_FRACTION * points_world.shape[0])))
     order = np.argsort(depths, kind="stable")
     return order[:count]
 
 
-def jitter_sample(
-    sample,
-    spec: JitterSpec,
-    near_fraction: float = DEFAULT_NEAR_FRACTION,
-) -> list:
+def jitter_sample(sample, spec: JitterSpec) -> list:
     """Expand one (points, camera, euler) sample over the jitter grid.
 
     Grid order: d_az outer, d_el middle, d_ct inner; when spec.flip each
@@ -237,15 +234,13 @@ def jitter_sample(
     """
     points, cam, euler = sample
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if not 0.0 < near_fraction <= 1.0:
-        raise ValueError("near_fraction must be in (0, 1]")
 
     cells = list(itertools.product(spec.d_az, spec.d_el, spec.d_ct))
     eulers = [so3.EulerZXZ(euler.azimuth + math.radians(d_az), euler.elevation + math.radians(d_el),
                            euler.tilt + math.radians(d_ct)) for d_az, d_el, d_ct in cells]
     # row 0 is the sample's own pose; one call builds every cell's pose
     poses = so3.euler_to_matrix([(e.azimuth, e.elevation, e.tilt) for e in [euler, *eulers]])
-    subset = points[_near_subset(cam, points @ poses[0].T, near_fraction)]
+    subset = points[_near_subset(cam, points @ poses[0].T)]
     src = project(cam, subset @ poses[0].T)
     k, k_inv = cam.intrinsics, np.linalg.inv(cam.intrinsics)
     # only a pure tilt about a fixed optical axis has an exact in-plane warp
@@ -340,7 +335,9 @@ def write_manifest(path, entries) -> None:
 
 
 def read_manifest(path) -> list:
-    """Inverse of write_manifest: list of (sample_id, JitteredSample)."""
+    """Inverse of write_manifest: list of (sample_id, JitteredSample).
+    ValueError on a line without 17 columns, a flipped flag other than 0
+    or 1, or a number that is not finite."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -350,13 +347,15 @@ def read_manifest(path) -> list:
             cols = [c.strip() for c in line.split(",")]
             if len(cols) != 17:
                 raise ValueError(f"malformed manifest line: {line!r}")
-            sample_id = cols[0]
-            d_az, d_el, d_ct = (float(c) for c in cols[1:4])
-            flipped = cols[4] == "1"
-            h = np.array([float(c) for c in cols[5:14]]).reshape(3, 3)
-            az, el, ct = (math.radians(float(c)) for c in cols[14:17])
+            if cols[4] not in ("0", "1"):
+                raise ValueError(f"flipped column must be 0 or 1: {line!r}")
+            nums = [float(c) for c in cols[1:4] + cols[5:]]
+            if not all(math.isfinite(v) for v in nums):
+                raise ValueError(f"non-finite offset, warp or angle: {line!r}")
+            h = np.array(nums[3:12]).reshape(3, 3)
+            az, el, ct = (math.radians(v) for v in nums[12:])
             item = JitteredSample(
-                Homography(h), so3.EulerZXZ(az, el, ct), d_az, d_el, d_ct, flipped
+                Homography(h), so3.EulerZXZ(az, el, ct), *nums[:3], cols[4] == "1"
             )
-            out.append((sample_id, item))
+            out.append((cols[0], item))
     return out

@@ -1,7 +1,7 @@
 """Training objectives: pure regression, pure classification, and the
 fourteen Bin & Delta variants, each with analytic gradients.
 
-Gradients are hand-derived (no autodiff) with respect to the network
+Gradients are hand-derived (no autodiff) in terms of the network
 outputs: class logits, delta vector(s), or raw pose output.  The geodesic
 path differentiates acos((tr(R(y)^T A) - 1)/2) through the Rodrigues terms:
 with a(t) = sin t / t and b(t) = (1 - cos t)/t^2,
@@ -93,13 +93,13 @@ class ObjectiveSpec:
     exactly as that model is defined); defaults are 1 for shared-delta
     families and 10 for per-bin ones.  gamma parameterizes the soft target
     assignment for the relaxed families and is resolved against the
-    dictionary when left None.
+    dictionary when left None.  The family and representation fix how a
+    key and its delta compose (see `combination`).
     """
 
     family: str
     representation: str = dct.AXIS_ANGLE
     alpha: float | None = None
-    combination: str | None = None
     gamma: float | None = None
 
     def __post_init__(self):
@@ -113,32 +113,19 @@ class ObjectiveSpec:
             object.__setattr__(self, "alpha", 10.0 if self.per_bin else 1.0)
         if self.alpha <= 0.0:
             raise FamilyMismatch("alpha must be positive")
-        rule = self.combination
-        if rule is None:
-            if self.family in RIEMANNIAN_FAMILIES:
-                rule = models.RIEMANNIAN
-            elif self.representation == dct.QUATERNION:
-                rule = models.QUATERNION_RENORM
-            else:
-                rule = models.ADDITIVE
-            object.__setattr__(self, "combination", rule)
-        self._check_rule()
         if self.gamma is not None and self.gamma <= 0.0:
             raise FamilyMismatch("gamma must be positive")
 
-    def _check_rule(self):
-        rule = self.combination
-        if rule not in models.COMBINATION_RULES:
-            raise FamilyMismatch(f"unknown combination rule {rule!r}")
+    @property
+    def combination(self) -> str:
+        """How a key pose and its delta compose: R(z) exp(dy) for the
+        Riemannian families, the renormalized sum for quaternions, the sum
+        otherwise."""
         if self.family in RIEMANNIAN_FAMILIES:
-            if rule != models.RIEMANNIAN:
-                raise FamilyMismatch(f"{self.family} requires the riemannian rule")
-        elif rule == models.RIEMANNIAN:
-            raise FamilyMismatch(f"{self.family} cannot use the riemannian rule")
-        elif self.representation == dct.QUATERNION and rule != models.QUATERNION_RENORM:
-            raise FamilyMismatch("quaternion families use the quaternion_renorm rule")
-        elif self.representation == dct.AXIS_ANGLE and rule != models.ADDITIVE:
-            raise FamilyMismatch("axis-angle shared composition is additive")
+            return models.RIEMANNIAN
+        if self.representation == dct.QUATERNION:
+            return models.QUATERNION_RENORM
+        return models.ADDITIVE
 
     @property
     def per_bin(self) -> bool:
@@ -532,15 +519,6 @@ def simple_init_schedule(spec: ObjectiveSpec, epochs: int):
     """Objective per training epoch: one Simple warm-start epoch for the
     geodesic/riemannian Bin & Delta families, then the target objective."""
     init = SIMPLE_INIT.get(spec.family)
-    schedule = []
-    if init is not None:
-        schedule.append(
-            ObjectiveSpec(
-                family=init,
-                representation=spec.representation,
-                alpha=spec.alpha,
-                gamma=spec.gamma,
-            )
-        )
+    schedule = [] if init is None else [dataclasses.replace(spec, family=init)]
     schedule.extend([spec] * epochs)
     return schedule

@@ -29,7 +29,6 @@ ACTIVATIONS = ("relu", "pi_tanh", "linear")
 ADDITIVE = "additive"
 QUATERNION_RENORM = "quaternion_renorm"
 RIEMANNIAN = "riemannian"
-COMBINATION_RULES = (ADDITIVE, QUATERNION_RENORM, RIEMANNIAN)
 
 CHECKPOINT_VERSION = 1
 
@@ -212,42 +211,32 @@ def init_pose_network(sizes, seed: int, activations=None) -> MLP:
 # Bin & Delta composition
 
 
-def compose(rule: str, key: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Fuse key poses and deltas (..., d) row by row into final poses.
+def compose_rotation(rule: str, key: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Fuse key poses and deltas (..., d) row by row into rotation matrices
+    (..., 3, 3), by the rule ObjectiveSpec.combination names:
 
-    additive          -> z_l + dy                  (vectors (..., 3))
-    quaternion_renorm -> (z_l + dy) / |z_l + dy|   (vectors (..., 4))
-    riemannian        -> R(z_l) @ exp(dy)          (matrices (..., 3, 3))
+    additive          -> R(z_l + dy), the sum projected into the |v| < pi ball
+    quaternion_renorm -> the rotation of (z_l + dy) / |z_l + dy|
+    riemannian        -> R(z_l) @ exp(dy)
     """
     key = np.asarray(key, dtype=float)
     delta = np.asarray(delta, dtype=float)
     if key.shape != delta.shape:
         raise DimensionMismatch("key and delta dimensions differ")
     if rule == ADDITIVE:
-        return key + delta
+        return so3.rodrigues(so3.clip_axis_angle_norm(key + delta))
     if rule == QUATERNION_RENORM:
         s = key + delta
         n = np.linalg.norm(s, axis=-1, keepdims=True)
         if np.any(n < 1e-12):
             raise ZeroSum(f"|z + dy| = {n.min():.3g}")
-        return s / n
+        return so3._quat_to_matrix(so3.canonical_quaternion(s / n))
     if rule == RIEMANNIAN:
         if key.shape[-1] != 3:
             raise DimensionMismatch("riemannian rule is axis-angle only")
         key_m = so3.rodrigues(so3.clip_axis_angle_norm(key))
         return key_m @ so3.rodrigues(so3.clip_axis_angle_norm(delta))
     raise ValueError(f"unknown combination rule {rule!r}")
-
-
-def compose_rotation(rule: str, key: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """compose(...) as rotation matrices (..., 3, 3), with the axis-angle
-    safety projection for the additive rule."""
-    out = compose(rule, key, delta)
-    if rule == RIEMANNIAN:
-        return out
-    if rule == ADDITIVE:
-        return so3.rodrigues(so3.clip_axis_angle_norm(out))
-    return so3._quat_to_matrix(so3.canonical_quaternion(out))
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +248,14 @@ def _sizes(net: MLP) -> list:
     return [net.in_dim] + [layer.weight.shape[-2] for layer in net.layers]
 
 
-def save_mlp(net: MLP, path, seed=None) -> None:
-    """JSON checkpoint: header with sizes/activations/seed, layer-ordered
+def save_mlp(net: MLP, path) -> None:
+    """JSON checkpoint: header with version/sizes/activations, layer-ordered
     tensors.  json round-trips doubles exactly (shortest-repr), so loading
     reproduces the weights bit-for-bit."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "sizes": _sizes(net),
         "activations": [layer.activation for layer in net.layers],
-        "seed": seed,
         "tensors": [
             {"weight": layer.weight.tolist(), "bias": layer.bias.tolist()}
             for layer in net.layers

@@ -240,9 +240,9 @@ def log_rotation(m: np.ndarray) -> np.ndarray:
     return scale[..., None] * vee(m - np.swapaxes(m, -1, -2))
 
 
-def clip_axis_angle_norm(v: np.ndarray, max_norm: float = MAX_AXIS_ANGLE_NORM) -> np.ndarray:
-    """Rescale each row (..., 3) with |v| >= pi onto norm max_norm; other
-    rows pass unchanged.
+def clip_axis_angle_norm(v: np.ndarray) -> np.ndarray:
+    """Rescale each row (..., 3) with |v| >= pi onto norm
+    MAX_AXIS_ANGLE_NORM; other rows pass unchanged.
 
     Network heads bound components, not the norm, so raw or composed
     axis-angle outputs can leave the |v| < pi ball; this projection keeps
@@ -250,7 +250,7 @@ def clip_axis_angle_norm(v: np.ndarray, max_norm: float = MAX_AXIS_ANGLE_NORM) -
     """
     v = np.asarray(v, dtype=float)
     n = _norm(v)[..., None]
-    return np.where(n >= math.pi, v * (max_norm / np.maximum(n, math.pi)), v)
+    return np.where(n >= math.pi, v * (MAX_AXIS_ANGLE_NORM / np.maximum(n, math.pi)), v)
 
 
 def geodesic_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

@@ -294,3 +294,36 @@ def test_config_with_an_unknown_key_exits_two(tiny_config_path, tmp_path, capsys
     assert capsys.readouterr().err == (
         f"cannot read {tiny_config_path}: unknown config keys: sede\n")
     assert not (tmp_path / "o").exists()
+
+
+
+def _edit_config(path, section, name, value):
+    doc = json.loads(path.read_text())
+    (doc if section is None else doc[section])[name] = value
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("optimizer", "epochs", 1.5), ("data", "categories", 1.5), ("data", "train_samples", 40.5),
+    (None, "dictionary_size", 4.0), (None, "hidden", [8.7]),
+])
+def test_config_with_a_non_integer_count_exits_two(tiny_config_path, tmp_path, capsys,
+                                                    section, name, value):
+    _edit_config(tiny_config_path, section, name, value)
+    argv = ["run", "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
+    _exits_two_naming(tiny_config_path, argv, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, name, value", [
+    (None, "trials", 3), ("objective", "combination", "additive"),
+])
+def test_config_with_a_removed_option_exits_two(tiny_config_path, tmp_path, capsys,
+                                                 section, name, value):
+    _edit_config(tiny_config_path, section, name, value)
+    argv = ["run", "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {tiny_config_path}: ") and name in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()

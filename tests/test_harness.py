@@ -54,9 +54,22 @@ def test_config_json_roundtrip_all_fields():
             augmentation="jittered",
         ),
         seed=7,
-        trials=2,
     )
     assert harness.config_from_json(harness.config_to_json(cfg)) == cfg
+
+
+def test_config_keys_are_pinned():
+    """Every settable option of a config file; adding or removing one is a
+    deliberate edit of this list."""
+    doc = json.loads(harness.config_to_json(harness.ExperimentConfig()))
+    assert sorted(doc) == ["data", "dictionary_seed", "dictionary_size", "hidden",
+                           "objective", "optimizer", "seed"]
+    assert sorted(doc["objective"]) == ["alpha", "family", "gamma", "representation"]
+    assert sorted(doc["optimizer"]) == ["batch_per_category", "beta1", "beta2", "decay",
+                                        "epochs", "eps", "learning_rate"]
+    assert sorted(doc["data"]) == ["augmentation", "categories", "feature_dim", "mode_spread",
+                                   "modes", "noise", "test_samples", "train_samples",
+                                   "val_samples"]
 
 
 def test_default_config_roundtrips():
@@ -97,6 +110,28 @@ def test_seed_must_be_a_non_negative_integer(name, seed):
         harness.ExperimentConfig(**{name: seed})
 
 
+COUNTS = [
+    ("optimizer", "epochs"), ("optimizer", "batch_per_category"), ("data", "categories"),
+    ("data", "train_samples"), ("data", "val_samples"), ("data", "test_samples"),
+    ("data", "feature_dim"), ("data", "modes"), (None, "dictionary_size"),
+]
+
+
+@pytest.mark.parametrize("section, name", COUNTS)
+@pytest.mark.parametrize("value", [16.0, 16.5, "16"])
+def test_counts_must_be_integers(section, name, value):
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    (doc if section is None else doc[section])[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        harness.config_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("hidden", [[8.7], [16, 8.0], [0], []])
+def test_hidden_sizes_must_be_positive_integers(hidden):
+    with pytest.raises(ValueError, match="hidden"):
+        tiny_config(hidden=hidden)
+
+
 def test_seed_accepts_any_index_and_stores_an_int():
     cfg = harness.ExperimentConfig(seed=np.int64(7), dictionary_seed=np.int64(2))
     assert type(cfg.seed) is int and cfg.seed == 7
@@ -114,11 +149,14 @@ def test_seed_env_var_overrides_config(monkeypatch, tmp_path):
     assert harness.load_config(path).seed == 3
 
 
-def test_respec_rebuilds_combination_rule():
+def test_replace_rederives_combination_rule():
     spec = losses.ObjectiveSpec("M_G")
     assert spec.combination == models.ADDITIVE
-    requat = harness.respec(spec, representation=dct.QUATERNION)
+    requat = dataclasses.replace(spec, representation=dct.QUATERNION)
     assert requat.combination == models.QUATERNION_RENORM
+    # the warm-start swap of a riemannian family onto its Simple counterpart
+    warm = dataclasses.replace(losses.ObjectiveSpec("M_R"), family="M_S")
+    assert warm.combination == models.ADDITIVE
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +326,7 @@ def test_collapsed_quaternion_head_reports_non_finite_loss(monkeypatch):
         categories=1, train_samples=40, val_samples=8, test_samples=8, feature_dim=16,
     ))
     cfg = dataclasses.replace(
-        cfg, objective=harness.respec(cfg.objective, representation=dct.QUATERNION)
+        cfg, objective=dataclasses.replace(cfg.objective, representation=dct.QUATERNION)
     )
     build = harness.build_category_model
 
@@ -310,7 +348,7 @@ def test_non_finite_loss_names_the_failing_category(monkeypatch):
         categories=2, train_samples=40, val_samples=8, test_samples=8, feature_dim=16,
     ))
     cfg = dataclasses.replace(
-        cfg, objective=harness.respec(cfg.objective, representation=dct.QUATERNION)
+        cfg, objective=dataclasses.replace(cfg.objective, representation=dct.QUATERNION)
     )
     build = harness.build_category_model
 
@@ -661,15 +699,15 @@ def test_classification_run_respects_discretization_floor():
 def test_quaternion_family_runs_end_to_end():
     cfg = tiny_config("M_G")
     cfg = dataclasses.replace(
-        cfg, objective=harness.respec(cfg.objective, representation=dct.QUATERNION)
+        cfg, objective=dataclasses.replace(cfg.objective, representation=dct.QUATERNION)
     )
     result = harness.run_experiment(cfg)
     assert np.isfinite(result.report.mean["MedErr"])
 
 
 def test_run_trials_mean_and_std(tmp_path):
-    cfg = tiny_config("C", trials=2)
-    summary = harness.run_trials(cfg, out_dir=str(tmp_path), trials=2)
+    cfg = tiny_config("C")
+    summary = harness.run_trials(cfg, 2, out_dir=str(tmp_path))
     assert summary.seeds == (0, 1)
     a = harness.run_experiment(cfg, seed=0).report.mean["MedErr"]
     b = harness.run_experiment(cfg, seed=1).report.mean["MedErr"]
@@ -678,6 +716,12 @@ def test_run_trials_mean_and_std(tmp_path):
     assert lines[0] == "metric,mean,std"
     assert len(lines) == 3
     assert (tmp_path / "trial_0" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("trials", [0, -1, 1.5])
+def test_run_trials_needs_a_positive_count(trials):
+    with pytest.raises(ValueError, match="^trials must be an integer >= 1"):
+        harness.run_trials(tiny_config("C"), trials)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,32 @@ def test_manifest_roundtrip(tmp_path):
         assert item.flipped == item2.flipped
 
 
+def _manifest_with_column(tmp_path, col, value):
+    """A one-cell manifest whose column col (0-based) is replaced by value."""
+    spec = jitter.JitterSpec(d_az=(1.0,), d_el=(0.0,), d_ct=(0.0,), flip=False)
+    path = tmp_path / "manifest.txt"
+    jitter.write_manifest(path, [("s0", jitter.jitter_sample(_sample(), spec)[0])])
+    header, line = path.read_text().splitlines()
+    cols = line.split(", ")
+    cols[col] = value
+    path.write_text(header + "\n" + ", ".join(cols) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("flag", ["yes", "true", "2", ""])
+def test_manifest_rejects_a_flag_other_than_0_or_1(tmp_path, flag):
+    with pytest.raises(ValueError, match="flipped column must be 0 or 1"):
+        jitter.read_manifest(_manifest_with_column(tmp_path, 4, flag))
+
+
+# offsets d_az and d_ct, warp entries h00 and h22, angles az and ct
+@pytest.mark.parametrize("col", [1, 3, 5, 13, 14, 16])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_manifest_rejects_non_finite_numbers(tmp_path, col, value):
+    with pytest.raises(ValueError, match="non-finite"):
+        jitter.read_manifest(_manifest_with_column(tmp_path, col, value))
+
+
 def test_manifest_write_is_byte_stable(tmp_path):
     spec = jitter.JitterSpec(d_az=(1.0,), d_el=(0.0,), d_ct=(0.0,), flip=False)
     items = jitter.jitter_sample(_sample(), spec)

@@ -170,6 +170,35 @@ def test_combination_rule_defaults():
     assert _spec("M_LEp").combination == models.RIEMANNIAN
 
 
+def _resolved_rule(family, representation):
+    """The rule ObjectiveSpec once resolved when none was given: the only
+    one its check accepted for the pair."""
+    if family in ("M_R", "M_Rp", "M_LE", "M_LEp"):
+        return models.RIEMANNIAN
+    if representation == dct.QUATERNION:
+        return models.QUATERNION_RENORM
+    return models.ADDITIVE
+
+
+def test_combination_rule_is_derived_for_every_legal_pair():
+    pairs = 0
+    for fam in losses.FAMILIES:
+        for rep in dct.REPRESENTATIONS:
+            try:
+                spec = _spec(fam, representation=rep)
+            except losses.FamilyMismatch:
+                assert fam in losses.RIEMANNIAN_FAMILIES and rep == dct.QUATERNION
+                continue
+            assert spec.combination == _resolved_rule(fam, rep), (fam, rep)
+            pairs += 1
+    assert pairs == 2 * len(losses.FAMILIES) - len(losses.RIEMANNIAN_FAMILIES)
+
+
+def test_combination_rule_is_not_settable():
+    with pytest.raises(TypeError):
+        _spec("M_G", combination=models.RIEMANNIAN)
+
+
 def test_riemannian_families_reject_quaternions():
     for fam in ("M_R", "M_Rp", "M_LE", "M_LEp"):
         with pytest.raises(losses.FamilyMismatch):
@@ -177,12 +206,6 @@ def test_riemannian_families_reject_quaternions():
 
 
 def test_rule_mismatches_rejected():
-    with pytest.raises(losses.FamilyMismatch):
-        _spec("M_G", combination=models.RIEMANNIAN)
-    with pytest.raises(losses.FamilyMismatch):
-        _spec("M_R", combination=models.ADDITIVE)
-    with pytest.raises(losses.FamilyMismatch):
-        _spec("M_G", representation=dct.QUATERNION, combination=models.ADDITIVE)
     with pytest.raises(losses.FamilyMismatch):
         _spec("bogus")
     with pytest.raises(losses.FamilyMismatch):

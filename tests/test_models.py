@@ -212,18 +212,19 @@ def test_init_forward_finite():
 
 def test_compose_additive_zero_delta():
     z = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_array_equal(models.compose(models.ADDITIVE, z, np.zeros(3)), z)
+    r = models.compose_rotation(models.ADDITIVE, z, np.zeros(3))
+    np.testing.assert_array_equal(r, so3.rodrigues(z))
 
 
 def test_compose_riemannian_identity_key():
     d = np.array([0.3, -0.1, 0.2])
-    r = models.compose(models.RIEMANNIAN, np.zeros(3), d)
+    r = models.compose_rotation(models.RIEMANNIAN, np.zeros(3), d)
     np.testing.assert_allclose(r, so3.rodrigues(d), atol=1e-15)
 
 
 def test_compose_riemannian_coaxial_adds_angles():
     z = np.array([0.0, 0.0, math.pi / 4.0])
-    r = models.compose(models.RIEMANNIAN, z, z)
+    r = models.compose_rotation(models.RIEMANNIAN, z, z)
     expected = so3.rodrigues(np.array([0.0, 0.0, math.pi / 2.0]))
     np.testing.assert_allclose(r, expected, atol=1e-12)
     np.testing.assert_allclose(r, so3.rodrigues(z) @ so3.rodrigues(z), atol=1e-12)
@@ -234,14 +235,19 @@ def test_compose_quaternion_renorm_unit_output():
     z = g.standard_normal(4)
     z /= np.linalg.norm(z)
     d = 0.1 * g.standard_normal(4)
-    q = models.compose(models.QUATERNION_RENORM, z, d)
-    assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+    r = models.compose_rotation(models.QUATERNION_RENORM, z, d)
+    # a rotation only if the sum was renormalized: an unnormalized quaternion scales R
+    assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-12
+    assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+    # the sum's rotation: it maps z + d's vector part onto itself
+    axis = (z + d)[1:]
+    np.testing.assert_allclose(r @ axis, axis, atol=1e-12)
 
 
 def test_compose_quaternion_zero_sum():
     z = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(models.ZeroSum):
-        models.compose(models.QUATERNION_RENORM, z, -z)
+        models.compose_rotation(models.QUATERNION_RENORM, z, -z)
 
 
 def test_composed_axis_angle_always_inside_ball():
@@ -265,7 +271,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     # bake in some irrational-looking values
     net.layers[0].weight += 0.1 * g.standard_normal(net.layers[0].weight.shape)
     path = tmp_path / "ckpt.json"
-    models.save_mlp(net, path, seed=21)
+    models.save_mlp(net, path)
     loaded = models.load_mlp(path)
     assert [l.activation for l in loaded.layers] == ["relu", "pi_tanh"]
     for la, lb in zip(net.layers, loaded.layers):
@@ -284,12 +290,11 @@ def test_checkpoint_bytes_equal_json_dump_output(tmp_path):
     net = models.init_pose_network([6, 5, 3], seed=3, activations=["relu", "pi_tanh"])
     net.layers[1].bias[:] = rng(5).standard_normal(3)
     path = tmp_path / "ckpt.json"
-    models.save_mlp(net, path, seed=3)
+    models.save_mlp(net, path)
     doc = {
         "version": models.CHECKPOINT_VERSION,
         "sizes": [6, 5, 3],
         "activations": ["relu", "pi_tanh"],
-        "seed": 3,
         "tensors": [{"weight": l.weight.tolist(), "bias": l.bias.tolist()} for l in net.layers],
     }
     oracle = tmp_path / "oracle.json"
