@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Time the dictionary layer in-process and write a BENCH_<n>.json file.
+"""Time the dictionary layer and the training step in-process and write a
+BENCH_<n>.json file.
 
-For three fit sizes, the pooled train targets of the perfbench `regress`
-and `bindelta_soft` workload configs and of the default ExperimentConfig,
-it times fit_kmeans and hard_labels of those targets, best of --repeats,
-and counts the Lloyd iterations and the distance rows (one point against
-every key) a fit computes.
+Dictionary: for three fit sizes, the pooled train targets of the
+perfbench `regress` and `bindelta_soft` workload configs and of the
+default ExperimentConfig, it times fit_kmeans and hard_labels of those
+targets, best of --repeats, and counts the Lloyd iterations and the
+distance rows (one point against every key) a fit computes.
+
+Training step: at the shapes one `regress` step has (G categories x
+batch_per_category rows on the stacked pose network), it times
+forward_cached, objective_batch, backward and the Adam step, best of
+STEP_REPEATS, and splits one `regress` run_experiment into its stages
+with the perfbench layer tracer (inclusive times; the train self time is
+the Adam steps plus the step glue around the traced calls).
 
 Timings are wall clock of this process only (time.perf_counter), taken
 without system-wide tracing, without cache control and without pinning.
 
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_1.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_2.json
 """
 
 import argparse
@@ -19,18 +27,21 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
+import layertrace  # noqa: E402  (perfbench/layertrace.py: the layer tracer)
 import workloads  # noqa: E402  (perfbench/workloads.py: the workload configs)
 
 from orientgeo import dictionary as dct  # noqa: E402
-from orientgeo import harness  # noqa: E402
+from orientgeo import harness, losses, models  # noqa: E402
 
 DATA_SEED = 202
+STEP_REPEATS = 200  # a training-step part takes tens of microseconds
 
 
 def _configs():
@@ -41,9 +52,13 @@ def _configs():
     return cfgs
 
 
-def _best_of(repeats, fn, *args):
+def _best_of(repeats, fn, *args, before=None):
+    """Fastest of `repeats` timed calls fn(*args); before(), when given,
+    runs untimed ahead of each call."""
     best = float("inf")
     for _ in range(repeats):
+        if before is not None:
+            before()
         start = time.perf_counter()
         fn(*args)
         best = min(best, time.perf_counter() - start)
@@ -74,6 +89,62 @@ def _counted_fit(targets, k, seed, representation):
     return counts
 
 
+def _step_timings(cfg, repeats):
+    """Best-of-repeats time of each part of one training step at cfg's
+    shapes: the first batch_per_category train rows of every category on
+    the stacked pose network of a direct-regression family."""
+    spec, opt = cfg.objective, cfg.optimizer
+    dataset = harness.generate_synthetic(cfg)
+    g, n = cfg.data.categories, opt.batch_per_category
+    net = models.stack([harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1))["pose"]
+                        for c in range(g)])
+    feats_all, targets_all = harness._training_rows(spec, None, dataset, None)
+    feats = feats_all[:, :n]
+    targets = targets_all.rows((np.arange(g)[:, None] * feats_all.shape[1] + np.arange(n)).ravel())
+    out, cache = models.forward_cached(net, feats)
+    rows = out.reshape(g * n, -1)
+    grad_out = losses.objective_batch(spec, rows, targets, None).grads["pose"].reshape(g, n, -1) / n
+    adam = harness._Adam(net, opt)
+    buf = adam.gradient_buffer()
+    grad = models.backward(net, cache, grad_out, buf).copy()
+    return {
+        "categories": g,
+        "rows_per_category": n,
+        "params_per_category": int(net.params.shape[-1]),
+        "forward_cached_s": _best_of(repeats, models.forward_cached, net, feats),
+        "objective_batch_s": _best_of(repeats, losses.objective_batch, spec, rows, targets, None),
+        "backward_s": _best_of(repeats, models.backward, net, cache, grad_out, buf),
+        # step uses its gradient as scratch: refill it, untimed, before each call
+        "adam_step_s": _best_of(repeats, adam.step, net.params, buf, opt.learning_rate,
+                                before=lambda: np.copyto(buf, grad)),
+    }
+
+
+def _stage_split(cfg):
+    """Wall time of one run_experiment with out_dir, and the inclusive
+    times of its stages from the layer tracer."""
+    with tempfile.TemporaryDirectory() as out_dir, layertrace.Tracer({}) as tracer:
+        start = time.perf_counter()
+        harness.run_experiment(cfg, out_dir=out_dir)
+        total = time.perf_counter() - start
+    inc = tracer.inclusive
+    stages = {
+        "generate_s": inc["harness.generate_synthetic"],
+        "dictionary_s": inc["harness.fit_shared_dictionary"],
+        "train_s": inc["harness.train"],
+        "train.forward_cached_s": inc["models.forward_cached"],
+        "train.objective_batch_s": inc["losses.objective_batch"],
+        "train.backward_s": inc["models.backward"],
+        "train.self_s": tracer.self_time["harness.train"],
+        "eval_s": inc["harness.evaluate_split"],
+    }
+    # config, report, records, dictionary and checkpoint writes, and the report maths
+    stages["rest_s"] = total - sum(stages[k] for k in ("generate_s", "dictionary_s", "train_s",
+                                                       "eval_s"))
+    calls = {k: v for k, v in sorted(tracer.calls.items()) if k.startswith(("models.", "losses."))}
+    return {"run_experiment_s": total, **stages, "calls": calls}
+
+
 def _cpu_model():
     """The CPU model name from /proc/cpuinfo, or the platform's guess."""
     try:
@@ -88,7 +159,7 @@ def _cpu_model():
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per entry")
+    parser.add_argument("--repeats", type=int, default=5, help="timed calls per dictionary entry")
     parser.add_argument("--out", help="JSON file to write (default: print only)")
     args = parser.parse_args()
 
@@ -109,12 +180,25 @@ def main() -> int:
         }
         print(f"{name}: " + ", ".join(f"{key} {value}" for key, value in entries[name].items()))
 
+    regress = workloads._training_config("regress", DATA_SEED, tiny=False)
+    step = _step_timings(regress, STEP_REPEATS)
+    print("regress step: " + ", ".join(f"{key} {value}" for key, value in step.items()))
+    stages = _stage_split(regress)
+    print("regress run_experiment: " + ", ".join(
+        f"{key} {value:.3f}" for key, value in stages.items() if key != "calls"))
+
     doc = {
-        "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats, in-process",
+        "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats; "
+                "training step: forward, objective, backward and Adam at the regress "
+                "step shapes, best of step_repeats, and the stage split of one regress "
+                "run_experiment; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
                   "no cache control, no CPU pinning",
         "data_seed": DATA_SEED,
         "repeats": args.repeats,
+        "step_repeats": STEP_REPEATS,
+        "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                   "MKL_NUM_THREADS")},
         "machine": {
             "platform": platform.platform(),
             "cpu": _cpu_model(),
@@ -123,6 +207,8 @@ def main() -> int:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "entries": entries,
+        "regress_step": step,
+        "regress_stages": stages,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -50,6 +50,12 @@ def _count(value, name: str, least: int = 1) -> int:
     return n
 
 
+def _positive(value) -> bool:
+    """value > 0 and finite: NaN and infinity fail, where a comparison
+    alone would let NaN through."""
+    return math.isfinite(value) and value > 0.0
+
+
 def _set_counts(cfg, least: int, *names) -> None:
     """Store each named field of a frozen config as _count of its value."""
     for name in names:
@@ -69,11 +75,12 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0 or self.decay <= 0.0:
-            raise ValueError("learning_rate and decay must be positive")
+        if not (_positive(self.learning_rate) and _positive(self.decay)):
+            raise ValueError("learning_rate and decay must be positive and finite")
         _set_counts(self, 1, "epochs", "batch_per_category")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
-            raise ValueError("invalid Adam moments")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and _positive(self.eps)):
+            raise ValueError("invalid Adam moments: beta1 and beta2 must lie in [0, 1), "
+                             "eps must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,10 +98,10 @@ class DataConfig:
     def __post_init__(self):
         _set_counts(self, 1, "categories", "train_samples", "val_samples", "test_samples", "modes")
         _set_counts(self, 9, "feature_dim")  # fewer features cannot disambiguate poses
-        if self.noise < 0.0:
-            raise ValueError("noise must be non-negative")
-        if self.mode_spread <= 0.0:
-            raise ValueError("mode_spread must be positive")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise ValueError("noise must be non-negative and finite")
+        if not _positive(self.mode_spread):
+            raise ValueError("mode_spread must be positive and finite")
         if self.augmentation not in AUGMENTATIONS:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}")
 
@@ -409,14 +416,27 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
 class _Adam:
     """Adam state for one stacked MLP's (..., P) parameter buffer.  Each
     stack entry keeps its own step count and moves only on the steps that
-    select it, so a head no sample touched keeps its weights and moments."""
+    select it, so a head no sample touched keeps its weights and moments.
+
+    The step is Kingma & Ba's efficient form (ICLR 2015, section 2): both
+    bias corrections fold into the step size, alpha_t = lr sqrt(1 - b2^t) /
+    (1 - b1^t), and eps into eps_t = eps sqrt(1 - b2^t), which equals the
+    textbook update up to rounding with one divide instead of three.
+    """
 
     def __init__(self, net: models.MLP, opt: OptimizerConfig):
         self.opt = opt
         self.t = np.zeros(net.params.shape[:-1], dtype=int)
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
+        self._grad = np.empty_like(net.params)
         self._scratch = np.empty_like(net.params)
+
+    def gradient_buffer(self, rows=None) -> np.ndarray:
+        """The buffer models.backward fills for the next step: the whole
+        (..., P) buffer, or the first `rows` rows (rows, P) of it for a step
+        on gathered stack entries."""
+        return self._grad if rows is None else self._grad.reshape(-1, self._grad.shape[-1])[:rows]
 
     def step(self, params, grad, lr: float, sel=None):
         """Update params in place from grad, both (..., P), and use grad as
@@ -433,17 +453,20 @@ class _Adam:
             a = a.reshape(-1, a.shape[-1])[: len(grad)]
             self.t[sel] += 1
             t = self.t[sel]
-        c1 = (1.0 - o.beta1**t)[..., None]
-        c2 = (1.0 - o.beta2**t)[..., None]
-        # m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, lr*(m/c1) / (sqrt(v/c2) + eps)
+        c1 = 1.0 - o.beta1**t
+        root_c2 = np.sqrt(1.0 - o.beta2**t)
+        alpha_t = (lr * root_c2 / c1)[..., None]
+        eps_t = (o.eps * root_c2)[..., None]
+        # m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, alpha_t * (m / (sqrt(v) + eps_t))
         np.multiply(m, o.beta1, out=m)
         m += np.multiply(grad, 1.0 - o.beta1, out=a)
         np.multiply(v, o.beta2, out=v)
         np.multiply(grad, 1.0 - o.beta2, out=a)
         v += np.multiply(a, grad, out=a)
-        np.multiply(np.divide(m, c1, out=a), lr, out=a)
-        np.sqrt(np.divide(v, c2, out=grad), out=grad)
-        a /= np.add(grad, o.eps, out=grad)
+        np.sqrt(v, out=grad)
+        grad += eps_t
+        np.divide(m, grad, out=a)
+        a *= alpha_t
         params -= a
         if sel is not None:
             self.m[sel], self.v[sel] = m, v
@@ -517,8 +540,9 @@ def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss
             net = models.on_buffer(params, net)
             cache = [("input", feats[sel[0]])] + [(tag, h[sel]) for tag, h in cache[1:]]
             grad = grad[sel]
-        grads, _ = models.backward(net, cache, grad / n)
-        adams[role].step(params, models.flatten(grads), lr, sel)
+        adam = adams[role]
+        out = adam.gradient_buffer(None if sel is None else len(sel[0]))
+        adam.step(params, models.backward(net, cache, grad / n, out), lr, sel)
         if sel is not None:
             nets[role].params[sel] = params
     return batch

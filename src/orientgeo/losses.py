@@ -111,10 +111,10 @@ class ObjectiveSpec:
             raise FamilyMismatch(f"{self.family} requires the axis-angle representation")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 10.0 if self.per_bin else 1.0)
-        if self.alpha <= 0.0:
-            raise FamilyMismatch("alpha must be positive")
-        if self.gamma is not None and self.gamma <= 0.0:
-            raise FamilyMismatch("gamma must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise FamilyMismatch("alpha must be positive and finite")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise FamilyMismatch("gamma must be positive and finite")
 
     @property
     def combination(self) -> str:
@@ -228,25 +228,39 @@ def _non_smooth(values: np.ndarray) -> np.ndarray:
 def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
     """Geodesic distance of rodrigues(y) to A, row by row, and its gradient.
 
-    ys is (..., 3) and a_mat (..., 3, 3), one target matrix per row (leading
-    axes broadcast).  Returns (values, grads, non_smooth) shaped like the
-    rows.  Rows with norm >= pi pass through the safety rescaling onto norm
-    pi - 1e-6 and the gradient is chained through that projection.
+    ys is (..., 3) and a_mat (..., 3, 3), one target matrix per row (a_mat's
+    leading axes broadcast to those of ys).  Returns (values, grads,
+    non_smooth) shaped like the rows.  Rows with norm >= pi pass through the
+    safety rescaling onto norm pi - 1e-6 and the gradient is chained through
+    that projection.  One formula serves every row; the rows below
+    EPS_THETA and the projected rows are patched afterwards, and only when
+    the batch has such a row.
     """
     n = np.linalg.norm(ys, axis=-1)
     projected = n >= math.pi
-    scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / np.maximum(n, math.pi), 1.0)
-    y = ys * scale[..., None]
+    any_projected = projected.any()
+    y, t = ys, n
+    if any_projected:
+        scale = so3.MAX_AXIS_ANGLE_NORM / n[projected]
+        y = ys.astype(float)
+        y[projected] *= scale[:, None]
+        t = np.linalg.norm(y, axis=-1)
 
-    t = np.linalg.norm(y, axis=-1)
+    # rows below EPS_THETA take the series; ts keeps their division from 0/0
     small = t < so3.EPS_THETA
-    ts = np.where(small, 1.0, t)
+    any_small = small.any()
+    ts = np.where(small, 1.0, t) if any_small else t
     sin_t, cos_t = np.sin(t), np.cos(t)
-    a = np.where(small, 1.0 - t * t / 6.0, sin_t / ts)
-    b = np.where(small, 0.5 - t * t / 24.0, (1.0 - cos_t) / (ts * ts))
+    versin = 1.0 - cos_t
+    a = sin_t / ts
+    b = versin / (ts * ts)
     # a'(t)/t and b'(t)/t have finite limits -1/3 and -1/12 at t = 0
-    ap_t = np.where(small, -1.0 / 3.0, (t * cos_t - sin_t) / ts**3)
-    bp_t = np.where(small, -1.0 / 12.0, (t * sin_t - 2.0 * (1.0 - cos_t)) / ts**4)
+    ap_t = (t * cos_t - sin_t) / ts**3
+    bp_t = (t * sin_t - 2.0 * versin) / ts**4
+    if any_small:
+        tt = t[small] * t[small]
+        a[small], b[small] = 1.0 - tt / 6.0, 0.5 - tt / 24.0
+        ap_t[small], bp_t[small] = -1.0 / 3.0, -1.0 / 12.0
 
     tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
     w = so3.vee(np.swapaxes(a_mat, -1, -2) - a_mat)
@@ -264,10 +278,12 @@ def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
     )
     grads = _acos_grad_factor(u)[..., None] * du
 
-    # d/dy of y * pi'/|y| projects out the radial part and rescales
-    unit = ys / np.maximum(n, math.pi)[..., None]
-    radial = _dot_rows(unit, grads)[..., None] * unit
-    grads = np.where(projected[..., None], scale[..., None] * (grads - radial), grads)
+    if any_projected:
+        # d/dy of y * pi'/|y| projects out the radial part and rescales
+        unit = ys[projected] / n[projected][:, None]
+        g = grads[projected]
+        radial = _dot_rows(unit, g)[:, None] * unit
+        grads[projected] = scale[:, None] * (g - radial)
     return values, grads, _non_smooth(values)
 
 

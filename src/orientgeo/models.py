@@ -57,8 +57,6 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.weight.ndim < 2 or self.bias.shape != self.weight.shape[:-1]:
             raise DimensionMismatch("weight/bias shapes disagree")
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("non-finite parameters")
 
 
 @dataclasses.dataclass
@@ -82,25 +80,31 @@ class MLP:
 
 
 def flatten(pairs) -> np.ndarray:
-    """(weight, bias) pairs in layer order, a network's parameters or the
-    gradients backward returns, as one (..., P) array in the buffer layout."""
+    """(weight, bias) pairs in layer order, a network's parameters, as one
+    (..., P) array in the buffer layout."""
     pairs = list(pairs)
     lead = pairs[0][1].shape[:-1]
     return np.concatenate([a.reshape(lead + (math.prod(a.shape[len(lead):]),))
                            for pair in pairs for a in pair], axis=-1)
 
 
-def on_buffer(params: np.ndarray, like: MLP) -> MLP:
-    """A network with the layer shapes and activations of `like` whose
-    parameters are views of params (..., P)."""
-    lead, start, layers = params.shape[:-1], 0, []
+def _views(params: np.ndarray, like: MLP) -> list:
+    """(weight, bias) views of params (..., P) in the layer shapes of `like`."""
+    lead, start, views = params.shape[:-1], 0, []
     for layer in like.layers:
         out, inp = layer.weight.shape[-2:]
         weight = params[..., start:start + out * inp].reshape(lead + (out, inp))
         start += out * inp
-        layers.append(Layer(weight, params[..., start:start + out], layer.activation))
+        views.append((weight, params[..., start:start + out]))
         start += out
-    return MLP(layers, params)
+    return views
+
+
+def on_buffer(params: np.ndarray, like: MLP) -> MLP:
+    """A network with the layer shapes and activations of `like` whose
+    parameters are views of params (..., P)."""
+    return MLP([Layer(w, b, layer.activation)
+                for (w, b), layer in zip(_views(params, like), like.layers)], params)
 
 
 def stack(nets) -> MLP:
@@ -162,25 +166,26 @@ def forward_cached(net: MLP, f: np.ndarray):
     return h, cache
 
 
-def backward(net: MLP, cache, grad_out: np.ndarray):
-    """Weight/bias gradients for a loss gradient at the network output.
-
-    Returns (grads, grad_input) where grads is a list of (dW, db) aligned
-    with net.layers, each shaped like the layer's parameters.  Batched
-    inputs sum over the sample axis (the second to last).
+def backward(net: MLP, cache, grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Weight/bias gradients for a loss gradient at the network output,
+    written into out (..., P) in the buffer layout (see on_buffer), which is
+    returned.  Batched inputs sum over the sample axis (the second to last).
+    The gradient at the network input is not formed.
     """
-    grads = [None] * len(net.layers)
     g = np.asarray(grad_out, dtype=float)
-    for i in reversed(range(len(net.layers))):
+    for i, (dw, db) in reversed(list(enumerate(_views(out, net)))):
         tag, h = cache[i + 1]
         gz = _activation_backward(tag, h, g)
         h_prev = cache[i][1]
         if gz.ndim == 1:
-            grads[i] = (np.outer(gz, h_prev), gz.copy())
+            np.multiply(gz[:, None], h_prev, out=dw)
+            db[...] = gz
         else:
-            grads[i] = (np.swapaxes(gz, -1, -2) @ h_prev, gz.sum(axis=-2))
-        g = gz @ net.layers[i].weight
-    return grads, g
+            np.matmul(np.swapaxes(gz, -1, -2), h_prev, out=dw)
+            np.sum(gz, axis=-2, out=db)
+        if i:
+            g = gz @ net.layers[i].weight
+    return out
 
 
 def init_pose_network(sizes, seed: int, activations=None) -> MLP:
@@ -266,8 +271,9 @@ def save_mlp(net: MLP, path) -> None:
 
 
 def load_mlp(path) -> MLP:
-    """Read a save_mlp checkpoint.  ValueError when its version is unknown
-    or its activations or sizes do not match its tensors."""
+    """Read a save_mlp checkpoint.  ValueError when its version is unknown,
+    its activations or sizes do not match its tensors, or a tensor holds a
+    NaN or infinity."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -283,6 +289,8 @@ def load_mlp(path) -> MLP:
         )
         for t, act in zip(tensors, activations)
     ]
+    if not all(np.all(np.isfinite(l.weight)) and np.all(np.isfinite(l.bias)) for l in layers):
+        raise ValueError("checkpoint has non-finite parameters")
     net = MLP(layers)
     if doc["sizes"] != _sizes(net):
         raise ValueError(f"checkpoint sizes {doc['sizes']} do not match its tensors {_sizes(net)}")

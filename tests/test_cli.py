@@ -315,6 +315,16 @@ def test_config_with_a_non_integer_count_exits_two(tiny_config_path, tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section, name", [("data", "noise"), ("optimizer", "learning_rate")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_with_a_non_finite_float_exits_two(tiny_config_path, tmp_path, capsys,
+                                                  section, name, value):
+    _edit_config(tiny_config_path, section, name, value)  # written as NaN / Infinity
+    argv = ["run", "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
+    _exits_two_naming(tiny_config_path, argv, capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("section, name, value", [
     (None, "trials", 3), ("objective", "combination", "additive"),
 ])

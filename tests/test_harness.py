@@ -3,6 +3,7 @@ deterministic training, artifact layout, and the ablation sweeps."""
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -123,6 +124,22 @@ def test_counts_must_be_integers(section, name, value):
     doc = json.loads(harness.config_to_json(tiny_config()))
     (doc if section is None else doc[section])[name] = value
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        harness.config_from_json(json.dumps(doc))
+
+
+NON_FINITE_FLOATS = [
+    ("optimizer", "learning_rate"), ("optimizer", "decay"), ("optimizer", "eps"),
+    ("data", "noise"), ("data", "mode_spread"), ("objective", "alpha"), ("objective", "gamma"),
+]
+
+
+@pytest.mark.parametrize("section, name", NON_FINITE_FLOATS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_floats_must_be_finite(section, name, value):
+    # a comparison alone lets NaN through: "noise": NaN trained on noiseless features
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    doc[section][name] = value
+    with pytest.raises(ValueError, match=name):
         harness.config_from_json(json.dumps(doc))
 
 
@@ -477,6 +494,52 @@ def test_adam_steps_only_the_entries_the_mask_selects():
     for param, old in zip((net.layers[0].weight, net.layers[0].bias), before):
         assert np.array_equal(param[1], old[1])
         assert not np.any(param[0] == old[0])
+
+
+def _textbook_adam_step(theta, m, v, t, grad, lr, opt):
+    """Kingma & Ba's Algorithm 1, bias-corrected moments and all, on rows
+    (n, P) with their own step counts t (n,)."""
+    m[:] = opt.beta1 * m + (1.0 - opt.beta1) * grad
+    v[:] = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
+    m_hat = m / (1.0 - opt.beta1 ** t)[:, None]
+    v_hat = v / (1.0 - opt.beta2 ** t)[:, None]
+    theta -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_adam_tracks_the_textbook_algorithm(masked):
+    # 2,000 steps of the efficient form against Algorithm 1, with gradient
+    # scales from below eps (where eps_t matters) to 1e3, the learning
+    # rate decaying as across epochs, and with `masked` a random subset of
+    # the entries stepping each time, as per-bin heads do
+    net = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(4)])
+    opt = harness.OptimizerConfig()
+    adam = harness._Adam(net, opt)
+    start = net.params.copy()
+    theta, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    t = np.zeros(len(start), dtype=int)
+    scales = np.array([1e-10, 1e-6, 1.0, 1e3])[:, None]
+    g = np.random.default_rng(7)
+    for step in range(2000):
+        lr = 1e-3 * 0.1 ** (step // 500)
+        grad = g.standard_normal(start.shape) * scales
+        mask = g.random(len(start)) < 0.5 if masked else np.ones(len(start), dtype=bool)
+        t[mask] += 1
+        rows = (theta[mask], m[mask], v[mask])
+        _textbook_adam_step(*rows, t[mask], grad[mask], lr, opt)
+        theta[mask], m[mask], v[mask] = rows
+        if masked:
+            sel = np.nonzero(mask)
+            params = net.params[sel]
+            adam.step(params, grad[sel], lr, sel)
+            net.params[sel] = params
+        else:
+            adam.step(net.params, grad.copy(), lr)
+    assert adam.t.tolist() == t.tolist()
+    moved = np.abs(theta - start).max(axis=1)
+    assert np.all(moved > 0.0)
+    rel = np.abs(net.params - theta).max(axis=1) / moved
+    assert np.all(rel <= 1e-12), rel
 
 
 @pytest.mark.parametrize("family", ["R_G", "M_Gp"])

@@ -78,6 +78,13 @@ def test_forward_batched_matches_loop():
 # backward vs finite differences
 
 
+def layer_grads(net, cache, grad_out):
+    """backward's gradients as (dW, db) per layer, read through on_buffer."""
+    buf = np.empty_like(models.flatten((l.weight, l.bias) for l in net.layers))
+    models.backward(net, cache, grad_out, buf)
+    return [(l.weight, l.bias) for l in models.on_buffer(buf, net).layers]
+
+
 @pytest.mark.parametrize("head", ["linear", "pi_tanh"])
 def test_backward_matches_finite_differences(head):
     g = rng(4)
@@ -89,7 +96,7 @@ def test_backward_matches_finite_differences(head):
         return float(np.dot(c, out))
 
     out, cache = models.forward_cached(net, x)
-    grads, _ = models.backward(net, cache, c)
+    grads = layer_grads(net, cache, c)
     expected = fd_weight_gradient(net, x, loss_fn)
     flat_analytic = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in grads])
     flat_fd = np.concatenate([e.ravel() for e in expected])
@@ -103,11 +110,11 @@ def test_backward_batch_sums_per_sample_grads():
     xs = g.standard_normal((8, 5))
     gs = g.standard_normal((8, 2))
     _, cache = models.forward_cached(net, xs)
-    grads_batch, _ = models.backward(net, cache, gs)
+    grads_batch = layer_grads(net, cache, gs)
     acc = None
     for i in range(8):
         _, ci = models.forward_cached(net, xs[i])
-        gi, _ = models.backward(net, ci, gs[i])
+        gi = layer_grads(net, ci, gs[i])
         if acc is None:
             acc = [[w.copy(), b.copy()] for w, b in gi]
         else:
@@ -148,13 +155,13 @@ def test_stacked_forward_backward_equal_per_network_calls(g, k, n, seed):
     x = rng.normal(size=(g, n, 5))
     grad_out = rng.normal(size=(g, k, n, 3))
     out, cache = models.forward_cached(stacked, x[:, None])
-    grads, _ = models.backward(stacked, cache, grad_out)
+    grads = layer_grads(stacked, cache, grad_out)
     assert out.shape == (g, k, n, 3)
     for i in range(g):
         for j in range(k):
             one_out, one_cache = models.forward_cached(heads[i][j], x[i])
             np.testing.assert_allclose(out[i, j], one_out, rtol=0, atol=1e-14)
-            one_grads, _ = models.backward(heads[i][j], one_cache, grad_out[i, j])
+            one_grads = layer_grads(heads[i][j], one_cache, grad_out[i, j])
             for (dw, db), (ow, ob) in zip(grads, one_grads):
                 np.testing.assert_allclose(dw[i, j], ow, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(db[i, j], ob, rtol=0, atol=1e-13)
@@ -334,4 +341,16 @@ def test_checkpoint_with_a_short_activation_list_is_rejected(tmp_path):
 def test_checkpoint_with_mismatched_sizes_is_rejected(tmp_path, sizes):
     path = _edited_checkpoint(tmp_path, lambda doc: doc.update(sizes=sizes))
     with pytest.raises(ValueError, match="do not match its tensors"):
+        models.load_mlp(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tensor", ["weight", "bias"])
+def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path, value, tensor):
+    def poison(doc):
+        row = doc["tensors"][1][tensor]
+        (row[0] if tensor == "weight" else row)[0] = value  # written as NaN / Infinity
+
+    path = _edited_checkpoint(tmp_path, poison)
+    with pytest.raises(ValueError, match="non-finite"):
         models.load_mlp(path)
