@@ -17,6 +17,9 @@ the Adam steps plus the step glue around the traced calls).
 
 Timings are wall clock of this process only (time.perf_counter), taken
 without system-wide tracing, without cache control and without pinning.
+On a shared virtual machine other tenants' load stretches them; the
+dictionary section, which a training-step change leaves alone, shows
+whether a run was slowed.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_2.json
 """
@@ -105,15 +108,15 @@ def _step_timings(cfg, repeats):
     rows = out.reshape(g * n, -1)
     grad_out = losses.objective_batch(spec, rows, targets, None).grads["pose"].reshape(g, n, -1) / n
     adam = harness._Adam(net, opt)
-    buf = adam.gradient_buffer()
-    grad = models.backward(net, cache, grad_out, buf).copy()
+    grad = models.backward(net, cache, grad_out)
+    buf = np.empty_like(grad)
     return {
         "categories": g,
         "rows_per_category": n,
         "params_per_category": int(net.params.shape[-1]),
         "forward_cached_s": _best_of(repeats, models.forward_cached, net, feats),
         "objective_batch_s": _best_of(repeats, losses.objective_batch, spec, rows, targets, None),
-        "backward_s": _best_of(repeats, models.backward, net, cache, grad_out, buf),
+        "backward_s": _best_of(repeats, models.backward, net, cache, grad_out),
         # step uses its gradient as scratch: refill it, untimed, before each call
         "adam_step_s": _best_of(repeats, adam.step, net.params, buf, opt.learning_rate,
                                 before=lambda: np.copyto(buf, grad)),
@@ -193,7 +196,10 @@ def main() -> int:
                 "step shapes, best of step_repeats, and the stage split of one regress "
                 "run_experiment; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
-                  "no cache control, no CPU pinning",
+                  "no cache control, no CPU pinning; on a shared virtual machine "
+                  "other tenants' load can stretch every time in a file alike, so "
+                  "compare files through ratios inside each and re-run when the "
+                  "unchanged dictionary times move",
         "data_seed": DATA_SEED,
         "repeats": args.repeats,
         "step_repeats": STEP_REPEATS,

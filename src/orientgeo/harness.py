@@ -50,12 +50,6 @@ def _count(value, name: str, least: int = 1) -> int:
     return n
 
 
-def _positive(value) -> bool:
-    """value > 0 and finite: NaN and infinity fail, where a comparison
-    alone would let NaN through."""
-    return math.isfinite(value) and value > 0.0
-
-
 def _set_counts(cfg, least: int, *names) -> None:
     """Store each named field of a frozen config as _count of its value."""
     for name in names:
@@ -75,10 +69,11 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not (_positive(self.learning_rate) and _positive(self.decay)):
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.learning_rate, self.decay)):
             raise ValueError("learning_rate and decay must be positive and finite")
         _set_counts(self, 1, "epochs", "batch_per_category")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and _positive(self.eps)):
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0
+                and math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError("invalid Adam moments: beta1 and beta2 must lie in [0, 1), "
                              "eps must be positive and finite")
 
@@ -100,7 +95,7 @@ class DataConfig:
         _set_counts(self, 9, "feature_dim")  # fewer features cannot disambiguate poses
         if not (math.isfinite(self.noise) and self.noise >= 0.0):
             raise ValueError("noise must be non-negative and finite")
-        if not _positive(self.mode_spread):
+        if not (math.isfinite(self.mode_spread) and self.mode_spread > 0.0):
             raise ValueError("mode_spread must be positive and finite")
         if self.augmentation not in AUGMENTATIONS:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}")
@@ -421,7 +416,9 @@ class _Adam:
     The step is Kingma & Ba's efficient form (ICLR 2015, section 2): both
     bias corrections fold into the step size, alpha_t = lr sqrt(1 - b2^t) /
     (1 - b1^t), and eps into eps_t = eps sqrt(1 - b2^t), which equals the
-    textbook update up to rounding with one divide instead of three.
+    textbook update up to rounding with one divide instead of three.  The
+    moments are kept as m / (1 - b1) and v / (1 - b2), so their updates
+    need no (1 - b) factor; alpha_t and eps_t absorb it.
     """
 
     def __init__(self, net: models.MLP, opt: OptimizerConfig):
@@ -429,14 +426,7 @@ class _Adam:
         self.t = np.zeros(net.params.shape[:-1], dtype=int)
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
-        self._grad = np.empty_like(net.params)
         self._scratch = np.empty_like(net.params)
-
-    def gradient_buffer(self, rows=None) -> np.ndarray:
-        """The buffer models.backward fills for the next step: the whole
-        (..., P) buffer, or the first `rows` rows (rows, P) of it for a step
-        on gathered stack entries."""
-        return self._grad if rows is None else self._grad.reshape(-1, self._grad.shape[-1])[:rows]
 
     def step(self, params, grad, lr: float, sel=None):
         """Update params in place from grad, both (..., P), and use grad as
@@ -453,16 +443,16 @@ class _Adam:
             a = a.reshape(-1, a.shape[-1])[: len(grad)]
             self.t[sel] += 1
             t = self.t[sel]
-        c1 = 1.0 - o.beta1**t
-        root_c2 = np.sqrt(1.0 - o.beta2**t)
-        alpha_t = (lr * root_c2 / c1)[..., None]
+        # with m~ = m / (1 - b1) and v~ = v / (1 - b2), alpha_t m / (sqrt(v) + eps_t)
+        # = alpha_t (1 - b1) / sqrt(1 - b2) * m~ / (sqrt(v~) + eps_t / sqrt(1 - b2))
+        root_c2 = np.sqrt((1.0 - o.beta2**t) / (1.0 - o.beta2))
+        alpha_t = (lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1**t))[..., None]
         eps_t = (o.eps * root_c2)[..., None]
-        # m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, alpha_t * (m / (sqrt(v) + eps_t))
+        # m~ b1 + g, v~ b2 + g g, alpha_t * (m~ / (sqrt(v~) + eps_t))
         np.multiply(m, o.beta1, out=m)
-        m += np.multiply(grad, 1.0 - o.beta1, out=a)
+        m += grad
         np.multiply(v, o.beta2, out=v)
-        np.multiply(grad, 1.0 - o.beta2, out=a)
-        v += np.multiply(a, grad, out=a)
+        v += np.multiply(grad, grad, out=a)
         np.sqrt(v, out=grad)
         grad += eps_t
         np.divide(m, grad, out=a)
@@ -540,9 +530,7 @@ def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss
             net = models.on_buffer(params, net)
             cache = [("input", feats[sel[0]])] + [(tag, h[sel]) for tag, h in cache[1:]]
             grad = grad[sel]
-        adam = adams[role]
-        out = adam.gradient_buffer(None if sel is None else len(sel[0]))
-        adam.step(params, models.backward(net, cache, grad / n, out), lr, sel)
+        adams[role].step(params, models.backward(net, cache, grad / n), lr, sel)
         if sel is not None:
             nets[role].params[sel] = params
     return batch

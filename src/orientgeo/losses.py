@@ -55,7 +55,8 @@ SOFT_TARGET_FAMILIES = ("M_X", "M_Xp", "M_XP", "M_XPp")
 BIN_DELTA_FAMILIES = tuple(f for f in FAMILIES if f.startswith("M_"))
 
 # Clamp on the acos argument inside gradients only; the value side clamps
-# to [-1, 1] exactly.
+# to [-1, 1] exactly.  The kernels clamp with np.minimum(np.maximum(..)),
+# which equals np.clip without its Python wrapper.
 EPS_CLAMP = 1e-7
 # Cap on the acos-derivative magnitude at the distance-0/pi kinks.
 GRAD_CAP = 1e6
@@ -217,7 +218,7 @@ def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _acos_grad_factor(u: np.ndarray) -> np.ndarray:
     """d acos(u)/du with the argument clamped and the magnitude capped."""
-    uc = np.clip(u, -1.0 + EPS_CLAMP, 1.0 - EPS_CLAMP)
+    uc = np.minimum(np.maximum(u, -1.0 + EPS_CLAMP), 1.0 - EPS_CLAMP)
     return -np.minimum(1.0 / np.sqrt(1.0 - uc * uc), GRAD_CAP)
 
 
@@ -228,62 +229,50 @@ def _non_smooth(values: np.ndarray) -> np.ndarray:
 def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
     """Geodesic distance of rodrigues(y) to A, row by row, and its gradient.
 
-    ys is (..., 3) and a_mat (..., 3, 3), one target matrix per row (a_mat's
-    leading axes broadcast to those of ys).  Returns (values, grads,
-    non_smooth) shaped like the rows.  Rows with norm >= pi pass through the
-    safety rescaling onto norm pi - 1e-6 and the gradient is chained through
-    that projection.  One formula serves every row; the rows below
-    EPS_THETA and the projected rows are patched afterwards, and only when
-    the batch has such a row.
+    ys is (..., 3) and a_mat (..., 3, 3), one target matrix per row (leading
+    axes broadcast).  Returns (values, grads, non_smooth) shaped like the
+    rows.  Rows with norm >= pi pass through the safety rescaling onto norm
+    pi - 1e-6 and the gradient is chained through that projection.
     """
     n = np.linalg.norm(ys, axis=-1)
     projected = n >= math.pi
-    any_projected = projected.any()
-    y, t = ys, n
-    if any_projected:
-        scale = so3.MAX_AXIS_ANGLE_NORM / n[projected]
-        y = ys.astype(float)
-        y[projected] *= scale[:, None]
-        t = np.linalg.norm(y, axis=-1)
+    n_pi = np.maximum(n, math.pi)
+    scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / n_pi, 1.0)
+    y = ys * scale[..., None]
 
-    # rows below EPS_THETA take the series; ts keeps their division from 0/0
+    t = np.linalg.norm(y, axis=-1)
+    tt = t * t
     small = t < so3.EPS_THETA
-    any_small = small.any()
-    ts = np.where(small, 1.0, t) if any_small else t
+    ts = np.where(small, 1.0, t)
     sin_t, cos_t = np.sin(t), np.cos(t)
     versin = 1.0 - cos_t
-    a = sin_t / ts
-    b = versin / (ts * ts)
+    a = np.where(small, 1.0 - tt / 6.0, sin_t / ts)
+    b = np.where(small, 0.5 - tt / 24.0, versin / (ts * ts))
     # a'(t)/t and b'(t)/t have finite limits -1/3 and -1/12 at t = 0
-    ap_t = (t * cos_t - sin_t) / ts**3
-    bp_t = (t * sin_t - 2.0 * versin) / ts**4
-    if any_small:
-        tt = t[small] * t[small]
-        a[small], b[small] = 1.0 - tt / 6.0, 0.5 - tt / 24.0
-        ap_t[small], bp_t[small] = -1.0 / 3.0, -1.0 / 12.0
+    ap_t = np.where(small, -1.0 / 3.0, (t * cos_t - sin_t) / ts**3)
+    bp_t = np.where(small, -1.0 / 12.0, (t * sin_t - 2.0 * versin) / ts**4)
 
     tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
-    w = so3.vee(np.swapaxes(a_mat, -1, -2) - a_mat)
+    a_t = a_mat.mT
+    w = so3.vee(a_t - a_mat)
     t1 = _dot_rows(y, w)
-    t2 = _dot_rows(y, _dot_rows(a_mat, y[..., None, :])) - t * t * tr_a
+    t2 = _dot_rows(y, _dot_rows(a_mat, y[..., None, :])) - tt * tr_a
     u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
-    values = np.arccos(np.clip(u, -1.0, 1.0))
+    values = np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
 
     # y^T (A + A^T) = (A + A^T) y: the sum is symmetric
-    sym = _dot_rows(a_mat + np.swapaxes(a_mat, -1, -2), y[..., None, :])
+    sym = _dot_rows(a_mat + a_t, y[..., None, :])
     du = 0.5 * (
-        (-ap_t * t1 + bp_t * t2)[..., None] * y
+        (bp_t * t2 - ap_t * t1)[..., None] * y
         - a[..., None] * w
         + b[..., None] * (sym - 2.0 * tr_a[..., None] * y)
     )
     grads = _acos_grad_factor(u)[..., None] * du
 
-    if any_projected:
-        # d/dy of y * pi'/|y| projects out the radial part and rescales
-        unit = ys[projected] / n[projected][:, None]
-        g = grads[projected]
-        radial = _dot_rows(unit, g)[:, None] * unit
-        grads[projected] = scale[:, None] * (g - radial)
+    # d/dy of y * pi'/|y| projects out the radial part and rescales
+    unit = ys / n_pi[..., None]
+    radial = _dot_rows(unit, grads)[..., None] * unit
+    grads = np.where(projected[..., None], scale[..., None] * (grads - radial), grads)
     return values, grads, _non_smooth(values)
 
 
@@ -350,7 +339,7 @@ def _checked(values: np.ndarray, grads: dict, non_smooth=None) -> BatchLoss:
     finite = np.isfinite(values)
     for g in grads.values():
         finite &= np.isfinite(g).reshape(len(g), -1).all(axis=1)
-    if not np.all(finite):
+    if not finite.all():
         bad = int(np.argmin(finite))
         raise NonFiniteObjective(
             f"non-finite loss value {float(values[bad])!r} or gradient in row {bad}", bad

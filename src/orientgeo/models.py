@@ -25,6 +25,7 @@ import numpy as np
 from . import so3
 
 ACTIVATIONS = ("relu", "pi_tanh", "linear")
+_PI_LIMIT = float(np.nextafter(math.pi, 0.0))  # the largest double below pi
 
 ADDITIVE = "additive"
 QUATERNION_RENORM = "quaternion_renorm"
@@ -126,9 +127,10 @@ def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if tag == "pi_tanh":
         # float tanh saturates to exactly 1.0 around |z|=19; clip to the
-        # largest double below pi so outputs stay strictly inside (-pi, pi)
-        limit = np.nextafter(math.pi, 0.0)
-        return np.clip(math.pi * np.tanh(z), -limit, limit)
+        # largest double below pi so outputs stay strictly inside (-pi, pi).
+        # np.minimum(np.maximum(..)) is np.clip without its Python wrapper,
+        # which costs more than the two ufuncs on a training batch
+        return np.minimum(np.maximum(math.pi * np.tanh(z), -_PI_LIMIT), _PI_LIMIT)
     raise ValueError(tag)
 
 
@@ -161,19 +163,21 @@ def forward_cached(net: MLP, f: np.ndarray):
     h = x
     for layer in net.layers:
         bias = layer.bias if h.ndim == 1 else layer.bias[..., None, :]
-        h = _apply_activation(layer.activation, h @ np.swapaxes(layer.weight, -1, -2) + bias)
+        h = _apply_activation(layer.activation, h @ layer.weight.mT + bias)
         cache.append((layer.activation, h))
     return h, cache
 
 
-def backward(net: MLP, cache, grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Weight/bias gradients for a loss gradient at the network output,
-    written into out (..., P) in the buffer layout (see on_buffer), which is
-    returned.  Batched inputs sum over the sample axis (the second to last).
-    The gradient at the network input is not formed.
+def backward(net: MLP, cache, grad_out: np.ndarray) -> np.ndarray:
+    """Weight/bias gradients for a loss gradient at the network output, as
+    one (..., P) array in the buffer layout (see on_buffer).  Batched inputs
+    sum over the sample axis (the second to last).  The gradient at the
+    network input is not formed.
     """
+    p = sum(l.weight.shape[-2] * (l.weight.shape[-1] + 1) for l in net.layers)
+    grads = np.empty(net.layers[0].bias.shape[:-1] + (p,))
     g = np.asarray(grad_out, dtype=float)
-    for i, (dw, db) in reversed(list(enumerate(_views(out, net)))):
+    for i, (dw, db) in reversed(list(enumerate(_views(grads, net)))):
         tag, h = cache[i + 1]
         gz = _activation_backward(tag, h, g)
         h_prev = cache[i][1]
@@ -181,11 +185,11 @@ def backward(net: MLP, cache, grad_out: np.ndarray, out: np.ndarray) -> np.ndarr
             np.multiply(gz[:, None], h_prev, out=dw)
             db[...] = gz
         else:
-            np.matmul(np.swapaxes(gz, -1, -2), h_prev, out=dw)
-            np.sum(gz, axis=-2, out=db)
+            np.matmul(gz.mT, h_prev, out=dw)
+            np.add.reduce(gz, axis=-2, out=db)
         if i:
             g = gz @ net.layers[i].weight
-    return out
+    return grads
 
 
 def init_pose_network(sizes, seed: int, activations=None) -> MLP:

@@ -80,8 +80,7 @@ def test_forward_batched_matches_loop():
 
 def layer_grads(net, cache, grad_out):
     """backward's gradients as (dW, db) per layer, read through on_buffer."""
-    buf = np.empty_like(models.flatten((l.weight, l.bias) for l in net.layers))
-    models.backward(net, cache, grad_out, buf)
+    buf = models.backward(net, cache, grad_out)
     return [(l.weight, l.bias) for l in models.on_buffer(buf, net).layers]
 
 

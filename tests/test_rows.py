@@ -1,9 +1,9 @@
 """Row-wise maps against their one-row calls: every so3 map, the Lloyd
 step of fit_kmeans, the IoU rows of the detection matcher, the
-whole-buffer Adam step against the per-array one, the patched geodesic
-kernel and the flat-buffer backward against the forms they replaced, the
-key-stack dictionary helpers, objective_batch with per-row keys, and the
-stacked gradcheck sampler against the one-candidate loop."""
+whole-buffer Adam step against the per-array one, the flat-buffer
+backward against the per-layer one it replaced, the key-stack dictionary
+helpers, objective_batch with per-row keys, and the stacked gradcheck
+sampler against the one-candidate loop."""
 
 import math
 import warnings
@@ -579,9 +579,10 @@ def test_azimuth_bins_equal_one_pose_euler_path(seed, b):
 
 class _PerArrayAdam:
     """The per-array Adam step the flat-buffer one replaced, kept as the
-    oracle in the same efficient form (step size alpha_t, eps_t = eps
-    sqrt(1 - b2^t)): `entries` is a boolean mask over the stack axes or
-    slice(None), and grads hold (dW, db) of just the selected entries."""
+    oracle in the same efficient form (moments m / (1 - b1) and v / (1 - b2),
+    step size alpha_t, eps_t): `entries` is a boolean mask over the stack
+    axes or slice(None), and grads hold (dW, db) of just the selected
+    entries."""
 
     def __init__(self, net, opt):
         self.opt = opt
@@ -592,15 +593,15 @@ class _PerArrayAdam:
     def step(self, net, grads, lr, entries):
         o = self.opt
         self.t[entries] += 1
-        root_c2 = np.sqrt(1.0 - o.beta2 ** self.t[entries])
-        alpha_t = lr * root_c2 / (1.0 - o.beta1 ** self.t[entries])
+        root_c2 = np.sqrt((1.0 - o.beta2 ** self.t[entries]) / (1.0 - o.beta2))
+        alpha_t = lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1 ** self.t[entries])
         eps_t = o.eps * root_c2
         params = [p for l in net.layers for p in (l.weight, l.bias)]
         flat_grads = [d for dw_db in grads for d in dw_db]
         for param, g, m_all, v_all in zip(params, flat_grads, self.m, self.v):
             tail = (...,) + (None,) * (g.ndim - 1)
-            m = m_all[entries] = m_all[entries] * o.beta1 + (1.0 - o.beta1) * g
-            v = v_all[entries] = v_all[entries] * o.beta2 + (1.0 - o.beta2) * g * g
+            m = m_all[entries] = m_all[entries] * o.beta1 + g
+            v = v_all[entries] = v_all[entries] * o.beta2 + g * g
             param[entries] -= alpha_t[tail] * (m / (np.sqrt(v) + eps_t[tail]))
 
 
@@ -656,89 +657,12 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
 
 
 # ---------------------------------------------------------------------------
-# training-step kernels against the forms they replaced
-
-
-def _geodesic_where(ys, a_mat):
-    """The geodesic kernel that evaluated its small-angle and projection
-    branches on every row with np.where, kept as the oracle."""
-    n = np.linalg.norm(ys, axis=-1)
-    projected = n >= math.pi
-    scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / np.maximum(n, math.pi), 1.0)
-    y = ys * scale[..., None]
-    t = np.linalg.norm(y, axis=-1)
-    small = t < so3.EPS_THETA
-    ts = np.where(small, 1.0, t)
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    a = np.where(small, 1.0 - t * t / 6.0, sin_t / ts)
-    b = np.where(small, 0.5 - t * t / 24.0, (1.0 - cos_t) / (ts * ts))
-    ap_t = np.where(small, -1.0 / 3.0, (t * cos_t - sin_t) / ts**3)
-    bp_t = np.where(small, -1.0 / 12.0, (t * sin_t - 2.0 * (1.0 - cos_t)) / ts**4)
-    tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
-    w = so3.vee(np.swapaxes(a_mat, -1, -2) - a_mat)
-    t1 = losses._dot_rows(y, w)
-    t2 = losses._dot_rows(y, losses._dot_rows(a_mat, y[..., None, :])) - t * t * tr_a
-    u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
-    values = np.arccos(np.clip(u, -1.0, 1.0))
-    sym = losses._dot_rows(a_mat + np.swapaxes(a_mat, -1, -2), y[..., None, :])
-    du = 0.5 * (
-        (-ap_t * t1 + bp_t * t2)[..., None] * y
-        - a[..., None] * w
-        + b[..., None] * (sym - 2.0 * tr_a[..., None] * y)
-    )
-    grads = losses._acos_grad_factor(u)[..., None] * du
-    unit = ys / np.maximum(n, math.pi)[..., None]
-    radial = losses._dot_rows(unit, grads)[..., None] * unit
-    grads = np.where(projected[..., None], scale[..., None] * (grads - radial), grads)
-    return values, grads, losses._non_smooth(values)
-
-
-def _geodesic_rows(g, shape):
-    """Axis-angle rows of every regime: zero, below EPS_THETA, ordinary,
-    norm exactly pi (a signed coordinate axis) and beyond pi."""
-    axis = g.standard_normal(shape + (3,))
-    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
-    kind = g.integers(0, 5, size=shape)
-    angle = np.choose(kind, [np.zeros(shape), g.uniform(0.0, so3.EPS_THETA, shape),
-                             g.uniform(0.0, math.pi, shape), np.zeros(shape),
-                             g.uniform(math.pi, 5.0, shape)])
-    ys = axis * angle[..., None]
-    on_pi = kind == 3
-    ys[on_pi] = np.eye(3)[g.integers(0, 3, size=on_pi.sum())] * g.choice(
-        [-math.pi, math.pi], size=(on_pi.sum(), 1))
-    return ys
-
-
-@settings(max_examples=300, deadline=None)
-@given(SEEDS, st.integers(min_value=1, max_value=12), st.sampled_from([None, 1, 3]))
-def test_patched_geodesic_kernel_equals_where_oracle(seed, b, k):
-    # per-row targets (B, 3) as R_G and M_G read them, and (B, K, 3) rows
-    # against (B, 1, 3, 3) targets as the expectation families do
-    g = np.random.default_rng(seed)
-    ys = _geodesic_rows(g, (b,) if k is None else (b, k))
-    a_mat = _rotations(g, b)
-    if k is not None:
-        a_mat = a_mat[:, None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no 0/0 on the zero rows
-        got = losses._geodesic_axis_angle(ys, a_mat)
-    want = _geodesic_where(ys, a_mat)
-    for x, y in zip(got[:2], want[:2]):
-        assert x.shape == y.shape
-        np.testing.assert_array_equal(_as_bits(x), _as_bits(y))
-    np.testing.assert_array_equal(got[2], want[2])
-
-
-def test_geodesic_rows_cover_every_regime():
-    n = np.linalg.norm(_geodesic_rows(np.random.default_rng(3), (200,)), axis=-1)
-    assert np.any(n == 0.0) and np.any((n > 0.0) & (n < so3.EPS_THETA))
-    assert np.any(n == math.pi) and np.any(n > math.pi)
-    assert np.any((n > so3.EPS_THETA) & (n < math.pi))
+# the flat-buffer backward against the per-layer one
 
 
 def _per_layer_backward(net, cache, grad_out):
     """The backward pass that returned fresh (dW, db) arrays per layer,
-    kept as the oracle for the one that fills the flat gradient buffer."""
+    kept as the oracle for the one that fills one flat gradient buffer."""
     grads = [None] * len(net.layers)
     g = np.asarray(grad_out, dtype=float)
     for i in reversed(range(len(net.layers))):
@@ -755,8 +679,8 @@ def _per_layer_backward(net, cache, grad_out):
        st.integers(min_value=1, max_value=9))
 def test_backward_buffer_equals_flattened_per_layer_grads(seed, cats, keys, n):
     # the category stack on feats (G, n, in), the per-bin (G, K) stack on
-    # feats[:, None], and its gathered heads (S, P) writing the first S rows
-    # of the optimizer's gradient buffer, as the training step runs them
+    # feats[:, None], and its gathered heads (S, P), as the training step
+    # runs them
     g = np.random.default_rng(seed)
     sizes = [int(d) for d in g.integers(1, 9, size=g.integers(2, 5))]
     acts = [str(a) for a in g.choice(models.ACTIVATIONS, size=len(sizes) - 1)]
@@ -772,11 +696,8 @@ def test_backward_buffer_equals_flattened_per_layer_grads(seed, cats, keys, n):
     for net, x in cases + [(gathered, None)]:
         cache = gathered_cache if x is None else models.forward_cached(net, x)[1]
         grad_out = g.standard_normal(cache[-1][1].shape) * g.choice([1e-3, 1.0, 1e3])
-        adam = harness._Adam(per_bin if x is None else net, harness.OptimizerConfig())
-        buf = adam.gradient_buffer(len(sel[0]) if x is None else None)
-        buf[...] = np.nan
-        got = models.backward(net, cache, grad_out, buf)
-        assert got is buf
+        got = models.backward(net, cache, grad_out)
+        assert got.shape == net.params.shape
         want = models.flatten(_per_layer_backward(net, cache, grad_out))
         np.testing.assert_array_equal(_as_bits(got), _as_bits(want))
 
