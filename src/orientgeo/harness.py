@@ -443,20 +443,21 @@ class _Adam:
             a = a.reshape(-1, a.shape[-1])[: len(grad)]
             self.t[sel] += 1
             t = self.t[sel]
-        # with m~ = m / (1 - b1) and v~ = v / (1 - b2), alpha_t m / (sqrt(v) + eps_t)
-        # = alpha_t (1 - b1) / sqrt(1 - b2) * m~ / (sqrt(v~) + eps_t / sqrt(1 - b2))
+        # with m = (1 - b1) m~ and v = (1 - b2) v~, alpha_t m / (sqrt(v) + eps_t)
+        # is rate m~ / (sqrt(v~) + eps_v), where rate = alpha_t (1 - b1) / sqrt(1 - b2)
+        # and eps_v = eps_t / sqrt(1 - b2)
         root_c2 = np.sqrt((1.0 - o.beta2**t) / (1.0 - o.beta2))
-        alpha_t = (lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1**t))[..., None]
-        eps_t = (o.eps * root_c2)[..., None]
-        # m~ b1 + g, v~ b2 + g g, alpha_t * (m~ / (sqrt(v~) + eps_t))
+        rate = (lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1**t))[..., None]
+        eps_v = (o.eps * root_c2)[..., None]
+        # m~ b1 + g, v~ b2 + g g, rate * (m~ / (sqrt(v~) + eps_v))
         np.multiply(m, o.beta1, out=m)
         m += grad
         np.multiply(v, o.beta2, out=v)
         v += np.multiply(grad, grad, out=a)
         np.sqrt(v, out=grad)
-        grad += eps_t
+        grad += eps_v
         np.divide(m, grad, out=a)
-        a *= alpha_t
+        a *= rate
         params -= a
         if sel is not None:
             self.m[sel], self.v[sel] = m, v

@@ -580,9 +580,8 @@ def test_azimuth_bins_equal_one_pose_euler_path(seed, b):
 class _PerArrayAdam:
     """The per-array Adam step the flat-buffer one replaced, kept as the
     oracle in the same efficient form (moments m / (1 - b1) and v / (1 - b2),
-    step size alpha_t, eps_t): `entries` is a boolean mask over the stack
-    axes or slice(None), and grads hold (dW, db) of just the selected
-    entries."""
+    step size rate, eps_v): `entries` is a boolean mask over the stack axes
+    or slice(None), and grads hold (dW, db) of just the selected entries."""
 
     def __init__(self, net, opt):
         self.opt = opt
@@ -594,15 +593,15 @@ class _PerArrayAdam:
         o = self.opt
         self.t[entries] += 1
         root_c2 = np.sqrt((1.0 - o.beta2 ** self.t[entries]) / (1.0 - o.beta2))
-        alpha_t = lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1 ** self.t[entries])
-        eps_t = o.eps * root_c2
+        rate = lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1 ** self.t[entries])
+        eps_v = o.eps * root_c2
         params = [p for l in net.layers for p in (l.weight, l.bias)]
         flat_grads = [d for dw_db in grads for d in dw_db]
         for param, g, m_all, v_all in zip(params, flat_grads, self.m, self.v):
             tail = (...,) + (None,) * (g.ndim - 1)
             m = m_all[entries] = m_all[entries] * o.beta1 + g
             v = v_all[entries] = v_all[entries] * o.beta2 + g * g
-            param[entries] -= alpha_t[tail] * (m / (np.sqrt(v) + eps_t[tail]))
+            param[entries] -= rate[tail] * (m / (np.sqrt(v) + eps_v[tail]))
 
 
 @settings(max_examples=150, deadline=None)
