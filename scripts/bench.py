@@ -15,6 +15,10 @@ STEP_REPEATS, and splits one `regress` run_experiment into its stages
 with the perfbench layer tracer (inclusive times; the train self time is
 the Adam steps plus the step glue around the traced calls).
 
+Jitter: with the default spec and pose of `orient-geo jitter`, it times
+jitter_sample on the cuboid and on the sphere, and one write_manifest plus
+read_manifest round trip of the cuboid grid, best of JITTER_REPEATS.
+
 Timings are wall clock of this process only (time.perf_counter), taken
 without system-wide tracing, without cache control and without pinning.
 On a shared virtual machine other tenants' load stretches them; the
@@ -41,10 +45,11 @@ import layertrace  # noqa: E402  (perfbench/layertrace.py: the layer tracer)
 import workloads  # noqa: E402  (perfbench/workloads.py: the workload configs)
 
 from orientgeo import dictionary as dct  # noqa: E402
-from orientgeo import harness, losses, models  # noqa: E402
+from orientgeo import cli, harness, jitter, losses, models  # noqa: E402
 
 DATA_SEED = 202
 STEP_REPEATS = 200  # a training-step part takes tens of microseconds
+JITTER_REPEATS = 30  # a default grid takes a few milliseconds
 
 
 def _configs():
@@ -148,6 +153,29 @@ def _stage_split(cfg):
     return {"run_experiment_s": total, **stages, "calls": calls}
 
 
+def _jitter_timings(repeats):
+    """Best-of-repeats time of jitter_sample on each shape that `orient-geo
+    jitter` offers, at its default spec and pose, and of writing and reading
+    back the cuboid grid's manifest."""
+    spec, euler = cli._jitter_spec(None)
+    camera = jitter.default_camera()
+    out = {}
+    for shape, points in (("cuboid", jitter.cuboid_points()), ("sphere", jitter.sphere_points())):
+        out[f"jitter_sample_{shape}_s"] = _best_of(repeats, jitter.jitter_sample,
+                                                   (points, camera, euler), spec, 0)
+    grid = jitter.jitter_sample((jitter.cuboid_points(), camera, euler), spec, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.txt")
+
+        def round_trip():
+            jitter.write_manifest(path, grid)
+            jitter.read_manifest(path)
+
+        out["manifest_round_trip_s"] = _best_of(repeats, round_trip)
+    out["cells"] = len(grid)
+    return out
+
+
 def _cpu_model():
     """The CPU model name from /proc/cpuinfo, or the platform's guess."""
     try:
@@ -189,12 +217,15 @@ def main() -> int:
     stages = _stage_split(regress)
     print("regress run_experiment: " + ", ".join(
         f"{key} {value:.3f}" for key, value in stages.items() if key != "calls"))
+    jitter_times = _jitter_timings(JITTER_REPEATS)
+    print("jitter: " + ", ".join(f"{key} {value}" for key, value in jitter_times.items()))
 
     doc = {
         "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats; "
                 "training step: forward, objective, backward and Adam at the regress "
                 "step shapes, best of step_repeats, and the stage split of one regress "
-                "run_experiment; all in-process",
+                "run_experiment; jitter grids and a manifest round trip at the "
+                "`orient-geo jitter` defaults, best of jitter_repeats; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
                   "no cache control, no CPU pinning; on a shared virtual machine "
                   "other tenants' load can stretch every time in a file alike, so "
@@ -203,6 +234,7 @@ def main() -> int:
         "data_seed": DATA_SEED,
         "repeats": args.repeats,
         "step_repeats": STEP_REPEATS,
+        "jitter_repeats": JITTER_REPEATS,
         "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                    "MKL_NUM_THREADS")},
         "machine": {
@@ -215,6 +247,7 @@ def main() -> int:
         "entries": entries,
         "regress_step": step,
         "regress_stages": stages,
+        "jitter": jitter_times,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

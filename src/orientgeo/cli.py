@@ -158,9 +158,9 @@ def _cmd_jitter(args) -> int:
     else:
         points = jitter.cuboid_points()
     camera = jitter.default_camera()
-    samples = jitter.jitter_sample((points, camera, euler), jspec)
-    jitter.write_manifest(args.manifest, [(0, item) for item in samples])
-    print(f"wrote {len(samples)} jittered cells to {args.manifest}")
+    grid = jitter.jitter_sample((points, camera, euler), jspec, 0)
+    jitter.write_manifest(args.manifest, grid)
+    print(f"wrote {len(grid)} jittered cells to {args.manifest}")
     return 0
 
 

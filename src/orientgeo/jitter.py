@@ -11,14 +11,13 @@ and elevation shifts move points out of plane, so their warps are estimated
 with the DLT algorithm on the points closest to the camera, mirroring the
 projection pipeline this models.
 
-Angles inside EulerZXZ are radians; jitter offsets and manifest angle
-columns are degrees.
+A grid is a JitterGrid: one row per cell.  Its angles are radians; jitter
+offsets and manifest angle columns are degrees.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -95,39 +94,48 @@ class JitterSpec:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Homography:
-    """3x3 projective warp, normalized to |h|_F = 1 with h[2,2] >= 0."""
+class JitterGrid:
+    """A jittered sample as columns, one row per grid cell: sample_ids (n,),
+    offsets (n, 3) in degrees (d_az, d_el, d_ct), flipped (n,), warps
+    (n, 3, 3) as normalize_homographies leaves them, and the ZXZ angles
+    (n, 3) in radians with az and ct wrapped into [-pi, pi)."""
 
-    h: np.ndarray
+    sample_ids: np.ndarray
+    offsets: np.ndarray
+    flipped: np.ndarray
+    warps: np.ndarray
+    angles: np.ndarray
 
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (3, 3):
-            raise ValueError("homography must be 3x3")
-        n = np.linalg.norm(h)
-        if not np.isfinite(n) or n < 1e-12:
-            raise DegenerateConfiguration("homography is numerically zero")
-        if abs(n - 1.0) > 1e-9:  # idempotent: reloading normalized data is exact
-            h = h / n
-        s = _sign_convention(h)
-        if s != 1.0:
-            h = h * s
-        if abs(np.linalg.det(h)) < 1e-12:
-            raise DegenerateConfiguration("homography is singular")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return apply_homography(self.h, points)
+    def __len__(self) -> int:
+        return len(self.flipped)
 
 
-def _sign_convention(h: np.ndarray) -> float:
-    if h[2, 2] != 0.0:
-        return 1.0 if h[2, 2] > 0.0 else -1.0
-    for v in h.reshape(-1):
-        if v != 0.0:
-            return 1.0 if v > 0.0 else -1.0
-    return 1.0
+# h22 first, then row-major: a warp's sign makes the first nonzero of these
+# entries positive
+_SIGN_ORDER = [8, 0, 1, 2, 3, 4, 5, 6, 7]
+# sign(row) @ _FIRST_NONZERO has the sign of the row's first nonzero entry:
+# each weight exceeds the sum of the weights after it
+_FIRST_NONZERO = 2.0 ** np.arange(8, -1, -1)
+
+
+def normalize_homographies(h) -> np.ndarray:
+    """Each warp of a stack (..., 3, 3) scaled to unit Frobenius norm, then
+    signed so that h22, or the first nonzero entry when h22 is 0, is
+    positive.  A warp within 1e-9 of unit norm is not rescaled, so
+    normalizing a normalized warp (say, one read back from a manifest)
+    leaves it exact.  DegenerateConfiguration on a zero, non-finite or
+    singular warp."""
+    h = np.asarray(h, dtype=float)
+    flat = h.reshape(h.shape[:-2] + (9,))
+    # summed as np.linalg.norm sums one warp
+    n = so3._norm(flat)[..., None, None]
+    if not (np.all(np.isfinite(n)) and np.all(n >= 1e-12)):
+        raise DegenerateConfiguration("homography is numerically zero or not finite")
+    h = np.where(np.abs(n - 1.0) > 1e-9, h / n, h)
+    h = h * np.sign(np.sign(h.reshape(flat.shape)[..., _SIGN_ORDER]) @ _FIRST_NONZERO)[..., None, None]
+    if np.any(np.abs(np.linalg.det(h)) < 1e-12):
+        raise DegenerateConfiguration("homography is singular")
+    return h
 
 
 def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -165,48 +173,34 @@ def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
     return t
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Unnormalized homography (..., 3, 3) of each correspondence set
-    src (n, 2) -> dst (..., n, 2), by the Hartley-normalized DLT with one
+def dlt_homography(src, dst) -> np.ndarray:
+    """Normalized warps (..., 3, 3) mapping each correspondence set
+    src (..., n, 2) onto dst (..., n, 2), n >= 4, the leading axes
+    broadcasting: the Hartley-normalized direct linear transform with one
     stacked SVD."""
+    src = np.atleast_2d(np.asarray(src, dtype=float))
+    dst = np.atleast_2d(np.asarray(dst, dtype=float))
+    if src.shape[-2:] != dst.shape[-2:] or src.shape[-2] < 4 or src.shape[-1] != 2:
+        raise DegenerateConfiguration("need >= 4 matched 2D correspondences")
     t_src, t_dst = _hartley_normalization(src), _hartley_normalization(dst)
     ns, nd = apply_homography(t_src, src), apply_homography(t_dst, dst)
     xy1 = np.concatenate([ns, np.ones(ns.shape[:-1] + (1,))], axis=-1)
     # point i gives equation rows 2i (for u) and 2i + 1 (for v)
-    a = np.zeros(nd.shape[:-1] + (2, 9))
+    a = np.zeros(np.broadcast_shapes(ns.shape, nd.shape)[:-1] + (2, 9))
     a[..., 0, 0:3] = a[..., 1, 3:6] = -xy1
     a[..., 6:] = nd[..., None] * xy1[..., None, :]
-    a = a.reshape(nd.shape[:-2] + (2 * nd.shape[-2], 9))
+    a = a.reshape(a.shape[:-3] + (2 * a.shape[-3], 9))
     # four points give 8 rows: only the full V^T holds the null vector
     _, sv, vt = np.linalg.svd(a, full_matrices=a.shape[-2] < 9)
     if np.any(sv[..., 7] < DLT_RANK_TOL * np.maximum(sv[..., 0], 1.0)):
         raise DegenerateConfiguration("correspondences are rank-deficient (collinear points?)")
     h_norm = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
-    return np.linalg.inv(t_dst) @ h_norm @ t_src
-
-
-def dlt_homography(src, dst) -> Homography:
-    """Hartley-normalized direct linear transform from >= 4 correspondences."""
-    src = np.atleast_2d(np.asarray(src, dtype=float))
-    dst = np.atleast_2d(np.asarray(dst, dtype=float))
-    if src.shape != dst.shape or src.shape[0] < 4 or src.shape[1] != 2:
-        raise DegenerateConfiguration("need >= 4 matched 2D correspondences")
-    return Homography(_dlt(src, dst))
+    return normalize_homographies(np.linalg.inv(t_dst) @ h_norm @ t_src)
 
 
 def flip_homography(cx: float) -> np.ndarray:
     """Mirror about the vertical line x = cx (unnormalized)."""
     return np.array([[-1.0, 0.0, 2.0 * cx], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class JitteredSample:
-    homography: Homography
-    euler: so3.EulerZXZ
-    d_az: float
-    d_el: float
-    d_ct: float
-    flipped: bool
 
 
 def _tilt_is_in_plane(cam: Camera) -> bool:
@@ -223,8 +217,15 @@ def _near_subset(cam: Camera, points_world: np.ndarray) -> np.ndarray:
     return order[:count]
 
 
-def jitter_sample(sample, spec: JitterSpec) -> list:
-    """Expand one (points, camera, euler) sample over the jitter grid.
+def _wrapped(angles: np.ndarray) -> np.ndarray:
+    """ZXZ rows (..., 3) as EulerZXZ keeps them: az and ct wrapped into
+    [-pi, pi)."""
+    return np.where([True, False, True], so3.wrap_angles(angles), angles)
+
+
+def jitter_sample(sample, spec: JitterSpec, sample_id) -> JitterGrid:
+    """Expand one (points, camera, euler) sample over the jitter grid; every
+    row's sample id is str(sample_id).
 
     Grid order: d_az outer, d_el middle, d_ct inner; when spec.flip each
     cell emits its mirrored twin immediately after the original.  The
@@ -235,32 +236,30 @@ def jitter_sample(sample, spec: JitterSpec) -> list:
     points, cam, euler = sample
     points = np.atleast_2d(np.asarray(points, dtype=float))
 
-    cells = list(itertools.product(spec.d_az, spec.d_el, spec.d_ct))
-    eulers = [so3.EulerZXZ(euler.azimuth + math.radians(d_az), euler.elevation + math.radians(d_el),
-                           euler.tilt + math.radians(d_ct)) for d_az, d_el, d_ct in cells]
+    offsets = np.stack(np.meshgrid(spec.d_az, spec.d_el, spec.d_ct, indexing="ij"), axis=-1).reshape(-1, 3)
+    own = np.array([euler.azimuth, euler.elevation, euler.tilt])
+    angles = _wrapped(own + np.radians(offsets))
     # row 0 is the sample's own pose; one call builds every cell's pose
-    poses = so3.euler_to_matrix([(e.azimuth, e.elevation, e.tilt) for e in [euler, *eulers]])
+    poses = so3.euler_to_matrix(np.vstack([own, angles]))
     subset = points[_near_subset(cam, points @ poses[0].T)]
     src = project(cam, subset @ poses[0].T)
-    k, k_inv = cam.intrinsics, np.linalg.inv(cam.intrinsics)
     # only a pure tilt about a fixed optical axis has an exact in-plane warp
-    tilt_in_plane = _tilt_is_in_plane(cam)
-    exact = [d_az == 0.0 and d_el == 0.0 and tilt_in_plane for d_az, d_el, _ in cells]
-    fitted = poses[1:][np.logical_not(exact)]
-    dst = project(cam, subset @ np.swapaxes(fitted, -1, -2))
-    warps = iter(_dlt(src, dst))
-    cx = float(cam.principal_point[0])
+    exact = (offsets[:, 0] == 0.0) & (offsets[:, 1] == 0.0) & _tilt_is_in_plane(cam)
+    warps = np.empty((len(offsets), 3, 3))
+    # a pure tilt's pose change is the ZXZ row (0, 0, d_ct): Rz(d_ct)
+    tilts = so3.euler_to_matrix(np.where([False, False, True], np.radians(offsets[exact]), 0.0))
+    warps[exact] = normalize_homographies(cam.intrinsics @ tilts @ np.linalg.inv(cam.intrinsics))
+    warps[~exact] = dlt_homography(src, project(cam, subset @ np.swapaxes(poses[1:][~exact], -1, -2)))
+    flipped = np.zeros(len(offsets), dtype=bool)
 
-    out = []
-    for (d_az, d_el, d_ct), jittered, in_plane in zip(cells, eulers, exact):
-        h = k @ so3.rot_z(math.radians(d_ct)) @ k_inv if in_plane else next(warps)
-        warp = Homography(h)
-        out.append(JitteredSample(warp, jittered, d_az, d_el, d_ct, False))
-        if spec.flip:
-            mirrored = so3.EulerZXZ(-jittered.azimuth, jittered.elevation, -jittered.tilt)
-            flipped = Homography(flip_homography(cx) @ warp.h)
-            out.append(JitteredSample(flipped, mirrored, d_az, d_el, d_ct, True))
-    return out
+    if spec.flip:
+        mirror = flip_homography(float(cam.principal_point[0]))
+        twins = (offsets, ~flipped, normalize_homographies(mirror @ warps),
+                 _wrapped(angles * [-1.0, 1.0, -1.0]))
+        # each cell's twin is the row after it
+        offsets, flipped, warps, angles = (np.stack([a, b], axis=1).reshape((-1,) + a.shape[1:])
+                                           for a, b in zip((offsets, flipped, warps, angles), twins))
+    return JitterGrid(np.full(len(flipped), str(sample_id)), offsets, flipped, warps, angles)
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +314,22 @@ def default_camera(focal: float = 800.0, center=(320.0, 240.0), depth: float = 4
 MANIFEST_HEADER = "# sample_id, daz, del, dct, flipped, h00, h01, h02, h10, h11, h12, h20, h21, h22, az, el, ct"
 
 
-def write_manifest(path, entries) -> None:
-    """Line-oriented manifest; angle columns in degrees, floats via repr."""
+def write_manifest(path, grid: JitterGrid) -> None:
+    """One line per grid row; angle columns in degrees, floats via repr."""
+    nums = np.concatenate([grid.offsets, grid.warps.reshape(-1, 9), np.degrees(grid.angles)], axis=1)
     lines = [MANIFEST_HEADER]
-    for sample_id, item in entries:
-        h = item.homography.h.reshape(-1)
-        cols = [str(sample_id)]
-        cols += [repr(float(v)) for v in (item.d_az, item.d_el, item.d_ct)]
-        cols.append("1" if item.flipped else "0")
-        cols += [repr(float(v)) for v in h]
-        cols += [
-            repr(math.degrees(item.euler.azimuth)),
-            repr(math.degrees(item.euler.elevation)),
-            repr(math.degrees(item.euler.tilt)),
-        ]
-        lines.append(", ".join(cols))
+    for sample_id, flipped, row in zip(grid.sample_ids.tolist(), grid.flipped.tolist(), nums.tolist()):
+        cols = [repr(v) for v in row]
+        lines.append(", ".join([sample_id, *cols[:3], "1" if flipped else "0", *cols[3:]]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_manifest(path) -> list:
-    """Inverse of write_manifest: list of (sample_id, JitteredSample).
-    ValueError on a line without 17 columns, a flipped flag other than 0
-    or 1, or a number that is not finite."""
-    out = []
+def read_manifest(path) -> JitterGrid:
+    """Inverse of write_manifest.  ValueError on a line without 17 columns,
+    a flipped flag other than 0 or 1, or a number that is not finite, and
+    DegenerateConfiguration (a ValueError) on a zero or singular warp."""
+    sample_ids, flipped, nums = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -349,13 +340,13 @@ def read_manifest(path) -> list:
                 raise ValueError(f"malformed manifest line: {line!r}")
             if cols[4] not in ("0", "1"):
                 raise ValueError(f"flipped column must be 0 or 1: {line!r}")
-            nums = [float(c) for c in cols[1:4] + cols[5:]]
-            if not all(math.isfinite(v) for v in nums):
+            row = [float(c) for c in cols[1:4] + cols[5:]]
+            if not all(math.isfinite(v) for v in row):
                 raise ValueError(f"non-finite offset, warp or angle: {line!r}")
-            h = np.array(nums[3:12]).reshape(3, 3)
-            az, el, ct = (math.radians(v) for v in nums[12:])
-            item = JitteredSample(
-                Homography(h), so3.EulerZXZ(az, el, ct), *nums[:3], cols[4] == "1"
-            )
-            out.append((cols[0], item))
-    return out
+            sample_ids.append(cols[0])
+            flipped.append(cols[4] == "1")
+            nums.append(row)
+    nums = np.array(nums, dtype=float).reshape(-1, 15)
+    return JitterGrid(np.array(sample_ids, dtype=str), nums[:, :3], np.array(flipped, dtype=bool),
+                      normalize_homographies(nums[:, 3:12].reshape(-1, 3, 3)),
+                      _wrapped(np.radians(nums[:, 12:])))

@@ -142,9 +142,7 @@ def _azimuths_deg(m: np.ndarray):
     math.degrees(EulerZXZ(*matrix_to_euler(r)[0]).azimuth) % 360 gives it,
     and the mask (...,) of rows in gimbal lock, whose azimuth is undefined."""
     angles, locked = so3.matrix_to_euler(m)
-    az = np.fmod(angles[..., 0] + math.pi, 2.0 * math.pi)  # so3.wrap_angle, row-wise
-    az = np.where(az < 0.0, az + 2.0 * math.pi, az) - math.pi
-    return np.degrees(az) % 360.0, locked
+    return np.degrees(so3.wrap_angles(angles[..., 0])) % 360.0, locked
 
 
 def _azimuth_bins(azimuth_deg: np.ndarray, k: int) -> np.ndarray:

@@ -92,7 +92,8 @@ class EulerZXZ:
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap an angle into [-pi, pi)."""
+    """Wrap one angle into [-pi, pi): wrap_angles for the one-row EulerZXZ,
+    which would pay more for a numpy call than for the wrap."""
     out = math.fmod(a + math.pi, 2.0 * math.pi)
     if out < 0.0:
         out += 2.0 * math.pi
@@ -104,6 +105,13 @@ def wrap_angle(a: float) -> float:
 # (..., 3, 3) and treats every row on its own; a stacked call's row equals
 # the same row's one-row call exactly, because every sum over a row goes
 # through matmul or np.trace, which sum each row as they sum it alone.
+
+
+def wrap_angles(a) -> np.ndarray:
+    """Each angle of a (...) wrapped into [-pi, pi), equal to wrap_angle's
+    result for it."""
+    out = np.fmod(np.asarray(a, dtype=float) + math.pi, 2.0 * math.pi)
+    return np.where(out < 0.0, out + 2.0 * math.pi, out) - math.pi
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -348,9 +356,10 @@ def matrix_to_euler(m: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# typed values: one validated row each.  Records, manifests and the pose
-# metrics carry poses as these, so a malformed pose fails where it is made;
-# every bulk computation goes through the row-wise maps above.
+# typed values: one validated row each, for poses that arrive one at a time
+# (the CLI's jitter spec, the benchmark's record builder), so a malformed
+# pose fails where it is made; records, manifests, metrics and every bulk
+# computation hold poses as stacks and go through the row-wise maps above.
 
 
 def quaternion_to_rotation(q: UnitQuaternion) -> Rotation:
@@ -359,11 +368,6 @@ def quaternion_to_rotation(q: UnitQuaternion) -> Rotation:
 
 def rotation_to_quaternion(r: Rotation) -> UnitQuaternion:
     return UnitQuaternion(_matrix_to_quat(r.matrix))
-
-
-def rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def euler_to_rotation(e: EulerZXZ) -> Rotation:

@@ -34,6 +34,8 @@ import numpy as np
 
 from orientgeo import cli, metrics, so3
 
+from so3_helpers import rot_z
+
 SEED = 31
 CATEGORIES = ("bike", "car", "chair", "boat")
 GT_PER_CATEGORY = 12
@@ -54,12 +56,12 @@ def _pose(rng, kind):
     """A ground-truth rotation of the given kind."""
     if kind == "edge":  # Rz(ct) Rx(el) Rz(az) with an exact quarter-turn az
         el, ct = rng.uniform(0.3, 2.8), rng.uniform(-math.pi, math.pi)
-        m = so3.rot_z(ct) @ _rot_x(el) @ QUARTER_TURNS[int(rng.integers(4))]
+        m = rot_z(ct) @ _rot_x(el) @ QUARTER_TURNS[int(rng.integers(4))]
     elif kind == "pi":  # azimuth within 1e-12 rad of +-pi
         az = math.pi * rng.choice([-1.0, 1.0]) - rng.uniform(-1e-12, 1e-12)
         m = so3.euler_to_matrix([az, rng.uniform(0.3, 2.8), rng.uniform(-math.pi, math.pi)])
     elif kind == "gimbal":
-        m = so3.rot_z(rng.uniform(-math.pi, math.pi))
+        m = rot_z(rng.uniform(-math.pi, math.pi))
     else:
         return so3.random_rotation(rng)
     return so3.Rotation(m)
@@ -70,7 +72,7 @@ def _near(rng, rotation, gimbal=False):
     on either side of 30 degrees, kept in gimbal lock for a gimbal pose."""
     angle = rng.choice([rng.uniform(0.0, 25.0), rng.uniform(35.0, 120.0)])
     if gimbal:
-        return so3.Rotation(so3.rot_z(math.radians(angle)) @ rotation.matrix)
+        return so3.Rotation(rot_z(math.radians(angle)) @ rotation.matrix)
     axis = rng.standard_normal(3)
     turn = so3.rodrigues(axis / np.linalg.norm(axis) * math.radians(angle))
     return so3.Rotation(rotation.matrix @ turn)

@@ -23,6 +23,12 @@ def rot_x(a):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def rot_z(a):
+    """Rotation matrix by a about the z axis."""
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def angle_deg(r_true, r_pred):
     """Geodesic angle in degrees between two so3.Rotation values."""
     return math.degrees(float(so3.geodesic_distance_matrices(r_true.matrix, r_pred.matrix)))

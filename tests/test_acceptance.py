@@ -19,7 +19,7 @@ import pytest
 from orientgeo import dictionary as dct
 from orientgeo import gradcheck, harness, jitter, losses, metrics, so3
 
-from so3_helpers import angle_deg, azimuth_bin
+from so3_helpers import angle_deg, azimuth_bin, rot_z
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -227,7 +227,7 @@ def _random_set(rng, pyrng, with_boundaries):
             box = (x + 15.0 * k, 0.0, x + 15.0 * k + 10.0, 10.0)
             gts.append(metrics.GroundTruth("cat", box, so3.Rotation.identity()))
             dets.append(metrics.Detection(
-                "cat", box, 0.99, so3.Rotation(so3.rot_z(math.radians(off)))
+                "cat", box, 0.99, so3.Rotation(rot_z(math.radians(off)))
             ))
         def pose(az):
             return so3.euler_to_rotation(so3.EulerZXZ(math.radians(az), math.pi / 2, 0.0))
@@ -307,14 +307,16 @@ def test_homography_suite():
 
     pts = rng.uniform(-1.0, 1.0, size=(8, 2))
     h_id = jitter.dlt_homography(pts, pts)
-    worst_dlt = max(worst_dlt, float(np.max(np.abs(h_id.apply(pts) - pts))))
+    worst_dlt = max(worst_dlt, float(np.max(np.abs(jitter.apply_homography(h_id, pts) - pts))))
 
     ang = math.radians(10.0)
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     dst = pts @ rot.T
     h_rot = jitter.dlt_homography(pts, dst)
-    worst_dlt = max(worst_dlt, float(np.max(np.abs(h_rot.apply(pts) - dst))))
+    worst_dlt = max(worst_dlt, float(np.max(np.abs(jitter.apply_homography(h_rot, pts) - dst))))
 
+    # 20 random warps, fitted in one stacked call
+    srcs, dsts = [], []
     for _ in range(20):
         h_true = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
         while abs(np.linalg.det(h_true)) < 1e-3:
@@ -322,9 +324,11 @@ def test_homography_suite():
         src = rng.uniform(-1.0, 1.0, size=(6, 2))
         ones = np.hstack([src, np.ones((6, 1))])
         mapped = ones @ h_true.T
-        dst = mapped[:, :2] / mapped[:, 2:3]
-        h_est = jitter.dlt_homography(src, dst)
-        worst_dlt = max(worst_dlt, float(np.max(np.abs(h_est.apply(src) - dst))))
+        srcs.append(src)
+        dsts.append(mapped[:, :2] / mapped[:, 2:3])
+    srcs, dsts = np.array(srcs), np.array(dsts)
+    h_est = jitter.dlt_homography(srcs, dsts)
+    worst_dlt = max(worst_dlt, float(np.max(np.abs(jitter.apply_homography(h_est, srcs) - dsts))))
 
     # 2-degree azimuth jitter of a nearly fronto-parallel thin slab: the
     # closest 20 percent of the points live on one face, so one homography
@@ -333,14 +337,15 @@ def test_homography_suite():
     camera = jitter.default_camera()
     euler = so3.EulerZXZ(math.radians(5.0), math.radians(88.0), math.radians(2.0))
     spec = jitter.JitterSpec(d_az=(2.0,), d_el=(0.0,), d_ct=(0.0,), flip=False)
-    (sample,) = jitter.jitter_sample((points, camera, euler), spec)
+    grid = jitter.jitter_sample((points, camera, euler), spec, 0)
+    assert len(grid) == 1
     world = points @ so3.euler_to_rotation(euler).matrix.T
-    moved_world = points @ so3.euler_to_rotation(sample.euler).matrix.T
+    moved_world = points @ so3.euler_to_matrix(grid.angles[0]).T
     depths = world[:, 2] + camera.translation[2]
     near = np.argsort(depths, kind="stable")[: max(4, round(0.2 * len(points)))]
     base = jitter.project(camera, world[near])
     target = jitter.project(camera, moved_world[near])
-    moved = jitter.apply_homography(sample.homography.h, base)
+    moved = jitter.apply_homography(grid.warps[0], base)
     worst_jitter = float(np.max(np.linalg.norm(moved - target, axis=1)))
 
     ok = worst_dlt <= 1e-6 and worst_jitter <= 1e-3

@@ -198,9 +198,9 @@ def test_jitter_command_manifest_roundtrip(tmp_path, capsys):
     ])
     assert rc == 0
     assert "wrote 3 jittered cells" in capsys.readouterr().out
-    entries = jitter.read_manifest(manifest)
-    assert len(entries) == 3
-    assert all(not item.flipped for _, item in entries)
+    grid = jitter.read_manifest(manifest)
+    assert len(grid) == 3
+    assert not grid.flipped.any()
 
 
 def test_jitter_command_sphere_default_grid(tmp_path):

@@ -1,6 +1,7 @@
 """Projection, DLT homography, and pose-jitter grid expansion against
 synthetic-transform and inverse-projection oracles."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from orientgeo import jitter, so3
 
 import record_golden_jitter
+from so3_helpers import rot_z
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_jitter.json")
 
@@ -74,9 +76,9 @@ def test_dlt_identity_from_exact_points():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.0, 100.0, size=(8, 2))
     h = jitter.dlt_homography(pts, pts)
-    assert np.max(np.abs(h.apply(pts) - pts)) <= 1e-6
+    assert np.max(np.abs(jitter.apply_homography(h, pts) - pts)) <= 1e-6
     ident = np.eye(3) / math.sqrt(3.0)
-    assert np.allclose(h.h, ident, atol=1e-9)
+    assert np.allclose(h, ident, atol=1e-9)
 
 
 def test_dlt_recovers_in_plane_rotation():
@@ -87,7 +89,7 @@ def test_dlt_recovers_in_plane_rotation():
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     dst = (pts - center) @ rot.T + center
     h = jitter.dlt_homography(pts, dst)
-    assert np.max(np.abs(h.apply(pts) - dst)) <= 1e-6
+    assert np.max(np.abs(jitter.apply_homography(h, pts) - dst)) <= 1e-6
 
 
 def test_dlt_recovers_random_projective_maps():
@@ -101,7 +103,7 @@ def test_dlt_recovers_random_projective_maps():
         if np.max(np.abs(dst)) > 1e4:  # skip near-horizon configurations
             continue
         h = jitter.dlt_homography(pts, dst)
-        assert np.max(np.abs(h.apply(pts) - dst)) <= 1e-6
+        assert np.max(np.abs(jitter.apply_homography(h, pts) - dst)) <= 1e-6
 
 
 def test_dlt_recovers_projective_maps_from_exactly_four_points():
@@ -116,8 +118,8 @@ def test_dlt_recovers_projective_maps_from_exactly_four_points():
         if np.max(np.abs(dst)) > 1e4:  # skip near-horizon configurations
             continue
         h = jitter.dlt_homography(pts, dst)
-        assert np.max(np.abs(h.apply(pts) - dst)) <= 1e-6
-        assert np.allclose(h.h, jitter.Homography(true_h).h, atol=1e-6)
+        assert np.max(np.abs(jitter.apply_homography(h, pts) - dst)) <= 1e-6
+        assert np.allclose(h, jitter.normalize_homographies(true_h), atol=1e-6)
         checked += 1
     assert checked >= 10
 
@@ -131,18 +133,82 @@ def test_dlt_rejects_collinear_and_too_few():
         jitter.dlt_homography(tri, tri)
 
 
+def test_dlt_fits_a_stack_of_correspondence_sets_as_each_set_alone():
+    rng = np.random.default_rng(5)
+    src = rng.uniform(-50.0, 50.0, size=(6, 2))
+    dst = jitter.apply_homography(np.eye(3) + 0.05 * rng.standard_normal((4, 3, 3)), src)
+    stacked = jitter.dlt_homography(src, dst)
+    assert stacked.shape == (4, 3, 3)
+    for warp, d in zip(stacked, dst):
+        assert np.array_equal(warp, jitter.dlt_homography(src, d))
+
+
+def _normalized_oracle(h):
+    """One warp normalized by the per-warp rule: unit Frobenius norm unless
+    already within 1e-9 of it, then the sign of h22, or of the first nonzero
+    entry when h22 is 0; zero, non-finite and singular warps raise."""
+    n = np.linalg.norm(h)
+    if not np.isfinite(n) or n < 1e-12:
+        raise jitter.DegenerateConfiguration("homography is numerically zero")
+    if abs(n - 1.0) > 1e-9:
+        h = h / n
+    sign = 1.0
+    for v in [h[2, 2], *h.reshape(-1)]:
+        if v != 0.0:
+            sign = 1.0 if v > 0.0 else -1.0
+            break
+    if sign != 1.0:
+        h = h * sign
+    if abs(np.linalg.det(h)) < 1e-12:
+        raise jitter.DegenerateConfiguration("homography is singular")
+    return h
+
+
+def test_stacked_normalization_equals_the_per_warp_rule():
+    rng = np.random.default_rng(6)
+    one = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    unit = _normalized_oracle(one)
+    h22_zero = rng.standard_normal((2, 3, 3))
+    h22_zero[:, 2, 2] = 0.0
+    h22_zero[:, 0, 0] = [-2.0, 3.0]  # first nonzero entry negative, then positive
+    h22_zero[0, 1, 1] = 0.0  # a zero entry after the first nonzero one
+    stack = np.concatenate([
+        rng.standard_normal((40, 3, 3)),  # h22 of either sign
+        -np.abs(rng.standard_normal((3, 3, 3))),  # h22 < 0
+        h22_zero,
+        [unit, unit * (1.0 + 5e-10), -unit],  # already unit within 1e-9
+        [one * c for c in (5.0, 0.01, -3.0, 1e6)],  # scaled copies of one warp
+    ])
+    assert np.any(stack[:, 2, 2] > 0.0) and np.any(stack[:, 2, 2] < 0.0)
+    want = np.array([_normalized_oracle(h) for h in stack])
+    assert np.array_equal(jitter.normalize_homographies(stack), want)
+    assert np.array_equal(jitter.normalize_homographies(want), want)
+    # scaled copies normalize to one warp
+    assert np.allclose(want[-4:], unit, rtol=0.0, atol=1e-15)
+
+
 def test_homography_normalization_is_deterministic():
     h_raw = np.array([[0.0, -3.0, 10.0], [3.0, 0.0, -4.0], [0.0, 0.0, -2.0]])
-    h = jitter.Homography(h_raw)
-    assert abs(np.linalg.norm(h.h) - 1.0) <= 1e-12
-    assert h.h[2, 2] >= 0.0
-    again = jitter.Homography(5.0 * h_raw)
-    assert np.array_equal(h.h, again.h)
+    h = jitter.normalize_homographies(h_raw)
+    assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
+    assert h[2, 2] >= 0.0
+    again = jitter.normalize_homographies(5.0 * h_raw)
+    assert np.array_equal(h, again)
 
 
-def test_homography_rejects_singular():
+@pytest.mark.parametrize("bad", [
+    np.outer([1.0, 2.0, 3.0], [0.0, 1.0, 1.0]),
+    np.zeros((3, 3)),
+    np.full((3, 3), 1e-13),
+    np.diag([1.0, np.inf, 1.0]),
+    np.diag([1.0, np.nan, 1.0]),
+], ids=["singular", "zero", "numerically_zero", "inf", "nan"])
+def test_homography_rejects_zero_non_finite_and_singular(bad):
     with pytest.raises(jitter.DegenerateConfiguration):
-        jitter.Homography(np.outer([1.0, 2.0, 3.0], [0.0, 1.0, 1.0]))
+        _normalized_oracle(bad)
+    # one bad warp among good ones fails the stack
+    with pytest.raises(jitter.DegenerateConfiguration):
+        jitter.normalize_homographies(np.stack([np.eye(3), bad, np.eye(3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,53 +225,72 @@ def _sample(points=None, pose=None):
 def test_default_grid_size_and_order():
     spec = jitter.JitterSpec(flip=False)
     assert spec.grid_size == 45
-    out = jitter.jitter_sample(_sample(), spec)
-    assert len(out) == 45
+    grid = jitter.jitter_sample(_sample(), spec, 0)
+    assert len(grid) == 45
     # d_az outer, d_el middle, d_ct inner
-    assert (out[0].d_az, out[0].d_el, out[0].d_ct) == (-1.0, -1.0, -4.0)
-    assert (out[1].d_az, out[1].d_el, out[1].d_ct) == (-1.0, -1.0, -2.0)
-    assert (out[5].d_az, out[5].d_el, out[5].d_ct) == (-1.0, 0.0, -4.0)
-    assert (out[-1].d_az, out[-1].d_el, out[-1].d_ct) == (1.0, 1.0, 4.0)
+    assert grid.offsets[0].tolist() == [-1.0, -1.0, -4.0]
+    assert grid.offsets[1].tolist() == [-1.0, -1.0, -2.0]
+    assert grid.offsets[5].tolist() == [-1.0, 0.0, -4.0]
+    assert grid.offsets[-1].tolist() == [1.0, 1.0, 4.0]
+    assert grid.sample_ids.tolist() == ["0"] * 45
+    assert grid.warps.shape == (45, 3, 3) and grid.angles.shape == (45, 3)
 
 
 def test_flip_doubles_grid_and_interleaves():
     spec = jitter.JitterSpec(d_az=(0.0,), d_el=(0.0,), d_ct=(0.0, 2.0), flip=True)
-    out = jitter.jitter_sample(_sample(), spec)
-    assert len(out) == 4
-    assert [s.flipped for s in out] == [False, True, False, True]
+    grid = jitter.jitter_sample(_sample(), spec, 0)
+    assert len(grid) == 4
+    assert grid.flipped.tolist() == [False, True, False, True]
+    assert grid.offsets[:, 2].tolist() == [0.0, 0.0, 2.0, 2.0]
 
 
 def test_pure_tilt_is_exact_in_plane_rotation():
     pts, cam, euler = _sample()
     spec = jitter.JitterSpec(d_az=(0.0,), d_el=(0.0,), d_ct=(4.0,), flip=False)
-    (item,) = jitter.jitter_sample((pts, cam, euler), spec)
-    assert abs(math.degrees(item.euler.tilt - euler.tilt) - 4.0) <= 1e-12
+    grid = jitter.jitter_sample((pts, cam, euler), spec, 0)
+    assert len(grid) == 1
+    assert abs(math.degrees(grid.angles[0, 2] - euler.tilt) - 4.0) <= 1e-12
 
-    expected = jitter.Homography(
-        cam.intrinsics @ so3.rot_z(math.radians(4.0)) @ np.linalg.inv(cam.intrinsics)
+    expected = jitter.normalize_homographies(
+        cam.intrinsics @ rot_z(math.radians(4.0)) @ np.linalg.inv(cam.intrinsics)
     )
-    assert np.allclose(item.homography.h, expected.h, atol=1e-12)
+    assert np.allclose(grid.warps[0], expected, atol=1e-12)
 
     # warp agrees with reprojection under the new pose for every point
     pose = so3.euler_to_rotation(euler)
-    new_pose = so3.euler_to_rotation(item.euler)
+    new_pose = so3.euler_to_matrix(grid.angles[0])
     src = jitter.project(cam, pts @ pose.matrix.T)
-    dst = jitter.project(cam, pts @ new_pose.matrix.T)
-    assert np.max(np.abs(item.homography.apply(src) - dst)) <= 1e-6
+    dst = jitter.project(cam, pts @ new_pose.T)
+    assert np.max(np.abs(jitter.apply_homography(grid.warps[0], src) - dst)) <= 1e-6
 
 
 def test_flip_rule_on_angles():
     pts, cam, _ = _sample()
     spec = jitter.JitterSpec(d_az=(0.0,), d_el=(0.0,), d_ct=(0.0,), flip=True)
-    out = jitter.jitter_sample((pts, cam, _euler(30.0, 10.0, 5.0)), spec)
-    plain, mirrored = out
-    assert abs(math.degrees(mirrored.euler.azimuth) + 30.0) <= 1e-9
-    assert abs(math.degrees(mirrored.euler.elevation) - 10.0) <= 1e-9
-    assert abs(math.degrees(mirrored.euler.tilt) + 5.0) <= 1e-9
+    grid = jitter.jitter_sample((pts, cam, _euler(30.0, 10.0, 5.0)), spec, 0)
+    mirrored = grid.angles[1]
+    assert abs(math.degrees(mirrored[0]) + 30.0) <= 1e-9
+    assert abs(math.degrees(mirrored[1]) - 10.0) <= 1e-9
+    assert abs(math.degrees(mirrored[2]) + 5.0) <= 1e-9
     # mirrored warp = mirror about x = cx composed with the cell warp
     cx = cam.principal_point[0]
-    expected = jitter.Homography(jitter.flip_homography(cx) @ plain.homography.h)
-    assert np.allclose(mirrored.homography.h, expected.h, atol=1e-12)
+    expected = jitter.normalize_homographies(jitter.flip_homography(cx) @ grid.warps[0])
+    assert np.allclose(grid.warps[1], expected, atol=1e-12)
+
+
+def test_grid_angles_wrap_as_euler_values_do():
+    # az + d_az and ct + d_ct cross +-180 degrees, and so do their mirrors
+    pts, cam, _ = _sample()
+    euler = _euler(-179.5, 60.0, 179.0)
+    spec = jitter.JitterSpec(d_az=(-1.0, 0.5), d_el=(0.0,), d_ct=(0.0, 2.0), flip=True)
+    grid = jitter.jitter_sample((pts, cam, euler), spec, 0)
+    want = []
+    for d_az, _, d_ct in grid.offsets[::2].tolist():
+        e = so3.EulerZXZ(euler.azimuth + math.radians(d_az), euler.elevation,
+                         euler.tilt + math.radians(d_ct))
+        mirrored = so3.EulerZXZ(-e.azimuth, e.elevation, -e.tilt)
+        want += [dataclasses.astuple(e), dataclasses.astuple(mirrored)]
+    assert [tuple(row) for row in grid.angles.tolist()] == want
 
 
 def test_azimuth_jitter_homography_on_near_planar_subset():
@@ -215,17 +300,18 @@ def test_azimuth_jitter_homography_on_near_planar_subset():
     cam = jitter.default_camera()
     euler = _euler(5.0, 88.0, 2.0)
     spec = jitter.JitterSpec(d_az=(2.0,), d_el=(0.0,), d_ct=(0.0,), flip=False)
-    (item,) = jitter.jitter_sample((pts, cam, euler), spec)
+    grid = jitter.jitter_sample((pts, cam, euler), spec, 0)
+    assert len(grid) == 1
 
     pose = so3.euler_to_rotation(euler)
-    new_pose = so3.euler_to_rotation(item.euler)
+    new_pose = so3.euler_to_matrix(grid.angles[0])
     world = pts @ pose.matrix.T
     depths = world[:, 2] + cam.translation[2]
     count = max(4, int(round(0.2 * pts.shape[0])))
     near = np.argsort(depths, kind="stable")[:count]
     src = jitter.project(cam, world[near])
-    dst = jitter.project(cam, pts[near] @ new_pose.matrix.T)
-    err = np.max(np.abs(item.homography.apply(src) - dst))
+    dst = jitter.project(cam, pts[near] @ new_pose.T)
+    err = np.max(np.abs(jitter.apply_homography(grid.warps[0], src) - dst))
     assert err <= 1e-3
 
 
@@ -240,31 +326,29 @@ def test_four_point_near_subset_warps_are_exact():
     world = pts @ pose.matrix.T
     near = np.argsort(world[:, 2] + cam.translation[2], kind="stable")[:4]
     src = jitter.project(cam, world[near])
-    out = jitter.jitter_sample((pts, cam, euler), jitter.JitterSpec(flip=False))
-    assert len(out) == 45
-    for item in out:
-        dst = jitter.project(cam, pts[near] @ so3.euler_to_rotation(item.euler).matrix.T)
-        assert np.max(np.abs(item.homography.apply(src) - dst)) <= 1e-6
+    grid = jitter.jitter_sample((pts, cam, euler), jitter.JitterSpec(flip=False), 0)
+    assert len(grid) == 45
+    # (45, 4, 2): each cell's warp of src against the projection under its pose
+    dst = jitter.project(cam, pts[near] @ np.swapaxes(so3.euler_to_matrix(grid.angles), -1, -2))
+    assert np.max(np.abs(jitter.apply_homography(grid.warps, src) - dst)) <= 1e-6
 
 
 def test_jittered_targets_stay_within_offset_composition():
     pts, cam, euler = _sample()
     spec = jitter.JitterSpec(flip=False)
     base = so3.euler_to_rotation(euler)
-    for item in jitter.jitter_sample((pts, cam, euler), spec):
-        moved = so3.euler_to_rotation(item.euler)
-        d = so3.geodesic_distance_matrices(base.matrix, moved.matrix)
-        bound = math.radians(abs(item.d_az) + abs(item.d_el) + abs(item.d_ct)) + 1e-9
-        assert d <= bound
+    grid = jitter.jitter_sample((pts, cam, euler), spec, 0)
+    d = so3.geodesic_distance_matrices(base.matrix, so3.euler_to_matrix(grid.angles))
+    bound = np.radians(np.abs(grid.offsets).sum(axis=1)) + 1e-9
+    assert np.all(d <= bound)
 
 
 def test_jitter_results_deterministic():
     spec = jitter.JitterSpec()
-    a = jitter.jitter_sample(_sample(), spec)
-    b = jitter.jitter_sample(_sample(), spec)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.homography.h, y.homography.h)
-        assert x.euler == y.euler
+    a = jitter.jitter_sample(_sample(), spec, 0)
+    b = jitter.jitter_sample(_sample(), spec, 0)
+    assert np.array_equal(a.warps, b.warps)
+    assert np.array_equal(a.angles, b.angles)
 
 
 @settings(max_examples=20, deadline=None)
@@ -284,10 +368,10 @@ def test_tilt_shortcut_matches_dlt_estimate(az, el, ct):
     src = jitter.project(cam, pts @ pose.matrix.T)
     dst = jitter.project(cam, pts @ new_pose.matrix.T)
     estimated = jitter.dlt_homography(src, dst)
-    exact = jitter.Homography(
-        cam.intrinsics @ so3.rot_z(math.radians(3.0)) @ np.linalg.inv(cam.intrinsics)
+    exact = jitter.normalize_homographies(
+        cam.intrinsics @ rot_z(math.radians(3.0)) @ np.linalg.inv(cam.intrinsics)
     )
-    assert np.max(np.abs(estimated.h - exact.h)) <= 1e-6
+    assert np.max(np.abs(estimated - exact)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +398,28 @@ def test_sphere_points_on_surface_and_deterministic():
 
 def test_manifest_roundtrip(tmp_path):
     spec = jitter.JitterSpec(d_az=(0.0, 1.0), d_el=(0.0,), d_ct=(-2.0, 0.0), flip=True)
-    items = jitter.jitter_sample(_sample(), spec)
-    entries = [(f"sample_{i:03d}", item) for i, item in enumerate(items)]
+    grid = jitter.jitter_sample(_sample(), spec, 0)
+    grid = dataclasses.replace(grid, sample_ids=np.array([f"sample_{i:03d}" for i in range(len(grid))]))
     path = tmp_path / "manifest.txt"
-    jitter.write_manifest(path, entries)
+    jitter.write_manifest(path, grid)
     back = jitter.read_manifest(path)
-    assert len(back) == len(entries)
-    for (sid, item), (sid2, item2) in zip(entries, back):
-        assert sid == sid2
-        assert np.array_equal(item.homography.h, item2.homography.h)
-        assert abs(item.euler.azimuth - item2.euler.azimuth) <= 1e-12
-        assert abs(item.euler.elevation - item2.euler.elevation) <= 1e-12
-        assert abs(item.euler.tilt - item2.euler.tilt) <= 1e-12
-        assert item.flipped == item2.flipped
+    assert len(back) == len(grid) == 8
+    assert back.sample_ids.tolist() == grid.sample_ids.tolist()
+    assert np.array_equal(back.offsets, grid.offsets)
+    assert np.array_equal(back.flipped, grid.flipped)
+    assert np.array_equal(back.warps, grid.warps)
+    assert np.max(np.abs(back.angles - grid.angles)) <= 1e-12
 
 
-def _manifest_with_column(tmp_path, col, value):
-    """A one-cell manifest whose column col (0-based) is replaced by value."""
+def _manifest_with(tmp_path, values):
+    """A one-cell manifest whose column i (0-based) is replaced by values[i]."""
     spec = jitter.JitterSpec(d_az=(1.0,), d_el=(0.0,), d_ct=(0.0,), flip=False)
     path = tmp_path / "manifest.txt"
-    jitter.write_manifest(path, [("s0", jitter.jitter_sample(_sample(), spec)[0])])
+    jitter.write_manifest(path, jitter.jitter_sample(_sample(), spec, "s0"))
     header, line = path.read_text().splitlines()
     cols = line.split(", ")
-    cols[col] = value
+    for col, value in values.items():
+        cols[col] = value
     path.write_text(header + "\n" + ", ".join(cols) + "\n")
     return path
 
@@ -344,7 +427,7 @@ def _manifest_with_column(tmp_path, col, value):
 @pytest.mark.parametrize("flag", ["yes", "true", "2", ""])
 def test_manifest_rejects_a_flag_other_than_0_or_1(tmp_path, flag):
     with pytest.raises(ValueError, match="flipped column must be 0 or 1"):
-        jitter.read_manifest(_manifest_with_column(tmp_path, 4, flag))
+        jitter.read_manifest(_manifest_with(tmp_path, {4: flag}))
 
 
 # offsets d_az and d_ct, warp entries h00 and h22, angles az and ct
@@ -352,16 +435,23 @@ def test_manifest_rejects_a_flag_other_than_0_or_1(tmp_path, flag):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_manifest_rejects_non_finite_numbers(tmp_path, col, value):
     with pytest.raises(ValueError, match="non-finite"):
-        jitter.read_manifest(_manifest_with_column(tmp_path, col, value))
+        jitter.read_manifest(_manifest_with(tmp_path, {col: value}))
+
+
+# warp columns h00..h22 are 5..13: all zeros, then all ones (rank one)
+@pytest.mark.parametrize("entry", ["0.0", "1.0"])
+def test_manifest_rejects_a_zero_or_singular_warp(tmp_path, entry):
+    path = _manifest_with(tmp_path, dict.fromkeys(range(5, 14), entry))
+    with pytest.raises(ValueError, match="numerically zero|singular"):
+        jitter.read_manifest(path)
 
 
 def test_manifest_write_is_byte_stable(tmp_path):
     spec = jitter.JitterSpec(d_az=(1.0,), d_el=(0.0,), d_ct=(0.0,), flip=False)
-    items = jitter.jitter_sample(_sample(), spec)
-    entries = [("s0", items[0])]
+    grid = jitter.jitter_sample(_sample(), spec, "s0")
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    jitter.write_manifest(p1, entries)
-    jitter.write_manifest(p2, entries)
+    jitter.write_manifest(p1, grid)
+    jitter.write_manifest(p2, grid)
     assert p1.read_bytes() == p2.read_bytes()
 
 

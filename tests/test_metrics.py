@@ -13,11 +13,11 @@ import pytest
 from orientgeo import cli, metrics, so3
 
 import record_golden_detection
-from so3_helpers import angle_deg, random_axis_angle
+from so3_helpers import angle_deg, random_axis_angle, rot_z
 
 
 def _rz(deg):
-    return so3.Rotation(so3.rot_z(math.radians(deg)))
+    return so3.Rotation(rot_z(math.radians(deg)))
 
 
 def _pose(az_deg, el_deg=90.0, ct_deg=0.0):

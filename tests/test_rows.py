@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from orientgeo import dictionary as dct
 from orientgeo import gradcheck, harness, losses, metrics, models, so3
 
-from so3_helpers import azimuth_bin, random_axis_angle, rot_x
+from so3_helpers import azimuth_bin, random_axis_angle, rot_x, rot_z
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 ROWS = st.integers(min_value=1, max_value=6)
@@ -132,6 +132,14 @@ def test_quaternion_maps_equal_one_row_calls(seed, b):
     _assert_rows(so3._quat_to_matrix(unit), [so3._quat_to_matrix(row) for row in unit])
     _assert_rows(dct.pose_matrices(unit, dct.QUATERNION),
                  [dct.pose_matrices(k, dct.QUATERNION) for k in unit])
+
+
+def test_wrap_angles_equals_one_angle_calls():
+    rng = np.random.default_rng(7)
+    a = np.concatenate([rng.uniform(-20.0, 20.0, 100_000),
+                        np.arange(-4, 5) * math.pi, [0.0, -0.0, math.pi - 1e-15, -math.pi]])
+    want = np.array([so3.wrap_angle(v) for v in a.tolist()])
+    assert np.array_equal(so3.wrap_angles(a).view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def test_matrix_to_quaternion_rows_take_every_shepperd_branch():
@@ -545,7 +553,7 @@ def _azimuth_rows(g, b):
         el, ct = g.uniform(0.01, math.pi - 0.01), g.uniform(-math.pi, math.pi)
         if kind == 0:
             turn = np.linalg.matrix_power(_QUARTER_TURN, int(g.integers(4)))
-            out.append(so3.rot_z(ct) @ rot_x(el) @ turn)
+            out.append(rot_z(ct) @ rot_x(el) @ turn)
         elif kind == 1:
             k = int(g.choice(BIN_COUNTS))
             edge = 2.0 * math.pi * int(g.integers(k)) / k

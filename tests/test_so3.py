@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from orientgeo import so3
 
-from so3_helpers import euler_of, quaternion_angle, random_axis_angle, rot_x
+from so3_helpers import euler_of, quaternion_angle, random_axis_angle, rot_x, rot_z
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +137,12 @@ def test_geodesic_distance_identity_pair():
 
 
 def test_geodesic_distance_quarter_turn():
-    r = so3.Rotation(so3.rot_z(math.pi / 2.0))
+    r = so3.Rotation(rot_z(math.pi / 2.0))
     assert distance(np.eye(3), r.matrix) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_geodesic_distance_z_vs_x_quarter_turns():
-    rz = so3.Rotation(so3.rot_z(math.pi / 2.0))
+    rz = so3.Rotation(rot_z(math.pi / 2.0))
     rx = so3.Rotation(rot_x(math.pi / 2.0))
     d = distance(rz.matrix, rx.matrix)
     assert d == pytest.approx(2.0 * math.pi / 3.0, abs=1e-12)
@@ -280,7 +280,7 @@ def test_euler_identity():
 
 def test_euler_pure_azimuth_is_z_rotation():
     r = so3.euler_to_rotation(so3.EulerZXZ(math.pi / 2.0, 0.0, 0.0))
-    np.testing.assert_allclose(r.matrix, so3.rot_z(math.pi / 2.0), atol=1e-15)
+    np.testing.assert_allclose(r.matrix, rot_z(math.pi / 2.0), atol=1e-15)
 
 
 def test_euler_matches_explicit_product():
@@ -289,7 +289,7 @@ def test_euler_matches_explicit_product():
         az, ct = g.uniform(-math.pi, math.pi, size=2)
         el = g.uniform(-math.pi / 2.0, math.pi / 2.0)
         r = so3.euler_to_rotation(so3.EulerZXZ(az, el, ct))
-        expected = rotation_product_oracle(so3.rot_z(ct), rot_x(el), so3.rot_z(az))
+        expected = rotation_product_oracle(rot_z(ct), rot_x(el), rot_z(az))
         np.testing.assert_allclose(r.matrix, expected, atol=1e-12)
 
 
