@@ -10,10 +10,18 @@ distance rows (one point against every key) a fit computes.
 
 Training step: at the shapes one `regress` step has (G categories x
 batch_per_category rows on the stacked pose network), it times
-forward_cached, objective_batch, backward and the Adam step, best of
-STEP_REPEATS, and splits one `regress` run_experiment into its stages
-with the perfbench layer tracer (inclusive times; the train self time is
-the Adam steps plus the step glue around the traced calls).
+forward_cached, objective_batch, the geodesic kernel under it, backward
+and the Adam step, best of STEP_REPEATS, and splits one `regress`
+run_experiment into its stages with the perfbench layer tracer (inclusive
+times; the train self time is the Adam steps plus the step glue around the
+traced calls).  The train loop's own cost is one `regress` train call's
+wall time minus the inclusive time of its _step calls, best of
+LOOP_REPEATS trainings.
+
+Kernel: best of STEP_REPEATS geodesic kernel calls on the last
+objective_batch block of a 100-instance M_Pp gradcheck, as `orient-geo
+gradcheck` makes it: 10 instances' probe rows, keys (650, 8, 3) against
+targets (650, 1, 3, 3).
 
 Jitter: with the default spec and pose of `orient-geo jitter`, it times
 jitter_sample on the cuboid and on the sphere, and one write_manifest plus
@@ -25,7 +33,7 @@ On a shared virtual machine other tenants' load stretches them; the
 dictionary section, which a training-step change leaves alone, shows
 whether a run was slowed.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_2.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_3.json
 """
 
 import argparse
@@ -45,11 +53,12 @@ import layertrace  # noqa: E402  (perfbench/layertrace.py: the layer tracer)
 import workloads  # noqa: E402  (perfbench/workloads.py: the workload configs)
 
 from orientgeo import dictionary as dct  # noqa: E402
-from orientgeo import cli, harness, jitter, losses, models  # noqa: E402
+from orientgeo import cli, gradcheck, harness, jitter, losses, models  # noqa: E402
 
 DATA_SEED = 202
 STEP_REPEATS = 200  # a training-step part takes tens of microseconds
 JITTER_REPEATS = 30  # a default grid takes a few milliseconds
+LOOP_REPEATS = 3  # a regress train call takes about half a second
 
 
 def _configs():
@@ -121,11 +130,63 @@ def _step_timings(cfg, repeats):
         "params_per_category": int(net.params.shape[-1]),
         "forward_cached_s": _best_of(repeats, models.forward_cached, net, feats),
         "objective_batch_s": _best_of(repeats, losses.objective_batch, spec, rows, targets, None),
+        "geodesic_kernel_s": _best_of(repeats, losses._geodesic_axis_angle, rows, targets.ref),
         "backward_s": _best_of(repeats, models.backward, net, cache, grad_out),
         # step uses its gradient as scratch: refill it, untimed, before each call
         "adam_step_s": _best_of(repeats, adam.step, net.params, buf, opt.learning_rate,
                                 before=lambda: np.copyto(buf, grad)),
     }
+
+
+def _loop_overhead(cfg, repeats):
+    """train at cfg, best of `repeats` by the time spent outside _step: the
+    train wall time, the inclusive time of its _step calls (timed by a
+    wrapper whose own call cost lands outside) and their difference, in
+    all and per step.  The difference holds the set-up before the first
+    step: networks, Adam state and the stacked training rows."""
+    dataset = harness.generate_synthetic(cfg)
+    step, best = harness._step, None
+    for _ in range(repeats):
+        inside = [0.0, 0]
+
+        def timed_step(*args):
+            start = time.perf_counter()
+            try:
+                return step(*args)
+            finally:
+                inside[0] += time.perf_counter() - start
+                inside[1] += 1
+
+        harness._step = timed_step
+        try:
+            start = time.perf_counter()
+            harness.train(cfg, dataset)
+            total = time.perf_counter() - start
+        finally:
+            harness._step = step
+        if best is None or total - inside[0] < best["outside_step_s"]:
+            best = {"train_s": total, "step_s": inside[0], "outside_step_s": total - inside[0],
+                    "steps": inside[1], "outside_per_step_s": (total - inside[0]) / inside[1]}
+    return best
+
+
+def _kernel_timings(repeats):
+    """Best-of-repeats time of the geodesic kernel on the keys and targets
+    of the last objective_batch block of a 100-instance M_Pp gradcheck."""
+    spec, seen, kernel = losses.ObjectiveSpec("M_Pp"), [], losses._geodesic_axis_angle
+
+    def recording(ys, a_mat):
+        seen.append((ys, a_mat))
+        return kernel(ys, a_mat)
+
+    losses._geodesic_axis_angle = recording
+    try:
+        gradcheck.check_family(spec, instances=100)
+    finally:
+        losses._geodesic_axis_angle = kernel
+    ys, a_mat = seen[-1]
+    return {"m_pp_block_keys": list(ys.shape), "m_pp_block_targets": list(a_mat.shape),
+            "m_pp_block_kernel_s": _best_of(repeats, kernel, ys, a_mat)}
 
 
 def _stage_split(cfg):
@@ -214,6 +275,10 @@ def main() -> int:
     regress = workloads._training_config("regress", DATA_SEED, tiny=False)
     step = _step_timings(regress, STEP_REPEATS)
     print("regress step: " + ", ".join(f"{key} {value}" for key, value in step.items()))
+    loop = _loop_overhead(regress, LOOP_REPEATS)
+    print("regress train loop: " + ", ".join(f"{key} {value}" for key, value in loop.items()))
+    kernel = _kernel_timings(STEP_REPEATS)
+    print("kernel: " + ", ".join(f"{key} {value}" for key, value in kernel.items()))
     stages = _stage_split(regress)
     print("regress run_experiment: " + ", ".join(
         f"{key} {value:.3f}" for key, value in stages.items() if key != "calls"))
@@ -222,10 +287,13 @@ def main() -> int:
 
     doc = {
         "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats; "
-                "training step: forward, objective, backward and Adam at the regress "
-                "step shapes, best of step_repeats, and the stage split of one regress "
-                "run_experiment; jitter grids and a manifest round trip at the "
-                "`orient-geo jitter` defaults, best of jitter_repeats; all in-process",
+                "training step: forward, objective, geodesic kernel, backward and Adam "
+                "at the regress step shapes, best of step_repeats, the regress train "
+                "loop's time outside _step, best of loop_repeats, and the stage split "
+                "of one regress run_experiment; the geodesic kernel on one M_Pp "
+                "gradcheck block, best of step_repeats; jitter grids and a manifest "
+                "round trip at the `orient-geo jitter` defaults, best of "
+                "jitter_repeats; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
                   "no cache control, no CPU pinning; on a shared virtual machine "
                   "other tenants' load can stretch every time in a file alike, so "
@@ -235,6 +303,7 @@ def main() -> int:
         "repeats": args.repeats,
         "step_repeats": STEP_REPEATS,
         "jitter_repeats": JITTER_REPEATS,
+        "loop_repeats": LOOP_REPEATS,
         "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                    "MKL_NUM_THREADS")},
         "machine": {
@@ -246,6 +315,8 @@ def main() -> int:
         "numpy": np.__version__,
         "entries": entries,
         "regress_step": step,
+        "regress_train_loop": loop,
+        "kernel": kernel,
         "regress_stages": stages,
         "jitter": jitter_times,
     }

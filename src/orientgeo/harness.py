@@ -580,7 +580,8 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     if steps < 1:
         raise ValueError("batch_per_category exceeds the train split")
     aug_draws = -(-(steps * aug_quota + pool) // pool) if aug_quota else 0
-    cats = np.arange(len(names))[:, None]
+    g, n, width = len(names), opt.batch_per_category, feats.shape[1]
+    flat = feats.reshape(g * width, -1)  # row c * width + i is category c's row i
 
     lines, epoch_losses, step_losses, epoch_non_smooth = [], [], [], []
     for epoch, epoch_spec in enumerate(schedule):
@@ -589,36 +590,37 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
             adams = {role: _Adam(net, opt) for role, net in nets.items()}
         lr = opt.learning_rate * opt.decay**epoch
 
-        # row indices (G, steps, batch_per_category): clean rows, then pool rows
+        # epoch plan (steps, G * n) of flat rows: per category, clean rows then pool rows
         idx = []
-        for rng in batch_rngs:
-            rows = [rng.permutation(size)[: steps * clean_quota].reshape(steps, clean_quota)]
+        for c, rng in enumerate(batch_rngs):
+            parts = [rng.permutation(size)[: steps * clean_quota].reshape(steps, clean_quota)]
             if aug_quota:
                 draws = np.concatenate([rng.permutation(pool) for _ in range(aug_draws)])
-                rows.append(size + draws[: steps * aug_quota].reshape(steps, aug_quota))
-            idx.append(np.concatenate(rows, axis=1))
-        idx = np.stack(idx)
+                parts.append(size + draws[: steps * aug_quota].reshape(steps, aug_quota))
+            idx.append(c * width + np.concatenate(parts, axis=1))
+        plan = np.stack(idx, axis=1).reshape(steps, g * n)
 
-        per_step, non_smooth = [], 0
-        for t in range(steps):
-            try:
-                # divergence is reported via NonFiniteLoss, not warnings
-                with np.errstate(over="ignore", invalid="ignore"):
-                    batch = _step(epoch_spec, nets, adams, dictionary, feats[cats, idx[:, t]],
-                                  targets.rows((cats * feats.shape[1] + idx[:, t]).ravel()), lr)
-            except (losses.NonFiniteObjective, models.ZeroSum) as exc:
-                name = names[exc.row // opt.batch_per_category]
-                raise NonFiniteLoss(f"category {name} epoch {epoch} step {t}: {exc}") from exc
-            cat_losses = batch.values.reshape(len(names), -1).sum(axis=1) / opt.batch_per_category
-            per_step.append(float(cat_losses.sum()) / len(names))
-            non_smooth += int(batch.non_smooth.sum())
+        values = np.empty((steps, g * n))
+        non_smooth = np.empty((steps, g * n), dtype=bool)
+        # divergence is reported via NonFiniteLoss, not warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, rows in enumerate(plan):
+                try:
+                    batch = _step(epoch_spec, nets, adams, dictionary,
+                                  flat[rows].reshape(g, n, -1), targets.rows(rows), lr)
+                except (losses.NonFiniteObjective, models.ZeroSum) as exc:
+                    name = names[exc.row // n]
+                    raise NonFiniteLoss(f"category {name} epoch {epoch} step {t}: {exc}") from exc
+                values[t], non_smooth[t] = batch.values, batch.non_smooth
+            # each step's mean, summed as one step sums it: by category, then over them
+            per_step = ((values.reshape(steps, g, n).sum(axis=2) / n).sum(axis=1) / g).tolist()
         epoch_mean = sum(per_step) / len(per_step)
         epoch_losses.append(epoch_mean)
         step_losses.append(tuple(per_step))
-        epoch_non_smooth.append(non_smooth)
+        epoch_non_smooth.append(int(non_smooth.sum()))
         lines.append(
             f"epoch {epoch} objective {epoch_spec.family} lr {lr:.3e} "
-            f"loss {epoch_mean:.6f} non_smooth {non_smooth}"
+            f"loss {epoch_mean:.6f} non_smooth {epoch_non_smooth[-1]}"
         )
     log = TrainLog(
         tuple(lines), tuple(epoch_losses), tuple(step_losses), tuple(epoch_non_smooth)

@@ -315,7 +315,13 @@ MANIFEST_HEADER = "# sample_id, daz, del, dct, flipped, h00, h01, h02, h10, h11,
 
 
 def write_manifest(path, grid: JitterGrid) -> None:
-    """One line per grid row; angle columns in degrees, floats via repr."""
+    """One line per grid row; angle columns in degrees, floats via repr.
+    ValueError, before the file opens, on an id read_manifest would not read
+    back: empty, with a comma, line break or surrounding whitespace, or "#..."."""
+    for sample_id in set(grid.sample_ids.tolist()):
+        if (sample_id.strip() != sample_id or sample_id.splitlines() != [sample_id]
+                or "," in sample_id or sample_id[0] == "#"):
+            raise ValueError(f"sample id {sample_id!r} would not read back from a manifest")
     nums = np.concatenate([grid.offsets, grid.warps.reshape(-1, 9), np.degrees(grid.angles)], axis=1)
     lines = [MANIFEST_HEADER]
     for sample_id, flipped, row in zip(grid.sample_ids.tolist(), grid.flipped.tolist(), nums.tolist()):

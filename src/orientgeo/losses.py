@@ -205,14 +205,15 @@ def _log_near_pi(m: np.ndarray) -> np.ndarray:
 
 
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_i u_i v_i over the last axis (leading axes broadcast), added in
-    index order.  einsum picks its summation order from the operands' shapes
-    and strides, so a row broadcast against K keys could round differently
-    from the same row alone; elementwise sums keep each row's value
-    independent of the batch around it."""
-    out = u[..., 0] * v[..., 0]
-    for i in range(1, u.shape[-1]):
-        out = out + u[..., i] * v[..., i]
+    """sum_i u_i v_i over the last axis (leading axes broadcast): one product
+    u * v, then its columns added in index order.  einsum picks its order
+    from the operands' shapes and strides, so a row broadcast against K
+    keys could round differently from the same row alone; column sums keep
+    each row's value independent of the batch around it."""
+    p = u * v
+    out = p[..., 0] + p[..., 1]
+    for i in range(2, p.shape[-1]):
+        out += p[..., i]
     return out
 
 
@@ -234,25 +235,28 @@ def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
     rows.  Rows with norm >= pi pass through the safety rescaling onto norm
     pi - 1e-6 and the gradient is chained through that projection.
     """
-    n = np.linalg.norm(ys, axis=-1)
+    n = np.sqrt(np.add.reduce(ys * ys, axis=-1))  # np.linalg.norm without its wrapper
     projected = n >= math.pi
     n_pi = np.maximum(n, math.pi)
     scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / n_pi, 1.0)
     y = ys * scale[..., None]
 
-    t = np.linalg.norm(y, axis=-1)
+    t = np.sqrt(np.add.reduce(y * y, axis=-1))
     tt = t * t
     small = t < so3.EPS_THETA
-    ts = np.where(small, 1.0, t)
+    any_small = small.any()  # no training row is; the series limits are built only if one is
+    ts = np.where(small, 1.0, t) if any_small else t
     sin_t, cos_t = np.sin(t), np.cos(t)
     versin = 1.0 - cos_t
-    a = np.where(small, 1.0 - tt / 6.0, sin_t / ts)
-    b = np.where(small, 0.5 - tt / 24.0, versin / (ts * ts))
+    a, b = sin_t / ts, versin / (ts * ts)
     # a'(t)/t and b'(t)/t have finite limits -1/3 and -1/12 at t = 0
-    ap_t = np.where(small, -1.0 / 3.0, (t * cos_t - sin_t) / ts**3)
-    bp_t = np.where(small, -1.0 / 12.0, (t * sin_t - 2.0 * versin) / ts**4)
+    ap_t = (t * cos_t - sin_t) / ts**3
+    bp_t = (t * sin_t - 2.0 * versin) / ts**4
+    if any_small:
+        limits = (1.0 - tt / 6.0, 0.5 - tt / 24.0, -1.0 / 3.0, -1.0 / 12.0)
+        a, b, ap_t, bp_t = (np.where(small, lim, v) for lim, v in zip(limits, (a, b, ap_t, bp_t)))
 
-    tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
+    tr_a = a_mat[..., 0, 0] + a_mat[..., 1, 1] + a_mat[..., 2, 2]  # np.trace's order
     a_t = a_mat.mT
     w = so3.vee(a_t - a_mat)
     t1 = _dot_rows(y, w)
@@ -336,11 +340,9 @@ def _kl_rows(p: np.ndarray, logits: np.ndarray):
 
 def _checked(values: np.ndarray, grads: dict, non_smooth=None) -> BatchLoss:
     """The batch's one finiteness check; reports the first row that fails."""
-    finite = np.isfinite(values)
-    for g in grads.values():
-        finite &= np.isfinite(g).reshape(len(g), -1).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
+    if not (np.isfinite(values).all() and all(np.isfinite(g).all() for g in grads.values())):
+        rows = [np.isfinite(g).reshape(len(g), -1).all(axis=1) for g in grads.values()]
+        bad = int(np.argmin(np.logical_and.reduce([np.isfinite(values), *rows])))
         raise NonFiniteObjective(
             f"non-finite loss value {float(values[bad])!r} or gradient in row {bad}", bad
         )

@@ -379,9 +379,13 @@ def write_report(report: MetricReport, csv_path, json_path) -> None:
 def write_records(path, detections, ground_truths) -> None:
     """Ground truths, then detections, one line each.  A table read from a
     file writes its quaternions of record; other rotations are converted in
-    one stacked call."""
+    one stacked call.  ValueError, before the file opens, on a category
+    read_records would not read back: empty, with whitespace, or "#..."."""
     lines = []
     for table, tag in ((_table(ground_truths), "gt"), (_table(detections), "det")):
+        for cat in set(table.category.tolist()):
+            if cat.split() != [cat] or cat[0] == "#":
+                raise ValueError(f"category {cat!r} would not read back from a records file")
         q = so3.matrix_to_quaternion(table.rotation) if table.quaternion is None else table.quaternion
         numbers = np.concatenate([table.box, table.score[:, None], q], axis=1).tolist()
         lines += [" ".join([cat, tag, *map(repr, row)])

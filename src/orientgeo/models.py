@@ -124,7 +124,7 @@ def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
     if tag == "linear":
         return z
     if tag == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)  # z is forward_cached's fresh matmul result
     if tag == "pi_tanh":
         # float tanh saturates to exactly 1.0 around |z|=19; clip to the
         # largest double below pi so outputs stay strictly inside (-pi, pi).
@@ -162,8 +162,9 @@ def forward_cached(net: MLP, f: np.ndarray):
     cache = [("input", x)]
     h = x
     for layer in net.layers:
-        bias = layer.bias if h.ndim == 1 else layer.bias[..., None, :]
-        h = _apply_activation(layer.activation, h @ layer.weight.mT + bias)
+        z = h @ layer.weight.mT
+        z += layer.bias if h.ndim == 1 else layer.bias[..., None, :]
+        h = _apply_activation(layer.activation, z)
         cache.append((layer.activation, h))
     return h, cache
 

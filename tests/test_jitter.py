@@ -446,6 +446,34 @@ def test_manifest_rejects_a_zero_or_singular_warp(tmp_path, entry):
         jitter.read_manifest(path)
 
 
+def _one_cell_grid(sample_id):
+    spec = jitter.JitterSpec(d_az=(1.0,), d_el=(0.0,), d_ct=(0.0,), flip=True)
+    grid = jitter.jitter_sample(_sample(), spec, "s0")
+    return dataclasses.replace(grid, sample_ids=np.array([sample_id] * len(grid)))
+
+
+@pytest.mark.parametrize("sample_id", ["a,b", ",", "a\nb", "a\r\nb", "a\rb", "a\u2028b", " a",
+                                       "a ", "\ta", "a\n", "", "#a", "#"])
+def test_manifest_writer_refuses_an_id_the_reader_would_not_read_back(tmp_path, sample_id):
+    path = tmp_path / "manifest.txt"
+    with pytest.raises(ValueError, match="sample id"):
+        jitter.write_manifest(path, _one_cell_grid(sample_id))
+    assert not path.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_id=st.text(max_size=12) | st.sampled_from(["a b", "x#y", "naïve", "a\tb", "0", "1,"]))
+def test_every_id_the_manifest_writer_accepts_reads_back(tmp_path_factory, sample_id):
+    grid = _one_cell_grid(sample_id)
+    path = tmp_path_factory.mktemp("manifest") / "manifest.txt"
+    try:
+        jitter.write_manifest(path, grid)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert jitter.read_manifest(path).sample_ids.tolist() == grid.sample_ids.tolist()
+
+
 def test_manifest_write_is_byte_stable(tmp_path):
     spec = jitter.JitterSpec(d_az=(1.0,), d_el=(0.0,), d_ct=(0.0,), flip=False)
     grid = jitter.jitter_sample(_sample(), spec, "s0")

@@ -1,0 +1,202 @@
+"""The geodesic axis-angle kernel and its pieces against the forms they
+replaced, bit for bit: the per-column dot, np.trace, np.linalg.norm and the
+kernel with its small-angle patches applied to every row.  Also the
+finiteness check's report of the first failing row."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orientgeo import losses, so3
+
+
+# ---------------------------------------------------------------------------
+# oracles: the forms the kernel replaced, kept verbatim
+
+
+def oracle_dot_rows(u, v):
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * v[..., i]
+    return out
+
+
+def oracle_geodesic_axis_angle(ys, a_mat):
+    n = np.linalg.norm(ys, axis=-1)
+    projected = n >= math.pi
+    n_pi = np.maximum(n, math.pi)
+    scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / n_pi, 1.0)
+    y = ys * scale[..., None]
+
+    t = np.linalg.norm(y, axis=-1)
+    tt = t * t
+    small = t < so3.EPS_THETA
+    ts = np.where(small, 1.0, t)
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    versin = 1.0 - cos_t
+    a = np.where(small, 1.0 - tt / 6.0, sin_t / ts)
+    b = np.where(small, 0.5 - tt / 24.0, versin / (ts * ts))
+    ap_t = np.where(small, -1.0 / 3.0, (t * cos_t - sin_t) / ts**3)
+    bp_t = np.where(small, -1.0 / 12.0, (t * sin_t - 2.0 * versin) / ts**4)
+
+    tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
+    a_t = a_mat.mT
+    w = so3.vee(a_t - a_mat)
+    t1 = oracle_dot_rows(y, w)
+    t2 = oracle_dot_rows(y, oracle_dot_rows(a_mat, y[..., None, :])) - tt * tr_a
+    u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
+    values = np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
+
+    sym = oracle_dot_rows(a_mat + a_t, y[..., None, :])
+    du = 0.5 * (
+        (bp_t * t2 - ap_t * t1)[..., None] * y
+        - a[..., None] * w
+        + b[..., None] * (sym - 2.0 * tr_a[..., None] * y)
+    )
+    grads = losses._acos_grad_factor(u)[..., None] * du
+
+    unit = ys / n_pi[..., None]
+    radial = oracle_dot_rows(unit, grads)[..., None] * unit
+    grads = np.where(projected[..., None], scale[..., None] * (grads - radial), grads)
+    return values, grads, losses._non_smooth(values)
+
+
+def same_bits(a, b):
+    """Equal shapes and dtypes and identical bytes: -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# row draws: every neighbourhood the kernel branches on
+
+KINDS = ("zero", "tiny", "ordinary", "pi", "beyond_pi")
+
+
+def _rows(rng, kinds):
+    """One axis-angle row (len(kinds), 3) per kind: zero, 0 < |y| <
+    EPS_THETA, 0 < |y| < pi, |y| = pi (up to the axis' rounding), or
+    pi < |y| < 2 pi; axes uniform on the sphere."""
+    axes = rng.standard_normal((len(kinds), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    norms = {
+        "zero": lambda: 0.0,
+        "tiny": lambda: rng.uniform(0.01, 0.99) * so3.EPS_THETA,
+        "ordinary": lambda: rng.uniform(1e-3, math.pi - 1e-3),
+        "pi": lambda: math.pi,
+        "beyond_pi": lambda: rng.uniform(math.pi + 1e-9, 2.0 * math.pi),
+    }
+    return axes * np.array([norms[k]() for k in kinds])[:, None]
+
+
+def _targets(rng, b):
+    """b rotation matrices (b, 3, 3) of random axis-angle rows below pi."""
+    return so3.rodrigues(_rows(rng, ["ordinary"] * b))
+
+
+kinds_st = st.lists(st.sampled_from(KINDS), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=kinds_st, seed=st.integers(0, 2**32 - 1))
+def test_kernel_equals_the_oracle_row_against_matrix(kinds, seed):
+    rng = np.random.default_rng(seed)
+    ys, a_mat = _rows(rng, kinds), _targets(rng, len(kinds))
+    got = losses._geodesic_axis_angle(ys, a_mat)
+    want = oracle_geodesic_axis_angle(ys, a_mat)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds=st.lists(kinds_st, min_size=1, max_size=5), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_equals_the_oracle_keys_against_one_target(kinds, k, seed):
+    """The broadcast M_P and M_Pp evaluate: (B, K, 3) against (B, 1, 3, 3)."""
+    rng = np.random.default_rng(seed)
+    b = len(kinds)
+    ys = np.stack([_rows(rng, [kk[(i + j) % len(kk)] for j in range(k)])
+                   for i, kk in enumerate(kinds)])
+    a_mat = _targets(rng, b)[:, None]
+    got = losses._geodesic_axis_angle(ys, a_mat)
+    want = oracle_geodesic_axis_angle(ys, a_mat)
+    for g, w in zip(got, want):
+        assert g.shape[:2] == (b, k)
+        assert same_bits(g, w)
+
+
+def test_every_row_kind_reaches_the_kernel():
+    """The draws above do hit each branch: the series limits, the pi
+    projection and the plain rows, all in one batch."""
+    rng = np.random.default_rng(0)
+    ys = _rows(rng, KINDS)
+    t = np.linalg.norm(ys, axis=1)
+    assert t[0] == 0.0 and 0.0 < t[1] < so3.EPS_THETA
+    assert t[2] < math.pi <= t[4] and abs(t[3] - math.pi) <= 1e-15
+    got = losses._geodesic_axis_angle(ys, _targets(rng, len(KINDS)))
+    assert all(np.all(np.isfinite(part)) for part in got[:2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), min_size=0, max_size=3), d=st.sampled_from([2, 3, 4]),
+       broadcast=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dot_rows_equals_the_oracle(lead, d, broadcast, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((*lead, d)) * 10.0 ** rng.integers(-8, 8, size=(*lead, d))
+    v = rng.standard_normal((1,) * len(lead) + (d,) if broadcast else (*lead, d))
+    assert same_bits(losses._dot_rows(u, v), oracle_dot_rows(u, v))
+    assert same_bits(losses._dot_rows(v, u), oracle_dot_rows(v, u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.lists(st.integers(1, 5), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_diagonal_sum_equals_np_trace(lead, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((*lead, 3, 3)) * 10.0 ** rng.integers(-12, 12, size=(*lead, 3, 3))
+    for m in (a, np.broadcast_to(a[..., :1, :, :], a.shape), a.mT):
+        diag = m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]
+        assert same_bits(diag, np.trace(m, axis1=-2, axis2=-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.lists(st.integers(1, 5), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_add_reduce_norm_equals_np_linalg_norm(lead, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((*lead, 3)) * 10.0 ** rng.integers(-12, 12, size=(*lead, 3))
+    assert same_bits(np.sqrt(np.add.reduce(y * y, axis=-1)), np.linalg.norm(y, axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# the finiteness check
+
+
+def _finite_batch(grad_shape):
+    values = np.arange(1.0, grad_shape[0] + 1.0)
+    return values, np.ones(grad_shape)
+
+
+@pytest.mark.parametrize("role, grad_shape", [("pose", (6, 3)), ("deltas", (6, 4, 3))])
+@pytest.mark.parametrize("k", [0, 3, 5])
+@pytest.mark.parametrize("where", ["gradient", "value"])
+def test_checked_reports_the_first_non_finite_row(role, grad_shape, k, where):
+    values, grad = _finite_batch(grad_shape)
+    if where == "gradient":
+        grad[k].flat[-1] = math.nan  # the row's last entry; its value stays finite
+    else:
+        values[k] = math.inf
+    if k < 5:  # a later row fails in both
+        values[5], grad[5] = -math.inf, math.nan
+    with pytest.raises(losses.NonFiniteObjective) as info:
+        losses._checked(values, {"logits": np.zeros((6, 4)), role: grad})
+    assert info.value.row == k
+    assert f"row {k}" in str(info.value)
+
+
+def test_checked_passes_finite_batches_through():
+    values, grad = _finite_batch((6, 4, 3))
+    out = losses._checked(values, {"deltas": grad})
+    assert out.values is values and out.grads["deltas"] is grad
+    assert same_bits(out.non_smooth, np.zeros(6, dtype=bool))

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientgeo import cli, metrics, so3
 
@@ -468,6 +470,37 @@ def test_record_file_rewrites_are_byte_stable_for_random_quaternions(tmp_path):
         metrics.write_records(dst, *metrics.read_records(src))
     assert paths[1].read_bytes() == paths[0].read_bytes()
     assert paths[2].read_bytes() == paths[0].read_bytes()
+
+
+def _one_record_table(category):
+    return metrics.RecordTable(np.array([category]), np.array([[0.0, 0.0, 10.0, 10.0]]),
+                               np.ones(1), np.eye(3)[None])
+
+
+@pytest.mark.parametrize("category", ["a b", "a\tb", "a\nb", "a\u2028b", " a", "a ", "", "#a",
+                                      "#"])
+@pytest.mark.parametrize("side", ["detections", "ground truths"])
+def test_records_writer_refuses_a_category_the_reader_would_not_read_back(tmp_path, category, side):
+    path = tmp_path / "records.txt"
+    good, bad = _one_record_table("car"), _one_record_table(category)
+    tables = (bad, good) if side == "detections" else (good, bad)
+    with pytest.raises(ValueError, match="category"):
+        metrics.write_records(path, *tables)
+    assert not path.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(category=st.text(max_size=12) | st.sampled_from(["car", "x#y", "naïve", "a,b", "0"]))
+def test_every_category_the_records_writer_accepts_reads_back(tmp_path_factory, category):
+    table = _one_record_table(category)
+    path = tmp_path_factory.mktemp("records") / "records.txt"
+    try:
+        metrics.write_records(path, table, table)
+    except ValueError:
+        assert not path.exists()
+        return
+    dets, gts = metrics.read_records(path)
+    assert dets.category.tolist() == gts.category.tolist() == table.category.tolist()
 
 
 # ---------------------------------------------------------------------------
