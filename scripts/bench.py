@@ -11,12 +11,14 @@ distance rows (one point against every key) a fit computes.
 Training step: at the shapes one `regress` step has (G categories x
 batch_per_category rows on the stacked pose network), it times
 forward_cached, objective_batch, the geodesic kernel under it, backward
-and the Adam step, best of STEP_REPEATS, and splits one `regress`
-run_experiment into its stages with the perfbench layer tracer (inclusive
-times; the train self time is the Adam steps plus the step glue around the
-traced calls).  The train loop's own cost is one `regress` train call's
-wall time minus the inclusive time of its _step calls, best of
-LOOP_REPEATS trainings.
+and the Adam step, best of STEP_REPEATS, and splits STAGE_RUNS `regress`
+run_experiment calls into their stages with the perfbench layer tracer
+(inclusive times; the train self time is the Adam steps plus the step glue
+around the traced calls).  It reports the median over the runs of each
+stage's time and of its share of its own run's total: one run's split
+moves with the host's load, and the shares move less than the times.
+The train loop's own cost is one `regress` train call's wall time minus
+the inclusive time of its _step calls, best of LOOP_REPEATS trainings.
 
 Kernel: best of STEP_REPEATS geodesic kernel calls on the last
 objective_batch block of a 100-instance M_Pp gradcheck, as `orient-geo
@@ -41,6 +43,7 @@ import dataclasses
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -59,6 +62,7 @@ DATA_SEED = 202
 STEP_REPEATS = 200  # a training-step part takes tens of microseconds
 JITTER_REPEATS = 30  # a default grid takes a few milliseconds
 LOOP_REPEATS = 3  # a regress train call takes about half a second
+STAGE_RUNS = 5  # one regress run_experiment takes about a second; one alone is host noise
 
 
 def _configs():
@@ -189,29 +193,42 @@ def _kernel_timings(repeats):
             "m_pp_block_kernel_s": _best_of(repeats, kernel, ys, a_mat)}
 
 
-def _stage_split(cfg):
-    """Wall time of one run_experiment with out_dir, and the inclusive
-    times of its stages from the layer tracer."""
-    with tempfile.TemporaryDirectory() as out_dir, layertrace.Tracer({}) as tracer:
-        start = time.perf_counter()
-        harness.run_experiment(cfg, out_dir=out_dir)
-        total = time.perf_counter() - start
-    inc = tracer.inclusive
-    stages = {
-        "generate_s": inc["harness.generate_synthetic"],
-        "dictionary_s": inc["harness.fit_shared_dictionary"],
-        "train_s": inc["harness.train"],
-        "train.forward_cached_s": inc["models.forward_cached"],
-        "train.objective_batch_s": inc["losses.objective_batch"],
-        "train.backward_s": inc["models.backward"],
-        "train.self_s": tracer.self_time["harness.train"],
-        "eval_s": inc["harness.evaluate_split"],
-    }
-    # config, report, records, dictionary and checkpoint writes, and the report maths
-    stages["rest_s"] = total - sum(stages[k] for k in ("generate_s", "dictionary_s", "train_s",
-                                                       "eval_s"))
+def _stage_split(cfg, runs):
+    """Medians over `runs` run_experiment calls with out_dir: of the wall
+    time, of each stage's inclusive time from the layer tracer, and of each
+    stage's share of its own run's wall time."""
+    totals, splits = [], []
+    for _ in range(runs):
+        with tempfile.TemporaryDirectory() as out_dir, layertrace.Tracer({}) as tracer:
+            start = time.perf_counter()
+            harness.run_experiment(cfg, out_dir=out_dir)
+            total = time.perf_counter() - start
+        inc = tracer.inclusive
+        stages = {
+            "generate_s": inc["harness.generate_synthetic"],
+            "dictionary_s": inc["harness.fit_shared_dictionary"],
+            "train_s": inc["harness.train"],
+            "train.forward_cached_s": inc["models.forward_cached"],
+            "train.objective_batch_s": inc["losses.objective_batch"],
+            "train.backward_s": inc["models.backward"],
+            "train.self_s": tracer.self_time["harness.train"],
+            "eval_s": inc["harness.evaluate_split"],
+        }
+        # config, report, records, dictionary and checkpoint writes, and the report maths
+        stages["rest_s"] = total - sum(stages[k] for k in ("generate_s", "dictionary_s",
+                                                           "train_s", "eval_s"))
+        totals.append(total)
+        splits.append(stages)
+    # the call counts are the same in every run of one config
     calls = {k: v for k, v in sorted(tracer.calls.items()) if k.startswith(("models.", "losses."))}
-    return {"run_experiment_s": total, **stages, "calls": calls}
+    return {
+        "runs": runs,
+        "run_experiment_s": statistics.median(totals),
+        **{k: statistics.median(s[k] for s in splits) for k in splits[0]},
+        "shares": {k: statistics.median(s[k] / t for s, t in zip(splits, totals))
+                   for k in splits[0]},
+        "calls": calls,
+    }
 
 
 def _jitter_timings(repeats):
@@ -279,9 +296,11 @@ def main() -> int:
     print("regress train loop: " + ", ".join(f"{key} {value}" for key, value in loop.items()))
     kernel = _kernel_timings(STEP_REPEATS)
     print("kernel: " + ", ".join(f"{key} {value}" for key, value in kernel.items()))
-    stages = _stage_split(regress)
-    print("regress run_experiment: " + ", ".join(
-        f"{key} {value:.3f}" for key, value in stages.items() if key != "calls"))
+    stages = _stage_split(regress, STAGE_RUNS)
+    print(f"regress run_experiment, median of {STAGE_RUNS}: " + ", ".join(
+        f"{key} {value:.3f}" for key, value in stages.items() if isinstance(value, float)))
+    print("regress stage shares: " + ", ".join(
+        f"{key} {value:.3f}" for key, value in stages["shares"].items()))
     jitter_times = _jitter_timings(JITTER_REPEATS)
     print("jitter: " + ", ".join(f"{key} {value}" for key, value in jitter_times.items()))
 
@@ -289,11 +308,11 @@ def main() -> int:
         "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats; "
                 "training step: forward, objective, geodesic kernel, backward and Adam "
                 "at the regress step shapes, best of step_repeats, the regress train "
-                "loop's time outside _step, best of loop_repeats, and the stage split "
-                "of one regress run_experiment; the geodesic kernel on one M_Pp "
-                "gradcheck block, best of step_repeats; jitter grids and a manifest "
-                "round trip at the `orient-geo jitter` defaults, best of "
-                "jitter_repeats; all in-process",
+                "loop's time outside _step, best of loop_repeats, and the median stage "
+                "split and stage shares of stage_runs regress run_experiment calls; "
+                "the geodesic kernel on one M_Pp gradcheck block, best of step_repeats; "
+                "jitter grids and a manifest round trip at the `orient-geo jitter` "
+                "defaults, best of jitter_repeats; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
                   "no cache control, no CPU pinning; on a shared virtual machine "
                   "other tenants' load can stretch every time in a file alike, so "
@@ -304,6 +323,7 @@ def main() -> int:
         "step_repeats": STEP_REPEATS,
         "jitter_repeats": JITTER_REPEATS,
         "loop_repeats": LOOP_REPEATS,
+        "stage_runs": STAGE_RUNS,
         "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                    "MKL_NUM_THREADS")},
         "machine": {

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 
 from orientgeo import harness, losses
+from orientgeo.cli import positive_count
 
 
 def default_families():
@@ -21,7 +22,7 @@ def small_data() -> harness.DataConfig:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dictionary-size", type=int, default=None)
+    parser.add_argument("--dictionary-size", type=positive_count, default=None)
     parser.add_argument("--families", help="comma list (default: all Bin & Delta)")
     parser.add_argument("--out", help="artifact directory (per family subdirs)")
     parser.add_argument(

@@ -4,7 +4,7 @@ pose jittering, detection-style pose metrics, and a synthetic experiment
 harness."""
 
 from . import dictionary, gradcheck, harness, jitter, losses, metrics, models, so3
-from .dictionary import PoseDictionary, fit_kmeans, hard_label
+from .dictionary import PoseDictionary, fit_kmeans
 from .harness import (
     DataConfig,
     ExperimentConfig,
@@ -38,7 +38,6 @@ __all__ = [
     "fit_kmeans",
     "generate_synthetic",
     "gradcheck",
-    "hard_label",
     "harness",
     "jitter",
     "losses",

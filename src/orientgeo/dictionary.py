@@ -195,11 +195,6 @@ def _sq_distances(y, keys: np.ndarray) -> np.ndarray:
     return sum((y[..., None, j] - keys[..., j]) ** 2 for j in range(keys.shape[-1]))
 
 
-def hard_label(y, dictionary: PoseDictionary) -> int:
-    """argmin_k |y - z_k|_2, ties broken by lowest index (np.argmin does)."""
-    return int(hard_labels(y, dictionary))
-
-
 def _row_blocks(ys: np.ndarray, keys: np.ndarray):
     """(rows, |y - z_k|^2 (rows, K)) for consecutive row blocks of ys
     (n, d) against one dictionary's keys (K, d)."""
@@ -209,7 +204,8 @@ def _row_blocks(ys: np.ndarray, keys: np.ndarray):
 
 
 def hard_labels(ys, dictionary) -> np.ndarray:
-    """hard_label of each row of ys (n, d): (n,) ints.  dictionary is a
+    """argmin_k |y - z_k|_2 of each row y of ys (n, d), ties broken by the
+    lowest index (np.argmin does): (n,) ints.  dictionary is a
     PoseDictionary, whose distances are taken in row blocks, or a key stack
     (n, K, d), one dictionary per row."""
     ys = np.asarray(ys, dtype=float)

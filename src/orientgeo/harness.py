@@ -40,14 +40,21 @@ class NonFiniteLoss(RuntimeError):
 
 def _count(value, name: str, least: int = 1) -> int:
     """value as the int operator.index gives; ValueError naming it unless
-    that is an integer >= least (so 4.0 and "4" are refused, not rounded)."""
+    that is an integer >= least (so 4.0, "4" and true are refused, not
+    rounded or read as 1)."""
     try:
-        n = operator.index(value)
+        n = least - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = least - 1
     if n < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def _finite(*values) -> bool:
+    """Whether every value is a finite number; a bool, which json and
+    Python both let pass for 0 or 1, is not."""
+    return all(not isinstance(v, bool) and math.isfinite(v) for v in values)
 
 
 def _set_counts(cfg, least: int, *names) -> None:
@@ -69,11 +76,11 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not all(math.isfinite(x) and x > 0.0 for x in (self.learning_rate, self.decay)):
+        if not all(_finite(x) and x > 0.0 for x in (self.learning_rate, self.decay)):
             raise ValueError("learning_rate and decay must be positive and finite")
         _set_counts(self, 1, "epochs", "batch_per_category")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0
-                and math.isfinite(self.eps) and self.eps > 0.0):
+        if not (_finite(self.beta1, self.beta2, self.eps) and 0.0 <= self.beta1 < 1.0
+                and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
             raise ValueError("invalid Adam moments: beta1 and beta2 must lie in [0, 1), "
                              "eps must be positive and finite")
 
@@ -93,9 +100,9 @@ class DataConfig:
     def __post_init__(self):
         _set_counts(self, 1, "categories", "train_samples", "val_samples", "test_samples", "modes")
         _set_counts(self, 9, "feature_dim")  # fewer features cannot disambiguate poses
-        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+        if not (_finite(self.noise) and self.noise >= 0.0):
             raise ValueError("noise must be non-negative and finite")
-        if not (math.isfinite(self.mode_spread) and self.mode_spread > 0.0):
+        if not (_finite(self.mode_spread) and self.mode_spread > 0.0):
             raise ValueError("mode_spread must be positive and finite")
         if self.augmentation not in AUGMENTATIONS:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}")
@@ -170,39 +177,31 @@ def apply_seed_override(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class CategorySplit:
-    features: np.ndarray  # (n, feature_dim)
-    targets: np.ndarray  # (n, 3, 3)
-    aug_features: np.ndarray = None  # augmented pool, train split only
-    aug_targets: np.ndarray = None
+class Split:
+    """One split of every category, stacked: category c at index c."""
+
+    features: np.ndarray  # (G, n, feature_dim)
+    targets: np.ndarray  # (G, n, 3, 3)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite features")
-        if self.features.shape[0] != self.targets.shape[0]:
+        if self.features.shape[:2] != self.targets.shape[:2]:
             raise ValueError("feature/target counts disagree")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     categories: tuple
-    train: dict
-    val: dict
-    test: dict
+    train: Split  # each category's clean rows, then its aug_rows jittered ones
+    val: Split
+    test: Split
     hidden_maps: dict  # category -> (W (feature_dim, 9), b (feature_dim,))
-    modes: dict  # category -> (M, 3, 3) mode rotations
+    aug_rows: int = 0
 
 
 def category_names(n: int):
     return tuple(f"cat{i + 1:02d}" for i in range(n))
-
-
-def _features_of(rotations: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return rotations.reshape(rotations.shape[0], 9) @ w.T + b
 
 
 def _sample_targets(rng, modes: np.ndarray, n: int, spread: float) -> np.ndarray:
@@ -239,49 +238,48 @@ def _jittered_copy(rng, targets: np.ndarray) -> np.ndarray:
 
 
 def generate_synthetic(cfg: ExperimentConfig, seed=None) -> SyntheticDataset:
+    """Every split of every category, written once into its stacked arrays.
+    Each category draws its map, its modes and each split from streams of
+    its own, so its rows do not depend on the other categories."""
     seed = cfg.seed if seed is None else seed
     data = cfg.data
     names = category_names(data.categories)
-    train, val, test, hidden_maps, mode_sets = {}, {}, {}, {}, {}
+    clean = data.train_samples
+    sizes = (clean, data.val_samples, data.test_samples)
+    aug_rows = _AUG_COPIES[data.augmentation] * clean
+    splits = [(np.empty((len(names), rows, data.feature_dim)), np.empty((len(names), rows, 3, 3)))
+              for rows in (clean + aug_rows,) + sizes[1:]]
+    hidden_maps = {}
     for c, name in enumerate(names):
-        streams = [
+        gen_rng, *split_rngs, aug_rng = (
             np.random.default_rng(np.random.SeedSequence([int(seed), c, which]))
             for which in range(5)
-        ]
-        gen_rng, train_rng, val_rng, test_rng, aug_rng = streams
+        )
         w = gen_rng.normal(size=(data.feature_dim, 9)) / 3.0
         b = gen_rng.normal(size=data.feature_dim) * 0.1
-        modes = np.stack(
-            [so3.random_rotation(gen_rng).matrix for _ in range(data.modes)]
-        )
+        q = gen_rng.standard_normal((data.modes, 4))  # Haar-uniform mode rotations
+        modes = so3.check_rotations(dct.pose_matrices(q, dct.QUATERNION))
         hidden_maps[name] = (w, b)
-        mode_sets[name] = modes
 
-        def _split(rng, n):
-            targets = _sample_targets(rng, modes, n, data.mode_spread)
-            feats = _features_of(targets, w, b)
+        def observe(rng, feats, targets):
+            """Write the features of targets (n, 3, 3), plus noise drawn
+            from rng, into feats (n, feature_dim)."""
+            np.matmul(targets.reshape(-1, 9), w.T, out=feats)
+            feats += b
             if data.noise > 0.0:
-                feats = feats + data.noise * rng.normal(size=feats.shape)
-            return feats, targets
+                noise = rng.normal(size=feats.shape)
+                noise *= data.noise
+                feats += noise
 
-        tr_feats, tr_targets = _split(train_rng, data.train_samples)
-        copies = _AUG_COPIES[data.augmentation]
-        aug_feats = aug_targets = None
-        if copies:
-            pools_f, pools_t = [], []
-            for _ in range(copies):
-                jt = _jittered_copy(aug_rng, tr_targets)
-                jf = _features_of(jt, w, b)
-                if data.noise > 0.0:
-                    jf = jf + data.noise * aug_rng.normal(size=jf.shape)
-                pools_f.append(jf)
-                pools_t.append(jt)
-            aug_feats = np.concatenate(pools_f)
-            aug_targets = np.concatenate(pools_t)
-        train[name] = CategorySplit(tr_feats, tr_targets, aug_feats, aug_targets)
-        val[name] = CategorySplit(*_split(val_rng, data.val_samples))
-        test[name] = CategorySplit(*_split(test_rng, data.test_samples))
-    return SyntheticDataset(names, train, val, test, hidden_maps, mode_sets)
+        for (feats, targets), rng, n in zip(splits, split_rngs, sizes):
+            targets[c, :n] = _sample_targets(rng, modes, n, data.mode_spread)
+            observe(rng, feats[c, :n], targets[c, :n])
+        feats, targets = splits[0]
+        for start in range(clean, clean + aug_rows, clean):
+            rows = slice(start, start + clean)
+            targets[c, rows] = _jittered_copy(aug_rng, targets[c, :clean])
+            observe(aug_rng, feats[c, rows], targets[c, rows])
+    return SyntheticDataset(names, *(Split(*s) for s in splits), hidden_maps, aug_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,8 @@ def pose_vector(rotation_matrix: np.ndarray, representation: str) -> np.ndarray:
 def pooled_train_targets(cfg: ExperimentConfig, dataset: SyntheticDataset) -> np.ndarray:
     """Pose vectors (n, d) of every category's clean train targets, in
     category order: the points the shared dictionary is fit on."""
-    mats = np.concatenate([dataset.train[name].targets for name in dataset.categories])
+    clean = dataset.train.targets.shape[1] - dataset.aug_rows
+    mats = dataset.train.targets[:, :clean].reshape(-1, 3, 3)
     return pose_vector(mats, cfg.objective.representation)
 
 
@@ -321,15 +320,14 @@ def _make_targets(spec, dictionary, target_mats, gamma) -> losses.TargetBatch:
     return losses.TargetBatch(y=y, label=label, soft=soft, ref=ref)
 
 
-def discretization_floor(dataset: SyntheticDataset, dictionary: dct.PoseDictionary,
-                         split: str = "test") -> float:
+def discretization_floor(dataset: SyntheticDataset, dictionary: dct.PoseDictionary) -> float:
     """Mean over categories of the median nearest-key geodesic distance in
-    degrees: the best MedErr a pure classifier over these keys can reach."""
-    splits = getattr(dataset, split)
+    degrees on the test split: the best MedErr a pure classifier over these
+    keys can reach."""
     keys = dct.pose_matrices(dictionary.keys, dictionary.representation)
     per_cat = []
-    for name in dataset.categories:
-        dists = so3.geodesic_distance_matrices(splits[name].targets[:, None], keys)  # (n, K)
+    for targets in dataset.test.targets:
+        dists = so3.geodesic_distance_matrices(targets[:, None], keys)  # (n, K)
         per_cat.append(statistics.median(np.degrees(dists.min(axis=1)).tolist()))
     return sum(per_cat) / len(per_cat)
 
@@ -480,25 +478,13 @@ class TrainLog:
 
 
 def _training_rows(spec, dictionary, dataset, gamma):
-    """Every category's train rows: features (G, rows, feature_dim) and the
-    G * rows targets in category order, each category's clean rows first,
-    then its augmented pool.  The features are written once, straight into
-    the stacked array."""
-    splits = [dataset.train[name] for name in dataset.categories]
-    size = splits[0].size
-    pool = 0 if splits[0].aug_targets is None else len(splits[0].aug_targets)
-    feats = np.empty((len(splits), size + pool, splits[0].features.shape[1]))
-    parts = []
-    for c, split in enumerate(splits):
-        mats = split.targets
-        feats[c, :size] = split.features
-        if pool:
-            mats = np.concatenate([mats, split.aug_targets])
-            feats[c, size:] = split.aug_features
-        parts.append(_make_targets(spec, dictionary, mats, gamma))
+    """The train split's own features (G, rows, feature_dim), not a copy,
+    and its G * rows targets in category order: each category's clean rows
+    first, then its aug_rows jittered ones."""
+    parts = [_make_targets(spec, dictionary, mats, gamma) for mats in dataset.train.targets]
     fields = zip(*((t.y, t.label, t.soft, t.ref) for t in parts))
     targets = losses.TargetBatch(*(None if f[0] is None else np.concatenate(f) for f in fields))
-    return feats, targets
+    return dataset.train.features, targets
 
 
 def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss:
@@ -572,8 +558,8 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
                   for c in range(len(names))]
     feats, targets = _training_rows(spec, dictionary, dataset, gamma)
 
-    size = dataset.train[names[0]].size
-    pool = feats.shape[1] - size  # augmented rows per category
+    pool = dataset.aug_rows
+    size = feats.shape[1] - pool
     clean_quota = max(1, opt.batch_per_category // 2) if pool else opt.batch_per_category
     aug_quota = opt.batch_per_category - clean_quota if pool else 0
     steps = size // clean_quota
@@ -647,13 +633,12 @@ class RunResult:
 def evaluate_split(spec, nets_by_cat, dictionary, dataset, split: str) -> metrics.PoseRecords:
     """Pose records for one split, in category-then-index order, each
     rotation checked as so3.Rotation checks one."""
-    names = dataset.categories
-    data = [getattr(dataset, split)[n] for n in names]
-    preds = [predict_rotation(spec, nets_by_cat[n], dictionary, d.features)
-             for n, d in zip(names, data)]
+    data = getattr(dataset, split)
+    preds = [predict_rotation(spec, nets_by_cat[name], dictionary, x)
+             for name, x in zip(dataset.categories, data.features)]
     return metrics.PoseRecords(
-        np.repeat(np.array(names, dtype=str), [d.size for d in data]),
-        so3.check_rotations(np.concatenate([d.targets for d in data])),
+        np.repeat(np.array(dataset.categories, dtype=str), data.features.shape[1]),
+        so3.check_rotations(data.targets.reshape(-1, 3, 3)),
         so3.check_rotations(np.concatenate(preds)),
     )
 
@@ -712,9 +697,6 @@ class TrialSummary:
     metric_means: dict  # metric -> mean of per-trial means
     metric_stds: dict
     seeds: tuple
-
-    def mean(self, metric: str) -> float:
-        return self.metric_means[metric]
 
 
 def run_trials(cfg: ExperimentConfig, trials: int, out_dir=None) -> TrialSummary:

@@ -87,11 +87,6 @@ class JitterSpec:
                 raise ValueError(f"{name} offsets must be finite")
             object.__setattr__(self, name, vals)
 
-    @property
-    def grid_size(self) -> int:
-        n = len(self.d_az) * len(self.d_el) * len(self.d_ct)
-        return 2 * n if self.flip else n
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class JitterGrid:

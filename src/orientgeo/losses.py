@@ -112,10 +112,11 @@ class ObjectiveSpec:
             raise FamilyMismatch(f"{self.family} requires the axis-angle representation")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 10.0 if self.per_bin else 1.0)
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise FamilyMismatch("alpha must be positive and finite")
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise FamilyMismatch("gamma must be positive and finite")
+        for name in ("alpha", "gamma"):  # a bool would pass math.isfinite as 0 or 1
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not (math.isfinite(value) and value > 0.0)):
+                raise FamilyMismatch(f"{name} must be positive and finite")
 
     @property
     def combination(self) -> str:

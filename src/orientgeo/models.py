@@ -80,15 +80,6 @@ class MLP:
         return self.layers[-1].weight.shape[-2]
 
 
-def flatten(pairs) -> np.ndarray:
-    """(weight, bias) pairs in layer order, a network's parameters, as one
-    (..., P) array in the buffer layout."""
-    pairs = list(pairs)
-    lead = pairs[0][1].shape[:-1]
-    return np.concatenate([a.reshape(lead + (math.prod(a.shape[len(lead):]),))
-                           for pair in pairs for a in pair], axis=-1)
-
-
 def _views(params: np.ndarray, like: MLP) -> list:
     """(weight, bias) views of params (..., P) in the layer shapes of `like`."""
     lead, start, views = params.shape[:-1], 0, []
@@ -110,9 +101,12 @@ def on_buffer(params: np.ndarray, like: MLP) -> MLP:
 
 def stack(nets) -> MLP:
     """One network whose new leading axis runs over `nets` (same shapes and
-    activations), on one new (len(nets), ..., P) buffer of their parameters."""
-    return on_buffer(np.stack([flatten((l.weight, l.bias) for l in n.layers) for n in nets]),
-                     nets[0])
+    activations), on one new (len(nets), ..., P) buffer of their parameters:
+    each entry's weights and biases, in layer order, as one row."""
+    lead = nets[0].layers[0].bias.shape[:-1]
+    rows = [np.concatenate([a.reshape(lead + (math.prod(a.shape[len(lead):]),))
+                            for l in n.layers for a in (l.weight, l.bias)], axis=-1) for n in nets]
+    return on_buffer(np.stack(rows), nets[0])
 
 
 def unstack(net: MLP, i) -> MLP:

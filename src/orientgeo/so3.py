@@ -373,11 +373,3 @@ def rotation_to_quaternion(r: Rotation) -> UnitQuaternion:
 def euler_to_rotation(e: EulerZXZ) -> Rotation:
     """R(az, el, ct) = Rz(ct) Rx(el) Rz(az): azimuth applied first."""
     return Rotation(euler_to_matrix([e.azimuth, e.elevation, e.tilt]))
-
-
-def random_rotation(rng: np.random.Generator) -> Rotation:
-    """Uniform (Haar) random rotation via a normalized Gaussian quaternion."""
-    q = rng.standard_normal(4)
-    while np.linalg.norm(q) < 1e-12:
-        q = rng.standard_normal(4)
-    return Rotation(_quat_to_matrix(normalize_quaternion(q)))

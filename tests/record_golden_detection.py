@@ -34,7 +34,7 @@ import numpy as np
 
 from orientgeo import cli, metrics, so3
 
-from so3_helpers import rot_z
+from so3_helpers import random_rotation, rot_z
 
 SEED = 31
 CATEGORIES = ("bike", "car", "chair", "boat")
@@ -63,7 +63,7 @@ def _pose(rng, kind):
     elif kind == "gimbal":
         m = rot_z(rng.uniform(-math.pi, math.pi))
     else:
-        return so3.random_rotation(rng)
+        return random_rotation(rng)
     return so3.Rotation(m)
 
 
@@ -113,7 +113,7 @@ def detection_set():
         for k in range(3):  # false positives at empty sites
             x = 30.0 * (GT_PER_CATEGORY + k)
             dets.append(metrics.Detection(cat, (x, y, x + 10.0, y + 10.0), score(),
-                                          so3.random_rotation(rng)))
+                                          random_rotation(rng)))
     for j in rng.choice(len(gts), size=8, replace=False):  # wrong category
         other = CATEGORIES[(CATEGORIES.index(gts[j].category) + 1) % len(CATEGORIES)]
         dets.append(metrics.Detection(other, _shift(rng, gts[j].box, 0.05), score(),

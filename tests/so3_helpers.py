@@ -52,3 +52,12 @@ def azimuth_bin(m, k):
     euler_of and math.degrees, or None in gimbal lock."""
     e = euler_of(m)
     return None if e is None else int((math.degrees(e.azimuth) % 360.0) / (360.0 / k))
+
+
+def random_rotation(rng):
+    """Haar-uniform so3.Rotation of a normalized Gaussian quaternion: four
+    normals, drawn again while their norm is below 1e-12."""
+    q = rng.standard_normal(4)
+    while np.linalg.norm(q) < 1e-12:
+        q = rng.standard_normal(4)
+    return so3.Rotation(so3._quat_to_matrix(so3.normalize_quaternion(q)))

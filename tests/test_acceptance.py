@@ -19,7 +19,7 @@ import pytest
 from orientgeo import dictionary as dct
 from orientgeo import gradcheck, harness, jitter, losses, metrics, so3
 
-from so3_helpers import angle_deg, azimuth_bin, rot_z
+from so3_helpers import angle_deg, azimuth_bin, random_rotation, rot_z
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -52,8 +52,8 @@ def test_geometry_suite():
 
     m1, m2 = np.empty((2, n, 3, 3))
     for i in range(n):
-        m1[i] = so3.random_rotation(rng).matrix
-        m2[i] = so3.random_rotation(rng).matrix
+        m1[i] = random_rotation(rng).matrix
+        m2[i] = random_rotation(rng).matrix
     d = so3.geodesic_distance_matrices(m1, m2)
     worst_d = float(np.max(np.abs(d - _eig_angles(np.swapaxes(m1, -1, -2) @ m2))))
     # 2 acos |<q1, q2>|: the angle again, read from the quaternions
@@ -135,7 +135,7 @@ def test_geodesic_beats_euclidean_on_default_benchmark():
     means = {}
     for family in ("R_G", "R_E"):
         cfg = harness.ExperimentConfig(objective=losses.ObjectiveSpec(family))
-        means[family] = harness.run_trials(cfg, trials=3).mean("MedErr")
+        means[family] = harness.run_trials(cfg, trials=3).metric_means["MedErr"]
     ok = means["R_G"] < means["R_E"]
     _line(
         "loss-family ordering",
@@ -152,12 +152,12 @@ def test_log_euclidean_matches_riemannian_for_small_deltas():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(1000):
-        key = so3.random_rotation(rng)
-        target = so3.random_rotation(rng)
+        key = random_rotation(rng)
+        target = random_rotation(rng)
         # keep the relative rotation away from the pi shell where the log
         # itself is undefined
         while np.trace(key.matrix.T @ target.matrix) <= -1.0 + 1e-3:
-            target = so3.random_rotation(rng)
+            target = random_rotation(rng)
         delta = rng.normal(size=3)
         delta *= rng.uniform(0.0, 1e-3) / np.linalg.norm(delta)
         riem = float(so3.geodesic_distance_matrices(
@@ -212,11 +212,11 @@ def _random_set(rng, pyrng, with_boundaries):
     n_gt = pyrng.randint(2, 7)
     for j in range(n_gt):
         x = 25.0 * j
-        gts.append(metrics.GroundTruth("cat", (x, 0.0, x + 10.0, 10.0), so3.random_rotation(rng)))
+        gts.append(metrics.GroundTruth("cat", (x, 0.0, x + 10.0, 10.0), random_rotation(rng)))
     for _ in range(pyrng.randint(2, 12)):
         j = pyrng.randrange(n_gt + 1)
         x = 25.0 * j + pyrng.uniform(-4.0, 4.0)
-        rot = gts[j].rotation if j < n_gt and pyrng.random() < 0.5 else so3.random_rotation(rng)
+        rot = gts[j].rotation if j < n_gt and pyrng.random() < 0.5 else random_rotation(rng)
         dets.append(metrics.Detection("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), rot))
     if with_boundaries:
         # a pose error bracketing exactly 30 degrees (an exact 30 cannot
@@ -377,9 +377,10 @@ def test_soft_assignment_limits():
     p = dct.soft_assign_probs(np.array([0.05, 0.0, 0.0]), separated, 1e6)
     peak = float(np.max(p))
 
+    queries = rng.uniform(-2.5, 2.5, size=(10_000, 3))
     agree = all(
-        int(np.argmax(dct.soft_assign_probs(q, keys, 2.0))) == dct.hard_label(q, dictionary)
-        for q in rng.uniform(-2.5, 2.5, size=(10_000, 3))
+        int(np.argmax(dct.soft_assign_probs(q, keys, 2.0))) == label
+        for q, label in zip(queries, dct.hard_labels(queries, dictionary))
     )
 
     ok = worst_uniform <= 1e-9 and peak > 1.0 - 1e-6 and agree

@@ -1,7 +1,10 @@
 """CLI surface: every subcommand runs, prints parseable output, and the
 gradcheck command's exit code reflects failures."""
 
+import importlib.util
 import json
+import os
+import sys
 
 import pytest
 
@@ -315,6 +318,18 @@ def test_config_with_a_non_integer_count_exits_two(tiny_config_path, tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("data", "noise", True), (None, "dictionary_size", True), ("optimizer", "epochs", True),
+    ("optimizer", "beta1", False), ("objective", "alpha", True), (None, "hidden", [16, True]),
+])
+def test_config_with_a_json_boolean_number_exits_two(tiny_config_path, tmp_path, capsys,
+                                                     section, name, value):
+    _edit_config(tiny_config_path, section, name, value)
+    argv = ["run", "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
+    _exits_two_naming(tiny_config_path, argv, capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("section, name", [("data", "noise"), ("optimizer", "learning_rate")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_with_a_non_finite_float_exits_two(tiny_config_path, tmp_path, capsys,
@@ -337,3 +352,24 @@ def test_config_with_a_removed_option_exits_two(tiny_config_path, tmp_path, caps
     assert err.startswith(f"cannot read {tiny_config_path}: ") and name in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def _script(name):
+    """The module of scripts/<name>.py, loaded from its file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+def test_bin_delta_suite_refuses_a_non_positive_dictionary_size(monkeypatch, capsys, value):
+    suite = _script("run_bin_delta_suite")
+    monkeypatch.setattr(sys, "argv", ["run_bin_delta_suite.py", "--dictionary-size", value])
+    with pytest.raises(SystemExit) as info:
+        suite.main()
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --dictionary-size" in captured.err and "Traceback" not in captured.err

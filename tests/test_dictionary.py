@@ -129,22 +129,21 @@ def test_kmeans_axis_angle_keys_inside_ball():
 def test_hard_label_exact_key():
     keys = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
-    assert dct.hard_label(keys[2], d) == 2
+    assert dct.hard_labels(keys[2:3], d).tolist() == [2]
 
 
 def test_hard_label_tie_breaks_low_index():
     keys = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
-    assert dct.hard_label(np.zeros(3), d) == 0
+    assert dct.hard_labels(np.zeros((1, 3)), d).tolist() == [0]
 
 
 def test_hard_label_matches_brute_force():
     g = rng(6)
     keys = random_axis_angle_targets(g, 40)
     d = dct.PoseDictionary(keys, dct.AXIS_ANGLE)
-    for _ in range(1000):
-        y = random_axis_angle(g)
-        assert dct.hard_label(y, d) == brute_force_label(y, keys)
+    ys = np.array([random_axis_angle(g) for _ in range(1000)])
+    assert dct.hard_labels(ys, d).tolist() == [brute_force_label(y, keys) for y in ys]
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,7 +242,7 @@ def test_property_argmax_soft_equals_hard_label(seed, log_gamma):
     y = random_axis_angle(g)
     gamma = 10.0 ** log_gamma
     p = dct.soft_assign_probs(y, d.keys, gamma)
-    assert int(np.argmax(p)) == dct.hard_label(y, d)
+    assert [int(np.argmax(p))] == dct.hard_labels(y[None], d).tolist()
 
 
 # ---------------------------------------------------------------------------

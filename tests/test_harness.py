@@ -14,7 +14,7 @@ from orientgeo import harness, losses, metrics, models, so3
 
 import record_golden_report
 import record_golden_training
-from so3_helpers import random_axis_angle
+from so3_helpers import random_axis_angle, random_rotation
 
 
 def tiny_config(family="M_G", **overrides):
@@ -143,6 +143,32 @@ def test_config_floats_must_be_finite(section, name, value):
         harness.config_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("section, name", COUNTS + NON_FINITE_FLOATS + [
+    ("optimizer", "beta1"), ("optimizer", "beta2"), (None, "seed"), (None, "dictionary_seed"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_numbers_refuse_json_booleans(section, name, value):
+    # Python's bool is an int subclass: true would load as 1 and false as 0,
+    # and a float leaf would be written back to config.json as a boolean
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    (doc if section is None else doc[section])[name] = value
+    with pytest.raises(ValueError, match=name):
+        harness.config_from_json(json.dumps(doc))
+
+
+def test_config_constructors_refuse_booleans():
+    with pytest.raises(ValueError, match="^epochs must be an integer >= 1, got True"):
+        harness.OptimizerConfig(epochs=True)
+    with pytest.raises(ValueError, match="^noise must be non-negative and finite"):
+        harness.DataConfig(noise=True)
+    with pytest.raises(ValueError, match="^dictionary_size must be an integer >= 1, got True"):
+        harness.ExperimentConfig(dictionary_size=True)
+    with pytest.raises(ValueError, match="^each hidden size must be an integer >= 1"):
+        tiny_config(hidden=(16, True))
+    with pytest.raises(ValueError, match="^gamma must be positive and finite"):
+        losses.ObjectiveSpec("M_X", gamma=True)
+
+
 @pytest.mark.parametrize("hidden", [[8.7], [16, 8.0], [0], []])
 def test_hidden_sizes_must_be_positive_integers(hidden):
     with pytest.raises(ValueError, match="hidden"):
@@ -184,26 +210,25 @@ def test_generate_is_deterministic():
     cfg = tiny_config()
     a = harness.generate_synthetic(cfg, 5)
     b = harness.generate_synthetic(cfg, 5)
-    for name in a.categories:
-        assert np.array_equal(a.train[name].features, b.train[name].features)
-        assert np.array_equal(a.test[name].targets, b.test[name].targets)
+    assert np.array_equal(a.train.features, b.train.features)
+    assert np.array_equal(a.test.targets, b.test.targets)
 
 
 def test_generate_targets_are_rotations_and_features_finite():
     ds = harness.generate_synthetic(tiny_config(), 0)
-    for name in ds.categories:
-        for split in (ds.train, ds.val, ds.test):
-            assert np.all(np.isfinite(split[name].features))
-            for m in split[name].targets[:10]:
+    for split in (ds.train, ds.val, ds.test):
+        assert np.all(np.isfinite(split.features))
+        for per_cat in split.targets:
+            for m in per_cat[:10]:
                 so3.Rotation(m)  # validates orthonormality
 
 
 def test_splits_are_disjoint():
     ds = harness.generate_synthetic(tiny_config(), 0)
-    for name in ds.categories:
-        seen = {m.tobytes() for m in ds.train[name].targets}
-        assert not seen & {m.tobytes() for m in ds.val[name].targets}
-        assert not seen & {m.tobytes() for m in ds.test[name].targets}
+    for c in range(len(ds.categories)):
+        seen = {m.tobytes() for m in ds.train.targets[c]}
+        assert not seen & {m.tobytes() for m in ds.val.targets[c]}
+        assert not seen & {m.tobytes() for m in ds.test.targets[c]}
 
 
 def test_noise_zero_features_are_exact_map_of_targets():
@@ -214,9 +239,8 @@ def test_noise_zero_features_are_exact_map_of_targets():
     ds = harness.generate_synthetic(cfg, 0)
     name = ds.categories[0]
     w, b = ds.hidden_maps[name]
-    split = ds.train[name]
-    expected = split.targets.reshape(-1, 9) @ w.T + b
-    assert np.array_equal(split.features, expected)
+    expected = ds.train.targets[0].reshape(-1, 9) @ w.T + b
+    assert np.array_equal(ds.train.features[0], expected)
 
 
 def test_two_tight_modes_give_bimodal_label_histogram():
@@ -225,16 +249,13 @@ def test_two_tight_modes_give_bimodal_label_histogram():
         feature_dim=16, noise=0.0, modes=2, mode_spread=0.05,
     ))
     ds = harness.generate_synthetic(cfg, 1)
-    name = ds.categories[0]
-    vectors = [harness.pose_vector(m, dct.AXIS_ANGLE) for m in ds.train[name].targets]
+    vectors = [harness.pose_vector(m, dct.AXIS_ANGLE) for m in ds.train.targets[0]]
     # keys fit on unrelated uniform rotations, so the histogram reflects the
     # data distribution instead of the clustering chasing it
     rng = np.random.default_rng(0)
-    uniform = [so3.log_rotation(so3.random_rotation(rng).matrix) for _ in range(400)]
+    uniform = [so3.log_rotation(random_rotation(rng).matrix) for _ in range(400)]
     dictionary = dct.fit_kmeans(uniform, 8, seed=0)
-    counts = np.bincount(
-        [dct.hard_label(v, dictionary) for v in vectors], minlength=8
-    )
+    counts = np.bincount(dct.hard_labels(np.array(vectors), dictionary), minlength=8)
     top2 = np.sort(counts)[-2:].sum()
     assert top2 >= 0.9 * len(vectors)
     assert np.sum(counts >= 0.05 * len(vectors)) == 2
@@ -247,13 +268,10 @@ def test_augmented_pool_sizes():
             feature_dim=16, noise=0.0, augmentation=aug,
         ))
         ds = harness.generate_synthetic(cfg, 0)
-        split = ds.train[ds.categories[0]]
-        if copies == 0:
-            assert split.aug_features is None
-        else:
-            assert split.aug_features.shape[0] == copies * 40
-            for m in split.aug_targets[:5]:
-                so3.Rotation(m)
+        assert ds.aug_rows == copies * 40
+        assert ds.train.features.shape[:2] == ds.train.targets.shape[:2] == (1, 40 + copies * 40)
+        for m in ds.train.targets[0, 40:45]:
+            so3.Rotation(m)
 
 
 def test_augmented_poses_stay_near_originals():
@@ -262,9 +280,8 @@ def test_augmented_poses_stay_near_originals():
         feature_dim=16, noise=0.0, augmentation="jittered",
     ))
     ds = harness.generate_synthetic(cfg, 0)
-    split = ds.train[ds.categories[0]]
     # offsets are at most |daz|+|del|+|dct| <= 6 degrees of combined motion
-    for orig, jit in zip(split.targets, split.aug_targets):
+    for orig, jit in zip(ds.train.targets[0, :40], ds.train.targets[0, 40:]):
         d = so3.geodesic_distance_matrices(so3.Rotation(orig).matrix, so3.Rotation(jit).matrix)
         assert np.degrees(d) <= 6.0 + 1e-6
 
@@ -426,8 +443,9 @@ def test_perturbing_one_category_leaves_the_others_bit_identical():
     cfg = tiny_config("M_Gp")
     ds = harness.generate_synthetic(cfg, 0)
     nets_a, _, _ = harness.train(cfg, ds, seed=0)
-    split = ds.train["cat02"]
-    train = dict(ds.train, cat02=harness.CategorySplit(split.features + 1e-3, split.targets))
+    feats = ds.train.features.copy()
+    feats[1] += 1e-3  # cat02
+    train = harness.Split(feats, ds.train.targets)
     nets_b, _, _ = harness.train(cfg, dataclasses.replace(ds, train=train), seed=0)
     for role, net in nets_a["cat01"].items():
         for la, lb in zip(net.layers, nets_b["cat01"][role].layers):
@@ -566,8 +584,9 @@ def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
                 views += [a for l in models.unstack(net, 1).layers for a in (l.weight, l.bias)]
             assert all(np.shares_memory(a, buf) for a in views), role
             assert buf.shape[0] == len(nets_by_cat)
-            assert np.array_equal(models.flatten((l.weight, l.bias) for l in net.layers),
-                                  buf[c])
+            lead = buf.shape[1:-1]
+            flat = [a.reshape(lead + (-1,)) for l in net.layers for a in (l.weight, l.bias)]
+            assert np.array_equal(np.concatenate(flat, axis=-1), buf[c])
 
 
 def test_train_log_counts_non_smooth_samples_per_epoch():
@@ -610,9 +629,8 @@ def test_training_uses_augmented_pool():
 def test_shared_seed_gives_identical_dataset_across_objectives():
     a = harness.generate_synthetic(tiny_config("R_G"), 4)
     b = harness.generate_synthetic(tiny_config("R_E"), 4)
-    for name in a.categories:
-        assert np.array_equal(a.test[name].targets, b.test[name].targets)
-        assert np.array_equal(a.test[name].features, b.test[name].features)
+    assert np.array_equal(a.test.targets, b.test.targets)
+    assert np.array_equal(a.test.features, b.test.features)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +792,7 @@ def test_run_trials_mean_and_std(tmp_path):
     assert summary.seeds == (0, 1)
     a = harness.run_experiment(cfg, seed=0).report.mean["MedErr"]
     b = harness.run_experiment(cfg, seed=1).report.mean["MedErr"]
-    assert summary.mean("MedErr") == (a + b) / 2
+    assert summary.metric_means["MedErr"] == (a + b) / 2
     lines = (tmp_path / "trials.csv").read_text().strip().split("\n")
     assert lines[0] == "metric,mean,std"
     assert len(lines) == 3

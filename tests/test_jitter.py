@@ -224,7 +224,6 @@ def _sample(points=None, pose=None):
 
 def test_default_grid_size_and_order():
     spec = jitter.JitterSpec(flip=False)
-    assert spec.grid_size == 45
     grid = jitter.jitter_sample(_sample(), spec, 0)
     assert len(grid) == 45
     # d_az outer, d_el middle, d_ct inner

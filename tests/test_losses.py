@@ -14,7 +14,7 @@ from orientgeo import dictionary as dct
 from orientgeo import gradcheck, losses, models, so3
 
 import record_golden_gradcheck
-from so3_helpers import random_axis_angle
+from so3_helpers import random_axis_angle, random_rotation
 
 
 def _aa_dictionary(keys):
@@ -244,7 +244,7 @@ def _simple_setup():
     keys = np.array([[0.2, 0.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, -0.7], [0.5, 0.5, 0.0]])
     dictionary = _aa_dictionary(keys)
     y_true = np.array([0.25, 0.1, 0.0])
-    label = dct.hard_label(y_true, dictionary)
+    label = int(dct.hard_labels(y_true[None], dictionary)[0])
     return dictionary, y_true, label
 
 
@@ -383,7 +383,7 @@ def test_quaternion_bin_delta_normalizes_composition():
     keys = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]]
     dictionary = _quat_dictionary(keys)
     y_true = np.array([math.cos(0.2), math.sin(0.2), 0.0, 0.0])
-    label = dct.hard_label(y_true, dictionary)
+    label = int(dct.hard_labels(y_true[None], dictionary)[0])
     logits = np.array([4.0, 0.0, 0.0])
     delta = np.array([0.1, 0.05, 0.0, 0.0])
     spec = _spec("M_G", representation=dct.QUATERNION)
@@ -468,7 +468,7 @@ def test_log_euclidean_approximates_riemannian_regression():
     for _ in range(300):
         key = random_axis_angle(rng, max_angle=math.pi - 0.1)
         key_rot = so3.rodrigues(key)
-        r_true = key_rot @ so3.random_rotation(rng).matrix
+        r_true = key_rot @ random_rotation(rng).matrix
         if so3.geodesic_distance_matrices(key_rot, r_true) > math.pi - 1e-2:
             continue
         dy = rng.standard_normal(3)

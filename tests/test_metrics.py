@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from orientgeo import cli, metrics, so3
 
 import record_golden_detection
-from so3_helpers import angle_deg, random_axis_angle, rot_z
+from so3_helpers import angle_deg, random_axis_angle, random_rotation, rot_z
 
 
 def _rz(deg):
@@ -113,8 +113,8 @@ def test_med_err_matches_sort_oracle_per_category():
     angles = {"a": [], "b": []}
     for _ in range(1000):
         cat = "a" if rng.random() < 0.5 else "b"
-        r_true = so3.random_rotation(rng)
-        r_pred = so3.random_rotation(rng)
+        r_true = random_rotation(rng)
+        r_pred = random_rotation(rng)
         cats.append(cat)
         trues.append(r_true)
         preds.append(r_pred)
@@ -215,12 +215,12 @@ def test_ap_against_exact_rational_oracle():
         gts = []
         for j in range(n_gt):
             x = 20.0 * j
-            gts.append(_gt("cat", (x, 0.0, x + 10.0, 10.0), so3.random_rotation(rng)))
+            gts.append(_gt("cat", (x, 0.0, x + 10.0, 10.0), random_rotation(rng)))
         dets = []
         for _ in range(pyrng.randint(1, 15)):
             j = pyrng.randrange(n_gt + 2)  # sometimes a box matching nothing
             x = 20.0 * j + pyrng.uniform(-3.0, 3.0)
-            rot = gts[j].rotation if j < n_gt and pyrng.random() < 0.6 else so3.random_rotation(rng)
+            rot = gts[j].rotation if j < n_gt and pyrng.random() < 0.6 else random_rotation(rng)
             dets.append(_det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), rot))
 
         pairs = _oracle_match(dets, gts)
@@ -255,11 +255,11 @@ def test_score_ties_break_by_input_order():
 def test_metrics_invariant_to_gt_ordering():
     rng = np.random.default_rng(9)
     gts = [
-        _gt("cat", (20.0 * j, 0.0, 20.0 * j + 10.0, 10.0), so3.random_rotation(rng))
+        _gt("cat", (20.0 * j, 0.0, 20.0 * j + 10.0, 10.0), random_rotation(rng))
         for j in range(6)
     ]
     dets = [
-        _det("cat", (20.0 * j + 1.0, 0.0, 20.0 * j + 11.0, 10.0), rng.random(), so3.random_rotation(rng))
+        _det("cat", (20.0 * j + 1.0, 0.0, 20.0 * j + 11.0, 10.0), rng.random(), random_rotation(rng))
         for j in range(6)
     ]
     base = metrics.Matching(dets, gts)
@@ -316,12 +316,12 @@ def test_arp_never_exceeds_ap_on_random_sets():
         gts, dets = [], []
         for j in range(pyrng.randint(1, 6)):
             x = 25.0 * j
-            gts.append(_gt("cat", (x, 0.0, x + 10.0, 10.0), so3.random_rotation(rng)))
+            gts.append(_gt("cat", (x, 0.0, x + 10.0, 10.0), random_rotation(rng)))
         for _ in range(pyrng.randint(1, 12)):
             j = pyrng.randrange(len(gts))
             x = 25.0 * j + pyrng.uniform(-4.0, 4.0)
             dets.append(
-                _det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), so3.random_rotation(rng))
+                _det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), random_rotation(rng))
             )
         matching = metrics.Matching(dets, gts)
         assert matching.arp() <= matching.ap() + 1e-12
@@ -359,12 +359,12 @@ def test_frac_correct_never_exceeds_frac_detected():
         gts, dets = [], []
         for j in range(pyrng.randint(1, 5)):
             x = 30.0 * j
-            gts.append(_gt("cat", (x, 0.0, x + 10.0, 10.0), so3.random_rotation(rng)))
+            gts.append(_gt("cat", (x, 0.0, x + 10.0, 10.0), random_rotation(rng)))
         for _ in range(pyrng.randint(0, 8)):
             j = pyrng.randrange(len(gts))
             x = 30.0 * j + pyrng.uniform(-6.0, 6.0)
             dets.append(
-                _det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), so3.random_rotation(rng))
+                _det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), random_rotation(rng))
             )
         out = metrics.Matching(dets, gts).analysis()
         assert out.frac_correct <= out.frac_detected + 1e-12
@@ -390,7 +390,7 @@ def _small_benchmark():
         for j in range(4):
             x = 20.0 * j
             box = (x, 0.0, x + 10.0, 10.0)
-            rot = so3.random_rotation(rng)
+            rot = random_rotation(rng)
             gts.append(_gt(cat, box, rot))
             noise = so3.rodrigues(random_axis_angle(rng, max_angle=0.4))
             dets.append(_det(cat, box, float(rng.random()), so3.Rotation(rot.matrix @ noise)))
@@ -462,8 +462,8 @@ def test_record_file_rewrites_are_byte_stable_for_random_quaternions(tmp_path):
     gts, dets = [], []
     for j in range(1000):
         box = (20.0 * j, 0.0, 20.0 * j + 10.0, 10.0)
-        gts.append(_gt("cat", box, so3.random_rotation(rng)))
-        dets.append(_det("cat", box, float(rng.random()), so3.random_rotation(rng)))
+        gts.append(_gt("cat", box, random_rotation(rng)))
+        dets.append(_det("cat", box, float(rng.random()), random_rotation(rng)))
     paths = [tmp_path / f"records{n}.txt" for n in range(3)]
     metrics.write_records(paths[0], dets, gts)
     for src, dst in zip(paths, paths[1:]):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from orientgeo import dictionary as dct
 from orientgeo import gradcheck, harness, losses, metrics, models, so3
 
-from so3_helpers import azimuth_bin, random_axis_angle, rot_x, rot_z
+from so3_helpers import azimuth_bin, random_axis_angle, random_rotation, rot_x, rot_z
+from test_dataset_exact import reference_generate
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 ROWS = st.integers(min_value=1, max_value=6)
@@ -45,7 +46,7 @@ def _rotations(g, b):
     out = []
     for kind in g.integers(0, 5, size=b):
         if kind == 0:
-            out.append(so3.random_rotation(g).matrix)
+            out.append(random_rotation(g).matrix)
         elif kind == 1:
             out.append(so3.rodrigues(g.uniform(-1.0, 1.0, 3) * g.choice([0.0, 1e-10, 0.3])))
         elif kind == 2:
@@ -394,20 +395,16 @@ def test_fit_kmeans_equals_loop_at_regress_size():
     assert sum(rows) < 0.5 * len(iterations) * len(targets)
 
 
-def _training_rows_per_category(spec, dictionary, dataset, gamma):
-    """harness._training_rows as per-category concatenations, then np.stack."""
-    feats, parts = [], []
-    for name in dataset.categories:
-        split = dataset.train[name]
-        mats, f = split.targets, split.features
-        if split.aug_targets is not None:
-            mats = np.concatenate([mats, split.aug_targets])
-            f = np.concatenate([f, split.aug_features])
-        feats.append(f)
-        parts.append(harness._make_targets(spec, dictionary, mats, gamma))
+def _training_rows_per_category(cfg, seed, dictionary, gamma):
+    """harness._training_rows from the per-category generator: each
+    category's clean and jittered rows concatenated and their targets built
+    alone, then np.stack and np.concatenate over categories."""
+    train = reference_generate(cfg, seed)[0]["train"]
+    parts = [harness._make_targets(cfg.objective, dictionary, mats, gamma)
+             for _, mats in train.values()]
     fields = zip(*((t.y, t.label, t.soft, t.ref) for t in parts))
     targets = losses.TargetBatch(*(None if f[0] is None else np.concatenate(f) for f in fields))
-    return np.stack(feats), targets
+    return np.stack([feats for feats, _ in train.values()]), targets
 
 
 @pytest.mark.parametrize("family,augmentation", [
@@ -423,7 +420,7 @@ def test_training_rows_equal_stacked_per_category_rows(family, augmentation):
     dictionary = harness.fit_shared_dictionary(cfg, dataset)
     gamma = losses.resolve_gamma(cfg.objective, dictionary) if family == "M_X" else None
     feats, targets = harness._training_rows(cfg.objective, dictionary, dataset, gamma)
-    want_feats, want = _training_rows_per_category(cfg.objective, dictionary, dataset, gamma)
+    want_feats, want = _training_rows_per_category(cfg, 5, dictionary, gamma)
     assert feats.shape == want_feats.shape
     np.testing.assert_array_equal(_as_bits(feats), _as_bits(want_feats))
     for field in ("y", "label", "soft", "ref"):
@@ -567,7 +564,7 @@ def _azimuth_rows(g, b):
             el = g.choice([0.0, math.pi, so3.EPS_GIMBAL * g.uniform(0.5, 2.0)])
             out.append(so3.euler_to_matrix([g.uniform(-math.pi, math.pi), el, ct]))
         else:
-            out.append(so3.random_rotation(g).matrix)
+            out.append(random_rotation(g).matrix)
     return so3.check_rotations(np.stack(out))
 
 
@@ -656,15 +653,22 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
         new_net.params[sel] = rows
     assert stepped_all or new.t[never] == 0
     np.testing.assert_array_equal(new.t, old.t)
-    as_flat = lambda arrays: models.flatten(zip(arrays[::2], arrays[1::2]))
-    np.testing.assert_array_equal(new_net.params, models.flatten(
-        (l.weight, l.bias) for l in old_net.layers))
-    np.testing.assert_array_equal(new.m, as_flat(old.m))
-    np.testing.assert_array_equal(new.v, as_flat(old.v))
+    np.testing.assert_array_equal(
+        new_net.params, _flat([a for l in old_net.layers for a in (l.weight, l.bias)]))
+    np.testing.assert_array_equal(new.m, _flat(old.m))
+    np.testing.assert_array_equal(new.v, _flat(old.v))
 
 
 # ---------------------------------------------------------------------------
 # the flat-buffer backward against the per-layer one
+
+
+def _flat(arrays):
+    """Per-layer arrays in buffer order (weight, bias, weight, ...), each
+    with the same leading stack axes, as one (..., P) array."""
+    lead = arrays[1].shape[:-1]
+    return np.concatenate([a.reshape(lead + (math.prod(a.shape[len(lead):]),)) for a in arrays],
+                          axis=-1)
 
 
 def _per_layer_backward(net, cache, grad_out):
@@ -705,7 +709,7 @@ def test_backward_buffer_equals_flattened_per_layer_grads(seed, cats, keys, n):
         grad_out = g.standard_normal(cache[-1][1].shape) * g.choice([1e-3, 1.0, 1e3])
         got = models.backward(net, cache, grad_out)
         assert got.shape == net.params.shape
-        want = models.flatten(_per_layer_backward(net, cache, grad_out))
+        want = _flat([a for pair in _per_layer_backward(net, cache, grad_out) for a in pair])
         np.testing.assert_array_equal(_as_bits(got), _as_bits(want))
 
 
@@ -950,7 +954,7 @@ def _oracle_instance(spec, rng, k):
             shape = (k, spec.pose_dim) if spec.per_bin else (spec.pose_dim,)
             deltas = 0.4 * rng.standard_normal(shape)
             prediction = (logits, deltas)
-            label = dct.hard_label(y_true, dictionary)
+            label = int(dct.hard_labels(y_true[None], dictionary)[0])
             fields = (None, logits, deltas, y_true, label, soft, keys)
         if _oracle_norms_ok(spec, prediction, dictionary):
             d = _oracle_distances(spec, prediction, y_true, dictionary)

@@ -29,8 +29,8 @@ def reference_train(cfg, dataset, seed):
                   for c in range(len(names))]
     feats, targets = harness._training_rows(spec, dictionary, dataset, gamma)
 
-    size = dataset.train[names[0]].size
-    pool = feats.shape[1] - size
+    pool = dataset.aug_rows
+    size = feats.shape[1] - pool
     clean_quota = max(1, opt.batch_per_category // 2) if pool else opt.batch_per_category
     aug_quota = opt.batch_per_category - clean_quota if pool else 0
     steps = size // clean_quota
@@ -129,7 +129,7 @@ def _diverging(cause):
         cfg = _config("R_E", 8, representation=dct.QUATERNION)
     dataset = harness.generate_synthetic(cfg)
     if cause == "feature row":
-        dataset.train["cat02"].features[17] *= 1e200
+        dataset.train.features[1, 17] *= 1e200  # cat02
     return cfg, dataset
 
 
@@ -155,20 +155,21 @@ def test_a_diverging_run_lets_no_warning_escape(cause):
 
 
 def test_the_epoch_plan_holds_row_indices_not_a_feature_copy():
-    """The plan gathers each step's rows from the stacked features; a
-    (steps, G, n, in) copy of them would double the peak of a run whose
-    features are most of its memory."""
+    """The plan gathers each step's rows from the train split's stacked
+    features, which the dataset holds once; a (steps, G, n, in) copy of
+    them, or a second stack of the train rows, would double the peak of a
+    run whose features are most of its memory."""
     cfg = harness.ExperimentConfig(
         objective=losses.ObjectiveSpec("R_G"), hidden=(16, 8),
         optimizer=harness.OptimizerConfig(epochs=1),
         data=harness.DataConfig(categories=2, train_samples=256, val_samples=8, test_samples=8,
                                 feature_dim=512, augmentation="jittered"),
     )
-    dataset = harness.generate_synthetic(cfg)
     stacked = 2 * (256 + 256) * 512 * 8  # bytes of the (G, rows + pool, in) training rows
+    np.random.default_rng()  # numpy imports numpy.random on first use: not data, so not traced
     tracemalloc.start()
     try:
-        harness.train(cfg, dataset)
+        harness.train(cfg, harness.generate_synthetic(cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
