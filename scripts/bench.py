@@ -29,13 +29,19 @@ Jitter: with the default spec and pose of `orient-geo jitter`, it times
 jitter_sample on the cuboid and on the sphere, and one write_manifest plus
 read_manifest round trip of the cuboid grid, best of JITTER_REPEATS.
 
+Tools: on a records file of the perfbench `tools` size built with
+perfbench/records.py at DATA_SEED, it times read_records and one Matching,
+best of TOOLS_REPEATS, and counts the iou calls of that matching; and it
+times check_family at GRADCHECK_INSTANCES instances for every default
+spec, best of TOOLS_REPEATS, with the probe rows of each instance.
+
 Timings are wall clock of this process only (time.perf_counter), taken
 without system-wide tracing, without cache control and without pinning.
 On a shared virtual machine other tenants' load stretches them; the
 dictionary section, which a training-step change leaves alone, shows
 whether a run was slowed.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_3.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_4.json
 """
 
 import argparse
@@ -53,16 +59,19 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
 import layertrace  # noqa: E402  (perfbench/layertrace.py: the layer tracer)
+import records  # noqa: E402  (perfbench/records.py: the tools workload's records files)
 import workloads  # noqa: E402  (perfbench/workloads.py: the workload configs)
 
 from orientgeo import dictionary as dct  # noqa: E402
-from orientgeo import cli, gradcheck, harness, jitter, losses, models  # noqa: E402
+from orientgeo import cli, gradcheck, harness, jitter, losses, metrics, models  # noqa: E402
 
 DATA_SEED = 202
 STEP_REPEATS = 200  # a training-step part takes tens of microseconds
 JITTER_REPEATS = 30  # a default grid takes a few milliseconds
 LOOP_REPEATS = 3  # a regress train call takes about half a second
 STAGE_RUNS = 5  # one regress run_experiment takes about a second; one alone is host noise
+TOOLS_REPEATS = 7  # a matching or a check_family call takes tens of milliseconds
+GRADCHECK_INSTANCES = 100  # as the tools workload and `orient-geo gradcheck` check them
 
 
 def _configs():
@@ -254,6 +263,36 @@ def _jitter_timings(repeats):
     return out
 
 
+def _tools_timings(repeats):
+    """Best-of-repeats time of read_records and Matching on a records file
+    of the tools workload's size, the iou calls of one matching, and the
+    best-of-repeats time of check_family of every default spec with its
+    probe rows per instance (k = 8, as check_family's default)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.txt")
+        records.generate(path, DATA_SEED)
+        dets, gts = metrics.read_records(path)
+        out = {"detections": len(dets), "ground_truths": len(gts),
+               "read_records_s": _best_of(repeats, metrics.read_records, path)}
+    out["matching_s"] = _best_of(repeats, metrics.Matching, dets, gts)
+    iou, calls = metrics.iou, []
+    metrics.iou = lambda a, b: calls.append(1) or iou(a, b)
+    try:
+        metrics.Matching(dets, gts)
+    finally:
+        metrics.iou = iou
+    out["iou_calls_per_matching"] = len(calls)
+    out["check_family"] = {
+        f"{spec.family}/{spec.representation}": {
+            "check_family_s": _best_of(repeats, gradcheck.check_family, spec, GRADCHECK_INSTANCES),
+            "probe_rows_per_instance": gradcheck._probe_rows(spec, 8),
+        }
+        for spec in gradcheck.default_specs()
+    }
+    out["check_family_total_s"] = sum(v["check_family_s"] for v in out["check_family"].values())
+    return out
+
+
 def _cpu_model():
     """The CPU model name from /proc/cpuinfo, or the platform's guess."""
     try:
@@ -303,6 +342,12 @@ def main() -> int:
         f"{key} {value:.3f}" for key, value in stages["shares"].items()))
     jitter_times = _jitter_timings(JITTER_REPEATS)
     print("jitter: " + ", ".join(f"{key} {value}" for key, value in jitter_times.items()))
+    tools = _tools_timings(TOOLS_REPEATS)
+    print("tools: " + ", ".join(f"{key} {value}" for key, value in tools.items()
+                                if key != "check_family"))
+    for name, entry in tools["check_family"].items():
+        print(f"  check_family {name}: {entry['check_family_s']:.4f} s, "
+              f"{entry['probe_rows_per_instance']} probe rows per instance")
 
     doc = {
         "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats; "
@@ -312,7 +357,9 @@ def main() -> int:
                 "split and stage shares of stage_runs regress run_experiment calls; "
                 "the geodesic kernel on one M_Pp gradcheck block, best of step_repeats; "
                 "jitter grids and a manifest round trip at the `orient-geo jitter` "
-                "defaults, best of jitter_repeats; all in-process",
+                "defaults, best of jitter_repeats; read_records and Matching on a "
+                "tools-sized records file and check_family of every default spec, "
+                "best of tools_repeats; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
                   "no cache control, no CPU pinning; on a shared virtual machine "
                   "other tenants' load can stretch every time in a file alike, so "
@@ -324,6 +371,7 @@ def main() -> int:
         "jitter_repeats": JITTER_REPEATS,
         "loop_repeats": LOOP_REPEATS,
         "stage_runs": STAGE_RUNS,
+        "tools_repeats": TOOLS_REPEATS,
         "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                    "MKL_NUM_THREADS")},
         "machine": {
@@ -339,6 +387,7 @@ def main() -> int:
         "kernel": kernel,
         "regress_stages": stages,
         "jitter": jitter_times,
+        "tools": tools,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -21,6 +21,11 @@ tested for smoothness together; the instances are the first smooth
 candidates of the seed's stream, as if drawn one at a time.  check_family
 evaluates the probe rows of many instances, each with its own keys, in one
 objective_batch call of at most _ROW_BUDGET rows.
+
+FD probes the entries each objective reads.  The hard-label per-bin
+families read only the deltas of head argmax(logits); their other heads'
+deltas get two exact checks instead of probes: a zero analytic gradient,
+and a value that does not move when they all move at once.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ LOGIT_MARGIN = 1e-3
 # quaternion sums stay at least this far from the zero ray
 NORM_MARGIN = 1e-2
 MAX_RESAMPLE = 1000
+# families whose value is the softmax expectation over every head; the
+# other Bin & Delta families read only head argmax(logits)
+_EXPECTATION_FAMILIES = ("M_P", "M_Pp", "M_XP", "M_XPp")
 
 
 # probe rows per objective_batch call: check_family stacks the probe blocks
@@ -172,7 +180,7 @@ def _internal_distances(spec, c: _Stack) -> np.ndarray:
     if fam == "R_G":
         return _pose_distance(spec, c.pose[:, None], c.y)
     rows = np.arange(c.size)
-    if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
+    if fam in _EXPECTATION_FAMILIES:
         keys = c.keys
         d = c.deltas if spec.per_bin else np.broadcast_to(c.deltas[:, None], keys.shape)
     else:
@@ -258,42 +266,69 @@ def _sample(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     return _concat(parts)
 
 
+def _probed_entries(spec, s: _Stack, name: str, size: int) -> np.ndarray:
+    """Flat indices (n, m) of the entries of one gradient slot that FD
+    probes: all of them, except in the deltas of a hard-label per-bin
+    family, whose value reads only the d entries of head argmax(logits)
+    (LOGIT_MARGIN keeps that head fixed under every probe)."""
+    if name == "deltas" and spec.family not in _EXPECTATION_FAMILIES:
+        d = spec.pose_dim
+        return np.argmax(s.logits, axis=1)[:, None] * d + np.arange(d)
+    return np.broadcast_to(np.arange(size), (s.size, size))
+
+
 def _probe_errors(spec, s: _Stack, h: float) -> np.ndarray:
     """Max relative error between analytic and central-difference gradients
-    of each instance (n,), from one objective_batch call.
+    of each instance (n,), from one objective_batch call; inf where an
+    entry the value does not read fails its exact checks.
 
     Each instance owns a block of rows: its first row is the instance,
     rows 2i + 1 and 2i + 2 move probed entry i by +h and -h (entries
-    numbered across the gradient slots in order).
+    numbered across the gradient slots in order).  When a slot has entries
+    the value does not read, a last row moves all of them by +h; that
+    row's value must equal the instance's bit for bit, and their analytic
+    gradient must be exactly 0.
     """
     n, views = s.size, s.views(spec)
+    inst = np.arange(n)[:, None]
     sizes = [arr[0].size for _, arr in views]
-    rows = 1 + 2 * sum(sizes)
+    probed = [_probed_entries(spec, s, name, size) for (name, _), size in zip(views, sizes)]
+    unread = [np.ones((n, size), dtype=bool) for size in sizes]
+    for mask, idx in zip(unread, probed):
+        mask[inst, idx] = False
+    entries = sum(idx.shape[1] for idx in probed)
+    equality_row = entries < sum(sizes)
+    rows = 1 + 2 * entries + equality_row
     stacked, offset = [], 0
-    for (_, arr), size in zip(views, sizes):
+    for (_, arr), idx, mask in zip(views, probed, unread):
         probes = np.repeat(np.asarray(arr, dtype=float)[:, None], rows, axis=1)
-        flat = probes.reshape(n, rows, size)
-        entry = np.arange(size)
-        flat[:, 1 + 2 * (offset + entry), entry] += h
-        flat[:, 2 + 2 * (offset + entry), entry] -= h
+        flat = probes.reshape(n, rows, -1)
+        entry = offset + np.arange(idx.shape[1])
+        flat[inst, 1 + 2 * entry, idx] += h
+        flat[inst, 2 + 2 * entry, idx] -= h
+        if equality_row:
+            flat[:, -1][mask] += h
         stacked.append(probes.reshape((n * rows,) + probes.shape[2:]))
-        offset += size
+        offset += idx.shape[1]
     prediction = stacked[0] if len(stacked) == 1 else tuple(stacked)
     y, label, soft, keys = (
         None if f is None else np.repeat(f, rows, axis=0) for f in (s.y, s.label, s.soft, s.keys)
     )
     batch = losses.objective_batch(spec, prediction, losses.TargetBatch(y, label, soft), keys)
     values = batch.values.reshape(n, rows)
-    fd_all = (values[:, 1::2] - values[:, 2::2]) / (2.0 * h)
+    fd_all = (values[:, 1 : 1 + 2 * entries : 2] - values[:, 2 : 2 + 2 * entries : 2]) / (2.0 * h)
 
     worst, offset = np.zeros(n), 0
-    for (name, _), size in zip(views, sizes):
-        fd = fd_all[:, offset : offset + size]
-        offset += size
+    exact = values[:, -1] == values[:, 0] if equality_row else np.ones(n, dtype=bool)
+    for (name, _), size, idx, mask in zip(views, sizes, probed, unread):
+        fd = fd_all[:, offset : offset + idx.shape[1]]
+        offset += idx.shape[1]
         analytic = batch.grads[name].reshape(n, rows, size)[:, 0]
         scale = np.maximum(np.max(np.abs(fd), axis=1), 1e-8)
-        worst = np.maximum(worst, np.max(np.abs(analytic - fd), axis=1) / scale)
-    return worst
+        err = np.abs(np.take_along_axis(analytic, idx, axis=1) - fd)
+        worst = np.maximum(worst, np.max(err, axis=1) / scale)
+        exact &= ~np.any((analytic != 0.0) & mask, axis=1)
+    return np.where(exact, worst, np.inf)
 
 
 def check_family(
@@ -323,14 +358,17 @@ def check_family(
 
 
 def _probe_rows(spec, k: int) -> int:
-    """Rows of one instance's probe block: the instance and two per entry."""
+    """Rows of one instance's probe block: the instance, two per probed
+    entry and, for a hard-label per-bin family, the row that moves the
+    deltas of every head but argmax(logits)."""
+    d = spec.pose_dim
     if spec.family in losses.DIRECT_FAMILIES:
-        entries = spec.pose_dim
-    elif spec.family == "C":
-        entries = k
-    else:
-        entries = k + (k * spec.pose_dim if spec.per_bin else spec.pose_dim)
-    return 1 + 2 * entries
+        return 1 + 2 * d
+    if spec.family == "C":
+        return 1 + 2 * k
+    if spec.per_bin and spec.family not in _EXPECTATION_FAMILIES:
+        return 2 + 2 * (k + d)
+    return 1 + 2 * (k + (k * d if spec.per_bin else d))
 
 
 def default_specs():

@@ -12,6 +12,7 @@ plus a seed reproduces every byte of every artifact.
 import dataclasses
 import json
 import math
+import numbers
 import operator
 import os
 import statistics
@@ -52,9 +53,10 @@ def _count(value, name: str, least: int = 1) -> int:
 
 
 def _finite(*values) -> bool:
-    """Whether every value is a finite number; a bool, which json and
-    Python both let pass for 0 or 1, is not."""
-    return all(not isinstance(v, bool) and math.isfinite(v) for v in values)
+    """Whether every value is a finite real number; a bool, which json and
+    Python both let pass for 0 or 1, is not, nor is a string or None."""
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in values)
 
 
 def _set_counts(cfg, least: int, *names) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -112,9 +113,11 @@ class ObjectiveSpec:
             raise FamilyMismatch(f"{self.family} requires the axis-angle representation")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 10.0 if self.per_bin else 1.0)
-        for name in ("alpha", "gamma"):  # a bool would pass math.isfinite as 0 or 1
+        # a string would fail math.isfinite with a TypeError naming no field,
+        # and a bool would pass it as 0 or 1
+        for name in ("alpha", "gamma"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
+            if value is not None and (not isinstance(value, numbers.Real) or isinstance(value, bool)
                                       or not (math.isfinite(value) and value > 0.0)):
                 raise FamilyMismatch(f"{name} must be positive and finite")
 

@@ -31,6 +31,9 @@ from . import so3
 
 IOU_THRESHOLD = 0.5
 ANGLE_THRESHOLD_DEG = 30.0
+# IoU entries per table block: match_detections scores at most this many
+# (detection, ground truth) pairs at once, which bounds its memory
+_IOU_BLOCK = 1 << 13
 
 
 class EmptyCategory(ValueError):
@@ -39,7 +42,9 @@ class EmptyCategory(ValueError):
 
 def _checked_box(box, score=1.0) -> tuple:
     """box as a tuple of floats.  Raises ValueError unless the box and the
-    score are finite and x1 < x2 and y1 < y2; every record gets this check."""
+    score are finite and x1 < x2 and y1 < y2.  Detection and GroundTruth
+    check each box with it; read_records checks whole columns and raises
+    through it for the first failing record."""
     x1, y1, x2, y2 = box = tuple(float(v) for v in box)
     if not (x1 < x2 and y1 < y2 and all(map(math.isfinite, box + (float(score),)))):
         raise ValueError(f"box {box} and score {score!r} must be finite, with x1 < x2 and y1 < y2")
@@ -181,25 +186,29 @@ def acc_pi6(records: PoseRecords):
 
 def match_detections(detections, ground_truths):
     """Greedy IoU matching; returns [(det_index, gt_index or None), ...]
-    ordered by descending score (input order on ties).  Each detection
-    takes one IoU row against its category's unclaimed ground truths; on
-    equal IoU the lowest index wins (argmax takes the first maximum)."""
+    ordered by descending score (input order on ties).  Each category's
+    detections x ground truths IoU table is scored in blocks of at most
+    _IOU_BLOCK entries, keeping each detection's candidates (IoU > 0.5)
+    best first, lowest index on equal IoU.  Each detection then claims its
+    first unclaimed candidate: the highest-IoU unclaimed ground truth."""
     dets, gts = _table(detections), _table(ground_truths)
-    pools = {}  # category -> (ground-truth indices, their boxes, unclaimed mask)
+    candidates = [[] for _ in range(len(dets))]
     for cat in set(gts.category.tolist()):
-        idx = np.flatnonzero(gts.category == cat)
-        pools[cat] = (idx.tolist(), gts.box[idx], np.ones(idx.size, dtype=bool))
-    categories = dets.category.tolist()
-    pairs = []
+        gt_idx = np.flatnonzero(gts.category == cat)
+        det_idx = np.flatnonzero(dets.category == cat)
+        step = max(1, _IOU_BLOCK // gt_idx.size)
+        for start in range(0, det_idx.size, step):
+            block = det_idx[start : start + step]
+            table = iou(dets.box[block, None], gts.box[gt_idx])
+            d, g = np.nonzero(table > IOU_THRESHOLD)
+            order = np.lexsort((g, -table[d, g], d))
+            for i, j in zip(block[d[order]].tolist(), gt_idx[g[order]].tolist()):
+                candidates[i].append(j)
+    claimed, pairs = set(), []
     for i in np.argsort(-dets.score, kind="stable").tolist():
-        best_j = None
-        if categories[i] in pools:
-            idx, boxes, free = pools[categories[i]]
-            ov = np.where(free, iou(dets.box[i], boxes), 0.0)
-            k = int(ov.argmax())
-            if ov[k] > IOU_THRESHOLD:
-                free[k] = False
-                best_j = idx[k]
+        best_j = next((j for j in candidates[i] if j not in claimed), None)
+        if best_j is not None:
+            claimed.add(best_j)
         pairs.append((i, best_j))
     return pairs
 
@@ -394,25 +403,44 @@ def write_records(path, detections, ground_truths) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_boxes(tags, values):
+    """The (n, 9) numbers, the scores (ones on gt lines) and the gt mask of
+    the records read so far, after one check of every box and score; the
+    first failing record raises _checked_box's error, as if each record had
+    been checked in turn."""
+    is_gt = np.array(tags, dtype=str) == "gt"
+    values = np.reshape(values, (-1, 9))
+    box, score = values[:, :4], np.where(is_gt, 1.0, values[:, 4])
+    ok = np.isfinite(box).all(axis=1) & np.isfinite(score)
+    ok &= (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
+    if not ok.all():
+        i = int(ok.argmin())
+        _checked_box(box[i], float(score[i]))
+    return values, score, is_gt
+
+
 def read_records(path):
     """(detections, ground_truths) of a records file, as RecordTables.  They
     keep the quaternions as parsed, so write_records reproduces the file;
     the rotations are those of the normalized quaternions, as UnitQuaternion
     would store them, checked as so3.Rotation checks one."""
     cats, tags, values = [], [], []  # the nine numbers of each record
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            cols = line.split()
-            if not cols or cols[0].startswith("#"):
-                continue
-            if len(cols) != 11 or cols[1] not in ("gt", "det"):
-                raise ValueError(f"malformed record line: {line.strip()!r}")
-            numbers = [float(v) for v in cols[2:]]
-            _checked_box(numbers[:4], numbers[4] if cols[1] == "det" else 1.0)
-            cats.append(cols[0])
-            tags.append(cols[1])
-            values.extend(numbers)
-    values = np.reshape(values, (-1, 9))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                cols = line.split()
+                if not cols or cols[0].startswith("#"):
+                    continue
+                if len(cols) != 11 or cols[1] not in ("gt", "det"):
+                    raise ValueError(f"malformed record line: {line.strip()!r}")
+                numbers = list(map(float, cols[2:]))
+                cats.append(cols[0])
+                tags.append(cols[1])
+                values.extend(numbers)
+    except ValueError:  # also a UnicodeDecodeError: a bad box on an earlier line comes first
+        _check_boxes(tags, values)
+        raise
+    values, score, is_gt = _check_boxes(tags, values)
     quats = values[:, 5:]
     norms = np.linalg.norm(quats, axis=1)
     off_unit = ~(np.abs(norms - 1.0) <= 1e-6)  # also non-finite norms
@@ -420,7 +448,6 @@ def read_records(path):
         i = int(off_unit.argmax())
         raise ValueError(f"record {i + 1} ({cats[i]} {tags[i]}): "
                          f"quaternion norm {norms[i]:.6g} is not 1")
-    is_gt = np.array(tags, dtype=str) == "gt"
-    table = RecordTable(np.array(cats, dtype=str), values[:, :4], np.where(is_gt, 1.0, values[:, 4]),
+    table = RecordTable(np.array(cats, dtype=str), values[:, :4], score,
                         so3.check_rotations(dct.pose_matrices(quats, dct.QUATERNION)), quats)
     return table.take(~is_gt), table.take(is_gt)

@@ -341,6 +341,22 @@ def test_config_with_a_non_finite_float_exits_two(tiny_config_path, tmp_path, ca
 
 
 @pytest.mark.parametrize("section, name, value", [
+    ("data", "noise", "0.1"), ("optimizer", "learning_rate", "1e-3"),
+    ("data", "mode_spread", None), ("objective", "alpha", "1"),
+])
+def test_config_float_that_is_not_a_number_exits_two(tiny_config_path, tmp_path, capsys,
+                                                     section, name, value):
+    _edit_config(tiny_config_path, section, name, value)
+    argv = ["run", "--config", str(tiny_config_path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {tiny_config_path}: ") and name in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, name, value", [
     (None, "trials", 3), ("objective", "combination", "additive"),
 ])
 def test_config_with_a_removed_option_exits_two(tiny_config_path, tmp_path, capsys,

@@ -169,6 +169,32 @@ def test_config_constructors_refuse_booleans():
         losses.ObjectiveSpec("M_X", gamma=True)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: harness.OptimizerConfig(learning_rate="1e-3"),
+     "^learning_rate and decay must be positive and finite"),
+    (lambda: harness.DataConfig(noise="0.1"), "^noise must be non-negative and finite"),
+    (lambda: harness.DataConfig(mode_spread=None), "^mode_spread must be positive and finite"),
+    (lambda: losses.ObjectiveSpec("M_G", alpha="1"), "^alpha must be positive and finite"),
+    (lambda: losses.ObjectiveSpec("M_X", gamma=[1.0]), "^gamma must be positive and finite"),
+])
+def test_config_floats_refuse_values_that_are_not_numbers(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+# alpha and gamma take null as "use the default"; the other floats have no such meaning
+@pytest.mark.parametrize("section, name, value", [
+    (section, name, value) for section, name in NON_FINITE_FLOATS + [
+        ("optimizer", "beta1"), ("optimizer", "beta2")]
+    for value in ["0.5", [0.5], {"value": 0.5}] + ([] if section == "objective" else [None])
+])
+def test_config_floats_given_as_json_strings_or_null_name_their_field(section, name, value):
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    doc[section][name] = value
+    with pytest.raises(ValueError, match=name):
+        harness.config_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("hidden", [[8.7], [16, 8.0], [0], []])
 def test_hidden_sizes_must_be_positive_integers(hidden):
     with pytest.raises(ValueError, match="hidden"):

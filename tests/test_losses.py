@@ -428,6 +428,121 @@ def test_run_all_reproduces_golden_reports():
         assert record_golden_gradcheck.report_cells(reports) == cells
 
 
+def _probe_every_entry(spec, s, h):
+    """gradcheck._probe_errors as it was before per-bin heads went unprobed:
+    rows 2i + 1 and 2i + 2 of each instance's block move entry i of every
+    gradient slot by +h and -h, whether or not the value reads it."""
+    n, views = s.size, s.views(spec)
+    sizes = [arr[0].size for _, arr in views]
+    rows = 1 + 2 * sum(sizes)
+    stacked, offset = [], 0
+    for (_, arr), size in zip(views, sizes):
+        probes = np.repeat(np.asarray(arr, dtype=float)[:, None], rows, axis=1)
+        flat = probes.reshape(n, rows, size)
+        entry = np.arange(size)
+        flat[:, 1 + 2 * (offset + entry), entry] += h
+        flat[:, 2 + 2 * (offset + entry), entry] -= h
+        stacked.append(probes.reshape((n * rows,) + probes.shape[2:]))
+        offset += size
+    prediction = stacked[0] if len(stacked) == 1 else tuple(stacked)
+    y, label, soft, keys = (
+        None if f is None else np.repeat(f, rows, axis=0) for f in (s.y, s.label, s.soft, s.keys)
+    )
+    batch = losses.objective_batch(spec, prediction, losses.TargetBatch(y, label, soft), keys)
+    values = batch.values.reshape(n, rows)
+    fd_all = (values[:, 1::2] - values[:, 2::2]) / (2.0 * h)
+    worst, offset = np.zeros(n), 0
+    for (name, _), size in zip(views, sizes):
+        fd = fd_all[:, offset : offset + size]
+        offset += size
+        analytic = batch.grads[name].reshape(n, rows, size)[:, 0]
+        scale = np.maximum(np.max(np.abs(fd), axis=1), 1e-8)
+        worst = np.maximum(worst, np.max(np.abs(analytic - fd), axis=1) / scale)
+    return worst
+
+
+def _every_entry_rows(spec, k):
+    if spec.family in losses.DIRECT_FAMILIES:
+        return 1 + 2 * spec.pose_dim
+    if spec.family == "C":
+        return 1 + 2 * k
+    return 1 + 2 * (k + (k * spec.pose_dim if spec.per_bin else spec.pose_dim))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 202])
+def test_reports_equal_those_of_probing_every_entry(monkeypatch, seed):
+    reports = gradcheck.run_all(instances=100, seed=seed)
+    monkeypatch.setattr(gradcheck, "_probe_errors", _probe_every_entry)
+    monkeypatch.setattr(gradcheck, "_probe_rows", _every_entry_rows)
+    want = gradcheck.run_all(instances=100, seed=seed)
+    cells = record_golden_gradcheck.report_cells
+    assert cells(reports) == cells(want)
+
+
+HARD_PER_BIN = ("M_Gp", "M_Rp", "M_Xp", "M_Sp", "M_LEp")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    gradcheck.default_specs(),
+    ids=lambda s: f"{s.family}-{s.representation}",
+)
+def test_probe_rows_count_the_rows_of_each_instance(monkeypatch, spec):
+    sizes, objective = [], losses.objective_batch
+
+    def counted(*args):
+        batch = objective(*args)
+        sizes.append(len(batch.values))
+        return batch
+
+    monkeypatch.setattr(losses, "objective_batch", counted)
+    gradcheck.check_family(spec, instances=3, k=6)
+    assert sizes == [3 * gradcheck._probe_rows(spec, 6)]
+    # the hard-label per-bin families probe one head: 24 rows, not 65, at k = 8
+    if spec.family in HARD_PER_BIN:
+        assert gradcheck._probe_rows(spec, 8) == 24
+    elif spec.family in ("M_Pp", "M_XPp"):
+        assert gradcheck._probe_rows(spec, 8) == 65
+
+
+def _wrong_head_gradient(objective, spec, prediction, targets, keys):
+    """(a) the per-bin gradient lands on head argmax + 1."""
+    batch = objective(spec, prediction, targets, keys)
+    grads = dict(batch.grads, deltas=np.roll(batch.grads["deltas"], 1, axis=1))
+    return losses.BatchLoss(batch.values, grads, batch.non_smooth)
+
+
+def _value_reads_another_head(objective, spec, prediction, targets, keys):
+    """(b) the value adds a small term of head argmax + 1's deltas."""
+    batch = objective(spec, prediction, targets, keys)
+    logits, deltas = prediction
+    other = (np.argmax(logits, axis=1) + 1) % logits.shape[1]
+    extra = 1e-2 * deltas[np.arange(len(deltas)), other].sum(axis=1)
+    return losses.BatchLoss(batch.values + extra, batch.grads, batch.non_smooth)
+
+
+def _both_read_the_wrong_head(objective, spec, prediction, targets, keys):
+    """(c) value and gradient both use head argmax + 1, consistently."""
+    logits, deltas = prediction
+    batch = objective(spec, (logits, np.roll(deltas, -1, axis=1)), targets, keys)
+    grads = dict(batch.grads, deltas=np.roll(batch.grads["deltas"], 1, axis=1))
+    return losses.BatchLoss(batch.values, grads, batch.non_smooth)
+
+
+@pytest.mark.parametrize("mutation", [_wrong_head_gradient, _value_reads_another_head,
+                                      _both_read_the_wrong_head])
+@pytest.mark.parametrize("family", HARD_PER_BIN)
+def test_check_family_fails_an_objective_that_mixes_up_heads(monkeypatch, family, mutation):
+    objective = losses.objective_batch
+    monkeypatch.setattr(losses, "objective_batch",
+                        lambda *args: mutation(objective, *args))
+    report = gradcheck.check_family(_spec(family), instances=10)
+    assert not report.passed
+    # the unprobed heads' exact checks fail, which report an infinite error;
+    # FD on the selected head sees (a) but not (b) or (c)
+    assert report.max_rel_error == math.inf
+
+
 @pytest.mark.parametrize("instances", [0, -1])
 def test_check_family_rejects_no_instances(instances):
     with pytest.raises(ValueError, match="^instances must be at least 1"):

@@ -503,6 +503,77 @@ def test_every_category_the_records_writer_accepts_reads_back(tmp_path_factory, 
     assert dets.category.tolist() == gts.category.tolist() == table.category.tolist()
 
 
+GOOD_RECORD = "car gt 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0 0.0"
+BAD_BOX = "car det 5.0 0.0 1.0 10.0 0.5 1.0 0.0 0.0 0.0"
+TEN_COLUMNS = "car gt 0.0 0.0 10.0 10.0 1.0 1.0 0.0 0.0"
+NOT_A_NUMBER = "car det 0.0 0.0 10.0 10.0 0.5 one 0.0 0.0 0.0"
+NAN_SCORE = "car det 0.0 0.0 10.0 10.0 nan 1.0 0.0 0.0 0.0"
+OFF_UNIT = "car det 0.0 0.0 10.0 10.0 0.5 2.0 0.0 0.0 0.0"
+BOX_RULE = "must be finite, with x1 < x2 and y1 < y2"
+BAD_BOX_ERROR = f"box (5.0, 0.0, 1.0, 10.0) and score 0.5 {BOX_RULE}"
+TEN_COLUMNS_ERROR = f"malformed record line: {TEN_COLUMNS!r}"
+NOT_A_NUMBER_ERROR = "could not convert string to float: 'one'"
+NAN_SCORE_ERROR = f"box (0.0, 0.0, 10.0, 10.0) and score nan {BOX_RULE}"
+OFF_UNIT_ERROR = "record 2 (car det): quaternion norm 2 is not 1"
+
+
+# every box is checked before any quaternion, and a box on an earlier line
+# before a malformed or unparsable later line
+@pytest.mark.parametrize("lines, error", [
+    ([BAD_BOX, TEN_COLUMNS], BAD_BOX_ERROR),
+    ([TEN_COLUMNS, BAD_BOX], TEN_COLUMNS_ERROR),
+    ([BAD_BOX, NOT_A_NUMBER], BAD_BOX_ERROR),
+    ([NOT_A_NUMBER, BAD_BOX], NOT_A_NUMBER_ERROR),
+    ([NAN_SCORE], NAN_SCORE_ERROR),
+    ([NAN_SCORE, BAD_BOX], NAN_SCORE_ERROR),
+    ([BAD_BOX, NAN_SCORE], BAD_BOX_ERROR),
+    ([BAD_BOX, OFF_UNIT], BAD_BOX_ERROR),
+    ([OFF_UNIT, BAD_BOX], BAD_BOX_ERROR),
+    ([OFF_UNIT, TEN_COLUMNS], TEN_COLUMNS_ERROR),
+    ([OFF_UNIT], OFF_UNIT_ERROR),
+])
+def test_records_reader_raises_the_first_error_in_file_order(tmp_path, lines, error):
+    path = tmp_path / "records.txt"
+    path.write_text("\n".join([GOOD_RECORD, "# a comment", *lines, GOOD_RECORD]) + "\n")
+    with pytest.raises(ValueError) as info:
+        metrics.read_records(path)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("good_lines, error", [(0, UnicodeDecodeError), (1000, BAD_BOX_ERROR)])
+def test_records_reader_raises_a_bad_box_before_a_later_undecodable_byte(tmp_path, good_lines,
+                                                                         error):
+    # a line is checked once the reader has decoded the text around it: a
+    # bad byte a few lines on is met first, one 1,000 lines on is not
+    path = tmp_path / "records.txt"
+    text = "\n".join([GOOD_RECORD, BAD_BOX, *[GOOD_RECORD] * good_lines, "car gt \xff"]) + "\n"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValueError) as info:
+        metrics.read_records(path)
+    if isinstance(error, str):
+        assert str(info.value) == error
+    else:
+        assert type(info.value) is error
+
+
+def test_records_reader_ignores_the_score_column_of_ground_truths(tmp_path):
+    path = tmp_path / "records.txt"
+    path.write_text("car gt 0.0 0.0 10.0 10.0 nan 1.0 0.0 0.0 0.0\n"
+                    "car gt 0.0 0.0 10.0 10.0 -inf 1.0 0.0 0.0 0.0\n")
+    dets, gts = metrics.read_records(path)
+    assert len(dets) == 0 and gts.score.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("text", ["", "# only comments\n\n   \n#car gt 0 0 1 1\n"])
+def test_records_reader_reads_no_records_from_an_empty_file(tmp_path, text):
+    path = tmp_path / "records.txt"
+    path.write_text(text)
+    dets, gts = metrics.read_records(path)
+    assert len(dets) == len(gts) == 0
+    assert dets.box.shape == gts.box.shape == (0, 4)
+    assert dets.rotation.shape == gts.rotation.shape == (0, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # golden detection set
 

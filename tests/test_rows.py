@@ -1,11 +1,13 @@
 """Row-wise maps against their one-row calls: every so3 map, the Lloyd
-step of fit_kmeans, the IoU rows of the detection matcher, the
+step of fit_kmeans, the blocked IoU tables of the detection matcher, the
 whole-buffer Adam step against the per-array one, the flat-buffer
 backward against the per-layer one it replaced, the key-stack dictionary
 helpers, objective_batch with per-row keys, and the stacked gradcheck
 sampler against the one-candidate loop."""
 
 import math
+import os
+import sys
 import warnings
 from unittest import mock
 
@@ -15,10 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientgeo import dictionary as dct
-from orientgeo import gradcheck, harness, losses, metrics, models, so3
+from orientgeo import cli, gradcheck, harness, losses, metrics, models, so3
 
 from so3_helpers import azimuth_bin, random_axis_angle, random_rotation, rot_x, rot_z
 from test_dataset_exact import reference_generate
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import records as bench_records  # noqa: E402  (perfbench/records.py: benchmark records files)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 ROWS = st.integers(min_value=1, max_value=6)
@@ -451,7 +456,7 @@ def _iou_scalar(box_a, box_b):
 
 def _match_loop(detections, ground_truths):
     """match_detections as a double loop over every (detection, ground
-    truth) pair: the reference for the one-IoU-row-per-detection matcher."""
+    truth) pair: the reference for the blocked IoU-table matcher."""
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     taken = [False] * len(ground_truths)
     pairs = []
@@ -519,19 +524,120 @@ def _detection_sets(g, d, n_gt, n_cats):
     return dets, gts
 
 
+# IoU blocks of 1, 3 or 8 entries split a category's detections over
+# several blocks; the default budget holds every category here in one
 @settings(max_examples=300, deadline=None)
 @given(
     SEEDS,
     st.integers(min_value=0, max_value=14),
     st.integers(min_value=0, max_value=10),
     st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 3, 8, metrics._IOU_BLOCK]),
 )
-@example(seed=0, d=0, n_gt=5, n_cats=2)
-@example(seed=0, d=6, n_gt=0, n_cats=2)
-def test_match_detections_equals_double_loop(seed, d, n_gt, n_cats):
+@example(seed=0, d=0, n_gt=5, n_cats=2, block=metrics._IOU_BLOCK)
+@example(seed=0, d=6, n_gt=0, n_cats=2, block=1)
+@example(seed=1, d=14, n_gt=4, n_cats=1, block=8)
+def test_match_detections_equals_double_loop(seed, d, n_gt, n_cats, block):
     g = np.random.default_rng(seed)
     dets, gts = _detection_sets(g, d, n_gt, n_cats)
-    assert metrics.match_detections(dets, gts) == _match_loop(dets, gts)
+    with mock.patch.object(metrics, "_IOU_BLOCK", block):
+        assert metrics.match_detections(dets, gts) == _match_loop(dets, gts)
+
+
+def _counted_iou():
+    """A stand-in for metrics.iou that counts its calls in .calls."""
+    iou = metrics.iou
+
+    def counted(a, b):
+        counted.calls += 1
+        return iou(a, b)
+
+    counted.calls = 0
+    return counted
+
+
+def _det(box, score):
+    return metrics.Detection("a", box, score, so3.Rotation.identity())
+
+
+def _gt(category, box):
+    return metrics.GroundTruth(category, box, so3.Rotation.identity())
+
+
+def test_small_iou_blocks_split_a_category():
+    gts = [_gt("a", (10.0 * j, 0.0, 10.0 * j + 10.0, 10.0)) for j in range(3)]
+    dets = [_det((10.0 * j + 1.0, 0.0, 10.0 * j + 11.0, 10.0), 0.1 * j) for j in range(7)]
+    for block, calls in ((6, 4), (3, 7), (1, 7), (metrics._IOU_BLOCK, 1)):
+        counted = _counted_iou()
+        with mock.patch.object(metrics, "_IOU_BLOCK", block), \
+                mock.patch.object(metrics, "iou", counted):
+            assert metrics.match_detections(dets, gts) == _match_loop(dets, gts)
+        assert counted.calls == calls
+
+
+@pytest.mark.parametrize("block", [1, metrics._IOU_BLOCK])
+def test_equal_iou_against_two_ground_truths_goes_to_the_lowest_index(block):
+    box = (0.0, 0.0, 10.0, 10.0)
+    left, right = _gt("a", (-1.0, 0.0, 9.0, 10.0)), _gt("a", (1.0, 0.0, 11.0, 10.0))
+    assert _as_bits(metrics.iou(box, left.box)) == _as_bits(metrics.iou(box, right.box))
+    assert metrics.iou(box, left.box) > metrics.IOU_THRESHOLD
+    dets = [_det(box, 0.5), _det(box, 0.9)]
+    with mock.patch.object(metrics, "_IOU_BLOCK", block):
+        for gts in ([_gt("b", box), left, right], [_gt("b", box), right, left]):
+            # the higher score claims index 1; the other detection takes index 2
+            assert metrics.match_detections(dets, gts) == [(1, 1), (0, 2)] == _match_loop(dets, gts)
+
+
+def test_iou_of_exactly_one_half_claims_nothing():
+    det = _det((0.0, 0.0, 10.0, 10.0), 0.5)
+    half, more = _gt("a", (0.0, 0.0, 10.0, 5.0)), _gt("a", (0.0, 0.0, 10.0, 6.0))
+    assert metrics.iou(det.box, half.box) == metrics.IOU_THRESHOLD
+    assert metrics.match_detections([det], [half]) == [(0, None)]
+    assert metrics.match_detections([det], [half, more]) == [(0, 1)]
+
+
+def _match_rows(detections, ground_truths):
+    """match_detections with one IoU row per detection against its
+    category's unclaimed ground truths, argmax taking the first maximum:
+    the matcher the blocked IoU tables replaced."""
+    dets, gts = metrics._table(detections), metrics._table(ground_truths)
+    pools = {}
+    for cat in set(gts.category.tolist()):
+        idx = np.flatnonzero(gts.category == cat)
+        pools[cat] = (idx.tolist(), gts.box[idx], np.ones(idx.size, dtype=bool))
+    pairs = []
+    for i in np.argsort(-dets.score, kind="stable").tolist():
+        best_j = None
+        if dets.category[i] in pools:
+            idx, boxes, free = pools[dets.category[i]]
+            ov = np.where(free, metrics.iou(dets.box[i], boxes), 0.0)
+            k = int(ov.argmax())
+            if ov[k] > metrics.IOU_THRESHOLD:
+                free[k] = False
+                best_j = idx[k]
+        pairs.append((i, best_j))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 202])
+def test_benchmark_records_match_and_evaluate_as_with_one_iou_row_per_detection(
+        tmp_path, capsys, seed):
+    path = tmp_path / "records.txt"
+    bench_records.generate(path, seed)
+    dets, gts = metrics.read_records(path)
+    counted = _counted_iou()
+    with mock.patch.object(metrics, "iou", counted):
+        pairs = metrics.match_detections(dets, gts)
+    assert pairs == _match_rows(dets, gts)
+    # one table block per category at most a few times over, not one row per detection
+    assert counted.calls < len(dets) / 10
+    argv = ["eval", "--records", str(path), "--metric", bench_records.EVAL_METRICS,
+            "--bins", str(bench_records.AVP_BINS)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    with mock.patch.object(metrics, "match_detections", _match_rows):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 # ---------------------------------------------------------------------------
