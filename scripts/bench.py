@@ -134,7 +134,7 @@ def _step_timings(cfg, repeats):
     out, cache = models.forward_cached(net, feats)
     rows = out.reshape(g * n, -1)
     grad_out = losses.objective_batch(spec, rows, targets, None).grads["pose"].reshape(g, n, -1) / n
-    adam = harness._Adam(net, opt)
+    adam = harness._Adam(net)
     grad = models.backward(net, cache, grad_out)
     buf = np.empty_like(grad)
     return {
@@ -314,7 +314,7 @@ def main() -> int:
     entries = {}
     for name, cfg in _configs().items():
         targets = harness.pooled_train_targets(cfg, harness.generate_synthetic(cfg))
-        k, rep, seed = cfg.dictionary_size, cfg.objective.representation, cfg.dictionary_seed
+        k, rep, seed = cfg.dictionary_size, cfg.objective.representation, harness.DICTIONARY_SEED
         counts = _counted_fit(targets, k, seed, rep)
         dictionary = dct.fit_kmeans(targets, k, seed, rep)
         entries[name] = {

@@ -73,18 +73,11 @@ class OptimizerConfig:
     decay: float = 0.1
     epochs: int = 5
     batch_per_category: int = 8  # split half clean / half augmented when possible
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not all(_finite(x) and x > 0.0 for x in (self.learning_rate, self.decay)):
             raise ValueError("learning_rate and decay must be positive and finite")
         _set_counts(self, 1, "epochs", "batch_per_category")
-        if not (_finite(self.beta1, self.beta2, self.eps) and 0.0 <= self.beta1 < 1.0
-                and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
-            raise ValueError("invalid Adam moments: beta1 and beta2 must lie in [0, 1), "
-                             "eps must be positive and finite")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +109,6 @@ class ExperimentConfig:
         default_factory=lambda: losses.ObjectiveSpec("M_G")
     )
     dictionary_size: int = 100
-    dictionary_seed: int = 0
     hidden: tuple = (64, 32)
     optimizer: OptimizerConfig = dataclasses.field(default_factory=OptimizerConfig)
     data: DataConfig = dataclasses.field(default_factory=DataConfig)
@@ -124,7 +116,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _set_counts(self, 1, "dictionary_size")
-        _set_counts(self, 0, "seed", "dictionary_seed")
+        _set_counts(self, 0, "seed")
         hidden = tuple(_count(h, "each hidden size") for h in self.hidden)
         if not hidden:
             raise ValueError("hidden must list at least one layer size")
@@ -147,7 +139,6 @@ def config_from_json(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         objective=losses.ObjectiveSpec(**doc["objective"]),
         dictionary_size=doc["dictionary_size"],
-        dictionary_seed=doc["dictionary_seed"],
         hidden=tuple(doc["hidden"]),
         optimizer=OptimizerConfig(**doc["optimizer"]),
         data=DataConfig(**doc["data"]),
@@ -287,6 +278,8 @@ def generate_synthetic(cfg: ExperimentConfig, seed=None) -> SyntheticDataset:
 # ---------------------------------------------------------------------------
 # dictionary + targets
 
+DICTIONARY_SEED = 0  # k-means++ seed of every run's shared dictionary
+
 
 def pose_vector(rotation_matrix: np.ndarray, representation: str) -> np.ndarray:
     """Pose vector (..., d) of each rotation matrix (..., 3, 3): its log, or
@@ -307,7 +300,7 @@ def pooled_train_targets(cfg: ExperimentConfig, dataset: SyntheticDataset) -> np
 def fit_shared_dictionary(cfg: ExperimentConfig, dataset: SyntheticDataset) -> dct.PoseDictionary:
     """One dictionary for all categories, fit on the pooled train targets."""
     return dct.fit_kmeans(pooled_train_targets(cfg, dataset), cfg.dictionary_size,
-                          cfg.dictionary_seed, cfg.objective.representation)
+                          DICTIONARY_SEED, cfg.objective.representation)
 
 
 def _make_targets(spec, dictionary, target_mats, gamma) -> losses.TargetBatch:
@@ -407,6 +400,8 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 class _Adam:
     """Adam state for one stacked MLP's (..., P) parameter buffer.  Each
@@ -421,8 +416,7 @@ class _Adam:
     need no (1 - b) factor; alpha_t and eps_t absorb it.
     """
 
-    def __init__(self, net: models.MLP, opt: OptimizerConfig):
-        self.opt = opt
+    def __init__(self, net: models.MLP):
         self.t = np.zeros(net.params.shape[:-1], dtype=int)
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
@@ -433,7 +427,7 @@ class _Adam:
         scratch.  params is the whole buffer, or with `sel` (np.nonzero of a
         mask over the stack axes) its rows at sel, which the caller gathered
         and writes back; m, v and t then move at sel only."""
-        o = self.opt
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         m, v, a = self.m, self.v, self._scratch
         if sel is None:
             self.t += 1
@@ -446,13 +440,13 @@ class _Adam:
         # with m = (1 - b1) m~ and v = (1 - b2) v~, alpha_t m / (sqrt(v) + eps_t)
         # is rate m~ / (sqrt(v~) + eps_v), where rate = alpha_t (1 - b1) / sqrt(1 - b2)
         # and eps_v = eps_t / sqrt(1 - b2)
-        root_c2 = np.sqrt((1.0 - o.beta2**t) / (1.0 - o.beta2))
-        rate = (lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1**t))[..., None]
-        eps_v = (o.eps * root_c2)[..., None]
+        root_c2 = np.sqrt((1.0 - b2**t) / (1.0 - b2))
+        rate = (lr * (1.0 - b1) * root_c2 / (1.0 - b1**t))[..., None]
+        eps_v = (ADAM_EPS * root_c2)[..., None]
         # m~ b1 + g, v~ b2 + g g, rate * (m~ / (sqrt(v~) + eps_v))
-        np.multiply(m, o.beta1, out=m)
+        np.multiply(m, b1, out=m)
         m += grad
-        np.multiply(v, o.beta2, out=v)
+        np.multiply(v, b2, out=v)
         v += np.multiply(grad, grad, out=a)
         np.sqrt(v, out=grad)
         grad += eps_v
@@ -483,10 +477,8 @@ def _training_rows(spec, dictionary, dataset, gamma):
     """The train split's own features (G, rows, feature_dim), not a copy,
     and its G * rows targets in category order: each category's clean rows
     first, then its aug_rows jittered ones."""
-    parts = [_make_targets(spec, dictionary, mats, gamma) for mats in dataset.train.targets]
-    fields = zip(*((t.y, t.label, t.soft, t.ref) for t in parts))
-    targets = losses.TargetBatch(*(None if f[0] is None else np.concatenate(f) for f in fields))
-    return dataset.train.features, targets
+    mats = dataset.train.targets.reshape(-1, 3, 3)
+    return dataset.train.features, _make_targets(spec, dictionary, mats, gamma)
 
 
 def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss:
@@ -575,7 +567,7 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     for epoch, epoch_spec in enumerate(schedule):
         if epoch == 0 or epoch_spec.family != schedule[epoch - 1].family:
             adams = None  # release the old moments before allocating fresh ones
-            adams = {role: _Adam(net, opt) for role, net in nets.items()}
+            adams = {role: _Adam(net) for role, net in nets.items()}
         lr = opt.learning_rate * opt.decay**epoch
 
         # epoch plan (steps, G * n) of flat rows: per category, clean rows then pool rows

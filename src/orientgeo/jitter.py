@@ -108,9 +108,6 @@ class JitterGrid:
 # h22 first, then row-major: a warp's sign makes the first nonzero of these
 # entries positive
 _SIGN_ORDER = [8, 0, 1, 2, 3, 4, 5, 6, 7]
-# sign(row) @ _FIRST_NONZERO has the sign of the row's first nonzero entry:
-# each weight exceeds the sum of the weights after it
-_FIRST_NONZERO = 2.0 ** np.arange(8, -1, -1)
 
 
 def normalize_homographies(h) -> np.ndarray:
@@ -127,7 +124,7 @@ def normalize_homographies(h) -> np.ndarray:
     if not (np.all(np.isfinite(n)) and np.all(n >= 1e-12)):
         raise DegenerateConfiguration("homography is numerically zero or not finite")
     h = np.where(np.abs(n - 1.0) > 1e-9, h / n, h)
-    h = h * np.sign(np.sign(h.reshape(flat.shape)[..., _SIGN_ORDER]) @ _FIRST_NONZERO)[..., None, None]
+    h = h * so3._first_sign(h.reshape(flat.shape)[..., _SIGN_ORDER])[..., None, None]
     if np.any(np.abs(np.linalg.det(h)) < 1e-12):
         raise DegenerateConfiguration("homography is singular")
     return h

@@ -270,27 +270,33 @@ def save_mlp(net: MLP, path) -> None:
 
 
 def load_mlp(path) -> MLP:
-    """Read a save_mlp checkpoint.  ValueError when its version is unknown,
-    its activations or sizes do not match its tensors, or a tensor holds a
-    NaN or infinity."""
+    """Read a save_mlp checkpoint.  ValueError when it is not a JSON object
+    with save_mlp's keys and value types, its version is unknown, its
+    activations or sizes do not match its tensors, or a tensor holds a NaN
+    or infinity."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a checkpoint must be a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-    tensors, activations = doc["tensors"], doc["activations"]
-    if not tensors or len(activations) != len(tensors):
-        raise ValueError(f"checkpoint has {len(tensors)} tensors, {len(activations)} activations")
-    layers = [
-        Layer(
-            np.array(t["weight"], dtype=float),
-            np.array(t["bias"], dtype=float),
-            act,
-        )
-        for t, act in zip(tensors, activations)
-    ]
+    try:  # a missing key, or a value of another JSON type than save_mlp writes
+        tensors, activations, sizes = doc["tensors"], doc["activations"], doc["sizes"]
+        if not tensors or len(activations) != len(tensors):
+            raise ValueError(f"checkpoint has {len(tensors)} tensors, {len(activations)} activations")
+        layers = [
+            Layer(
+                np.array(t["weight"], dtype=float),
+                np.array(t["bias"], dtype=float),
+                act,
+            )
+            for t, act in zip(tensors, activations)
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint: {exc!r}") from exc
     if not all(np.all(np.isfinite(l.weight)) and np.all(np.isfinite(l.bias)) for l in layers):
         raise ValueError("checkpoint has non-finite parameters")
     net = MLP(layers)
-    if doc["sizes"] != _sizes(net):
-        raise ValueError(f"checkpoint sizes {doc['sizes']} do not match its tensors {_sizes(net)}")
+    if sizes != _sizes(net):
+        raise ValueError(f"checkpoint sizes {sizes} do not match its tensors {_sizes(net)}")
     return net

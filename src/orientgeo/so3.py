@@ -124,15 +124,17 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
-# sign(q) @ _FIRST_NONZERO has the sign of the first nonzero component:
-# each weight exceeds the sum of the weights after it
-_FIRST_NONZERO = np.array([8.0, 4.0, 2.0, 1.0])
+# sign(row) @ _FIRST_NONZERO[-w:] has the sign of the first nonzero entry of
+# a row of width w <= 9 (a quaternion or a flattened warp): each weight
+# exceeds the sum of the weights after it, and every sum is exact
+_FIRST_NONZERO = 2.0 ** np.arange(8, -1, -1)
 
 
-def _first_sign(q: np.ndarray) -> np.ndarray:
-    """+-1 per row (...,): the sign of its first nonzero component.  Raises
-    on a zero row."""
-    first = np.sign(q) @ _FIRST_NONZERO
+def _first_sign(rows: np.ndarray) -> np.ndarray:
+    """+-1 per row (...,) of rows (..., w), w <= 9: the sign of its first
+    nonzero entry.  ValueError on a zero row, which only a quaternion can
+    be: normalize_homographies refuses a zero warp before signing it."""
+    first = np.sign(rows) @ _FIRST_NONZERO[-rows.shape[-1]:]
     if np.count_nonzero(first) < np.size(first):
         raise ValueError("zero quaternion has no canonical form")
     return np.sign(first)
@@ -219,7 +221,12 @@ def rodrigues(v: np.ndarray) -> np.ndarray:
     a = np.where(small, 1.0, np.sin(t) / ts)
     b = np.where(small, 0.0, (1.0 - np.cos(t)) / (ts * ts))
     k = hat(v)
-    return _EYE3 + a * k + b * (k @ k)
+    kk = k @ k
+    kk *= b
+    k *= a
+    k += _EYE3
+    k += kk  # I + a [v]x + b [v]x^2 as the expression sums it, in place
+    return k
 
 
 def near_pi(m: np.ndarray) -> np.ndarray:

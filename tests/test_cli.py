@@ -4,6 +4,7 @@ gradcheck command's exit code reflects failures."""
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -320,7 +321,7 @@ def test_config_with_a_non_integer_count_exits_two(tiny_config_path, tmp_path, c
 
 @pytest.mark.parametrize("section, name, value", [
     ("data", "noise", True), (None, "dictionary_size", True), ("optimizer", "epochs", True),
-    ("optimizer", "beta1", False), ("objective", "alpha", True), (None, "hidden", [16, True]),
+    ("optimizer", "decay", False), ("objective", "alpha", True), (None, "hidden", [16, True]),
 ])
 def test_config_with_a_json_boolean_number_exits_two(tiny_config_path, tmp_path, capsys,
                                                      section, name, value):
@@ -358,6 +359,8 @@ def test_config_float_that_is_not_a_number_exits_two(tiny_config_path, tmp_path,
 
 @pytest.mark.parametrize("section, name, value", [
     (None, "trials", 3), ("objective", "combination", "additive"),
+    (None, "dictionary_seed", 0), ("optimizer", "beta1", 0.9), ("optimizer", "beta2", 0.999),
+    ("optimizer", "eps", 1e-8),
 ])
 def test_config_with_a_removed_option_exits_two(tiny_config_path, tmp_path, capsys,
                                                  section, name, value):
@@ -370,22 +373,61 @@ def test_config_with_a_removed_option_exits_two(tiny_config_path, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
 def _script(name):
     """The module of scripts/<name>.py, loaded from its file."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(name, path)
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "2.5"])
-def test_bin_delta_suite_refuses_a_non_positive_dictionary_size(monkeypatch, capsys, value):
-    suite = _script("run_bin_delta_suite")
-    monkeypatch.setattr(sys, "argv", ["run_bin_delta_suite.py", "--dictionary-size", value])
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")))
+def test_every_script_prints_its_help(name):
+    # a script whose imports or argparse set-up break fails here
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, name), "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")
+
+
+def _reproduce(monkeypatch, *args):
+    """main()'s exit code from scripts/reproduce.py with args."""
+    monkeypatch.setattr(sys, "argv", ["reproduce.py", *args])
+    return _script("reproduce").main()
+
+
+def test_reproduce_small_prints_the_three_scripts_tables(monkeypatch, capsys):
+    # tests/golden_reproduce.txt is the --small output of the three scripts
+    # reproduce.py replaced, one empty line between tables
+    assert _reproduce(monkeypatch, "--small") == 0
+    with open(os.path.join(os.path.dirname(__file__), "golden_reproduce.txt"),
+              encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_reproduce_prints_only_the_tables_asked_for(monkeypatch, capsys, tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), "golden_reproduce.txt"),
+              encoding="utf-8") as fh:
+        regression, _, _ = fh.read().split("\n\n")
+    assert _reproduce(monkeypatch, "regression", "--small", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == regression + "\n"
+    assert sorted(os.listdir(tmp_path)) == ["regression"]
+    assert sorted(os.listdir(tmp_path / "regression")) == ["R_E", "R_G"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--seed", "-1"], "--seed"), (["--seed", "1.5"], "--seed"), (["--seed", "x"], "--seed"),
+    (["tables"], "TABLE"),
+])
+def test_reproduce_refuses_a_bad_argument(monkeypatch, capsys, args, flag):
     with pytest.raises(SystemExit) as info:
-        suite.main()
+        _reproduce(monkeypatch, *args)
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --dictionary-size" in captured.err and "Traceback" not in captured.err
+    assert f"argument {flag}" in captured.err and "Traceback" not in captured.err

@@ -63,11 +63,11 @@ def test_config_keys_are_pinned():
     """Every settable option of a config file; adding or removing one is a
     deliberate edit of this list."""
     doc = json.loads(harness.config_to_json(harness.ExperimentConfig()))
-    assert sorted(doc) == ["data", "dictionary_seed", "dictionary_size", "hidden",
-                           "objective", "optimizer", "seed"]
+    assert sorted(doc) == ["data", "dictionary_size", "hidden", "objective", "optimizer",
+                           "seed"]
     assert sorted(doc["objective"]) == ["alpha", "family", "gamma", "representation"]
-    assert sorted(doc["optimizer"]) == ["batch_per_category", "beta1", "beta2", "decay",
-                                        "epochs", "eps", "learning_rate"]
+    assert sorted(doc["optimizer"]) == ["batch_per_category", "decay", "epochs",
+                                        "learning_rate"]
     assert sorted(doc["data"]) == ["augmentation", "categories", "feature_dim", "mode_spread",
                                    "modes", "noise", "test_samples", "train_samples",
                                    "val_samples"]
@@ -83,6 +83,19 @@ def test_config_with_unknown_top_level_keys_is_rejected():
     doc["sede"] = 5
     doc["Trials"] = 2
     with pytest.raises(ValueError, match="^unknown config keys: Trials, sede$"):
+        harness.config_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section, name, error", [
+    (None, "dictionary_seed", ValueError), ("optimizer", "beta1", TypeError),
+    ("optimizer", "beta2", TypeError), ("optimizer", "eps", TypeError),
+])
+def test_config_with_a_removed_leaf_is_refused(section, name, error):
+    # a config file written while these were settable names the key it
+    # still carries instead of loading with it ignored
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    (doc if section is None else doc[section])[name] = 0.5
+    with pytest.raises(error, match=name):
         harness.config_from_json(json.dumps(doc))
 
 
@@ -104,11 +117,10 @@ def test_invalid_configs_rejected():
         harness.ExperimentConfig(dictionary_size=0)
 
 
-@pytest.mark.parametrize("name", ["seed", "dictionary_seed"])
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
-def test_seed_must_be_a_non_negative_integer(name, seed):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
-        harness.ExperimentConfig(**{name: seed})
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        harness.ExperimentConfig(seed=seed)
 
 
 COUNTS = [
@@ -128,7 +140,7 @@ def test_counts_must_be_integers(section, name, value):
 
 
 NON_FINITE_FLOATS = [
-    ("optimizer", "learning_rate"), ("optimizer", "decay"), ("optimizer", "eps"),
+    ("optimizer", "learning_rate"), ("optimizer", "decay"),
     ("data", "noise"), ("data", "mode_spread"), ("objective", "alpha"), ("objective", "gamma"),
 ]
 
@@ -143,9 +155,7 @@ def test_config_floats_must_be_finite(section, name, value):
         harness.config_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("section, name", COUNTS + NON_FINITE_FLOATS + [
-    ("optimizer", "beta1"), ("optimizer", "beta2"), (None, "seed"), (None, "dictionary_seed"),
-])
+@pytest.mark.parametrize("section, name", COUNTS + NON_FINITE_FLOATS + [(None, "seed")])
 @pytest.mark.parametrize("value", [True, False])
 def test_config_numbers_refuse_json_booleans(section, name, value):
     # Python's bool is an int subclass: true would load as 1 and false as 0,
@@ -184,8 +194,7 @@ def test_config_floats_refuse_values_that_are_not_numbers(make, message):
 
 # alpha and gamma take null as "use the default"; the other floats have no such meaning
 @pytest.mark.parametrize("section, name, value", [
-    (section, name, value) for section, name in NON_FINITE_FLOATS + [
-        ("optimizer", "beta1"), ("optimizer", "beta2")]
+    (section, name, value) for section, name in NON_FINITE_FLOATS
     for value in ["0.5", [0.5], {"value": 0.5}] + ([] if section == "objective" else [None])
 ])
 def test_config_floats_given_as_json_strings_or_null_name_their_field(section, name, value):
@@ -202,9 +211,8 @@ def test_hidden_sizes_must_be_positive_integers(hidden):
 
 
 def test_seed_accepts_any_index_and_stores_an_int():
-    cfg = harness.ExperimentConfig(seed=np.int64(7), dictionary_seed=np.int64(2))
+    cfg = harness.ExperimentConfig(seed=np.int64(7))
     assert type(cfg.seed) is int and cfg.seed == 7
-    assert type(cfg.dictionary_seed) is int and cfg.dictionary_seed == 2
     assert harness.config_from_json(harness.config_to_json(cfg)) == cfg
 
 
@@ -527,7 +535,7 @@ def test_adam_steps_only_the_entries_the_mask_selects():
     # entry 1 was stepped once; a later step that leaves it out must not
     # move it on its remaining momentum
     net = models.stack([models.init_pose_network([3, 2], seed=s) for s in range(2)])
-    adam = harness._Adam(net, harness.OptimizerConfig())
+    adam = harness._Adam(net)
     adam.step(net.params, np.ones_like(net.params), 0.1)
     before = net.layers[0].weight.copy(), net.layers[0].bias.copy()
     sel = np.nonzero([True, False])
@@ -540,14 +548,15 @@ def test_adam_steps_only_the_entries_the_mask_selects():
         assert not np.any(param[0] == old[0])
 
 
-def _textbook_adam_step(theta, m, v, t, grad, lr, opt):
+def _textbook_adam_step(theta, m, v, t, grad, lr):
     """Kingma & Ba's Algorithm 1, bias-corrected moments and all, on rows
     (n, P) with their own step counts t (n,)."""
-    m[:] = opt.beta1 * m + (1.0 - opt.beta1) * grad
-    v[:] = opt.beta2 * v + (1.0 - opt.beta2) * grad * grad
-    m_hat = m / (1.0 - opt.beta1 ** t)[:, None]
-    v_hat = v / (1.0 - opt.beta2 ** t)[:, None]
-    theta -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    b1, b2 = harness.ADAM_BETA1, harness.ADAM_BETA2
+    m[:] = b1 * m + (1.0 - b1) * grad
+    v[:] = b2 * v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1 ** t)[:, None]
+    v_hat = v / (1.0 - b2 ** t)[:, None]
+    theta -= lr * m_hat / (np.sqrt(v_hat) + harness.ADAM_EPS)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -557,8 +566,7 @@ def test_adam_tracks_the_textbook_algorithm(masked):
     # rate decaying as across epochs, and with `masked` a random subset of
     # the entries stepping each time, as per-bin heads do
     net = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(4)])
-    opt = harness.OptimizerConfig()
-    adam = harness._Adam(net, opt)
+    adam = harness._Adam(net)
     start = net.params.copy()
     theta, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
     t = np.zeros(len(start), dtype=int)
@@ -570,7 +578,7 @@ def test_adam_tracks_the_textbook_algorithm(masked):
         mask = g.random(len(start)) < 0.5 if masked else np.ones(len(start), dtype=bool)
         t[mask] += 1
         rows = (theta[mask], m[mask], v[mask])
-        _textbook_adam_step(*rows, t[mask], grad[mask], lr, opt)
+        _textbook_adam_step(*rows, t[mask], grad[mask], lr)
         theta[mask], m[mask], v[mask] = rows
         if masked:
             sel = np.nonzero(mask)
@@ -584,6 +592,34 @@ def test_adam_tracks_the_textbook_algorithm(masked):
     assert np.all(moved > 0.0)
     rel = np.abs(net.params - theta).max(axis=1) / moved
     assert np.all(rel <= 1e-12), rel
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ADAM_BETA1", 0.5), ("ADAM_BETA2", 0.9), ("ADAM_EPS", 1e-3),
+])
+def test_adam_reads_each_constant_as_it_steps(monkeypatch, name, value):
+    # an _Adam built before the constant changes steps with the new value
+    net = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(3)])
+    adam = harness._Adam(net)
+    start = net.params.copy()
+    monkeypatch.setattr(harness, name, value)
+    theta, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    t = np.zeros(len(start), dtype=int)
+    g = np.random.default_rng(11)
+    for _ in range(20):
+        grad = g.standard_normal(start.shape) * 1e-3
+        t += 1
+        _textbook_adam_step(theta, m, v, t, grad, 1e-2)
+        adam.step(net.params, grad.copy(), 1e-2)
+    rel = np.abs(net.params - theta).max(axis=1) / np.abs(theta - start).max(axis=1)
+    assert np.all(rel <= 1e-12), rel
+    monkeypatch.undo()
+    default = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(3)])
+    default_adam = harness._Adam(default)
+    g = np.random.default_rng(11)
+    for _ in range(20):
+        default_adam.step(default.params, g.standard_normal(start.shape) * 1e-3, 1e-2)
+    assert not np.allclose(default.params, net.params, rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["R_G", "M_Gp"])
@@ -622,6 +658,20 @@ def test_train_log_counts_non_smooth_samples_per_epoch():
     for line, count in zip(log.lines, log.epoch_non_smooth):
         assert line.endswith(f" non_smooth {count}")
         assert count >= 0
+
+
+def test_shared_dictionary_is_fit_with_the_dictionary_seed(monkeypatch):
+    cfg = tiny_config()
+    dataset = harness.generate_synthetic(cfg)
+    pooled = harness.pooled_train_targets(cfg, dataset)
+    default = harness.fit_shared_dictionary(cfg, dataset)
+    np.testing.assert_array_equal(
+        default.keys, dct.fit_kmeans(pooled, cfg.dictionary_size, 0).keys)
+    monkeypatch.setattr(harness, "DICTIONARY_SEED", 5)
+    moved = harness.fit_shared_dictionary(cfg, dataset)
+    np.testing.assert_array_equal(
+        moved.keys, dct.fit_kmeans(pooled, cfg.dictionary_size, 5).keys)
+    assert not np.array_equal(moved.keys, default.keys)
 
 
 @pytest.mark.parametrize("family", ["R_G", "R_E", "C", "M_S", "M_X"])

@@ -353,3 +353,16 @@ def test_checkpoint_with_a_non_finite_parameter_is_rejected(tmp_path, value, ten
     path = _edited_checkpoint(tmp_path, poison)
     with pytest.raises(ValueError, match="non-finite"):
         models.load_mlp(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",  # not an object
+    '{"version": 1}',  # no tensors, activations or sizes
+    '{"version": 1, "activations": ["linear"], "tensors": [{"weight": [[1.0]], "bias": [0.0]}]}',
+    '{"version": 1, "sizes": [1, 1], "activations": ["linear"], "tensors": [[[[1.0]], [0.0]]]}',
+], ids=["list", "version-only", "no-sizes", "list-tensors"])
+def test_checkpoint_of_the_wrong_shape_raises_value_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        models.load_mlp(path)

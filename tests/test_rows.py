@@ -692,26 +692,26 @@ class _PerArrayAdam:
     """The per-array Adam step the flat-buffer one replaced, kept as the
     oracle in the same efficient form (moments m / (1 - b1) and v / (1 - b2),
     step size rate, eps_v): `entries` is a boolean mask over the stack axes
-    or slice(None), and grads hold (dW, db) of just the selected entries."""
+    or slice(None), and grads hold (dW, db) of just the selected entries.
+    It reads beta1, beta2 and eps from harness as its step begins."""
 
-    def __init__(self, net, opt):
-        self.opt = opt
+    def __init__(self, net):
         self.t = np.zeros(net.layers[0].weight.shape[:-2], dtype=int)
         self.m = [np.zeros_like(p) for l in net.layers for p in (l.weight, l.bias)]
         self.v = [np.zeros_like(m) for m in self.m]
 
     def step(self, net, grads, lr, entries):
-        o = self.opt
+        b1, b2 = harness.ADAM_BETA1, harness.ADAM_BETA2
         self.t[entries] += 1
-        root_c2 = np.sqrt((1.0 - o.beta2 ** self.t[entries]) / (1.0 - o.beta2))
-        rate = lr * (1.0 - o.beta1) * root_c2 / (1.0 - o.beta1 ** self.t[entries])
-        eps_v = o.eps * root_c2
+        root_c2 = np.sqrt((1.0 - b2 ** self.t[entries]) / (1.0 - b2))
+        rate = lr * (1.0 - b1) * root_c2 / (1.0 - b1 ** self.t[entries])
+        eps_v = harness.ADAM_EPS * root_c2
         params = [p for l in net.layers for p in (l.weight, l.bias)]
         flat_grads = [d for dw_db in grads for d in dw_db]
         for param, g, m_all, v_all in zip(params, flat_grads, self.m, self.v):
             tail = (...,) + (None,) * (g.ndim - 1)
-            m = m_all[entries] = m_all[entries] * o.beta1 + g
-            v = v_all[entries] = v_all[entries] * o.beta2 + g * g
+            m = m_all[entries] = m_all[entries] * b1 + g
+            v = v_all[entries] = v_all[entries] * b2 + g * g
             param[entries] -= rate[tail] * (m / (np.sqrt(v) + eps_v[tail]))
 
 
@@ -728,35 +728,39 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
         return models.stack(nets)
 
     old_net, new_net = build(), build()
-    opt = harness.OptimizerConfig(beta1=float(g.choice([0.9, 0.5])),
-                                  eps=float(g.choice([1e-8, 1e-3])))
-    old, new = _PerArrayAdam(old_net, opt), harness._Adam(new_net, opt)
+    # off-default moments check the efficient form away from Kingma & Ba's
+    # defaults; both steps read them from harness
+    beta1, eps = float(g.choice([0.9, 0.5])), float(g.choice([1e-8, 1e-3]))
+    old, new = _PerArrayAdam(old_net), harness._Adam(new_net)
     never = tuple(int(g.integers(0, n)) for n in lead)  # an entry no mask selects
     stepped_all = False
-    for _ in range(steps):
-        lr = float(g.choice([1e-4, 1e-3, 0.1, 2.0]))
-        grad = g.standard_normal(new_net.params.shape) * g.choice([0.0, 1e-6, 1.0, 1e3])
-        grad[g.random(grad.shape) < 0.2] = 0.0
-        if g.random() < 0.25:  # every entry, as the category stacks step
-            stepped_all = True
-            # the oracle broadcast slice(None) over one stack axis only
-            entries = slice(None) if len(lead) == 1 else np.ones(lead, dtype=bool)
-            rows_grad = grad if len(lead) == 1 else grad.reshape(-1, grad.shape[-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "ADAM_BETA1", beta1)
+        patch.setattr(harness, "ADAM_EPS", eps)
+        for _ in range(steps):
+            lr = float(g.choice([1e-4, 1e-3, 0.1, 2.0]))
+            grad = g.standard_normal(new_net.params.shape) * g.choice([0.0, 1e-6, 1.0, 1e3])
+            grad[g.random(grad.shape) < 0.2] = 0.0
+            if g.random() < 0.25:  # every entry, as the category stacks step
+                stepped_all = True
+                # the oracle broadcast slice(None) over one stack axis only
+                entries = slice(None) if len(lead) == 1 else np.ones(lead, dtype=bool)
+                rows_grad = grad if len(lead) == 1 else grad.reshape(-1, grad.shape[-1])
+                pairs = [(l.weight, l.bias) for l in models.on_buffer(rows_grad, new_net).layers]
+                old.step(old_net, pairs, lr, entries)
+                new.step(new_net.params, grad.copy(), lr)
+                continue
+            mask = g.random(lead) < 0.5
+            mask[never] = False
+            if len(lead) == 2 and g.random() < 0.5:
+                mask[g.integers(0, lead[0])] = False  # an all-false row
+            sel = np.nonzero(mask)
+            rows_grad = grad[sel]
             pairs = [(l.weight, l.bias) for l in models.on_buffer(rows_grad, new_net).layers]
-            old.step(old_net, pairs, lr, entries)
-            new.step(new_net.params, grad.copy(), lr)
-            continue
-        mask = g.random(lead) < 0.5
-        mask[never] = False
-        if len(lead) == 2 and g.random() < 0.5:
-            mask[g.integers(0, lead[0])] = False  # an all-false row
-        sel = np.nonzero(mask)
-        rows_grad = grad[sel]
-        pairs = [(l.weight, l.bias) for l in models.on_buffer(rows_grad, new_net).layers]
-        old.step(old_net, pairs, lr, mask)
-        rows = new_net.params[sel]
-        new.step(rows, rows_grad.copy(), lr, sel)
-        new_net.params[sel] = rows
+            old.step(old_net, pairs, lr, mask)
+            rows = new_net.params[sel]
+            new.step(rows, rows_grad.copy(), lr, sel)
+            new_net.params[sel] = rows
     assert stepped_all or new.t[never] == 0
     np.testing.assert_array_equal(new.t, old.t)
     np.testing.assert_array_equal(

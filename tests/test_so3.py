@@ -75,6 +75,36 @@ def test_exp_identity():
     np.testing.assert_allclose(so3.rodrigues(np.zeros(3)), np.eye(3), atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-4, 1.0, 3.0, 10.0])
+def test_exp_equals_its_closed_form_bit_for_bit(scale):
+    # I + (sin t / t) K + ((1 - cos t) / t^2) K^2 as one expression, the
+    # form rodrigues had before it summed in place
+    v = np.random.default_rng(3).standard_normal((4, 5, 3)) * scale
+    t = so3._norm(v)[..., None, None]
+    small = t < so3.EPS_THETA
+    ts = np.where(small, 1.0, t)
+    a = np.where(small, 1.0, np.sin(t) / ts)
+    b = np.where(small, 0.0, (1.0 - np.cos(t)) / (ts * ts))
+    k = so3.hat(v)
+    np.testing.assert_array_equal(so3.rodrigues(v), np.eye(3) + a * k + b * (k @ k))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 9])
+def test_first_sign_is_the_sign_of_the_first_nonzero_entry(width):
+    # quaternions (4) and reordered warp entries (9) share this rule; rows
+    # mix zeros with the smallest and largest doubles
+    g = np.random.default_rng(width)
+    values = np.array([0.0, 0.0, 5e-324, -5e-324, 1e-300, -1.0, 2.0, -1e300, 1.7e308])
+    rows = g.choice(values, size=(6, 50, width))
+    rows[np.all(rows == 0.0, axis=-1), -1] = -3.0
+    expected = [[math.copysign(1.0, next(x for x in row if x != 0.0)) for row in block]
+                for block in rows]
+    np.testing.assert_array_equal(so3._first_sign(rows), expected)
+    rows[2, 7] = 0.0
+    with pytest.raises(ValueError):
+        so3._first_sign(rows)
+
+
 def test_exp_canonical_z_quarter_turn():
     r = so3.rodrigues(np.array([0.0, 0.0, math.pi / 2.0]))
     expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])

@@ -40,7 +40,7 @@ def reference_train(cfg, dataset, seed):
     lines, epoch_losses, step_losses, epoch_non_smooth = [], [], [], []
     for epoch, epoch_spec in enumerate(schedule):
         if epoch == 0 or epoch_spec.family != schedule[epoch - 1].family:
-            adams = {role: harness._Adam(net, opt) for role, net in nets.items()}
+            adams = {role: harness._Adam(net) for role, net in nets.items()}
         lr = opt.learning_rate * opt.decay**epoch
         idx = []
         for rng in batch_rngs:
