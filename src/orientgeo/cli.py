@@ -140,12 +140,10 @@ def _jitter_spec(path):
     unknown = sorted(doc.keys() - {"d_az", "d_el", "d_ct", "flip", "euler_deg"})
     if unknown:
         raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
-    flip = doc.get("flip", True)
-    if not isinstance(flip, bool):
-        raise ValueError(f"flip must be true or false, got {flip!r}")
     offsets = (_floats(doc, k, getattr(jitter.JitterSpec, k)) for k in ("d_az", "d_el", "d_ct"))
     euler_deg = _floats(doc, "euler_deg", (5.0, 88.0, 2.0), count=3)
-    return jitter.JitterSpec(*offsets, flip=flip), so3.EulerZXZ(*map(math.radians, euler_deg))
+    spec = jitter.JitterSpec(*offsets, flip=doc.get("flip", True))  # refuses a non-boolean flip
+    return spec, so3.EulerZXZ(*map(math.radians, euler_deg))
 
 
 def _cmd_jitter(args) -> int:

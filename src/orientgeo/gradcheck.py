@@ -14,7 +14,11 @@ smooth in an h-neighborhood of the instance:
 
 The margins here (EXCLUSION_MARGIN around 0/pi, LOGIT_MARGIN between the
 top two logits, NORM_MARGIN around the pi ball boundary) define the
-documented non-smooth neighborhoods excluded from verification.
+documented non-smooth neighborhoods excluded from verification.  The
+distances are measured with the library's rotation maps: the predicted
+pose's dictionary.pose_matrices against the target's, each key and delta
+fused by models.compose_rotation, and the M_LE tangent target
+pose_matrices(keys)^T R*.  They are taken only where the norms pass.
 
 Sampling and checking are stacked.  Candidates are drawn in batches and
 tested for smoothness together; the instances are the first smooth
@@ -36,7 +40,7 @@ import math
 import numpy as np
 
 from . import dictionary as dct
-from . import losses, so3
+from . import harness, losses, models, so3
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -48,9 +52,6 @@ LOGIT_MARGIN = 1e-3
 # quaternion sums stay at least this far from the zero ray
 NORM_MARGIN = 1e-2
 MAX_RESAMPLE = 1000
-# families whose value is the softmax expectation over every head; the
-# other Bin & Delta families read only head argmax(logits)
-_EXPECTATION_FAMILIES = ("M_P", "M_Pp", "M_XP", "M_XPp")
 
 
 # probe rows per objective_batch call: check_family stacks the probe blocks
@@ -166,81 +167,55 @@ def _draw(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     )
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """|v| of each row (...,), its squares added in index order."""
-    return np.sqrt(losses._dot_rows(v, v))
-
-
 def _internal_distances(spec, c: _Stack) -> np.ndarray:
     """Every geodesic distance the objective evaluates or clamps against,
     (n, m) for n candidates."""
-    fam = spec.family
+    fam, rep = spec.family, spec.representation
     if fam == "R_E" or fam == "C":
         return np.empty((c.size, 0))
+    target = dct.pose_matrices(c.y, rep)[:, None]
     if fam == "R_G":
-        return _pose_distance(spec, c.pose[:, None], c.y)
+        return so3.geodesic_distance_matrices(dct.pose_matrices(c.pose[:, None], rep), target)
     rows = np.arange(c.size)
-    if fam in _EXPECTATION_FAMILIES:
+    if fam in losses.EXPECTATION_FAMILIES:
         keys = c.keys
         d = c.deltas if spec.per_bin else np.broadcast_to(c.deltas[:, None], keys.shape)
     else:
         label_pred = np.argmax(c.logits, axis=1)
         keys = c.keys[rows, label_pred][:, None]
         d = (c.deltas[rows, label_pred] if spec.per_bin else c.deltas)[:, None]
-    m = keys.shape[1]
-    if spec.combination == "riemannian":
-        # one Rodrigues call for the keys, the deltas and the target
-        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([keys, d, c.y[:, None]], 1)))
-        rel = _relative(mats[:, :m], mats[:, -1:])
-        out = so3.geodesic_distance_matrices(mats[:, m:-1], rel)
-        if fam in ("M_LE", "M_LEp"):
-            # the tangent target's own log must stay off the pi rejection band
-            out = np.concatenate([out, so3.geodesic_distance_matrices(np.eye(3), rel[:, -1:])], 1)
-        return out
-    s = keys + d
-    if spec.representation == dct.QUATERNION:
-        s = s / _norm(s)[..., None]
-    return _pose_distance(spec, s, c.y)
-
-
-def _relative(key_mats: np.ndarray, target_mats: np.ndarray) -> np.ndarray:
-    """R_k^T R* of stacked matrices, each entry a sum in index order."""
-    cols_k = np.swapaxes(key_mats, -1, -2)[..., :, None, :]
-    cols_t = np.swapaxes(target_mats, -1, -2)[..., None, :, :]
-    return losses._dot_rows(cols_k, cols_t)
-
-
-def _pose_distance(spec, y_a, y_b) -> np.ndarray:
-    """Geodesic distance of each pose y_a[i, j] (n, m, d) to y_b[i] (n, d)."""
-    if spec.representation == dct.AXIS_ANGLE:
-        mats = so3.rodrigues(so3.clip_axis_angle_norm(np.concatenate([y_a, y_b[:, None]], 1)))
-        return so3.geodesic_distance_matrices(mats[:, :-1], mats[:, -1:])
-    y_b = y_b[:, None]
-    c = np.abs(losses._dot_rows(y_a, y_b)) / (_norm(y_a) * _norm(y_b))
-    return 2.0 * np.arccos(np.minimum(1.0, c))
+    out = so3.geodesic_distance_matrices(models.compose_rotation(spec.combination, keys, d), target)
+    if fam in ("M_LE", "M_LEp"):
+        # the tangent target's own log must stay off the pi rejection band
+        rel = dct.pose_matrices(keys, rep).mT @ target
+        out = np.concatenate([out, so3.geodesic_distance_matrices(so3._EYE3, rel)], 1)
+    return out
 
 
 def _norms_ok(spec, c: _Stack) -> np.ndarray:
     fam = spec.family
     if fam in losses.DIRECT_FAMILIES or fam == "C":
         if fam == "R_G" and spec.representation == dct.AXIS_ANGLE:
-            return np.abs(_norm(c.pose) - math.pi) > NORM_MARGIN
+            return np.abs(so3._norm(c.pose) - math.pi) > NORM_MARGIN
         return np.ones(c.size, dtype=bool)
     rows = c.deltas if spec.per_bin else c.deltas[:, None]
-    if spec.combination == "riemannian":
-        norms = _norm(rows)
+    if spec.combination == models.RIEMANNIAN:
+        norms = so3._norm(rows)
         return np.all(np.abs(norms - math.pi) > NORM_MARGIN, axis=1)
-    norms = _norm(c.keys + rows)
+    norms = so3._norm(c.keys + rows)
     if spec.representation == dct.QUATERNION:
         return np.all(norms > 0.3, axis=1)
     return np.all(np.abs(norms - math.pi) > NORM_MARGIN, axis=1)
 
 
 def _smooth(spec, c: _Stack) -> np.ndarray:
-    """Mask (n,) of the candidates whose objective is smooth around them."""
-    d = _internal_distances(spec, c)
-    inside = (d >= EXCLUSION_MARGIN) & (d <= math.pi - EXCLUSION_MARGIN)
-    return _norms_ok(spec, c) & np.all(inside, axis=1)
+    """Mask (n,) of the candidates whose objective is smooth around them.
+    Distances are taken only where the norms pass, so a key plus delta that
+    sums to the zero quaternion is rejected, not raised."""
+    ok = _norms_ok(spec, c)
+    d = _internal_distances(spec, c.rows(ok))
+    ok[ok] = np.all((d >= EXCLUSION_MARGIN) & (d <= math.pi - EXCLUSION_MARGIN), axis=1)
+    return ok
 
 
 def _sample(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
@@ -250,8 +225,6 @@ def _sample(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     needed, nor the resampling budget, so the rng ends where drawing one
     instance at a time leaves it.  MAX_RESAMPLE rejections in a row raise.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
     found, rejected, parts = 0, 0, []
     while found < n:
         c = _draw(spec, rng, k, min(n - found, MAX_RESAMPLE - rejected))
@@ -271,7 +244,7 @@ def _probed_entries(spec, s: _Stack, name: str, size: int) -> np.ndarray:
     probes: all of them, except in the deltas of a hard-label per-bin
     family, whose value reads only the d entries of head argmax(logits)
     (LOGIT_MARGIN keeps that head fixed under every probe)."""
-    if name == "deltas" and spec.family not in _EXPECTATION_FAMILIES:
+    if name == "deltas" and spec.family not in losses.EXPECTATION_FAMILIES:
         d = spec.pose_dim
         return np.argmax(s.logits, axis=1)[:, None] * d + np.arange(d)
     return np.broadcast_to(np.arange(size), (s.size, size))
@@ -339,9 +312,10 @@ def check_family(
 ) -> FamilyReport:
     """Check `instances` smooth instances drawn from default_rng(seed),
     stacking the probe blocks of as many as fit in _ROW_BUDGET rows into
-    each objective_batch call."""
-    if instances < 1:
-        raise ValueError(f"instances must be at least 1, got {instances}")
+    each objective_batch call.  ValueError unless instances is an integer
+    >= 1 and k one >= 2."""
+    instances = harness._count(instances, "instances")
+    k = harness._count(k, "k", 2)
     rng = np.random.default_rng(seed)
     per_call = max(1, _ROW_BUDGET // _probe_rows(spec, k))
     worst = 0.0
@@ -366,7 +340,7 @@ def _probe_rows(spec, k: int) -> int:
         return 1 + 2 * d
     if spec.family == "C":
         return 1 + 2 * k
-    if spec.per_bin and spec.family not in _EXPECTATION_FAMILIES:
+    if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
         return 2 + 2 * (k + d)
     return 1 + 2 * (k + (k * d if spec.per_bin else d))
 

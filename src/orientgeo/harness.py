@@ -15,6 +15,7 @@ import math
 import numbers
 import operator
 import os
+import shutil
 import statistics
 
 import numpy as np
@@ -784,12 +785,21 @@ def ablation_cells(base: ExperimentConfig):
 
 
 def ablation_suite(base: ExperimentConfig, out_dir=None) -> AblationResult:
+    """Run every ablation cell.  A cell whose config equals an earlier
+    cell's reuses that run, and with out_dir a copy of its files."""
     cells = []
     for sweep, value, cfg in ablation_cells(base):
         sub = None
         if out_dir is not None:
             sub = os.path.join(out_dir, f"{sweep}_{value.replace('+', '_')}")
-        cells.append(AblationCell(sweep, value, cfg, run_experiment(cfg, out_dir=sub)))
+        done = next((c.result for c in cells if c.config == cfg), None)
+        if done is None:
+            result = run_experiment(cfg, out_dir=sub)
+        else:
+            if sub is not None:
+                shutil.copytree(done.out_dir, sub, dirs_exist_ok=True)
+            result = dataclasses.replace(done, out_dir=sub)
+        cells.append(AblationCell(sweep, value, cfg, result))
     alpha_cells = [c for c in cells if c.sweep == "alpha"]
     best = min(alpha_cells, key=lambda c: (c.result.val_report.mean["MedErr"], c.value))
     result = AblationResult(tuple(cells), float(best.value))

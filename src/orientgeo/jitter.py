@@ -79,6 +79,9 @@ class JitterSpec:
     flip: bool = True
 
     def __post_init__(self):
+        # a truthy string such as "false" would emit mirrored twins
+        if not isinstance(self.flip, bool):
+            raise ValueError(f"flip must be true or false, got {self.flip!r}")
         for name in ("d_az", "d_el", "d_ct"):
             vals = tuple(float(v) for v in getattr(self, name))
             if not vals:

@@ -53,6 +53,9 @@ DIRECT_FAMILIES = ("R_G", "R_E")
 PER_BIN_FAMILIES = tuple(f for f in FAMILIES if f.endswith("p"))
 RIEMANNIAN_FAMILIES = ("M_R", "M_Rp", "M_LE", "M_LEp")
 SOFT_TARGET_FAMILIES = ("M_X", "M_Xp", "M_XP", "M_XPp")
+# families whose value is the softmax expectation over every head; the
+# other Bin & Delta families read only head argmax(logits)
+EXPECTATION_FAMILIES = ("M_P", "M_Pp", "M_XP", "M_XPp")
 BIN_DELTA_FAMILIES = tuple(f for f in FAMILIES if f.startswith("M_"))
 
 # Clamp on the acos argument inside gradients only; the value side clamps
@@ -183,25 +186,27 @@ def resolve_gamma(spec: ObjectiveSpec, dictionary):
 
 
 def _log_near_pi(m: np.ndarray) -> np.ndarray:
-    """Log of a rotation in the near-pi band, where the skew part no longer
-    determines the axis.
+    """Log (n, 3) of each rotation (n, 3, 3) in the near-pi band, where the
+    skew part no longer determines the axis.
 
     Training with predicted labels can pair a sample with a nearly
-    antipodal key; rather than abort, extract the axis from (R + I)/2 and
-    clamp the angle below pi so the tangent target stays representable.
+    antipodal key; rather than abort, take the axis from the row of
+    (R + I)/2 with the largest diagonal entry, its sign from the skew part
+    (the canonical sign where that part is about 0), and clamp the angle
+    below pi so the tangent target stays representable.
     """
-    b = (m + np.eye(3)) / 2.0
-    i0 = int(np.argmax(np.diag(b)))
-    v = b[i0] / math.sqrt(max(b[i0, i0], 1e-300))
-    v = v / np.linalg.norm(v)
-    s = so3.vee(m - m.T)
-    if np.dot(v, s) < 0.0:
-        v = -v
-    elif np.allclose(s, 0.0):
-        v = so3.canonical_quaternion(np.concatenate(([0.0], v)))[1:]
-    c = min(1.0, max(-1.0, (float(np.trace(m)) - 1.0) / 2.0))
-    theta = min(math.acos(c), math.pi - 1e-6)
-    return theta * v
+    rows = np.arange(len(m))
+    b = (m + so3._EYE3) / 2.0
+    diag = b.diagonal(0, -2, -1)
+    i0 = np.argmax(diag, axis=-1)
+    v = b[rows, i0] / np.sqrt(np.maximum(diag[rows, i0], 1e-300))[:, None]
+    v = v / so3._norm(v)[:, None]
+    s = so3.skew_vee(m)
+    flip = so3._dot(v, s) < 0.0
+    canonical = np.all(np.abs(s) <= 1e-8, axis=-1)  # np.allclose(s, 0.0)
+    sign = np.where(flip, -1.0, np.where(canonical, so3._first_sign(v), 1.0))
+    c = np.minimum(np.maximum((np.trace(m, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0), 1.0)
+    return (sign * np.minimum(np.arccos(c), math.pi - 1e-6))[:, None] * v
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +267,7 @@ def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
 
     tr_a = a_mat[..., 0, 0] + a_mat[..., 1, 1] + a_mat[..., 2, 2]  # np.trace's order
     a_t = a_mat.mT
-    w = so3.vee(a_t - a_mat)
+    w = so3.skew_vee(a_t)  # hat(w) = A^T - A
     t1 = _dot_rows(y, w)
     t2 = _dot_rows(y, _dot_rows(a_mat, y[..., None, :])) - tt * tr_a
     u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
@@ -471,7 +476,7 @@ def objective_batch(
         grads = {"logits": base_g, **delta_grads(alpha * greg)}
         return _checked(alpha * vreg + base_v, grads, ns)
 
-    if fam in ("M_P", "M_Pp", "M_XP", "M_XPp"):
+    if fam in EXPECTATION_FAMILIES:
         composed = keys + (deltas if spec.per_bin else deltas[:, None, :])
         ref = _references(spec, targets, b)[:, None]
         vals, grows, ns = _geodesic(spec.representation, composed, ref)
@@ -504,8 +509,7 @@ def objective_batch(
         near_pi = so3.near_pi(rel)
         gtan = np.empty((b, 3))
         gtan[~near_pi] = so3.log_rotation(rel[~near_pi])
-        for i in np.nonzero(near_pi)[0]:
-            gtan[i] = _log_near_pi(rel[i])
+        gtan[near_pi] = _log_near_pi(rel[near_pi])
         diff = delta_sel - gtan
         vreg = np.einsum("bi,bi->b", diff, diff)
         grads = {"logits": base_g, **delta_grads(alpha * 2.0 * diff)}

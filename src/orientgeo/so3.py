@@ -201,9 +201,11 @@ def hat(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def vee(m: np.ndarray) -> np.ndarray:
-    """Inverse of hat on skew-symmetric matrices (..., 3, 3)."""
-    return m[..., _SKEW_ROWS, _SKEW_COLS]
+def skew_vee(m: np.ndarray) -> np.ndarray:
+    """The vector v (..., 3) with hat(v) = m - m^T, of matrices (..., 3, 3):
+    each entry is the one subtraction m[r, c] - m[c, r], so no full
+    difference m - m^T is built."""
+    return m[..., _SKEW_ROWS, _SKEW_COLS] - m[..., _SKEW_COLS, _SKEW_ROWS]
 
 
 def rodrigues(v: np.ndarray) -> np.ndarray:
@@ -239,7 +241,7 @@ def near_pi(m: np.ndarray) -> np.ndarray:
 def log_rotation(m: np.ndarray) -> np.ndarray:
     """Axis-angle row (..., 3) of each rotation matrix (..., 3, 3).
 
-    Uses v = theta / (2 sin theta) * vee(R - R^T) with the Taylor branch
+    Uses v = theta / (2 sin theta) * skew_vee(R) with the Taylor branch
     1/2 + theta^2/12 near zero.  Raises NearPiRotation when any row is
     near_pi.
     """
@@ -252,7 +254,7 @@ def log_rotation(m: np.ndarray) -> np.ndarray:
     scale = np.where(
         small, 0.5 + theta * theta / 12.0, theta / (2.0 * np.sin(np.where(small, 1.0, theta)))
     )
-    return scale[..., None] * vee(m - np.swapaxes(m, -1, -2))
+    return scale[..., None] * skew_vee(m)
 
 
 def clip_axis_angle_norm(v: np.ndarray) -> np.ndarray:
@@ -285,7 +287,7 @@ def geodesic_distance_matrices(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 # quaternion q = (c, v), both flattened row-major:
 #   R - I = G @ _R_OF_G, from R = I + 2 (v v^T - |v|^2 I) + 2 c [v]x;
 #   K - I = R @ _K_OF_R for K = 4 G: K_00 = 1 + tr R, K_0i = K_i0 =
-#   vee(R - R^T)_i, K_ij = R_ij + R_ji + [i = j] (1 - tr R), i, j = 1..3.
+#   skew_vee(R)_i, K_ij = R_ij + R_ji + [i = j] (1 - tr R), i, j = 1..3.
 _I3I3 = np.einsum("ij,kl->ijkl", _EYE3, _EYE3)
 _R_OF_G = np.zeros((4, 4, 3, 3))
 _R_OF_G[1:, 1:] = 2.0 * (_I3I3.transpose(0, 2, 1, 3) - _I3I3)

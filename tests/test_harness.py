@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -911,6 +912,35 @@ def test_ablation_grid_cardinality_and_selection(tmp_path):
     assert table[0] == "sweep,value,MedErr,Acc_pi6,ValMedErr,selected"
     assert len(table) == 1 + len(cells)
     assert sum(row.endswith(",1") for row in table[1:]) == 1
+
+
+def test_ablation_suite_trains_each_distinct_config_once(tmp_path, monkeypatch):
+    """At K = 100 the representation, dictionary-size, alpha and
+    augmentation sweeps each hold the base config: one run serves all four,
+    and each of their directories holds the same bytes."""
+    base = dataclasses.replace(ablation_base(), dictionary_size=100)
+    calls, run = [], harness.run_experiment
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda cfg, **kw: calls.append(cfg) or run(cfg, **kw))
+    result = harness.ablation_suite(base, out_dir=str(tmp_path))
+    assert len(result.cells) == 12 and len(calls) == 9
+    assert len({harness.config_to_json(c) for c in calls}) == 9
+    repeats = [c for c in result.cells if c.config == base]
+    assert [(c.sweep, c.value) for c in repeats] == [
+        ("representation", dct.AXIS_ANGLE), ("dictionary_size", "100"), ("alpha", "1.0"),
+        ("augmentation", "none"),
+    ]
+
+    def tree(path):
+        return {p.relative_to(path): p.read_bytes() for p in pathlib.Path(path).rglob("*")
+                if p.is_file()}
+
+    first = tree(repeats[0].result.out_dir)
+    assert len(first) > 8
+    for cell in repeats[1:]:
+        assert cell.result.out_dir == str(tmp_path / f"{cell.sweep}_{cell.value}")
+        assert tree(cell.result.out_dir) == first
+        assert cell.result.report is repeats[0].result.report
 
 
 def test_ablation_cell_reproducible_from_echoed_config(tmp_path):

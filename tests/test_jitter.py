@@ -235,6 +235,12 @@ def test_default_grid_size_and_order():
     assert grid.warps.shape == (45, 3, 3) and grid.angles.shape == (45, 3)
 
 
+@pytest.mark.parametrize("flip", ["false", "", 1, 0, None, np.True_])
+def test_spec_refuses_a_flip_that_is_not_a_boolean(flip):
+    with pytest.raises(ValueError, match="^flip must be true or false, got "):
+        jitter.JitterSpec(flip=flip)
+
+
 def test_flip_doubles_grid_and_interleaves():
     spec = jitter.JitterSpec(d_az=(0.0,), d_el=(0.0,), d_ct=(0.0, 2.0), flip=True)
     grid = jitter.jitter_sample(_sample(), spec, 0)

@@ -1,7 +1,8 @@
 """The geodesic axis-angle kernel and its pieces against the forms they
-replaced, bit for bit: the per-column dot, np.trace, np.linalg.norm and the
-kernel with its small-angle patches applied to every row.  Also the
-finiteness check's report of the first failing row."""
+replaced, bit for bit: the per-column dot, np.trace, np.linalg.norm, the
+kernel with its small-angle patches applied to every row, and the matrix
+log's skew part.  The stacked near-pi log against its one-row form.  Also
+the finiteness check's report of the first failing row."""
 
 import math
 
@@ -15,6 +16,11 @@ from orientgeo import losses, so3
 
 # ---------------------------------------------------------------------------
 # oracles: the forms the kernel replaced, kept verbatim
+
+
+def oracle_vee(m):
+    """The inverse of so3.hat on skew-symmetric matrices (..., 3, 3)."""
+    return m[..., [2, 0, 1], [1, 2, 0]]
 
 
 def oracle_dot_rows(u, v):
@@ -44,7 +50,7 @@ def oracle_geodesic_axis_angle(ys, a_mat):
 
     tr_a = np.trace(a_mat, axis1=-2, axis2=-1)
     a_t = a_mat.mT
-    w = so3.vee(a_t - a_mat)
+    w = oracle_vee(a_t - a_mat)
     t1 = oracle_dot_rows(y, w)
     t2 = oracle_dot_rows(y, oracle_dot_rows(a_mat, y[..., None, :])) - tt * tr_a
     u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
@@ -200,3 +206,86 @@ def test_checked_passes_finite_batches_through():
     out = losses._checked(values, {"deltas": grad})
     assert out.values is values and out.grads["deltas"] is grad
     assert same_bits(out.non_smooth, np.zeros(6, dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# the matrix log's skew part and the M_LE near-pi log
+
+
+def oracle_log_rotation(m):
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    theta = np.arccos(np.minimum(np.maximum((tr - 1.0) / 2.0, -1.0), 1.0))
+    small = theta < so3.EPS_THETA
+    scale = np.where(
+        small, 0.5 + theta * theta / 12.0, theta / (2.0 * np.sin(np.where(small, 1.0, theta)))
+    )
+    return scale[..., None] * oracle_vee(m - np.swapaxes(m, -1, -2))
+
+
+def oracle_log_near_pi(m):
+    """The one-row near-pi log the stacked one replaced."""
+    b = (m + np.eye(3)) / 2.0
+    i0 = int(np.argmax(np.diag(b)))
+    v = b[i0] / math.sqrt(max(b[i0, i0], 1e-300))
+    v = v / np.linalg.norm(v)
+    s = oracle_vee(m - m.T)
+    if np.dot(v, s) < 0.0:
+        v = -v
+    elif np.allclose(s, 0.0):
+        v = so3.canonical_quaternion(np.concatenate(([0.0], v)))[1:]
+    c = min(1.0, max(-1.0, (float(np.trace(m)) - 1.0) / 2.0))
+    theta = min(math.acos(c), math.pi - 1e-6)
+    return theta * v
+
+
+def _unit_rows(rng, n):
+    u = rng.standard_normal((n, 3))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lead=st.lists(st.integers(1, 5), min_size=0, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_skew_vee_equals_vee_of_the_difference(lead, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((*lead, 3, 3)) * 10.0 ** rng.integers(-12, 12, size=(*lead, 3, 3))
+    for m in (a, a.mT):
+        assert same_bits(so3.skew_vee(m), oracle_vee(m - np.swapaxes(m, -1, -2)))
+
+
+@pytest.mark.parametrize("max_angle", [math.pi - 2e-3, 1e-3, 1e-9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_rotation_equals_the_oracle(max_angle, seed):
+    """Random rows, small-angle rows and rows below the Taylor switch."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.0, max_angle, size=(500, 1)) * _unit_rows(rng, 500)
+    m = so3.rodrigues(v)
+    assert same_bits(so3.log_rotation(m), oracle_log_rotation(m))
+    assert same_bits(so3.log_rotation(m[0]), oracle_log_rotation(m[0]))
+
+
+def _near_pi_stack(rng, n):
+    """Rotations in the near-pi band, shuffled: exact half turns 2 u u^T - I
+    (skew part exactly 0), Rodrigues half turns (skew part of rounding
+    size), and turns whose trace sits just inside the band, about both
+    signs of each axis."""
+    u = _unit_rows(rng, n)
+    half = 2.0 * u[:, :, None] * u[:, None, :] - np.eye(3)
+    rod = so3.rodrigues(math.pi * u)
+    edge = math.acos(-1.0 + so3.EPS_PI / 2.0)  # trace -1 + EPS_PI on the band's edge
+    angles = rng.uniform(edge + 1e-9, math.pi, size=(n, 1))
+    inside = so3.rodrigues(np.concatenate([angles * u, -angles * u]))
+    m = np.concatenate([half, rod, inside])
+    return m[rng.permutation(len(m))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_stacked_near_pi_log_equals_the_one_row_log(seed):
+    m = _near_pi_stack(np.random.default_rng(seed), 200)
+    assert so3.near_pi(m).all()
+    assert np.any(np.all(so3.skew_vee(m) == 0.0, axis=1))  # the canonical-sign branch runs
+    got = losses._log_near_pi(m)
+    want = np.stack([oracle_log_near_pi(r) for r in m])
+    # np.arccos and math.acos may round differently, so not bit for bit
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.all(np.linalg.norm(got, axis=1) <= math.pi - 1e-6 + 1e-15)
+    assert same_bits(losses._log_near_pi(m[:0]), np.empty((0, 3)))

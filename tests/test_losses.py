@@ -1,6 +1,7 @@
 """Objective values against independent oracles, gradients against central
 finite differences, and the family dispatch contracts."""
 
+import dataclasses
 import json
 import math
 import os
@@ -545,15 +546,47 @@ def test_check_family_fails_an_objective_that_mixes_up_heads(monkeypatch, family
 
 @pytest.mark.parametrize("instances", [0, -1])
 def test_check_family_rejects_no_instances(instances):
-    with pytest.raises(ValueError, match="^instances must be at least 1"):
+    with pytest.raises(ValueError, match="^instances must be an integer >= 1"):
         gradcheck.check_family(_spec("R_G"), instances=instances)
 
 
 @pytest.mark.parametrize("family", ["C", "M_G", "M_X", "R_G"])
 @pytest.mark.parametrize("k", [1, 0])
 def test_check_family_rejects_fewer_than_two_keys(family, k):
-    with pytest.raises(ValueError, match="^k must be at least 2"):
+    with pytest.raises(ValueError, match="^k must be an integer >= 2"):
         gradcheck.check_family(_spec(family), instances=3, k=k)
+
+
+@pytest.mark.parametrize("name", ["instances", "k"])
+@pytest.mark.parametrize("value", [True, False, 2.5, "3", None])
+def test_check_family_refuses_counts_that_are_not_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        gradcheck.check_family(_spec("R_G"), **{"instances": 3, "k": 4, name: value})
+
+
+def test_check_family_reads_counts_through_operator_index():
+    report = gradcheck.check_family(_spec("M_G"), instances=np.int64(3), k=np.int32(4))
+    assert type(report.instances) is int and report.instances == 3
+    assert repr(report) == repr(gradcheck.check_family(_spec("M_G"), instances=3, k=4))
+
+
+@pytest.mark.parametrize("family", ["M_G", "M_P", "M_X"])
+def test_smoothness_test_rejects_a_zero_quaternion_sum(family):
+    """A key plus delta that is the zero quaternion fails the norm test;
+    its distances are never taken, so compose_rotation cannot raise."""
+    spec = _spec(family, representation=dct.QUATERNION)
+    rng = np.random.default_rng(5)
+    c = gradcheck._draw(spec, rng, 4, 6)
+    zero, sel = 2, np.argmax(c.logits[2])
+    deltas = c.deltas.copy()
+    deltas[zero] = -c.keys[zero, sel]
+    c = dataclasses.replace(c, deltas=deltas)
+    with pytest.raises(models.ZeroSum):
+        models.compose_rotation(spec.combination, c.keys[zero, sel], deltas[zero])
+    mask = gradcheck._smooth(spec, c)
+    assert not mask[zero]
+    others = np.arange(c.size) != zero
+    assert np.array_equal(mask[others], gradcheck._smooth(spec, c.rows(others)))
 
 
 def test_gradcheck_near_pi_projection_chain():
