@@ -33,7 +33,9 @@ Tools: on a records file of the perfbench `tools` size built with
 perfbench/records.py at DATA_SEED, it times read_records and one Matching,
 best of TOOLS_REPEATS, and counts the iou calls of that matching; and it
 times check_family at GRADCHECK_INSTANCES instances for every default
-spec, best of TOOLS_REPEATS, with the probe rows of each instance.
+spec, best of TOOLS_REPEATS, with the probe rows of each instance, and the
+time that check_family spends in gradcheck._draw, best of TOOLS_REPEATS,
+with the candidates it draws.
 
 Timings are wall clock of this process only (time.perf_counter), taken
 without system-wide tracing, without cache control and without pinning.
@@ -41,7 +43,7 @@ On a shared virtual machine other tenants' load stretches them; the
 dictionary section, which a training-step change leaves alone, shows
 whether a run was slowed.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_4.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_5.json
 """
 
 import argparse
@@ -263,11 +265,36 @@ def _jitter_timings(repeats):
     return out
 
 
+def _draw_timings(repeats, spec):
+    """Best of `repeats` check_family calls at GRADCHECK_INSTANCES: the
+    inclusive time of its _draw calls, and the candidates they draw."""
+    draw, best = gradcheck._draw, None
+    for _ in range(repeats):
+        spent = [0.0, 0]
+
+        def timed_draw(spec, rng, k, n):
+            start = time.perf_counter()
+            try:
+                return draw(spec, rng, k, n)
+            finally:
+                spent[0] += time.perf_counter() - start
+                spent[1] += n
+
+        gradcheck._draw = timed_draw
+        try:
+            gradcheck.check_family(spec, GRADCHECK_INSTANCES)
+        finally:
+            gradcheck._draw = draw
+        best = spent if best is None else min(best, spent)
+    return {"draw_s": best[0], "candidates_drawn": best[1]}
+
+
 def _tools_timings(repeats):
     """Best-of-repeats time of read_records and Matching on a records file
     of the tools workload's size, the iou calls of one matching, and the
     best-of-repeats time of check_family of every default spec with its
-    probe rows per instance (k = 8, as check_family's default)."""
+    probe rows per instance (k = 8, as check_family's default) and the
+    best-of-repeats time it spends drawing candidates."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.txt")
         records.generate(path, DATA_SEED)
@@ -286,10 +313,12 @@ def _tools_timings(repeats):
         f"{spec.family}/{spec.representation}": {
             "check_family_s": _best_of(repeats, gradcheck.check_family, spec, GRADCHECK_INSTANCES),
             "probe_rows_per_instance": gradcheck._probe_rows(spec, 8),
+            **_draw_timings(repeats, spec),
         }
         for spec in gradcheck.default_specs()
     }
     out["check_family_total_s"] = sum(v["check_family_s"] for v in out["check_family"].values())
+    out["draw_total_s"] = sum(v["draw_s"] for v in out["check_family"].values())
     return out
 
 
@@ -347,7 +376,8 @@ def main() -> int:
                                 if key != "check_family"))
     for name, entry in tools["check_family"].items():
         print(f"  check_family {name}: {entry['check_family_s']:.4f} s, "
-              f"{entry['probe_rows_per_instance']} probe rows per instance")
+              f"{entry['probe_rows_per_instance']} probe rows per instance, "
+              f"_draw {entry['draw_s']:.4f} s for {entry['candidates_drawn']} candidates")
 
     doc = {
         "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats; "
@@ -358,8 +388,8 @@ def main() -> int:
                 "the geodesic kernel on one M_Pp gradcheck block, best of step_repeats; "
                 "jitter grids and a manifest round trip at the `orient-geo jitter` "
                 "defaults, best of jitter_repeats; read_records and Matching on a "
-                "tools-sized records file and check_family of every default spec, "
-                "best of tools_repeats; all in-process",
+                "tools-sized records file, and check_family of every default spec and "
+                "its time in _draw, best of tools_repeats; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
                   "no cache control, no CPU pinning; on a shared virtual machine "
                   "other tenants' load can stretch every time in a file alike, so "

@@ -22,9 +22,11 @@ pose_matrices(keys)^T R*.  They are taken only where the norms pass.
 
 Sampling and checking are stacked.  Candidates are drawn in batches and
 tested for smoothness together; the instances are the first smooth
-candidates of the seed's stream, as if drawn one at a time.  check_family
-evaluates the probe rows of many instances, each with its own keys, in one
-objective_batch call of at most _ROW_BUDGET rows.
+candidates of the seed's stream, as if drawn one at a time.  The draws are
+written in place into preallocated arrays with one generator call per
+contiguous run of normals (a candidate's quaternion poses are one run).
+check_family evaluates the probe rows of many instances, each with its own
+keys, in one objective_batch call of at most _ROW_BUDGET rows.
 
 FD probes the entries each objective reads.  The hard-label per-bin
 families read only the deltas of head argmax(logits); their other heads'
@@ -112,12 +114,13 @@ def _concat(stacks) -> _Stack:
     return _Stack(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
-def _margined_logits(k: int, rng: np.random.Generator) -> np.ndarray:
+def _margined_logits(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out (k,) with normals until its top two differ by LOGIT_MARGIN."""
     for _ in range(MAX_RESAMPLE):
-        logits = rng.standard_normal(k)
-        top = np.sort(logits)[-2:]
+        rng.standard_normal(out=out)
+        top = sorted(out.tolist())[-2:]  # Python floats: cheaper than np.sort for a few entries
         if top[1] - top[0] >= LOGIT_MARGIN:
-            return logits
+            return
     raise InstanceSamplingFailed("could not separate the top two logits")
 
 
@@ -126,40 +129,52 @@ def _draw(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     its target pose, then the predicted pose (R_G/R_E), the K keys, the
     logits and the deltas (Bin & Delta), or the logits and the label (C).
     A pose is a normal direction scaled by a uniform angle, or a canonical
-    unit quaternion; the smoothness test consumes no draws."""
+    unit quaternion; the smoothness test consumes no draws.
+
+    The draws are written in place into preallocated arrays, one generator
+    call per run of normals: a candidate's quaternion poses are one run, an
+    axis-angle pose's direction is one, each logit attempt and the deltas
+    are one each.  (pi - 0.1) * rng.random() is uniform(0, pi - 0.1) bit for
+    bit, so the stream is the one-call-per-pose stream."""
     fam, d = spec.family, spec.pose_dim
     bin_delta = fam in losses.BIN_DELTA_FAMILIES
     n_poses = 2 if fam in losses.DIRECT_FAMILIES else 1 + k if bin_delta else 1
     aa = spec.representation == dct.AXIS_ANGLE
-    raw, angles, logits, labels, deltas = [], [], [], [], []
-    shape = (k, d) if spec.per_bin else (d,)
-    for _ in range(n):
-        for _ in range(n_poses):
-            raw.append(rng.standard_normal(d))
-            if aa:
-                angles.append(rng.uniform(0.0, math.pi - 0.1))
-        if fam == "C" or bin_delta:
-            logits.append(_margined_logits(k, rng))
-        if fam == "C":
-            labels.append(rng.integers(k))
-        elif bin_delta:
-            deltas.append(rng.standard_normal(shape))
-    raw = np.reshape(raw, (n, n_poses, d))
+    raw = np.empty((n, n_poses, d))
+    angles = np.empty((n, n_poses)) if aa else None
+    logits = np.empty((n, k)) if fam == "C" or bin_delta else None
+    labels = np.empty(n, dtype=np.int64) if fam == "C" else None
+    deltas = np.empty((n, k, d) if spec.per_bin else (n, d)) if bin_delta else None
+    high = math.pi - 0.1
+    for i in range(n):
+        if aa:
+            for j in range(n_poses):
+                rng.standard_normal(out=raw[i, j])
+                angles[i, j] = high * rng.random()
+        else:
+            rng.standard_normal(out=raw[i])
+        if logits is not None:
+            _margined_logits(rng, logits[i])
+        if labels is not None:
+            labels[i] = rng.integers(k)
+        elif deltas is not None:
+            rng.standard_normal(out=deltas[i])
     # so3._norm sums each row as np.linalg.norm sums one vector
     unit = raw / so3._norm(raw)[..., None]
-    poses = np.reshape(angles, (n, n_poses, 1)) * unit if aa else so3.canonical_quaternion(unit)
+    poses = angles[..., None] * unit if aa else so3.canonical_quaternion(unit)
     y = poses[:, 0]
     if fam in losses.DIRECT_FAMILIES:
         return _Stack(pose=poses[:, 1], y=y)
     if fam == "C":
-        return _Stack(logits=np.array(logits), label=np.array(labels))
+        return _Stack(logits=logits, label=labels)
     keys = poses[:, 1:]
     soft = None
     if fam in losses.SOFT_TARGET_FAMILIES:
         soft = dct.soft_assign_probs(y, keys, losses.resolve_gamma(spec, keys))
+    deltas *= 0.4
     return _Stack(
-        logits=np.array(logits),
-        deltas=0.4 * np.array(deltas),
+        logits=logits,
+        deltas=deltas,
         y=y,
         label=dct.hard_labels(y, keys),
         soft=soft,
@@ -313,10 +328,10 @@ def check_family(
     """Check `instances` smooth instances drawn from default_rng(seed),
     stacking the probe blocks of as many as fit in _ROW_BUDGET rows into
     each objective_batch call.  ValueError unless instances is an integer
-    >= 1 and k one >= 2."""
+    >= 1, k one >= 2 and seed one >= 0."""
     instances = harness._count(instances, "instances")
     k = harness._count(k, "k", 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(harness._count(seed, "seed", 0))
     per_call = max(1, _ROW_BUDGET // _probe_rows(spec, k))
     worst = 0.0
     for start in range(0, instances, per_call):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -83,7 +84,13 @@ class JitterSpec:
         if not isinstance(self.flip, bool):
             raise ValueError(f"flip must be true or false, got {self.flip!r}")
         for name in ("d_az", "d_el", "d_ct"):
-            vals = tuple(float(v) for v in getattr(self, name))
+            vals = getattr(self, name)
+            # float() would read a string digit by digit and a bool as 0 or 1
+            if isinstance(vals, str) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
+            ):
+                raise ValueError(f"{name} offsets must be real numbers, got {vals!r}")
+            vals = tuple(float(v) for v in vals)
             if not vals:
                 raise ValueError(f"{name} must list at least one offset")
             if not all(math.isfinite(v) for v in vals):

@@ -13,7 +13,14 @@ bilinear form, so everything reduces to scalar chain rules.  The quaternion
 path differentiates 2 acos(|<s/|s|, q*>|) through the normalization.
 
 objective_batch evaluates B samples at once on stacked arrays, one target
-per row.
+per row.  The axis-angle geodesic kernel under it runs coordinate-major: a
+(3, ...) copy of the rows puts each coordinate's products in one long
+contiguous inner loop, where (..., 3) rows would step 3 entries at a time
+through broadcast axes.  Its row sums add the coordinates in index order,
+so the bits are those of row-major column sums, and it copies its outputs
+back in the rows' shape and memory order (C-contiguous for C-contiguous
+rows): the expectation families' einsum over them, and the backward pass,
+sum in an order that follows their operands' layout.
 """
 
 from __future__ import annotations
@@ -239,18 +246,36 @@ def _non_smooth(values: np.ndarray) -> np.ndarray:
 def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
     """Geodesic distance of rodrigues(y) to A, row by row, and its gradient.
 
-    ys is (..., 3) and a_mat (..., 3, 3), one target matrix per row (leading
-    axes broadcast).  Returns (values, grads, non_smooth) shaped like the
-    rows.  Rows with norm >= pi pass through the safety rescaling onto norm
-    pi - 1e-6 and the gradient is chained through that projection.
+    ys is (..., 3) and a_mat (..., 3, 3), one target matrix per row; the
+    leading axes of a_mat broadcast to those of ys.  Returns (values,
+    grads, non_smooth) shaped like the rows and laid out in memory as the
+    rows are (C-contiguous for C-contiguous rows).  Rows with norm >= pi
+    pass through the safety rescaling onto norm pi - 1e-6 and the gradient
+    is chained through that projection.
+
+    The kernel runs coordinate-major: it copies ys to (3, ...) and a_mat to
+    (3, 3, ...) with the leading axes reversed, so that every product runs
+    over the rows in one contiguous inner loop and a broadcast axis (one
+    target against K keys) is outermost; on (..., 3) rows numpy steps 3
+    entries at a time.  Each row sum adds the coordinates in index order,
+    as column sums of (..., 3) rows did, so every bit is the same.  The
+    scratch arrays are reused in place, since each fresh one of a large
+    block costs page faults.  The outputs are copied back in the rows'
+    memory order, the order elementwise numpy operations on the rows give:
+    a later einsum or matmul over them sums in an order that follows its
+    operands' layout, so a transposed view would move the objective's bits.
     """
-    n = np.sqrt(np.add.reduce(ys * ys, axis=-1))  # np.linalg.norm without its wrapper
+    yc = np.array(ys.T, dtype=float, order="C")  # always a copy: it is scratch below
+    am = np.ascontiguousarray(a_mat[(None,) * (yc.ndim + 1 - a_mat.ndim)].T.swapaxes(0, 1))
+    am_t = am.swapaxes(0, 1)  # am[r, c] is A[..., r, c], am_t[r, c] is A[..., c, r]
+    sq = yc * yc  # scratch of the rows' shape
+    n = np.sqrt(np.add.reduce(sq))  # np.linalg.norm without its wrapper
     projected = n >= math.pi
     n_pi = np.maximum(n, math.pi)
     scale = np.where(projected, so3.MAX_AXIS_ANGLE_NORM / n_pi, 1.0)
-    y = ys * scale[..., None]
+    y = yc * scale
 
-    t = np.sqrt(np.add.reduce(y * y, axis=-1))
+    t = np.sqrt(np.add.reduce(np.multiply(y, y, out=sq)))
     tt = t * t
     small = t < so3.EPS_THETA
     any_small = small.any()  # no training row is; the series limits are built only if one is
@@ -265,28 +290,41 @@ def _geodesic_axis_angle(ys: np.ndarray, a_mat: np.ndarray):
         limits = (1.0 - tt / 6.0, 0.5 - tt / 24.0, -1.0 / 3.0, -1.0 / 12.0)
         a, b, ap_t, bp_t = (np.where(small, lim, v) for lim, v in zip(limits, (a, b, ap_t, bp_t)))
 
-    tr_a = a_mat[..., 0, 0] + a_mat[..., 1, 1] + a_mat[..., 2, 2]  # np.trace's order
-    a_t = a_mat.mT
-    w = so3.skew_vee(a_t)  # hat(w) = A^T - A
-    t1 = _dot_rows(y, w)
-    t2 = _dot_rows(y, _dot_rows(a_mat, y[..., None, :])) - tt * tr_a
+    tr_a = am[0, 0] + am[1, 1] + am[2, 2]  # np.trace's order
+    w = (am_t - am)[so3._SKEW_ROWS, so3._SKEW_COLS]  # hat(w) = A^T - A
+    t1 = np.add.reduce(np.multiply(y, w, out=sq))
+    prod = am * y  # scratch (3, 3, ...): the products A[r, c] y_c
+    ay = np.add.reduce(prod, axis=1)
+    t2 = np.add.reduce(np.multiply(y, ay, out=sq)) - tt * tr_a
     u = (tr_a - a * t1 + b * t2 - 1.0) / 2.0
-    values = np.arccos(np.minimum(np.maximum(u, -1.0), 1.0))
 
     # y^T (A + A^T) = (A + A^T) y: the sum is symmetric
-    sym = _dot_rows(a_mat + a_t, y[..., None, :])
-    du = 0.5 * (
-        (bp_t * t2 - ap_t * t1)[..., None] * y
-        - a[..., None] * w
-        + b[..., None] * (sym - 2.0 * tr_a[..., None] * y)
-    )
-    grads = _acos_grad_factor(u)[..., None] * du
+    sym = np.add.reduce(np.multiply(am + am_t, y, out=prod), axis=1, out=ay)
+    # grads = acos'(u) * 0.5 * ((bp_t t2 - ap_t t1) y - a w + b (sym - 2 tr_a y))
+    tmp = prod[0]
+    grads = np.multiply(bp_t * t2 - ap_t * t1, y, out=sq)
+    grads -= np.multiply(a, w, out=tmp)
+    sym -= np.multiply(2.0 * tr_a, y, out=tmp)
+    sym *= b
+    grads += sym
+    grads *= 0.5
+    grads *= _acos_grad_factor(u)
 
     # d/dy of y * pi'/|y| projects out the radial part and rescales
-    unit = ys / n_pi[..., None]
-    radial = _dot_rows(unit, grads)[..., None] * unit
-    grads = np.where(projected[..., None], scale[..., None] * (grads - radial), grads)
-    return values, grads, _non_smooth(values)
+    unit = np.divide(yc, n_pi, out=yc)
+    radial = np.multiply(np.add.reduce(np.multiply(unit, grads, out=tmp)), unit, out=unit)
+    chained = np.subtract(grads, radial, out=radial)
+    chained *= scale
+    np.copyto(grads, chained, where=projected)
+
+    # the gradient goes back one coordinate at a time: one transposing copy
+    # to (..., 3) would step 3 entries at a time
+    values = np.empty_like(ys[..., 0], dtype=float)
+    np.arccos(np.minimum(np.maximum(u, -1.0), 1.0).T, out=values)
+    rows = np.empty_like(ys, dtype=float)
+    for c in range(3):
+        rows[..., c] = grads[c].T
+    return values, rows, _non_smooth(values)
 
 
 def _geodesic_quaternion(ss: np.ndarray, q_true: np.ndarray):

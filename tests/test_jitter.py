@@ -241,6 +241,21 @@ def test_spec_refuses_a_flip_that_is_not_a_boolean(flip):
         jitter.JitterSpec(flip=flip)
 
 
+@pytest.mark.parametrize("name", ["d_az", "d_el", "d_ct"])
+@pytest.mark.parametrize("offsets", ["12", ("1",), (True,), (0.0, False), (np.True_,), (None,),
+                                     (1.0, "2")])
+def test_spec_refuses_offsets_that_are_not_real_numbers(name, offsets):
+    """float() would read "12" as (1.0, 2.0) and True as 1.0."""
+    with pytest.raises(ValueError, match=f"^{name} offsets must be real numbers, got "):
+        jitter.JitterSpec(**{name: offsets})
+
+
+def test_spec_reads_real_offsets_as_floats():
+    spec = jitter.JitterSpec(d_az=np.array([-1, 2]), d_el=[np.float32(0.5)], d_ct=(3,))
+    assert (spec.d_az, spec.d_el, spec.d_ct) == ((-1.0, 2.0), (0.5,), (3.0,))
+    assert all(type(v) is float for v in spec.d_az + spec.d_el + spec.d_ct)
+
+
 def test_flip_doubles_grid_and_interleaves():
     spec = jitter.JitterSpec(d_az=(0.0,), d_el=(0.0,), d_ct=(0.0, 2.0), flip=True)
     grid = jitter.jitter_sample(_sample(), spec, 0)

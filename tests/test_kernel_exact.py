@@ -2,7 +2,8 @@
 replaced, bit for bit: the per-column dot, np.trace, np.linalg.norm, the
 kernel with its small-angle patches applied to every row, and the matrix
 log's skew part.  The stacked near-pi log against its one-row form.  Also
-the finiteness check's report of the first failing row."""
+the finiteness check's report of the first failing row, and the layout of
+the kernel's outputs."""
 
 import math
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orientgeo import losses, so3
+from orientgeo import gradcheck, losses, so3
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +290,68 @@ def test_stacked_near_pi_log_equals_the_one_row_log(seed):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     assert np.all(np.linalg.norm(got, axis=1) <= math.pi - 1e-6 + 1e-15)
     assert same_bits(losses._log_near_pi(m[:0]), np.empty((0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the kernel's output layout
+
+
+def _head_major(a):
+    """a (B, K, 3) laid out as the stacked per-bin heads return it: a
+    transposed view of a C-contiguous (K, B, 3) array."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("b", [1, 7])
+@pytest.mark.parametrize("keys, targets, layout", [
+    (None, None, "c"), (5, 1, "c"), (5, 5, "c"), (5, 1, "head_major"),
+], ids=["rows", "keys_one_target", "keys_own_targets", "head_major_keys_one_target"])
+def test_kernel_outputs_are_laid_out_as_the_rows(b, keys, targets, layout):
+    """(B, 3) against (B, 3, 3), (B, K, 3) against (B, 1, 3, 3), (B, K, 3)
+    against (B, K, 3, 3), and head-major (B, K, 3) rows against (B, 1, 3, 3)
+    targets, as M_Pp and M_XPp train: outputs in the rows' shape, with the oracle's
+    bits and strides (C-contiguous for C-contiguous rows), and the inputs
+    left as they were (the kernel works on a copy, even where the
+    transposed rows are already contiguous)."""
+    rng = np.random.default_rng(b)
+    lead = (b,) if keys is None else (b, keys)
+    ys = _rows(rng, [KINDS[i % len(KINDS)] for i in range(math.prod(lead))]).reshape(*lead, 3)
+    tail = () if targets is None else (targets,)
+    a_mat = _targets(rng, b * (targets or 1)).reshape(b, *tail, 3, 3)
+    if layout == "head_major":
+        ys = _head_major(ys)
+    ys_before, a_before = ys.copy(), a_mat.copy()
+    got = losses._geodesic_axis_angle(ys, a_mat)
+    want = oracle_geodesic_axis_angle(ys, a_mat)
+    for g, w, shape in zip(got, want, (lead, ys.shape, lead)):
+        assert g.shape == shape and g.strides == w.strides and same_bits(g, w)
+        assert g.flags.c_contiguous or layout != "c"
+    assert same_bits(ys, ys_before) and same_bits(a_mat, a_before)
+
+
+@pytest.mark.parametrize("family", ["M_P", "M_Pp", "M_XP", "M_XPp"])
+def test_expectation_families_on_a_gradcheck_block_equal_the_oracle_kernel(monkeypatch, family):
+    """objective_batch on the first block check_family builds (as many
+    instances' probe rows as fit its row budget) with the kernel, and with
+    the row-major oracle in its place: the same bits.  The einsum over the
+    K axis sums in an order that follows its operands' layout."""
+    spec = losses.ObjectiveSpec(family)
+    calls, objective = [], losses.objective_batch
+
+    def recording(*args):
+        calls.append(args)
+        return objective(*args)
+
+    per_call = gradcheck._ROW_BUDGET // gradcheck._probe_rows(spec, 8)
+    monkeypatch.setattr(losses, "objective_batch", recording)
+    gradcheck.check_family(spec, instances=per_call)
+    monkeypatch.setattr(losses, "objective_batch", objective)
+    (args,) = calls
+    got = objective(*args)
+    monkeypatch.setattr(losses, "_geodesic_axis_angle", oracle_geodesic_axis_angle)
+    want = objective(*args)
+    assert len(got.values) == per_call * gradcheck._probe_rows(spec, 8)
+    assert same_bits(got.values, want.values) and same_bits(got.non_smooth, want.non_smooth)
+    assert got.grads.keys() == want.grads.keys()
+    for name in got.grads:
+        assert same_bits(got.grads[name], want.grads[name])

@@ -564,6 +564,17 @@ def test_check_family_refuses_counts_that_are_not_integers(name, value):
         gradcheck.check_family(_spec("R_G"), **{"instances": 3, "k": 4, name: value})
 
 
+@pytest.mark.parametrize("seed", [True, -1, 2.5, "3"])
+def test_check_family_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+        gradcheck.check_family(_spec("R_G"), instances=3, seed=seed)
+
+
+def test_check_family_reads_the_seed_through_operator_index():
+    report = gradcheck.check_family(_spec("M_P"), instances=3, seed=np.int64(3))
+    assert repr(report) == repr(gradcheck.check_family(_spec("M_P"), instances=3, seed=3))
+
+
 def test_check_family_reads_counts_through_operator_index():
     report = gradcheck.check_family(_spec("M_G"), instances=np.int64(3), k=np.int32(4))
     assert type(report.instances) is int and report.instances == 3

@@ -1133,3 +1133,42 @@ def test_stacked_sampler_fails_where_the_loop_fails(monkeypatch, family):
     with pytest.raises(gradcheck.InstanceSamplingFailed):
         gradcheck._sample(spec, rb, 4, 7)
     assert rb.bit_generator.state == ra.bit_generator.state
+
+
+# LOGIT_MARGIN 0.5 rejects 27-57 % of logit draws for k = 2..8, so many
+# candidates retry their logits; 1e3 rejects every draw, so the first
+# candidate that draws logits exhausts MAX_RESAMPLE
+RETRY_MARGIN, EXHAUSTED_MARGIN = 0.5, 1e3
+LOGIT_SPECS = [s for s in gradcheck.default_specs() if s.family not in losses.DIRECT_FAMILIES]
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_retry_margin_rejects_many_logit_draws(k):
+    logits = np.sort(np.random.default_rng(k).standard_normal((2000, k)), axis=1)
+    assert np.mean(logits[:, -1] - logits[:, -2] < RETRY_MARGIN) > 0.25
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(LOGIT_SPECS), SEEDS, st.integers(min_value=2, max_value=8),
+       st.integers(min_value=1, max_value=12))
+def test_stacked_sampler_retries_logits_as_the_one_candidate_loop(spec, seed, k, n):
+    ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(gradcheck, "LOGIT_MARGIN", RETRY_MARGIN):
+        want = _outcome_of(lambda: [_oracle_instance(spec, ra, k) for _ in range(n)])
+        got = _outcome_of(lambda: _stacked_instances(spec, rb, k, n))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        _assert_same_instances(got, want)
+    assert rb.bit_generator.state == ra.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", LOGIT_SPECS, ids=lambda s: f"{s.family}-{s.representation}")
+def test_stacked_sampler_exhausts_logit_retries_as_the_loop_does(monkeypatch, spec):
+    monkeypatch.setattr(gradcheck, "LOGIT_MARGIN", EXHAUSTED_MARGIN)
+    ra, rb = np.random.default_rng(11), np.random.default_rng(11)
+    with pytest.raises(gradcheck.InstanceSamplingFailed, match="top two logits"):
+        _oracle_instance(spec, ra, 4)
+    with pytest.raises(gradcheck.InstanceSamplingFailed, match="top two logits"):
+        gradcheck._sample(spec, rb, 4, 5)
+    assert rb.bit_generator.state == ra.bit_generator.state
