@@ -299,10 +299,10 @@ def _probe_errors(spec, s: _Stack, h: float) -> np.ndarray:
         stacked.append(probes.reshape((n * rows,) + probes.shape[2:]))
         offset += idx.shape[1]
     prediction = stacked[0] if len(stacked) == 1 else tuple(stacked)
-    y, label, soft, keys = (
-        None if f is None else np.repeat(f, rows, axis=0) for f in (s.y, s.label, s.soft, s.keys)
-    )
-    batch = losses.objective_batch(spec, prediction, losses.TargetBatch(y, label, soft), keys)
+    ref = None if s.y is None else losses.target_references(spec.representation, s.y)
+    y, label, soft, ref, keys = (None if f is None else np.repeat(f, rows, axis=0)
+                                 for f in (s.y, s.label, s.soft, ref, s.keys))
+    batch = losses.objective_batch(spec, prediction, losses.TargetBatch(y, label, soft, ref), keys)
     values = batch.values.reshape(n, rows)
     fd_all = (values[:, 1 : 1 + 2 * entries : 2] - values[:, 2 : 2 + 2 * entries : 2]) / (2.0 * h)
 

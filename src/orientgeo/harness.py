@@ -321,10 +321,8 @@ def discretization_floor(dataset: SyntheticDataset, dictionary: dct.PoseDictiona
     degrees on the test split: the best MedErr a pure classifier over these
     keys can reach."""
     keys = dct.pose_matrices(dictionary.keys, dictionary.representation)
-    per_cat = []
-    for targets in dataset.test.targets:
-        dists = so3.geodesic_distance_matrices(targets[:, None], keys)  # (n, K)
-        per_cat.append(statistics.median(np.degrees(dists.min(axis=1)).tolist()))
+    dists = so3.geodesic_distance_matrices(dataset.test.targets[:, :, None], keys)  # (G, n, K)
+    per_cat = [statistics.median(d) for d in np.degrees(dists.min(axis=-1)).tolist()]
     return sum(per_cat) / len(per_cat)
 
 
@@ -369,20 +367,24 @@ def build_category_model(cfg: ExperimentConfig, seed: int) -> dict:
     return nets
 
 
-def _checkpoint_networks(nets):
-    """(file role, network) pairs of one category as checkpoints store them:
-    one file per per-bin head, named delta_head_{k:03d}."""
-    for role, net in nets.items():
-        if role == "deltas":
-            for k in range(net.layers[0].weight.shape[0]):
-                yield f"delta_head_{k:03d}", models.unstack(net, k)
-        else:
-            yield role, net
+def _checkpoint_networks(nets, names):
+    """(file stem, view of a role stack) pairs as checkpoints store them:
+    {cat}.{role}, and one {cat}.delta_head_{k:03d} per per-bin head."""
+    for c, name in enumerate(names):
+        for role, net in nets.items():
+            if role == "deltas":
+                for k in range(net.layers[0].weight.shape[1]):
+                    yield f"{name}.delta_head_{k:03d}", models.unstack(net, (c, k))
+            else:
+                yield f"{name}.{role}", models.unstack(net, c)
+
+
+_DECODE_BLOCK = 512  # flat rows per gather of per-bin heads: bounds its (rows, out, in) copies
 
 
 def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
-    """Feature rows (n, in) to rotation matrices (n, 3, 3), by the family's
-    decoding rule."""
+    """Feature rows (G, n, in) of G categories to rotation matrices (G, n, 3, 3)
+    by the family's decoding rule, with one forward per role stack."""
     if spec.family in losses.DIRECT_FAMILIES:
         y = models.forward(nets["pose"], x)
         if spec.representation == dct.QUATERNION and np.any(np.linalg.norm(y, axis=-1) < 1e-12):
@@ -391,8 +393,13 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
     label = np.argmax(models.forward(nets["logits"], x), axis=-1)  # ties take the lowest index
     if spec.family == "C":
         return dct.pose_matrices(dictionary.keys[label], dictionary.representation)
-    if spec.per_bin:  # each row through the head of its own label
-        delta = models.forward(models.unstack(nets["deltas"], label), x[:, None])[:, 0]
+    if spec.per_bin:  # each row through the head of its own (category, label)
+        cat = np.repeat(np.arange(len(x)), x.shape[1])
+        flat, rows = label.ravel(), x.reshape(-1, 1, x.shape[-1])
+        delta = np.concatenate([
+            models.forward(models.unstack(nets["deltas"], (cat[s], flat[s])), rows[s])[:, 0]
+            for s in (slice(i, i + _DECODE_BLOCK) for i in range(0, len(rows), _DECODE_BLOCK))
+        ]).reshape(label.shape + (-1,))
     else:
         delta = models.forward(nets["delta"], x)
     return models.compose_rotation(spec.combination, dictionary.keys[label], delta)
@@ -528,8 +535,9 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     rate decays by cfg.optimizer.decay after every scheduled epoch, and the
     geodesic/riemannian Bin & Delta families spend one warm-start epoch on
     their Simple counterpart (fresh optimizer state when the objective
-    switches).  Returns (models_by_category, dictionary, TrainLog); the
-    per-category networks are views of the stacked parameters.
+    switches).  Returns (nets, dictionary, TrainLog): nets maps each role
+    to its network stacked over the categories, whose (G, ..., P) buffer
+    Adam stepped.
     """
     seed = cfg.seed if seed is None else seed
     spec = cfg.objective
@@ -547,8 +555,6 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     per_cat = [build_category_model(cfg, seed + 1000 * (c + 1)) for c in range(len(names))]
     nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
     del per_cat  # the stacks' buffers hold copies
-    nets_by_cat = {name: {role: models.unstack(net, c) for role, net in nets.items()}
-                   for c, name in enumerate(names)}
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), c, 10]))
                   for c in range(len(names))]
     feats, targets = _training_rows(spec, dictionary, dataset, gamma)
@@ -606,7 +612,7 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     log = TrainLog(
         tuple(lines), tuple(epoch_losses), tuple(step_losses), tuple(epoch_non_smooth)
     )
-    return nets_by_cat, dictionary, log
+    return nets, dictionary, log
 
 
 # ---------------------------------------------------------------------------
@@ -620,21 +626,20 @@ class RunResult:
     report: metrics.MetricReport  # test split
     val_report: metrics.MetricReport
     log: TrainLog
-    models: dict
+    models: dict  # role -> network stacked over the categories
     dictionary: dct.PoseDictionary
     out_dir: str = None
 
 
-def evaluate_split(spec, nets_by_cat, dictionary, dataset, split: str) -> metrics.PoseRecords:
-    """Pose records for one split, in category-then-index order, each
-    rotation checked as so3.Rotation checks one."""
+def evaluate_split(spec, nets, dictionary, dataset, split: str) -> metrics.PoseRecords:
+    """Pose records for one split from one predict_rotation call, in
+    category-then-index order, each rotation checked as so3.Rotation does."""
     data = getattr(dataset, split)
-    preds = [predict_rotation(spec, nets_by_cat[name], dictionary, x)
-             for name, x in zip(dataset.categories, data.features)]
+    pred = predict_rotation(spec, nets, dictionary, data.features)
     return metrics.PoseRecords(
         np.repeat(np.array(dataset.categories, dtype=str), data.features.shape[1]),
         so3.check_rotations(data.targets.reshape(-1, 3, 3)),
-        so3.check_rotations(np.concatenate(preds)),
+        so3.check_rotations(pred.reshape(-1, 3, 3)),
     )
 
 
@@ -658,10 +663,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
     seed = cfg.seed if seed is None else seed
     dataset = generate_synthetic(cfg, seed)
     dictionary = fit_shared_dictionary(cfg, dataset)
-    nets_by_cat, dictionary, log = train(cfg, dataset, dictionary, seed=seed)
+    nets, dictionary, log = train(cfg, dataset, dictionary, seed=seed)
     spec = cfg.objective
-    test_records = evaluate_split(spec, nets_by_cat, dictionary, dataset, "test")
-    val_records = evaluate_split(spec, nets_by_cat, dictionary, dataset, "val")
+    test_records = evaluate_split(spec, nets, dictionary, dataset, "test")
+    val_records = evaluate_split(spec, nets, dictionary, dataset, "val")
     dump_dets, dump_gts = _dump_tables(test_records)
     report = metrics.pose_report(
         metrics.PoseRecords(dump_gts.category, dump_gts.rotation, dump_dets.rotation))
@@ -679,12 +684,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
         dct.save_dictionary(dictionary, os.path.join(out_dir, "dictionary.txt"))
         ck_dir = os.path.join(out_dir, "checkpoint")
         os.makedirs(ck_dir, exist_ok=True)
-        for name, nets in nets_by_cat.items():
-            for role, net in _checkpoint_networks(nets):
-                models.save_mlp(net, os.path.join(ck_dir, f"{name}.{role}.json"))
+        for stem, net in _checkpoint_networks(nets, dataset.categories):
+            models.save_mlp(net, os.path.join(ck_dir, f"{stem}.json"))
         with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
             fh.write(log.text)
-    return RunResult(cfg, seed, report, val_report, log, nets_by_cat, dictionary, out_dir)
+    return RunResult(cfg, seed, report, val_report, log, nets, dictionary, out_dir)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -86,7 +86,7 @@ class JitterSpec:
         for name in ("d_az", "d_el", "d_ct"):
             vals = getattr(self, name)
             # float() would read a string digit by digit and a bool as 0 or 1
-            if isinstance(vals, str) or not all(
+            if not isinstance(vals, (list, tuple)) or not all(
                 isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
             ):
                 raise ValueError(f"{name} offsets must be real numbers, got {vals!r}")

@@ -141,7 +141,7 @@ def _activation_backward(tag: str, h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def forward(net: MLP, f: np.ndarray) -> np.ndarray:
-    """Run the network on a single feature vector or a (..., n, in_dim) batch."""
+    """Run the network on feature rows (..., n, in_dim)."""
     out, _ = forward_cached(net, f)
     return out
 
@@ -149,15 +149,13 @@ def forward(net: MLP, f: np.ndarray) -> np.ndarray:
 def forward_cached(net: MLP, f: np.ndarray):
     """Forward pass keeping per-layer (activation, output) pairs."""
     x = np.asarray(f, dtype=float)
-    if x.shape[-1] != net.in_dim:
-        raise DimensionMismatch(
-            f"feature dim {x.shape[-1]} does not match first layer {net.in_dim}"
-        )
+    if x.ndim < 2 or x.shape[-1] != net.in_dim:
+        raise DimensionMismatch(f"features of shape {x.shape} are not rows (..., n, {net.in_dim})")
     cache = [("input", x)]
     h = x
     for layer in net.layers:
         z = h @ layer.weight.mT
-        z += layer.bias if h.ndim == 1 else layer.bias[..., None, :]
+        z += layer.bias[..., None, :]
         h = _apply_activation(layer.activation, z)
         cache.append((layer.activation, h))
     return h, cache
@@ -165,9 +163,9 @@ def forward_cached(net: MLP, f: np.ndarray):
 
 def backward(net: MLP, cache, grad_out: np.ndarray) -> np.ndarray:
     """Weight/bias gradients for a loss gradient at the network output, as
-    one (..., P) array in the buffer layout (see on_buffer).  Batched inputs
-    sum over the sample axis (the second to last).  The gradient at the
-    network input is not formed.
+    one (..., P) array in the buffer layout (see on_buffer), summed over
+    the sample axis (the second to last).  The gradient at the network
+    input is not formed.
     """
     p = sum(l.weight.shape[-2] * (l.weight.shape[-1] + 1) for l in net.layers)
     grads = np.empty(net.layers[0].bias.shape[:-1] + (p,))
@@ -176,12 +174,8 @@ def backward(net: MLP, cache, grad_out: np.ndarray) -> np.ndarray:
         tag, h = cache[i + 1]
         gz = _activation_backward(tag, h, g)
         h_prev = cache[i][1]
-        if gz.ndim == 1:
-            np.multiply(gz[:, None], h_prev, out=dw)
-            db[...] = gz
-        else:
-            np.matmul(gz.mT, h_prev, out=dw)
-            np.add.reduce(gz, axis=-2, out=db)
+        np.matmul(gz.mT, h_prev, out=dw)
+        np.add.reduce(gz, axis=-2, out=db)
         if i:
             g = gz @ net.layers[i].weight
     return grads

@@ -41,28 +41,33 @@ def case_config(name):
     )
 
 
-def network_weights(nets):
-    """{network name: [(weight, bias) per layer]} for one category, with
-    the per-bin heads named as their checkpoint files name them."""
+def network_weights(nets, categories):
+    """{category: {network name: [(weight, bias) per layer]}} read from the
+    role stacks train returns, with the per-bin heads named as their
+    checkpoint files name them."""
     out = {}
-    for role, net in nets.items():
-        if role == "deltas":  # stacked per-bin heads (K, out, in)
-            for k in range(net.layers[0].weight.shape[0]):
-                out[f"delta_head_{k:03d}"] = [(l.weight[k], l.bias[k]) for l in net.layers]
-        else:
-            out[role] = [(l.weight, l.bias) for l in net.layers]
+    for c, cat in enumerate(categories):
+        out[cat] = {}
+        for role, net in nets.items():
+            if role == "deltas":  # stacked per-bin heads (G, K, out, in)
+                for k in range(net.layers[0].weight.shape[1]):
+                    out[cat][f"delta_head_{k:03d}"] = [(l.weight[c, k], l.bias[c, k])
+                                                       for l in net.layers]
+            else:
+                out[cat][role] = [(l.weight[c], l.bias[c]) for l in net.layers]
     return out
 
 
 def golden_case(name):
     cfg = case_config(name)
-    nets_by_cat, _, log = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    dataset = harness.generate_synthetic(cfg, 0)
+    nets, _, log = harness.train(cfg, dataset, seed=0)
     weights = {
         cat: {
             net: [{"weight": w.tolist(), "bias": b.tolist()} for w, b in layers]
-            for net, layers in network_weights(nets).items()
+            for net, layers in per_cat.items()
         }
-        for cat, nets in nets_by_cat.items()
+        for cat, per_cat in network_weights(nets, dataset.categories).items()
     }
     return {"log": list(log.lines), "weights": weights}
 

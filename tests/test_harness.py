@@ -331,11 +331,9 @@ def test_train_is_deterministic():
     nets_a, _, log_a = harness.train(cfg, ds, seed=0)
     nets_b, _, log_b = harness.train(cfg, ds, seed=0)
     assert log_a.lines == log_b.lines
-    for name in ds.categories:
-        for role in nets_a[name]:
-            for la, lb in zip(nets_a[name][role].layers, nets_b[name][role].layers):
-                assert np.array_equal(la.weight, lb.weight)
-                assert np.array_equal(la.bias, lb.bias)
+    assert list(nets_a) == list(nets_b)
+    for role, net in nets_a.items():
+        assert np.array_equal(net.params, nets_b[role].params)
 
 
 def test_simple_init_prepends_warm_epoch():
@@ -443,11 +441,12 @@ def test_train_matches_golden_weights(case):
     with open(GOLDEN_TRAINING, encoding="utf-8") as fh:
         golden = json.load(fh)["cases"][case]
     cfg = record_golden_training.case_config(case)
-    nets_by_cat, _, log = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    dataset = harness.generate_synthetic(cfg, 0)
+    nets, _, log = harness.train(cfg, dataset, seed=0)
     assert list(log.lines) == golden["log"]
-    assert list(nets_by_cat) == list(golden["weights"])
-    for cat, nets in nets_by_cat.items():
-        got = record_golden_training.network_weights(nets)
+    weights = record_golden_training.network_weights(nets, dataset.categories)
+    assert list(weights) == list(golden["weights"])
+    for cat, got in weights.items():
         assert list(got) == list(golden["weights"][cat])
         for name, layers in got.items():
             for (w, b), want in zip(layers, golden["weights"][cat][name]):
@@ -482,12 +481,10 @@ def test_perturbing_one_category_leaves_the_others_bit_identical():
     feats[1] += 1e-3  # cat02
     train = harness.Split(feats, ds.train.targets)
     nets_b, _, _ = harness.train(cfg, dataclasses.replace(ds, train=train), seed=0)
-    for role, net in nets_a["cat01"].items():
-        for la, lb in zip(net.layers, nets_b["cat01"][role].layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.array_equal(la.bias, lb.bias)
+    for role, net in nets_a.items():
+        assert np.array_equal(net.params[0], nets_b[role].params[0])  # cat01
     assert not np.array_equal(
-        nets_a["cat02"]["logits"].layers[0].weight, nets_b["cat02"]["logits"].layers[0].weight
+        nets_a["logits"].layers[0].weight[1], nets_b["logits"].layers[0].weight[1]
     )
 
 
@@ -501,14 +498,13 @@ def test_head_no_sample_selected_keeps_initial_weights(monkeypatch):
         return nets
 
     monkeypatch.setattr(harness, "build_category_model", favour_key_zero)
-    nets_by_cat, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
-    for c, name in enumerate(("cat01", "cat02")):
+    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    for c in range(2):
         init = build(cfg, cfg.seed + 1000 * (c + 1))["deltas"]
-        trained = nets_by_cat[name]["deltas"]
-        for li, lt in zip(init.layers, trained.layers):
-            assert not np.array_equal(li.weight[0], lt.weight[0])
-            assert np.array_equal(li.weight[1:], lt.weight[1:])
-            assert np.array_equal(li.bias[1:], lt.bias[1:])
+        for li, lt in zip(init.layers, nets["deltas"].layers):
+            assert not np.array_equal(li.weight[0], lt.weight[c, 0])
+            assert np.array_equal(li.weight[1:], lt.weight[c, 1:])
+            assert np.array_equal(li.bias[1:], lt.bias[c, 1:])
 
 
 def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
@@ -523,12 +519,12 @@ def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
         return batch
 
     monkeypatch.setattr(losses, "objective_batch", no_delta_gradient)
-    nets_by_cat, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
-    for c, name in enumerate(("cat01", "cat02")):
+    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    for c in range(2):
         init = harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1))
         for role, moved in (("deltas", False), ("logits", True)):
-            same = [np.array_equal(a.weight, b.weight)
-                    for a, b in zip(init[role].layers, nets_by_cat[name][role].layers)]
+            same = [np.array_equal(a.weight, b.weight[c])
+                    for a, b in zip(init[role].layers, nets[role].layers)]
             assert same == [not moved] * len(same), role
 
 
@@ -625,8 +621,9 @@ def test_adam_reads_each_constant_as_it_steps(monkeypatch, name, value):
 
 @pytest.mark.parametrize("family", ["R_G", "M_Gp"])
 def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
-    # the per-category networks train returns, and unstack views of them,
-    # read the stacked buffers Adam stepped, never a stale copy
+    # the role stacks train returns, and the per-category and per-head
+    # views that checkpoints write, read the stacked buffers Adam stepped,
+    # never a stale copy
     buffers = []
     stack = models.stack
 
@@ -637,19 +634,22 @@ def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
 
     monkeypatch.setattr(models, "stack", recording_stack)
     cfg = tiny_config(family)
-    nets_by_cat, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
-    for c, nets in enumerate(nets_by_cat.values()):
-        stacked = dict(zip(nets, buffers[-len(nets):]))  # train stacks the roles last
-        for role, net in nets.items():
-            buf = stacked[role]
-            views = [a for l in net.layers for a in (l.weight, l.bias)]
-            if role == "deltas":
-                views += [a for l in models.unstack(net, 1).layers for a in (l.weight, l.bias)]
-            assert all(np.shares_memory(a, buf) for a in views), role
-            assert buf.shape[0] == len(nets_by_cat)
-            lead = buf.shape[1:-1]
-            flat = [a.reshape(lead + (-1,)) for l in net.layers for a in (l.weight, l.bias)]
-            assert np.array_equal(np.concatenate(flat, axis=-1), buf[c])
+    dataset = harness.generate_synthetic(cfg, 0)
+    nets, _, _ = harness.train(cfg, dataset, seed=0)
+    stacked = dict(zip(nets, buffers[-len(nets):]))  # train stacks the roles last
+    for role, net in nets.items():
+        buf = stacked[role]
+        assert net.params is buf, role
+        assert buf.shape[0] == len(dataset.categories)
+        assert all(np.shares_memory(a, buf) for l in net.layers for a in (l.weight, l.bias)), role
+    for stem, net in harness._checkpoint_networks(nets, dataset.categories):
+        cat, name = stem.split(".")
+        c = dataset.categories.index(cat)
+        buf = stacked[name if name in nets else "deltas"]
+        views = [a for l in net.layers for a in (l.weight, l.bias)]
+        assert all(np.shares_memory(a, buf) for a in views), stem
+        row = buf[c] if name in nets else buf[c, int(name.removeprefix("delta_head_"))]
+        assert np.array_equal(np.concatenate([a.ravel() for a in views]), row), stem
 
 
 def test_train_log_counts_non_smooth_samples_per_epoch():
@@ -715,13 +715,14 @@ def test_shared_seed_gives_identical_dataset_across_objectives():
 
 
 def _fixed_decoder(logits, deltas, fdim=4):
-    """Networks that ignore the features: the given logits, and the given
-    delta of each key (K, 3) or shared delta (3,)."""
-    logits = np.asarray(logits, dtype=float)
-    deltas = np.asarray(deltas, dtype=float)
-    role = "deltas" if deltas.ndim == 2 else "delta"
+    """Role stacks of one category (G = 1) whose networks ignore the
+    features: the given logits, and the given delta of each key (K, 3) or
+    shared delta (3,)."""
+    logits = np.asarray(logits, dtype=float)[None]
+    deltas = np.asarray(deltas, dtype=float)[None]
+    role = "deltas" if deltas.ndim == 3 else "delta"
     return {
-        "logits": models.MLP([models.Layer(np.zeros((len(logits), fdim)), logits, "linear")]),
+        "logits": models.MLP([models.Layer(np.zeros(logits.shape + (fdim,)), logits, "linear")]),
         role: models.MLP([models.Layer(np.zeros(deltas.shape + (fdim,)), deltas, "linear")]),
     }
 
@@ -737,16 +738,16 @@ def test_predict_rotation_one_hot():
     logits = np.zeros(8)
     logits[3] = 1.0
     r = harness.predict_rotation(
-        losses.ObjectiveSpec("M_G"), _fixed_decoder(logits, np.zeros(3)), d, np.ones((1, 4))
+        losses.ObjectiveSpec("M_G"), _fixed_decoder(logits, np.zeros(3)), d, np.ones((1, 1, 4))
     )
-    np.testing.assert_allclose(r[0], so3.rodrigues(d.keys[3]), atol=1e-15)
+    np.testing.assert_allclose(r[0, 0], so3.rodrigues(d.keys[3]), atol=1e-15)
 
 
 def test_predict_rotation_tie_breaks_to_first():
     d = _keys(11)
     decoder = _fixed_decoder(np.full(8, 0.5), np.zeros((8, 3)))
-    r = harness.predict_rotation(losses.ObjectiveSpec("M_Gp"), decoder, d, np.ones((1, 4)))
-    np.testing.assert_allclose(r[0], so3.rodrigues(d.keys[0]), atol=1e-15)
+    r = harness.predict_rotation(losses.ObjectiveSpec("M_Gp"), decoder, d, np.ones((1, 1, 4)))
+    np.testing.assert_allclose(r[0, 0], so3.rodrigues(d.keys[0]), atol=1e-15)
 
 
 def test_predict_rotation_matches_argmax_compose_oracle():
@@ -756,11 +757,12 @@ def test_predict_rotation_matches_argmax_compose_oracle():
         logits = g.normal(size=8)
         per_bin = g.uniform(-0.2, 0.2, size=(8, 3))
         got = harness.predict_rotation(
-            losses.ObjectiveSpec("M_Gp"), _fixed_decoder(logits, per_bin), d, g.normal(size=(1, 4))
+            losses.ObjectiveSpec("M_Gp"), _fixed_decoder(logits, per_bin), d,
+            g.normal(size=(1, 1, 4))
         )
         lbl = int(np.argmax(logits))
         want = so3.rodrigues(so3.clip_axis_angle_norm(d.keys[lbl] + per_bin[lbl]))
-        np.testing.assert_allclose(got[0], want, atol=1e-15)
+        np.testing.assert_allclose(got[0, 0], want, atol=1e-15)
 
 
 def test_predict_rotation_invariant_to_monotone_logit_transform():
@@ -769,11 +771,65 @@ def test_predict_rotation_invariant_to_monotone_logit_transform():
     spec = losses.ObjectiveSpec("M_G")
     logits = g.uniform(0.05, 1.0, size=8)
     delta = g.uniform(-0.1, 0.1, size=3)
-    base = harness.predict_rotation(spec, _fixed_decoder(logits, delta), d, np.ones((1, 4)))
+    base = harness.predict_rotation(spec, _fixed_decoder(logits, delta), d, np.ones((1, 1, 4)))
     for transform in (np.sqrt, np.square, lambda x: np.exp(3.0 * x)):
         decoder = _fixed_decoder(transform(logits), delta)
-        r = harness.predict_rotation(spec, decoder, d, np.ones((1, 4)))
-        np.testing.assert_array_equal(r[0], base[0])
+        r = harness.predict_rotation(spec, decoder, d, np.ones((1, 1, 4)))
+        np.testing.assert_array_equal(r, base)
+
+
+def _predict_one_category(spec, nets, dictionary, x):
+    """predict_rotation as it ran per category before the role stacks: one
+    category's networks, features (n, in), rotations (n, 3, 3)."""
+    if spec.family in losses.DIRECT_FAMILIES:
+        y = models.forward(nets["pose"], x)
+        if spec.representation == dct.QUATERNION and np.any(np.linalg.norm(y, axis=-1) < 1e-12):
+            raise models.ZeroSum("quaternion head collapsed to zero")
+        return dct.pose_matrices(y, spec.representation)
+    label = np.argmax(models.forward(nets["logits"], x), axis=-1)
+    if spec.family == "C":
+        return dct.pose_matrices(dictionary.keys[label], dictionary.representation)
+    if spec.per_bin:
+        delta = models.forward(models.unstack(nets["deltas"], label), x[:, None])[:, 0]
+    else:
+        delta = models.forward(nets["delta"], x)
+    return models.compose_rotation(spec.combination, dictionary.keys[label], delta)
+
+
+# every family/representation pair: the tangent-space families are axis-angle only
+DECODE_SPECS = [losses.ObjectiveSpec(f, r) for f in losses.FAMILIES for r in dct.REPRESENTATIONS
+                if not (f in losses.RIEMANNIAN_FAMILIES and r == dct.QUATERNION)]
+
+
+@pytest.mark.parametrize("block", [1, 7, harness._DECODE_BLOCK])
+@pytest.mark.parametrize("spec", DECODE_SPECS, ids=lambda s: f"{s.family}-{s.representation}")
+def test_stacked_decode_equals_the_per_category_calls(monkeypatch, spec, block):
+    # three categories with their own networks, ten rows each: blocks of 1
+    # and 7 flat rows split categories.  cat02's top logits tie on keys 1,
+    # 3 and 6, and cat03's logits all tie, so the tie-break is checked too
+    monkeypatch.setattr(harness, "_DECODE_BLOCK", block)
+    cfg = dataclasses.replace(tiny_config(spec.family), objective=spec)
+    g = np.random.default_rng(21)
+    per_cat = [harness.build_category_model(cfg, 7 + 1000 * c) for c in range(3)]
+    nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
+    if "logits" in nets:
+        last = nets["logits"].layers[-1]
+        last.weight[1, [3, 6]], last.bias[1, [3, 6]] = last.weight[1, 1], last.bias[1, 1]
+        last.bias[1, 1] = last.bias[1, 3] = last.bias[1, 6] = 50.0
+        last.weight[2], last.bias[2] = 0.0, 0.0
+    keys = g.normal(size=(cfg.dictionary_size, spec.pose_dim))
+    if spec.representation == dct.AXIS_ANGLE:
+        keys = so3.clip_axis_angle_norm(keys)
+    d = dct.PoseDictionary(keys, spec.representation)
+    x = g.normal(size=(3, 10, cfg.data.feature_dim))
+    got = harness.predict_rotation(spec, nets, d, x)
+    want = np.stack([
+        _predict_one_category(spec, {role: models.unstack(net, c) for role, net in nets.items()},
+                              d, x[c])
+        for c in range(3)
+    ])
+    assert got.shape == (3, 10, 3, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -827,14 +883,14 @@ def test_per_bin_checkpoint_has_one_head_per_key(tmp_path):
     )
     assert len(heads) == cfg.dictionary_size
     assert len(os.listdir(out / "checkpoint")) == cfg.data.categories * (1 + cfg.dictionary_size)
-    stacked = result.models["cat01"]["deltas"]
+    stacked = result.models["deltas"]
     for k, name in enumerate(heads):
         assert name == f"cat01.delta_head_{k:03d}.json"
         net = models.load_mlp(out / "checkpoint" / name)
         assert net.out_dim == 3
         for layer, s in zip(net.layers, stacked.layers):
-            assert np.array_equal(layer.weight, s.weight[k])
-            assert np.array_equal(layer.bias, s.bias[k])
+            assert np.array_equal(layer.weight, s.weight[0, k])
+            assert np.array_equal(layer.bias, s.bias[0, k])
 
 
 def test_classification_run_respects_discretization_floor():

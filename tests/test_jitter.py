@@ -243,15 +243,18 @@ def test_spec_refuses_a_flip_that_is_not_a_boolean(flip):
 
 @pytest.mark.parametrize("name", ["d_az", "d_el", "d_ct"])
 @pytest.mark.parametrize("offsets", ["12", ("1",), (True,), (0.0, False), (np.True_,), (None,),
-                                     (1.0, "2")])
+                                     (1.0, "2"), 5.0, 2, None, np.float64(1.0),
+                                     np.array([1.0, 2.0]), {1.0}])
 def test_spec_refuses_offsets_that_are_not_real_numbers(name, offsets):
-    """float() would read "12" as (1.0, 2.0) and True as 1.0."""
+    """float() would read "12" as (1.0, 2.0) and True as 1.0; a field that is
+    not a list or tuple of offsets, such as a lone number, is refused by
+    name too, not with the TypeError of iterating it."""
     with pytest.raises(ValueError, match=f"^{name} offsets must be real numbers, got "):
         jitter.JitterSpec(**{name: offsets})
 
 
 def test_spec_reads_real_offsets_as_floats():
-    spec = jitter.JitterSpec(d_az=np.array([-1, 2]), d_el=[np.float32(0.5)], d_ct=(3,))
+    spec = jitter.JitterSpec(d_az=[np.int64(-1), 2], d_el=[np.float32(0.5)], d_ct=(3,))
     assert (spec.d_az, spec.d_el, spec.d_ct) == ((-1.0, 2.0), (0.5,), (3.0,))
     assert all(type(v) is float for v in spec.d_az + spec.d_el + spec.d_ct)
 

@@ -506,6 +506,25 @@ def test_probe_rows_count_the_rows_of_each_instance(monkeypatch, spec):
         assert gradcheck._probe_rows(spec, 8) == 65
 
 
+@pytest.mark.parametrize(
+    "spec",
+    gradcheck.default_specs(),
+    ids=lambda s: f"{s.family}-{s.representation}",
+)
+def test_probe_targets_are_referenced_once_per_instance(monkeypatch, spec):
+    # each instance's geodesic reference is built once and repeated over
+    # its probe rows; objective_batch does not rebuild it per probe row
+    rows, references = [], losses.target_references
+
+    def counted(representation, y):
+        rows.append(len(y))
+        return references(representation, y)
+
+    monkeypatch.setattr(losses, "target_references", counted)
+    gradcheck.check_family(spec, instances=3, k=6)
+    assert rows == ([] if spec.family == "C" else [3])
+
+
 def _wrong_head_gradient(objective, spec, prediction, targets, keys):
     """(a) the per-bin gradient lands on head argmax + 1."""
     batch = objective(spec, prediction, targets, keys)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,26 +43,33 @@ def fd_weight_gradient(net, x, loss_fn, h=1e-6):
 def test_forward_zero_weights_pi_tanh_head():
     layers = [models.Layer(np.zeros((3, 5)), np.zeros(3), "pi_tanh")]
     net = models.MLP(layers)
-    np.testing.assert_array_equal(models.forward(net, np.ones(5)), np.zeros(3))
+    np.testing.assert_array_equal(models.forward(net, np.ones((1, 5))), np.zeros((1, 3)))
 
 
 def test_forward_identity_linear_layer():
     net = models.MLP([models.Layer(np.eye(4), np.zeros(4), "linear")])
-    x = np.array([1.0, -2.0, 3.0, 0.5])
+    x = np.array([[1.0, -2.0, 3.0, 0.5]])
     np.testing.assert_array_equal(models.forward(net, x), x)
 
 
 def test_forward_dimension_mismatch():
     net = models.init_pose_network([4, 3], seed=0)
     with pytest.raises(models.DimensionMismatch):
-        models.forward(net, np.zeros(5))
+        models.forward(net, np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("shape", [(), (4,)])
+def test_forward_refuses_features_that_are_not_rows(shape):
+    net = models.init_pose_network([4, 3], seed=0)
+    with pytest.raises(models.DimensionMismatch, match=rf"^features of shape {re.escape(str(shape))} "):
+        models.forward_cached(net, np.zeros(shape))
 
 
 def test_pi_tanh_strictly_inside_pi_ball():
     g = rng(2)
     net = models.init_pose_network([8, 6, 3], seed=1, activations=["relu", "pi_tanh"])
     for _ in range(100):
-        out = models.forward(net, 100.0 * g.standard_normal(8))
+        out = models.forward(net, 100.0 * g.standard_normal((1, 8)))
         assert np.all(np.abs(out) < math.pi)
 
 
@@ -71,7 +79,7 @@ def test_forward_batched_matches_loop():
     xs = g.standard_normal((10, 7))
     batched = models.forward(net, xs)
     for i in range(10):
-        np.testing.assert_allclose(batched[i], models.forward(net, xs[i]), atol=1e-14)
+        np.testing.assert_allclose(batched[i], models.forward(net, xs[i : i + 1])[0], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +96,14 @@ def layer_grads(net, cache, grad_out):
 def test_backward_matches_finite_differences(head):
     g = rng(4)
     net = models.init_pose_network([5, 6, 3], seed=3, activations=["relu", head])
-    x = g.standard_normal(5)
+    x = g.standard_normal((1, 5))
     c = g.standard_normal(3)
 
     def loss_fn(out):
-        return float(np.dot(c, out))
+        return float(np.dot(c, out[0]))
 
     out, cache = models.forward_cached(net, x)
-    grads = layer_grads(net, cache, c)
+    grads = layer_grads(net, cache, c[None])
     expected = fd_weight_gradient(net, x, loss_fn)
     flat_analytic = np.concatenate([np.concatenate([w.ravel(), b.ravel()]) for w, b in grads])
     flat_fd = np.concatenate([e.ravel() for e in expected])
@@ -106,20 +114,19 @@ def test_backward_matches_finite_differences(head):
 def test_backward_batch_sums_per_sample_grads():
     g = rng(6)
     net = models.init_pose_network([5, 4, 2], seed=7)
+    (w1, b1), (w2, _) = [(l.weight, l.bias) for l in net.layers]
     xs = g.standard_normal((8, 5))
     gs = g.standard_normal((8, 2))
     _, cache = models.forward_cached(net, xs)
     grads_batch = layer_grads(net, cache, gs)
-    acc = None
-    for i in range(8):
-        _, ci = models.forward_cached(net, xs[i])
-        gi = layer_grads(net, ci, gs[i])
-        if acc is None:
-            acc = [[w.copy(), b.copy()] for w, b in gi]
-        else:
-            for a, (w, b) in zip(acc, gi):
-                a[0] += w
-                a[1] += b
+    # each sample's relu -> linear backward by hand, summed
+    acc = [[np.zeros_like(w1), np.zeros_like(b1)], [np.zeros_like(w2), np.zeros(2)]]
+    for x, gz2 in zip(xs, gs):
+        h1 = np.maximum(w1 @ x + b1, 0.0)
+        gz1 = (w2.T @ gz2) * (h1 > 0.0)
+        for a, (gz, h_prev) in zip(acc, ((gz1, x), (gz2, h1))):
+            a[0] += np.outer(gz, h_prev)
+            a[1] += gz
     for (wb, bb), (ws, bs) in zip(grads_batch, acc):
         np.testing.assert_allclose(wb, ws, atol=1e-12)
         np.testing.assert_allclose(bb, bs, atol=1e-12)
@@ -208,7 +215,7 @@ def test_init_shapes():
 def test_init_forward_finite():
     g = rng(7)
     net = models.init_pose_network([16, 8, 3], seed=11, activations=["relu", "pi_tanh"])
-    out = models.forward(net, g.standard_normal(16))
+    out = models.forward(net, g.standard_normal((1, 16)))
     assert np.all(np.isfinite(out))
 
 
