@@ -20,6 +20,14 @@ moves with the host's load, and the shares move less than the times.
 The train loop's own cost is one `regress` train call's wall time minus
 the inclusive time of its _step calls, best of LOOP_REPEATS trainings.
 
+Per-bin step: over the steps of one `bindelta_perbin` train call (M_Gp:
+G = 2 categories, K = 100 heads, n = 8 rows each, its M_Sp warm-start
+epoch included), the median per step of the time _step spends in the
+logits forward, the heads forward, objective_batch, the backward passes
+and the Adam steps, and of the whole _step, with the per-bin heads each
+step forwards (mean and most).  The parts are timed by wrappers around the
+library calls _step makes, whose own call cost lands in them.
+
 Kernel: best of STEP_REPEATS geodesic kernel calls on the last
 objective_batch block of a 100-instance M_Pp gradcheck, as `orient-geo
 gradcheck` makes it: 10 instances' probe rows, keys (650, 8, 3) against
@@ -43,7 +51,7 @@ On a shared virtual machine other tenants' load stretches them; the
 dictionary section, which a training-step change leaves alone, shows
 whether a run was slowed.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_5.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_6.json
 """
 
 import argparse
@@ -183,6 +191,65 @@ def _loop_overhead(cfg, repeats):
             best = {"train_s": total, "step_s": inside[0], "outside_step_s": total - inside[0],
                     "steps": inside[1], "outside_per_step_s": (total - inside[0]) / inside[1]}
     return best
+
+
+def _perbin_step_timings(cfg):
+    """Median per step, over the steps of one train call at cfg, of the
+    time _step spends in each of its parts and in all of it, and the mean
+    and most per-bin heads a step forwards.  The heads forward is the
+    forward_cached call of a network with the pose width, and its heads
+    are the entries of that network's stack."""
+    dataset = harness.generate_synthetic(cfg)
+    dictionary = harness.fit_shared_dictionary(cfg, dataset)
+    pose_dim = cfg.objective.pose_dim
+    parts = ("logits_forward_s", "heads_forward_s", "objective_batch_s", "backward_s",
+             "adam_step_s", "step_s")
+    steps, heads, current = {part: [] for part in parts}, [], {}
+    originals = ((models, "forward_cached"), (losses, "objective_batch"), (models, "backward"),
+                 (harness._Adam, "step"), (harness, "_step"))
+    saved = [getattr(owner, name) for owner, name in originals]
+    forward_cached, objective_batch, backward, adam_step, step = saved
+
+    def timed(part, fn, *args):
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            current[part] = current.get(part, 0.0) + time.perf_counter() - start
+
+    def timed_forward(net, f):
+        if net.out_dim == pose_dim:
+            heads.append(int(np.prod(net.params.shape[:-1])))
+            return timed("heads_forward_s", forward_cached, net, f)
+        return timed("logits_forward_s", forward_cached, net, f)
+
+    def timed_step(*args):
+        current.clear()
+        try:
+            return timed("step_s", step, *args)
+        finally:
+            for part in parts:
+                steps[part].append(current.get(part, 0.0))
+
+    wrappers = (timed_forward, lambda *a: timed("objective_batch_s", objective_batch, *a),
+                lambda *a: timed("backward_s", backward, *a),
+                lambda *a: timed("adam_step_s", adam_step, *a), timed_step)
+    for (owner, name), wrapper in zip(originals, wrappers):
+        setattr(owner, name, wrapper)
+    try:
+        harness.train(cfg, dataset, dictionary)
+    finally:
+        for (owner, name), fn in zip(originals, saved):
+            setattr(owner, name, fn)
+    return {
+        "categories": cfg.data.categories,
+        "heads_per_category": cfg.dictionary_size,
+        "rows_per_category": cfg.optimizer.batch_per_category,
+        "steps": len(heads),
+        "heads_forwarded_mean": sum(heads) / len(heads),
+        "heads_forwarded_max": max(heads),
+        **{part: statistics.median(times) for part, times in steps.items()},
+    }
 
 
 def _kernel_timings(repeats):
@@ -362,6 +429,9 @@ def main() -> int:
     print("regress step: " + ", ".join(f"{key} {value}" for key, value in step.items()))
     loop = _loop_overhead(regress, LOOP_REPEATS)
     print("regress train loop: " + ", ".join(f"{key} {value}" for key, value in loop.items()))
+    perbin = _perbin_step_timings(workloads._training_config("bindelta_perbin", DATA_SEED,
+                                                              tiny=False))
+    print("bindelta_perbin step: " + ", ".join(f"{key} {value}" for key, value in perbin.items()))
     kernel = _kernel_timings(STEP_REPEATS)
     print("kernel: " + ", ".join(f"{key} {value}" for key, value in kernel.items()))
     stages = _stage_split(regress, STAGE_RUNS)
@@ -385,6 +455,8 @@ def main() -> int:
                 "at the regress step shapes, best of step_repeats, the regress train "
                 "loop's time outside _step, best of loop_repeats, and the median stage "
                 "split and stage shares of stage_runs regress run_experiment calls; "
+                "the median per step of each part of the bindelta_perbin (M_Gp) step "
+                "over one train call, with the per-bin heads each step forwards; "
                 "the geodesic kernel on one M_Pp gradcheck block, best of step_repeats; "
                 "jitter grids and a manifest round trip at the `orient-geo jitter` "
                 "defaults, best of jitter_repeats; read_records and Matching on a "
@@ -414,6 +486,7 @@ def main() -> int:
         "entries": entries,
         "regress_step": step,
         "regress_train_loop": loop,
+        "bindelta_perbin_step": perbin,
         "kernel": kernel,
         "regress_stages": stages,
         "jitter": jitter_times,

@@ -28,10 +28,10 @@ contiguous run of normals (a candidate's quaternion poses are one run).
 check_family evaluates the probe rows of many instances, each with its own
 keys, in one objective_batch call of at most _ROW_BUDGET rows.
 
-FD probes the entries each objective reads.  The hard-label per-bin
-families read only the deltas of head argmax(logits); their other heads'
-deltas get two exact checks instead of probes: a zero analytic gradient,
-and a value that does not move when they all move at once.
+FD probes every entry of the prediction the objective reads.  For the
+hard-label per-bin families that is the deltas of head argmax(logits), as
+for a shared delta; the sampler still draws and tests all K heads, so the
+instance stream is that of every family with K heads.
 """
 
 from __future__ import annotations
@@ -99,12 +99,17 @@ class _Stack:
         return len(self.logits if self.pose is None else self.pose)
 
     def views(self, spec):
-        """(gradient name, prediction rows) of the slots FD probes, in order."""
+        """(gradient name, prediction rows) of the slots FD probes, in order:
+        what objective_batch takes, so for a hard-label per-bin family the
+        deltas of head argmax(logits), which LOGIT_MARGIN keeps selected."""
         if self.pose is not None:
             return [("pose", self.pose)]
         if self.deltas is None:
             return [("logits", self.logits)]
-        return [("logits", self.logits), ("deltas" if spec.per_bin else "delta", self.deltas)]
+        deltas = self.deltas
+        if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
+            deltas = deltas[np.arange(self.size), np.argmax(self.logits, axis=1)]
+        return [("logits", self.logits), ("deltas" if spec.per_bin else "delta", deltas)]
 
 
 def _concat(stacks) -> _Stack:
@@ -254,69 +259,42 @@ def _sample(spec, rng: np.random.Generator, k: int, n: int) -> _Stack:
     return _concat(parts)
 
 
-def _probed_entries(spec, s: _Stack, name: str, size: int) -> np.ndarray:
-    """Flat indices (n, m) of the entries of one gradient slot that FD
-    probes: all of them, except in the deltas of a hard-label per-bin
-    family, whose value reads only the d entries of head argmax(logits)
-    (LOGIT_MARGIN keeps that head fixed under every probe)."""
-    if name == "deltas" and spec.family not in losses.EXPECTATION_FAMILIES:
-        d = spec.pose_dim
-        return np.argmax(s.logits, axis=1)[:, None] * d + np.arange(d)
-    return np.broadcast_to(np.arange(size), (s.size, size))
-
-
 def _probe_errors(spec, s: _Stack, h: float) -> np.ndarray:
     """Max relative error between analytic and central-difference gradients
-    of each instance (n,), from one objective_batch call; inf where an
-    entry the value does not read fails its exact checks.
+    of each instance (n,), from one objective_batch call.
 
     Each instance owns a block of rows: its first row is the instance,
-    rows 2i + 1 and 2i + 2 move probed entry i by +h and -h (entries
-    numbered across the gradient slots in order).  When a slot has entries
-    the value does not read, a last row moves all of them by +h; that
-    row's value must equal the instance's bit for bit, and their analytic
-    gradient must be exactly 0.
+    rows 2i + 1 and 2i + 2 move entry i by +h and -h (entries numbered
+    across the gradient slots in order).
     """
     n, views = s.size, s.views(spec)
-    inst = np.arange(n)[:, None]
     sizes = [arr[0].size for _, arr in views]
-    probed = [_probed_entries(spec, s, name, size) for (name, _), size in zip(views, sizes)]
-    unread = [np.ones((n, size), dtype=bool) for size in sizes]
-    for mask, idx in zip(unread, probed):
-        mask[inst, idx] = False
-    entries = sum(idx.shape[1] for idx in probed)
-    equality_row = entries < sum(sizes)
-    rows = 1 + 2 * entries + equality_row
+    rows = 1 + 2 * sum(sizes)
     stacked, offset = [], 0
-    for (_, arr), idx, mask in zip(views, probed, unread):
+    for (_, arr), size in zip(views, sizes):
         probes = np.repeat(np.asarray(arr, dtype=float)[:, None], rows, axis=1)
-        flat = probes.reshape(n, rows, -1)
-        entry = offset + np.arange(idx.shape[1])
-        flat[inst, 1 + 2 * entry, idx] += h
-        flat[inst, 2 + 2 * entry, idx] -= h
-        if equality_row:
-            flat[:, -1][mask] += h
+        flat = probes.reshape(n, rows, size)
+        entry = np.arange(size)
+        flat[:, 1 + 2 * (offset + entry), entry] += h
+        flat[:, 2 + 2 * (offset + entry), entry] -= h
         stacked.append(probes.reshape((n * rows,) + probes.shape[2:]))
-        offset += idx.shape[1]
+        offset += size
     prediction = stacked[0] if len(stacked) == 1 else tuple(stacked)
     ref = None if s.y is None else losses.target_references(spec.representation, s.y)
     y, label, soft, ref, keys = (None if f is None else np.repeat(f, rows, axis=0)
                                  for f in (s.y, s.label, s.soft, ref, s.keys))
     batch = losses.objective_batch(spec, prediction, losses.TargetBatch(y, label, soft, ref), keys)
     values = batch.values.reshape(n, rows)
-    fd_all = (values[:, 1 : 1 + 2 * entries : 2] - values[:, 2 : 2 + 2 * entries : 2]) / (2.0 * h)
+    fd_all = (values[:, 1::2] - values[:, 2::2]) / (2.0 * h)
 
     worst, offset = np.zeros(n), 0
-    exact = values[:, -1] == values[:, 0] if equality_row else np.ones(n, dtype=bool)
-    for (name, _), size, idx, mask in zip(views, sizes, probed, unread):
-        fd = fd_all[:, offset : offset + idx.shape[1]]
-        offset += idx.shape[1]
+    for (name, _), size in zip(views, sizes):
+        fd = fd_all[:, offset : offset + size]
+        offset += size
         analytic = batch.grads[name].reshape(n, rows, size)[:, 0]
         scale = np.maximum(np.max(np.abs(fd), axis=1), 1e-8)
-        err = np.abs(np.take_along_axis(analytic, idx, axis=1) - fd)
-        worst = np.maximum(worst, np.max(err, axis=1) / scale)
-        exact &= ~np.any((analytic != 0.0) & mask, axis=1)
-    return np.where(exact, worst, np.inf)
+        worst = np.maximum(worst, np.max(np.abs(analytic - fd), axis=1) / scale)
+    return worst
 
 
 def check_family(
@@ -347,17 +325,15 @@ def check_family(
 
 
 def _probe_rows(spec, k: int) -> int:
-    """Rows of one instance's probe block: the instance, two per probed
-    entry and, for a hard-label per-bin family, the row that moves the
-    deltas of every head but argmax(logits)."""
+    """Rows of one instance's probe block: the instance and two per probed
+    entry."""
     d = spec.pose_dim
     if spec.family in losses.DIRECT_FAMILIES:
         return 1 + 2 * d
     if spec.family == "C":
         return 1 + 2 * k
-    if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
-        return 2 + 2 * (k + d)
-    return 1 + 2 * (k + (k * d if spec.per_bin else d))
+    every_head = spec.per_bin and spec.family in losses.EXPECTATION_FAMILIES
+    return 1 + 2 * (k + (k * d if every_head else d))
 
 
 def default_specs():

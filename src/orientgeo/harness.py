@@ -492,14 +492,35 @@ def _training_rows(spec, dictionary, dataset, gamma):
 def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss:
     """One optimizer step of the stacked networks on feats (G, n, in), n
     samples of each of G categories, and their G * n targets in category
-    order.  Per-bin heads read the shared features and give (G, K, n, d)."""
+    order.  The per-bin heads the objective reads (each row's head
+    argmax(logits), or all for the expectation families) are gathered once
+    and run on their category's n rows: the whole (G, K) stack's products,
+    so its bits.  Backward reuses the gathered rows and steps only heads
+    with a nonzero gradient, so a head no sample touched keeps its weights
+    and Adam state."""
     g, n = feats.shape[:2]
     cached, rows = {}, {}
     for role, net in nets.items():
-        out, cached[role] = models.forward_cached(net, feats[:, None] if role == "deltas" else feats)
-        if role == "deltas":
-            out = out.swapaxes(1, 2)
-        rows[role] = out.reshape(g * n, *out.shape[2:])
+        if role != "deltas":
+            out, cached[role] = models.forward_cached(net, feats)
+            rows[role] = out.reshape(g * n, -1)
+    if "deltas" in nets:
+        every = spec.family in losses.EXPECTATION_FAMILIES
+        label = np.argmax(rows["logits"], axis=1).reshape(g, n)  # the objective's argmax
+        picked = np.full(nets["deltas"].params.shape[:2], every)
+        picked[np.arange(g)[:, None], label] = True
+        sel = np.nonzero(picked)  # in buffer order
+        heads = models.on_buffer(nets["deltas"].params[sel], nets["deltas"])
+        out, cached["deltas"] = models.forward_cached(heads, feats[sel[0]])  # (S, n, d)
+        slot = np.cumsum(picked).reshape(picked.shape) - 1  # each pair's index in sel
+        if every:  # row (c, i) reads sample i of every head of c, laid out as the whole
+            # stack's (G, n, K, d) view is: the expectation einsum's bits follow the layout
+            at = slot[:, None], np.arange(n)[:, None]
+            head_rows = out.reshape(g, -1, n, out.shape[-1]).swapaxes(1, 2)
+        else:  # row (c, i) reads sample i of head (c, label[c, i])
+            at = slot[np.arange(g)[:, None], label], np.arange(n)
+            head_rows = out[at]
+        rows["deltas"] = head_rows.reshape(g * n, *head_rows.shape[2:])
     if spec.family in losses.DIRECT_FAMILIES:
         prediction = rows["pose"]
     elif spec.family == "C":
@@ -509,19 +530,21 @@ def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss
     batch = losses.objective_batch(spec, prediction, targets, dictionary)
 
     for role, grad in batch.grads.items():
-        net, cache = nets[role], cached[role]
-        grad = grad.reshape(g, n, *grad.shape[1:])
-        params, sel = net.params, None
-        if role == "deltas":  # back-propagate through the heads some sample selected
-            grad = grad.swapaxes(1, 2)
-            sel = np.nonzero(grad.any(axis=(2, 3)))
-            params = net.params[sel]
-            net = models.on_buffer(params, net)
-            cache = [("input", feats[sel[0]])] + [(tag, h[sel]) for tag, h in cache[1:]]
-            grad = grad[sel]
-        adams[role].step(params, models.backward(net, cache, grad / n), lr, sel)
-        if sel is not None:
-            nets[role].params[sel] = params
+        net, cache, stepped = nets[role], cached[role], None
+        if role == "deltas":
+            grad = np.zeros_like(out)
+            grad[at] = batch.grads[role].reshape(head_rows.shape)
+            touched = grad.any(axis=(1, 2))
+            if not touched.all():
+                sel, grad = tuple(s[touched] for s in sel), grad[touched]
+                heads = models.on_buffer(heads.params[touched], heads)
+                cache = [(tag, h[touched]) for tag, h in cache]
+            net, stepped = heads, sel
+        else:
+            grad = grad.reshape(g, n, -1)
+        adams[role].step(net.params, models.backward(net, cache, grad / n), lr, stepped)
+        if stepped is not None:
+            nets[role].params[stepped] = net.params
     return batch
 
 

@@ -334,9 +334,9 @@ def write_manifest(path, grid: JitterGrid) -> None:
 
 
 def read_manifest(path) -> JitterGrid:
-    """Inverse of write_manifest.  ValueError on a line without 17 columns,
-    a flipped flag other than 0 or 1, or a number that is not finite, and
-    DegenerateConfiguration (a ValueError) on a zero or singular warp."""
+    """Inverse of write_manifest.  ValueError on a line without 17 columns or
+    with a field that is not a number, a flipped flag other than 0 or 1, or
+    a non-finite number; DegenerateConfiguration (a ValueError) on a zero or singular warp."""
     sample_ids, flipped, nums = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -348,7 +348,10 @@ def read_manifest(path) -> JitterGrid:
                 raise ValueError(f"malformed manifest line: {line!r}")
             if cols[4] not in ("0", "1"):
                 raise ValueError(f"flipped column must be 0 or 1: {line!r}")
-            row = [float(c) for c in cols[1:4] + cols[5:]]
+            try:
+                row = [float(c) for c in cols[1:4] + cols[5:]]
+            except ValueError as exc:
+                raise ValueError(f"malformed manifest line: {line!r}") from exc
             if not all(math.isfinite(v) for v in row):
                 raise ValueError(f"non-finite offset, warp or angle: {line!r}")
             sample_ids.append(cols[0])

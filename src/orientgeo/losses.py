@@ -437,11 +437,14 @@ def objective_batch(
 
     prediction stacks B network outputs: poses (B, d) for R_G/R_E, logits
     (B, K) for C, and a (logits (B, K), deltas) pair for the Bin & Delta
-    families, with deltas (B, d) for shared-delta families and (B, K, d)
-    per-bin.  The Bin & Delta families read their keys from dictionary: a
-    PoseDictionary shared by all rows, or per-row keys (B, K, d).
-    Gradients come back in the prediction's shapes under "pose", "logits",
-    "delta" or "deltas".  Rows are independent of each other.
+    families.  deltas is (B, d): the shared delta, or for M_Gp, M_Rp, M_Xp,
+    M_Sp and M_LEp each row's own head argmax(logits), ties at the lowest
+    index as np.argmax takes them; M_Pp and M_XPp read all K heads
+    (B, K, d).  The Bin & Delta keys come from dictionary: a PoseDictionary
+    shared by all rows, or per-row keys (B, K, d).  Gradients come back in
+    the prediction's shapes under "pose", "logits", "delta" or "deltas".
+    Rows are independent of each other when C-contiguous: the expectation
+    families' einsum sums in an order set by the rows' memory layout.
     Raises FamilyMismatch on shapes or targets inconsistent with the family
     and NonFiniteObjective when a value or gradient is not finite.
     """
@@ -475,10 +478,8 @@ def objective_batch(
         keys = _stacked(dictionary, (None, d), "per-row keys")
     k = keys.shape[-2]
     logits = _stacked(logits, (k,), "logits")
-    if spec.per_bin:
-        deltas = _stacked(deltas, (k, d), "per-bin deltas")
-    else:
-        deltas = _stacked(deltas, (d,), "shared delta")
+    deltas = _stacked(deltas, (k, d) if spec.per_bin and fam in EXPECTATION_FAMILIES else (d,),
+                      "deltas")
     b = logits.shape[0]
     if deltas.shape[0] != b:
         raise FamilyMismatch(f"{b} logit rows but {deltas.shape[0]} delta rows")
@@ -490,14 +491,7 @@ def objective_batch(
     alpha = spec.alpha
     rows = np.arange(b)
     label_pred = np.argmax(logits, axis=1)  # ties take the lowest index
-    delta_sel = deltas[rows, label_pred] if spec.per_bin else deltas
-
-    def delta_grads(grad_sel):
-        if spec.per_bin:
-            g = np.zeros_like(deltas)
-            g[rows, label_pred] = grad_sel
-            return {"deltas": g}
-        return {"delta": grad_sel}
+    delta_name = "deltas" if spec.per_bin else "delta"
 
     if fam in SOFT_TARGET_FAMILIES:
         base_v, base_g = _kl_rows(_target_field(targets, "soft", fam, b), logits)
@@ -508,10 +502,10 @@ def objective_batch(
         ref = _references(spec, targets, b)
         if spec.combination == models.RIEMANNIAN:
             rel = _relative_to_keys(keys[rows, label_pred], ref)
-            vreg, greg, ns = _geodesic_axis_angle(delta_sel, rel)
+            vreg, greg, ns = _geodesic_axis_angle(deltas, rel)
         else:
-            vreg, greg, ns = _geodesic(spec.representation, keys[rows, label_pred] + delta_sel, ref)
-        grads = {"logits": base_g, **delta_grads(alpha * greg)}
+            vreg, greg, ns = _geodesic(spec.representation, keys[rows, label_pred] + deltas, ref)
+        grads = {"logits": base_g, delta_name: alpha * greg}
         return _checked(alpha * vreg + base_v, grads, ns)
 
     if fam in EXPECTATION_FAMILIES:
@@ -523,22 +517,22 @@ def objective_batch(
         # d/d logits of sum_k p_k v_k through the softmax jacobian
         g_logits = base_g + alpha * (p * (vals - expected[:, None]))
         if spec.per_bin:
-            g_deltas = {"deltas": alpha * p[..., None] * grows}
+            g_deltas = alpha * p[..., None] * grows
         else:
-            g_deltas = {"delta": alpha * np.einsum("bk,bkd->bd", p, grows)}
+            g_deltas = alpha * np.einsum("bk,bkd->bd", p, grows)
         values = alpha * expected + base_v
-        return _checked(values, {"logits": g_logits, **g_deltas}, ns.any(axis=1))
+        return _checked(values, {"logits": g_logits, delta_name: g_deltas}, ns.any(axis=1))
 
     if fam in ("M_S", "M_Sp"):
         # delta* = y* - z_{l*}: the residual against the ground-truth key
-        diff = delta_sel - (y - keys[rows, label])
+        diff = deltas - (y - keys[rows, label])
         vreg = np.einsum("bi,bi->b", diff, diff)
         if fam == "M_S":
             # alpha on the regression term (Simple shared-delta, as printed)
-            grads = {"logits": base_g, **delta_grads(alpha * 2.0 * diff)}
+            grads = {"logits": base_g, delta_name: alpha * 2.0 * diff}
             return _checked(alpha * vreg + base_v, grads)
         # M_Sp puts alpha on the classification term, exactly as printed
-        grads = {"logits": alpha * base_g, **delta_grads(2.0 * diff)}
+        grads = {"logits": alpha * base_g, delta_name: 2.0 * diff}
         return _checked(alpha * base_v + vreg, grads)
 
     if fam in ("M_LE", "M_LEp"):
@@ -548,9 +542,9 @@ def objective_batch(
         gtan = np.empty((b, 3))
         gtan[~near_pi] = so3.log_rotation(rel[~near_pi])
         gtan[near_pi] = _log_near_pi(rel[near_pi])
-        diff = delta_sel - gtan
+        diff = deltas - gtan
         vreg = np.einsum("bi,bi->b", diff, diff)
-        grads = {"logits": base_g, **delta_grads(alpha * 2.0 * diff)}
+        grads = {"logits": base_g, delta_name: alpha * 2.0 * diff}
         return _checked(base_v + alpha * vreg, grads)
 
     raise FamilyMismatch(f"unhandled family {fam!r}")

@@ -433,7 +433,10 @@ def read_records(path):
                     continue
                 if len(cols) != 11 or cols[1] not in ("gt", "det"):
                     raise ValueError(f"malformed record line: {line.strip()!r}")
-                numbers = list(map(float, cols[2:]))
+                try:
+                    numbers = list(map(float, cols[2:]))
+                except ValueError as exc:
+                    raise ValueError(f"malformed record line: {line.strip()!r}") from exc
                 cats.append(cols[0])
                 tags.append(cols[1])
                 values.extend(numbers)

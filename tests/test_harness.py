@@ -528,6 +528,99 @@ def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
             assert same == [not moved] * len(same), role
 
 
+def _step_case(family, categories=2):
+    """A tiny config, its role stacks and Adam state as train builds them,
+    and the first batch_per_category train rows of each category with
+    their targets and the shared dictionary, for a direct _step call."""
+    cfg = tiny_config(family)
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, categories=categories))
+    spec, dataset = cfg.objective, harness.generate_synthetic(cfg, 0)
+    dictionary = harness.fit_shared_dictionary(cfg, dataset)
+    soft = spec.family in losses.SOFT_TARGET_FAMILIES
+    gamma = losses.resolve_gamma(spec, dictionary) if soft else None
+    feats, targets = harness._training_rows(spec, dictionary, dataset, gamma)
+    g, n, width = cfg.data.categories, cfg.optimizer.batch_per_category, feats.shape[1]
+    per_cat = [harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1)) for c in range(g)]
+    nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
+    adams = {role: harness._Adam(net) for role, net in nets.items()}
+    rows = (np.arange(g)[:, None] * width + np.arange(n)).ravel()
+    batch = np.ascontiguousarray(feats[:, :n]), targets.rows(rows)
+    return cfg, nets, adams, dictionary, batch
+
+
+@pytest.mark.parametrize("categories", [1, 2])
+@pytest.mark.parametrize("family", losses.PER_BIN_FAMILIES)
+def test_step_hands_the_objective_the_heads_of_the_whole_stack(monkeypatch, family, categories):
+    # with logit ties, each row reads the head argmax(logits) takes (the
+    # lowest index), bit for bit as the whole (G, K) stack's forward gives
+    # it, or every head for the expectation families, laid out as that
+    # forward's rows are (their einsum's bits follow the layout, and one
+    # category's rows are a head-major view); the step moves exactly the
+    # heads read
+    cfg, nets, adams, dictionary, (feats, targets) = _step_case(family, categories)
+    g, n = feats.shape[:2]
+    k = cfg.dictionary_size
+    last = nets["logits"].layers[-1]
+    level = np.median(np.delete(models.forward(nets["logits"], feats)[0], [2, 5], axis=1).max(axis=1))
+    last.weight[0, [2, 5]] = 0.0  # category 0: keys 2 and 5 tie, at the others' median top
+    last.bias[0, [2, 5]] = level
+    last.weight[1:] = 0.0  # category 1: every key ties
+    logits = models.forward(nets["logits"], feats)
+    label = np.argmax(logits, axis=-1)
+    assert np.all(logits[0, :, 2] == logits[0, :, 5]) and 0 < np.sum(label[0] == 2) < n
+    assert np.all(label[1:] == 0)
+    whole = models.forward(nets["deltas"], feats[:, None]).swapaxes(1, 2)  # (G, n, K, d)
+    every = family in losses.EXPECTATION_FAMILIES
+    if every:
+        want, read = whole.reshape(g * n, k, -1), np.ones((g, k), dtype=bool)
+    else:
+        cats = np.arange(g)[:, None]
+        want, read = whole[cats, np.arange(n), label].reshape(g * n, -1), np.zeros((g, k), bool)
+        read[cats, label] = True
+    seen, objective = [], losses.objective_batch
+    monkeypatch.setattr(losses, "objective_batch", lambda *args: seen.append(args[1]) or objective(*args))
+    before = nets["deltas"].params.copy()
+    harness._step(cfg.objective, nets, adams, dictionary, feats, targets, 1e-3)
+    (_, deltas), = seen
+    assert deltas.shape == want.shape and deltas.tobytes() == want.tobytes()
+    assert deltas.strides == want.strides
+    assert np.array_equal(np.any(nets["deltas"].params != before, axis=-1), read)
+    assert np.array_equal(adams["deltas"].t, read.astype(int))
+
+
+def test_step_keeps_the_weights_and_adam_state_of_heads_it_does_not_step(monkeypatch):
+    # unselected heads, and a selected head whose gradient is zero, keep
+    # their weights and their m, v and t bit for bit; the others step once
+    cfg, nets, adams, dictionary, (feats, targets) = _step_case("M_Gp")
+    g, n = feats.shape[:2]
+    bias = nets["logits"].layers[-1].bias
+    bias[0, [1, 5]] += 1e3  # category 0 reads heads 1 and 5, category 1 head 6
+    bias[1, 6] += 1e3
+    label = np.argmax(models.forward(nets["logits"], feats), axis=-1)
+    assert set(label[0].tolist()) == {1, 5} and set(label[1].tolist()) == {6}
+    rng = np.random.default_rng(3)  # moments and step counts as after earlier steps
+    adam = adams["deltas"]
+    adam.m[:], adam.v[:] = rng.standard_normal(adam.m.shape), rng.random(adam.v.shape)
+    adam.t[:] = rng.integers(1, 5, size=adam.t.shape)
+    objective = losses.objective_batch
+
+    def no_gradient_for_head_5(*args):
+        batch = objective(*args)
+        batch.grads["deltas"][:n][label[0] == 5] = 0.0
+        return batch
+
+    monkeypatch.setattr(losses, "objective_batch", no_gradient_for_head_5)
+    state = [a.copy() for a in (nets["deltas"].params, adam.m, adam.v)]
+    t = adam.t.copy()
+    harness._step(cfg.objective, nets, adams, dictionary, feats, targets, 1e-3)
+    stepped = np.zeros(t.shape, dtype=bool)
+    stepped[0, 1] = stepped[1, 6] = True
+    for old, new in zip(state, (nets["deltas"].params, adam.m, adam.v)):
+        kept = np.all(old.view(np.int64) == new.view(np.int64), axis=-1)
+        assert np.array_equal(kept, ~stepped)
+    assert np.array_equal(adam.t, t + stepped)
+
+
 def test_adam_steps_only_the_entries_the_mask_selects():
     # entry 1 was stepped once; a later step that leaves it out must not
     # move it on its remaining momentum

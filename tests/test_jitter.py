@@ -461,6 +461,18 @@ def test_manifest_rejects_non_finite_numbers(tmp_path, col, value):
         jitter.read_manifest(_manifest_with(tmp_path, {col: value}))
 
 
+# offset d_az, warp entry h11 and angle ct
+@pytest.mark.parametrize("col", [1, 9, 16])
+@pytest.mark.parametrize("value", ["abc", "1.0.0", ""])
+def test_manifest_names_the_line_of_a_field_that_is_not_a_number(tmp_path, col, value):
+    path = _manifest_with(tmp_path, {col: value})
+    line = path.read_text().splitlines()[1].strip()
+    with pytest.raises(ValueError) as info:
+        jitter.read_manifest(path)
+    assert str(info.value) == f"malformed manifest line: {line!r}"
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 # warp columns h00..h22 are 5..13: all zeros, then all ones (rank one)
 @pytest.mark.parametrize("entry", ["0.0", "1.0"])
 def test_manifest_rejects_a_zero_or_singular_warp(tmp_path, entry):

@@ -218,8 +218,12 @@ def test_objective_shape_validation():
     target = dict(y=np.array([0.1, 0.0, 0.0]), label=0)
     with pytest.raises(losses.FamilyMismatch):
         _row(_spec("M_G"), (np.zeros(3), np.zeros(4)), dictionary, **target)
+    # a hard-label per-bin family takes each row's own head (B, d), and only
+    # the expectation families take all K heads (B, K, d)
     with pytest.raises(losses.FamilyMismatch):
-        _row(_spec("M_Gp"), (np.zeros(3), np.zeros(3)), dictionary, **target)
+        _row(_spec("M_Gp"), (np.zeros(3), np.zeros((3, 3))), dictionary, **target)
+    with pytest.raises(losses.FamilyMismatch):
+        _row(_spec("M_Pp"), (np.zeros(3), np.zeros(3)), dictionary, **target)
     with pytest.raises(losses.FamilyMismatch):
         _row(_spec("M_G"), (np.zeros(3), np.zeros(3)), None, **target)
     with pytest.raises(losses.FamilyMismatch):
@@ -272,15 +276,23 @@ def test_m_g_uses_predicted_label_not_true_label():
     assert abs(out.values[0] - (reg.values[0] + ce.values[0])) <= 1e-12
 
 
-def test_m_gp_gradient_zero_outside_selected_bin():
+@pytest.mark.parametrize("per_bin, shared", [("M_Gp", "M_G"), ("M_Rp", "M_R"), ("M_Xp", "M_X"),
+                                              ("M_LEp", "M_LE")])
+def test_hard_label_per_bin_objective_is_the_shared_one_on_the_selected_head(per_bin, shared):
+    # the step hands each row its own head: the objective is the shared-delta
+    # one on that head, with the gradient in the head's (B, d) shape
     dictionary, y_true, label = _simple_setup()
     logits = np.array([0.1, 3.0, -0.2, 0.4])
-    deltas = np.full((4, 3), 0.05)
-    out = _row(_spec("M_Gp", alpha=10.0), (logits, deltas), dictionary, y=y_true, label=label)
-    g = out.grads["deltas"][0]
-    assert g.shape == (4, 3)
-    assert np.all(g[[0, 2, 3]] == 0.0)
-    assert np.any(g[1] != 0.0)
+    head = np.array([0.05, -0.02, 0.04])
+    soft = dct.soft_assign_probs(y_true, dictionary.keys, 2.0)
+    target = dict(y=y_true, label=label, soft=soft)
+    out = _row(_spec(per_bin, alpha=10.0), (logits, head), dictionary, **target)
+    want = _row(_spec(shared, alpha=10.0), (logits, head), dictionary, **target)
+    assert out.grads["deltas"].shape == (1, 3)
+    assert np.any(out.grads["deltas"] != 0.0)
+    assert out.values.tobytes() == want.values.tobytes()
+    assert out.grads["deltas"].tobytes() == want.grads["delta"].tobytes()
+    assert out.grads["logits"].tobytes() == want.grads["logits"].tobytes()
 
 
 def test_m_r_riemannian_regression_term():
@@ -345,8 +357,8 @@ def test_m_s_alpha_on_regression_m_sp_alpha_on_classification():
     assert np.allclose(out.grads["logits"], ce.grads["logits"])
 
     deltas = np.tile(delta, (4, 1))
-    outp = _row(_spec("M_Sp", alpha=5.0), (logits, deltas), dictionary, y=y_true, label=label)
     sel = int(np.argmax(logits))
+    outp = _row(_spec("M_Sp", alpha=5.0), (logits, deltas[sel]), dictionary, y=y_true, label=label)
     resid = dstar - deltas[sel]
     assert abs(outp.values[0] - (5.0 * ce.values[0] + float(resid @ resid))) <= 1e-12
     assert np.allclose(outp.grads["logits"], 5.0 * ce.grads["logits"])
@@ -429,11 +441,25 @@ def test_run_all_reproduces_golden_reports():
         assert record_golden_gradcheck.report_cells(reports) == cells
 
 
+def _every_head_objective(spec, prediction, targets, keys):
+    """objective_batch of a hard-label per-bin family on all K heads
+    (B, K, d): the value reads head argmax(logits), and the other heads get
+    a zero gradient."""
+    logits, deltas = prediction
+    rows, label = np.arange(len(logits)), np.argmax(logits, axis=1)
+    batch = losses.objective_batch(spec, (logits, deltas[rows, label]), targets, keys)
+    grad = np.zeros_like(deltas)
+    grad[rows, label] = batch.grads["deltas"]
+    return losses.BatchLoss(batch.values, dict(batch.grads, deltas=grad), batch.non_smooth)
+
+
 def _probe_every_entry(spec, s, h):
     """gradcheck._probe_errors as it was before per-bin heads went unprobed:
     rows 2i + 1 and 2i + 2 of each instance's block move entry i of every
-    gradient slot by +h and -h, whether or not the value reads it."""
-    n, views = s.size, s.views(spec)
+    gradient slot by +h and -h, every entry of all K heads included."""
+    n, views, objective = s.size, s.views(spec), losses.objective_batch
+    if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
+        views, objective = [("logits", s.logits), ("deltas", s.deltas)], _every_head_objective
     sizes = [arr[0].size for _, arr in views]
     rows = 1 + 2 * sum(sizes)
     stacked, offset = [], 0
@@ -449,7 +475,7 @@ def _probe_every_entry(spec, s, h):
     y, label, soft, keys = (
         None if f is None else np.repeat(f, rows, axis=0) for f in (s.y, s.label, s.soft, s.keys)
     )
-    batch = losses.objective_batch(spec, prediction, losses.TargetBatch(y, label, soft), keys)
+    batch = objective(spec, prediction, losses.TargetBatch(y, label, soft), keys)
     values = batch.values.reshape(n, rows)
     fd_all = (values[:, 1::2] - values[:, 2::2]) / (2.0 * h)
     worst, offset = np.zeros(n), 0
@@ -499,9 +525,10 @@ def test_probe_rows_count_the_rows_of_each_instance(monkeypatch, spec):
     monkeypatch.setattr(losses, "objective_batch", counted)
     gradcheck.check_family(spec, instances=3, k=6)
     assert sizes == [3 * gradcheck._probe_rows(spec, 6)]
-    # the hard-label per-bin families probe one head: 24 rows, not 65, at k = 8
+    # the hard-label per-bin families probe one head, as a shared delta: 23
+    # rows, not 65, at k = 8
     if spec.family in HARD_PER_BIN:
-        assert gradcheck._probe_rows(spec, 8) == 24
+        assert gradcheck._probe_rows(spec, 8) == 23
     elif spec.family in ("M_Pp", "M_XPp"):
         assert gradcheck._probe_rows(spec, 8) == 65
 
@@ -523,44 +550,6 @@ def test_probe_targets_are_referenced_once_per_instance(monkeypatch, spec):
     monkeypatch.setattr(losses, "target_references", counted)
     gradcheck.check_family(spec, instances=3, k=6)
     assert rows == ([] if spec.family == "C" else [3])
-
-
-def _wrong_head_gradient(objective, spec, prediction, targets, keys):
-    """(a) the per-bin gradient lands on head argmax + 1."""
-    batch = objective(spec, prediction, targets, keys)
-    grads = dict(batch.grads, deltas=np.roll(batch.grads["deltas"], 1, axis=1))
-    return losses.BatchLoss(batch.values, grads, batch.non_smooth)
-
-
-def _value_reads_another_head(objective, spec, prediction, targets, keys):
-    """(b) the value adds a small term of head argmax + 1's deltas."""
-    batch = objective(spec, prediction, targets, keys)
-    logits, deltas = prediction
-    other = (np.argmax(logits, axis=1) + 1) % logits.shape[1]
-    extra = 1e-2 * deltas[np.arange(len(deltas)), other].sum(axis=1)
-    return losses.BatchLoss(batch.values + extra, batch.grads, batch.non_smooth)
-
-
-def _both_read_the_wrong_head(objective, spec, prediction, targets, keys):
-    """(c) value and gradient both use head argmax + 1, consistently."""
-    logits, deltas = prediction
-    batch = objective(spec, (logits, np.roll(deltas, -1, axis=1)), targets, keys)
-    grads = dict(batch.grads, deltas=np.roll(batch.grads["deltas"], 1, axis=1))
-    return losses.BatchLoss(batch.values, grads, batch.non_smooth)
-
-
-@pytest.mark.parametrize("mutation", [_wrong_head_gradient, _value_reads_another_head,
-                                      _both_read_the_wrong_head])
-@pytest.mark.parametrize("family", HARD_PER_BIN)
-def test_check_family_fails_an_objective_that_mixes_up_heads(monkeypatch, family, mutation):
-    objective = losses.objective_batch
-    monkeypatch.setattr(losses, "objective_batch",
-                        lambda *args: mutation(objective, *args))
-    report = gradcheck.check_family(_spec(family), instances=10)
-    assert not report.passed
-    # the unprobed heads' exact checks fail, which report an infinite error;
-    # FD on the selected head sees (a) but not (b) or (c)
-    assert report.max_rel_error == math.inf
 
 
 @pytest.mark.parametrize("instances", [0, -1])

@@ -512,7 +512,9 @@ OFF_UNIT = "car det 0.0 0.0 10.0 10.0 0.5 2.0 0.0 0.0 0.0"
 BOX_RULE = "must be finite, with x1 < x2 and y1 < y2"
 BAD_BOX_ERROR = f"box (5.0, 0.0, 1.0, 10.0) and score 0.5 {BOX_RULE}"
 TEN_COLUMNS_ERROR = f"malformed record line: {TEN_COLUMNS!r}"
-NOT_A_NUMBER_ERROR = "could not convert string to float: 'one'"
+# the line is named, as for every other malformed line; float's own message
+# ("could not convert string to float: 'one'") named only the field
+NOT_A_NUMBER_ERROR = f"malformed record line: {NOT_A_NUMBER!r}"
 NAN_SCORE_ERROR = f"box (0.0, 0.0, 10.0, 10.0) and score nan {BOX_RULE}"
 OFF_UNIT_ERROR = "record 2 (car det): quaternion norm 2 is not 1"
 
@@ -538,6 +540,8 @@ def test_records_reader_raises_the_first_error_in_file_order(tmp_path, lines, er
     with pytest.raises(ValueError) as info:
         metrics.read_records(path)
     assert str(info.value) == error
+    if error == NOT_A_NUMBER_ERROR:  # chained from float's own error
+        assert str(info.value.__cause__) == "could not convert string to float: 'one'"
 
 
 @pytest.mark.parametrize("good_lines, error", [(0, UnicodeDecodeError), (1000, BAD_BOX_ERROR)])

@@ -22,8 +22,19 @@ with open(GOLDEN, encoding="utf-8") as _fh:
     GOLDEN_ROWS = json.load(_fh)["rows"]
 
 
+def _hard_per_bin(spec):
+    return spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES
+
+
+def _selected_heads(logits, deltas):
+    """Each row's head argmax(logits) of all K heads (B, K, d): the deltas
+    a hard-label per-bin family reads."""
+    return deltas[np.arange(len(logits)), np.argmax(logits, axis=1)]
+
+
 def _one_row(row):
-    """The golden row as objective_batch arguments with B = 1."""
+    """The golden row as objective_batch arguments with B = 1.  A hard-label
+    per-bin row recorded all K heads; the objective takes head argmax."""
     spec = losses.ObjectiveSpec(row["family"], row["representation"], alpha=row["alpha"])
     dictionary = None
     if row["keys"] is not None:
@@ -31,6 +42,8 @@ def _one_row(row):
     pred = row["prediction"]
     if isinstance(pred, dict):
         prediction = (np.array([pred["logits"]]), np.array([pred["deltas"]]))
+        if _hard_per_bin(spec):
+            prediction = (prediction[0], _selected_heads(*prediction))
     else:
         prediction = np.array([pred])
     targets = losses.TargetBatch(
@@ -47,11 +60,18 @@ def _one_row(row):
     ids=[f"{r['case']}-{r['family']}-{r['representation']}-{i}" for i, r in enumerate(GOLDEN_ROWS)],
 )
 def test_objective_batch_matches_golden_rows(row):
-    out = losses.objective_batch(*_one_row(row))
+    spec, prediction, targets, dictionary = _one_row(row)
+    out = losses.objective_batch(spec, prediction, targets, dictionary)
     assert abs(out.values[0] - row["value"]) <= GOLDEN_TOL
     assert set(out.grads) == set(row["grads"])
     for name, expected in row["grads"].items():
-        assert np.max(np.abs(out.grads[name][0] - np.array(expected))) <= GOLDEN_TOL
+        expected = np.array(expected)
+        if name == "deltas" and _hard_per_bin(spec):
+            # the recorded (K, d) gradient is zero off the head the row reads
+            head = int(np.argmax(row["prediction"]["logits"]))
+            assert not np.any(np.delete(expected, head, axis=0))
+            expected = expected[head]
+        assert np.max(np.abs(out.grads[name][0] - expected)) <= GOLDEN_TOL
     assert bool(out.non_smooth[0]) == row["non_smooth"]
 
 
@@ -113,7 +133,10 @@ def _random_rows(spec, b, k, rng):
     if spec.family == "C":
         return logits, targets, dictionary
     shape = (b, k, spec.pose_dim) if spec.per_bin else (b, spec.pose_dim)
-    return (logits, 0.4 * rng.standard_normal(shape)), targets, dictionary
+    deltas = 0.4 * rng.standard_normal(shape)
+    if _hard_per_bin(spec):
+        deltas = _selected_heads(logits, deltas)
+    return (logits, deltas), targets, dictionary
 
 
 @settings(max_examples=150, deadline=None)

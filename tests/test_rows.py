@@ -891,7 +891,8 @@ def test_default_gamma_of_a_training_sized_dictionary_equals_loop(representation
 def _per_row_case(spec, b, k, g):
     """B rows, each with its own K keys.  Rows are plain, have tied top
     logits, compose onto norm exactly pi (axis-angle) or select a key at
-    angle pi - 1e-8 from an identity target (the M_LE near-pi log band)."""
+    angle pi - 1e-8 from an identity target (the M_LE near-pi log band).
+    A hard-label per-bin row carries the head argmax(logits) of its K."""
     d = spec.pose_dim
     keys = g.standard_normal((b, k, d))
     y = g.standard_normal((b, d))
@@ -914,6 +915,8 @@ def _per_row_case(spec, b, k, g):
                 y[i] = 0.0
     label = g.integers(0, k, size=b)
     soft = g.dirichlet(np.ones(k), size=b)
+    if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
+        deltas = deltas[np.arange(b), np.argmax(logits, axis=1)]  # each row's own head
     prediction = logits if spec.family == "C" else (logits, deltas)
     if spec.family in ("R_G", "R_E"):
         prediction = g.standard_normal((b, d))
