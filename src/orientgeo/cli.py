@@ -6,7 +6,7 @@ import json
 import math
 import sys
 
-from . import gradcheck, harness, jitter, losses, metrics, so3
+from . import _checks, gradcheck, harness, jitter, losses, metrics, so3
 
 EVAL_METRICS = ("med", "acc", "arp", "avp")
 
@@ -118,16 +118,6 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _floats(doc, key, default, count=None):
-    """doc[key], or default when absent, as floats; ValueError unless it is
-    a list of JSON numbers (count of them when count is given)."""
-    value = doc.get(key, default)
-    if not (isinstance(value, (list, tuple)) and len(value) == (count or len(value))
-            and all(type(v) in (int, float) for v in value)):
-        raise ValueError(f"{key} must be a list of {count or 'one or more'} numbers, got {value!r}")
-    return tuple(map(float, value))
-
-
 def _jitter_spec(path):
     """(JitterSpec, EulerZXZ) from a JSON spec file; defaults without one.
     ValueError on a key it does not know or a value of the wrong JSON type."""
@@ -140,10 +130,12 @@ def _jitter_spec(path):
     unknown = sorted(doc.keys() - {"d_az", "d_el", "d_ct", "flip", "euler_deg"})
     if unknown:
         raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
-    offsets = (_floats(doc, k, getattr(jitter.JitterSpec, k)) for k in ("d_az", "d_el", "d_ct"))
-    euler_deg = _floats(doc, "euler_deg", (5.0, 88.0, 2.0), count=3)
-    spec = jitter.JitterSpec(*offsets, flip=doc.get("flip", True))  # refuses a non-boolean flip
-    return spec, so3.EulerZXZ(*map(math.radians, euler_deg))
+    deg = doc.get("euler_deg", (5.0, 88.0, 2.0))
+    if not (isinstance(deg, (list, tuple)) and len(deg) == 3 and _checks.real(*deg)):
+        raise ValueError(f"euler_deg must be a list of 3 numbers, got {deg!r}")
+    # JitterSpec refuses a non-boolean flip and offsets that are not numbers
+    spec = jitter.JitterSpec(**{k: v for k, v in doc.items() if k != "euler_deg"})
+    return spec, so3.EulerZXZ(*map(math.radians, deg))
 
 
 def _cmd_jitter(args) -> int:

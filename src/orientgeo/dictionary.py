@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
-from . import so3
+from . import _checks, so3
 
 AXIS_ANGLE = "axis_angle"
 QUATERNION = "quaternion"
@@ -124,8 +123,7 @@ def fit_kmeans(targets, k: int, seed: int, representation: str = AXIS_ANGLE) -> 
     targets = np.array(targets, dtype=float)
     if targets.ndim != 2:
         raise ValueError("targets must be a list of equal-length vectors")
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = _checks.count(k, "k")
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets must be finite")
     n = targets.shape[0]
@@ -222,10 +220,11 @@ def soft_assign_probs(y, keys: np.ndarray, gamma: float) -> np.ndarray:
     """Softmax over -gamma * |y - z_k|^2, max-subtracted for stability: the
     soft assignment (..., K) of one pose (d,) or of each row of a stack
     (..., d).  keys and gamma are shared, or one per row: a key stack
-    (..., K, d) and gammas (...,)."""
+    (..., K, d) and gammas (...,).  ValueError unless every gamma is
+    positive and finite."""
+    if not (_checks.reals(gamma) and np.all(np.asarray(gamma) > 0.0)):
+        raise ValueError("gamma must be positive and finite")
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0.0):
-        raise ValueError("gamma must be positive")
     logits = -gamma[..., None] * _sq_distances(y, keys)
     logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)

@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from . import dictionary as dct
-from . import harness, losses, models, so3
+from . import _checks, losses, models, so3
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -307,9 +307,9 @@ def check_family(
     stacking the probe blocks of as many as fit in _ROW_BUDGET rows into
     each objective_batch call.  ValueError unless instances is an integer
     >= 1, k one >= 2 and seed one >= 0."""
-    instances = harness._count(instances, "instances")
-    k = harness._count(k, "k", 2)
-    rng = np.random.default_rng(harness._count(seed, "seed", 0))
+    instances = _checks.count(instances, "instances")
+    k = _checks.count(k, "k", 2)
+    rng = np.random.default_rng(_checks.count(seed, "seed", 0))
     per_call = max(1, _ROW_BUDGET // _probe_rows(spec, k))
     worst = 0.0
     for start in range(0, instances, per_call):

@@ -12,8 +12,6 @@ plus a seed reproduces every byte of every artifact.
 import dataclasses
 import json
 import math
-import numbers
-import operator
 import os
 import shutil
 import statistics
@@ -21,7 +19,7 @@ import statistics
 import numpy as np
 
 from . import dictionary as dct
-from . import jitter, losses, metrics, models, so3
+from . import _checks, jitter, losses, metrics, models, so3
 
 AUGMENTATIONS = ("none", "jittered", "jittered+extra")
 
@@ -40,30 +38,10 @@ class NonFiniteLoss(RuntimeError):
 # configuration
 
 
-def _count(value, name: str, least: int = 1) -> int:
-    """value as the int operator.index gives; ValueError naming it unless
-    that is an integer >= least (so 4.0, "4" and true are refused, not
-    rounded or read as 1)."""
-    try:
-        n = least - 1 if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        n = least - 1
-    if n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return n
-
-
-def _finite(*values) -> bool:
-    """Whether every value is a finite real number; a bool, which json and
-    Python both let pass for 0 or 1, is not, nor is a string or None."""
-    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-               for v in values)
-
-
 def _set_counts(cfg, least: int, *names) -> None:
-    """Store each named field of a frozen config as _count of its value."""
+    """Store each named field of a frozen config as _checks.count of its value."""
     for name in names:
-        object.__setattr__(cfg, name, _count(getattr(cfg, name), name, least))
+        object.__setattr__(cfg, name, _checks.count(getattr(cfg, name), name, least))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +54,7 @@ class OptimizerConfig:
     batch_per_category: int = 8  # split half clean / half augmented when possible
 
     def __post_init__(self):
-        if not all(_finite(x) and x > 0.0 for x in (self.learning_rate, self.decay)):
+        if not all(_checks.real(x) and x > 0.0 for x in (self.learning_rate, self.decay)):
             raise ValueError("learning_rate and decay must be positive and finite")
         _set_counts(self, 1, "epochs", "batch_per_category")
 
@@ -96,9 +74,9 @@ class DataConfig:
     def __post_init__(self):
         _set_counts(self, 1, "categories", "train_samples", "val_samples", "test_samples", "modes")
         _set_counts(self, 9, "feature_dim")  # fewer features cannot disambiguate poses
-        if not (_finite(self.noise) and self.noise >= 0.0):
+        if not (_checks.real(self.noise) and self.noise >= 0.0):
             raise ValueError("noise must be non-negative and finite")
-        if not (_finite(self.mode_spread) and self.mode_spread > 0.0):
+        if not (_checks.real(self.mode_spread) and self.mode_spread > 0.0):
             raise ValueError("mode_spread must be positive and finite")
         if self.augmentation not in AUGMENTATIONS:
             raise ValueError(f"augmentation must be one of {AUGMENTATIONS}")
@@ -118,7 +96,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _set_counts(self, 1, "dictionary_size")
         _set_counts(self, 0, "seed")
-        hidden = tuple(_count(h, "each hidden size") for h in self.hidden)
+        hidden = tuple(_checks.count(h, "each hidden size") for h in self.hidden)
         if not hidden:
             raise ValueError("hidden must list at least one layer size")
         object.__setattr__(self, "hidden", hidden)
@@ -374,12 +352,12 @@ def _checkpoint_networks(nets, names):
         for role, net in nets.items():
             if role == "deltas":
                 for k in range(net.layers[0].weight.shape[1]):
-                    yield f"{name}.delta_head_{k:03d}", models.unstack(net, (c, k))
+                    yield f"{name}.delta_head_{k:03d}", models.on_buffer(net.params[c, k], net)
             else:
-                yield f"{name}.{role}", models.unstack(net, c)
+                yield f"{name}.{role}", models.on_buffer(net.params[c], net)
 
 
-_DECODE_BLOCK = 512  # flat rows per gather of per-bin heads: bounds its (rows, out, in) copies
+_DECODE_BLOCK = 512  # flat rows per gather of per-bin heads: bounds its (rows, P) copies
 
 
 def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
@@ -394,10 +372,10 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
     if spec.family == "C":
         return dct.pose_matrices(dictionary.keys[label], dictionary.representation)
     if spec.per_bin:  # each row through the head of its own (category, label)
-        cat = np.repeat(np.arange(len(x)), x.shape[1])
+        heads, cat = nets["deltas"], np.repeat(np.arange(len(x)), x.shape[1])
         flat, rows = label.ravel(), x.reshape(-1, 1, x.shape[-1])
         delta = np.concatenate([
-            models.forward(models.unstack(nets["deltas"], (cat[s], flat[s])), rows[s])[:, 0]
+            models.forward(models.on_buffer(heads.params[cat[s], flat[s]], heads), rows[s])[:, 0]
             for s in (slice(i, i + _DECODE_BLOCK) for i in range(0, len(rows), _DECODE_BLOCK))
         ]).reshape(label.shape + (-1,))
     else:
@@ -724,7 +702,7 @@ class TrialSummary:
 def run_trials(cfg: ExperimentConfig, trials: int, out_dir=None) -> TrialSummary:
     """Repeat the experiment on `trials` consecutive seeds from cfg.seed;
     report mean/std per metric.  ValueError unless trials is an integer >= 1."""
-    trials = _count(trials, "trials")
+    trials = _checks.count(trials, "trials")
     seeds = tuple(cfg.seed + t for t in range(trials))
     results = []
     for t, s in enumerate(seeds):

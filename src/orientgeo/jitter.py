@@ -2,14 +2,13 @@
 as image warps, plus the horizontal flip rule.
 
 Geometry convention: a sample's Euler angles orient the object directly in
-the camera frame, X_cam = R_cam (R(az, el, ct) X_obj) + t_cam, with the
-object model centered at its own origin.  Tilt is the leftmost factor, so a
-pure tilt shift rotates the camera frame about its optical axis; when the
-camera extrinsics fix that axis (identity rotation, translation along z)
-the induced warp is the exact in-plane homography K Rz(d_ct) K^-1.  Azimuth
-and elevation shifts move points out of plane, so their warps are estimated
-with the DLT algorithm on the points closest to the camera, mirroring the
-projection pipeline this models.
+the camera frame, X_cam = R(az, el, ct) X_obj + t_cam, with the object
+model centered at its own origin.  Tilt is the leftmost factor, so a pure
+tilt shift rotates the object about the optical axis; when the object sits
+on that axis (translation along z) the induced warp is the exact in-plane
+homography K Rz(d_ct) K^-1.  Azimuth and elevation shifts move points out
+of plane, so their warps are estimated with the DLT algorithm on the points
+closest to the camera, mirroring the projection pipeline this models.
 
 A grid is a JitterGrid: one row per cell.  Its angles are radians; jitter
 offsets and manifest angle columns are degrees.
@@ -19,11 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
-from . import so3
+from . import _checks, so3
 
 EPS_DEPTH = 1e-9
 # second-smallest singular value below this (relative) means the DLT system
@@ -43,13 +41,16 @@ class DegenerateConfiguration(ValueError):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Camera:
-    """Pinhole camera: pixel = K (R x + t) / depth."""
+    """Pinhole camera looking down its z axis: pixel = K (x + t) / depth.
+    ValueError unless the intrinsics and translation are finite reals."""
 
     intrinsics: np.ndarray
-    rotation: so3.Rotation = dataclasses.field(default_factory=so3.Rotation.identity)
     translation: np.ndarray = dataclasses.field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        for name in ("intrinsics", "translation"):
+            if not _checks.reals(getattr(self, name)):
+                raise ValueError(f"{name} must be finite real numbers")
         k = np.asarray(self.intrinsics, dtype=float)
         if k.shape != (3, 3):
             raise ValueError("intrinsics must be 3x3")
@@ -86,16 +87,11 @@ class JitterSpec:
         for name in ("d_az", "d_el", "d_ct"):
             vals = getattr(self, name)
             # float() would read a string digit by digit and a bool as 0 or 1
-            if not isinstance(vals, (list, tuple)) or not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals
-            ):
+            if not (isinstance(vals, (list, tuple)) and _checks.real(*vals)):
                 raise ValueError(f"{name} offsets must be real numbers, got {vals!r}")
-            vals = tuple(float(v) for v in vals)
             if not vals:
                 raise ValueError(f"{name} must list at least one offset")
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError(f"{name} offsets must be finite")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, tuple(float(v) for v in vals))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -152,7 +148,7 @@ def project(cam: Camera, points) -> np.ndarray:
     """Pinhole projection of each world point (..., 3); rejects
     non-positive depths."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cam_pts = pts @ cam.rotation.matrix.T + cam.translation
+    cam_pts = pts + cam.translation
     depths = cam_pts[..., 2]
     if np.any(depths <= EPS_DEPTH):
         raise BehindCamera(f"minimum depth {depths.min():.3e} <= {EPS_DEPTH:g}")
@@ -205,20 +201,6 @@ def flip_homography(cx: float) -> np.ndarray:
     return np.array([[-1.0, 0.0, 2.0 * cx], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _tilt_is_in_plane(cam: Camera) -> bool:
-    z = np.array([0.0, 0.0, 1.0])
-    axis_fixed = np.allclose(cam.rotation.matrix @ z, z, atol=1e-12)
-    on_axis = abs(cam.translation[0]) < 1e-12 and abs(cam.translation[1]) < 1e-12
-    return axis_fixed and on_axis
-
-
-def _near_subset(cam: Camera, points_world: np.ndarray) -> np.ndarray:
-    depths = points_world @ cam.rotation.matrix.T[:, 2] + cam.translation[2]
-    count = max(4, int(round(NEAR_FRACTION * points_world.shape[0])))
-    order = np.argsort(depths, kind="stable")
-    return order[:count]
-
-
 def _wrapped(angles: np.ndarray) -> np.ndarray:
     """ZXZ rows (..., 3) as EulerZXZ keeps them: az and ct wrapped into
     [-pi, pi)."""
@@ -243,10 +225,12 @@ def jitter_sample(sample, spec: JitterSpec, sample_id) -> JitterGrid:
     angles = _wrapped(own + np.radians(offsets))
     # row 0 is the sample's own pose; one call builds every cell's pose
     poses = so3.euler_to_matrix(np.vstack([own, angles]))
-    subset = points[_near_subset(cam, points @ poses[0].T)]
+    depths = (points @ poses[0].T)[:, 2] + cam.translation[2]
+    subset = points[np.argsort(depths, kind="stable")[:max(4, round(NEAR_FRACTION * len(points)))]]
     src = project(cam, subset @ poses[0].T)
-    # only a pure tilt about a fixed optical axis has an exact in-plane warp
-    exact = (offsets[:, 0] == 0.0) & (offsets[:, 1] == 0.0) & _tilt_is_in_plane(cam)
+    # only a pure tilt with the camera on the optical axis has an exact in-plane warp
+    on_axis = abs(cam.translation[0]) < 1e-12 and abs(cam.translation[1]) < 1e-12
+    exact = (offsets[:, 0] == 0.0) & (offsets[:, 1] == 0.0) & on_axis
     warps = np.empty((len(offsets), 3, 3))
     # a pure tilt's pose change is the ZXZ row (0, 0, d_ct): Rz(d_ct)
     tilts = so3.euler_to_matrix(np.where([False, False, True], np.radians(offsets[exact]), 0.0))
@@ -269,10 +253,13 @@ def jitter_sample(sample, spec: JitterSpec, sample_id) -> JitterGrid:
 
 
 def cuboid_points(half_extents=(0.5, 0.4, 0.3), per_edge: int = 6) -> np.ndarray:
-    """Deterministic grid over the surface of an axis-aligned cuboid."""
-    hx, hy, hz = (float(v) for v in half_extents)
-    if min(hx, hy, hz) <= 0.0 or per_edge < 2:
-        raise ValueError("half extents must be positive and per_edge >= 2")
+    """Deterministic grid over the surface of an axis-aligned cuboid.
+    ValueError unless the three half extents are positive and finite and
+    per_edge is an integer >= 2."""
+    per_edge = _checks.count(per_edge, "per_edge", 2)
+    if not (len(half_extents) == 3 and _checks.real(*half_extents) and min(half_extents) > 0.0):
+        raise ValueError(f"half_extents must be 3 positive finite numbers, got {half_extents!r}")
+    hx, hy, hz = map(float, half_extents)
     lin = np.linspace(-1.0, 1.0, per_edge)
     seen = set()
     pts = []
@@ -294,9 +281,11 @@ def cuboid_points(half_extents=(0.5, 0.4, 0.3), per_edge: int = 6) -> np.ndarray
 
 
 def sphere_points(n: int = 200, radius: float = 0.5) -> np.ndarray:
-    """Deterministic Fibonacci-lattice sampling of a sphere surface."""
-    if n < 4 or radius <= 0.0:
-        raise ValueError("need n >= 4 points and positive radius")
+    """Deterministic Fibonacci-lattice sampling of a sphere surface.
+    ValueError unless n is an integer >= 4 and radius positive and finite."""
+    n = _checks.count(n, "n", 4)
+    if not (_checks.real(radius) and radius > 0.0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     i = np.arange(n, dtype=float)
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     z = 1.0 - (2.0 * i + 1.0) / n
@@ -306,6 +295,9 @@ def sphere_points(n: int = 200, radius: float = 0.5) -> np.ndarray:
 
 
 def default_camera(focal: float = 800.0, center=(320.0, 240.0), depth: float = 4.0) -> Camera:
+    if not _checks.real(focal, *center, depth):
+        raise ValueError(f"focal, center and depth must be finite reals, "
+                         f"got {(focal, center, depth)!r}")
     intr = np.array([[focal, 0.0, center[0]], [0.0, focal, center[1]], [0.0, 0.0, 1.0]])
     return Camera(intrinsics=intr, translation=np.array([0.0, 0.0, depth]))
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
 from . import dictionary as dct
-from . import models, so3
+from . import _checks, models, so3
 
 FAMILIES = (
     "R_G",
@@ -123,12 +122,9 @@ class ObjectiveSpec:
             raise FamilyMismatch(f"{self.family} requires the axis-angle representation")
         if self.alpha is None:
             object.__setattr__(self, "alpha", 10.0 if self.per_bin else 1.0)
-        # a string would fail math.isfinite with a TypeError naming no field,
-        # and a bool would pass it as 0 or 1
         for name in ("alpha", "gamma"):
             value = getattr(self, name)
-            if value is not None and (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                                      or not (math.isfinite(value) and value > 0.0)):
+            if value is not None and not (_checks.real(value) and value > 0.0):
                 raise FamilyMismatch(f"{name} must be positive and finite")
 
     @property

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import so3
+from . import _checks, so3
 
 ACTIVATIONS = ("relu", "pi_tanh", "linear")
 _PI_LIMIT = float(np.nextafter(math.pi, 0.0))  # the largest double below pi
@@ -109,11 +109,6 @@ def stack(nets) -> MLP:
     return on_buffer(np.stack(rows), nets[0])
 
 
-def unstack(net: MLP, i) -> MLP:
-    """Entry i of the leading stack axis, as views of the stacked parameters."""
-    return MLP([Layer(l.weight[i], l.bias[i], l.activation) for l in net.layers])
-
-
 def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
     if tag == "linear":
         return z
@@ -185,9 +180,10 @@ def init_pose_network(sizes, seed: int, activations=None) -> MLP:
     """Kaiming-style fan-in uniform init: W ~ U(+-sqrt(6/fan_in)), b = 0.
 
     Default activations are relu on hidden layers and linear on the head;
-    pass an explicit list (one tag per layer) for pose heads.
+    pass an explicit list (one tag per layer) for pose heads.  ValueError
+    unless every size is an integer >= 1.
     """
-    sizes = list(sizes)
+    sizes = [_checks.count(n, f"sizes[{i}]") for i, n in enumerate(sizes)]
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
     n_layers = len(sizes) - 1

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from . import _checks
+
 # Small-angle switch for exp/log Taylor branches.
 EPS_THETA = 1e-8
 # Reject matrix log when tr(R) <= -1 + EPS_PI (angle within ~1e-3 of pi).
@@ -85,8 +87,8 @@ class EulerZXZ:
 
     def __post_init__(self):
         for name in ("azimuth", "elevation", "tilt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            if not _checks.real(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and real, got {getattr(self, name)!r}")
         object.__setattr__(self, "azimuth", wrap_angle(self.azimuth))
         object.__setattr__(self, "tilt", wrap_angle(self.tilt))
 

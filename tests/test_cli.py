@@ -250,6 +250,9 @@ def test_ablate_rejects_unreadable_config(tmp_path, capsys, contents):
 BAD_SPECS = [
     '{"euler_deg": [1.0, 2.0]}', '{"fllip": false, "d_ct": [0]}', '{"flip": "false"}',
     '{"d_ct": "12"}', '{"d_az": [0, true]}', '{"euler_deg": [5, 88, "2"]}',
+    # integers too large for a float
+    pytest.param('{"d_az": [1%s]}' % ("0" * 400), id="d_az-1e400"),
+    pytest.param('{"euler_deg": [5, 88, 1%s]}' % ("0" * 400), id="euler_deg-1e400"),
 ]
 
 

@@ -811,13 +811,12 @@ def _fixed_decoder(logits, deltas, fdim=4):
     """Role stacks of one category (G = 1) whose networks ignore the
     features: the given logits, and the given delta of each key (K, 3) or
     shared delta (3,)."""
-    logits = np.asarray(logits, dtype=float)[None]
-    deltas = np.asarray(deltas, dtype=float)[None]
-    role = "deltas" if deltas.ndim == 3 else "delta"
-    return {
-        "logits": models.MLP([models.Layer(np.zeros(logits.shape + (fdim,)), logits, "linear")]),
-        role: models.MLP([models.Layer(np.zeros(deltas.shape + (fdim,)), deltas, "linear")]),
-    }
+    def fixed(out):  # a linear layer of zero weights outputs its bias
+        out = np.asarray(out, dtype=float)
+        layer = models.Layer(np.zeros(out.shape + (fdim,)), out, "linear")
+        return models.stack([models.MLP([layer])])
+
+    return {"logits": fixed(logits), "deltas" if np.ndim(deltas) == 2 else "delta": fixed(deltas)}
 
 
 def _keys(seed, k=8):
@@ -883,7 +882,8 @@ def _predict_one_category(spec, nets, dictionary, x):
     if spec.family == "C":
         return dct.pose_matrices(dictionary.keys[label], dictionary.representation)
     if spec.per_bin:
-        delta = models.forward(models.unstack(nets["deltas"], label), x[:, None])[:, 0]
+        delta = models.forward(models.on_buffer(nets["deltas"].params[label], nets["deltas"]),
+                               x[:, None])[:, 0]
     else:
         delta = models.forward(nets["delta"], x)
     return models.compose_rotation(spec.combination, dictionary.keys[label], delta)
@@ -917,8 +917,8 @@ def test_stacked_decode_equals_the_per_category_calls(monkeypatch, spec, block):
     x = g.normal(size=(3, 10, cfg.data.feature_dim))
     got = harness.predict_rotation(spec, nets, d, x)
     want = np.stack([
-        _predict_one_category(spec, {role: models.unstack(net, c) for role, net in nets.items()},
-                              d, x[c])
+        _predict_one_category(spec, {role: models.on_buffer(net.params[c], net)
+                                     for role, net in nets.items()}, d, x[c])
         for c in range(3)
     ])
     assert got.shape == (3, 10, 3, 3)

@@ -171,7 +171,7 @@ def test_stacked_forward_backward_equal_per_network_calls(g, k, n, seed):
             for (dw, db), (ow, ob) in zip(grads, one_grads):
                 np.testing.assert_allclose(dw[i, j], ow, rtol=0, atol=1e-13)
                 np.testing.assert_allclose(db[i, j], ob, rtol=0, atol=1e-13)
-            view = models.unstack(models.unstack(stacked, i), j)
+            view = models.on_buffer(stacked.params[i, j], stacked)
             np.testing.assert_array_equal(view.layers[1].weight, heads[i][j].layers[1].weight)
 
 
@@ -187,11 +187,12 @@ def test_stack_lays_parameters_out_in_one_buffer_the_layers_view():
                                    for a in (l.weight, l.bias)])
             assert np.array_equal(stacked.params[i, j], want)
     views = [a for l in stacked.layers for a in (l.weight, l.bias)]
-    views += [a for l in models.unstack(models.unstack(stacked, 1), 2).layers
+    views += [a for l in models.on_buffer(stacked.params[1, 2], stacked).layers
               for a in (l.weight, l.bias)]
     assert all(np.shares_memory(a, stacked.params) for a in views)
     stacked.params[1, 2, 20:24] = 7.0  # the first layer's bias of head (1, 2)
-    assert np.array_equal(models.unstack(stacked, 1).layers[0].bias[2], np.full(4, 7.0))
+    assert np.array_equal(models.on_buffer(stacked.params[1], stacked).layers[0].bias[2],
+                          np.full(4, 7.0))
 
 
 # ---------------------------------------------------------------------------
