@@ -23,10 +23,11 @@ the inclusive time of its _step calls, best of LOOP_REPEATS trainings.
 Per-bin step: over the steps of one `bindelta_perbin` train call (M_Gp:
 G = 2 categories, K = 100 heads, n = 8 rows each, its M_Sp warm-start
 epoch included), the median per step of the time _step spends in the
-logits forward, the heads forward, objective_batch, the backward passes
-and the Adam steps, and of the whole _step, with the per-bin heads each
-step forwards (mean and most).  The parts are timed by wrappers around the
-library calls _step makes, whose own call cost lands in them.
+logits forward, the heads forward, objective_batch, the backward passes,
+the Adam updates, and the per-bin gathers and scatters of parameters,
+moments and step counts, and of the whole _step, with the per-bin heads
+each step forwards (mean and most).  The parts are timed by wrappers
+around the library calls _step makes, whose own call cost lands in them.
 
 Kernel: best of STEP_REPEATS geodesic kernel calls on the last
 objective_batch block of a 100-instance M_Pp gradcheck, as `orient-geo
@@ -51,7 +52,7 @@ On a shared virtual machine other tenants' load stretches them; the
 dictionary section, which a training-step change leaves alone, shows
 whether a run was slowed.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_6.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_7.json
 """
 
 import argparse
@@ -144,7 +145,7 @@ def _step_timings(cfg, repeats):
     out, cache = models.forward_cached(net, feats)
     rows = out.reshape(g * n, -1)
     grad_out = losses.objective_batch(spec, rows, targets, None).grads["pose"].reshape(g, n, -1) / n
-    adam = harness._Adam(net)
+    state = harness._RoleState.fresh(net)
     grad = models.backward(net, cache, grad_out)
     buf = np.empty_like(grad)
     return {
@@ -155,8 +156,8 @@ def _step_timings(cfg, repeats):
         "objective_batch_s": _best_of(repeats, losses.objective_batch, spec, rows, targets, None),
         "geodesic_kernel_s": _best_of(repeats, losses._geodesic_axis_angle, rows, targets.ref),
         "backward_s": _best_of(repeats, models.backward, net, cache, grad_out),
-        # step uses its gradient as scratch: refill it, untimed, before each call
-        "adam_step_s": _best_of(repeats, adam.step, net.params, buf, opt.learning_rate,
+        # the update uses its gradient as scratch: refill it, untimed, before each call
+        "adam_step_s": _best_of(repeats, harness._adam_update, state, buf, opt.learning_rate,
                                 before=lambda: np.copyto(buf, grad)),
     }
 
@@ -203,12 +204,13 @@ def _perbin_step_timings(cfg):
     dictionary = harness.fit_shared_dictionary(cfg, dataset)
     pose_dim = cfg.objective.pose_dim
     parts = ("logits_forward_s", "heads_forward_s", "objective_batch_s", "backward_s",
-             "adam_step_s", "step_s")
+             "adam_step_s", "gather_scatter_s", "step_s")
     steps, heads, current = {part: [] for part in parts}, [], {}
     originals = ((models, "forward_cached"), (losses, "objective_batch"), (models, "backward"),
-                 (harness._Adam, "step"), (harness, "_step"))
+                 (harness, "_adam_update"), (harness._RoleState, "gather"),
+                 (harness._RoleState, "scatter"), (harness, "_step"))
     saved = [getattr(owner, name) for owner, name in originals]
-    forward_cached, objective_batch, backward, adam_step, step = saved
+    forward_cached, objective_batch, backward, adam_update, gather, scatter, step = saved
 
     def timed(part, fn, *args):
         start = time.perf_counter()
@@ -233,7 +235,9 @@ def _perbin_step_timings(cfg):
 
     wrappers = (timed_forward, lambda *a: timed("objective_batch_s", objective_batch, *a),
                 lambda *a: timed("backward_s", backward, *a),
-                lambda *a: timed("adam_step_s", adam_step, *a), timed_step)
+                lambda *a: timed("adam_step_s", adam_update, *a),
+                lambda *a: timed("gather_scatter_s", gather, *a),
+                lambda *a: timed("gather_scatter_s", scatter, *a), timed_step)
     for (owner, name), wrapper in zip(originals, wrappers):
         setattr(owner, name, wrapper)
     try:
@@ -456,7 +460,8 @@ def main() -> int:
                 "loop's time outside _step, best of loop_repeats, and the median stage "
                 "split and stage shares of stage_runs regress run_experiment calls; "
                 "the median per step of each part of the bindelta_perbin (M_Gp) step "
-                "over one train call, with the per-bin heads each step forwards; "
+                "over one train call (its Adam updates apart from its per-bin gathers "
+                "and scatters), with the per-bin heads each step forwards; "
                 "the geodesic kernel on one M_Pp gradcheck block, best of step_repeats; "
                 "jitter grids and a manifest round trip at the `orient-geo jitter` "
                 "defaults, best of jitter_repeats; read_records and Matching on a "

@@ -129,7 +129,7 @@ def fit_kmeans(targets, k: int, seed: int, representation: str = AXIS_ANGLE) -> 
     n = targets.shape[0]
     if n < k:
         raise InsufficientData(f"{n} targets for {k} clusters")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checks.count(seed, "seed", 0))
     centers = _plus_plus_seeds(targets, k, rng)
     labels = np.zeros(n, dtype=np.intp)
     upper = np.full(n, np.inf)  # >= distance to the own centre

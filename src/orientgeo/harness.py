@@ -389,58 +389,58 @@ def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
-class _Adam:
-    """Adam state for one stacked MLP's (..., P) parameter buffer.  Each
-    stack entry keeps its own step count and moves only on the steps that
-    select it, so a head no sample touched keeps its weights and moments.
+@dataclasses.dataclass(eq=False)
+class _RoleState:
+    """One role's training state: its stacked network, whose (..., P) buffer
+    Adam steps, the moments (2, ..., P), m then v, and each stack entry's
+    step count t (...).  An entry moves only on the steps that select it."""
 
-    The step is Kingma & Ba's efficient form (ICLR 2015, section 2): both
-    bias corrections fold into the step size, alpha_t = lr sqrt(1 - b2^t) /
-    (1 - b1^t), and eps into eps_t = eps sqrt(1 - b2^t), which equals the
-    textbook update up to rounding with one divide instead of three.  The
-    moments are kept as m / (1 - b1) and v / (1 - b2), so their updates
-    need no (1 - b) factor; alpha_t and eps_t absorb it.
-    """
+    net: models.MLP
+    moments: np.ndarray
+    t: np.ndarray
 
-    def __init__(self, net: models.MLP):
-        self.t = np.zeros(net.params.shape[:-1], dtype=int)
-        self.m = np.zeros_like(net.params)
-        self.v = np.zeros_like(net.params)
-        self._scratch = np.empty_like(net.params)
+    @classmethod
+    def fresh(cls, net: models.MLP) -> "_RoleState":
+        return cls(net, np.zeros((2,) + net.params.shape), np.zeros(net.params.shape[:-1], dtype=int))
 
-    def step(self, params, grad, lr: float, sel=None):
-        """Update params in place from grad, both (..., P), and use grad as
-        scratch.  params is the whole buffer, or with `sel` (np.nonzero of a
-        mask over the stack axes) its rows at sel, which the caller gathered
-        and writes back; m, v and t then move at sel only."""
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        m, v, a = self.m, self.v, self._scratch
-        if sel is None:
-            self.t += 1
-            t = self.t
-        else:
-            m, v = m[sel], v[sel]
-            a = a.reshape(-1, a.shape[-1])[: len(grad)]
-            self.t[sel] += 1
-            t = self.t[sel]
-        # with m = (1 - b1) m~ and v = (1 - b2) v~, alpha_t m / (sqrt(v) + eps_t)
-        # is rate m~ / (sqrt(v~) + eps_v), where rate = alpha_t (1 - b1) / sqrt(1 - b2)
-        # and eps_v = eps_t / sqrt(1 - b2)
-        root_c2 = np.sqrt((1.0 - b2**t) / (1.0 - b2))
-        rate = (lr * (1.0 - b1) * root_c2 / (1.0 - b1**t))[..., None]
-        eps_v = (ADAM_EPS * root_c2)[..., None]
-        # m~ b1 + g, v~ b2 + g g, rate * (m~ / (sqrt(v~) + eps_v))
-        np.multiply(m, b1, out=m)
-        m += grad
-        np.multiply(v, b2, out=v)
-        v += np.multiply(grad, grad, out=a)
-        np.sqrt(v, out=grad)
-        grad += eps_v
-        np.divide(m, grad, out=a)
-        a *= rate
-        params -= a
-        if sel is not None:
-            self.m[sel], self.v[sel] = m, v
+    def gather(self, sel) -> "_RoleState":
+        """A copy of the entries at sel (index arrays over the stack axes), to
+        step as one block.  Its moments are taken by flat index, C-contiguous:
+        moments[:, *sel] is strided, and the update runs at half speed on it."""
+        at = np.ravel_multi_index(sel, self.t.shape)
+        moments = np.take(self.moments.reshape(2, -1, self.moments.shape[-1]), at, axis=1)
+        return _RoleState(models.on_buffer(self.net.params[sel], self.net), moments, self.t[sel])
+
+    def scatter(self, sel, block: "_RoleState") -> None:
+        """Write a gather(sel) block back."""
+        self.net.params[sel], self.moments[(slice(None), *sel)], self.t[sel] = (
+            block.net.params, block.moments, block.t)
+
+
+def _adam_update(state: _RoleState, grad, lr: float) -> None:
+    """Step every entry of state once from grad (..., P), in place, using
+    grad as scratch, in Kingma & Ba's efficient form (ICLR 2015, section
+    2): both bias corrections fold into the step size, alpha_t = lr
+    sqrt(1 - b2^t) / (1 - b1^t), and eps into eps_t = eps sqrt(1 - b2^t),
+    which equals the textbook update up to rounding with one divide instead
+    of three.  The moments are kept as m~ = m / (1 - b1) and v~ = v / (1 -
+    b2), so alpha_t m / (sqrt(v) + eps_t) is rate m~ / (sqrt(v~) + eps_v),
+    with rate = alpha_t (1 - b1) / sqrt(1 - b2) and eps_v = eps_t / sqrt(1 - b2)."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m, v = state.moments
+    state.t += 1
+    root_c2 = np.sqrt((1.0 - b2**state.t) / (1.0 - b2))
+    rate = (lr * (1.0 - b1) * root_c2 / (1.0 - b1**state.t))[..., None]
+    eps_v = (ADAM_EPS * root_c2)[..., None]
+    m *= b1  # m~ b1 + g, v~ b2 + g g, rate * (m~ / (sqrt(v~) + eps_v))
+    m += grad
+    v *= b2
+    v += np.multiply(grad, grad, out=grad)
+    np.sqrt(v, out=grad)
+    grad += eps_v
+    np.divide(m, grad, out=grad)
+    grad *= rate
+    state.net.params -= grad
 
 
 # ---------------------------------------------------------------------------
@@ -467,29 +467,30 @@ def _training_rows(spec, dictionary, dataset, gamma):
     return dataset.train.features, _make_targets(spec, dictionary, mats, gamma)
 
 
-def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss:
-    """One optimizer step of the stacked networks on feats (G, n, in), n
-    samples of each of G categories, and their G * n targets in category
-    order.  The per-bin heads the objective reads (each row's head
-    argmax(logits), or all for the expectation families) are gathered once
-    and run on their category's n rows: the whole (G, K) stack's products,
-    so its bits.  Backward reuses the gathered rows and steps only heads
-    with a nonzero gradient, so a head no sample touched keeps its weights
-    and Adam state."""
+def _step(spec, state, dictionary, feats, targets, lr) -> losses.BatchLoss:
+    """One optimizer step of the role states on feats (G, n, in), n samples
+    of each of G categories, and their G * n targets in category order.
+    The per-bin heads the objective reads (each row's head argmax(logits),
+    or all for the expectation families) are gathered once, with their
+    moments and step counts, and run on their category's n rows: the whole
+    (G, K) stack's products, so its bits.  Backward reuses the gathered
+    rows; the block, trimmed to the heads with a nonzero gradient, is
+    stepped and scattered back once, so a head no sample touched keeps its
+    weights and Adam state.  The other roles step in place."""
     g, n = feats.shape[:2]
-    cached, rows = {}, {}
-    for role, net in nets.items():
+    stepped, cached, rows = dict(state), {}, {}
+    for role, s in state.items():
         if role != "deltas":
-            out, cached[role] = models.forward_cached(net, feats)
+            out, cached[role] = models.forward_cached(s.net, feats)
             rows[role] = out.reshape(g * n, -1)
-    if "deltas" in nets:
+    if "deltas" in state:
         every = spec.family in losses.EXPECTATION_FAMILIES
         label = np.argmax(rows["logits"], axis=1).reshape(g, n)  # the objective's argmax
-        picked = np.full(nets["deltas"].params.shape[:2], every)
+        picked = np.full(state["deltas"].t.shape, every)
         picked[np.arange(g)[:, None], label] = True
         sel = np.nonzero(picked)  # in buffer order
-        heads = models.on_buffer(nets["deltas"].params[sel], nets["deltas"])
-        out, cached["deltas"] = models.forward_cached(heads, feats[sel[0]])  # (S, n, d)
+        block = stepped["deltas"] = state["deltas"].gather(sel)
+        out, cached["deltas"] = models.forward_cached(block.net, feats[sel[0]])  # (S, n, d)
         slot = np.cumsum(picked).reshape(picked.shape) - 1  # each pair's index in sel
         if every:  # row (c, i) reads sample i of every head of c, laid out as the whole
             # stack's (G, n, K, d) view is: the expectation einsum's bits follow the layout
@@ -508,21 +509,20 @@ def _step(spec, nets, adams, dictionary, feats, targets, lr) -> losses.BatchLoss
     batch = losses.objective_batch(spec, prediction, targets, dictionary)
 
     for role, grad in batch.grads.items():
-        net, cache, stepped = nets[role], cached[role], None
+        s, cache = stepped[role], cached[role]
         if role == "deltas":
             grad = np.zeros_like(out)
             grad[at] = batch.grads[role].reshape(head_rows.shape)
             touched = grad.any(axis=(1, 2))
             if not touched.all():
-                sel, grad = tuple(s[touched] for s in sel), grad[touched]
-                heads = models.on_buffer(heads.params[touched], heads)
-                cache = [(tag, h[touched]) for tag, h in cache]
-            net, stepped = heads, sel
+                kept = np.nonzero(touched)
+                sel, grad, s = tuple(i[kept] for i in sel), grad[kept], s.gather(kept)
+                cache = [(tag, h[kept]) for tag, h in cache]
         else:
             grad = grad.reshape(g, n, -1)
-        adams[role].step(net.params, models.backward(net, cache, grad / n), lr, stepped)
-        if stepped is not None:
-            nets[role].params[stepped] = net.params
+        _adam_update(s, models.backward(s.net, cache, grad / n), lr)
+        if role == "deltas":
+            state[role].scatter(sel, s)
     return batch
 
 
@@ -535,10 +535,10 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     quota is split half clean, half from the augmented pool.  The learning
     rate decays by cfg.optimizer.decay after every scheduled epoch, and the
     geodesic/riemannian Bin & Delta families spend one warm-start epoch on
-    their Simple counterpart (fresh optimizer state when the objective
-    switches).  Returns (nets, dictionary, TrainLog): nets maps each role
-    to its network stacked over the categories, whose (G, ..., P) buffer
-    Adam stepped.
+    their Simple counterpart (Adam moments and step counts zeroed when the
+    objective switches).  Returns (nets, dictionary, TrainLog): nets maps
+    each role to its network stacked over the categories, whose (G, ..., P)
+    buffer Adam stepped; no optimizer state stays reachable from them.
     """
     seed = cfg.seed if seed is None else seed
     spec = cfg.objective
@@ -546,19 +546,18 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     if dictionary is None and spec.family not in losses.DIRECT_FAMILIES:
         dictionary = fit_shared_dictionary(cfg, dataset)
     schedule = losses.simple_init_schedule(spec, opt.epochs)
-    gamma = (
-        losses.resolve_gamma(spec, dictionary)
-        if spec.family in losses.SOFT_TARGET_FAMILIES
-        else None
-    )
+    soft = spec.family in losses.SOFT_TARGET_FAMILIES
+    gamma = losses.resolve_gamma(spec, dictionary) if soft else None
+    # before the training state, so its moments are not live through the targets' temporaries
+    feats, targets = _training_rows(spec, dictionary, dataset, gamma)
 
     names = dataset.categories
     per_cat = [build_category_model(cfg, seed + 1000 * (c + 1)) for c in range(len(names))]
-    nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
+    state = {role: _RoleState.fresh(models.stack([m[role] for m in per_cat]))
+             for role in per_cat[0]}
     del per_cat  # the stacks' buffers hold copies
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), c, 10]))
                   for c in range(len(names))]
-    feats, targets = _training_rows(spec, dictionary, dataset, gamma)
 
     pool = dataset.aug_rows
     size = feats.shape[1] - pool
@@ -573,9 +572,10 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
 
     lines, epoch_losses, step_losses, epoch_non_smooth = [], [], [], []
     for epoch, epoch_spec in enumerate(schedule):
-        if epoch == 0 or epoch_spec.family != schedule[epoch - 1].family:
-            adams = None  # release the old moments before allocating fresh ones
-            adams = {role: _Adam(net) for role, net in nets.items()}
+        if epoch and epoch_spec.family != schedule[epoch - 1].family:
+            for s in state.values():  # fresh Adam state for the new objective
+                s.moments.fill(0.0)
+                s.t.fill(0)
         lr = opt.learning_rate * opt.decay**epoch
 
         # epoch plan (steps, G * n) of flat rows: per category, clean rows then pool rows
@@ -594,7 +594,7 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
         with np.errstate(over="ignore", invalid="ignore"):
             for t, rows in enumerate(plan):
                 try:
-                    batch = _step(epoch_spec, nets, adams, dictionary,
+                    batch = _step(epoch_spec, state, dictionary,
                                   flat[rows].reshape(g, n, -1), targets.rows(rows), lr)
                 except (losses.NonFiniteObjective, models.ZeroSum) as exc:
                     name = names[exc.row // n]
@@ -606,14 +606,10 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
         epoch_losses.append(epoch_mean)
         step_losses.append(tuple(per_step))
         epoch_non_smooth.append(int(non_smooth.sum()))
-        lines.append(
-            f"epoch {epoch} objective {epoch_spec.family} lr {lr:.3e} "
-            f"loss {epoch_mean:.6f} non_smooth {epoch_non_smooth[-1]}"
-        )
-    log = TrainLog(
-        tuple(lines), tuple(epoch_losses), tuple(step_losses), tuple(epoch_non_smooth)
-    )
-    return nets, dictionary, log
+        lines.append(f"epoch {epoch} objective {epoch_spec.family} lr {lr:.3e} "
+                     f"loss {epoch_mean:.6f} non_smooth {epoch_non_smooth[-1]}")
+    log = TrainLog(tuple(lines), tuple(epoch_losses), tuple(step_losses), tuple(epoch_non_smooth))
+    return {role: s.net for role, s in state.items()}, dictionary, log
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import statistics
 import numpy as np
 
 from . import dictionary as dct
-from . import so3
+from . import _checks, so3
 
 IOU_THRESHOLD = 0.5
 ANGLE_THRESHOLD_DEG = 30.0
@@ -41,14 +41,16 @@ class EmptyCategory(ValueError):
 
 
 def _checked_box(box, score=1.0) -> tuple:
-    """box as a tuple of floats.  Raises ValueError unless the box and the
-    score are finite and x1 < x2 and y1 < y2.  Detection and GroundTruth
-    check each box with it; read_records checks whole columns and raises
-    through it for the first failing record."""
-    x1, y1, x2, y2 = box = tuple(float(v) for v in box)
-    if not (x1 < x2 and y1 < y2 and all(map(math.isfinite, box + (float(score),)))):
-        raise ValueError(f"box {box} and score {score!r} must be finite, with x1 < x2 and y1 < y2")
-    return box
+    """box as a tuple of floats.  Raises ValueError unless the box entries
+    and the score are real numbers (_checks.real: no string or bool) and
+    x1 < x2 and y1 < y2.  Detection and GroundTruth check each box with it;
+    read_records checks whole columns and raises through it for the first
+    failing record."""
+    if _checks.real(*box, score):
+        x1, y1, x2, y2 = box = tuple(map(float, box))
+        if x1 < x2 and y1 < y2:
+            return box
+    raise ValueError(f"box {tuple(box)} and score {score!r} must be finite, with x1 < x2 and y1 < y2")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -415,7 +417,7 @@ def _check_boxes(tags, values):
     ok &= (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3])
     if not ok.all():
         i = int(ok.argmin())
-        _checked_box(box[i], float(score[i]))
+        _checked_box(box[i].tolist(), float(score[i]))
     return values, score, is_gt
 
 

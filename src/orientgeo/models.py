@@ -181,7 +181,7 @@ def init_pose_network(sizes, seed: int, activations=None) -> MLP:
 
     Default activations are relu on hidden layers and linear on the head;
     pass an explicit list (one tag per layer) for pose heads.  ValueError
-    unless every size is an integer >= 1.
+    unless every size is an integer >= 1 and seed an integer >= 0.
     """
     sizes = [_checks.count(n, f"sizes[{i}]") for i, n in enumerate(sizes)]
     if len(sizes) < 2:
@@ -191,7 +191,7 @@ def init_pose_network(sizes, seed: int, activations=None) -> MLP:
         activations = ["relu"] * (n_layers - 1) + ["linear"]
     if len(activations) != n_layers:
         raise ValueError("one activation per layer required")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checks.count(seed, "seed", 0))
     layers = []
     for i in range(n_layers):
         fan_in = sizes[i]

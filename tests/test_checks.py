@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from orientgeo import dictionary as dct
-from orientgeo import jitter, models, so3
+from orientgeo import jitter, metrics, models, so3
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "orientgeo"
 
@@ -39,7 +39,10 @@ COUNTS = {
     "cuboid_points": ("per_edge", lambda v: jitter.cuboid_points(per_edge=v)),
     "sphere_points": ("n", lambda v: jitter.sphere_points(n=v)),
     "init_pose_network": ("sizes", lambda v: models.init_pose_network([3, v], 0)),
+    "fit_kmeans-seed": ("seed", lambda v: dct.fit_kmeans(TARGETS, 3, v)),
+    "init_pose_network-seed": ("seed", lambda v: models.init_pose_network([3, 2], v)),
 }
+SEEDS = ["fit_kmeans-seed", "init_pose_network-seed"]
 REALS = {
     "soft_assign_probs": ("gamma", lambda v: dct.soft_assign_probs(np.zeros(3), KEYS, v)),
     "soft_assign_probs-per-row": (
@@ -57,7 +60,7 @@ REALS = {
 # values a count or real refuses, except those an entry point refused
 # before with a ValueError of its own
 BAD_COUNTS = {True: list(COUNTS), 4.5: ["cuboid_points", "sphere_points", "init_pose_network"],
-              0: ["init_pose_network"]}
+              0: ["init_pose_network"], 2.5: SEEDS, -1: SEEDS}
 BAD_REALS = {
     "1.0": list(REALS),
     True: list(REALS),
@@ -82,10 +85,12 @@ def test_entry_points_refuse_what_the_rule_refuses_naming_the_parameter(entry, n
     lambda: jitter.cuboid_points(half_extents=(1, 0.4, np.float64(0.3)), per_edge=np.uint8(2)),
     lambda: jitter.Camera(intrinsics=K.astype(int), translation=[0, 0, 4]),
     lambda: dct.soft_assign_probs(np.zeros((2, 3)), KEYS, np.array([1, 2])),
-    lambda: models.init_pose_network([np.int64(3), 2], 0),
+    lambda: models.init_pose_network([np.int64(3), 2], np.uint32(0)),
     lambda: so3.EulerZXZ(np.float32(0.1), 1, np.int64(0)),
+    lambda: metrics.Detection("c", (np.float64(0.0), 0, np.int64(10), 10.0), np.float32(0.5),
+                              so3.Rotation.identity()),
 ], ids=["fit_kmeans", "sphere_points", "cuboid_points", "Camera", "soft_assign_probs",
-        "init_pose_network", "EulerZXZ"])
+        "init_pose_network", "EulerZXZ", "Detection"])
 def test_numpy_and_integer_numbers_pass(make):
     make()
 

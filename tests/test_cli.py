@@ -398,6 +398,27 @@ def test_every_script_prints_its_help(name):
     assert done.stdout.startswith("usage: ")
 
 
+def test_bench_times_each_training_step_part_at_a_tiny_config():
+    # scripts/bench.py wraps harness internals (_step, _adam_update and the
+    # role state's gather and scatter), which no other test runs it against
+    bench = _script("bench")
+    regress = bench.workloads._training_config("regress", 0, tiny=True)
+    step = bench._step_timings(regress, 1)
+    assert all(step[k] > 0.0 for k in ("forward_cached_s", "objective_batch_s",
+                                       "geodesic_kernel_s", "backward_s", "adam_step_s"))
+    loop = bench._loop_overhead(regress, 1)
+    assert loop["steps"] > 0 and 0.0 < loop["step_s"] < loop["train_s"]
+    cfg = bench.workloads._training_config("bindelta_perbin", 0, tiny=True)
+    perbin = bench._perbin_step_timings(cfg)
+    epochs = len(losses.simple_init_schedule(cfg.objective, cfg.optimizer.epochs))
+    steps = cfg.data.train_samples // cfg.optimizer.batch_per_category
+    assert perbin["steps"] == epochs * steps
+    assert 1 <= perbin["heads_forwarded_max"] <= cfg.data.categories * cfg.dictionary_size
+    assert all(perbin[k] > 0.0 for k in ("logits_forward_s", "heads_forward_s", "objective_batch_s",
+                                         "backward_s", "adam_step_s", "gather_scatter_s"))
+    assert perbin["step_s"] > perbin["adam_step_s"] + perbin["gather_scatter_s"]
+
+
 def _reproduce(monkeypatch, *args):
     """main()'s exit code from scripts/reproduce.py with args."""
     monkeypatch.setattr(sys, "argv", ["reproduce.py", *args])

@@ -529,9 +529,9 @@ def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
 
 
 def _step_case(family, categories=2):
-    """A tiny config, its role stacks and Adam state as train builds them,
-    and the first batch_per_category train rows of each category with
-    their targets and the shared dictionary, for a direct _step call."""
+    """A tiny config, its role states as train builds them, and the first
+    batch_per_category train rows of each category with their targets and
+    the shared dictionary, for a direct _step call."""
     cfg = tiny_config(family)
     cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, categories=categories))
     spec, dataset = cfg.objective, harness.generate_synthetic(cfg, 0)
@@ -541,11 +541,11 @@ def _step_case(family, categories=2):
     feats, targets = harness._training_rows(spec, dictionary, dataset, gamma)
     g, n, width = cfg.data.categories, cfg.optimizer.batch_per_category, feats.shape[1]
     per_cat = [harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1)) for c in range(g)]
-    nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
-    adams = {role: harness._Adam(net) for role, net in nets.items()}
+    state = {role: harness._RoleState.fresh(models.stack([m[role] for m in per_cat]))
+             for role in per_cat[0]}
     rows = (np.arange(g)[:, None] * width + np.arange(n)).ravel()
     batch = np.ascontiguousarray(feats[:, :n]), targets.rows(rows)
-    return cfg, nets, adams, dictionary, batch
+    return cfg, state, dictionary, batch
 
 
 @pytest.mark.parametrize("categories", [1, 2])
@@ -557,7 +557,8 @@ def test_step_hands_the_objective_the_heads_of_the_whole_stack(monkeypatch, fami
     # forward's rows are (their einsum's bits follow the layout, and one
     # category's rows are a head-major view); the step moves exactly the
     # heads read
-    cfg, nets, adams, dictionary, (feats, targets) = _step_case(family, categories)
+    cfg, state, dictionary, (feats, targets) = _step_case(family, categories)
+    nets = {role: s.net for role, s in state.items()}
     g, n = feats.shape[:2]
     k = cfg.dictionary_size
     last = nets["logits"].layers[-1]
@@ -580,28 +581,29 @@ def test_step_hands_the_objective_the_heads_of_the_whole_stack(monkeypatch, fami
     seen, objective = [], losses.objective_batch
     monkeypatch.setattr(losses, "objective_batch", lambda *args: seen.append(args[1]) or objective(*args))
     before = nets["deltas"].params.copy()
-    harness._step(cfg.objective, nets, adams, dictionary, feats, targets, 1e-3)
+    harness._step(cfg.objective, state, dictionary, feats, targets, 1e-3)
     (_, deltas), = seen
     assert deltas.shape == want.shape and deltas.tobytes() == want.tobytes()
     assert deltas.strides == want.strides
     assert np.array_equal(np.any(nets["deltas"].params != before, axis=-1), read)
-    assert np.array_equal(adams["deltas"].t, read.astype(int))
+    assert np.array_equal(state["deltas"].t, read.astype(int))
 
 
 def test_step_keeps_the_weights_and_adam_state_of_heads_it_does_not_step(monkeypatch):
     # unselected heads, and a selected head whose gradient is zero, keep
     # their weights and their m, v and t bit for bit; the others step once
-    cfg, nets, adams, dictionary, (feats, targets) = _step_case("M_Gp")
+    cfg, state, dictionary, (feats, targets) = _step_case("M_Gp")
     g, n = feats.shape[:2]
-    bias = nets["logits"].layers[-1].bias
+    bias = state["logits"].net.layers[-1].bias
     bias[0, [1, 5]] += 1e3  # category 0 reads heads 1 and 5, category 1 head 6
     bias[1, 6] += 1e3
-    label = np.argmax(models.forward(nets["logits"], feats), axis=-1)
+    label = np.argmax(models.forward(state["logits"].net, feats), axis=-1)
     assert set(label[0].tolist()) == {1, 5} and set(label[1].tolist()) == {6}
     rng = np.random.default_rng(3)  # moments and step counts as after earlier steps
-    adam = adams["deltas"]
-    adam.m[:], adam.v[:] = rng.standard_normal(adam.m.shape), rng.random(adam.v.shape)
-    adam.t[:] = rng.integers(1, 5, size=adam.t.shape)
+    heads = state["deltas"]
+    m, v = heads.moments
+    m[:], v[:] = rng.standard_normal(m.shape), rng.random(v.shape)
+    heads.t[:] = rng.integers(1, 5, size=heads.t.shape)
     objective = losses.objective_batch
 
     def no_gradient_for_head_5(*args):
@@ -610,29 +612,29 @@ def test_step_keeps_the_weights_and_adam_state_of_heads_it_does_not_step(monkeyp
         return batch
 
     monkeypatch.setattr(losses, "objective_batch", no_gradient_for_head_5)
-    state = [a.copy() for a in (nets["deltas"].params, adam.m, adam.v)]
-    t = adam.t.copy()
-    harness._step(cfg.objective, nets, adams, dictionary, feats, targets, 1e-3)
+    before = [a.copy() for a in (heads.net.params, m, v)]
+    t = heads.t.copy()
+    harness._step(cfg.objective, state, dictionary, feats, targets, 1e-3)
     stepped = np.zeros(t.shape, dtype=bool)
     stepped[0, 1] = stepped[1, 6] = True
-    for old, new in zip(state, (nets["deltas"].params, adam.m, adam.v)):
+    for old, new in zip(before, (heads.net.params, m, v)):
         kept = np.all(old.view(np.int64) == new.view(np.int64), axis=-1)
         assert np.array_equal(kept, ~stepped)
-    assert np.array_equal(adam.t, t + stepped)
+    assert np.array_equal(heads.t, t + stepped)
 
 
 def test_adam_steps_only_the_entries_the_mask_selects():
-    # entry 1 was stepped once; a later step that leaves it out must not
-    # move it on its remaining momentum
+    # entry 1 was stepped once; a later step of a gathered block that
+    # leaves it out must not move it on its remaining momentum
     net = models.stack([models.init_pose_network([3, 2], seed=s) for s in range(2)])
-    adam = harness._Adam(net)
-    adam.step(net.params, np.ones_like(net.params), 0.1)
+    state = harness._RoleState.fresh(net)
+    harness._adam_update(state, np.ones_like(net.params), 0.1)
     before = net.layers[0].weight.copy(), net.layers[0].bias.copy()
     sel = np.nonzero([True, False])
-    rows = net.params[sel]
-    adam.step(rows, np.ones_like(rows), 0.1, sel)
-    net.params[sel] = rows
-    assert adam.t.tolist() == [2, 1]
+    block = state.gather(sel)
+    harness._adam_update(block, np.ones_like(block.net.params), 0.1)
+    state.scatter(sel, block)
+    assert state.t.tolist() == [2, 1]
     for param, old in zip((net.layers[0].weight, net.layers[0].bias), before):
         assert np.array_equal(param[1], old[1])
         assert not np.any(param[0] == old[0])
@@ -654,9 +656,10 @@ def test_adam_tracks_the_textbook_algorithm(masked):
     # 2,000 steps of the efficient form against Algorithm 1, with gradient
     # scales from below eps (where eps_t matters) to 1e3, the learning
     # rate decaying as across epochs, and with `masked` a random subset of
-    # the entries stepping each time, as per-bin heads do
+    # the entries gathered, stepped and scattered back each time, as
+    # per-bin heads are
     net = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(4)])
-    adam = harness._Adam(net)
+    state = harness._RoleState.fresh(net)
     start = net.params.copy()
     theta, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
     t = np.zeros(len(start), dtype=int)
@@ -672,12 +675,12 @@ def test_adam_tracks_the_textbook_algorithm(masked):
         theta[mask], m[mask], v[mask] = rows
         if masked:
             sel = np.nonzero(mask)
-            params = net.params[sel]
-            adam.step(params, grad[sel], lr, sel)
-            net.params[sel] = params
+            block = state.gather(sel)
+            harness._adam_update(block, grad[sel], lr)
+            state.scatter(sel, block)
         else:
-            adam.step(net.params, grad.copy(), lr)
-    assert adam.t.tolist() == t.tolist()
+            harness._adam_update(state, grad.copy(), lr)
+    assert state.t.tolist() == t.tolist()
     moved = np.abs(theta - start).max(axis=1)
     assert np.all(moved > 0.0)
     rel = np.abs(net.params - theta).max(axis=1) / moved
@@ -688,9 +691,9 @@ def test_adam_tracks_the_textbook_algorithm(masked):
     ("ADAM_BETA1", 0.5), ("ADAM_BETA2", 0.9), ("ADAM_EPS", 1e-3),
 ])
 def test_adam_reads_each_constant_as_it_steps(monkeypatch, name, value):
-    # an _Adam built before the constant changes steps with the new value
+    # a state built before the constant changes steps with the new value
     net = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(3)])
-    adam = harness._Adam(net)
+    state = harness._RoleState.fresh(net)
     start = net.params.copy()
     monkeypatch.setattr(harness, name, value)
     theta, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
@@ -700,23 +703,35 @@ def test_adam_reads_each_constant_as_it_steps(monkeypatch, name, value):
         grad = g.standard_normal(start.shape) * 1e-3
         t += 1
         _textbook_adam_step(theta, m, v, t, grad, 1e-2)
-        adam.step(net.params, grad.copy(), 1e-2)
+        harness._adam_update(state, grad.copy(), 1e-2)
     rel = np.abs(net.params - theta).max(axis=1) / np.abs(theta - start).max(axis=1)
     assert np.all(rel <= 1e-12), rel
     monkeypatch.undo()
     default = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(3)])
-    default_adam = harness._Adam(default)
+    default_state = harness._RoleState.fresh(default)
     g = np.random.default_rng(11)
     for _ in range(20):
-        default_adam.step(default.params, g.standard_normal(start.shape) * 1e-3, 1e-2)
+        harness._adam_update(default_state, g.standard_normal(start.shape) * 1e-3, 1e-2)
     assert not np.allclose(default.params, net.params, rtol=1e-6, atol=0.0)
+
+
+def _recording_step(monkeypatch):
+    """The list that each _step call's role states are appended to."""
+    states, step = [], harness._step
+
+    def recording_step(spec, state, *args):
+        states.append(state)
+        return step(spec, state, *args)
+
+    monkeypatch.setattr(harness, "_step", recording_step)
+    return states
 
 
 @pytest.mark.parametrize("family", ["R_G", "M_Gp"])
 def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
     # the role stacks train returns, and the per-category and per-head
-    # views that checkpoints write, read the stacked buffers Adam stepped,
-    # never a stale copy
+    # views that checkpoints write, read the stacked buffers that every
+    # step's role states hold and Adam stepped, never a stale copy
     buffers = []
     stack = models.stack
 
@@ -726,13 +741,15 @@ def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
         return net
 
     monkeypatch.setattr(models, "stack", recording_stack)
+    states = _recording_step(monkeypatch)
     cfg = tiny_config(family)
     dataset = harness.generate_synthetic(cfg, 0)
     nets, _, _ = harness.train(cfg, dataset, seed=0)
     stacked = dict(zip(nets, buffers[-len(nets):]))  # train stacks the roles last
+    assert states and all(state is states[0] for state in states)
     for role, net in nets.items():
         buf = stacked[role]
-        assert net.params is buf, role
+        assert net.params is buf and states[0][role].net.params is buf, role
         assert buf.shape[0] == len(dataset.categories)
         assert all(np.shares_memory(a, buf) for l in net.layers for a in (l.weight, l.bias)), role
     for stem, net in harness._checkpoint_networks(nets, dataset.categories):
@@ -743,6 +760,42 @@ def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
         assert all(np.shares_memory(a, buf) for a in views), stem
         row = buf[c] if name in nets else buf[c, int(name.removeprefix("delta_head_"))]
         assert np.array_equal(np.concatenate([a.ravel() for a in views]), row), stem
+
+
+def _reachable_arrays(obj):
+    """Every ndarray reachable from obj through dicts, lists, tuples,
+    object attributes and array bases."""
+    found, todo, seen = [], [obj], set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            found.append(x)
+            todo.append(x.base)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif hasattr(x, "__dict__"):
+            todo.extend(vars(x).values())
+    return found
+
+
+@pytest.mark.parametrize("family", ["R_G", "M_Gp"])
+def test_trained_stacks_hold_no_optimizer_state(monkeypatch, family):
+    # the stacks train returns, which RunResult, run_trials and
+    # ablation_suite keep, reach their parameter buffers and nothing else:
+    # no Adam moments or step counts (M_Gp also switches objective, where
+    # the moments are zeroed in place)
+    states = _recording_step(monkeypatch)
+    cfg = tiny_config(family)
+    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    optimizer = [a for s in states[-1].values() for a in (s.moments, s.t)]
+    reachable = _reachable_arrays(nets)
+    assert {id(a) for a in reachable if a.base is None} == {id(n.params) for n in nets.values()}
+    assert not any(np.shares_memory(a, b) for a in reachable for b in optimizer)
 
 
 def test_train_log_counts_non_smooth_samples_per_epoch():

@@ -89,6 +89,26 @@ def test_constructors_reject_non_finite_boxes_and_scores(box, score):
             metrics.GroundTruth("c", box, ident)
 
 
+# box entries and scores follow the library's rule for reals: a string or
+# a bool is refused, not read through float() as a number
+@pytest.mark.parametrize("box, score", [
+    (("0", 0.0, 10.0, 10.0), 0.5),
+    ((0.0, 0.0, True, 10.0), 0.5),
+    ((0.0, 0.0, 10.0, 10.0), "0.5"),
+    ((0.0, 0.0, 10.0, 10.0), True),
+], ids=["string-box-entry", "bool-box-entry", "string-score", "bool-score"])
+def test_detection_refuses_box_entries_and_scores_that_are_not_real_numbers(box, score):
+    with pytest.raises(ValueError, match=BOX_RULE):
+        metrics.Detection("c", box, score, so3.Rotation.identity())
+
+
+@pytest.mark.parametrize("box", [("0", 0.0, 10.0, 10.0), (0.0, 0.0, True, 10.0)],
+                         ids=["string-box-entry", "bool-box-entry"])
+def test_ground_truth_refuses_box_entries_that_are_not_real_numbers(box):
+    with pytest.raises(ValueError, match=BOX_RULE):
+        metrics.GroundTruth("c", box, so3.Rotation.identity())
+
+
 # ---------------------------------------------------------------------------
 # paired pose metrics
 

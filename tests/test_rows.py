@@ -731,7 +731,7 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
     # off-default moments check the efficient form away from Kingma & Ba's
     # defaults; both steps read them from harness
     beta1, eps = float(g.choice([0.9, 0.5])), float(g.choice([1e-8, 1e-3]))
-    old, new = _PerArrayAdam(old_net), harness._Adam(new_net)
+    old, new = _PerArrayAdam(old_net), harness._RoleState.fresh(new_net)
     never = tuple(int(g.integers(0, n)) for n in lead)  # an entry no mask selects
     stepped_all = False
     with pytest.MonkeyPatch.context() as patch:
@@ -748,7 +748,7 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
                 rows_grad = grad if len(lead) == 1 else grad.reshape(-1, grad.shape[-1])
                 pairs = [(l.weight, l.bias) for l in models.on_buffer(rows_grad, new_net).layers]
                 old.step(old_net, pairs, lr, entries)
-                new.step(new_net.params, grad.copy(), lr)
+                harness._adam_update(new, grad.copy(), lr)
                 continue
             mask = g.random(lead) < 0.5
             mask[never] = False
@@ -758,15 +758,15 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
             rows_grad = grad[sel]
             pairs = [(l.weight, l.bias) for l in models.on_buffer(rows_grad, new_net).layers]
             old.step(old_net, pairs, lr, mask)
-            rows = new_net.params[sel]
-            new.step(rows, rows_grad.copy(), lr, sel)
-            new_net.params[sel] = rows
+            block = new.gather(sel)
+            harness._adam_update(block, rows_grad.copy(), lr)
+            new.scatter(sel, block)
     assert stepped_all or new.t[never] == 0
     np.testing.assert_array_equal(new.t, old.t)
     np.testing.assert_array_equal(
         new_net.params, _flat([a for l in old_net.layers for a in (l.weight, l.bias)]))
-    np.testing.assert_array_equal(new.m, _flat(old.m))
-    np.testing.assert_array_equal(new.v, _flat(old.v))
+    np.testing.assert_array_equal(new.moments[0], _flat(old.m))
+    np.testing.assert_array_equal(new.moments[1], _flat(old.v))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def reference_train(cfg, dataset, seed):
     lines, epoch_losses, step_losses, epoch_non_smooth = [], [], [], []
     for epoch, epoch_spec in enumerate(schedule):
         if epoch == 0 or epoch_spec.family != schedule[epoch - 1].family:
-            adams = {role: harness._Adam(net) for role, net in nets.items()}
+            state = {role: harness._RoleState.fresh(net) for role, net in nets.items()}
         lr = opt.learning_rate * opt.decay**epoch
         idx = []
         for rng in batch_rngs:
@@ -56,7 +56,7 @@ def reference_train(cfg, dataset, seed):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     batch = harness._step(
-                        epoch_spec, nets, adams, dictionary, feats[cats, idx[:, t]],
+                        epoch_spec, state, dictionary, feats[cats, idx[:, t]],
                         targets.rows((cats * feats.shape[1] + idx[:, t]).ravel()), lr)
             except (losses.NonFiniteObjective, models.ZeroSum) as exc:
                 name = names[exc.row // opt.batch_per_category]
