@@ -20,14 +20,16 @@ moves with the host's load, and the shares move less than the times.
 The train loop's own cost is one `regress` train call's wall time minus
 the inclusive time of its _step calls, best of LOOP_REPEATS trainings.
 
-Per-bin step: over the steps of one `bindelta_perbin` train call (M_Gp:
-G = 2 categories, K = 100 heads, n = 8 rows each, its M_Sp warm-start
-epoch included), the median per step of the time _step spends in the
-logits forward, the heads forward, objective_batch, the backward passes,
-the Adam updates, and the per-bin gathers and scatters of parameters,
-moments and step counts, and of the whole _step, with the per-bin heads
-each step forwards (mean and most).  The parts are timed by wrappers
-around the library calls _step makes, whose own call cost lands in them.
+Per-bin step: over the steps of one train call at the `bindelta_perbin`
+shape (G = 2 categories, K = 100 heads, n = 8 rows each), once with its
+own objective, M_Gp (its M_Sp warm-start epoch included), and once with
+M_Pp, the median per step of the time _step spends in the logits forward,
+the heads forward, objective_batch, the backward passes, the Adam updates,
+and the per-bin gathers and scatters of parameters, moments and step
+counts (none for M_Pp, which steps its heads in place), and of the whole
+_step, with the per-bin heads each step forwards (mean and most).  The
+parts are timed by wrappers around the library calls _step makes, whose
+own call cost lands in them.
 
 Kernel: best of STEP_REPEATS geodesic kernel calls on the last
 objective_batch block of a 100-instance M_Pp gradcheck, as `orient-geo
@@ -52,7 +54,7 @@ On a shared virtual machine other tenants' load stretches them; the
 dictionary section, which a training-step change leaves alone, shows
 whether a run was slowed.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_7.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_8.json
 """
 
 import argparse
@@ -91,6 +93,14 @@ def _configs():
             for name in ("regress", "bindelta_soft")}
     cfgs["default"] = dataclasses.replace(harness.ExperimentConfig(), seed=DATA_SEED)
     return cfgs
+
+
+def _perbin_configs():
+    """family -> ExperimentConfig of each timed per-bin train call: the
+    `bindelta_perbin` workload config at data seed DATA_SEED, and M_Pp at
+    its shape."""
+    cfg = workloads._training_config("bindelta_perbin", DATA_SEED, tiny=False)
+    return {"M_Gp": cfg, "M_Pp": dataclasses.replace(cfg, objective=losses.ObjectiveSpec("M_Pp"))}
 
 
 def _best_of(repeats, fn, *args, before=None):
@@ -407,7 +417,8 @@ def _cpu_model():
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per dictionary entry")
+    parser.add_argument("--repeats", type=cli.positive_count, default=5,
+                        help="timed calls per dictionary entry")
     parser.add_argument("--out", help="JSON file to write (default: print only)")
     args = parser.parse_args()
 
@@ -433,9 +444,11 @@ def main() -> int:
     print("regress step: " + ", ".join(f"{key} {value}" for key, value in step.items()))
     loop = _loop_overhead(regress, LOOP_REPEATS)
     print("regress train loop: " + ", ".join(f"{key} {value}" for key, value in loop.items()))
-    perbin = _perbin_step_timings(workloads._training_config("bindelta_perbin", DATA_SEED,
-                                                              tiny=False))
-    print("bindelta_perbin step: " + ", ".join(f"{key} {value}" for key, value in perbin.items()))
+    perbin = {}
+    for family, cfg in _perbin_configs().items():
+        perbin[family] = _perbin_step_timings(cfg)
+        print(f"bindelta_perbin {family} step: "
+              + ", ".join(f"{key} {value}" for key, value in perbin[family].items()))
     kernel = _kernel_timings(STEP_REPEATS)
     print("kernel: " + ", ".join(f"{key} {value}" for key, value in kernel.items()))
     stages = _stage_split(regress, STAGE_RUNS)
@@ -459,9 +472,10 @@ def main() -> int:
                 "at the regress step shapes, best of step_repeats, the regress train "
                 "loop's time outside _step, best of loop_repeats, and the median stage "
                 "split and stage shares of stage_runs regress run_experiment calls; "
-                "the median per step of each part of the bindelta_perbin (M_Gp) step "
-                "over one train call (its Adam updates apart from its per-bin gathers "
-                "and scatters), with the per-bin heads each step forwards; "
+                "the median per step of each part of the bindelta_perbin step, with "
+                "its M_Gp objective and with M_Pp, over one train call each (its Adam "
+                "updates apart from its per-bin gathers and scatters), with the per-bin "
+                "heads each step forwards; "
                 "the geodesic kernel on one M_Pp gradcheck block, best of step_repeats; "
                 "jitter grids and a manifest round trip at the `orient-geo jitter` "
                 "defaults, best of jitter_repeats; read_records and Matching on a "

@@ -96,10 +96,10 @@ class ExperimentConfig:
     def __post_init__(self):
         _set_counts(self, 1, "dictionary_size")
         _set_counts(self, 0, "seed")
-        hidden = tuple(_checks.count(h, "each hidden size") for h in self.hidden)
-        if not hidden:
-            raise ValueError("hidden must list at least one layer size")
-        object.__setattr__(self, "hidden", hidden)
+        if not isinstance(self.hidden, (list, tuple)) or not self.hidden:
+            raise ValueError(f"hidden must be a non-empty list of layer sizes, got {self.hidden!r}")
+        object.__setattr__(self, "hidden", tuple(_checks.count(h, "each hidden size")
+                                                 for h in self.hidden))
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
@@ -118,7 +118,7 @@ def config_from_json(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         objective=losses.ObjectiveSpec(**doc["objective"]),
         dictionary_size=doc["dictionary_size"],
-        hidden=tuple(doc["hidden"]),
+        hidden=doc["hidden"],
         optimizer=OptimizerConfig(**doc["optimizer"]),
         data=DataConfig(**doc["data"]),
         seed=doc["seed"],
@@ -209,11 +209,11 @@ def _jittered_copy(rng, targets: np.ndarray) -> np.ndarray:
     return np.where(keep[:, None, None], targets, moved)
 
 
-def generate_synthetic(cfg: ExperimentConfig, seed=None) -> SyntheticDataset:
+def generate_synthetic(cfg: ExperimentConfig) -> SyntheticDataset:
     """Every split of every category, written once into its stacked arrays.
     Each category draws its map, its modes and each split from streams of
-    its own, so its rows do not depend on the other categories."""
-    seed = cfg.seed if seed is None else seed
+    its own, seeded by cfg.seed, so its rows do not depend on the other
+    categories."""
     data = cfg.data
     names = category_names(data.categories)
     clean = data.train_samples
@@ -224,7 +224,7 @@ def generate_synthetic(cfg: ExperimentConfig, seed=None) -> SyntheticDataset:
     hidden_maps = {}
     for c, name in enumerate(names):
         gen_rng, *split_rngs, aug_rng = (
-            np.random.default_rng(np.random.SeedSequence([int(seed), c, which]))
+            np.random.default_rng(np.random.SeedSequence([cfg.seed, c, which]))
             for which in range(5)
         )
         w = gen_rng.normal(size=(data.feature_dim, 9)) / 3.0
@@ -393,7 +393,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 class _RoleState:
     """One role's training state: its stacked network, whose (..., P) buffer
     Adam steps, the moments (2, ..., P), m then v, and each stack entry's
-    step count t (...).  An entry moves only on the steps that select it."""
+    step count t (...).  A role whose every entry the objective reads is
+    stepped in place; the per-bin heads of the hard-label families are
+    stepped as a gather of the heads a step reads, scattered back after."""
 
     net: models.MLP
     moments: np.ndarray
@@ -470,36 +472,32 @@ def _training_rows(spec, dictionary, dataset, gamma):
 def _step(spec, state, dictionary, feats, targets, lr) -> losses.BatchLoss:
     """One optimizer step of the role states on feats (G, n, in), n samples
     of each of G categories, and their G * n targets in category order.
-    The per-bin heads the objective reads (each row's head argmax(logits),
-    or all for the expectation families) are gathered once, with their
-    moments and step counts, and run on their category's n rows: the whole
-    (G, K) stack's products, so its bits.  Backward reuses the gathered
-    rows; the block, trimmed to the heads with a nonzero gradient, is
-    stepped and scattered back once, so a head no sample touched keeps its
-    weights and Adam state.  The other roles step in place."""
+    Every role steps in place on its whole stack, except the per-bin heads
+    of the hard-label families: row (c, i) reads only head (c, argmax of
+    its logits), so the heads some row reads are gathered once, with their
+    moments and step counts, run on their category's n rows (the whole
+    (G, K) stack's products, so its bits), stepped and scattered back.
+    Either way a step moves exactly the entries the objective reads."""
     g, n = feats.shape[:2]
     stepped, cached, rows = dict(state), {}, {}
     for role, s in state.items():
         if role != "deltas":
             out, cached[role] = models.forward_cached(s.net, feats)
             rows[role] = out.reshape(g * n, -1)
-    if "deltas" in state:
-        every = spec.family in losses.EXPECTATION_FAMILIES
-        label = np.argmax(rows["logits"], axis=1).reshape(g, n)  # the objective's argmax
-        picked = np.full(state["deltas"].t.shape, every)
-        picked[np.arange(g)[:, None], label] = True
-        sel = np.nonzero(picked)  # in buffer order
+    expectation = spec.per_bin and spec.family in losses.EXPECTATION_FAMILIES
+    if expectation:  # row (c, i) reads sample i of every head of c, as (G * n, K, d) rows:
+        # a copy, C-contiguous, because the expectation einsum's bits follow the layout
+        out, cached["deltas"] = models.forward_cached(state["deltas"].net, feats[:, None])
+        rows["deltas"] = out.swapaxes(1, 2).reshape(g * n, *out.shape[1::2])
+    elif spec.per_bin:  # row (c, i) reads sample i of head (c, argmax(logits))
+        shape = state["deltas"].t.shape
+        read = np.ravel_multi_index((np.arange(g * n) // n, np.argmax(rows["logits"], axis=1)), shape)
+        read, slot = np.unique(read, return_inverse=True)  # slot: each row's head in sel
+        sel = np.unravel_index(read, shape)  # in buffer order
         block = stepped["deltas"] = state["deltas"].gather(sel)
         out, cached["deltas"] = models.forward_cached(block.net, feats[sel[0]])  # (S, n, d)
-        slot = np.cumsum(picked).reshape(picked.shape) - 1  # each pair's index in sel
-        if every:  # row (c, i) reads sample i of every head of c, laid out as the whole
-            # stack's (G, n, K, d) view is: the expectation einsum's bits follow the layout
-            at = slot[:, None], np.arange(n)[:, None]
-            head_rows = out.reshape(g, -1, n, out.shape[-1]).swapaxes(1, 2)
-        else:  # row (c, i) reads sample i of head (c, label[c, i])
-            at = slot[np.arange(g)[:, None], label], np.arange(n)
-            head_rows = out[at]
-        rows["deltas"] = head_rows.reshape(g * n, *head_rows.shape[2:])
+        at = slot, np.arange(g * n) % n
+        rows["deltas"] = out[at]
     if spec.family in losses.DIRECT_FAMILIES:
         prediction = rows["pose"]
     elif spec.family == "C":
@@ -509,25 +507,22 @@ def _step(spec, state, dictionary, feats, targets, lr) -> losses.BatchLoss:
     batch = losses.objective_batch(spec, prediction, targets, dictionary)
 
     for role, grad in batch.grads.items():
-        s, cache = stepped[role], cached[role]
-        if role == "deltas":
-            grad = np.zeros_like(out)
-            grad[at] = batch.grads[role].reshape(head_rows.shape)
-            touched = grad.any(axis=(1, 2))
-            if not touched.all():
-                kept = np.nonzero(touched)
-                sel, grad, s = tuple(i[kept] for i in sel), grad[kept], s.gather(kept)
-                cache = [(tag, h[kept]) for tag, h in cache]
-        else:
+        s = stepped[role]
+        if role != "deltas":
             grad = grad.reshape(g, n, -1)
-        _adam_update(s, models.backward(s.net, cache, grad / n), lr)
-        if role == "deltas":
+        elif expectation:  # (G, K, n, d), C-contiguous, as the forward's rows are
+            grad = np.ascontiguousarray(grad.reshape(g, n, *grad.shape[1:]).swapaxes(1, 2))
+        else:  # each row's gradient at its sample of its gathered head
+            grad, row_grads = np.zeros_like(out), grad
+            grad[at] = row_grads
+        _adam_update(s, models.backward(s.net, cached[role], grad / n), lr)
+        if s is not state[role]:
             state[role].scatter(sel, s)
     return batch
 
 
 def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
-          dictionary: dct.PoseDictionary = None, seed=None):
+          dictionary: dct.PoseDictionary = None):
     """Balanced-batch Adam training of one network set per category, all
     categories at once: each role is one network stacked over them.
 
@@ -540,7 +535,6 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     each role to its network stacked over the categories, whose (G, ..., P)
     buffer Adam stepped; no optimizer state stays reachable from them.
     """
-    seed = cfg.seed if seed is None else seed
     spec = cfg.objective
     opt = cfg.optimizer
     if dictionary is None and spec.family not in losses.DIRECT_FAMILIES:
@@ -552,11 +546,11 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     feats, targets = _training_rows(spec, dictionary, dataset, gamma)
 
     names = dataset.categories
-    per_cat = [build_category_model(cfg, seed + 1000 * (c + 1)) for c in range(len(names))]
+    per_cat = [build_category_model(cfg, cfg.seed + 1000 * (c + 1)) for c in range(len(names))]
     state = {role: _RoleState.fresh(models.stack([m[role] for m in per_cat]))
              for role in per_cat[0]}
     del per_cat  # the stacks' buffers hold copies
-    batch_rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), c, 10]))
+    batch_rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, c, 10]))
                   for c in range(len(names))]
 
     pool = dataset.aug_rows
@@ -619,7 +613,6 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
 @dataclasses.dataclass(frozen=True, eq=False)
 class RunResult:
     config: ExperimentConfig
-    seed: int
     report: metrics.MetricReport  # test split
     val_report: metrics.MetricReport
     log: TrainLog
@@ -656,11 +649,10 @@ def _dump_tables(records: metrics.PoseRecords):
                  for rows in (slice(None, n), slice(n, None)))
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
-    seed = cfg.seed if seed is None else seed
-    dataset = generate_synthetic(cfg, seed)
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunResult:
+    dataset = generate_synthetic(cfg)
     dictionary = fit_shared_dictionary(cfg, dataset)
-    nets, dictionary, log = train(cfg, dataset, dictionary, seed=seed)
+    nets, dictionary, log = train(cfg, dataset, dictionary)
     spec = cfg.objective
     test_records = evaluate_split(spec, nets, dictionary, dataset, "test")
     val_records = evaluate_split(spec, nets, dictionary, dataset, "val")
@@ -671,9 +663,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        effective = dataclasses.replace(cfg, seed=seed)
         with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-            fh.write(config_to_json(effective) + "\n")
+            fh.write(config_to_json(cfg) + "\n")
         for name, rep in (("report", report), ("val_report", val_report)):
             metrics.write_report(rep, os.path.join(out_dir, f"{name}.csv"),
                                  os.path.join(out_dir, f"{name}.json"))
@@ -685,7 +676,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None) -> RunResult:
             models.save_mlp(net, os.path.join(ck_dir, f"{stem}.json"))
         with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
             fh.write(log.text)
-    return RunResult(cfg, seed, report, val_report, log, nets, dictionary, out_dir)
+    return RunResult(cfg, report, val_report, log, nets, dictionary, out_dir)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -703,7 +694,7 @@ def run_trials(cfg: ExperimentConfig, trials: int, out_dir=None) -> TrialSummary
     results = []
     for t, s in enumerate(seeds):
         sub = os.path.join(out_dir, f"trial_{t}") if out_dir is not None else None
-        results.append(run_experiment(cfg, out_dir=sub, seed=s))
+        results.append(run_experiment(dataclasses.replace(cfg, seed=s), out_dir=sub))
     names = results[0].report.metrics
     means = {m: sum(r.report.mean[m] for r in results) / trials for m in names}
     stds = {

@@ -57,8 +57,8 @@ def report_doc(report):
 
 def golden_case(name):
     cfg = case_config(name)
-    result = harness.run_experiment(cfg, seed=0)
-    floor = harness.discretization_floor(harness.generate_synthetic(cfg, 0), result.dictionary)
+    result = harness.run_experiment(cfg)
+    floor = harness.discretization_floor(harness.generate_synthetic(cfg), result.dictionary)
     return {
         "test": report_doc(result.report),
         "val": report_doc(result.val_report),

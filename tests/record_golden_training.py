@@ -60,8 +60,8 @@ def network_weights(nets, categories):
 
 def golden_case(name):
     cfg = case_config(name)
-    dataset = harness.generate_synthetic(cfg, 0)
-    nets, _, log = harness.train(cfg, dataset, seed=0)
+    dataset = harness.generate_synthetic(cfg)
+    nets, _, log = harness.train(cfg, dataset)
     weights = {
         cat: {
             net: [{"weight": w.tolist(), "bias": b.tolist()} for w, b in layers]

@@ -112,7 +112,7 @@ def test_discretization_floor_ordering():
         )
         result = harness.run_experiment(cfg)
         floor = harness.discretization_floor(
-            harness.generate_synthetic(cfg, cfg.seed), result.dictionary
+            harness.generate_synthetic(cfg), result.dictionary
         )
         return result.report.mean["MedErr"], floor
 

@@ -1,6 +1,7 @@
 """CLI surface: every subcommand runs, prints parseable output, and the
 gradcheck command's exit code reflects failures."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -408,15 +409,31 @@ def test_bench_times_each_training_step_part_at_a_tiny_config():
                                        "geodesic_kernel_s", "backward_s", "adam_step_s"))
     loop = bench._loop_overhead(regress, 1)
     assert loop["steps"] > 0 and 0.0 < loop["step_s"] < loop["train_s"]
-    cfg = bench.workloads._training_config("bindelta_perbin", 0, tiny=True)
-    perbin = bench._perbin_step_timings(cfg)
-    epochs = len(losses.simple_init_schedule(cfg.objective, cfg.optimizer.epochs))
-    steps = cfg.data.train_samples // cfg.optimizer.batch_per_category
-    assert perbin["steps"] == epochs * steps
-    assert 1 <= perbin["heads_forwarded_max"] <= cfg.data.categories * cfg.dictionary_size
-    assert all(perbin[k] > 0.0 for k in ("logits_forward_s", "heads_forward_s", "objective_batch_s",
-                                         "backward_s", "adam_step_s", "gather_scatter_s"))
-    assert perbin["step_s"] > perbin["adam_step_s"] + perbin["gather_scatter_s"]
+    # M_Gp gathers the heads its rows read; M_Pp steps every head in place
+    gathered = bench.workloads._training_config("bindelta_perbin", 0, tiny=True)
+    in_place = dataclasses.replace(gathered, objective=losses.ObjectiveSpec("M_Pp"))
+    for cfg in (gathered, in_place):
+        perbin = bench._perbin_step_timings(cfg)
+        epochs = len(losses.simple_init_schedule(cfg.objective, cfg.optimizer.epochs))
+        steps = cfg.data.train_samples // cfg.optimizer.batch_per_category
+        assert perbin["steps"] == epochs * steps
+        heads = cfg.data.categories * cfg.dictionary_size
+        assert 1 <= perbin["heads_forwarded_max"] <= heads
+        assert all(perbin[k] > 0.0 for k in ("logits_forward_s", "heads_forward_s",
+                                             "objective_batch_s", "backward_s", "adam_step_s"))
+        assert (perbin["gather_scatter_s"] > 0.0) == (cfg is gathered)
+        assert (perbin["heads_forwarded_mean"] == heads) == (cfg is in_place)
+        assert perbin["step_s"] > perbin["adam_step_s"] + perbin["gather_scatter_s"]
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_refuses_a_repeat_count_below_one(monkeypatch, capsys, repeats):
+    # no call would be timed: the best of none is inf, written as Infinity
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--repeats", repeats])
+    with pytest.raises(SystemExit) as info:
+        _script("bench").main()
+    assert info.value.code == 2
+    assert "must be a positive count" in capsys.readouterr().err
 
 
 def _reproduce(monkeypatch, *args):

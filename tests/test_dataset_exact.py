@@ -47,12 +47,13 @@ def reference_generate(cfg, seed):
     return splits, hidden_maps
 
 
-def _config(augmentation, modes, noise=0.05):
+def _config(augmentation, modes, noise=0.05, seed=0):
     return harness.ExperimentConfig(
         objective=losses.ObjectiveSpec("R_G"),
         data=harness.DataConfig(categories=3, train_samples=24, val_samples=8, test_samples=10,
                                 feature_dim=12, noise=noise, modes=modes,
                                 augmentation=augmentation),
+        seed=seed,
     )
 
 
@@ -64,8 +65,8 @@ def _bits(a):
 @pytest.mark.parametrize("seed", [0, 7, 331])
 @pytest.mark.parametrize("modes", [1, 4])
 def test_stacked_splits_equal_the_per_category_generator(augmentation, seed, modes):
-    cfg = _config(augmentation, modes)
-    dataset = harness.generate_synthetic(cfg, seed)
+    cfg = _config(augmentation, modes, seed=seed)
+    dataset = harness.generate_synthetic(cfg)
     want, want_maps = reference_generate(cfg, seed)
     assert dataset.categories == ("cat01", "cat02", "cat03")
     assert dataset.aug_rows == harness._AUG_COPIES[augmentation] * 24
@@ -83,8 +84,8 @@ def test_stacked_splits_equal_the_per_category_generator(augmentation, seed, mod
 
 
 def test_noiseless_stacked_splits_equal_the_per_category_generator():
-    cfg = _config("jittered+extra", 4, noise=0.0)
-    dataset = harness.generate_synthetic(cfg, 5)
+    cfg = _config("jittered+extra", 4, noise=0.0, seed=5)
+    dataset = harness.generate_synthetic(cfg)
     want, _ = reference_generate(cfg, 5)
     for c, name in enumerate(dataset.categories):
         assert _bits(dataset.train.features[c]) == _bits(want["train"][name][0])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from orientgeo import dictionary as dct
-from orientgeo import harness, losses, metrics, models, so3
+from orientgeo import gradcheck, harness, losses, metrics, models, so3
 
 import record_golden_report
 import record_golden_training
@@ -205,10 +205,15 @@ def test_config_floats_given_as_json_strings_or_null_name_their_field(section, n
         harness.config_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("hidden", [[8.7], [16, 8.0], [0], []])
+@pytest.mark.parametrize("hidden", [[8.7], [16, 8.0], [0], [], "64", 64, None])
 def test_hidden_sizes_must_be_positive_integers(hidden):
+    # a string would be read digit by digit, and a number names no field
     with pytest.raises(ValueError, match="hidden"):
         tiny_config(hidden=hidden)
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    doc["hidden"] = hidden
+    with pytest.raises(ValueError, match="hidden"):
+        harness.config_from_json(json.dumps(doc))
 
 
 def test_seed_accepts_any_index_and_stores_an_int():
@@ -242,15 +247,15 @@ def test_replace_rederives_combination_rule():
 
 
 def test_generate_is_deterministic():
-    cfg = tiny_config()
-    a = harness.generate_synthetic(cfg, 5)
-    b = harness.generate_synthetic(cfg, 5)
+    cfg = tiny_config(seed=5)
+    a = harness.generate_synthetic(cfg)
+    b = harness.generate_synthetic(cfg)
     assert np.array_equal(a.train.features, b.train.features)
     assert np.array_equal(a.test.targets, b.test.targets)
 
 
 def test_generate_targets_are_rotations_and_features_finite():
-    ds = harness.generate_synthetic(tiny_config(), 0)
+    ds = harness.generate_synthetic(tiny_config())
     for split in (ds.train, ds.val, ds.test):
         assert np.all(np.isfinite(split.features))
         for per_cat in split.targets:
@@ -259,7 +264,7 @@ def test_generate_targets_are_rotations_and_features_finite():
 
 
 def test_splits_are_disjoint():
-    ds = harness.generate_synthetic(tiny_config(), 0)
+    ds = harness.generate_synthetic(tiny_config())
     for c in range(len(ds.categories)):
         seen = {m.tobytes() for m in ds.train.targets[c]}
         assert not seen & {m.tobytes() for m in ds.val.targets[c]}
@@ -271,7 +276,7 @@ def test_noise_zero_features_are_exact_map_of_targets():
         categories=1, train_samples=30, val_samples=8, test_samples=8,
         feature_dim=16, noise=0.0,
     ))
-    ds = harness.generate_synthetic(cfg, 0)
+    ds = harness.generate_synthetic(cfg)
     name = ds.categories[0]
     w, b = ds.hidden_maps[name]
     expected = ds.train.targets[0].reshape(-1, 9) @ w.T + b
@@ -283,7 +288,7 @@ def test_two_tight_modes_give_bimodal_label_histogram():
         categories=1, train_samples=300, val_samples=8, test_samples=8,
         feature_dim=16, noise=0.0, modes=2, mode_spread=0.05,
     ))
-    ds = harness.generate_synthetic(cfg, 1)
+    ds = harness.generate_synthetic(dataclasses.replace(cfg, seed=1))
     vectors = [harness.pose_vector(m, dct.AXIS_ANGLE) for m in ds.train.targets[0]]
     # keys fit on unrelated uniform rotations, so the histogram reflects the
     # data distribution instead of the clustering chasing it
@@ -302,7 +307,7 @@ def test_augmented_pool_sizes():
             categories=1, train_samples=40, val_samples=8, test_samples=8,
             feature_dim=16, noise=0.0, augmentation=aug,
         ))
-        ds = harness.generate_synthetic(cfg, 0)
+        ds = harness.generate_synthetic(cfg)
         assert ds.aug_rows == copies * 40
         assert ds.train.features.shape[:2] == ds.train.targets.shape[:2] == (1, 40 + copies * 40)
         for m in ds.train.targets[0, 40:45]:
@@ -314,7 +319,7 @@ def test_augmented_poses_stay_near_originals():
         categories=1, train_samples=40, val_samples=8, test_samples=8,
         feature_dim=16, noise=0.0, augmentation="jittered",
     ))
-    ds = harness.generate_synthetic(cfg, 0)
+    ds = harness.generate_synthetic(cfg)
     # offsets are at most |daz|+|del|+|dct| <= 6 degrees of combined motion
     for orig, jit in zip(ds.train.targets[0, :40], ds.train.targets[0, 40:]):
         d = so3.geodesic_distance_matrices(so3.Rotation(orig).matrix, so3.Rotation(jit).matrix)
@@ -327,9 +332,9 @@ def test_augmented_poses_stay_near_originals():
 
 def test_train_is_deterministic():
     cfg = tiny_config("M_G")
-    ds = harness.generate_synthetic(cfg, 0)
-    nets_a, _, log_a = harness.train(cfg, ds, seed=0)
-    nets_b, _, log_b = harness.train(cfg, ds, seed=0)
+    ds = harness.generate_synthetic(cfg)
+    nets_a, _, log_a = harness.train(cfg, ds)
+    nets_b, _, log_b = harness.train(cfg, ds)
     assert log_a.lines == log_b.lines
     assert list(nets_a) == list(nets_b)
     for role, net in nets_a.items():
@@ -338,12 +343,12 @@ def test_train_is_deterministic():
 
 def test_simple_init_prepends_warm_epoch():
     cfg = tiny_config("M_G")
-    ds = harness.generate_synthetic(cfg, 0)
-    _, _, log = harness.train(cfg, ds, seed=0)
+    ds = harness.generate_synthetic(cfg)
+    _, _, log = harness.train(cfg, ds)
     assert len(log.lines) == cfg.optimizer.epochs + 1
     assert "M_S" in log.lines[0] and "M_G" in log.lines[1]
     cfg_plain = tiny_config("C")
-    _, _, log_plain = harness.train(cfg_plain, ds, seed=0)
+    _, _, log_plain = harness.train(cfg_plain, ds)
     assert len(log_plain.lines) == cfg_plain.optimizer.epochs
 
 
@@ -356,8 +361,8 @@ def test_first_epoch_loss_trend_decreases_on_clean_data():
         ),
         optimizer=harness.OptimizerConfig(learning_rate=1e-3, epochs=1),
     )
-    ds = harness.generate_synthetic(cfg, 0)
-    _, _, log = harness.train(cfg, ds, seed=0)
+    ds = harness.generate_synthetic(cfg)
+    _, _, log = harness.train(cfg, ds)
     steps = log.step_losses[0]
     assert len(steps) == 30
     head = sum(steps[:10]) / 10
@@ -374,17 +379,17 @@ def test_non_finite_loss_reports_location():
         ),
         optimizer=harness.OptimizerConfig(learning_rate=1e200, epochs=1),
     )
-    ds = harness.generate_synthetic(cfg, 0)
+    ds = harness.generate_synthetic(cfg)
     with pytest.raises(harness.NonFiniteLoss, match="cat01 epoch 0"):
-        harness.train(cfg, ds, seed=0)
+        harness.train(cfg, ds)
 
 
 def test_wrong_feature_width_raises_dimension_mismatch():
     cfg = tiny_config("R_G")
     narrow = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, feature_dim=12))
-    ds = harness.generate_synthetic(narrow, 0)
+    ds = harness.generate_synthetic(narrow)
     with pytest.raises(models.DimensionMismatch) as info:
-        harness.train(cfg, ds, seed=0)
+        harness.train(cfg, ds)
     assert not isinstance(info.value, harness.NonFiniteLoss)
 
 
@@ -406,7 +411,7 @@ def test_collapsed_quaternion_head_reports_non_finite_loss(monkeypatch):
 
     monkeypatch.setattr(harness, "build_category_model", zero_head)
     with pytest.raises(harness.NonFiniteLoss, match="cat01 epoch 0 step 0") as info:
-        harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+        harness.train(cfg, harness.generate_synthetic(cfg))
     assert isinstance(info.value.__cause__, models.ZeroSum)
 
 
@@ -428,7 +433,7 @@ def test_non_finite_loss_names_the_failing_category(monkeypatch):
 
     monkeypatch.setattr(harness, "build_category_model", zero_cat02_head)
     with pytest.raises(harness.NonFiniteLoss, match="cat02 epoch 0 step 0") as info:
-        harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+        harness.train(cfg, harness.generate_synthetic(cfg))
     assert isinstance(info.value.__cause__, models.ZeroSum)
 
 
@@ -441,8 +446,8 @@ def test_train_matches_golden_weights(case):
     with open(GOLDEN_TRAINING, encoding="utf-8") as fh:
         golden = json.load(fh)["cases"][case]
     cfg = record_golden_training.case_config(case)
-    dataset = harness.generate_synthetic(cfg, 0)
-    nets, _, log = harness.train(cfg, dataset, seed=0)
+    dataset = harness.generate_synthetic(cfg)
+    nets, _, log = harness.train(cfg, dataset)
     assert list(log.lines) == golden["log"]
     weights = record_golden_training.network_weights(nets, dataset.categories)
     assert list(weights) == list(golden["weights"])
@@ -475,12 +480,12 @@ def test_run_matches_golden_report(case):
 
 def test_perturbing_one_category_leaves_the_others_bit_identical():
     cfg = tiny_config("M_Gp")
-    ds = harness.generate_synthetic(cfg, 0)
-    nets_a, _, _ = harness.train(cfg, ds, seed=0)
+    ds = harness.generate_synthetic(cfg)
+    nets_a, _, _ = harness.train(cfg, ds)
     feats = ds.train.features.copy()
     feats[1] += 1e-3  # cat02
     train = harness.Split(feats, ds.train.targets)
-    nets_b, _, _ = harness.train(cfg, dataclasses.replace(ds, train=train), seed=0)
+    nets_b, _, _ = harness.train(cfg, dataclasses.replace(ds, train=train))
     for role, net in nets_a.items():
         assert np.array_equal(net.params[0], nets_b[role].params[0])  # cat01
     assert not np.array_equal(
@@ -498,7 +503,7 @@ def test_head_no_sample_selected_keeps_initial_weights(monkeypatch):
         return nets
 
     monkeypatch.setattr(harness, "build_category_model", favour_key_zero)
-    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg))
     for c in range(2):
         init = build(cfg, cfg.seed + 1000 * (c + 1))["deltas"]
         for li, lt in zip(init.layers, nets["deltas"].layers):
@@ -508,8 +513,8 @@ def test_head_no_sample_selected_keeps_initial_weights(monkeypatch):
 
 
 def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
-    # a batch whose per-bin gradient is zero everywhere selects no head:
-    # the empty gather must step nothing and keep every head's weights
+    # a per-bin gradient that is zero on every step leaves every head's
+    # weights as initialised: the heads read step, but by zero moments
     cfg = tiny_config("M_Gp", optimizer=harness.OptimizerConfig(learning_rate=1e-3, epochs=1))
     objective_batch = losses.objective_batch
 
@@ -519,7 +524,7 @@ def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
         return batch
 
     monkeypatch.setattr(losses, "objective_batch", no_delta_gradient)
-    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg))
     for c in range(2):
         init = harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1))
         for role, moved in (("deltas", False), ("logits", True)):
@@ -528,13 +533,11 @@ def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
             assert same == [not moved] * len(same), role
 
 
-def _step_case(family, categories=2):
-    """A tiny config, its role states as train builds them, and the first
-    batch_per_category train rows of each category with their targets and
-    the shared dictionary, for a direct _step call."""
-    cfg = tiny_config(family)
-    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, categories=categories))
-    spec, dataset = cfg.objective, harness.generate_synthetic(cfg, 0)
+def _step_case(cfg):
+    """The role states of cfg as train builds them, the shared dictionary,
+    and the first batch_per_category train rows of each category with their
+    targets, for a direct _step call."""
+    spec, dataset = cfg.objective, harness.generate_synthetic(cfg)
     dictionary = harness.fit_shared_dictionary(cfg, dataset)
     soft = spec.family in losses.SOFT_TARGET_FAMILIES
     gamma = losses.resolve_gamma(spec, dictionary) if soft else None
@@ -545,7 +548,7 @@ def _step_case(family, categories=2):
              for role in per_cat[0]}
     rows = (np.arange(g)[:, None] * width + np.arange(n)).ravel()
     batch = np.ascontiguousarray(feats[:, :n]), targets.rows(rows)
-    return cfg, state, dictionary, batch
+    return state, dictionary, batch
 
 
 @pytest.mark.parametrize("categories", [1, 2])
@@ -556,8 +559,11 @@ def test_step_hands_the_objective_the_heads_of_the_whole_stack(monkeypatch, fami
     # it, or every head for the expectation families, laid out as that
     # forward's rows are (their einsum's bits follow the layout, and one
     # category's rows are a head-major view); the step moves exactly the
-    # heads read
-    cfg, state, dictionary, (feats, targets) = _step_case(family, categories)
+    # heads read, and the expectation families step the state's own stack
+    # in place, with no gather or scatter
+    cfg = tiny_config(family)
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, categories=categories))
+    state, dictionary, (feats, targets) = _step_case(cfg)
     nets = {role: s.net for role, s in state.items()}
     g, n = feats.shape[:2]
     k = cfg.dictionary_size
@@ -580,8 +586,17 @@ def test_step_hands_the_objective_the_heads_of_the_whole_stack(monkeypatch, fami
         read[cats, label] = True
     seen, objective = [], losses.objective_batch
     monkeypatch.setattr(losses, "objective_batch", lambda *args: seen.append(args[1]) or objective(*args))
+    copies, stepped, adam_update = [], [], harness._adam_update
+    for name in ("gather", "scatter"):
+        method = getattr(harness._RoleState, name)
+        monkeypatch.setattr(harness._RoleState, name,
+                            lambda *args, method=method: copies.append(args) or method(*args))
+    monkeypatch.setattr(harness, "_adam_update", lambda s, *args: stepped.append(s.net.params)
+                        or adam_update(s, *args))
     before = nets["deltas"].params.copy()
     harness._step(cfg.objective, state, dictionary, feats, targets, 1e-3)
+    assert (not copies) == every
+    assert any(params is nets["deltas"].params for params in stepped) == every
     (_, deltas), = seen
     assert deltas.shape == want.shape and deltas.tobytes() == want.tobytes()
     assert deltas.strides == want.strides
@@ -590,9 +605,11 @@ def test_step_hands_the_objective_the_heads_of_the_whole_stack(monkeypatch, fami
 
 
 def test_step_keeps_the_weights_and_adam_state_of_heads_it_does_not_step(monkeypatch):
-    # unselected heads, and a selected head whose gradient is zero, keep
-    # their weights and their m, v and t bit for bit; the others step once
-    cfg, state, dictionary, (feats, targets) = _step_case("M_Gp")
+    # one rule: heads no row reads keep their weights and their m, v and t
+    # bit for bit; every head some row reads steps once, as a logits entry
+    # does, the one whose gradient is zero included
+    cfg = tiny_config("M_Gp")
+    state, dictionary, (feats, targets) = _step_case(cfg)
     g, n = feats.shape[:2]
     bias = state["logits"].net.layers[-1].bias
     bias[0, [1, 5]] += 1e3  # category 0 reads heads 1 and 5, category 1 head 6
@@ -616,11 +633,112 @@ def test_step_keeps_the_weights_and_adam_state_of_heads_it_does_not_step(monkeyp
     t = heads.t.copy()
     harness._step(cfg.objective, state, dictionary, feats, targets, 1e-3)
     stepped = np.zeros(t.shape, dtype=bool)
-    stepped[0, 1] = stepped[1, 6] = True
+    stepped[0, [1, 5]] = stepped[1, 6] = True
     for old, new in zip(before, (heads.net.params, m, v)):
         kept = np.all(old.view(np.int64) == new.view(np.int64), axis=-1)
         assert np.array_equal(kept, ~stepped)
     assert np.array_equal(heads.t, t + stepped)
+
+
+STEP_FD_H = 1e-6  # central-difference step
+STEP_FD_BOUND = 1e-6  # largest relative error per role
+STEP_FD_PROBES = 20  # random coordinates per role, and as many with a nonzero gradient
+
+
+def _no_update_step(monkeypatch, state, keep):
+    """A _step that moves no role state: it returns the BatchLoss and, per
+    role, the gradient _step hands the update, laid out as the whole role
+    stack (a gathered block mapped to its heads through the sel gather
+    took).  Rows outside keep (G * n,) count for neither, and each call
+    records the argmax of the logits the objective read."""
+    blocks, grads, labels = [], {}, []
+    gather, objective = harness._RoleState.gather, losses.objective_batch
+
+    def recording_gather(self, sel):
+        block = gather(self, sel)
+        blocks.append((block, self, sel))
+        return block
+
+    def masked_objective(spec, prediction, *args):
+        batch = objective(spec, prediction, *args)
+        logits = prediction[0] if isinstance(prediction, tuple) else prediction
+        labels.append(None if spec.family in losses.DIRECT_FAMILIES else np.argmax(logits, axis=1))
+        batch.values[~keep] = 0.0
+        for grad in batch.grads.values():
+            grad[~keep] = 0.0
+        return batch
+
+    def no_update(s, grad, lr):
+        owner, sel = next(((o, sel) for b, o, sel in blocks if b is s), (s, ...))
+        role, = (r for r, o in state.items() if o is owner)
+        whole = np.zeros_like(owner.net.params)
+        assert whole[sel].shape == grad.shape
+        whole[sel] = grad  # a copy: the update would use grad as scratch
+        grads[role] = whole
+
+    monkeypatch.setattr(harness._RoleState, "gather", recording_gather)
+    monkeypatch.setattr(losses, "objective_batch", masked_objective)
+    monkeypatch.setattr(harness, "_adam_update", no_update)
+    return grads, labels
+
+
+def _step_fd_cases():
+    cases = [(spec, 4, 6) for spec in gradcheck.default_specs()]
+    # with n == K a (G, n, K, d) gradient has the (G, K, n, d) shape backward
+    # takes, so only its values show a missing swap
+    return cases + [(losses.ObjectiveSpec("M_Pp"), 6, 6)]
+
+
+@pytest.mark.parametrize("spec, n, k", _step_fd_cases(),
+                         ids=lambda v: getattr(v, "family", None) and f"{v.family}-{v.representation}")
+def test_step_hands_the_update_the_gradient_of_the_step_loss(monkeypatch, spec, n, k):
+    # the whole training graph at once: the gradient each role's update
+    # receives against central differences of the step loss sum(values) / n,
+    # in random coordinates and in coordinates with a nonzero gradient;
+    # rows flagged non-smooth, or whose argmax moves under +-h, are left out
+    cfg = harness.ExperimentConfig(
+        objective=spec, dictionary_size=k, hidden=(16, 8),
+        optimizer=harness.OptimizerConfig(batch_per_category=n),
+        data=harness.DataConfig(categories=2, train_samples=8, val_samples=1, test_samples=1,
+                                feature_dim=12))
+    state, dictionary, (feats, targets) = _step_case(cfg)
+
+    def step(keep):
+        with monkeypatch.context() as patch:
+            grads, labels = _no_update_step(patch, state, keep)
+            batch = harness._step(spec, state, dictionary, feats, targets, 1e-3)
+        return batch, grads, labels[0]
+
+    everything = np.ones(len(targets.y), dtype=bool)
+    base, grads, label = step(everything)
+    rng = np.random.default_rng(0)
+    probes = {}
+    for role, grad in grads.items():
+        flat = grad.ravel()
+        nonzero = np.flatnonzero(flat)
+        probes[role] = np.concatenate([
+            rng.choice(flat.size, STEP_FD_PROBES, replace=False),
+            rng.choice(nonzero, min(STEP_FD_PROBES, nonzero.size), replace=False)])
+    skip, values = base.non_smooth.copy(), {}
+    for role, coords in probes.items():
+        params = state[role].net.params.reshape(-1)
+        for i in coords:
+            start = params[i]
+            for sign in (1.0, -1.0):
+                params[i] = start + sign * STEP_FD_H
+                batch, _, moved = step(everything)
+                values[role, i, sign] = batch.values
+                skip |= batch.non_smooth | (False if label is None else moved != label)
+            params[i] = start
+    keep = ~skip
+    assert keep.sum() >= len(keep) // 2
+    _, grads, _ = step(keep)
+    for role, coords in probes.items():
+        fd = np.array([(values[role, i, 1.0][keep].sum() - values[role, i, -1.0][keep].sum())
+                       / (2.0 * STEP_FD_H * n) for i in coords])
+        analytic = grads[role].ravel()[coords]
+        scale = max(np.abs(fd).max(), 1e-8)
+        assert np.abs(analytic - fd).max() / scale <= STEP_FD_BOUND, role
 
 
 def test_adam_steps_only_the_entries_the_mask_selects():
@@ -727,7 +845,7 @@ def _recording_step(monkeypatch):
     return states
 
 
-@pytest.mark.parametrize("family", ["R_G", "M_Gp"])
+@pytest.mark.parametrize("family", ["R_G", "M_Gp", "M_Pp"])
 def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
     # the role stacks train returns, and the per-category and per-head
     # views that checkpoints write, read the stacked buffers that every
@@ -743,8 +861,8 @@ def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
     monkeypatch.setattr(models, "stack", recording_stack)
     states = _recording_step(monkeypatch)
     cfg = tiny_config(family)
-    dataset = harness.generate_synthetic(cfg, 0)
-    nets, _, _ = harness.train(cfg, dataset, seed=0)
+    dataset = harness.generate_synthetic(cfg)
+    nets, _, _ = harness.train(cfg, dataset)
     stacked = dict(zip(nets, buffers[-len(nets):]))  # train stacks the roles last
     assert states and all(state is states[0] for state in states)
     for role, net in nets.items():
@@ -791,7 +909,7 @@ def test_trained_stacks_hold_no_optimizer_state(monkeypatch, family):
     # the moments are zeroed in place)
     states = _recording_step(monkeypatch)
     cfg = tiny_config(family)
-    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg))
     optimizer = [a for s in states[-1].values() for a in (s.moments, s.t)]
     reachable = _reachable_arrays(nets)
     assert {id(a) for a in reachable if a.base is None} == {id(n.params) for n in nets.values()}
@@ -800,7 +918,7 @@ def test_trained_stacks_hold_no_optimizer_state(monkeypatch, family):
 
 def test_train_log_counts_non_smooth_samples_per_epoch():
     cfg = tiny_config("M_G")
-    _, _, log = harness.train(cfg, harness.generate_synthetic(cfg, 0), seed=0)
+    _, _, log = harness.train(cfg, harness.generate_synthetic(cfg))
     assert len(log.epoch_non_smooth) == len(log.lines)
     for line, count in zip(log.lines, log.epoch_non_smooth):
         assert line.endswith(f" non_smooth {count}")
@@ -840,18 +958,18 @@ def test_training_uses_augmented_pool():
         feature_dim=16, noise=0.0, augmentation="jittered",
     )
     cfg = tiny_config("C", data=data)
-    ds = harness.generate_synthetic(cfg, 0)
-    nets, _, log = harness.train(cfg, ds, seed=0)
+    ds = harness.generate_synthetic(cfg)
+    nets, _, log = harness.train(cfg, ds)
     # 40 clean samples at 4 clean per step: ten steps per epoch
     assert len(log.step_losses[0]) == 10
     plain = tiny_config("C", data=dataclasses.replace(data, augmentation="none"))
-    _, _, log_plain = harness.train(plain, harness.generate_synthetic(plain, 0), seed=0)
+    _, _, log_plain = harness.train(plain, harness.generate_synthetic(plain))
     assert len(log_plain.step_losses[0]) == 5
 
 
 def test_shared_seed_gives_identical_dataset_across_objectives():
-    a = harness.generate_synthetic(tiny_config("R_G"), 4)
-    b = harness.generate_synthetic(tiny_config("R_E"), 4)
+    a = harness.generate_synthetic(tiny_config("R_G", seed=4))
+    b = harness.generate_synthetic(tiny_config("R_E", seed=4))
     assert np.array_equal(a.test.targets, b.test.targets)
     assert np.array_equal(a.test.features, b.test.features)
 
@@ -1051,7 +1169,7 @@ def test_classification_run_respects_discretization_floor():
     )
     result = harness.run_experiment(cfg)
     floor = harness.discretization_floor(
-        harness.generate_synthetic(cfg, cfg.seed), result.dictionary
+        harness.generate_synthetic(cfg), result.dictionary
     )
     assert result.report.mean["MedErr"] >= floor - 0.1
 
@@ -1069,8 +1187,8 @@ def test_run_trials_mean_and_std(tmp_path):
     cfg = tiny_config("C")
     summary = harness.run_trials(cfg, 2, out_dir=str(tmp_path))
     assert summary.seeds == (0, 1)
-    a = harness.run_experiment(cfg, seed=0).report.mean["MedErr"]
-    b = harness.run_experiment(cfg, seed=1).report.mean["MedErr"]
+    a = harness.run_experiment(cfg).report.mean["MedErr"]
+    b = harness.run_experiment(dataclasses.replace(cfg, seed=1)).report.mean["MedErr"]
     assert summary.metric_means["MedErr"] == (a + b) / 2
     lines = (tmp_path / "trials.csv").read_text().strip().split("\n")
     assert lines[0] == "metric,mean,std"

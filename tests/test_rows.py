@@ -376,8 +376,9 @@ def test_fit_kmeans_equals_loop_at_regress_size():
     cfg = harness.ExperimentConfig(
         objective=losses.ObjectiveSpec("R_G"), dictionary_size=100,
         data=harness.DataConfig(categories=4, train_samples=1000, val_samples=1, test_samples=1),
+        seed=202,
     )
-    dataset = harness.generate_synthetic(cfg, 202)
+    dataset = harness.generate_synthetic(cfg)
     targets = harness.pooled_train_targets(cfg, dataset)
     assert targets.shape == (4000, 3)
     want = _fit_kmeans_loop(targets, 100, 0, dct.AXIS_ANGLE)
@@ -420,8 +421,9 @@ def test_training_rows_equal_stacked_per_category_rows(family, augmentation):
         objective=losses.ObjectiveSpec(family), dictionary_size=8,
         data=harness.DataConfig(categories=3, train_samples=40, val_samples=1, test_samples=1,
                                 feature_dim=16, augmentation=augmentation),
+        seed=5,
     )
-    dataset = harness.generate_synthetic(cfg, 5)
+    dataset = harness.generate_synthetic(cfg)
     dictionary = harness.fit_shared_dictionary(cfg, dataset)
     gamma = losses.resolve_gamma(cfg.objective, dictionary) if family == "M_X" else None
     feats, targets = harness._training_rows(cfg.objective, dictionary, dataset, gamma)
