@@ -58,6 +58,7 @@ whether a run was slowed.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -66,6 +67,7 @@ import statistics
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -132,11 +134,9 @@ def _counted_fit(targets, k, seed, representation):
         counts["iterations"] += 1
         return renormalize(centroids, rep)
 
-    dct._sq_distances, dct._renormalize_centroids = counted_sq_distances, counted_renormalize
-    try:
+    with mock.patch.object(dct, "_sq_distances", counted_sq_distances), \
+            mock.patch.object(dct, "_renormalize_centroids", counted_renormalize):
         dct.fit_kmeans(targets, k, seed, representation)
-    finally:
-        dct._sq_distances, dct._renormalize_centroids = sq_distances, renormalize
     return counts
 
 
@@ -147,8 +147,7 @@ def _step_timings(cfg, repeats):
     spec, opt = cfg.objective, cfg.optimizer
     dataset = harness.generate_synthetic(cfg)
     g, n = cfg.data.categories, opt.batch_per_category
-    net = models.stack([harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1))["pose"]
-                        for c in range(g)])
+    net = harness.init_networks(cfg)["pose"]
     feats_all, targets_all = harness._training_rows(spec, None, dataset, None)
     feats = feats_all[:, :n]
     targets = targets_all.rows((np.arange(g)[:, None] * feats_all.shape[1] + np.arange(n)).ravel())
@@ -191,13 +190,10 @@ def _loop_overhead(cfg, repeats):
                 inside[0] += time.perf_counter() - start
                 inside[1] += 1
 
-        harness._step = timed_step
-        try:
+        with mock.patch.object(harness, "_step", timed_step):
             start = time.perf_counter()
             harness.train(cfg, dataset)
             total = time.perf_counter() - start
-        finally:
-            harness._step = step
         if best is None or total - inside[0] < best["outside_step_s"]:
             best = {"train_s": total, "step_s": inside[0], "outside_step_s": total - inside[0],
                     "steps": inside[1], "outside_per_step_s": (total - inside[0]) / inside[1]}
@@ -219,8 +215,8 @@ def _perbin_step_timings(cfg):
     originals = ((models, "forward_cached"), (losses, "objective_batch"), (models, "backward"),
                  (harness, "_adam_update"), (harness._RoleState, "gather"),
                  (harness._RoleState, "scatter"), (harness, "_step"))
-    saved = [getattr(owner, name) for owner, name in originals]
-    forward_cached, objective_batch, backward, adam_update, gather, scatter, step = saved
+    forward_cached, objective_batch, backward, adam_update, gather, scatter, step = (
+        getattr(owner, name) for owner, name in originals)
 
     def timed(part, fn, *args):
         start = time.perf_counter()
@@ -248,13 +244,10 @@ def _perbin_step_timings(cfg):
                 lambda *a: timed("adam_step_s", adam_update, *a),
                 lambda *a: timed("gather_scatter_s", gather, *a),
                 lambda *a: timed("gather_scatter_s", scatter, *a), timed_step)
-    for (owner, name), wrapper in zip(originals, wrappers):
-        setattr(owner, name, wrapper)
-    try:
+    with contextlib.ExitStack() as patches:
+        for (owner, name), wrapper in zip(originals, wrappers):
+            patches.enter_context(mock.patch.object(owner, name, wrapper))
         harness.train(cfg, dataset, dictionary)
-    finally:
-        for (owner, name), fn in zip(originals, saved):
-            setattr(owner, name, fn)
     return {
         "categories": cfg.data.categories,
         "heads_per_category": cfg.dictionary_size,
@@ -275,11 +268,8 @@ def _kernel_timings(repeats):
         seen.append((ys, a_mat))
         return kernel(ys, a_mat)
 
-    losses._geodesic_axis_angle = recording
-    try:
+    with mock.patch.object(losses, "_geodesic_axis_angle", recording):
         gradcheck.check_family(spec, instances=100)
-    finally:
-        losses._geodesic_axis_angle = kernel
     ys, a_mat = seen[-1]
     return {"m_pp_block_keys": list(ys.shape), "m_pp_block_targets": list(a_mat.shape),
             "m_pp_block_kernel_s": _best_of(repeats, kernel, ys, a_mat)}
@@ -361,11 +351,8 @@ def _draw_timings(repeats, spec):
                 spent[0] += time.perf_counter() - start
                 spent[1] += n
 
-        gradcheck._draw = timed_draw
-        try:
+        with mock.patch.object(gradcheck, "_draw", timed_draw):
             gradcheck.check_family(spec, GRADCHECK_INSTANCES)
-        finally:
-            gradcheck._draw = draw
         best = spent if best is None else min(best, spent)
     return {"draw_s": best[0], "candidates_drawn": best[1]}
 
@@ -383,13 +370,9 @@ def _tools_timings(repeats):
         out = {"detections": len(dets), "ground_truths": len(gts),
                "read_records_s": _best_of(repeats, metrics.read_records, path)}
     out["matching_s"] = _best_of(repeats, metrics.Matching, dets, gts)
-    iou, calls = metrics.iou, []
-    metrics.iou = lambda a, b: calls.append(1) or iou(a, b)
-    try:
+    with mock.patch.object(metrics, "iou", wraps=metrics.iou) as iou:
         metrics.Matching(dets, gts)
-    finally:
-        metrics.iou = iou
-    out["iou_calls_per_matching"] = len(calls)
+    out["iou_calls_per_matching"] = iou.call_count
     out["check_family"] = {
         f"{spec.family}/{spec.representation}": {
             "check_family_s": _best_of(repeats, gradcheck.check_family, spec, GRADCHECK_INSTANCES),

@@ -107,7 +107,7 @@ class _Stack:
         if self.deltas is None:
             return [("logits", self.logits)]
         deltas = self.deltas
-        if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
+        if spec.per_bin and not spec.every_head:
             deltas = deltas[np.arange(self.size), np.argmax(self.logits, axis=1)]
         return [("logits", self.logits), ("deltas" if spec.per_bin else "delta", deltas)]
 
@@ -332,8 +332,7 @@ def _probe_rows(spec, k: int) -> int:
         return 1 + 2 * d
     if spec.family == "C":
         return 1 + 2 * k
-    every_head = spec.per_bin and spec.family in losses.EXPECTATION_FAMILIES
-    return 1 + 2 * (k + (k * d if every_head else d))
+    return 1 + 2 * (k + (k * d if spec.every_head else d))
 
 
 def default_specs():

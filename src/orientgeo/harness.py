@@ -106,23 +106,30 @@ def config_to_json(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
-def config_from_json(text: str) -> ExperimentConfig:
-    """The config of a config_to_json document; ValueError naming any
-    top-level key that is not an ExperimentConfig field."""
-    doc = json.loads(text)
+def _section(cls, doc, name: str) -> dict:
+    """doc, the JSON object of the config section that cls reads; ValueError
+    naming the section unless doc is an object, and naming each key that
+    is not a cls field or that doc lacks and cls has no default for."""
     if not isinstance(doc, dict):
-        raise ValueError("a config must be a JSON object")
-    unknown = sorted(doc.keys() - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        raise ValueError(f"{name} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(doc.keys() - {f.name for f in fields})
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return ExperimentConfig(
-        objective=losses.ObjectiveSpec(**doc["objective"]),
-        dictionary_size=doc["dictionary_size"],
-        hidden=doc["hidden"],
-        optimizer=OptimizerConfig(**doc["optimizer"]),
-        data=DataConfig(**doc["data"]),
-        seed=doc["seed"],
-    )
+        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields if f.name not in doc
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{name} lacks {', '.join(missing)}")
+    return doc
+
+
+def config_from_json(text: str) -> ExperimentConfig:
+    """The config of a config_to_json document.  Every section is read by
+    _section's rule, and a key it leaves out takes its default."""
+    sections = {"objective": losses.ObjectiveSpec, "optimizer": OptimizerConfig, "data": DataConfig}
+    doc = _section(ExperimentConfig, json.loads(text), "config")
+    return ExperimentConfig(**{key: sections[key](**_section(sections[key], value, key))
+                               if key in sections else value for key, value in doc.items()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -308,40 +315,28 @@ def discretization_floor(dataset: SyntheticDataset, dictionary: dct.PoseDictiona
 # models
 
 
-def build_category_model(cfg: ExperimentConfig, seed: int) -> dict:
-    """Networks for one category, keyed by role.  Direct regression uses one
-    pose head; Bin & Delta uses a logit network plus either a shared delta
-    network or, as the stacked "deltas" network, one small head per
-    dictionary key."""
-    spec = cfg.objective
-    fdim = cfg.data.feature_dim
-    hidden = list(cfg.hidden)
-    pose_act = ["relu"] * len(hidden) + [
-        "pi_tanh" if spec.representation == dct.AXIS_ANGLE else "linear"
-    ]
-    nets = {}
+def init_networks(cfg: ExperimentConfig) -> dict:
+    """Every role's network, stacked over the cfg.data.categories
+    categories (G, ...).  Direct regression uses one pose head; Bin & Delta
+    uses a logit network plus either a shared delta network or, as the
+    (G, K, ...) "deltas" stack, one small head per dictionary key.
+    Category c draws from seed cfg.seed + 1000 * (c + 1), its shared delta
+    network from that seed + 1 and its head k from that seed + 1 + k."""
+    spec, k = cfg.objective, cfg.dictionary_size
+    seeds = [cfg.seed + 1000 * (c + 1) for c in range(cfg.data.categories)]
+    trunk = [cfg.data.feature_dim, *cfg.hidden]
+    head_act = "pi_tanh" if spec.representation == dct.AXIS_ANGLE else "linear"
+    pose_act = ["relu"] * len(cfg.hidden) + [head_act]
     if spec.family in losses.DIRECT_FAMILIES:
-        nets["pose"] = models.init_pose_network(
-            [fdim] + hidden + [spec.pose_dim], seed, pose_act
-        )
-        return nets
-    nets["logits"] = models.init_pose_network(
-        [fdim] + hidden + [cfg.dictionary_size], seed
-    )
-    if spec.family == "C":
-        return nets
+        return {"pose": models.init_pose_network(trunk + [spec.pose_dim], seeds, pose_act)}
+    nets = {"logits": models.init_pose_network(trunk + [k], seeds)}
     if spec.per_bin:
-        head_act = ["relu", pose_act[-1]]
-        nets["deltas"] = models.stack([
-            models.init_pose_network(
-                [fdim, hidden[-1], spec.pose_dim], seed + 1 + k, head_act
-            )
-            for k in range(cfg.dictionary_size)
-        ])
-    else:
+        nets["deltas"] = models.init_pose_network(
+            [trunk[0], trunk[-1], spec.pose_dim], [[s + 1 + key for key in range(k)] for s in seeds],
+            ["relu", head_act])
+    elif spec.family != "C":
         nets["delta"] = models.init_pose_network(
-            [fdim] + hidden + [spec.pose_dim], seed + 1, pose_act
-        )
+            trunk + [spec.pose_dim], [s + 1 for s in seeds], pose_act)
     return nets
 
 
@@ -484,8 +479,7 @@ def _step(spec, state, dictionary, feats, targets, lr) -> losses.BatchLoss:
         if role != "deltas":
             out, cached[role] = models.forward_cached(s.net, feats)
             rows[role] = out.reshape(g * n, -1)
-    expectation = spec.per_bin and spec.family in losses.EXPECTATION_FAMILIES
-    if expectation:  # row (c, i) reads sample i of every head of c, as (G * n, K, d) rows:
+    if spec.every_head:  # row (c, i) reads sample i of every head of c, as (G * n, K, d) rows:
         # a copy, C-contiguous, because the expectation einsum's bits follow the layout
         out, cached["deltas"] = models.forward_cached(state["deltas"].net, feats[:, None])
         rows["deltas"] = out.swapaxes(1, 2).reshape(g * n, *out.shape[1::2])
@@ -510,7 +504,7 @@ def _step(spec, state, dictionary, feats, targets, lr) -> losses.BatchLoss:
         s = stepped[role]
         if role != "deltas":
             grad = grad.reshape(g, n, -1)
-        elif expectation:  # (G, K, n, d), C-contiguous, as the forward's rows are
+        elif spec.every_head:  # (G, K, n, d), C-contiguous, as the forward's rows are
             grad = np.ascontiguousarray(grad.reshape(g, n, *grad.shape[1:]).swapaxes(1, 2))
         else:  # each row's gradient at its sample of its gathered head
             grad, row_grads = np.zeros_like(out), grad
@@ -537,6 +531,9 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     """
     spec = cfg.objective
     opt = cfg.optimizer
+    if len(dataset.categories) != cfg.data.categories:
+        raise ValueError(f"a dataset of {len(dataset.categories)} categories for a config of "
+                         f"{cfg.data.categories}")
     if dictionary is None and spec.family not in losses.DIRECT_FAMILIES:
         dictionary = fit_shared_dictionary(cfg, dataset)
     schedule = losses.simple_init_schedule(spec, opt.epochs)
@@ -546,10 +543,7 @@ def train(cfg: ExperimentConfig, dataset: SyntheticDataset,
     feats, targets = _training_rows(spec, dictionary, dataset, gamma)
 
     names = dataset.categories
-    per_cat = [build_category_model(cfg, cfg.seed + 1000 * (c + 1)) for c in range(len(names))]
-    state = {role: _RoleState.fresh(models.stack([m[role] for m in per_cat]))
-             for role in per_cat[0]}
-    del per_cat  # the stacks' buffers hold copies
+    state = {role: _RoleState.fresh(net) for role, net in init_networks(cfg).items()}
     batch_rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, c, 10]))
                   for c in range(len(names))]
 

@@ -143,6 +143,12 @@ class ObjectiveSpec:
         return self.family in PER_BIN_FAMILIES
 
     @property
+    def every_head(self) -> bool:
+        """Whether each row reads every per-bin head (M_Pp, M_XPp), not
+        only head argmax(logits)."""
+        return self.per_bin and self.family in EXPECTATION_FAMILIES
+
+    @property
     def pose_dim(self) -> int:
         return 3 if self.representation == dct.AXIS_ANGLE else 4
 
@@ -474,8 +480,7 @@ def objective_batch(
         keys = _stacked(dictionary, (None, d), "per-row keys")
     k = keys.shape[-2]
     logits = _stacked(logits, (k,), "logits")
-    deltas = _stacked(deltas, (k, d) if spec.per_bin and fam in EXPECTATION_FAMILIES else (d,),
-                      "deltas")
+    deltas = _stacked(deltas, (k, d) if spec.every_head else (d,), "deltas")
     b = logits.shape[0]
     if deltas.shape[0] != b:
         raise FamilyMismatch(f"{b} logit rows but {deltas.shape[0]} delta rows")

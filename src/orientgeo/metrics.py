@@ -145,16 +145,17 @@ def _angles_deg(records: PoseRecords) -> np.ndarray:
 
 
 def _azimuths_deg(m: np.ndarray):
-    """Azimuth in degrees over [0, 360) of each rotation (..., 3, 3), as
-    math.degrees(EulerZXZ(*matrix_to_euler(r)[0]).azimuth) % 360 gives it,
-    and the mask (...,) of rows in gimbal lock, whose azimuth is undefined."""
+    """Azimuth in degrees over [0, 360] of each rotation (..., 3, 3), as
+    math.degrees(EulerZXZ(*matrix_to_euler(r)[0]).azimuth) % 360 gives it
+    (360 for an azimuth a hair below 0), and the mask (...,) of rows in
+    gimbal lock, whose azimuth is undefined."""
     angles, locked = so3.matrix_to_euler(m)
     return np.degrees(so3.wrap_angles(angles[..., 0])) % 360.0, locked
 
 
 def _azimuth_bins(azimuth_deg: np.ndarray, k: int) -> np.ndarray:
-    """Bin i of k covers [i*360/k, (i+1)*360/k)."""
-    return (azimuth_deg / (360.0 / k)).astype(int)
+    """Bin i of k covers [i*360/k, (i+1)*360/k); 360 is 0, in bin 0."""
+    return (azimuth_deg / (360.0 / k)).astype(int) % k
 
 
 # ---------------------------------------------------------------------------

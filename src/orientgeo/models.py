@@ -1,17 +1,14 @@
 """From-scratch MLP pose networks and the Bin & Delta composition rules.
 
-Networks are lists of (W, b, activation) layers on plain numpy arrays;
-forward keeps a cache so the hand-written backward pass can produce weight
-gradients from a loss gradient at the output.  No batch normalization:
-desk-scale batches make its statistics noisy (deviation from the reference
-topology, recorded in the experiment docs).
-
-Layers may carry leading stack axes, W (..., out, in) and b (..., out), so
-one network runs many same-shaped ones (per category, per dictionary key)
-by matmul broadcasting on inputs (..., n, in).  A stacked network keeps all
-its parameters in one contiguous buffer (..., P): P is one entry's
-parameter count, in layer order, weight then bias, and the layers' arrays
-are reshaped views into it.
+A network is one parameter buffer (..., P) plus its layer sizes and
+activations: P is one network's parameter count, in layer order, weight
+then bias, and its layers are views W (..., out, in) and b (..., out) into
+the buffer.  Leading stack axes let one network run many same-shaped ones
+(per category, per dictionary key) by matmul broadcasting on inputs (...,
+n, in).  forward keeps a cache so the hand-written backward pass can
+produce weight gradients from a loss gradient at the output.  No batch
+normalization: desk-scale batches make its statistics noisy (deviation
+from the reference topology, recorded in the experiment docs).
 """
 
 from __future__ import annotations
@@ -49,42 +46,22 @@ class ZeroSum(ValueError):
 
 @dataclasses.dataclass
 class Layer:
+    """One layer's views into its network's buffer."""
+
     weight: np.ndarray  # (..., out, in)
     bias: np.ndarray  # (..., out)
     activation: str
 
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.weight.ndim < 2 or self.bias.shape != self.weight.shape[:-1]:
-            raise DimensionMismatch("weight/bias shapes disagree")
+
+def _param_count(sizes) -> int:
+    """P, the parameters of one network with layer widths `sizes`."""
+    return sum(out * (inp + 1) for inp, out in zip(sizes, sizes[1:]))
 
 
-@dataclasses.dataclass
-class MLP:
-    layers: list
-    # the (..., P) buffer the layers view, for networks built by stack
-    params: np.ndarray = dataclasses.field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if nxt.weight.shape[-1] != prev.weight.shape[-2]:
-                raise DimensionMismatch("consecutive layer dimensions do not chain")
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].weight.shape[-1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[-2]
-
-
-def _views(params: np.ndarray, like: MLP) -> list:
-    """(weight, bias) views of params (..., P) in the layer shapes of `like`."""
+def _views(params: np.ndarray, sizes) -> list:
+    """(weight, bias) views of params (..., P) for layer widths `sizes`."""
     lead, start, views = params.shape[:-1], 0, []
-    for layer in like.layers:
-        out, inp = layer.weight.shape[-2:]
+    for inp, out in zip(sizes, sizes[1:]):
         weight = params[..., start:start + out * inp].reshape(lead + (out, inp))
         start += out * inp
         views.append((weight, params[..., start:start + out]))
@@ -92,21 +69,42 @@ def _views(params: np.ndarray, like: MLP) -> list:
     return views
 
 
+@dataclasses.dataclass(eq=False)
+class MLP:
+    """A network, or a stack of same-shaped ones, as its (..., P) parameter
+    buffer; `layers` are views into it, built once."""
+
+    params: np.ndarray = dataclasses.field(repr=False)
+    sizes: tuple  # input width, then each layer's output width
+    activations: tuple  # one tag per layer
+    layers: tuple = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sizes, self.activations = tuple(self.sizes), tuple(self.activations)
+        if len(self.activations) != len(self.sizes) - 1:
+            raise ValueError("one activation per layer required")
+        for tag in self.activations:
+            if tag not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {tag!r}")
+        p = _param_count(self.sizes)
+        if self.params.shape[-1:] != (p,):
+            raise DimensionMismatch(f"parameters of shape {self.params.shape} are not (..., {p})")
+        self.layers = tuple(Layer(w, b, tag) for (w, b), tag
+                            in zip(_views(self.params, self.sizes), self.activations))
+
+    @property
+    def in_dim(self) -> int:
+        return self.sizes[0]
+
+    @property
+    def out_dim(self) -> int:
+        return self.sizes[-1]
+
+
 def on_buffer(params: np.ndarray, like: MLP) -> MLP:
-    """A network with the layer shapes and activations of `like` whose
-    parameters are views of params (..., P)."""
-    return MLP([Layer(w, b, layer.activation)
-                for (w, b), layer in zip(_views(params, like), like.layers)], params)
-
-
-def stack(nets) -> MLP:
-    """One network whose new leading axis runs over `nets` (same shapes and
-    activations), on one new (len(nets), ..., P) buffer of their parameters:
-    each entry's weights and biases, in layer order, as one row."""
-    lead = nets[0].layers[0].bias.shape[:-1]
-    rows = [np.concatenate([a.reshape(lead + (math.prod(a.shape[len(lead):]),))
-                            for l in n.layers for a in (l.weight, l.bias)], axis=-1) for n in nets]
-    return on_buffer(np.stack(rows), nets[0])
+    """A network with the sizes and activations of `like` whose parameters
+    are views of params (..., P)."""
+    return MLP(params, like.sizes, like.activations)
 
 
 def _apply_activation(tag: str, z: np.ndarray) -> np.ndarray:
@@ -158,14 +156,13 @@ def forward_cached(net: MLP, f: np.ndarray):
 
 def backward(net: MLP, cache, grad_out: np.ndarray) -> np.ndarray:
     """Weight/bias gradients for a loss gradient at the network output, as
-    one (..., P) array in the buffer layout (see on_buffer), summed over
+    one (..., P) array in the buffer layout (see MLP), summed over
     the sample axis (the second to last).  The gradient at the network
     input is not formed.
     """
-    p = sum(l.weight.shape[-2] * (l.weight.shape[-1] + 1) for l in net.layers)
-    grads = np.empty(net.layers[0].bias.shape[:-1] + (p,))
+    grads = np.empty(net.params.shape)
     g = np.asarray(grad_out, dtype=float)
-    for i, (dw, db) in reversed(list(enumerate(_views(grads, net)))):
+    for i, (dw, db) in reversed(list(enumerate(_views(grads, net.sizes)))):
         tag, h = cache[i + 1]
         gz = _activation_backward(tag, h, g)
         h_prev = cache[i][1]
@@ -176,29 +173,30 @@ def backward(net: MLP, cache, grad_out: np.ndarray) -> np.ndarray:
     return grads
 
 
-def init_pose_network(sizes, seed: int, activations=None) -> MLP:
+def init_pose_network(sizes, seed, activations=None) -> MLP:
     """Kaiming-style fan-in uniform init: W ~ U(+-sqrt(6/fan_in)), b = 0.
 
-    Default activations are relu on hidden layers and linear on the head;
-    pass an explicit list (one tag per layer) for pose heads.  ValueError
-    unless every size is an integer >= 1 and seed an integer >= 0.
+    seed is an integer, or an array of them for a stack of that shape
+    whose entry at each index draws from its own seed, layer by layer, as
+    one network of that seed would.  Default activations are relu on
+    hidden layers and linear on the head; pass an explicit list (one tag
+    per layer) for pose heads.  ValueError unless every size is an integer
+    >= 1 and every seed an integer >= 0.
     """
     sizes = [_checks.count(n, f"sizes[{i}]") for i, n in enumerate(sizes)]
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    n_layers = len(sizes) - 1
     if activations is None:
-        activations = ["relu"] * (n_layers - 1) + ["linear"]
-    if len(activations) != n_layers:
-        raise ValueError("one activation per layer required")
-    rng = np.random.default_rng(_checks.count(seed, "seed", 0))
-    layers = []
-    for i in range(n_layers):
-        fan_in = sizes[i]
-        bound = math.sqrt(6.0 / fan_in)
-        w = rng.uniform(-bound, bound, size=(sizes[i + 1], sizes[i]))
-        layers.append(Layer(w, np.zeros(sizes[i + 1]), activations[i]))
-    return MLP(layers)
+        activations = ["relu"] * (len(sizes) - 2) + ["linear"]
+    seeds = np.array(seed, dtype=object)  # keeps each entry as given, for the check
+    seeds.flat = [_checks.count(s, "seed", 0) for s in seeds.flat]
+    net = MLP(np.zeros(seeds.shape + (_param_count(sizes),)), sizes, activations)
+    for at in np.ndindex(seeds.shape):
+        rng = np.random.default_rng(seeds[at])
+        for layer in net.layers:
+            bound = math.sqrt(6.0 / layer.weight.shape[-1])
+            layer.weight[at] = rng.uniform(-bound, bound, size=layer.weight.shape[-2:])
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +235,14 @@ def compose_rotation(rule: str, key: np.ndarray, delta: np.ndarray) -> np.ndarra
 # checkpoints
 
 
-def _sizes(net: MLP) -> list:
-    """Input width, then each layer's output width (of one stack entry)."""
-    return [net.in_dim] + [layer.weight.shape[-2] for layer in net.layers]
-
-
 def save_mlp(net: MLP, path) -> None:
     """JSON checkpoint: header with version/sizes/activations, layer-ordered
     tensors.  json round-trips doubles exactly (shortest-repr), so loading
     reproduces the weights bit-for-bit."""
     doc = {
         "version": CHECKPOINT_VERSION,
-        "sizes": _sizes(net),
-        "activations": [layer.activation for layer in net.layers],
+        "sizes": list(net.sizes),
+        "activations": list(net.activations),
         "tensors": [
             {"weight": layer.weight.tolist(), "bias": layer.bias.tolist()}
             for layer in net.layers
@@ -274,19 +267,23 @@ def load_mlp(path) -> MLP:
         tensors, activations, sizes = doc["tensors"], doc["activations"], doc["sizes"]
         if not tensors or len(activations) != len(tensors):
             raise ValueError(f"checkpoint has {len(tensors)} tensors, {len(activations)} activations")
-        layers = [
-            Layer(
-                np.array(t["weight"], dtype=float),
-                np.array(t["bias"], dtype=float),
-                act,
-            )
-            for t, act in zip(tensors, activations)
-        ]
+        arrays = []
+        for t, act in zip(tensors, activations):
+            weight, bias = np.array(t["weight"], dtype=float), np.array(t["bias"], dtype=float)
+            if act not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {act!r}")
+            if weight.ndim < 2 or bias.shape != weight.shape[:-1]:
+                raise DimensionMismatch("weight/bias shapes disagree")
+            arrays += [weight, bias]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint: {exc!r}") from exc
-    if not all(np.all(np.isfinite(l.weight)) and np.all(np.isfinite(l.bias)) for l in layers):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("checkpoint has non-finite parameters")
-    net = MLP(layers)
-    if sizes != _sizes(net):
-        raise ValueError(f"checkpoint sizes {sizes} do not match its tensors {_sizes(net)}")
-    return net
+    weights, lead = arrays[::2], arrays[1].shape[:-1]
+    if any(w.shape[:-2] != lead or w.shape[-1] != v.shape[-2] for v, w in zip(weights, weights[1:])):
+        raise DimensionMismatch("consecutive layer dimensions do not chain")
+    found = [weights[0].shape[-1]] + [w.shape[-2] for w in weights]
+    if sizes != found:
+        raise ValueError(f"checkpoint sizes {sizes} do not match its tensors {found}")
+    params = np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
+    return MLP(params, found, activations)

@@ -34,7 +34,7 @@ import numpy as np
 
 from orientgeo import cli, metrics, so3
 
-from so3_helpers import random_rotation, rot_z
+from so3_helpers import random_rotation, rot_x, rot_z
 
 SEED = 31
 CATEGORIES = ("bike", "car", "chair", "boat")
@@ -46,17 +46,11 @@ QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 QUARTER_TURNS = [np.linalg.matrix_power(QUARTER_TURN, n) for n in range(4)]
 
 
-def _rot_x(a):
-    """Rotation by a about the x axis."""
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def _pose(rng, kind):
     """A ground-truth rotation of the given kind."""
     if kind == "edge":  # Rz(ct) Rx(el) Rz(az) with an exact quarter-turn az
         el, ct = rng.uniform(0.3, 2.8), rng.uniform(-math.pi, math.pi)
-        m = rot_z(ct) @ _rot_x(el) @ QUARTER_TURNS[int(rng.integers(4))]
+        m = rot_z(ct) @ rot_x(el) @ QUARTER_TURNS[int(rng.integers(4))]
     elif kind == "pi":  # azimuth within 1e-12 rad of +-pi
         az = math.pi * rng.choice([-1.0, 1.0]) - rng.uniform(-1e-12, 1e-12)
         m = so3.euler_to_matrix([az, rng.uniform(0.3, 2.8), rng.uniform(-math.pi, math.pi)])

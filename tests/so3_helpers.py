@@ -49,9 +49,10 @@ def euler_of(m):
 
 def azimuth_bin(m, k):
     """Bin of k over [0, 360) of one rotation matrix's azimuth, through
-    euler_of and math.degrees, or None in gimbal lock."""
+    euler_of and math.degrees, or None in gimbal lock; an azimuth a hair
+    below 0, which % 360 takes to 360.0, is in bin 0."""
     e = euler_of(m)
-    return None if e is None else int((math.degrees(e.azimuth) % 360.0) / (360.0 / k))
+    return None if e is None else int((math.degrees(e.azimuth) % 360.0) / (360.0 / k)) % k
 
 
 def random_rotation(rng):

@@ -11,7 +11,6 @@ import dataclasses
 import math
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ import pytest
 from orientgeo import dictionary as dct
 from orientgeo import gradcheck, harness, jitter, losses, metrics, so3
 
+from metric_oracles import match_loop, oracle_ap
 from so3_helpers import angle_deg, azimuth_bin, random_rotation, rot_z
 
 
@@ -179,34 +179,6 @@ def test_log_euclidean_matches_riemannian_for_small_deltas():
 # 6. metric oracle suite
 
 
-def _oracle_match(dets, gts):
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = set()
-    pairs = []
-    for i in order:
-        best_j, best = None, 0.5
-        for j, gt in enumerate(gts):
-            if j in taken or gt.category != dets[i].category:
-                continue
-            ov = metrics.iou(dets[i].box, gt.box)
-            if ov > best:
-                best_j, best = j, ov
-        if best_j is not None:
-            taken.add(best_j)
-        pairs.append((i, best_j))
-    return pairs
-
-
-def _oracle_ap(flags, n_gt):
-    positions = [i + 1 for i, f in enumerate(flags) if f]
-    if n_gt == 0:
-        return 0.0
-    total = Fraction(0)
-    for i in range(len(positions)):
-        total += max(Fraction(j + 1, positions[j]) for j in range(i, len(positions)))
-    return float(total / n_gt)
-
-
 def _random_set(rng, pyrng, with_boundaries):
     gts, dets = [], []
     n_gt = pyrng.randint(2, 7)
@@ -243,12 +215,12 @@ def test_metric_oracle_suite():
     worst = 0.0
     for case in range(100):
         dets, gts = _random_set(rng, pyrng, with_boundaries=case < 10)
-        pairs = _oracle_match(dets, gts)
+        pairs = match_loop(dets, gts)
         n_gt = len(gts)
         matching = metrics.Matching(dets, gts)
 
         flags_ap = [1.0 if j is not None else 0.0 for _, j in pairs]
-        worst = max(worst, abs(matching.ap() - _oracle_ap(flags_ap, n_gt)))
+        worst = max(worst, abs(matching.ap() - oracle_ap(flags_ap, n_gt)))
 
         flags_arp = [
             1.0 if j is not None
@@ -256,7 +228,7 @@ def test_metric_oracle_suite():
             else 0.0
             for i, j in pairs
         ]
-        worst = max(worst, abs(matching.arp() - _oracle_ap(flags_arp, n_gt)))
+        worst = max(worst, abs(matching.arp() - oracle_ap(flags_arp, n_gt)))
 
         def same_bin(i, j, k=8):
             det_bin = azimuth_bin(dets[i].rotation.matrix, k)
@@ -265,7 +237,7 @@ def test_metric_oracle_suite():
         flags_avp = [
             1.0 if j is not None and same_bin(i, j) else 0.0 for i, j in pairs
         ]
-        worst = max(worst, abs(matching.avp(8) - _oracle_ap(flags_avp, n_gt)))
+        worst = max(worst, abs(matching.avp(8) - oracle_ap(flags_avp, n_gt)))
 
         matched = [(i, j) for i, j in pairs if j is not None]
         analysis = matching.analysis()

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from orientgeo import cli, gradcheck, harness, jitter, losses, metrics
+from orientgeo import dictionary as dct
 
 
 @pytest.fixture()
@@ -232,14 +233,14 @@ def _exits_two_naming(path, argv, capsys):
     assert captured.err.startswith(f"cannot read {path}: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"seed": 1}'])
+@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"seed": 1, "data": null}'])
 def test_run_rejects_unreadable_config(tmp_path, capsys, contents):
     path = _unreadable(tmp_path, contents)
     _exits_two_naming(path, ["run", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"seed": 1}'])
+@pytest.mark.parametrize("contents", BAD_JSON_FILES + ['{"seed": 1, "data": null}'])
 def test_ablate_rejects_unreadable_config(tmp_path, capsys, contents):
     path = _unreadable(tmp_path, contents)
     _exits_two_naming(path, ["ablate", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
@@ -424,6 +425,41 @@ def test_bench_times_each_training_step_part_at_a_tiny_config():
         assert (perbin["gather_scatter_s"] > 0.0) == (cfg is gathered)
         assert (perbin["heads_forwarded_mean"] == heads) == (cfg is in_place)
         assert perbin["step_s"] > perbin["adam_step_s"] + perbin["gather_scatter_s"]
+
+
+def test_bench_runs_every_other_section_once():
+    # each section once at one repeat: the keys it reports, and every
+    # library attribute it wraps back in place afterwards
+    bench = _script("bench")
+    patched = [(dct, "_sq_distances"), (dct, "_renormalize_centroids"),
+               (losses, "_geodesic_axis_angle"), (gradcheck, "_draw"), (metrics, "iou")]
+    before = [getattr(owner, name) for owner, name in patched]
+    regress = bench.workloads._training_config("regress", 0, tiny=True)
+    targets = harness.pooled_train_targets(regress, harness.generate_synthetic(regress))
+    counts = bench._counted_fit(targets, 4, 0, regress.objective.representation)
+    assert counts["iterations"] >= 1 and counts["distance_rows"] >= len(targets)
+    kernel = bench._kernel_timings(1)
+    assert kernel.keys() == {"m_pp_block_keys", "m_pp_block_targets", "m_pp_block_kernel_s"}
+    assert kernel["m_pp_block_keys"][1:] == [8, 3]
+    stages = bench._stage_split(regress, 1)
+    assert {"runs", "run_experiment_s", "generate_s", "dictionary_s", "train_s",
+            "train.forward_cached_s", "train.objective_batch_s", "train.backward_s",
+            "train.self_s", "eval_s", "rest_s", "shares", "calls"} == stages.keys()
+    assert stages["calls"]["models.backward"] > 0
+    jitter_times = bench._jitter_timings(1)
+    assert jitter_times.keys() == {"jitter_sample_cuboid_s", "jitter_sample_sphere_s",
+                                   "manifest_round_trip_s", "cells"}
+    draws = bench._draw_timings(1, losses.ObjectiveSpec("M_G"))
+    assert draws.keys() == {"draw_s", "candidates_drawn"} and draws["candidates_drawn"] > 0
+    tools = bench._tools_timings(1)
+    assert {"detections", "ground_truths", "read_records_s", "matching_s", "iou_calls_per_matching",
+            "check_family", "check_family_total_s", "draw_total_s"} == tools.keys()
+    assert tools["iou_calls_per_matching"] > 0
+    assert len(tools["check_family"]) == len(gradcheck.default_specs())
+    for entry in tools["check_family"].values():
+        assert entry.keys() == {"check_family_s", "probe_rows_per_instance", "draw_s",
+                                "candidates_drawn"}
+    assert [getattr(owner, name) for owner, name in patched] == before
 
 
 @pytest.mark.parametrize("repeats", ["0", "-2"])

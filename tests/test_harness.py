@@ -87,16 +87,52 @@ def test_config_with_unknown_top_level_keys_is_rejected():
         harness.config_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("section, name, error", [
-    (None, "dictionary_seed", ValueError), ("optimizer", "beta1", TypeError),
-    ("optimizer", "beta2", TypeError), ("optimizer", "eps", TypeError),
+@pytest.mark.parametrize("section, name", [
+    (None, "dictionary_seed"), ("optimizer", "beta1"), ("optimizer", "beta2"), ("optimizer", "eps"),
 ])
-def test_config_with_a_removed_leaf_is_refused(section, name, error):
+def test_config_with_a_removed_leaf_is_refused(section, name):
     # a config file written while these were settable names the key it
     # still carries instead of loading with it ignored
     doc = json.loads(harness.config_to_json(tiny_config()))
     (doc if section is None else doc[section])[name] = 0.5
-    with pytest.raises(error, match=name):
+    with pytest.raises(ValueError, match=name):
+        harness.config_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section", ["objective", "optimizer", "data"])
+def test_every_config_section_is_read_by_one_rule(section):
+    # an unknown key or a section that is not an object is a ValueError
+    # naming it, at the top level and in every section alike
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    doc[section]["Epochs"] = 3
+    with pytest.raises(ValueError, match=f"^unknown {section} keys: Epochs$"):
+        harness.config_from_json(json.dumps(doc))
+    for value in ([1, 2], "M_G", None):
+        doc[section] = value
+        with pytest.raises(ValueError, match=f"^{section} must be a JSON object"):
+            harness.config_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section, name", [
+    (None, "seed"), (None, "hidden"), (None, "objective"), ("objective", "alpha"),
+    ("optimizer", "epochs"), ("data", "noise"),
+])
+def test_a_config_key_left_out_takes_its_default(section, name):
+    cfg = tiny_config("M_X", seed=5)
+    doc = json.loads(harness.config_to_json(cfg))
+    del (doc if section is None else doc[section])[name]
+    default = (harness.ExperimentConfig() if section is None
+               else getattr(harness.ExperimentConfig(), section))
+    want = (dataclasses.replace(cfg, **{name: getattr(default, name)}) if section is None
+            else dataclasses.replace(cfg, **{section: dataclasses.replace(
+                getattr(cfg, section), **{name: getattr(default, name)})}))
+    assert harness.config_from_json(json.dumps(doc)) == want
+
+
+def test_a_config_objective_must_name_its_family():
+    doc = json.loads(harness.config_to_json(tiny_config()))
+    del doc["objective"]["family"]
+    with pytest.raises(ValueError, match="^objective lacks family$"):
         harness.config_from_json(json.dumps(doc))
 
 
@@ -384,6 +420,14 @@ def test_non_finite_loss_reports_location():
         harness.train(cfg, ds)
 
 
+def test_train_refuses_a_dataset_of_another_category_count():
+    # every role is stacked over the config's categories
+    cfg = tiny_config("M_G")
+    one = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, categories=1))
+    with pytest.raises(ValueError, match="^a dataset of 2 categories for a config of 1$"):
+        harness.train(one, harness.generate_synthetic(cfg))
+
+
 def test_wrong_feature_width_raises_dimension_mismatch():
     cfg = tiny_config("R_G")
     narrow = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, feature_dim=12))
@@ -400,16 +444,16 @@ def test_collapsed_quaternion_head_reports_non_finite_loss(monkeypatch):
     cfg = dataclasses.replace(
         cfg, objective=dataclasses.replace(cfg.objective, representation=dct.QUATERNION)
     )
-    build = harness.build_category_model
+    build = harness.init_networks
 
-    def zero_head(cfg, seed):
-        nets = build(cfg, seed)
+    def zero_head(cfg):
+        nets = build(cfg)
         head = nets["pose"].layers[-1]
         head.weight[:] = 0.0
         head.bias[:] = 0.0
         return nets
 
-    monkeypatch.setattr(harness, "build_category_model", zero_head)
+    monkeypatch.setattr(harness, "init_networks", zero_head)
     with pytest.raises(harness.NonFiniteLoss, match="cat01 epoch 0 step 0") as info:
         harness.train(cfg, harness.generate_synthetic(cfg))
     assert isinstance(info.value.__cause__, models.ZeroSum)
@@ -422,16 +466,15 @@ def test_non_finite_loss_names_the_failing_category(monkeypatch):
     cfg = dataclasses.replace(
         cfg, objective=dataclasses.replace(cfg.objective, representation=dct.QUATERNION)
     )
-    build = harness.build_category_model
+    build = harness.init_networks
 
-    def zero_cat02_head(cfg, seed):
-        nets = build(cfg, seed)
-        if seed == cfg.seed + 2000:  # cat02
-            nets["pose"].layers[-1].weight[:] = 0.0
-            nets["pose"].layers[-1].bias[:] = 0.0
+    def zero_cat02_head(cfg):
+        nets = build(cfg)
+        nets["pose"].layers[-1].weight[1] = 0.0  # cat02
+        nets["pose"].layers[-1].bias[1] = 0.0
         return nets
 
-    monkeypatch.setattr(harness, "build_category_model", zero_cat02_head)
+    monkeypatch.setattr(harness, "init_networks", zero_cat02_head)
     with pytest.raises(harness.NonFiniteLoss, match="cat02 epoch 0 step 0") as info:
         harness.train(cfg, harness.generate_synthetic(cfg))
     assert isinstance(info.value.__cause__, models.ZeroSum)
@@ -495,21 +538,21 @@ def test_perturbing_one_category_leaves_the_others_bit_identical():
 
 def test_head_no_sample_selected_keeps_initial_weights(monkeypatch):
     cfg = tiny_config("M_Gp")
-    build = harness.build_category_model
+    build = harness.init_networks
 
-    def favour_key_zero(cfg, seed):
-        nets = build(cfg, seed)
-        nets["logits"].layers[-1].bias[0] = 1e3  # argmax is always key 0
+    def favour_key_zero(cfg):
+        nets = build(cfg)
+        nets["logits"].layers[-1].bias[:, 0] = 1e3  # argmax is always key 0
         return nets
 
-    monkeypatch.setattr(harness, "build_category_model", favour_key_zero)
+    monkeypatch.setattr(harness, "init_networks", favour_key_zero)
     nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg))
+    init = build(cfg)["deltas"]
     for c in range(2):
-        init = build(cfg, cfg.seed + 1000 * (c + 1))["deltas"]
         for li, lt in zip(init.layers, nets["deltas"].layers):
-            assert not np.array_equal(li.weight[0], lt.weight[c, 0])
-            assert np.array_equal(li.weight[1:], lt.weight[c, 1:])
-            assert np.array_equal(li.bias[1:], lt.bias[c, 1:])
+            assert not np.array_equal(li.weight[c, 0], lt.weight[c, 0])
+            assert np.array_equal(li.weight[c, 1:], lt.weight[c, 1:])
+            assert np.array_equal(li.bias[c, 1:], lt.bias[c, 1:])
 
 
 def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
@@ -525,10 +568,10 @@ def test_step_with_no_head_selected_leaves_the_heads_untouched(monkeypatch):
 
     monkeypatch.setattr(losses, "objective_batch", no_delta_gradient)
     nets, _, _ = harness.train(cfg, harness.generate_synthetic(cfg))
+    init = harness.init_networks(cfg)
     for c in range(2):
-        init = harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1))
         for role, moved in (("deltas", False), ("logits", True)):
-            same = [np.array_equal(a.weight, b.weight[c])
+            same = [np.array_equal(a.weight[c], b.weight[c])
                     for a, b in zip(init[role].layers, nets[role].layers)]
             assert same == [not moved] * len(same), role
 
@@ -543,9 +586,7 @@ def _step_case(cfg):
     gamma = losses.resolve_gamma(spec, dictionary) if soft else None
     feats, targets = harness._training_rows(spec, dictionary, dataset, gamma)
     g, n, width = cfg.data.categories, cfg.optimizer.batch_per_category, feats.shape[1]
-    per_cat = [harness.build_category_model(cfg, cfg.seed + 1000 * (c + 1)) for c in range(g)]
-    state = {role: harness._RoleState.fresh(models.stack([m[role] for m in per_cat]))
-             for role in per_cat[0]}
+    state = {role: harness._RoleState.fresh(net) for role, net in harness.init_networks(cfg).items()}
     rows = (np.arange(g)[:, None] * width + np.arange(n)).ravel()
     batch = np.ascontiguousarray(feats[:, :n]), targets.rows(rows)
     return state, dictionary, batch
@@ -577,7 +618,7 @@ def test_step_hands_the_objective_the_heads_of_the_whole_stack(monkeypatch, fami
     assert np.all(logits[0, :, 2] == logits[0, :, 5]) and 0 < np.sum(label[0] == 2) < n
     assert np.all(label[1:] == 0)
     whole = models.forward(nets["deltas"], feats[:, None]).swapaxes(1, 2)  # (G, n, K, d)
-    every = family in losses.EXPECTATION_FAMILIES
+    every = cfg.objective.every_head
     if every:
         want, read = whole.reshape(g * n, k, -1), np.ones((g, k), dtype=bool)
     else:
@@ -744,7 +785,7 @@ def test_step_hands_the_update_the_gradient_of_the_step_loss(monkeypatch, spec, 
 def test_adam_steps_only_the_entries_the_mask_selects():
     # entry 1 was stepped once; a later step of a gathered block that
     # leaves it out must not move it on its remaining momentum
-    net = models.stack([models.init_pose_network([3, 2], seed=s) for s in range(2)])
+    net = models.init_pose_network([3, 2], [0, 1])
     state = harness._RoleState.fresh(net)
     harness._adam_update(state, np.ones_like(net.params), 0.1)
     before = net.layers[0].weight.copy(), net.layers[0].bias.copy()
@@ -776,7 +817,7 @@ def test_adam_tracks_the_textbook_algorithm(masked):
     # rate decaying as across epochs, and with `masked` a random subset of
     # the entries gathered, stepped and scattered back each time, as
     # per-bin heads are
-    net = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(4)])
+    net = models.init_pose_network([6, 5, 3], list(range(4)))
     state = harness._RoleState.fresh(net)
     start = net.params.copy()
     theta, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
@@ -810,7 +851,7 @@ def test_adam_tracks_the_textbook_algorithm(masked):
 ])
 def test_adam_reads_each_constant_as_it_steps(monkeypatch, name, value):
     # a state built before the constant changes steps with the new value
-    net = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(3)])
+    net = models.init_pose_network([6, 5, 3], list(range(3)))
     state = harness._RoleState.fresh(net)
     start = net.params.copy()
     monkeypatch.setattr(harness, name, value)
@@ -825,7 +866,7 @@ def test_adam_reads_each_constant_as_it_steps(monkeypatch, name, value):
     rel = np.abs(net.params - theta).max(axis=1) / np.abs(theta - start).max(axis=1)
     assert np.all(rel <= 1e-12), rel
     monkeypatch.undo()
-    default = models.stack([models.init_pose_network([6, 5, 3], seed=s) for s in range(3)])
+    default = models.init_pose_network([6, 5, 3], list(range(3)))
     default_state = harness._RoleState.fresh(default)
     g = np.random.default_rng(11)
     for _ in range(20):
@@ -850,20 +891,19 @@ def test_trained_networks_are_views_of_the_stacked_buffers(monkeypatch, family):
     # the role stacks train returns, and the per-category and per-head
     # views that checkpoints write, read the stacked buffers that every
     # step's role states hold and Adam stepped, never a stale copy
-    buffers = []
-    stack = models.stack
+    built, init_networks = [], harness.init_networks
 
-    def recording_stack(nets):
-        net = stack(nets)
-        buffers.append(net.params)
-        return net
+    def recording_init(cfg):
+        built.append(init_networks(cfg))
+        return built[-1]
 
-    monkeypatch.setattr(models, "stack", recording_stack)
+    monkeypatch.setattr(harness, "init_networks", recording_init)
     states = _recording_step(monkeypatch)
     cfg = tiny_config(family)
     dataset = harness.generate_synthetic(cfg)
     nets, _, _ = harness.train(cfg, dataset)
-    stacked = dict(zip(nets, buffers[-len(nets):]))  # train stacks the roles last
+    (init,) = built
+    stacked = {role: net.params for role, net in init.items()}
     assert states and all(state is states[0] for state in states)
     for role, net in nets.items():
         buf = stacked[role]
@@ -984,8 +1024,9 @@ def _fixed_decoder(logits, deltas, fdim=4):
     shared delta (3,)."""
     def fixed(out):  # a linear layer of zero weights outputs its bias
         out = np.asarray(out, dtype=float)
-        layer = models.Layer(np.zeros(out.shape + (fdim,)), out, "linear")
-        return models.stack([models.MLP([layer])])
+        params = np.zeros(out.shape[:-1] + (out.shape[-1] * (fdim + 1),))
+        params[..., -out.shape[-1]:] = out
+        return models.MLP(params[None], (fdim, out.shape[-1]), ("linear",))
 
     return {"logits": fixed(logits), "deltas" if np.ndim(deltas) == 2 else "delta": fixed(deltas)}
 
@@ -1072,10 +1113,10 @@ def test_stacked_decode_equals_the_per_category_calls(monkeypatch, spec, block):
     # and 7 flat rows split categories.  cat02's top logits tie on keys 1,
     # 3 and 6, and cat03's logits all tie, so the tie-break is checked too
     monkeypatch.setattr(harness, "_DECODE_BLOCK", block)
-    cfg = dataclasses.replace(tiny_config(spec.family), objective=spec)
+    cfg = tiny_config(spec.family)
+    cfg = dataclasses.replace(cfg, objective=spec, data=dataclasses.replace(cfg.data, categories=3))
     g = np.random.default_rng(21)
-    per_cat = [harness.build_category_model(cfg, 7 + 1000 * c) for c in range(3)]
-    nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
+    nets = harness.init_networks(cfg)
     if "logits" in nets:
         last = nets["logits"].layers[-1]
         last.weight[1, [3, 6]], last.bias[1, [3, 6]] = last.weight[1, 1], last.bias[1, 1]

@@ -458,7 +458,7 @@ def _probe_every_entry(spec, s, h):
     rows 2i + 1 and 2i + 2 of each instance's block move entry i of every
     gradient slot by +h and -h, every entry of all K heads included."""
     n, views, objective = s.size, s.views(spec), losses.objective_batch
-    if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
+    if spec.per_bin and not spec.every_head:
         views, objective = [("logits", s.logits), ("deltas", s.deltas)], _every_head_objective
     sizes = [arr[0].size for _, arr in views]
     rows = 1 + 2 * sum(sizes)

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientgeo import cli, metrics, so3
+from orientgeo import dictionary as dct
 
 import record_golden_detection
+from metric_oracles import match_loop, oracle_ap
 from so3_helpers import angle_deg, random_axis_angle, random_rotation, rot_z
 
 
@@ -173,37 +174,6 @@ def test_empty_records_raise():
 # average precision oracles
 
 
-def _oracle_match(dets, gts):
-    """Independent re-simulation of the matching rule with plain loops."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = set()
-    flags = {}
-    for i in order:
-        best_j, best = None, 0.5
-        for j, gt in enumerate(gts):
-            if j in taken or gt.category != dets[i].category:
-                continue
-            ov = metrics.iou(dets[i].box, gt.box)
-            if ov > best:
-                best_j, best = j, ov
-        if best_j is not None:
-            taken.add(best_j)
-        flags[i] = best_j
-    return [(i, flags[i]) for i in order]
-
-
-def _oracle_ap(tp_flags, n_gt):
-    """Exact rational AP: suffix max over per-TP precisions."""
-    if n_gt == 0:
-        return 0.0
-    tp_positions = [i + 1 for i, f in enumerate(tp_flags) if f]
-    total = Fraction(0)
-    for i in range(len(tp_positions)):
-        best = max(Fraction(j + 1, tp_positions[j]) for j in range(i, len(tp_positions)))
-        total += best
-    return float(total / n_gt)
-
-
 def test_single_perfect_detection_gives_ap_one():
     gt = [_gt("cat", BOX, _pose(40.0))]
     det = [_det("cat", BOX, 0.9, _pose(40.0))]
@@ -243,7 +213,7 @@ def test_ap_against_exact_rational_oracle():
             rot = gts[j].rotation if j < n_gt and pyrng.random() < 0.6 else random_rotation(rng)
             dets.append(_det("cat", (x, 0.0, x + 10.0, 10.0), pyrng.random(), rot))
 
-        pairs = _oracle_match(dets, gts)
+        pairs = match_loop(dets, gts)
         flags_ap = [1.0 if j is not None else 0.0 for _, j in pairs]
         flags_arp = [
             1.0
@@ -252,8 +222,8 @@ def test_ap_against_exact_rational_oracle():
             for i, j in pairs
         ]
         matching = metrics.Matching(dets, gts)
-        assert abs(matching.ap() - _oracle_ap(flags_ap, n_gt)) <= 1e-9
-        assert abs(matching.arp() - _oracle_ap(flags_arp, n_gt)) <= 1e-9
+        assert abs(matching.ap() - oracle_ap(flags_ap, n_gt)) <= 1e-9
+        assert abs(matching.arp() - oracle_ap(flags_arp, n_gt)) <= 1e-9
         # flags as a numpy array give the same AP as the list
         for flags in (flags_ap, flags_arp):
             assert metrics.average_precision(np.array(flags), n_gt) == metrics.average_precision(
@@ -302,6 +272,23 @@ def test_avp_same_bin_and_boundary_bins():
     gt = [_gt("cat", BOX, _pose(44.0))]
     det = [_det("cat", BOX, 0.9, _pose(46.0))]
     assert metrics.Matching(det, gt).avp(8) == 0.0  # bins [0,45) vs [45,90)
+
+
+@pytest.mark.parametrize("el_deg, ct_deg", [(48.0, -70.0), (134.0, -85.0)])
+def test_avp_bins_an_azimuth_a_hair_below_zero_with_zero(el_deg, ct_deg):
+    # azimuth 0, read back through its quaternion as read_records builds
+    # it, extracts a hair below 0, which % 360 takes to 360.0; it shares
+    # every bin with a pose at +0.01 degrees
+    written = so3.matrix_to_quaternion(_pose(0.0, el_deg, ct_deg).matrix)
+    gt = [_gt("cat", BOX, so3.Rotation(dct.pose_matrices(written, dct.QUATERNION)))]
+    det = [_det("cat", BOX, 0.9, _pose(0.01, el_deg, ct_deg))]
+    matching = metrics.Matching(det, gt)
+    assert matching.ap() == 1.0
+    for k in (1, 2, 8, 24):
+        assert matching.avp(k) == 1.0, k
+    azimuth = np.array([0.0, 359.999, 360.0])
+    for k in (1, 7, 8, 360):
+        assert metrics._azimuth_bins(azimuth, k).tolist() == [0, k - 1, 0]
 
 
 def test_avp_counts_gimbal_lock_as_incorrect():

@@ -41,13 +41,12 @@ def fd_weight_gradient(net, x, loss_fn, h=1e-6):
 
 
 def test_forward_zero_weights_pi_tanh_head():
-    layers = [models.Layer(np.zeros((3, 5)), np.zeros(3), "pi_tanh")]
-    net = models.MLP(layers)
+    net = models.MLP(np.zeros(3 * 5 + 3), (5, 3), ("pi_tanh",))
     np.testing.assert_array_equal(models.forward(net, np.ones((1, 5))), np.zeros((1, 3)))
 
 
 def test_forward_identity_linear_layer():
-    net = models.MLP([models.Layer(np.eye(4), np.zeros(4), "linear")])
+    net = models.MLP(np.concatenate([np.eye(4).ravel(), np.zeros(4)]), (4, 4), ("linear",))
     x = np.array([[1.0, -2.0, 3.0, 0.5]])
     np.testing.assert_array_equal(models.forward(net, x), x)
 
@@ -147,15 +146,14 @@ def test_stacked_forward_backward_equal_per_network_calls(g, k, n, seed):
     # a (G, K) stack of heads on shared per-G features, as the per-bin
     # heads run in training, against each head on its own
     rng = np.random.default_rng(seed)
-    heads = [
-        [models.init_pose_network([5, 4, 3], seed=100 * i + j, activations=["relu", "pi_tanh"])
-         for j in range(k)]
-        for i in range(g)
-    ]
-    for row in heads:
-        for net in row:
-            net.layers[0].bias[:] = rng.normal(size=4)
-    stacked = models.stack([models.stack(row) for row in heads])
+    acts = ["relu", "pi_tanh"]
+    stacked = models.init_pose_network([5, 4, 3], 100 * np.arange(g)[:, None] + np.arange(k), acts)
+    stacked.layers[0].bias[:] = rng.normal(size=(g, k, 4))
+    heads = [[models.init_pose_network([5, 4, 3], seed=100 * i + j, activations=acts)
+              for j in range(k)] for i in range(g)]
+    for i, row in enumerate(heads):
+        for j, net in enumerate(row):
+            net.layers[0].bias[:] = stacked.layers[0].bias[i, j]
     assert stacked.layers[0].weight.shape == (g, k, 4, 5)
     assert (stacked.in_dim, stacked.out_dim) == (5, 3)
     x = rng.normal(size=(g, n, 5))
@@ -176,15 +174,15 @@ def test_stacked_forward_backward_equal_per_network_calls(g, k, n, seed):
 
 
 def test_stack_lays_parameters_out_in_one_buffer_the_layers_view():
-    # (G, K) stack of [5, 4, 3] heads: P = 4*5 + 4 + 3*4 + 3, weight then bias per layer
-    heads = [[models.init_pose_network([5, 4, 3], seed=10 * i + j) for j in range(3)]
-             for i in range(2)]
-    stacked = models.stack([models.stack(row) for row in heads])
+    # (G, K) stack of [5, 4, 3] heads: P = 4*5 + 4 + 3*4 + 3, weight then bias
+    # per layer, each entry drawn as the one network of its seed
+    stacked = models.init_pose_network([5, 4, 3], [[10 * i + j for j in range(3)] for i in range(2)])
     assert stacked.params.shape == (2, 3, 39) and stacked.params.flags.c_contiguous
     for i in range(2):
         for j in range(3):
-            want = np.concatenate([a.ravel() for l in heads[i][j].layers
-                                   for a in (l.weight, l.bias)])
+            one = models.init_pose_network([5, 4, 3], seed=10 * i + j)
+            want = np.concatenate([a.ravel() for l in one.layers for a in (l.weight, l.bias)])
+            assert np.array_equal(one.params, want)
             assert np.array_equal(stacked.params[i, j], want)
     views = [a for l in stacked.layers for a in (l.weight, l.bias)]
     views += [a for l in models.on_buffer(stacked.params[1, 2], stacked).layers
@@ -197,6 +195,17 @@ def test_stack_lays_parameters_out_in_one_buffer_the_layers_view():
 
 # ---------------------------------------------------------------------------
 # init
+
+
+@pytest.mark.parametrize("params, sizes, activations, error", [
+    (np.zeros(18), (5, 3), ("pi_tanh", "linear"), "one activation per layer"),
+    (np.zeros(18), (5, 3), ("tanh",), "unknown activation 'tanh'"),
+    (np.zeros(17), (5, 3), ("linear",), r"parameters of shape \(17,\) are not \(..., 18\)"),
+    (np.zeros((2, 18, 1)), (5, 3), ("linear",), r"parameters of shape \(2, 18, 1\)"),
+])
+def test_a_network_refuses_a_buffer_its_sizes_do_not_fill(params, sizes, activations, error):
+    with pytest.raises(ValueError, match=error):
+        models.MLP(params, sizes, activations)
 
 
 def test_init_deterministic():
@@ -318,7 +327,7 @@ def test_checkpoint_bytes_equal_json_dump_output(tmp_path):
 
 
 def test_checkpoint_of_a_stacked_network_records_entry_sizes(tmp_path):
-    net = models.stack([models.init_pose_network([5, 4, 3], seed=s) for s in range(7)])
+    net = models.init_pose_network([5, 4, 3], list(range(7)))
     path = tmp_path / "stacked.json"
     models.save_mlp(net, path)
     assert json.loads(path.read_text())["sizes"] == [5, 4, 3]

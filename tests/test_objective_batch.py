@@ -22,10 +22,6 @@ with open(GOLDEN, encoding="utf-8") as _fh:
     GOLDEN_ROWS = json.load(_fh)["rows"]
 
 
-def _hard_per_bin(spec):
-    return spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES
-
-
 def _selected_heads(logits, deltas):
     """Each row's head argmax(logits) of all K heads (B, K, d): the deltas
     a hard-label per-bin family reads."""
@@ -42,7 +38,7 @@ def _one_row(row):
     pred = row["prediction"]
     if isinstance(pred, dict):
         prediction = (np.array([pred["logits"]]), np.array([pred["deltas"]]))
-        if _hard_per_bin(spec):
+        if spec.per_bin and not spec.every_head:
             prediction = (prediction[0], _selected_heads(*prediction))
     else:
         prediction = np.array([pred])
@@ -66,7 +62,7 @@ def test_objective_batch_matches_golden_rows(row):
     assert set(out.grads) == set(row["grads"])
     for name, expected in row["grads"].items():
         expected = np.array(expected)
-        if name == "deltas" and _hard_per_bin(spec):
+        if name == "deltas" and spec.per_bin and not spec.every_head:
             # the recorded (K, d) gradient is zero off the head the row reads
             head = int(np.argmax(row["prediction"]["logits"]))
             assert not np.any(np.delete(expected, head, axis=0))
@@ -134,7 +130,7 @@ def _random_rows(spec, b, k, rng):
         return logits, targets, dictionary
     shape = (b, k, spec.pose_dim) if spec.per_bin else (b, spec.pose_dim)
     deltas = 0.4 * rng.standard_normal(shape)
-    if _hard_per_bin(spec):
+    if spec.per_bin and not spec.every_head:
         deltas = _selected_heads(logits, deltas)
     return (logits, deltas), targets, dictionary
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from orientgeo import dictionary as dct
 from orientgeo import cli, gradcheck, harness, losses, metrics, models, so3
 
+from metric_oracles import iou_scalar, match_loop
 from so3_helpers import azimuth_bin, random_axis_angle, random_rotation, rot_x, rot_z
 from test_dataset_exact import reference_generate
 
@@ -442,41 +443,6 @@ def test_training_rows_equal_stacked_per_category_rows(family, augmentation):
 # iou and match_detections against the per-pair implementation
 
 
-def _iou_scalar(box_a, box_b):
-    """IoU of one pair of boxes in Python floats: the reference the row-wise
-    iou must equal bit for bit."""
-    ax1, ay1, ax2, ay2 = box_a
-    bx1, by1, bx2, by2 = box_b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
-
-
-def _match_loop(detections, ground_truths):
-    """match_detections as a double loop over every (detection, ground
-    truth) pair: the reference for the blocked IoU-table matcher."""
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    taken = [False] * len(ground_truths)
-    pairs = []
-    for i in order:
-        det = detections[i]
-        best_j, best_iou = None, metrics.IOU_THRESHOLD
-        for j, gt in enumerate(ground_truths):
-            if taken[j] or gt.category != det.category:
-                continue
-            ov = _iou_scalar(det.box, gt.box)
-            if ov > best_iou:
-                best_j, best_iou = j, ov
-        if best_j is not None:
-            taken[best_j] = True
-        pairs.append((i, best_j))
-    return pairs
-
-
 def _grid_boxes(g, n):
     """n boxes on a small integer grid, so that equal, overlapping, touching
     and disjoint pairs are all common; a few have half-unit corners."""
@@ -497,7 +463,7 @@ def test_iou_table_equals_scalar_calls(seed, d, n_gt):
     a, b = _grid_boxes(g, d), _grid_boxes(g, n_gt)
     b[0] = [a[0, 2], a[0, 1], a[0, 2] + 1.0, a[0, 3]]  # touches a[0] along x = a[0, 2]
     table = metrics.iou(a[:, None], b)
-    want = [[_iou_scalar(x, y) for y in b] for x in a]
+    want = [[iou_scalar(x, y) for y in b] for x in a]
     np.testing.assert_array_equal(_as_bits(table), _as_bits(want))
     np.testing.assert_array_equal(
         _as_bits(table), _as_bits([[metrics.iou(x, y) for y in b] for x in a])
@@ -543,7 +509,7 @@ def test_match_detections_equals_double_loop(seed, d, n_gt, n_cats, block):
     g = np.random.default_rng(seed)
     dets, gts = _detection_sets(g, d, n_gt, n_cats)
     with mock.patch.object(metrics, "_IOU_BLOCK", block):
-        assert metrics.match_detections(dets, gts) == _match_loop(dets, gts)
+        assert metrics.match_detections(dets, gts) == match_loop(dets, gts)
 
 
 def _counted_iou():
@@ -573,7 +539,7 @@ def test_small_iou_blocks_split_a_category():
         counted = _counted_iou()
         with mock.patch.object(metrics, "_IOU_BLOCK", block), \
                 mock.patch.object(metrics, "iou", counted):
-            assert metrics.match_detections(dets, gts) == _match_loop(dets, gts)
+            assert metrics.match_detections(dets, gts) == match_loop(dets, gts)
         assert counted.calls == calls
 
 
@@ -587,7 +553,7 @@ def test_equal_iou_against_two_ground_truths_goes_to_the_lowest_index(block):
     with mock.patch.object(metrics, "_IOU_BLOCK", block):
         for gts in ([_gt("b", box), left, right], [_gt("b", box), right, left]):
             # the higher score claims index 1; the other detection takes index 2
-            assert metrics.match_detections(dets, gts) == [(1, 1), (0, 2)] == _match_loop(dets, gts)
+            assert metrics.match_detections(dets, gts) == [(1, 1), (0, 2)] == match_loop(dets, gts)
 
 
 def test_iou_of_exactly_one_half_claims_nothing():
@@ -723,11 +689,8 @@ def test_flat_adam_step_equals_per_array_steps(seed, lead, steps):
     g = np.random.default_rng(seed)
     sizes = [int(d) for d in g.integers(1, 5, size=g.integers(2, 4))]
 
-    def build():
-        nets = [models.init_pose_network(sizes, seed=i) for i in range(int(np.prod(lead)))]
-        if len(lead) == 2:
-            return models.stack([models.stack(nets[i::lead[0]]) for i in range(lead[0])])
-        return models.stack(nets)
+    def build():  # entry (i, j) of a (a, b) stack draws from seed i + a j
+        return models.init_pose_network(sizes, np.arange(int(np.prod(lead))).reshape(lead[::-1]).T)
 
     old_net, new_net = build(), build()
     # off-default moments check the efficient form away from Kingma & Ba's
@@ -807,11 +770,11 @@ def test_backward_buffer_equals_flattened_per_layer_grads(seed, cats, keys, n):
     g = np.random.default_rng(seed)
     sizes = [int(d) for d in g.integers(1, 9, size=g.integers(2, 5))]
     acts = [str(a) for a in g.choice(models.ACTIVATIONS, size=len(sizes) - 1)]
-    heads = [[models.init_pose_network(sizes, seed=int(g.integers(1000)), activations=acts)
-              for _ in range(keys)] for _ in range(cats)]
+    seeds = [[int(g.integers(1000)) for _ in range(keys)] for _ in range(cats)]
     feats = g.standard_normal((cats, n, sizes[0]))
-    per_bin = models.stack([models.stack(row) for row in heads])
-    cases = [(models.stack([row[0] for row in heads]), feats), (per_bin, feats[:, None])]
+    per_bin = models.init_pose_network(sizes, seeds, acts)
+    cases = [(models.init_pose_network(sizes, [row[0] for row in seeds], acts), feats),
+             (per_bin, feats[:, None])]
     _, cache = models.forward_cached(per_bin, feats[:, None])
     sel = np.nonzero(g.random((cats, keys)) < 0.5)
     gathered = models.on_buffer(per_bin.params[sel], per_bin)
@@ -917,7 +880,7 @@ def _per_row_case(spec, b, k, g):
                 y[i] = 0.0
     label = g.integers(0, k, size=b)
     soft = g.dirichlet(np.ones(k), size=b)
-    if spec.per_bin and spec.family not in losses.EXPECTATION_FAMILIES:
+    if spec.per_bin and not spec.every_head:
         deltas = deltas[np.arange(b), np.argmax(logits, axis=1)]  # each row's own head
     prediction = logits if spec.family == "C" else (logits, deltas)
     if spec.family in ("R_G", "R_E"):

@@ -12,7 +12,7 @@ from orientgeo import dictionary as dct
 from orientgeo import harness, losses, models
 
 
-def reference_train(cfg, dataset, seed):
+def reference_train(cfg, dataset):
     """The per-step training loop as harness.train ran it before the epoch
     plan: one gather, one errstate and one loss sum per step."""
     spec, opt = cfg.objective, cfg.optimizer
@@ -23,9 +23,8 @@ def reference_train(cfg, dataset, seed):
     gamma = (losses.resolve_gamma(spec, dictionary)
              if spec.family in losses.SOFT_TARGET_FAMILIES else None)
     names = dataset.categories
-    per_cat = [harness.build_category_model(cfg, seed + 1000 * (c + 1)) for c in range(len(names))]
-    nets = {role: models.stack([m[role] for m in per_cat]) for role in per_cat[0]}
-    batch_rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), c, 10]))
+    nets = harness.init_networks(cfg)
+    batch_rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, c, 10]))
                   for c in range(len(names))]
     feats, targets = harness._training_rows(spec, dictionary, dataset, gamma)
 
@@ -104,7 +103,7 @@ def test_epoch_plan_equals_the_per_step_loop(family, augmentation, batch):
     cfg = _config(family, batch, augmentation)
     dataset = harness.generate_synthetic(cfg)
     nets, _, log = harness.train(cfg, dataset)
-    ref_nets, ref_log = reference_train(cfg, dataset, cfg.seed)
+    ref_nets, ref_log = reference_train(cfg, dataset)
 
     assert log.lines == ref_log.lines
     assert np.array(log.step_losses).tobytes() == np.array(ref_log.step_losses).tobytes()
@@ -134,7 +133,7 @@ def _diverging(cause):
 def test_non_finite_loss_names_category_epoch_and_step_as_the_loop_did():
     cfg, dataset = _diverging("feature row")
     with pytest.raises(harness.NonFiniteLoss) as ref:
-        reference_train(cfg, dataset, cfg.seed)
+        reference_train(cfg, dataset)
     with pytest.raises(harness.NonFiniteLoss) as got:
         harness.train(cfg, dataset)
     assert str(got.value) == str(ref.value)
