@@ -48,13 +48,21 @@ spec, best of TOOLS_REPEATS, with the probe rows of each instance, and the
 time that check_family spends in gradcheck._draw, best of TOOLS_REPEATS,
 with the candidates it draws.
 
+Records memory: the tracemalloc peak of one perfbench/records.py
+generate at the tools size (DATA_SEED), which builds its Detection and
+GroundTruth objects and writes them, and the peak of one write_records of
+those records, once as the object lists generate passes it and once as
+their RecordTables, each beside the size of the file written.  A peak
+counts what the call holds at once, numpy buffers included, and nothing
+allocated before the call; it does not move with the host's load.
+
 Timings are wall clock of this process only (time.perf_counter), taken
 without system-wide tracing, without cache control and without pinning.
 On a shared virtual machine other tenants' load stretches them; the
 dictionary section, which a training-step change leaves alone, shows
 whether a run was slowed.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_8.json
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/bench.py --out BENCH_9.json
 """
 
 import argparse
@@ -67,6 +75,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -386,6 +395,37 @@ def _tools_timings(repeats):
     return out
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """The most bytes fn(*args, **kwargs) held at once, as tracemalloc
+    counts them."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _records_memory(**size):
+    """tracemalloc peaks of the tools workload's record set-up: one
+    records.generate (at the tools size unless `size` gives categories and
+    per_category), and one write_records of the records it writes, as its
+    object lists and as their RecordTables, with the file's size and each
+    write's peak per file byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.txt")
+        with mock.patch.object(metrics, "write_records", wraps=metrics.write_records) as write:
+            generate_peak = _traced_peak(records.generate, path, DATA_SEED, **size)
+        dets, gts = write.call_args.args[1:]
+        out = {"detections": len(dets), "ground_truths": len(gts),
+               "file_bytes": os.path.getsize(path), "generate_peak_bytes": generate_peak}
+        tables = metrics._table(dets), metrics._table(gts)
+        for name, items in (("objects", (dets, gts)), ("tables", tables)):
+            peak = out[f"write_{name}_peak_bytes"] = _traced_peak(metrics.write_records, path, *items)
+            out[f"write_{name}_peak_per_file_byte"] = peak / out["file_bytes"]
+    return out
+
+
 def _cpu_model():
     """The CPU model name from /proc/cpuinfo, or the platform's guess."""
     try:
@@ -448,6 +488,8 @@ def main() -> int:
         print(f"  check_family {name}: {entry['check_family_s']:.4f} s, "
               f"{entry['probe_rows_per_instance']} probe rows per instance, "
               f"_draw {entry['draw_s']:.4f} s for {entry['candidates_drawn']} candidates")
+    records_memory = _records_memory()
+    print("records memory: " + ", ".join(f"{key} {value}" for key, value in records_memory.items()))
 
     doc = {
         "what": "dictionary layer: fit_kmeans and hard_labels, best of repeats; "
@@ -463,7 +505,9 @@ def main() -> int:
                 "jitter grids and a manifest round trip at the `orient-geo jitter` "
                 "defaults, best of jitter_repeats; read_records and Matching on a "
                 "tools-sized records file, and check_family of every default spec and "
-                "its time in _draw, best of tools_repeats; all in-process",
+                "its time in _draw, best of tools_repeats; the tracemalloc peaks of a "
+                "tools-sized records.generate and of write_records on its object lists "
+                "and on their tables; all in-process",
         "limits": "wall clock of this process only; no system-wide tracing, "
                   "no cache control, no CPU pinning; on a shared virtual machine "
                   "other tenants' load can stretch every time in a file alike, so "
@@ -493,6 +537,7 @@ def main() -> int:
         "regress_stages": stages,
         "jitter": jitter_times,
         "tools": tools,
+        "records_memory": records_memory,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -357,11 +357,19 @@ _DECODE_BLOCK = 512  # flat rows per gather of per-bin heads: bounds its (rows, 
 
 def predict_rotation(spec, nets, dictionary, x: np.ndarray) -> np.ndarray:
     """Feature rows (G, n, in) of G categories to rotation matrices (G, n, 3, 3)
-    by the family's decoding rule, with one forward per role stack."""
+    by the family's decoding rule, with one forward per role stack.  A
+    quaternion head that outputs zero raises models.ZeroSum naming the
+    category (as category_names names category c) and its row; `.row` is
+    the flat row c * n + i, as training sets it for a batch."""
     if spec.family in losses.DIRECT_FAMILIES:
         y = models.forward(nets["pose"], x)
-        if spec.representation == dct.QUATERNION and np.any(np.linalg.norm(y, axis=-1) < 1e-12):
-            raise models.ZeroSum("quaternion head collapsed to zero")
+        if spec.representation == dct.QUATERNION:
+            collapsed = np.flatnonzero(np.linalg.norm(y, axis=-1) < 1e-12)
+            if collapsed.size:
+                row = int(collapsed[0])
+                c, i = divmod(row, x.shape[1])
+                raise models.ZeroSum(f"category {category_names(len(x))[c]} row {i}: "
+                                     "quaternion head collapsed to zero", row)
         return dct.pose_matrices(y, spec.representation)
     label = np.argmax(models.forward(nets["logits"], x), axis=-1)  # ties take the lowest index
     if spec.family == "C":

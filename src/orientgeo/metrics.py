@@ -34,6 +34,8 @@ ANGLE_THRESHOLD_DEG = 30.0
 # IoU entries per table block: match_detections scores at most this many
 # (detection, ground truth) pairs at once, which bounds its memory
 _IOU_BLOCK = 1 << 13
+# lines per write_records block, which bounds the Python objects it holds
+_WRITE_BLOCK = 1 << 8
 
 
 class EmptyCategory(ValueError):
@@ -53,7 +55,7 @@ def _checked_box(box, score=1.0) -> tuple:
     raise ValueError(f"box {tuple(box)} and score {score!r} must be finite, with x1 < x2 and y1 < y2")
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class Detection:
     """One detection; every metric turns a list of these into a RecordTable."""
 
@@ -66,7 +68,7 @@ class Detection:
         object.__setattr__(self, "box", _checked_box(self.box, self.score))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class GroundTruth:
     """One ground truth; see Detection."""
 
@@ -392,18 +394,23 @@ def write_records(path, detections, ground_truths) -> None:
     """Ground truths, then detections, one line each.  A table read from a
     file writes its quaternions of record; other rotations are converted in
     one stacked call.  ValueError, before the file opens, on a category
-    read_records would not read back: empty, with whitespace, or "#..."."""
-    lines = []
+    read_records would not read back: empty, with whitespace, or "#...".
+    Rows are formatted and written _WRITE_BLOCK at a time, so the text of
+    the whole file is never held."""
+    tables = []  # (categories, tag, the (n, 9) numbers of each line)
     for table, tag in ((_table(ground_truths), "gt"), (_table(detections), "det")):
         for cat in set(table.category.tolist()):
             if cat.split() != [cat] or cat[0] == "#":
                 raise ValueError(f"category {cat!r} would not read back from a records file")
         q = so3.matrix_to_quaternion(table.rotation) if table.quaternion is None else table.quaternion
-        numbers = np.concatenate([table.box, table.score[:, None], q], axis=1).tolist()
-        lines += [" ".join([cat, tag, *map(repr, row)])
-                  for cat, row in zip(table.category.tolist(), numbers)]
+        tables.append((table.category, tag, np.concatenate([table.box, table.score[:, None], q], axis=1)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for cats, tag, numbers in tables:
+            for s in range(0, len(cats), _WRITE_BLOCK):
+                rows = zip(cats[s : s + _WRITE_BLOCK].tolist(), numbers[s : s + _WRITE_BLOCK].tolist())
+                fh.write("".join(" ".join([cat, tag, *map(repr, row)]) + "\n" for cat, row in rows))
+        if not any(len(cats) for cats, _, _ in tables):
+            fh.write("\n")  # a file of no records is one empty line
 
 
 def _check_boxes(tags, values):

@@ -37,7 +37,7 @@ class NearPiRotation(ValueError):
     """Matrix log requested for a rotation too close to angle pi."""
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class Rotation:
     """A 3x3 rotation matrix, validated on construction."""
 
@@ -54,7 +54,7 @@ class Rotation:
         return Rotation(np.eye(3))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, slots=True)
 class UnitQuaternion:
     """Unit quaternion (c, s1, s2, s3), canonicalized to c >= 0."""
 
@@ -72,7 +72,7 @@ class UnitQuaternion:
         object.__setattr__(self, "wxyz", q)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class EulerZXZ:
     """ZXZ Euler triple (azimuth, elevation, camera-tilt), radians.
 

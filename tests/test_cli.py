@@ -172,7 +172,9 @@ def test_run_rejects_zero_trials(tiny_config_path, tmp_path, capsys):
 def test_gradcheck_single_family_exit_zero(capsys):
     rc = cli.main(["gradcheck", "--family", "R_G", "--trials", "3"])
     assert rc == 0
-    assert "R_G/axis_angle ok" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["R_G/axis_angle", "ok"],
+                                                    ["R_G/quaternion", "ok"]]
 
 
 def test_gradcheck_unknown_family(capsys):
@@ -432,7 +434,8 @@ def test_bench_runs_every_other_section_once():
     # library attribute it wraps back in place afterwards
     bench = _script("bench")
     patched = [(dct, "_sq_distances"), (dct, "_renormalize_centroids"),
-               (losses, "_geodesic_axis_angle"), (gradcheck, "_draw"), (metrics, "iou")]
+               (losses, "_geodesic_axis_angle"), (gradcheck, "_draw"), (metrics, "iou"),
+               (metrics, "write_records")]
     before = [getattr(owner, name) for owner, name in patched]
     regress = bench.workloads._training_config("regress", 0, tiny=True)
     targets = harness.pooled_train_targets(regress, harness.generate_synthetic(regress))
@@ -459,6 +462,12 @@ def test_bench_runs_every_other_section_once():
     for entry in tools["check_family"].values():
         assert entry.keys() == {"check_family_s", "probe_rows_per_instance", "draw_s",
                                 "candidates_drawn"}
+    memory = bench._records_memory(categories=2, per_category=20)
+    assert memory.keys() == {"detections", "ground_truths", "file_bytes", "generate_peak_bytes",
+                             "write_objects_peak_bytes", "write_objects_peak_per_file_byte",
+                             "write_tables_peak_bytes", "write_tables_peak_per_file_byte"}
+    assert memory["ground_truths"] == 40 and memory["detections"] > 0
+    assert 0 < memory["write_tables_peak_bytes"] < memory["generate_peak_bytes"]
     assert [getattr(owner, name) for owner, name in patched] == before
 
 

@@ -480,6 +480,19 @@ def test_non_finite_loss_names_the_failing_category(monkeypatch):
     assert isinstance(info.value.__cause__, models.ZeroSum)
 
 
+def test_collapsed_quaternion_head_at_evaluation_names_its_category_and_row():
+    # untrained seed-5 stacks: on row 6 of cat02 every last hidden ReLU is
+    # zero, so the quaternion head returns its zero bias
+    cfg = tiny_config("R_G", data=dataclasses.replace(tiny_config().data, categories=3))
+    cfg = dataclasses.replace(cfg, seed=5, objective=losses.ObjectiveSpec("R_G", dct.QUATERNION))
+    nets = harness.init_networks(cfg)
+    x = np.random.default_rng(0).standard_normal((3, 10, cfg.data.feature_dim))
+    assert not models.forward(nets["pose"], x)[1, 6].any()
+    with pytest.raises(models.ZeroSum, match="^category cat02 row 6: ") as info:
+        harness.predict_rotation(cfg.objective, nets, None, x)
+    assert info.value.row == 16  # the flat row, category-then-index, as training's rows
+
+
 GOLDEN_TRAINING = os.path.join(os.path.dirname(__file__), "golden_training.json")
 GOLDEN_TRAINING_TOL = 1e-10
 

@@ -1,6 +1,7 @@
 """Metrics against exact-arithmetic PR oracles, boundary cases at the
 30-degree and azimuth-bin edges, and the structural matching guarantees."""
 
+import dataclasses
 import json
 import math
 import os
@@ -108,6 +109,17 @@ def test_detection_refuses_box_entries_and_scores_that_are_not_real_numbers(box,
 def test_ground_truth_refuses_box_entries_that_are_not_real_numbers(box):
     with pytest.raises(ValueError, match=BOX_RULE):
         metrics.GroundTruth("c", box, so3.Rotation.identity())
+
+
+@pytest.mark.parametrize("record", [_det("c", BOX, 0.5, so3.Rotation.identity()),
+                                    _gt("c", BOX, so3.Rotation.identity())],
+                         ids=lambda r: type(r).__name__)
+def test_one_row_records_are_slotted_and_equal_only_to_themselves(record):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "extra", 1.0)
+    assert record == record and record != dataclasses.replace(record)
+    assert type(record).__hash__ is object.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +489,53 @@ def test_record_file_rewrites_are_byte_stable_for_random_quaternions(tmp_path):
         metrics.write_records(dst, *metrics.read_records(src))
     assert paths[1].read_bytes() == paths[0].read_bytes()
     assert paths[2].read_bytes() == paths[0].read_bytes()
+
+
+def _joined_records_text(detections, ground_truths):
+    """A records file's text as one "\\n".join of every line: the whole-file
+    form that write_records's streamed blocks must reproduce."""
+    lines = []
+    for table, tag in ((metrics._table(ground_truths), "gt"), (metrics._table(detections), "det")):
+        q = so3.matrix_to_quaternion(table.rotation) if table.quaternion is None else table.quaternion
+        numbers = np.concatenate([table.box, table.score[:, None], q], axis=1).tolist()
+        lines += [" ".join([cat, tag, *map(repr, row)])
+                  for cat, row in zip(table.category.tolist(), numbers)]
+    return "\n".join(lines) + "\n"
+
+
+def _random_records(rng, n, cls):
+    """n Detections (cls is Detection) or GroundTruths of random categories,
+    boxes, scores and rotations."""
+    out = []
+    for _ in range(n):
+        cat = str(rng.choice(["car", "chair", "naïve", "x#y"]))
+        x, y, w, h = rng.uniform(-50.0, 50.0, 2).tolist() + rng.uniform(1e-3, 80.0, 2).tolist()
+        box = (x, y, x + w, y + h)
+        args = (box, float(rng.random())) if cls is metrics.Detection else (box,)
+        out.append(cls(cat, *args, random_rotation(rng)))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, None])  # None: the module's own block
+@pytest.mark.parametrize("n_gt, n_det", [(0, 0), (1, 0), (0, 1), (255, 257), (600, 513)])
+def test_streamed_records_equal_the_whole_file_join(tmp_path, monkeypatch, block, n_gt, n_det):
+    # object lists, their tables, and tables with quaternions of record (of
+    # either sign, unnormalized in their last bits) all write the joined text
+    if block is not None:
+        monkeypatch.setattr(metrics, "_WRITE_BLOCK", block)
+    rng = np.random.default_rng(7 * n_gt + n_det)
+    gts = _random_records(rng, n_gt, metrics.GroundTruth)
+    dets = _random_records(rng, n_det, metrics.Detection)
+    tables = [metrics._table(dets), metrics._table(gts)]
+    quats = rng.standard_normal((n_det + n_gt, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    with_quats = [dataclasses.replace(t, quaternion=q, rotation=dct.pose_matrices(q, dct.QUATERNION))
+                  for t, q in zip(tables, (quats[:n_det], quats[n_det:]))]
+    for k, (d, g) in enumerate([(dets, gts), tables, with_quats]):
+        path = tmp_path / f"records{k}.txt"
+        metrics.write_records(path, d, g)
+        assert path.read_bytes() == _joined_records_text(d, g).encode("utf-8")
+    assert (tmp_path / "records0.txt").read_bytes() == (tmp_path / "records1.txt").read_bytes()
 
 
 def _one_record_table(category):

@@ -67,6 +67,27 @@ def test_euler_wraps_az_ct():
     assert e.tilt == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("value", [so3.Rotation.identity(), so3.UnitQuaternion([1.0, 0.0, 0.0, 0.0]),
+                                   so3.EulerZXZ(0.1, 0.2, 0.3)], ids=lambda v: type(v).__name__)
+def test_one_row_values_are_slotted(value):
+    # no per-instance dict: a new attribute is refused even past the frozen
+    # __setattr__
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(value, "extra", 1.0)
+
+
+def test_one_row_values_keep_their_equality_and_hashing():
+    # EulerZXZ compares and hashes its fields; the array holders are equal
+    # only to themselves
+    a = so3.EulerZXZ(0.1, 0.2, 0.3)
+    assert a == so3.EulerZXZ(0.1, 0.2, 0.3) and hash(a) == hash(so3.EulerZXZ(0.1, 0.2, 0.3))
+    assert a != so3.EulerZXZ(0.1, 0.2, 0.4)
+    for cls, arg in ((so3.Rotation, np.eye(3)), (so3.UnitQuaternion, [1.0, 0.0, 0.0, 0.0])):
+        value = cls(arg)
+        assert value == value and value != cls(arg) and cls.__hash__ is object.__hash__
+
+
 # ---------------------------------------------------------------------------
 # exp / log
 
